@@ -113,7 +113,7 @@ def build_env(config: WorkloadConfig, history=None) -> BenchEnv:
     adapters = {}
     for spec in config.storages:
         caps = _effective_capabilities(spec, config.decoupling)
-        adapter = build_memstore(spec.name, MemStoreConfig(caps, seed=config.seed))
+        adapter = build_memstore(spec.name, MemStoreConfig(caps))
         if config.decoupling is DecouplingMode.VIEW_JOINABLE:
             adapter.register_join_view(
                 f"{NAMESPACE}.{TABLE}_with_meta", NAMESPACE, TABLE, TABLE + "_meta"

@@ -149,6 +149,14 @@ def expand_writes(
     return apps + metas
 
 
+def logical_index(config: DecoupleConfig | None, writes: Sequence[ConditionalWrite], i: int) -> int:
+    """Map index ``i`` of ``expand_writes(..., writes)`` back to its write in ``writes``."""
+    if i < len(writes):
+        return i
+    split = [j for j, write in enumerate(writes) if config.applies_to(write.key)]
+    return split[i - len(writes)]
+
+
 def write_batch(
     registry: StorageRegistry,
     config: DecoupleConfig | None,

@@ -1,10 +1,15 @@
 """Deterministic in-memory storage adapter plus counting/fault-injection wrappers.
 
-The store keeps an ordered map keyed by (namespace, table, partition key,
-clustering key). Batches, reads, and scans synchronize on reader-writer
-latches scoped to the adapter's atomic-write unit (never finer than a
-partition), so a batch is one linearization point and multi-record snapshot
-reads never observe half a batch.
+The store keeps a flat hash map from (namespace, table, partition key,
+clustering key) to columns, so a point read is one dict lookup. Beside it a
+clustering-key index maps each (namespace, table, partition key) to the set of
+non-empty clustering keys stored under it; a scan reads that set plus the
+partition's empty-clustering-key row and sorts the hits, so it costs the size
+of the partition rather than the size of the store. Batches, reads, and scans
+synchronize on reader-writer latches scoped to the adapter's atomic-write unit
+(never finer than a partition), so a batch is one linearization point,
+maintains the index under the same latch, and multi-record snapshot reads
+never observe half a batch.
 
 Wrappers compose around the core store:
 
@@ -104,13 +109,11 @@ class FaultKind(enum.Enum):
 class MemStoreConfig:
     """Construction-time knobs for one in-memory store.
 
-    ``seed`` is reserved for randomized internals; the current store is fully
-    deterministic and ignores it. Fault plan entries are
-    (atomic-write index, kind) with strictly increasing indices.
+    Fault plan entries are (atomic-write index, kind) with strictly increasing
+    indices.
     """
 
     capabilities: AdapterCapabilities
-    seed: int = 0
     fault_plan: tuple[tuple[int, FaultKind], ...] = ()
 
 
@@ -183,6 +186,9 @@ class MemStore(StorageAdapter):
         self._name = name
         self._caps = config.capabilities
         self._rows: dict[_RowKey, dict] = {}
+        # (namespace, table, partition key) -> non-empty clustering keys in
+        # _rows; a partition's row with the empty clustering key stays out.
+        self._clustered: dict[tuple, set[tuple]] = {}
         self._latches: dict[GroupKey, RWLock] = {}
         self._latch_table_lock = threading.Lock()
         self._views: dict[str, tuple[str, str, str]] = {}
@@ -235,15 +241,16 @@ class MemStore(StorageAdapter):
         if prefix.partition_key is None:
             raise ValueError("scan prefix must identify one partition")
         latch = self._latch_for(self._truncate_scope(prefix))
+        partition = (prefix.namespace, prefix.table, prefix.partition_key)
         with latch.read_locked():
             hits = [
-                (rk[3], dict(columns))
-                for rk, columns in self._rows.items()
-                if rk[0] == prefix.namespace
-                and rk[1] == prefix.table
-                and rk[2] == prefix.partition_key
+                (ck, dict(self._rows[partition + (ck,)]))
+                for ck in self._clustered.get(partition, ())
             ]
+            bare = self._rows.get(partition + ((),))
         hits.sort(key=lambda item: key_sort_key(item[0]))
+        if bare is not None:
+            hits.insert(0, ((), dict(bare)))  # the empty clustering key sorts first
         return [
             Record(
                 FullKey(self._name, prefix.namespace, prefix.table, prefix.partition_key, ck),
@@ -341,10 +348,18 @@ class MemStore(StorageAdapter):
                 if not self._condition_holds(write):
                     return i
             for write in writes:
+                rk = _row_key(write.key)
+                ck = rk[3]
                 if write.kind is WriteKind.DELETE:
-                    self._rows.pop(_row_key(write.key), None)
+                    if self._rows.pop(rk, None) is not None and ck:
+                        cks = self._clustered[rk[:3]]
+                        cks.discard(ck)
+                        if not cks:
+                            del self._clustered[rk[:3]]
                 else:
-                    self._rows[_row_key(write.key)] = dict(write.columns)
+                    if ck and rk not in self._rows:
+                        self._clustered.setdefault(rk[:3], set()).add(ck)
+                    self._rows[rk] = dict(write.columns)
         return None
 
     # -- test and tooling surface -------------------------------------------
@@ -375,6 +390,7 @@ class MemStore(StorageAdapter):
 
     def truncate(self) -> None:
         self._rows.clear()
+        self._clustered.clear()
 
 
 class _ForwardingAdapter(StorageAdapter):

@@ -31,11 +31,10 @@ import enum
 import queue
 import threading
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
-from .decoupling import DecoupleConfig, ReadPath, expand_writes, read_dispatch
+from .decoupling import DecoupleConfig, ReadPath, expand_writes, logical_index, read_dispatch
 from .errors import (
     ConflictAbort,
     JoinIntegrityError,
@@ -197,7 +196,6 @@ class TransactionManager:
         decoupling: DecoupleConfig | None = None,
         pushdown_enabled: bool = True,
         one_phase_enabled: bool = True,
-        group_parallelism: int | None = None,
         async_commit_records: bool = False,
         commit_queue_size: int = 64,
         tx_id_factory: Callable[[], str] | None = None,
@@ -211,7 +209,6 @@ class TransactionManager:
         self.decoupling = decoupling if (decoupling and decoupling.enabled) else None
         self.pushdown_enabled = pushdown_enabled
         self.one_phase_enabled = one_phase_enabled
-        self.group_parallelism = group_parallelism
         self.history = history
         self._tx_id_factory = tx_id_factory or (lambda: str(uuid.uuid4()))
         self._clock = 0
@@ -491,34 +488,34 @@ class TransactionManager:
         return ConditionalWrite(logical.key, combined_columns(logical.columns, meta), condition)
 
     def _write_groups(self, batches: list[list[ConditionalWrite]]) -> list[int | None]:
-        """Issue one batch per group, possibly in parallel.
-
-        A planned crash is re-raised as-is after all in-flight batches settle:
-        whatever they left behind is the post-crash state.
-        """
+        """Issue one batch per group, in order; a crash propagates at once."""
         physical = [expand_writes(self.registry, self.decoupling, b) for b in batches]
-        width = self.group_parallelism or min(len(physical), 8)
-        if len(physical) <= 1 or width <= 1:
-            return [self.registry.atomic_write(batch) for batch in physical]
-        outcomes: list = [None] * len(physical)
-        with ThreadPoolExecutor(max_workers=min(width, len(physical))) as pool:
-            futures = [pool.submit(self.registry.atomic_write, batch) for batch in physical]
-            errors = []
-            for i, future in enumerate(futures):
-                try:
-                    outcomes[i] = future.result()
-                except Exception as exc:  # noqa: BLE001 - crashes must propagate
-                    errors.append(exc)
-            if errors:
-                raise errors[0]
-        return outcomes
+        return [self.registry.atomic_write(batch) for batch in physical]
+
+    def _settle_groups(self, batches: list[list[ConditionalWrite]]) -> None:
+        """Issue tx-id-conditioned batches, one per group, in order.
+
+        A record whose condition fails was settled by a recovery, and perhaps
+        overwritten since; that write is dropped and the rest of its group is
+        reissued, so one lost race never strands the group's other records.
+        """
+        for batch in batches:
+            writes = list(batch)
+            while writes:
+                failed = self.registry.atomic_write(
+                    expand_writes(self.registry, self.decoupling, writes)
+                )
+                if failed is None:
+                    break
+                del writes[logical_index(self.decoupling, writes, failed)]
 
     def _rollback_groups(self, tx_id: str, groups: list[list[_LogicalWrite]]) -> None:
         """Restore before-images of prepared records; losing a race is fine."""
+        condition = if_tx_id_equals(tx_id)
+        batches = []
         for group in groups:
             writes = []
             for logical in group:
-                condition = if_tx_id_equals(tx_id)
                 before = logical.before_image()
                 if before is None:
                     writes.append(ConditionalWrite(logical.key, {}, condition, WriteKind.DELETE))
@@ -528,7 +525,8 @@ class TransactionManager:
                             logical.key, combined_columns(before.columns, before.metadata), condition
                         )
                     )
-            self.registry.atomic_write(expand_writes(self.registry, self.decoupling, writes))
+            batches.append(writes)
+        self._settle_groups(batches)
 
     def _abort_with_state(self, tx: TxHandle, prepared: list[list[_LogicalWrite]], reason: str):
         # If this loses the write-once race, a lazy recovery recorded the
@@ -632,8 +630,8 @@ class TransactionManager:
         commit_at = self._tick()
 
         # Commit-record phase: flip each group to COMMITTED; may run behind
-        # the queue. Losing the tx-id condition means a recovery or a later
-        # writer got there first, which is fine.
+        # the queue. A record that lost the tx-id condition was settled by a
+        # recovery (and maybe overwritten since); the rest still flip.
         commit_batches = [
             [
                 self._committed_record(
@@ -646,7 +644,7 @@ class TransactionManager:
         if self._queue is not None:
             self._queue.put(commit_batches)
         else:
-            self._write_groups(commit_batches)
+            self._settle_groups(commit_batches)
         tx._prepared_groups = []
         self._finish(tx, TxStatus.COMMITTED, commit_at)
 
@@ -654,7 +652,7 @@ class TransactionManager:
         while True:
             batches = self._queue.get()
             try:
-                self._write_groups(batches)
+                self._settle_groups(batches)
             except Exception:  # noqa: BLE001 - background completion is best-effort
                 pass
             finally:

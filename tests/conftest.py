@@ -53,7 +53,6 @@ def build_env(
     one_phase=True,
     history=None,
     tx_ids=None,
-    group_parallelism=1,
     async_commit=False,
 ):
     """storages: mapping name -> AdapterCapabilities (default one STORAGE-unit store)."""
@@ -79,7 +78,6 @@ def build_env(
         decoupling=DecoupleConfig(enabled=True) if decoupled else None,
         pushdown_enabled=pushdown,
         one_phase_enabled=one_phase,
-        group_parallelism=group_parallelism,
         async_commit_records=async_commit,
         tx_id_factory=factory,
         history=history,

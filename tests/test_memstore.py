@@ -1,5 +1,7 @@
 """In-memory adapter semantics, checked against a sequential reference map."""
 
+import random
+import sys
 import threading
 
 import pytest
@@ -11,6 +13,7 @@ from fedtx import (
     CapabilityUnsupported,
     ConditionalWrite,
     FaultKind,
+    FullKey,
     GroupKey,
     IF_NOT_EXISTS,
     InjectedCrash,
@@ -23,6 +26,7 @@ from fedtx import (
     build_memstore,
     if_tx_id_equals,
 )
+from fedtx.model import key_sort_key
 from fedtx.records import COL_TX_ID
 from conftest import k, make_caps
 
@@ -133,6 +137,89 @@ class TestScan:
     def test_scan_requires_partition_depth(self):
         with pytest.raises(ValueError):
             store().scan(GroupKey("s1", "app", "t"))
+
+    @pytest.mark.parametrize("unit", [AtomicityUnit.STORAGE, AtomicityUnit.PARTITION])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_scan_matches_filtered_dump_under_random_writes(self, unit, seed):
+        """The clustering-key index agrees with a brute-force filter of the store."""
+        rng = random.Random(seed)
+        s = MemStore("s1", MemStoreConfig(make_caps(unit)))
+        # tables, partition keys and clustering keys that share prefixes
+        partitions = [
+            (ns, table, pk)
+            for ns in ("app", "app2")
+            for table in ("t", "tt")
+            for pk in ((1,), (1, 2))
+        ]
+        clusterings = [(), (1,), (1, 0), (1, 0, 3), (10,)]
+
+        def check_every_partition():
+            dump = s.dump()
+            for ns, table, pk in partitions:
+                expected = sorted(
+                    (
+                        r for r in dump
+                        if (r.key.namespace, r.key.table, r.key.partition_key) == (ns, table, pk)
+                    ),
+                    key=lambda r: key_sort_key(r.key.clustering_key),
+                )
+                assert s.scan(GroupKey("s1", ns, table, pk)) == expected
+
+        emptied = 0
+        for step in range(300):
+            ns, table, pk = rng.choice(partitions)
+            prefix = GroupKey("s1", ns, table, pk)
+            batch = []
+            for ck in rng.sample(clusterings, rng.randint(1, 3)):
+                key = FullKey("s1", ns, table, pk, ck)
+                batch.append(delete(key) if rng.random() < 0.5 else put(key, {"v": step}))
+            had_rows = bool(s.scan(prefix))
+            assert s.atomic_write(batch) is None
+            check_every_partition()
+            emptied += had_rows and not s.scan(prefix)
+        assert emptied > 0  # some partition lost its last row along the way
+        for record in s.dump():
+            s.atomic_write([delete(record.key)])
+        check_every_partition()
+        assert s._clustered == {}  # emptied partitions leave no index entry behind
+        s.atomic_write([put(FullKey("s1", "app", "t", (1,), (1,)), {"v": 0})])
+        s.truncate()
+        check_every_partition()
+
+    def test_scans_stay_exact_while_other_partitions_change(self):
+        """Writers on separate partition latches share the index's outer map."""
+        s = MemStore("s1", MemStoreConfig(make_caps(AtomicityUnit.PARTITION)))
+        errors = []
+
+        def worker(pk):
+            rng = random.Random(pk)
+            prefix, model = GroupKey("s1", "app", "t", (pk,)), {}
+            try:
+                for step in range(300):
+                    ck = (rng.randrange(4),)
+                    if ck in model and rng.random() < 0.5:
+                        s.atomic_write([delete(k(pk=pk, ck=ck[0]))])
+                        del model[ck]
+                    else:
+                        s.atomic_write([put(k(pk=pk, ck=ck[0]), {"v": step})])
+                        model[ck] = {"v": step}
+                    got = [(r.key.clustering_key, dict(r.columns)) for r in s.scan(prefix)]
+                    assert got == sorted(model.items())
+            except Exception as exc:  # noqa: BLE001 - reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(pk,)) for pk in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
 
 class TestSnapshotRead:

@@ -13,7 +13,7 @@ from fedtx import (
     TxState,
 )
 from fedtx.memstore import _ForwardingAdapter
-from fedtx.records import COL_STATE, COL_VERSION
+from fedtx.records import COL_STATE, COL_TX_ID, COL_VERSION
 from fedtx.transaction import TxStatus
 from fedtx.verifier import HistoryRecorder
 from conftest import build_env, k, make_caps
@@ -285,8 +285,8 @@ class TestConflicts:
             reader.commit()
 
 
-class ReadHook(_ForwardingAdapter):
-    """Fires a one-shot callback right after a read matching the predicate."""
+class _OneShotHook(_ForwardingAdapter):
+    """Fires a one-shot callback at the first call matching the predicate."""
 
     def __init__(self, inner):
         super().__init__(inner)
@@ -295,13 +295,28 @@ class ReadHook(_ForwardingAdapter):
     def arm(self, predicate, callback):
         self.armed = (predicate, callback)
 
-    def read(self, key):
-        result = self._inner.read(key)
-        if self.armed is not None and self.armed[0](key):
+    def _fire(self, argument):
+        if self.armed is not None and self.armed[0](argument):
             _, callback = self.armed
             self.armed = None
             callback()
+
+
+class ReadHook(_OneShotHook):
+    """Fires right after a read of a key matching the predicate."""
+
+    def read(self, key):
+        result = self._inner.read(key)
+        self._fire(key)
         return result
+
+
+class WriteHook(_OneShotHook):
+    """Fires right before a batch matching the predicate."""
+
+    def atomic_write(self, writes):
+        self._fire(writes)
+        return self._inner.atomic_write(writes)
 
 
 def hooked_env(**kwargs):
@@ -442,6 +457,87 @@ class TestRecovery:
 
         hook.arm(lambda key: key.table == "state", late_commit)
         assert committed_value(env, k("s1")) == {"v": 10}  # rolled forward
+
+
+class TestLostRaceLeavesNoResidue:
+    """A group's batch that loses one record's tx-id condition settles the rest.
+
+    T writes two records on s1 (one group) and one on s2, so it commits in two
+    phases. Just before one of T's s1 batches, a second transaction settles
+    one of T's records through lazy recovery and overwrites it.
+    """
+
+    def race_env(self, decoupled, store):
+        env = build_env({"s1": make_caps(), "s2": make_caps()}, decoupled=decoupled)
+        for key in (k("s1", pk=1), k("s1", pk=2), k("s2", pk=9)):
+            seed(env, key, 0)
+        hook = WriteHook(env.adapters[store])
+        env.registry._adapters[store] = hook
+        return env, hook
+
+    def overwrite(self, env, key):
+        def interpose():
+            other = env.manager.begin()
+            assert other.get(key) is not None  # settles T's record first
+            other.put(key, {"v": 100})
+            other.commit()
+
+        return interpose
+
+    def begin_t(self, env):
+        tx = env.manager.begin()
+        for key in (k("s1", pk=1), k("s1", pk=2), k("s2", pk=9)):
+            tx.put(key, {"v": 7})
+        return tx
+
+    def assert_no_prepared(self, env):
+        prepared = [
+            r.key.render()
+            for r in env.dump_all()
+            if r.columns.get(COL_STATE) == TxState.PREPARED.value
+        ]
+        assert prepared == []
+
+    @pytest.mark.parametrize("decoupled", [False, True], ids=["colocated", "split"])
+    @pytest.mark.parametrize("lost_pk", [1, 2])
+    def test_commit_record_batch_flips_the_rest(self, decoupled, lost_pk):
+        env, hook = self.race_env(decoupled, "s1")
+        tx = self.begin_t(env)
+
+        def commit_record_of_t(writes):
+            return any(
+                w.columns.get(COL_TX_ID) == tx.tx_id
+                and w.columns.get(COL_STATE) == TxState.COMMITTED.value
+                for w in writes
+            )
+
+        hook.arm(commit_record_of_t, self.overwrite(env, k("s1", pk=lost_pk)))
+        tx.commit()
+        assert hook.armed is None
+        self.assert_no_prepared(env)
+        kept_pk = 3 - lost_pk
+        assert committed_value(env, k("s1", pk=lost_pk)) == {"v": 100}
+        assert committed_value(env, k("s1", pk=kept_pk)) == {"v": 7}
+        assert committed_value(env, k("s2", pk=9)) == {"v": 7}
+
+    @pytest.mark.parametrize("decoupled", [False, True], ids=["colocated", "split"])
+    @pytest.mark.parametrize("lost_pk", [1, 2])
+    def test_rollback_batch_restores_the_rest(self, decoupled, lost_pk):
+        env, hook = self.race_env(decoupled, "coord")
+        tx = self.begin_t(env)
+
+        def outcome_of_t(writes):
+            return writes[0].key == env.manager.coordinator.key_for(tx.tx_id)
+
+        # the interposed read finds no outcome yet, so it records T's abort
+        hook.arm(outcome_of_t, self.overwrite(env, k("s1", pk=lost_pk)))
+        with pytest.raises(ConflictAbort):
+            tx.commit()
+        self.assert_no_prepared(env)
+        kept_pk = 3 - lost_pk
+        assert committed_value(env, k("s1", pk=lost_pk)) == {"v": 100}
+        assert committed_value(env, k("s1", pk=kept_pk)) == {"v": 0}
+        assert committed_value(env, k("s2", pk=9)) == {"v": 0}
 
 
 class TestScan:
