@@ -41,7 +41,7 @@ def fresh_env(consistent: bool, view: bool):
     coord = build_memstore("coord", MemStoreConfig(AdapterCapabilities(AtomicityUnit.STORAGE)))
     registry.register(coord)
     manager = TransactionManager(
-        registry, CoordinatorLocation("coord"), decoupling=DecoupleConfig(enabled=True)
+        registry, CoordinatorLocation("coord"), decoupling=DecoupleConfig()
     )
     return manager, store
 

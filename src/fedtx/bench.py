@@ -129,7 +129,7 @@ def build_env(config: WorkloadConfig, history=None) -> BenchEnv:
         adapters[config.coordinator.storage] = coord
     decouple = None
     if config.decoupling is not DecouplingMode.NONE:
-        decouple = DecoupleConfig(enabled=True, namespaces=frozenset({NAMESPACE}))
+        decouple = DecoupleConfig(namespaces=frozenset({NAMESPACE}))
     manager = TransactionManager(
         registry,
         config.coordinator,

@@ -1,12 +1,13 @@
 """Keeping record metadata in a separate table without giving up atomic writes.
 
-When enabled, every logical record splits into an application row and a
-metadata row in a sibling table (same primary key, table name suffixed). Both
-rows always travel in the same atomic batch, which stays legal as long as the
-sibling table falls inside the same atomic-write scope of the storage.
+With a ``DecoupleConfig`` in force, every logical record it applies to splits
+into an application row and a metadata row in a sibling table (same primary
+key, table name suffixed). Both rows always travel in the same atomic batch,
+which stays legal as long as the sibling table falls inside the same
+atomic-write scope of the storage (``metadata_in_scope``).
 
 Reading takes one of three routes, picked per key from the adapter's declared
-capabilities:
+capabilities and from whether the metadata row shares the key's scope:
 
 * a registered database view joins the two rows inside the store;
 * a multi-record consistent read fetches both rows at one point;
@@ -39,13 +40,10 @@ class DecoupleConfig:
     with the metadata suffix.
     """
 
-    enabled: bool = True
     namespaces: frozenset[str] | None = None
     meta_table_suffix: str = "_meta"
 
     def applies_to(self, key: FullKey) -> bool:
-        if not self.enabled:
-            return False
         if self.namespaces is not None and key.namespace not in self.namespaces:
             return False
         return not key.table.endswith(self.meta_table_suffix)
@@ -72,9 +70,6 @@ class DecoupleConfig:
             meta_key.clustering_key,
         )
 
-    def view_name(self, key: FullKey) -> str:
-        return f"{key.namespace}.{key.table}_with_meta"
-
 
 class ReadPath(enum.Enum):
     """How a logical record was fetched; decides later validation."""
@@ -83,11 +78,6 @@ class ReadPath(enum.Enum):
     SPLIT_READS = "SPLIT_READS"
     SNAPSHOT = "SNAPSHOT"
     VIEW = "VIEW"
-
-    @property
-    def consistent(self) -> bool:
-        """Whether the route delivers a self-consistent record by itself."""
-        return self is not ReadPath.SPLIT_READS
 
 
 @dataclass(frozen=True)
@@ -103,14 +93,10 @@ class ReadResult:
         return self.meta is not None
 
 
-def decouple(config: DecoupleConfig, records) -> tuple[list, list]:
-    """Split full records into (application parts, metadata parts), index-aligned."""
-    apps, metas = [], []
-    for record in records:
-        app_columns, meta_columns = split_columns(record.columns)
-        apps.append((record.key, app_columns))
-        metas.append((config.metadata_key(record.key), meta_columns))
-    return apps, metas
+def metadata_in_scope(registry: StorageRegistry, key: FullKey, meta_key: FullKey) -> bool:
+    """Whether the metadata row ``meta_key`` shares the atomic-write scope of ``key``."""
+    unit = registry.get_atomicity_unit(key)
+    return derive_group_key(meta_key, unit) == derive_group_key(key, unit)
 
 
 def expand_writes(
@@ -125,7 +111,7 @@ def expand_writes(
     metadata columns). Application rows come first, metadata rows after. The
     metadata row must stay inside the batch's atomic scope.
     """
-    if config is None or not config.enabled:
+    if config is None:
         return list(writes)
     apps: list[ConditionalWrite] = []
     metas: list[ConditionalWrite] = []
@@ -134,8 +120,7 @@ def expand_writes(
             apps.append(write)
             continue
         meta_key = config.metadata_key(write.key)
-        unit = registry.get_atomicity_unit(write.key)
-        if derive_group_key(meta_key, unit) != derive_group_key(write.key, unit):
+        if not metadata_in_scope(registry, write.key, meta_key):
             raise AtomicityScopeViolation(
                 f"metadata row for {write.key.render()} falls outside the atomic scope"
             )
@@ -143,9 +128,7 @@ def expand_writes(
         apps.append(
             ConditionalWrite(write.key, app_columns, UNCONDITIONAL, write.kind)
         )
-        metas.append(
-            ConditionalWrite(meta_key, meta_columns, write.condition, write.kind)
-        )
+        metas.append(ConditionalWrite(meta_key, meta_columns, write.condition, write.kind))
     return apps + metas
 
 
@@ -155,15 +138,6 @@ def logical_index(config: DecoupleConfig | None, writes: Sequence[ConditionalWri
         return i
     split = [j for j, write in enumerate(writes) if config.applies_to(write.key)]
     return split[i - len(writes)]
-
-
-def write_batch(
-    registry: StorageRegistry,
-    config: DecoupleConfig | None,
-    writes: Sequence[ConditionalWrite],
-) -> int | None:
-    """Apply one logical batch, splitting rows as configured."""
-    return registry.atomic_write(expand_writes(registry, config, writes))
 
 
 def _join(key: FullKey, app, meta, path: ReadPath) -> ReadResult:
@@ -210,14 +184,20 @@ def read_split_view(
 def read_dispatch(
     registry: StorageRegistry, config: DecoupleConfig | None, key: FullKey
 ) -> ReadResult:
-    """Fetch a logical record by the best route the storage supports."""
+    """Fetch a logical record by the best route the storage supports.
+
+    A consistent route (view or snapshot) also needs the metadata row inside
+    the key's atomic-write scope; otherwise the rows are read separately.
+    """
     if config is None or not config.applies_to(key):
         record = registry.read(key)
         if record is None:
             return ReadResult(None, None, ReadPath.COLOCATED)
         app_columns, meta_columns = split_columns(record.columns)
         return ReadResult(app_columns, parse_metadata(meta_columns), ReadPath.COLOCATED)
-    if registry.consistent_readable(key):
+    if registry.consistent_readable(key) and metadata_in_scope(
+        registry, key, config.metadata_key(key)
+    ):
         if registry.view_joinable(key):
             return read_split_view(registry, config, key)
         return read_split_snapshot(registry, config, key)

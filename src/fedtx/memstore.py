@@ -14,8 +14,9 @@ never observe half a batch.
 Wrappers compose around the core store:
 
 * ``CountingStore`` tallies applied operations.
-* ``FaultInjector`` crashes chosen ``atomic_write`` calls either before or
-  after the batch applies, simulating a process dying mid-commit.
+* ``FaultInjector`` crashes the ``atomic_write`` calls chosen by
+  ``inject_faults`` either before or after the batch applies, simulating a
+  process dying mid-commit.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import enum
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 from .errors import (
@@ -107,14 +108,9 @@ class FaultKind(enum.Enum):
 
 @dataclass(frozen=True)
 class MemStoreConfig:
-    """Construction-time knobs for one in-memory store.
-
-    Fault plan entries are (atomic-write index, kind) with strictly increasing
-    indices.
-    """
+    """Construction-time knobs for one in-memory store."""
 
     capabilities: AdapterCapabilities
-    fault_plan: tuple[tuple[int, FaultKind], ...] = ()
 
 
 @dataclass
@@ -139,24 +135,7 @@ class OpCounters:
 
     def __add__(self, other: "OpCounters") -> "OpCounters":
         return OpCounters(
-            reads=self.reads + other.reads,
-            scans=self.scans + other.scans,
-            atomic_write_batches=self.atomic_write_batches + other.atomic_write_batches,
-            written_records=self.written_records + other.written_records,
-            db_transactions=self.db_transactions + other.db_transactions,
-            view_reads=self.view_reads + other.view_reads,
-            condition_failures=self.condition_failures + other.condition_failures,
-        )
-
-    def __sub__(self, other: "OpCounters") -> "OpCounters":
-        return OpCounters(
-            reads=self.reads - other.reads,
-            scans=self.scans - other.scans,
-            atomic_write_batches=self.atomic_write_batches - other.atomic_write_batches,
-            written_records=self.written_records - other.written_records,
-            db_transactions=self.db_transactions - other.db_transactions,
-            view_reads=self.view_reads - other.view_reads,
-            condition_failures=self.condition_failures - other.condition_failures,
+            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
         )
 
     def as_text(self) -> str:
@@ -206,20 +185,6 @@ class MemStore(StorageAdapter):
 
     # -- latching ---------------------------------------------------------
 
-    def _truncate_scope(self, g: GroupKey) -> GroupKey:
-        depth = {
-            AtomicityUnit.STORAGE: 1,
-            AtomicityUnit.NAMESPACE: 2,
-            AtomicityUnit.TABLE: 3,
-            AtomicityUnit.PARTITION: 4,
-        }[self._latch_unit]
-        return GroupKey(
-            storage=g.storage,
-            namespace=g.namespace if depth >= 2 else None,
-            table=g.table if depth >= 3 else None,
-            partition_key=g.partition_key if depth >= 4 else None,
-        )
-
     def _latch_for(self, scope: GroupKey) -> RWLock:
         with self._latch_table_lock:
             latch = self._latches.get(scope)
@@ -228,7 +193,7 @@ class MemStore(StorageAdapter):
             return latch
 
     def _key_latch(self, key: FullKey) -> RWLock:
-        return self._latch_for(self._truncate_scope(derive_group_key(key, AtomicityUnit.RECORD)))
+        return self._latch_for(derive_group_key(key, self._latch_unit))
 
     # -- reads ------------------------------------------------------------
 
@@ -240,7 +205,9 @@ class MemStore(StorageAdapter):
     def scan(self, prefix: GroupKey) -> list[Record]:
         if prefix.partition_key is None:
             raise ValueError("scan prefix must identify one partition")
-        latch = self._latch_for(self._truncate_scope(prefix))
+        latch = self._key_latch(
+            FullKey(prefix.storage, prefix.namespace, prefix.table, prefix.partition_key)
+        )
         partition = (prefix.namespace, prefix.table, prefix.partition_key)
         with latch.read_locked():
             hits = [
@@ -268,8 +235,7 @@ class MemStore(StorageAdapter):
         scopes = {derive_group_key(k, unit) for k in keys}
         if len(scopes) > 1:
             raise AtomicityScopeViolation("snapshot read spans atomic-write scopes")
-        latch = self._latch_for(self._truncate_scope(next(iter(scopes))))
-        with latch.read_locked():
+        with self._key_latch(keys[0]).read_locked():
             out = []
             for key in keys:
                 columns = self._rows.get(_row_key(key))
@@ -298,8 +264,8 @@ class MemStore(StorageAdapter):
         app_key = FullKey(self._name, namespace, app_table, key.partition_key, key.clustering_key)
         meta_key = FullKey(self._name, namespace, meta_table, key.partition_key, key.clustering_key)
         scopes = {
-            self._truncate_scope(derive_group_key(app_key, AtomicityUnit.RECORD)),
-            self._truncate_scope(derive_group_key(meta_key, AtomicityUnit.RECORD)),
+            derive_group_key(app_key, self._latch_unit),
+            derive_group_key(meta_key, self._latch_unit),
         }
         latches = [self._latch_for(s) for s in sorted(scopes, key=lambda s: s.render())]
         for latch in latches:
@@ -342,8 +308,7 @@ class MemStore(StorageAdapter):
             raise AtomicityScopeViolation(
                 f"batch spans {len(groups)} atomic-write scopes on {self._name!r}"
             )
-        latch = self._latch_for(self._truncate_scope(next(iter(groups))))
-        with latch.write_locked():
+        with self._key_latch(writes[0].key).write_locked():
             for i, write in enumerate(writes):
                 if not self._condition_holds(write):
                     return i
@@ -394,7 +359,12 @@ class MemStore(StorageAdapter):
 
 
 class _ForwardingAdapter(StorageAdapter):
-    """Delegates the adapter contract to a wrapped inner adapter."""
+    """Delegates the adapter contract to a wrapped inner adapter.
+
+    The contract is forwarded method by method because the base class's
+    defaults for ``snapshot_read``, ``view_read`` and ``view_for`` would
+    otherwise shadow ``__getattr__``, which forwards everything else.
+    """
 
     def __init__(self, inner: StorageAdapter):
         self._inner = inner
@@ -493,13 +463,11 @@ class FaultInjector(_ForwardingAdapter):
     caller dies exactly as a real process would.
     """
 
-    def __init__(self, inner: StorageAdapter, plan: Sequence[tuple[int, FaultKind]] = ()):
+    def __init__(self, inner: StorageAdapter):
         super().__init__(inner)
         self._lock = threading.Lock()
         self._attempts = 0
         self._plan: list[tuple[int, FaultKind]] = []
-        if plan:
-            self.inject_faults(plan)
 
     def inject_faults(self, plan: Sequence[tuple[int, FaultKind]]) -> None:
         indices = [index for index, _ in plan]
@@ -538,4 +506,4 @@ def build_memstore(name: str, config: MemStoreConfig) -> FaultInjector:
     Counters therefore reflect operations that actually executed: a
     crash-before batch is never counted, a crash-after batch is.
     """
-    return FaultInjector(CountingStore(MemStore(name, config)), config.fault_plan)
+    return FaultInjector(CountingStore(MemStore(name, config)))

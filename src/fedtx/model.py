@@ -79,18 +79,21 @@ key_sort_key = functools.cmp_to_key(compare_key_tuples)
 
 
 def _check_key_components(name: str, components: tuple) -> None:
+    # bool is rejected too: True == 1 and hash(True) == hash(1), so a bool
+    # component would alias an int one in every key-indexed map.
     for v in components:
         tag = value_tag(v)
-        if tag is ValueTag.NULL:
-            raise ValueError(f"{name} component may not be null")
+        if tag is ValueTag.NULL or tag is ValueTag.BOOL:
+            raise ValueError(f"{name} component may not be {tag.value}")
 
 
 @dataclass(frozen=True)
 class FullKey:
     """Complete address of one record.
 
-    The partition key must be non-empty; the clustering key may be empty.
-    (partition_key, clustering_key) is unique within a table.
+    The partition key must be non-empty; the clustering key may be empty. No
+    key component may be null or bool. (partition_key, clustering_key) is
+    unique within a table.
     """
 
     storage: str
@@ -180,26 +183,6 @@ class GroupKey:
                 seen_gap = True
             elif seen_gap:
                 raise ValueError("populated group-key fields must form a prefix")
-
-    @property
-    def depth(self) -> int:
-        for i, value in enumerate(
-            (self.namespace, self.table, self.partition_key, self.clustering_key), start=2
-        ):
-            if value is None:
-                return i - 1
-        return 5
-
-    def is_prefix_of(self, other: "GroupKey") -> bool:
-        mine = (self.storage, self.namespace, self.table, self.partition_key, self.clustering_key)
-        theirs = (
-            other.storage,
-            other.namespace,
-            other.table,
-            other.partition_key,
-            other.clustering_key,
-        )
-        return all(m == t for m, t in zip(mine, theirs) if m is not None)
 
     def render(self) -> str:
         return render_key(

@@ -14,10 +14,10 @@ import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import CapabilityUnsupported, UnknownStorage
-from .model import AtomicityUnit, FullKey, GroupKey, Record, derive_group_key
+from .model import AtomicityUnit, FullKey, GroupKey, Record
 
 
 class WriteKind(enum.Enum):
@@ -121,16 +121,10 @@ class StorageAdapter(ABC):
 
 
 class StorageRegistry:
-    """Maps storage names to adapters and routes keyed operations.
+    """Maps storage names to adapters and routes keyed operations."""
 
-    ``metadata_locator`` is set when record metadata lives in a separate table;
-    it maps an application key to its metadata twin and is used to decide
-    whether the pair can be read at one consistent point.
-    """
-
-    def __init__(self, metadata_locator: Callable[[FullKey], FullKey] | None = None):
+    def __init__(self):
         self._adapters: dict[str, StorageAdapter] = {}
-        self.metadata_locator = metadata_locator
 
     def register(self, adapter: StorageAdapter) -> None:
         if adapter.name in self._adapters:
@@ -167,20 +161,8 @@ class StorageRegistry:
         return self.get_database(keys[0]).snapshot_read(keys)
 
     def consistent_readable(self, key: FullKey) -> bool:
-        """True when this key and its metadata twin can be read at one point.
-
-        Requires the adapter capability, and that both rows fall inside one
-        atomic-write scope of the adapter. With metadata kept in the record
-        itself there is no twin and the capability alone decides.
-        """
-        adapter = self.get_database(key)
-        if not adapter.capabilities.consistent_readable:
-            return False
-        if self.metadata_locator is None:
-            return True
-        unit = adapter.capabilities.atomicity_unit
-        twin = self.metadata_locator(key)
-        return derive_group_key(key, unit) == derive_group_key(twin, unit)
+        """True when this key's store can read several records at one point."""
+        return self.get_database(key).capabilities.consistent_readable
 
     def view_joinable(self, key: FullKey) -> bool:
         adapter = self.get_database(key)

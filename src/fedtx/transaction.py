@@ -28,13 +28,21 @@ when it did not.
 from __future__ import annotations
 
 import enum
+import logging
 import queue
 import threading
 import uuid
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
-from .decoupling import DecoupleConfig, ReadPath, expand_writes, logical_index, read_dispatch
+from .decoupling import (
+    DecoupleConfig,
+    ReadPath,
+    ReadResult,
+    expand_writes,
+    logical_index,
+    read_dispatch,
+)
 from .errors import (
     ConflictAbort,
     JoinIntegrityError,
@@ -47,7 +55,6 @@ from .model import (
     CoordinatorState,
     FullKey,
     GroupKey,
-    Record,
     TransactionMetadata,
     TxOutcome,
     TxState,
@@ -71,6 +78,8 @@ from .storage import (
 
 _RECOVERY_ATTEMPTS = 10
 
+_log = logging.getLogger(__name__)
+
 COORD_STATE_COLUMN = "tx_state"
 COORD_CREATED_COLUMN = "created_at"
 
@@ -93,19 +102,6 @@ class TxStatus(enum.Enum):
     ABORTED = "ABORTED"
 
 
-@dataclass(frozen=True)
-class Observation:
-    """What a read saw: the record (or its absence) and the route that read it."""
-
-    app_columns: Mapping[str, object] | None
-    meta: TransactionMetadata | None
-    path: ReadPath
-
-    @property
-    def present(self) -> bool:
-        return self.meta is not None
-
-
 @dataclass
 class BufferedWrite:
     kind: WriteKind
@@ -119,20 +115,57 @@ class _LogicalWrite:
     key: FullKey
     kind: WriteKind
     columns: Mapping[str, object] | None
-    observed: Observation | None
+    observed: ReadResult
     version: int
 
     @property
     def condition(self):
-        if self.observed is not None and self.observed.present:
+        if self.observed.present:
             return if_tx_id_equals(self.observed.meta.tx_id)
         return IF_NOT_EXISTS
 
     def before_image(self) -> BeforeImage | None:
-        if self.observed is None or not self.observed.present:
+        if not self.observed.present:
             return None
         prior = replace(self.observed.meta, before_image=None)
         return BeforeImage(self.observed.app_columns, prior)
+
+    def prepared_write(self, tx_id: str, prepared_at: int) -> ConditionalWrite:
+        meta = TransactionMetadata(
+            tx_id=tx_id,
+            version=self.version,
+            tx_state=TxState.PREPARED,
+            prepared_at=prepared_at,
+            before_image=self.before_image(),
+            delete_marker=self.kind is WriteKind.DELETE,
+        )
+        columns = {} if self.kind is WriteKind.DELETE else self.columns
+        return ConditionalWrite(self.key, combined_columns(columns, meta), self.condition)
+
+    def committed_write(
+        self, tx_id: str, prepared_at: int, committed_at: int, condition
+    ) -> ConditionalWrite:
+        meta = TransactionMetadata(
+            tx_id, self.version, TxState.COMMITTED, prepared_at, committed_at
+        )
+        columns = None if self.kind is WriteKind.DELETE else self.columns
+        return _committed_write(self.key, columns, meta, condition)
+
+
+def _committed_write(
+    key: FullKey, columns: Mapping[str, object] | None, meta: TransactionMetadata, condition
+) -> ConditionalWrite:
+    """Settled image of a write: ``columns`` under COMMITTED ``meta``, or a delete when None."""
+    if columns is None:
+        return ConditionalWrite(key, {}, condition, WriteKind.DELETE)
+    return ConditionalWrite(key, combined_columns(columns, meta), condition)
+
+
+def _restore_write(key: FullKey, before: BeforeImage | None, condition) -> ConditionalWrite:
+    """Undo of a prepared write: its before-image back, or a delete if it created the record."""
+    if before is None:
+        return ConditionalWrite(key, {}, condition, WriteKind.DELETE)
+    return ConditionalWrite(key, combined_columns(before.columns, before.metadata), condition)
 
 
 @dataclass(frozen=True)
@@ -153,7 +186,7 @@ class TxHandle:
         self.serializable = serializable
         self.begin_at = begin_at
         self.status = TxStatus.ACTIVE
-        self.read_set: dict[FullKey, Observation] = {}
+        self.read_set: dict[FullKey, ReadResult] = {}
         self.write_set: dict[FullKey, BufferedWrite] = {}
         self.attempt: AttemptInfo | None = None
         self._prepared_groups: list[list[_LogicalWrite]] = []
@@ -180,7 +213,8 @@ class TxHandle:
         return self._manager._scan(self, prefix)
 
     def commit(self) -> None:
-        self._manager._commit(self)
+        self._check_active()
+        self._manager._commit_pipeline(self)
 
     def abort(self) -> None:
         self._manager._abort(self)
@@ -202,19 +236,18 @@ class TransactionManager:
         history=None,
     ):
         registry.get_database(coordinator.storage)  # fail fast on bad location
-        if decoupling is not None and decoupling.enabled:
-            registry.metadata_locator = decoupling.metadata_key
         self.registry = registry
         self.coordinator = coordinator
-        self.decoupling = decoupling if (decoupling and decoupling.enabled) else None
+        self.decoupling = decoupling
         self.pushdown_enabled = pushdown_enabled
         self.one_phase_enabled = one_phase_enabled
         self.history = history
         self._tx_id_factory = tx_id_factory or (lambda: str(uuid.uuid4()))
         self._clock = 0
         self._clock_lock = threading.Lock()
-        self._async = async_commit_records
         self._queue: queue.Queue | None = None
+        self._failed_lock = threading.Lock()
+        self._failed_tx_ids: list[str] = []
         if async_commit_records:
             self._queue = queue.Queue(maxsize=commit_queue_size)
             worker = threading.Thread(target=self._commit_record_worker, daemon=True)
@@ -250,13 +283,13 @@ class TransactionManager:
             for record in self.registry.scan(prefix):
                 if self.decoupling is not None and self.decoupling.applies_to(record.key):
                     try:
-                        obs = self._observe_raw(record.key)
+                        obs = read_dispatch(self.registry, self.decoupling, record.key)
                     except JoinIntegrityError:
                         retry = True
                         break
                 else:
                     app_columns, meta_columns = split_columns(record.columns)
-                    obs = Observation(app_columns, parse_metadata(meta_columns), ReadPath.COLOCATED)
+                    obs = ReadResult(app_columns, parse_metadata(meta_columns), ReadPath.COLOCATED)
                 if obs.present and obs.meta.tx_state is TxState.PREPARED:
                     self._resolve_prepared(record.key, obs)
                     retry = True
@@ -285,15 +318,11 @@ class TransactionManager:
 
     # -- reads and recovery ----------------------------------------------------
 
-    def _observe_raw(self, key: FullKey) -> Observation:
-        result = read_dispatch(self.registry, self.decoupling, key)
-        return Observation(result.app_columns, result.meta, result.path)
-
-    def _observe(self, key: FullKey) -> Observation:
+    def _observe(self, key: FullKey) -> ReadResult:
         """Read a record, resolving any in-doubt state before returning it."""
         for _ in range(_RECOVERY_ATTEMPTS):
             try:
-                obs = self._observe_raw(key)
+                obs = read_dispatch(self.registry, self.decoupling, key)
             except JoinIntegrityError:
                 # Transient under a concurrent split-row delete; read again.
                 continue
@@ -302,13 +331,6 @@ class TransactionManager:
                 continue
             return obs
         raise RecoveryFailed(f"record {key.render()} kept reverting to in-doubt state")
-
-    def recover(self, key: FullKey) -> Record | None:
-        """Resolve a possibly in-doubt record and return its settled form."""
-        obs = self._observe(key)
-        if not obs.present or obs.meta.delete_marker:
-            return None
-        return Record(key, combined_columns(obs.app_columns, obs.meta))
 
     def _read_coordinator(self, tx_id: str) -> CoordinatorState | None:
         record = self.registry.read(self.coordinator.key_for(tx_id))
@@ -336,7 +358,7 @@ class TransactionManager:
             return created_at
         return None
 
-    def _resolve_prepared(self, key: FullKey, obs: Observation) -> None:
+    def _resolve_prepared(self, key: FullKey, obs: ReadResult) -> None:
         """Settle a record left PREPARED by another transaction."""
         meta = obs.meta
         state = self._read_coordinator(meta.tx_id)
@@ -353,34 +375,23 @@ class TransactionManager:
         else:
             self._roll_back(key, obs)
 
-    def _roll_forward(self, key: FullKey, obs: Observation, committed_at: int) -> None:
+    def _roll_forward(self, key: FullKey, obs: ReadResult, committed_at: int) -> None:
         meta = obs.meta
-        condition = if_tx_id_equals(meta.tx_id)
-        if meta.delete_marker:
-            writes = [ConditionalWrite(key, {}, condition, WriteKind.DELETE)]
-        else:
-            settled = replace(
-                meta, tx_state=TxState.COMMITTED, committed_at=committed_at, before_image=None
-            )
-            writes = [ConditionalWrite(key, combined_columns(obs.app_columns, settled), condition)]
+        settled = replace(
+            meta, tx_state=TxState.COMMITTED, committed_at=committed_at, before_image=None
+        )
+        columns = None if meta.delete_marker else obs.app_columns
         # A racing recovery may have settled it first; that is fine.
-        self.registry.atomic_write(expand_writes(self.registry, self.decoupling, writes))
+        self._write([_committed_write(key, columns, settled, if_tx_id_equals(meta.tx_id))])
 
-    def _roll_back(self, key: FullKey, obs: Observation) -> None:
-        meta = obs.meta
-        condition = if_tx_id_equals(meta.tx_id)
-        before = meta.before_image
-        if before is None:
-            writes = [ConditionalWrite(key, {}, condition, WriteKind.DELETE)]
-        else:
-            writes = [
-                ConditionalWrite(key, combined_columns(before.columns, before.metadata), condition)
-            ]
-        self.registry.atomic_write(expand_writes(self.registry, self.decoupling, writes))
+    def _roll_back(self, key: FullKey, obs: ReadResult) -> None:
+        condition = if_tx_id_equals(obs.meta.tx_id)
+        self._write([_restore_write(key, obs.meta.before_image, condition)])
 
     def recover_all_prepared(self) -> int:
         """Sweep every dumpable storage and settle all in-doubt records."""
-        self.drain_commit_records()
+        if self._queue is not None:
+            self._queue.join()  # failures stay listed for drain_commit_records
         recovered = 0
         for adapter in self.registry.storages():
             dump = getattr(adapter, "dump", None)
@@ -393,8 +404,10 @@ class TransactionManager:
                 if self.decoupling is not None and key.table.endswith(
                     self.decoupling.meta_table_suffix
                 ):
-                    key = self.decoupling.application_key(key)
-                obs = self._observe_raw(key)
+                    app_key = self.decoupling.application_key(key)
+                    if self.decoupling.applies_to(app_key):
+                        key = app_key
+                obs = read_dispatch(self.registry, self.decoupling, key)
                 if obs.present and obs.meta.tx_state is TxState.PREPARED:
                     self._resolve_prepared(key, obs)
                     recovered += 1
@@ -421,7 +434,7 @@ class TransactionManager:
 
     def _validation_plan(
         self, tx: TxHandle, written_keys: set[FullKey]
-    ) -> list[tuple[FullKey, Observation]]:
+    ) -> list[tuple[FullKey, ReadResult]]:
         """Which observations a re-read must still cover.
 
         Keys this transaction writes are validated by their conditional writes.
@@ -438,14 +451,11 @@ class TransactionManager:
                 plan.append((key, obs))
         return plan
 
-    def _needs_validation_pass(self, tx: TxHandle) -> bool:
-        return tx.serializable or self.decoupling is not None
-
-    def _validate(self, tx: TxHandle, plan: list[tuple[FullKey, Observation]]) -> str | None:
+    def _validate(self, plan: list[tuple[FullKey, ReadResult]]) -> str | None:
         """Re-read observations; returns a mismatch description or None."""
         for key, obs in plan:
             try:
-                current = self._observe_raw(key)
+                current = read_dispatch(self.registry, self.decoupling, key)
             except JoinIntegrityError:
                 return f"{key.render()} was mid-removal during validation"
             if current.present != obs.present:
@@ -459,38 +469,9 @@ class TransactionManager:
                 return f"{key.render()} was read torn"
         return None
 
-    def _prepared_record(
-        self, tx_id: str, logical: _LogicalWrite, prepared_at: int
-    ) -> ConditionalWrite:
-        meta = TransactionMetadata(
-            tx_id=tx_id,
-            version=logical.version,
-            tx_state=TxState.PREPARED,
-            prepared_at=prepared_at,
-            before_image=logical.before_image(),
-            delete_marker=logical.kind is WriteKind.DELETE,
-        )
-        columns = {} if logical.kind is WriteKind.DELETE else logical.columns
-        return ConditionalWrite(logical.key, combined_columns(columns, meta), logical.condition)
-
-    def _committed_record(
-        self, tx_id: str, logical: _LogicalWrite, prepared_at: int, committed_at: int, condition
-    ) -> ConditionalWrite:
-        if logical.kind is WriteKind.DELETE:
-            return ConditionalWrite(logical.key, {}, condition, WriteKind.DELETE)
-        meta = TransactionMetadata(
-            tx_id=tx_id,
-            version=logical.version,
-            tx_state=TxState.COMMITTED,
-            prepared_at=prepared_at,
-            committed_at=committed_at,
-        )
-        return ConditionalWrite(logical.key, combined_columns(logical.columns, meta), condition)
-
-    def _write_groups(self, batches: list[list[ConditionalWrite]]) -> list[int | None]:
-        """Issue one batch per group, in order; a crash propagates at once."""
-        physical = [expand_writes(self.registry, self.decoupling, b) for b in batches]
-        return [self.registry.atomic_write(batch) for batch in physical]
+    def _write(self, writes: list[ConditionalWrite]) -> int | None:
+        """Apply one logical batch; returns ``atomic_write``'s physical failure index."""
+        return self.registry.atomic_write(expand_writes(self.registry, self.decoupling, writes))
 
     def _settle_groups(self, batches: list[list[ConditionalWrite]]) -> None:
         """Issue tx-id-conditioned batches, one per group, in order.
@@ -502,9 +483,7 @@ class TransactionManager:
         for batch in batches:
             writes = list(batch)
             while writes:
-                failed = self.registry.atomic_write(
-                    expand_writes(self.registry, self.decoupling, writes)
-                )
+                failed = self._write(writes)
                 if failed is None:
                     break
                 del writes[logical_index(self.decoupling, writes, failed)]
@@ -512,21 +491,15 @@ class TransactionManager:
     def _rollback_groups(self, tx_id: str, groups: list[list[_LogicalWrite]]) -> None:
         """Restore before-images of prepared records; losing a race is fine."""
         condition = if_tx_id_equals(tx_id)
-        batches = []
-        for group in groups:
-            writes = []
-            for logical in group:
-                before = logical.before_image()
-                if before is None:
-                    writes.append(ConditionalWrite(logical.key, {}, condition, WriteKind.DELETE))
-                else:
-                    writes.append(
-                        ConditionalWrite(
-                            logical.key, combined_columns(before.columns, before.metadata), condition
-                        )
-                    )
-            batches.append(writes)
-        self._settle_groups(batches)
+        self._settle_groups(
+            [
+                [
+                    _restore_write(logical.key, logical.before_image(), condition)
+                    for logical in group
+                ]
+                for group in groups
+            ]
+        )
 
     def _abort_with_state(self, tx: TxHandle, prepared: list[list[_LogicalWrite]], reason: str):
         # If this loses the write-once race, a lazy recovery recorded the
@@ -555,10 +528,6 @@ class TransactionManager:
                 one_phase=bool(tx.attempt and tx.attempt.one_phase),
             )
 
-    def _commit(self, tx: TxHandle) -> None:
-        tx._check_active()
-        self._commit_pipeline(tx)
-
     def _commit_pipeline(self, tx: TxHandle) -> None:
         logicals = self._materialize_writes(tx)
         written_keys = {logical.key for logical in logicals}
@@ -566,11 +535,10 @@ class TransactionManager:
 
         if not logicals:
             # Read-only: nothing to arbitrate, so no coordinator record.
-            if self._needs_validation_pass(tx):
-                mismatch = self._validate(tx, plan)
-                if mismatch is not None:
-                    self._finish(tx, TxStatus.ABORTED)
-                    raise ConflictAbort(mismatch)
+            mismatch = self._validate(plan)
+            if mismatch is not None:
+                self._finish(tx, TxStatus.ABORTED)
+                raise ConflictAbort(mismatch)
             self._finish(tx, TxStatus.COMMITTED, self._tick())
             return
 
@@ -589,13 +557,10 @@ class TransactionManager:
         if tx.attempt.one_phase:
             ts = self._tick()
             batch = [
-                self._committed_record(tx.tx_id, logical, ts, ts, logical.condition)
+                logical.committed_write(tx.tx_id, ts, ts, logical.condition)
                 for logical in group_list[0]
             ]
-            failed = self.registry.atomic_write(
-                expand_writes(self.registry, self.decoupling, batch)
-            )
-            if failed is not None:
+            if self._write(batch) is not None:
                 self._finish(tx, TxStatus.ABORTED)
                 raise ConflictAbort("single-batch commit lost a conflict")
             self._finish(tx, TxStatus.COMMITTED, self._tick())
@@ -604,10 +569,10 @@ class TransactionManager:
         # Prepare phase: one conditional batch per group.
         prepared_at = self._tick()
         prepare_batches = [
-            [self._prepared_record(tx.tx_id, logical, prepared_at) for logical in group]
+            [logical.prepared_write(tx.tx_id, prepared_at) for logical in group]
             for group in group_list
         ]
-        outcomes = self._write_groups(prepare_batches)
+        outcomes = [self._write(batch) for batch in prepare_batches]
         tx._prepared_groups = [
             group for group, outcome in zip(group_list, outcomes) if outcome is None
         ]
@@ -615,8 +580,8 @@ class TransactionManager:
             self._abort_with_state(tx, tx._prepared_groups, "prepare lost a conflict")
 
         # Validate phase: re-read whatever the conditions above cannot cover.
-        if self._needs_validation_pass(tx):
-            mismatch = self._validate(tx, plan)
+        if plan:
+            mismatch = self._validate(plan)
             if mismatch is not None:
                 self._abort_with_state(tx, tx._prepared_groups, mismatch)
 
@@ -632,17 +597,16 @@ class TransactionManager:
         # Commit-record phase: flip each group to COMMITTED; may run behind
         # the queue. A record that lost the tx-id condition was settled by a
         # recovery (and maybe overwritten since); the rest still flip.
+        condition = if_tx_id_equals(tx.tx_id)
         commit_batches = [
             [
-                self._committed_record(
-                    tx.tx_id, logical, prepared_at, committed_at, if_tx_id_equals(tx.tx_id)
-                )
+                logical.committed_write(tx.tx_id, prepared_at, committed_at, condition)
                 for logical in group
             ]
             for group in group_list
         ]
         if self._queue is not None:
-            self._queue.put(commit_batches)
+            self._queue.put((tx.tx_id, commit_batches))
         else:
             self._settle_groups(commit_batches)
         tx._prepared_groups = []
@@ -650,18 +614,29 @@ class TransactionManager:
 
     def _commit_record_worker(self):
         while True:
-            batches = self._queue.get()
+            tx_id, batches = self._queue.get()
             try:
                 self._settle_groups(batches)
-            except Exception:  # noqa: BLE001 - background completion is best-effort
-                pass
+            except Exception:  # noqa: BLE001 - the worker must outlive any one batch
+                # The transaction is committed; its records stay PREPARED
+                # until a reader or recover_all_prepared rolls them forward.
+                _log.exception("commit records of %s failed", tx_id)
+                with self._failed_lock:
+                    self._failed_tx_ids.append(tx_id)
             finally:
                 self._queue.task_done()
 
-    def drain_commit_records(self) -> None:
-        """Block until every queued commit-record batch has been written."""
+    def drain_commit_records(self) -> list[str]:
+        """Block until every queued commit-record batch has been tried.
+
+        Returns the ids of transactions whose background batch raised since
+        the last drain; their records stay PREPARED until recovered.
+        """
         if self._queue is not None:
             self._queue.join()
+        with self._failed_lock:
+            failed, self._failed_tx_ids = self._failed_tx_ids, []
+        return failed
 
     def _abort(self, tx: TxHandle) -> None:
         if tx.status is TxStatus.ABORTED:

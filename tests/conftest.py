@@ -75,7 +75,7 @@ def build_env(
     manager = TransactionManager(
         registry,
         CoordinatorLocation("coord"),
-        decoupling=DecoupleConfig(enabled=True) if decoupled else None,
+        decoupling=DecoupleConfig() if decoupled else None,
         pushdown_enabled=pushdown,
         one_phase_enabled=one_phase,
         async_commit_records=async_commit,

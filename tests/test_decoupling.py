@@ -8,19 +8,16 @@ from fedtx import (
     ConditionalWrite,
     DecoupleConfig,
     JoinIntegrityError,
-    Record,
     TxState,
     if_tx_id_equals,
 )
 from fedtx.decoupling import (
     ReadPath,
-    decouple,
     expand_writes,
     read_dispatch,
     read_split,
     read_split_snapshot,
     read_split_view,
-    write_batch,
 )
 from fedtx.model import TransactionMetadata
 from fedtx.records import combined_columns, metadata_columns
@@ -33,6 +30,11 @@ def committed_meta(tx_id="t0", version=1):
     return TransactionMetadata(
         tx_id, version, TxState.COMMITTED, prepared_at=1, committed_at=2
     )
+
+
+def write(env, writes):
+    """Apply one logical batch the way the commit pipeline does."""
+    return env.registry.atomic_write(expand_writes(env.registry, env.manager.decoupling, writes))
 
 
 class TestLocator:
@@ -58,22 +60,24 @@ class TestLocator:
 
 class TestDecouple:
     def test_column_partition(self):
-        record = Record(k(), combined_columns({"v": 7}, committed_meta()))
-        (app,), (meta,) = decouple(CFG, [record])
-        assert app == (k(), {"v": 7})
-        assert meta[0].table == "t_meta"
-        assert meta[1] == metadata_columns(committed_meta())
+        env = build_env(decoupled=True)
+        logical = ConditionalWrite(k(), combined_columns({"v": 7}, committed_meta()))
+        app, meta = expand_writes(env.registry, env.manager.decoupling, [logical])
+        assert (app.key, dict(app.columns)) == (k(), {"v": 7})
+        assert meta.key.table == "t_meta"
+        assert dict(meta.columns) == metadata_columns(committed_meta())
 
     def test_round_trip(self):
+        env = build_env(decoupled=True)
         columns = combined_columns({"v": 7, "w": b"x"}, committed_meta())
-        record = Record(k(), columns)
-        (app_key, app), (meta_key, meta) = [x[0] for x in decouple(CFG, [record])]
-        rejoined = dict(app)
-        rejoined.update(meta)
+        assert write(env, [ConditionalWrite(k(), columns)]) is None
+        rejoined = dict(env.registry.read(k()).columns)
+        rejoined.update(env.registry.read(CFG.metadata_key(k())).columns)
         assert rejoined == dict(columns)
 
     def test_empty(self):
-        assert decouple(CFG, []) == ([], [])
+        env = build_env(decoupled=True)
+        assert expand_writes(env.registry, env.manager.decoupling, []) == []
 
 
 class TestExpandWrites:
@@ -91,7 +95,7 @@ class TestExpandWrites:
     def test_single_batch_of_two_rows(self):
         env = build_env(decoupled=True)
         logical = ConditionalWrite(k(), combined_columns({"v": 1}, committed_meta()))
-        assert write_batch(env.registry, env.manager.decoupling, [logical]) is None
+        assert write(env, [logical]) is None
         counters = env.counters("s1")
         assert counters.atomic_write_batches == 1
         assert counters.written_records == 2
@@ -102,18 +106,18 @@ class TestExpandWrites:
             ConditionalWrite(k(pk=i), combined_columns({"v": i}, committed_meta()))
             for i in range(4)
         ]
-        assert write_batch(env.registry, env.manager.decoupling, batch) is None
+        assert write(env, batch) is None
         counters = env.counters("s1")
         assert (counters.atomic_write_batches, counters.written_records) == (1, 8)
 
     def test_failed_metadata_condition_suppresses_application_write(self):
         env = build_env(decoupled=True)
         first = ConditionalWrite(k(), combined_columns({"v": 1}, committed_meta("t0")))
-        assert write_batch(env.registry, env.manager.decoupling, [first]) is None
+        assert write(env, [first]) is None
         stale = ConditionalWrite(
             k(), combined_columns({"v": 2}, committed_meta("t1", 2)), if_tx_id_equals("wrong")
         )
-        failed = write_batch(env.registry, env.manager.decoupling, [stale])
+        failed = write(env, [stale])
         assert failed is not None
         assert env.registry.read(k()).columns == {"v": 1}
 
@@ -131,7 +135,7 @@ def seeded_env(consistent=False, view=False):
         register_views=view,
     )
     logical = ConditionalWrite(k(), combined_columns({"v": 7}, committed_meta()))
-    write_batch(env.registry, env.manager.decoupling, [logical])
+    write(env, [logical])
     return env
 
 
@@ -150,7 +154,6 @@ class TestReadRoutes:
         env = seeded_env()
         result = read_dispatch(env.registry, env.manager.decoupling, k())
         assert result.path is ReadPath.SPLIT_READS
-        assert not result.path.consistent
 
     def test_dispatch_plain_when_disabled(self):
         env = build_env()

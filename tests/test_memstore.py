@@ -31,10 +31,8 @@ from fedtx.records import COL_TX_ID
 from conftest import k, make_caps
 
 
-def store(unit=AtomicityUnit.STORAGE, consistent=False, view=False, fault_plan=()):
-    return build_memstore(
-        "s1", MemStoreConfig(make_caps(unit, consistent, view), fault_plan=tuple(fault_plan))
-    )
+def store(unit=AtomicityUnit.STORAGE, consistent=False, view=False):
+    return build_memstore("s1", MemStoreConfig(make_caps(unit, consistent, view)))
 
 
 def put(key, columns, condition=UNCONDITIONAL):
@@ -298,7 +296,8 @@ class TestViews:
 
 class TestFaultInjection:
     def test_crash_before_batch_leaves_store_unchanged(self):
-        s = store(fault_plan=[(2, FaultKind.CRASH_BEFORE_BATCH)])
+        s = store()
+        s.inject_faults([(2, FaultKind.CRASH_BEFORE_BATCH)])
         s.atomic_write([put(k(pk=1), {"v": 1})])
         s.atomic_write([put(k(pk=2), {"v": 2})])
         with pytest.raises(InjectedCrash):
@@ -307,7 +306,8 @@ class TestFaultInjection:
         assert s.counters().atomic_write_batches == 2
 
     def test_crash_after_batch_applies_it(self):
-        s = store(fault_plan=[(0, FaultKind.CRASH_AFTER_BATCH)])
+        s = store()
+        s.inject_faults([(0, FaultKind.CRASH_AFTER_BATCH)])
         with pytest.raises(InjectedCrash):
             s.atomic_write([put(k(pk=1), {"v": 1})])
         assert s.read(k(pk=1)).columns == {"v": 1}
@@ -318,7 +318,8 @@ class TestFaultInjection:
             store().inject_faults([(3, FaultKind.CRASH_BEFORE_BATCH), (3, FaultKind.CRASH_AFTER_BATCH)])
 
     def test_clear_faults(self):
-        s = store(fault_plan=[(0, FaultKind.CRASH_BEFORE_BATCH)])
+        s = store()
+        s.inject_faults([(0, FaultKind.CRASH_BEFORE_BATCH)])
         s.clear_faults()
         assert s.atomic_write([put(k(), {"v": 1})]) is None
 

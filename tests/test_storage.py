@@ -5,6 +5,7 @@ import pytest
 from fedtx import (
     AdapterCapabilities,
     AtomicityUnit,
+    ConditionalWrite,
     ConditionKind,
     DecoupleConfig,
     MemStoreConfig,
@@ -13,7 +14,16 @@ from fedtx import (
     WriteCondition,
     build_memstore,
 )
-from conftest import k, make_caps
+from fedtx.decoupling import ReadPath, read_dispatch
+from fedtx.model import TransactionMetadata, TxState
+from fedtx.records import metadata_columns
+from conftest import build_env, k, make_caps
+
+
+def write_committed(manager, key):
+    tx = manager.begin()
+    tx.put(key, {"v": 7})
+    tx.commit()
 
 
 def registry_with(name="s1", **caps_kwargs):
@@ -50,24 +60,39 @@ class TestRegistry:
 
 
 class TestConsistentReadable:
+    """The capability, and the read route it gives a key with split metadata."""
+
     def test_declared_and_colocated(self):
-        registry = registry_with("s1", consistent=True)
-        registry.metadata_locator = DecoupleConfig().metadata_key
-        assert registry.consistent_readable(k("s1")) is True
+        env = build_env({"s1": make_caps(consistent=True)}, decoupled=True)
+        write_committed(env.manager, k())
+        result = read_dispatch(env.registry, env.manager.decoupling, k())
+        assert result.path is ReadPath.SNAPSHOT
 
     def test_not_declared(self):
         registry = registry_with("s1", consistent=False)
         assert registry.consistent_readable(k("s1")) is False
 
     def test_metadata_outside_scope(self):
-        # At PARTITION scope the metadata table is a different scope.
-        registry = registry_with("s1", unit=AtomicityUnit.PARTITION, consistent=True)
-        registry.metadata_locator = DecoupleConfig().metadata_key
-        assert registry.consistent_readable(k("s1")) is False
+        # At PARTITION scope the metadata table is a different scope: no
+        # snapshot can cover both rows, so they are read separately.
+        env = build_env({"s1": make_caps(AtomicityUnit.PARTITION, consistent=True)})
+        meta = TransactionMetadata("t0", 1, TxState.COMMITTED, prepared_at=1, committed_at=2)
+        cfg = DecoupleConfig()
+        env.adapter("s1").atomic_write([ConditionalWrite(k(), {"v": 7})])
+        env.adapter("s1").atomic_write(
+            [ConditionalWrite(cfg.metadata_key(k()), metadata_columns(meta))]
+        )
+        result = read_dispatch(env.registry, cfg, k())
+        assert result.path is ReadPath.SPLIT_READS
+        assert (result.app_columns, result.meta) == ({"v": 7}, meta)
 
     def test_no_locator_means_colocated(self):
-        registry = registry_with("s1", consistent=True)
-        assert registry.consistent_readable(k("s1")) is True
+        # Metadata kept in the record: the capability alone decides.
+        env = build_env({"s1": make_caps(consistent=True)})
+        write_committed(env.manager, k())
+        assert env.registry.consistent_readable(k("s1")) is True
+        result = read_dispatch(env.registry, None, k())
+        assert result.path is ReadPath.COLOCATED
 
 
 class TestViewJoinable:

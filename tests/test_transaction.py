@@ -5,10 +5,12 @@ import pytest
 from fedtx import (
     ConditionalWrite,
     ConflictAbort,
+    DecoupleConfig,
     FaultKind,
     GroupKey,
     InjectedCrash,
     TransactionFinished,
+    TransactionManager,
     TxOutcome,
     TxState,
 )
@@ -389,12 +391,6 @@ class TestRecovery:
         assert row.columns[COL_STATE] == TxState.COMMITTED.value
         assert row.columns["_tx_before"] is None
 
-    def test_recover_entry_point_restores_before_image(self):
-        env = self.crash_env()
-        self.crashed_commit(env, FaultKind.CRASH_BEFORE_BATCH)
-        record = env.manager.recover(k("s1"))
-        assert record.columns["v"] == 1
-
     def test_roll_forward_of_prepared_delete_removes_record(self):
         env = self.crash_env()
         self.crashed_commit(env, FaultKind.CRASH_AFTER_BATCH, kind="delete")
@@ -424,6 +420,40 @@ class TestRecovery:
             victim.commit()
         env.adapter("s2").clear_faults()
         assert committed_value(env, k("s2")) == {"v": 20}
+
+    def test_sweep_settles_meta_named_tables_outside_split_namespaces(self):
+        env = build_env({"s1": make_caps(), "s2": make_caps()})
+        manager = TransactionManager(
+            env.registry,
+            env.manager.coordinator,
+            decoupling=DecoupleConfig(namespaces=frozenset({"app"})),
+        )
+        orders = k("s1", namespace="other", table="orders_meta")  # an ordinary table there
+        victim = manager.begin()
+        victim.put(orders, {"v": 1})
+        victim.put(k("s2"), {"v": 2})
+        env.adapter("coord").inject_faults([(0, FaultKind.CRASH_BEFORE_BATCH)])
+        with pytest.raises(InjectedCrash):
+            victim.commit()
+        env.adapter("coord").clear_faults()
+        assert manager.recover_all_prepared() == 2
+        assert [r for r in env.dump_all() if r.columns.get(COL_STATE) == "PREPARED"] == []
+
+    def test_background_commit_record_failure_is_reported(self):
+        env = build_env({"s1": make_caps(), "s2": make_caps()}, async_commit=True)
+        tx = env.manager.begin()
+        tx.put(k("s1"), {"v": 1})
+        tx.put(k("s2"), {"v": 2})
+        env.adapter("s1").inject_faults([(1, FaultKind.CRASH_BEFORE_BATCH)])  # 0 is the prepare
+        tx.commit()
+        assert env.manager.drain_commit_records() == [tx.tx_id]
+        (row,) = env.adapter("s1").dump()
+        assert row.columns[COL_STATE] == "PREPARED"
+        assert env.manager.recover_all_prepared() == 2
+        assert env.manager.drain_commit_records() == []
+        states = {r.key.storage: r.columns[COL_STATE] for r in env.dump_all() if COL_STATE in r.columns}
+        assert states == {"s1": "COMMITTED", "s2": "COMMITTED"}
+        assert committed_value(env, k("s1")) == {"v": 1}
 
     def test_recovery_works_on_split_tables(self):
         env = self.crash_env(decoupled=True)
