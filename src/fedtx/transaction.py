@@ -18,11 +18,16 @@ A transaction whose writes all land in one group and that needs no validation
 skips all of this and writes COMMITTED records directly in a single batch,
 touching neither the coordinator nor a second phase.
 
-Conflicts surface as ``ConflictAbort`` after the transaction has restored its
-prepared records and recorded an ABORTED outcome. A record left PREPARED by a
-dead transaction is resolved lazily at read time from the coordinator:
-roll forward when the writer committed, roll back (or record the abort first)
-when it did not.
+Every two-phase transaction ends the same way: it claims an outcome with the
+write-once coordinator record (adopting the stored one if the claim loses),
+then settles each group it may have prepared to match: COMMITTED records, or
+before-images restored. Conflicts surface as ``ConflictAbort`` after that
+settling. ``abort()`` after a commit that crashed mid-pipeline claims ABORTED
+the same way: if the commit point had already passed, the records are rolled
+forward instead and ``abort()`` raises ``TransactionFinished``. A record left
+PREPARED by a dead transaction is resolved lazily at read time from the
+coordinator: roll forward when the writer committed, roll back (claiming the
+abort first when there is no record yet) when it did not.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from .errors import (
 )
 from .grouping import group_by_atomicity_unit, group_per_record, one_phase_eligible
 from .model import (
+    AtomicityUnit,
     BeforeImage,
     CoordinatorState,
     FullKey,
@@ -58,6 +64,7 @@ from .model import (
     TransactionMetadata,
     TxOutcome,
     TxState,
+    derive_group_key,
     key_sort_key,
     value_tag,
 )
@@ -77,6 +84,7 @@ from .storage import (
 )
 
 _RECOVERY_ATTEMPTS = 10
+_COMMIT_QUEUE_SIZE = 64
 
 _log = logging.getLogger(__name__)
 
@@ -189,7 +197,8 @@ class TxHandle:
         self.read_set: dict[FullKey, ReadResult] = {}
         self.write_set: dict[FullKey, BufferedWrite] = {}
         self.attempt: AttemptInfo | None = None
-        self._prepared_groups: list[list[_LogicalWrite]] = []
+        self.prepared_at: int | None = None
+        self._prepared_groups: list[list[_LogicalWrite]] = []  # may hold PREPARED records
 
     def _check_active(self):
         if self.status is not TxStatus.ACTIVE:
@@ -231,7 +240,6 @@ class TransactionManager:
         pushdown_enabled: bool = True,
         one_phase_enabled: bool = True,
         async_commit_records: bool = False,
-        commit_queue_size: int = 64,
         tx_id_factory: Callable[[], str] | None = None,
         history=None,
     ):
@@ -249,7 +257,7 @@ class TransactionManager:
         self._failed_lock = threading.Lock()
         self._failed_tx_ids: list[str] = []
         if async_commit_records:
-            self._queue = queue.Queue(maxsize=commit_queue_size)
+            self._queue = queue.Queue(maxsize=_COMMIT_QUEUE_SIZE)
             worker = threading.Thread(target=self._commit_record_worker, daemon=True)
             worker.start()
 
@@ -277,44 +285,28 @@ class TransactionManager:
     def _scan(self, tx: TxHandle, prefix: GroupKey) -> list[tuple[FullKey, dict]]:
         """Partition scan; every returned record lands in the read set individually."""
         tx._check_active()
-        for _ in range(_RECOVERY_ATTEMPTS):
-            retry = False
-            merged: dict[FullKey, dict] = {}
-            for record in self.registry.scan(prefix):
-                if self.decoupling is not None and self.decoupling.applies_to(record.key):
-                    try:
-                        obs = read_dispatch(self.registry, self.decoupling, record.key)
-                    except JoinIntegrityError:
-                        retry = True
-                        break
-                else:
-                    app_columns, meta_columns = split_columns(record.columns)
-                    obs = ReadResult(app_columns, parse_metadata(meta_columns), ReadPath.COLOCATED)
+        merged: dict[FullKey, dict] = {}
+        for record in self.registry.scan(prefix):
+            key = record.key
+            if self.decoupling is not None and self.decoupling.applies_to(key):
+                obs = self._observe(key)  # the scanned row lacks its metadata
+            else:
+                app_columns, meta_columns = split_columns(record.columns)
+                obs = ReadResult(app_columns, parse_metadata(meta_columns), ReadPath.COLOCATED)
                 if obs.present and obs.meta.tx_state is TxState.PREPARED:
-                    self._resolve_prepared(record.key, obs)
-                    retry = True
-                    break
-                obs = tx.read_set.setdefault(record.key, obs)
-                if obs.present and not obs.meta.delete_marker:
-                    merged[record.key] = dict(obs.app_columns)
-            if retry:
+                    obs = self._observe(key)
+            obs = tx.read_set.setdefault(key, obs)
+            if obs.present and not obs.meta.delete_marker:
+                merged[key] = dict(obs.app_columns)
+        # overlay this transaction's own buffered writes
+        for key, buffered in tx.write_set.items():
+            if derive_group_key(key, AtomicityUnit.PARTITION) != prefix:
                 continue
-            # overlay this transaction's own buffered writes
-            for key, buffered in tx.write_set.items():
-                in_partition = (
-                    key.storage == prefix.storage
-                    and key.namespace == prefix.namespace
-                    and key.table == prefix.table
-                    and key.partition_key == prefix.partition_key
-                )
-                if not in_partition:
-                    continue
-                if buffered.kind is WriteKind.DELETE:
-                    merged.pop(key, None)
-                else:
-                    merged[key] = dict(buffered.columns)
-            return sorted(merged.items(), key=lambda item: key_sort_key(item[0].clustering_key))
-        raise RecoveryFailed(f"scan of {prefix.render()} kept hitting in-doubt records")
+            if buffered.kind is WriteKind.DELETE:
+                merged.pop(key, None)
+            else:
+                merged[key] = dict(buffered.columns)
+        return sorted(merged.items(), key=lambda item: key_sort_key(item[0].clustering_key))
 
     # -- reads and recovery ----------------------------------------------------
 
@@ -342,34 +334,25 @@ class TransactionManager:
             record.columns[COORD_CREATED_COLUMN],
         )
 
-    def _write_coordinator(self, tx_id: str, outcome: TxOutcome) -> int | None:
-        """Write-once outcome record.
-
-        Returns the outcome timestamp when this call created the record, or
-        None when some record for the transaction already existed.
-        """
+    def _claim_outcome(self, tx_id: str, proposed: TxOutcome) -> CoordinatorState:
+        """Write-once outcome record: create it with ``proposed``, or adopt the stored one."""
         created_at = self._tick()
         write = ConditionalWrite(
             self.coordinator.key_for(tx_id),
-            {COORD_STATE_COLUMN: outcome.value, COORD_CREATED_COLUMN: created_at},
+            {COORD_STATE_COLUMN: proposed.value, COORD_CREATED_COLUMN: created_at},
             IF_NOT_EXISTS,
         )
         if self.registry.atomic_write([write]) is None:
-            return created_at
-        return None
+            return CoordinatorState(tx_id, proposed, created_at)
+        return self._read_coordinator(tx_id)
 
     def _resolve_prepared(self, key: FullKey, obs: ReadResult) -> None:
         """Settle a record left PREPARED by another transaction."""
         meta = obs.meta
-        state = self._read_coordinator(meta.tx_id)
-        if state is None:
-            # No outcome yet: claim the abort; the original committer's own
-            # outcome write may still beat us, in which case adopt it.
-            created_at = self._write_coordinator(meta.tx_id, TxOutcome.ABORTED)
-            if created_at is not None:
-                state = CoordinatorState(meta.tx_id, TxOutcome.ABORTED, created_at)
-            else:
-                state = self._read_coordinator(meta.tx_id)
+        # No outcome yet: claim the abort; the writer's own claim may still win.
+        state = self._read_coordinator(meta.tx_id) or self._claim_outcome(
+            meta.tx_id, TxOutcome.ABORTED
+        )
         if state.state is TxOutcome.COMMITTED:
             self._roll_forward(key, obs, state.created_at)
         else:
@@ -488,27 +471,31 @@ class TransactionManager:
                     break
                 del writes[logical_index(self.decoupling, writes, failed)]
 
-    def _rollback_groups(self, tx_id: str, groups: list[list[_LogicalWrite]]) -> None:
-        """Restore before-images of prepared records; losing a race is fine."""
-        condition = if_tx_id_equals(tx_id)
-        self._settle_groups(
-            [
-                [
-                    _restore_write(logical.key, logical.before_image(), condition)
-                    for logical in group
-                ]
-                for group in groups
-            ]
-        )
+    def _end(self, tx: TxHandle, state: CoordinatorState) -> None:
+        """Settle every group ``tx`` may have prepared to its claimed outcome, then finish it.
 
-    def _abort_with_state(self, tx: TxHandle, prepared: list[list[_LogicalWrite]], reason: str):
-        # If this loses the write-once race, a lazy recovery recorded the
-        # abort first; either way the outcome is settled before rollback.
-        self._write_coordinator(tx.tx_id, TxOutcome.ABORTED)
-        self._rollback_groups(tx.tx_id, prepared)
+        COMMITTED flips each group's records (perhaps behind the queue);
+        ABORTED restores their before-images. A record that lost the tx-id
+        condition was settled by a recovery, and maybe overwritten since.
+        """
+        condition = if_tx_id_equals(tx.tx_id)
+        committed = state.state is TxOutcome.COMMITTED
+        commit_at = self._tick() if committed else None
+        batches = [
+            [
+                logical.committed_write(tx.tx_id, tx.prepared_at, state.created_at, condition)
+                if committed
+                else _restore_write(logical.key, logical.before_image(), condition)
+                for logical in group
+            ]
+            for group in tx._prepared_groups
+        ]
+        if committed and self._queue is not None:
+            self._queue.put((tx.tx_id, batches))
+        else:
+            self._settle_groups(batches)
         tx._prepared_groups = []
-        self._finish(tx, TxStatus.ABORTED)
-        raise ConflictAbort(reason)
+        self._finish(tx, TxStatus.COMMITTED if committed else TxStatus.ABORTED, commit_at)
 
     def _finish(self, tx: TxHandle, status: TxStatus, commit_at: int | None = None):
         tx.status = status
@@ -566,51 +553,31 @@ class TransactionManager:
             self._finish(tx, TxStatus.COMMITTED, self._tick())
             return
 
-        # Prepare phase: one conditional batch per group.
-        prepared_at = self._tick()
-        prepare_batches = [
-            [logical.prepared_write(tx.tx_id, prepared_at) for logical in group]
-            for group in group_list
-        ]
-        outcomes = [self._write(batch) for batch in prepare_batches]
-        tx._prepared_groups = [
-            group for group, outcome in zip(group_list, outcomes) if outcome is None
-        ]
-        if any(outcome is not None for outcome in outcomes):
-            self._abort_with_state(tx, tx._prepared_groups, "prepare lost a conflict")
+        # Prepare phase: one conditional batch per group, stopping at the
+        # first conflict. A group is listed before its batch is issued, since
+        # a crash may still land the batch.
+        tx.prepared_at = self._tick()
+        for group in group_list:
+            tx._prepared_groups.append(group)
+            batch = [logical.prepared_write(tx.tx_id, tx.prepared_at) for logical in group]
+            if self._write(batch) is not None:
+                tx._prepared_groups.pop()
+                self._end(tx, self._claim_outcome(tx.tx_id, TxOutcome.ABORTED))
+                raise ConflictAbort("prepare lost a conflict")
 
         # Validate phase: re-read whatever the conditions above cannot cover.
         if plan:
             mismatch = self._validate(plan)
             if mismatch is not None:
-                self._abort_with_state(tx, tx._prepared_groups, mismatch)
+                self._end(tx, self._claim_outcome(tx.tx_id, TxOutcome.ABORTED))
+                raise ConflictAbort(mismatch)
 
-        # Commit point: the write-once outcome record.
-        committed_at = self._write_coordinator(tx.tx_id, TxOutcome.COMMITTED)
-        if committed_at is None:
-            state = self._read_coordinator(tx.tx_id)
-            if state.state is TxOutcome.ABORTED:
-                self._abort_with_state(tx, tx._prepared_groups, "aborted by a lazy recovery")
-            committed_at = state.created_at
-        commit_at = self._tick()
-
-        # Commit-record phase: flip each group to COMMITTED; may run behind
-        # the queue. A record that lost the tx-id condition was settled by a
-        # recovery (and maybe overwritten since); the rest still flip.
-        condition = if_tx_id_equals(tx.tx_id)
-        commit_batches = [
-            [
-                logical.committed_write(tx.tx_id, prepared_at, committed_at, condition)
-                for logical in group
-            ]
-            for group in group_list
-        ]
-        if self._queue is not None:
-            self._queue.put((tx.tx_id, commit_batches))
-        else:
-            self._settle_groups(commit_batches)
-        tx._prepared_groups = []
-        self._finish(tx, TxStatus.COMMITTED, commit_at)
+        # Commit point: the write-once outcome record; a lazy recovery may
+        # have claimed the abort first.
+        state = self._claim_outcome(tx.tx_id, TxOutcome.COMMITTED)
+        self._end(tx, state)
+        if state.state is TxOutcome.ABORTED:
+            raise ConflictAbort("aborted by a lazy recovery")
 
     def _commit_record_worker(self):
         while True:
@@ -639,12 +606,12 @@ class TransactionManager:
         return failed
 
     def _abort(self, tx: TxHandle) -> None:
-        if tx.status is TxStatus.ABORTED:
-            return
+        if tx.status is TxStatus.ACTIVE:
+            if tx._prepared_groups:
+                # A crashed commit may have passed its commit point; if so the
+                # claim adopts COMMITTED and the records are rolled forward.
+                self._end(tx, self._claim_outcome(tx.tx_id, TxOutcome.ABORTED))
+            else:
+                self._finish(tx, TxStatus.ABORTED)
         if tx.status is TxStatus.COMMITTED:
             raise TransactionFinished(f"transaction {tx.tx_id} already committed")
-        if tx._prepared_groups:
-            self._write_coordinator(tx.tx_id, TxOutcome.ABORTED)
-            self._rollback_groups(tx.tx_id, tx._prepared_groups)
-            tx._prepared_groups = []
-        self._finish(tx, TxStatus.ABORTED)

@@ -17,7 +17,7 @@ from fedtx import (
 from fedtx.memstore import _ForwardingAdapter
 from fedtx.records import COL_STATE, COL_TX_ID, COL_VERSION
 from fedtx.transaction import TxStatus
-from fedtx.verifier import HistoryRecorder
+from fedtx.verifier import HistoryRecorder, audit_atomicity
 from conftest import build_env, k, make_caps
 
 
@@ -125,6 +125,57 @@ class TestAbort:
         victim.abort()
         assert committed_value(env, k("s1")) == {"v": 1}
         assert committed_value(env, k("s2")) == {"v": 2}
+
+    @pytest.mark.parametrize("decoupled", [False, True], ids=["colocated", "split"])
+    @pytest.mark.parametrize(
+        "store, fault, outcome",
+        [
+            ("coord", (0, FaultKind.CRASH_BEFORE_BATCH), TxOutcome.ABORTED),
+            ("s2", (0, FaultKind.CRASH_BEFORE_BATCH), TxOutcome.ABORTED),
+            ("s2", (0, FaultKind.CRASH_AFTER_BATCH), TxOutcome.ABORTED),
+            ("coord", (0, FaultKind.CRASH_AFTER_BATCH), TxOutcome.COMMITTED),
+            ("s1", (1, FaultKind.CRASH_BEFORE_BATCH), TxOutcome.COMMITTED),
+            ("s2", (1, FaultKind.CRASH_BEFORE_BATCH), TxOutcome.COMMITTED),
+        ],
+        ids=[
+            "before-outcome",
+            "before-s2-prepare",
+            "after-s2-prepare",
+            "after-outcome",
+            "before-s1-commit-record",
+            "before-s2-commit-record",
+        ],
+    )
+    def test_abort_after_crashed_commit_follows_the_outcome_record(
+        self, decoupled, store, fault, outcome
+    ):
+        recorder = HistoryRecorder()
+        env = build_env({"s1": make_caps(), "s2": make_caps()}, decoupled=decoupled, history=recorder)
+        seed(env, k("s1"), 1)
+        seed(env, k("s2"), 2)
+        victim = env.manager.begin()
+        victim.put(k("s1"), {"v": 10})
+        victim.put(k("s2"), {"v": 20})
+        env.adapter(store).inject_faults([fault])
+        with pytest.raises(InjectedCrash):
+            victim.commit()
+        env.adapter(store).clear_faults()
+        raised = False
+        try:
+            victim.abort()
+        except TransactionFinished:
+            raised = True
+        prepared = [r.key.render() for r in env.dump_all() if r.columns.get(COL_STATE) == "PREPARED"]
+        assert prepared == []
+        coord_rows = {r.key.partition_key[0]: r.columns for r in env.adapter("coord").dump()}
+        assert coord_rows[victim.tx_id]["tx_state"] == outcome.value
+        committed = outcome is TxOutcome.COMMITTED
+        assert raised == committed
+        assert victim.status is (TxStatus.COMMITTED if committed else TxStatus.ABORTED)
+        expected = ({"v": 10}, {"v": 20}) if committed else ({"v": 1}, {"v": 2})
+        assert (committed_value(env, k("s1")), committed_value(env, k("s2"))) == expected
+        coord = ("coord", "coordinator", "state")
+        assert audit_atomicity(env.dump_all(), recorder.history(), coord) == []
 
 
 class TestCommitShapes:
@@ -250,6 +301,22 @@ class TestConflicts:
         assert committed_value(env, k("s2")) is None
         coord_rows = {r.key.partition_key[0]: r.columns for r in env.adapter("coord").dump()}
         assert coord_rows[t2_id]["tx_state"] == TxOutcome.ABORTED.value
+
+    def test_prepare_stops_at_the_first_conflict(self):
+        env = build_env({"s1": make_caps(), "s2": make_caps()}, tx_ids="tx")
+        seed(env, k("s1"), 0)
+        t1, t2 = env.manager.begin(), env.manager.begin()
+        t1.get(k("s1"))
+        t2.get(k("s1"))
+        t1.put(k("s1"), {"v": 1})
+        t2.put(k("s1"), {"v": 2})
+        t2.put(k("s2"), {"v": 2})  # s1's group comes first and fails
+        t1.commit()
+        with pytest.raises(ConflictAbort):
+            t2.commit()
+        assert env.counters("s2").atomic_write_batches == 0
+        coord_rows = {r.key.partition_key[0]: r.columns for r in env.adapter("coord").dump()}
+        assert coord_rows[t2.tx_id]["tx_state"] == TxOutcome.ABORTED.value
 
     def test_write_skew_rejected_in_serializable_mode(self, env):
         seed(env, k(pk=1), 0)
@@ -568,6 +635,19 @@ class TestLostRaceLeavesNoResidue:
         assert committed_value(env, k("s1", pk=lost_pk)) == {"v": 100}
         assert committed_value(env, k("s1", pk=kept_pk)) == {"v": 0}
         assert committed_value(env, k("s2", pk=9)) == {"v": 0}
+
+    def test_lost_commit_point_writes_no_second_outcome(self):
+        env, hook = self.race_env(False, "coord")
+        tx = self.begin_t(env)
+        hook.arm(
+            lambda writes: writes[0].key == env.manager.coordinator.key_for(tx.tx_id),
+            self.overwrite(env, k("s1", pk=1)),
+        )
+        with pytest.raises(ConflictAbort):
+            tx.commit()
+        # only the COMMITTED claim lost; the abort is adopted, not re-written
+        assert env.counters("coord").condition_failures == 1
+        self.assert_no_prepared(env)
 
 
 class TestScan:
