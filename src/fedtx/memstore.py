@@ -40,7 +40,6 @@ from .model import (
     GroupKey,
     Record,
     derive_group_key,
-    key_sort_key,
     render_key,
 )
 from .records import COL_TX_ID
@@ -212,10 +211,9 @@ class MemStore(StorageAdapter):
         with latch.read_locked():
             hits = [
                 (ck, dict(self._rows[partition + (ck,)]))
-                for ck in self._clustered.get(partition, ())
+                for ck in sorted(self._clustered.get(partition, ()))
             ]
             bare = self._rows.get(partition + ((),))
-        hits.sort(key=lambda item: key_sort_key(item[0]))
         if bare is not None:
             hits.insert(0, ((), dict(bare)))  # the empty clustering key sorts first
         return [

@@ -10,6 +10,12 @@ treated as a distinct tagged type: equality and ordering are defined within a
 tag, and comparing values of different tags is an error (bool is NOT an int
 here, unlike plain Python).
 
+Clustering keys are ordered by plain Python tuple comparison. That is the
+model's order, because a key component can only be an int, a str or a bytes
+(null and bool are rejected): within one type Python's ``<`` is the tag's
+order, across types both raise ``TypeError``, and a shorter prefix sorts
+first.
+
 All types in this module are immutable value objects and safe to share across
 threads.
 """
@@ -17,7 +23,6 @@ threads.
 from __future__ import annotations
 
 import enum
-import functools
 import json
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -34,12 +39,25 @@ class ValueTag(enum.Enum):
     BLOB = "blob"
 
 
+_EXACT_TAGS = {
+    type(None): ValueTag.NULL,
+    bool: ValueTag.BOOL,
+    int: ValueTag.INT,
+    str: ValueTag.TEXT,
+    bytes: ValueTag.BLOB,
+}
+
+
 def value_tag(value) -> ValueTag:
-    """Classify a scalar column value. bool is checked before int on purpose."""
-    if value is None:
-        return ValueTag.NULL
-    if isinstance(value, bool):
-        return ValueTag.BOOL
+    """Classify a scalar column value.
+
+    Exact types take one dict lookup. Subclasses (an ``IntEnum`` member, a
+    ``str`` subclass) fall through to ``isinstance``; ``NoneType`` and
+    ``bool`` cannot be subclassed, so neither needs a fallback.
+    """
+    tag = _EXACT_TAGS.get(type(value))
+    if tag is not None:
+        return tag
     if isinstance(value, int):
         return ValueTag.INT
     if isinstance(value, str):
@@ -64,18 +82,6 @@ def compare_values(a, b) -> int:
     if a > b:
         return 1
     return 0
-
-
-def compare_key_tuples(a: tuple, b: tuple) -> int:
-    """Component-wise three-way comparison of two key tuples."""
-    for x, y in zip(a, b):
-        c = compare_values(x, y)
-        if c != 0:
-            return c
-    return len(a) - len(b)
-
-
-key_sort_key = functools.cmp_to_key(compare_key_tuples)
 
 
 def _check_key_components(name: str, components: tuple) -> None:

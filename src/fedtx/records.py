@@ -129,7 +129,7 @@ def split_columns(columns: Mapping[str, object]) -> tuple[dict, dict]:
     app: dict = {}
     meta: dict = {}
     for name, value in columns.items():
-        (meta if is_metadata_column(name) else app)[name] = value
+        (meta if name.startswith(META_PREFIX) else app)[name] = value
     return app, meta
 
 

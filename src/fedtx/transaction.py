@@ -24,7 +24,9 @@ then settles each group it may have prepared to match: COMMITTED records, or
 before-images restored. Conflicts surface as ``ConflictAbort`` after that
 settling. ``abort()`` after a commit that crashed mid-pipeline claims ABORTED
 the same way: if the commit point had already passed, the records are rolled
-forward instead and ``abort()`` raises ``TransactionFinished``. A record left
+forward instead and ``abort()`` raises ``TransactionFinished``. A crashed
+one-phase commit has no outcome record: ``abort()`` reads one written key to
+learn whether the lone batch landed, and finishes to match. A record left
 PREPARED by a dead transaction is resolved lazily at read time from the
 coordinator: roll forward when the writer committed, roll back (claiming the
 abort first when there is no record yet) when it did not.
@@ -65,7 +67,6 @@ from .model import (
     TxOutcome,
     TxState,
     derive_group_key,
-    key_sort_key,
     value_tag,
 )
 from .records import (
@@ -178,7 +179,7 @@ def _restore_write(key: FullKey, before: BeforeImage | None, condition) -> Condi
 
 @dataclass(frozen=True)
 class AttemptInfo:
-    """What a commit attempt was about to write; kept for post-crash auditing."""
+    """What a commit attempt was about to write; built only for a history sink."""
 
     tx_id: str
     writes: Mapping[str, int]  # rendered key -> intended version
@@ -199,6 +200,7 @@ class TxHandle:
         self.attempt: AttemptInfo | None = None
         self.prepared_at: int | None = None
         self._prepared_groups: list[list[_LogicalWrite]] = []  # may hold PREPARED records
+        self._one_phase_batch: list[_LogicalWrite] | None = None  # issued; may have applied
 
     def _check_active(self):
         if self.status is not TxStatus.ACTIVE:
@@ -306,7 +308,7 @@ class TransactionManager:
                 merged.pop(key, None)
             else:
                 merged[key] = dict(buffered.columns)
-        return sorted(merged.items(), key=lambda item: key_sort_key(item[0].clustering_key))
+        return sorted(merged.items(), key=lambda item: item[0].clustering_key)
 
     # -- reads and recovery ----------------------------------------------------
 
@@ -534,15 +536,19 @@ class TransactionManager:
         else:
             groups = group_per_record(logicals)
         group_list = list(groups.values())
-        tx.attempt = AttemptInfo(
-            tx_id=tx.tx_id,
-            writes={logical.key.render(): logical.version for logical in logicals},
-            one_phase=self.one_phase_enabled
-            and one_phase_eligible(groups, tx.serializable, bool(plan)),
+        one_phase = self.one_phase_enabled and one_phase_eligible(
+            groups, tx.serializable, bool(plan)
         )
+        if self.history is not None:
+            tx.attempt = AttemptInfo(
+                tx_id=tx.tx_id,
+                writes={logical.key.render(): logical.version for logical in logicals},
+                one_phase=one_phase,
+            )
 
-        if tx.attempt.one_phase:
+        if one_phase:
             ts = self._tick()
+            tx._one_phase_batch = group_list[0]  # a crash may still land the batch
             batch = [
                 logical.committed_write(tx.tx_id, ts, ts, logical.condition)
                 for logical in group_list[0]
@@ -605,12 +611,22 @@ class TransactionManager:
             failed, self._failed_tx_ids = self._failed_tx_ids, []
         return failed
 
+    def _one_phase_applied(self, tx: TxHandle) -> bool:
+        """Whether a crashed one-phase batch landed; it is atomic, so one key decides."""
+        first = tx._one_phase_batch[0]
+        obs = self._observe(first.key)
+        if first.kind is WriteKind.DELETE:
+            return not obs.present
+        return obs.present and obs.meta.tx_id == tx.tx_id
+
     def _abort(self, tx: TxHandle) -> None:
         if tx.status is TxStatus.ACTIVE:
             if tx._prepared_groups:
                 # A crashed commit may have passed its commit point; if so the
                 # claim adopts COMMITTED and the records are rolled forward.
                 self._end(tx, self._claim_outcome(tx.tx_id, TxOutcome.ABORTED))
+            elif tx._one_phase_batch is not None and self._one_phase_applied(tx):
+                self._finish(tx, TxStatus.COMMITTED, self._tick())
             else:
                 self._finish(tx, TxStatus.ABORTED)
         if tx.status is TxStatus.COMMITTED:

@@ -1,5 +1,6 @@
 """In-memory adapter semantics, checked against a sequential reference map."""
 
+import functools
 import random
 import sys
 import threading
@@ -26,7 +27,7 @@ from fedtx import (
     build_memstore,
     if_tx_id_equals,
 )
-from fedtx.model import key_sort_key
+from fedtx.model import compare_values
 from fedtx.records import COL_TX_ID
 from conftest import k, make_caps
 
@@ -125,6 +126,45 @@ class TestScan:
             s.atomic_write([put(k(pk=1, ck=ck), {"v": ck})])
         assert [r.key.clustering_key for r in s.scan(self.prefix())] == [(1,), (2,), (3,)]
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_scan_order_matches_the_tagged_value_order(self, seed):
+        """Native tuple order agrees with a comparator built from ``compare_values``."""
+
+        def reference(a, b):
+            for x, y in zip(a, b):
+                c = compare_values(x, y)
+                if c:
+                    return c
+            return len(a) - len(b)
+
+        values = {
+            int: lambda rng: rng.randint(-3, 3),
+            str: lambda rng: rng.choice(["", "a", "ab", "b", "\u00e9"]),
+            bytes: lambda rng: rng.choice([b"", b"\x00", b"a", b"ab", b"\xff"]),
+        }
+        rng = random.Random(seed)
+        s = store()
+        for pk in range(6):
+            # One component type per position keeps every pair comparable;
+            # the types still mix across positions and lengths.
+            schema = [rng.choice(list(values)) for _ in range(4)]
+            cks = {
+                tuple(values[t](rng) for t in schema[: rng.randint(0, 4)])
+                for _ in range(rng.randint(1, 40))
+            }
+            for ck in cks:
+                s.atomic_write([put(FullKey("s1", "app", "t", (pk,), ck), {"v": 1})])
+            scanned = [r.key.clustering_key for r in s.scan(self.prefix(pk))]
+            assert scanned == sorted(cks, key=functools.cmp_to_key(reference))
+
+    def test_scan_of_mixed_component_types_raises(self):
+        s = store()
+        s.atomic_write([put(k(pk=1, ck=1), {"v": 1}), put(k(pk=1, ck="a"), {"v": 2})])
+        with pytest.raises(TypeError):
+            s.scan(self.prefix())
+        s.atomic_write([delete(k(pk=1, ck="a"))])  # the scan released its latch
+        assert [r.key.clustering_key for r in s.scan(self.prefix())] == [(1,)]
+
     def test_scan_after_delete(self):
         s = store()
         for ck in (1, 2, 3):
@@ -159,7 +199,7 @@ class TestScan:
                         r for r in dump
                         if (r.key.namespace, r.key.table, r.key.partition_key) == (ns, table, pk)
                     ),
-                    key=lambda r: key_sort_key(r.key.clustering_key),
+                    key=lambda r: r.key.clustering_key,
                 )
                 assert s.scan(GroupKey("s1", ns, table, pk)) == expected
 

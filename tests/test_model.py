@@ -1,5 +1,6 @@
 """Keys, values, scope prefixes, and metadata invariants."""
 
+import enum
 from dataclasses import astuple
 
 import pytest
@@ -19,21 +20,44 @@ from fedtx.model import (
     value_tag,
     ValueTag,
 )
+from fedtx.records import encode_scalar
+from conftest import build_env
 
 KEY = FullKey("s1", "ns", "t", (5,), (2,))
 
 
 class TestValues:
     def test_tags(self):
+        class Colour(enum.IntEnum):
+            RED = 1
+
+        class Name(str):
+            pass
+
         assert value_tag(None) is ValueTag.NULL
         assert value_tag(True) is ValueTag.BOOL
         assert value_tag(3) is ValueTag.INT
         assert value_tag("x") is ValueTag.TEXT
         assert value_tag(b"x") is ValueTag.BLOB
+        assert value_tag(Colour.RED) is ValueTag.INT
+        assert value_tag(Name("x")) is ValueTag.TEXT
 
     def test_unsupported_type(self):
+        for value in (1.5, [1], {"x": 1}):
+            with pytest.raises(TypeError):
+                value_tag(value)
+
+    def test_unsupported_values_are_rejected_at_every_edge(self):
         with pytest.raises(TypeError):
-            value_tag(1.5)
+            Record(KEY, {"x": 1.5})
+        with pytest.raises(TypeError):
+            FullKey("s1", "ns", "t", (1.5,))
+        with pytest.raises(TypeError):
+            encode_scalar(1.5)
+        tx = build_env().manager.begin()
+        with pytest.raises(TypeError):
+            tx.put(KEY, {"x": 1.5})
+        assert tx.write_set == {}
 
     def test_cross_tag_comparison_is_an_error(self):
         with pytest.raises(TypeError):

@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["rmw_cross_store", "scan_update_partition"])
+@pytest.mark.parametrize("workload", ["rmw_cross_store", "read_split_view", "scan_update_partition"])
 def test_traced_smoke_run_is_correct(workload):
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--smoke", "--trace", "1"],

@@ -128,14 +128,16 @@ class TestAbort:
 
     @pytest.mark.parametrize("decoupled", [False, True], ids=["colocated", "split"])
     @pytest.mark.parametrize(
-        "store, fault, outcome",
+        "one_phase, store, fault, outcome",
         [
-            ("coord", (0, FaultKind.CRASH_BEFORE_BATCH), TxOutcome.ABORTED),
-            ("s2", (0, FaultKind.CRASH_BEFORE_BATCH), TxOutcome.ABORTED),
-            ("s2", (0, FaultKind.CRASH_AFTER_BATCH), TxOutcome.ABORTED),
-            ("coord", (0, FaultKind.CRASH_AFTER_BATCH), TxOutcome.COMMITTED),
-            ("s1", (1, FaultKind.CRASH_BEFORE_BATCH), TxOutcome.COMMITTED),
-            ("s2", (1, FaultKind.CRASH_BEFORE_BATCH), TxOutcome.COMMITTED),
+            (False, "coord", (0, FaultKind.CRASH_BEFORE_BATCH), TxOutcome.ABORTED),
+            (False, "s2", (0, FaultKind.CRASH_BEFORE_BATCH), TxOutcome.ABORTED),
+            (False, "s2", (0, FaultKind.CRASH_AFTER_BATCH), TxOutcome.ABORTED),
+            (False, "coord", (0, FaultKind.CRASH_AFTER_BATCH), TxOutcome.COMMITTED),
+            (False, "s1", (1, FaultKind.CRASH_BEFORE_BATCH), TxOutcome.COMMITTED),
+            (False, "s2", (1, FaultKind.CRASH_BEFORE_BATCH), TxOutcome.COMMITTED),
+            (True, "s1", (0, FaultKind.CRASH_BEFORE_BATCH), TxOutcome.ABORTED),
+            (True, "s1", (0, FaultKind.CRASH_AFTER_BATCH), TxOutcome.COMMITTED),
         ],
         ids=[
             "before-outcome",
@@ -144,18 +146,23 @@ class TestAbort:
             "after-outcome",
             "before-s1-commit-record",
             "before-s2-commit-record",
+            "before-one-phase-batch",
+            "after-one-phase-batch",
         ],
     )
     def test_abort_after_crashed_commit_follows_the_outcome_record(
-        self, decoupled, store, fault, outcome
+        self, decoupled, one_phase, store, fault, outcome
     ):
         recorder = HistoryRecorder()
         env = build_env({"s1": make_caps(), "s2": make_caps()}, decoupled=decoupled, history=recorder)
         seed(env, k("s1"), 1)
         seed(env, k("s2"), 2)
+        # A one-phase victim writes one STORAGE-unit store; the outcome is
+        # then the batch itself, with no coordinator record.
+        writes = {k("s1"): {"v": 10}} if one_phase else {k("s1"): {"v": 10}, k("s2"): {"v": 20}}
         victim = env.manager.begin()
-        victim.put(k("s1"), {"v": 10})
-        victim.put(k("s2"), {"v": 20})
+        for key, columns in writes.items():
+            victim.put(key, columns)
         env.adapter(store).inject_faults([fault])
         with pytest.raises(InjectedCrash):
             victim.commit()
@@ -168,14 +175,68 @@ class TestAbort:
         prepared = [r.key.render() for r in env.dump_all() if r.columns.get(COL_STATE) == "PREPARED"]
         assert prepared == []
         coord_rows = {r.key.partition_key[0]: r.columns for r in env.adapter("coord").dump()}
-        assert coord_rows[victim.tx_id]["tx_state"] == outcome.value
+        if one_phase:
+            assert victim.tx_id not in coord_rows
+        else:
+            assert coord_rows[victim.tx_id]["tx_state"] == outcome.value
         committed = outcome is TxOutcome.COMMITTED
         assert raised == committed
         assert victim.status is (TxStatus.COMMITTED if committed else TxStatus.ABORTED)
-        expected = ({"v": 10}, {"v": 20}) if committed else ({"v": 1}, {"v": 2})
-        assert (committed_value(env, k("s1")), committed_value(env, k("s2"))) == expected
+        assert recorder.history().entries[-1].outcome == outcome.value
+        assert recorder.history().entries[-1].one_phase == one_phase
+        seeded = {k("s1"): {"v": 1}, k("s2"): {"v": 2}}
+        expected = {key: writes.get(key, seeded[key]) if committed else seeded[key] for key in seeded}
+        assert {key: committed_value(env, key) for key in seeded} == expected
         coord = ("coord", "coordinator", "state")
         assert audit_atomicity(env.dump_all(), recorder.history(), coord) == []
+
+    @pytest.mark.parametrize("decoupled", [False, True], ids=["colocated", "split"])
+    @pytest.mark.parametrize("fault", list(FaultKind), ids=lambda f: f.name.lower())
+    def test_abort_after_crashed_one_phase_delete_follows_the_batch(self, decoupled, fault):
+        recorder = HistoryRecorder()
+        env = build_env(decoupled=decoupled, history=recorder)
+        seed(env, k(), 1)
+        victim = env.manager.begin()
+        victim.delete(k())
+        env.adapter("s1").inject_faults([(0, fault)])
+        with pytest.raises(InjectedCrash):
+            victim.commit()
+        env.adapter("s1").clear_faults()
+        applied = fault is FaultKind.CRASH_AFTER_BATCH
+        if applied:
+            with pytest.raises(TransactionFinished):
+                victim.abort()
+        else:
+            victim.abort()
+        assert victim.status is (TxStatus.COMMITTED if applied else TxStatus.ABORTED)
+        assert committed_value(env, k()) == (None if applied else {"v": 1})
+        # audit_atomicity leaves deletions out of scope; the history must
+        # still say what the store shows.
+        assert recorder.history().entries[-1].outcome == victim.status.value
+
+
+class TestAttemptInfo:
+    @pytest.mark.parametrize("stores", [("s1",), ("s1", "s2")], ids=["one-phase", "two-phase"])
+    def test_attempt_is_built_only_for_a_history_sink(self, stores):
+        caps = {name: make_caps() for name in ("s1", "s2")}
+        for recorder in (None, HistoryRecorder()):
+            env = build_env(caps, history=recorder)
+            seed(env, k("s1"), 1)
+            tx = env.manager.begin()
+            for name in stores:
+                tx.put(k(name), {"v": 2})
+            tx.commit()
+            if recorder is None:
+                assert tx.attempt is None
+                continue
+            versions = {"s1": 2, "s2": 1}
+            writes = tuple((k(name).render(), versions[name]) for name in stores)
+            entry = recorder.history().entries[-1]
+            assert (entry.tx_id, entry.writes, entry.one_phase) == (
+                tx.tx_id,
+                writes,
+                len(stores) == 1,
+            )
 
 
 class TestCommitShapes:
