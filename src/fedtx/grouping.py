@@ -31,12 +31,19 @@ def group_by_atomicity_unit(
     for write in writes:
         unit = registry.get_atomicity_unit(write.key)
         groups.setdefault(derive_group_key(write.key, unit), []).append(write)
-    return {k: groups[k] for k in sorted(groups, key=GroupKey.render)}
+    return _in_render_order(groups)
 
 
 def group_per_record(writes: Iterable[KeyedWrite]) -> dict[GroupKey, list]:
     """Baseline grouping: every write is its own single-record batch."""
     groups = {derive_group_key(w.key, AtomicityUnit.RECORD): [w] for w in writes}
+    return _in_render_order(groups)
+
+
+def _in_render_order(groups: dict[GroupKey, list]) -> dict[GroupKey, list]:
+    """Groups sorted by key rendering; a lone group needs no rendering."""
+    if len(groups) < 2:
+        return groups
     return {k: groups[k] for k in sorted(groups, key=GroupKey.render)}
 
 

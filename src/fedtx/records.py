@@ -2,25 +2,21 @@
 
 Every record written through the transaction manager carries its own log
 entry: reserved ``_tx_*`` columns holding the writing transaction's id, the
-record version, its state, timestamps, a deletion marker, and a JSON-encoded
-before-image for rollback. Stores that keep metadata in a separate table use
-the same column set there; this module only defines the column codec, not the
-placement.
+record version, its state, timestamps and a deletion marker. A PREPARED
+record also carries its before-image for rollback, as plain columns beside
+the rest: ``_tx_before`` (the prior tx id; None when there is no image),
+``_tx_before_version``, ``_tx_before_state``, ``_tx_before_prepared_at``,
+``_tx_before_committed_at``, and each prior application column ``c`` as
+``_tx_before_col_<c>`` holding its raw value. Every name starts with
+``_tx_``, so stores that keep metadata in a separate table put the whole set
+there; this module only defines the column codec, not the placement.
 """
 
 from __future__ import annotations
 
-import base64
-import json
 from typing import Mapping
 
-from .model import (
-    BeforeImage,
-    TransactionMetadata,
-    TxState,
-    ValueTag,
-    value_tag,
-)
+from .model import BeforeImage, TransactionMetadata, TxState, value_tag
 
 META_PREFIX = "_tx_"
 
@@ -30,7 +26,12 @@ COL_STATE = "_tx_state"
 COL_PREPARED_AT = "_tx_prepared_at"
 COL_COMMITTED_AT = "_tx_committed_at"
 COL_DELETED = "_tx_deleted"
-COL_BEFORE = "_tx_before"
+COL_BEFORE = "_tx_before"  # prior tx id, or None without a before-image
+COL_BEFORE_VERSION = "_tx_before_version"
+COL_BEFORE_STATE = "_tx_before_state"
+COL_BEFORE_PREPARED_AT = "_tx_before_prepared_at"
+COL_BEFORE_COMMITTED_AT = "_tx_before_committed_at"
+BEFORE_COLUMN_PREFIX = "_tx_before_col_"
 
 
 def is_metadata_column(name: str) -> bool:
@@ -44,82 +45,63 @@ def check_application_columns(columns: Mapping[str, object]) -> None:
             raise ValueError(f"column name {name!r} uses the reserved {META_PREFIX!r} prefix")
 
 
-def encode_scalar(value) -> dict:
-    tag = value_tag(value)
-    if tag is ValueTag.BLOB:
-        return {"t": tag.value, "v": base64.b64encode(value).decode("ascii")}
-    return {"t": tag.value, "v": value}
-
-
-def decode_scalar(obj: dict):
-    tag = ValueTag(obj["t"])
-    if tag is ValueTag.BLOB:
-        return base64.b64decode(obj["v"])
-    if tag is ValueTag.NULL:
-        return None
-    return obj["v"]
-
-
-def _encode_columns(columns: Mapping[str, object]) -> dict:
-    return {name: encode_scalar(value) for name, value in columns.items()}
-
-
-def _decode_columns(obj: dict) -> dict:
-    return {name: decode_scalar(value) for name, value in obj.items()}
-
-
-def _encode_before(before: BeforeImage) -> str:
-    meta = before.metadata
-    return json.dumps(
-        {
-            "columns": _encode_columns(before.columns),
-            "tx_id": meta.tx_id,
-            "version": meta.version,
-            "state": meta.tx_state.value,
-            "prepared_at": meta.prepared_at,
-            "committed_at": meta.committed_at,
-        },
-        sort_keys=True,
-    )
-
-
-def _decode_before(text: str) -> BeforeImage:
-    obj = json.loads(text)
-    return BeforeImage(
-        columns=_decode_columns(obj["columns"]),
-        metadata=TransactionMetadata(
-            tx_id=obj["tx_id"],
-            version=obj["version"],
-            tx_state=TxState(obj["state"]),
-            prepared_at=obj["prepared_at"],
-            committed_at=obj["committed_at"],
-        ),
-    )
-
-
 def metadata_columns(meta: TransactionMetadata) -> dict:
-    """Render metadata as its reserved storage columns."""
-    return {
+    """Render metadata as its reserved storage columns.
+
+    Without a before-image these are exactly the seven below, ``_tx_before``
+    set to None; a before-image adds its ``_tx_before_*`` columns.
+    """
+    columns = {
         COL_TX_ID: meta.tx_id,
         COL_VERSION: meta.version,
         COL_STATE: meta.tx_state.value,
         COL_PREPARED_AT: meta.prepared_at,
         COL_COMMITTED_AT: meta.committed_at,
         COL_DELETED: meta.delete_marker,
-        COL_BEFORE: _encode_before(meta.before_image) if meta.before_image else None,
+        COL_BEFORE: None,
     }
+    before = meta.before_image
+    if before is not None:
+        prior = before.metadata
+        columns[COL_BEFORE] = prior.tx_id
+        columns[COL_BEFORE_VERSION] = prior.version
+        columns[COL_BEFORE_STATE] = prior.tx_state.value
+        columns[COL_BEFORE_PREPARED_AT] = prior.prepared_at
+        columns[COL_BEFORE_COMMITTED_AT] = prior.committed_at
+        for name, value in before.columns.items():
+            value_tag(value)
+            columns[BEFORE_COLUMN_PREFIX + name] = value
+    return columns
+
+
+def _parse_before(prior_tx_id: str, columns: Mapping[str, object]) -> BeforeImage:
+    start = len(BEFORE_COLUMN_PREFIX)
+    return BeforeImage(
+        columns={
+            name[start:]: value
+            for name, value in columns.items()
+            if name.startswith(BEFORE_COLUMN_PREFIX)
+        },
+        metadata=TransactionMetadata(
+            tx_id=prior_tx_id,
+            version=columns[COL_BEFORE_VERSION],
+            tx_state=TxState(columns[COL_BEFORE_STATE]),
+            prepared_at=columns[COL_BEFORE_PREPARED_AT],
+            committed_at=columns[COL_BEFORE_COMMITTED_AT],
+        ),
+    )
 
 
 def parse_metadata(columns: Mapping[str, object]) -> TransactionMetadata:
     """Rebuild metadata from a record's reserved columns."""
-    before_text = columns.get(COL_BEFORE)
+    prior_tx_id = columns.get(COL_BEFORE)
     return TransactionMetadata(
         tx_id=columns[COL_TX_ID],
         version=columns[COL_VERSION],
         tx_state=TxState(columns[COL_STATE]),
         prepared_at=columns[COL_PREPARED_AT],
         committed_at=columns.get(COL_COMMITTED_AT),
-        before_image=_decode_before(before_text) if before_text else None,
+        before_image=None if prior_tx_id is None else _parse_before(prior_tx_id, columns),
         delete_marker=bool(columns.get(COL_DELETED, False)),
     )
 

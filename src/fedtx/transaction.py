@@ -136,7 +136,9 @@ class _LogicalWrite:
     def before_image(self) -> BeforeImage | None:
         if not self.observed.present:
             return None
-        prior = replace(self.observed.meta, before_image=None)
+        prior = self.observed.meta  # settled, so it has no image of its own
+        if prior.before_image is not None:
+            prior = replace(prior, before_image=None)
         return BeforeImage(self.observed.app_columns, prior)
 
     def prepared_write(self, tx_id: str, prepared_at: int) -> ConditionalWrite:

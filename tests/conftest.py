@@ -19,6 +19,18 @@ from fedtx import (
 from fedtx.transaction import CoordinatorLocation
 
 
+# Every settled record carries exactly these; a before-image adds its own.
+SEVEN_METADATA_COLUMNS = {
+    "_tx_id",
+    "_tx_version",
+    "_tx_state",
+    "_tx_prepared_at",
+    "_tx_committed_at",
+    "_tx_deleted",
+    "_tx_before",
+}
+
+
 def make_caps(unit=AtomicityUnit.STORAGE, consistent=False, view=False):
     return AdapterCapabilities(unit, consistent_readable=consistent, view_joinable=view)
 

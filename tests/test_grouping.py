@@ -88,3 +88,27 @@ def test_grouping_partitions_the_write_set(key_list):
             assert derive_group_key(member.key, unit) == group_key
             assert id(member) not in seen
             seen.add(id(member))
+
+
+def render_ordered(registry, writes, unit=None):
+    """Reference grouping: buckets sorted by their key rendering, at any size."""
+    buckets = {}
+    for w in writes:
+        scope = unit or registry.get_atomicity_unit(w.key)
+        buckets.setdefault(derive_group_key(w.key, scope), []).append(w)
+    return [(key, buckets[key]) for key in sorted(buckets, key=GroupKey.render)]
+
+
+@given(st.lists(keys, min_size=1, max_size=12, unique=True))
+def test_group_order_is_the_render_order_at_every_size(key_list):
+    env = build_env(
+        {"s1": make_caps(AtomicityUnit.PARTITION), "s2": make_caps(AtomicityUnit.STORAGE)}
+    )
+    writes = [write(key) for key in key_list]
+    assert list(group_by_atomicity_unit(env.registry, writes).items()) == render_ordered(
+        env.registry, writes
+    )
+    assert list(group_per_record(writes).items()) == render_ordered(
+        env.registry, writes, AtomicityUnit.RECORD
+    )
+

@@ -20,7 +20,7 @@ from fedtx.model import (
     value_tag,
     ValueTag,
 )
-from fedtx.records import encode_scalar
+from fedtx.records import metadata_columns
 from conftest import build_env
 
 KEY = FullKey("s1", "ns", "t", (5,), (2,))
@@ -52,8 +52,12 @@ class TestValues:
             Record(KEY, {"x": 1.5})
         with pytest.raises(TypeError):
             FullKey("s1", "ns", "t", (1.5,))
+        prior = TransactionMetadata("t0", 1, TxState.COMMITTED, prepared_at=1, committed_at=1)
+        meta = TransactionMetadata(
+            "t1", 2, TxState.PREPARED, prepared_at=2, before_image=BeforeImage({"x": 1.5}, prior)
+        )
         with pytest.raises(TypeError):
-            encode_scalar(1.5)
+            metadata_columns(meta)
         tx = build_env().manager.begin()
         with pytest.raises(TypeError):
             tx.put(KEY, {"x": 1.5})

@@ -14,11 +14,13 @@ from fedtx import (
     TxOutcome,
     TxState,
 )
+from fedtx.decoupling import ReadPath, read_dispatch
 from fedtx.memstore import _ForwardingAdapter
-from fedtx.records import COL_STATE, COL_TX_ID, COL_VERSION
+from fedtx.model import BeforeImage
+from fedtx.records import COL_BEFORE, COL_STATE, COL_TX_ID, COL_VERSION
 from fedtx.transaction import TxStatus
 from fedtx.verifier import HistoryRecorder, audit_atomicity
-from conftest import build_env, k, make_caps
+from conftest import SEVEN_METADATA_COLUMNS, build_env, k, make_caps
 
 
 def committed_value(env, key):
@@ -615,6 +617,84 @@ class TestRecovery:
 
         hook.arm(lambda key: key.table == "state", late_commit)
         assert committed_value(env, k("s1")) == {"v": 10}  # rolled forward
+
+    MIXED_ROW = {"b": b"\x00\xff", "s": "text", "i": -(2**63), "t": True, "n": None}
+
+    @pytest.mark.parametrize(
+        "route",
+        [ReadPath.COLOCATED, ReadPath.VIEW, ReadPath.SPLIT_READS],
+        ids=lambda path: path.name.lower(),
+    )
+    @pytest.mark.parametrize(
+        "store, outcome",
+        [("s1", TxOutcome.ABORTED), ("s2", TxOutcome.ABORTED), ("coord", TxOutcome.COMMITTED)],
+        ids=["after-s1-prepare", "after-s2-prepare", "after-outcome"],
+    )
+    def test_lazy_recovery_of_a_mixed_type_before_image(self, route, store, outcome):
+        view = route is ReadPath.VIEW
+        caps = make_caps(consistent=view, view=view)
+        recorder = HistoryRecorder()
+        env = build_env(
+            {"s1": caps, "s2": caps},
+            decoupled=route is not ReadPath.COLOCATED,
+            register_views=view,
+            history=recorder,
+        )
+        keys = (k("s1"), k("s2"))
+        for key in keys:
+            tx = env.manager.begin()
+            tx.put(key, self.MIXED_ROW)
+            tx.commit()
+
+        def rows():
+            records = env.dump_all()
+            return {(r.key.storage, r.key.table): r.columns for r in records if r.key.storage != "coord"}
+
+        def read(key):
+            return read_dispatch(env.registry, env.manager.decoupling, key)
+
+        seeded_rows = rows()
+        prior_meta = read(k("s1")).meta
+        writes = {k("s1"): {"v": 10}, k("s2"): {"v": 20}}
+        victim = env.manager.begin()
+        for key, columns in writes.items():
+            victim.put(key, columns)
+        env.adapter(store).inject_faults([(0, FaultKind.CRASH_AFTER_BATCH)])
+        with pytest.raises(InjectedCrash):
+            victim.commit()
+        env.adapter(store).clear_faults()
+
+        prepared = read(k("s1"))
+        assert prepared.path is route
+        assert prepared.meta.tx_state is TxState.PREPARED
+        assert prepared.meta.before_image == BeforeImage(self.MIXED_ROW, prior_meta)
+        for columns in rows().values():  # the image rides with the state columns (_meta when split)
+            image = [name for name in columns if name.startswith(COL_BEFORE)]
+            if columns.get(COL_STATE) == "PREPARED":
+                assert len(image) == 5 + len(self.MIXED_ROW)
+            else:  # a settled row has only _tx_before; a split application row has none
+                assert image == ([COL_BEFORE] if COL_STATE in columns else [])
+
+        committed = outcome is TxOutcome.COMMITTED
+        for key in keys:  # each reader settles the record lazily
+            assert committed_value(env, key) == (writes[key] if committed else self.MIXED_ROW)
+        if committed:
+            for columns in rows().values():
+                meta = {name for name in columns if name.startswith("_tx_")}
+                assert meta in (set(), SEVEN_METADATA_COLUMNS)
+                assert columns.get(COL_BEFORE) is None
+        else:
+            assert rows() == seeded_rows  # prior columns and tx id, version, timestamps
+            assert read(k("s1")).meta == prior_meta
+        assert env.manager.recover_all_prepared() == 0
+
+        if committed:
+            with pytest.raises(TransactionFinished):
+                victim.abort()
+        else:
+            victim.abort()
+        coord = ("coord", "coordinator", "state")
+        assert audit_atomicity(env.dump_all(), recorder.history(), coord) == []
 
 
 class TestLostRaceLeavesNoResidue:
