@@ -4,7 +4,8 @@ With a ``DecoupleConfig`` in force, every logical record it applies to splits
 into an application row and a metadata row in a sibling table (same primary
 key, table name suffixed). Both rows always travel in the same atomic batch,
 which stays legal as long as the sibling table falls inside the same
-atomic-write scope of the storage (``metadata_in_scope``).
+atomic-write scope of the storage (``metadata_in_scope``, which compares the
+two rows' ``model.scope_of`` tuples, the single unit-to-prefix map).
 
 Reading takes one of three routes, picked per key from the adapter's declared
 capabilities and from whether the metadata row shares the key's scope:
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import CapabilityUnsupported, AtomicityScopeViolation, JoinIntegrityError
-from .model import FullKey, TransactionMetadata, derive_group_key
+from .model import FullKey, TransactionMetadata, scope_of
 from .records import parse_metadata, split_columns
 from .storage import ConditionalWrite, StorageRegistry, UNCONDITIONAL
 
@@ -96,7 +97,7 @@ class ReadResult:
 def metadata_in_scope(registry: StorageRegistry, key: FullKey, meta_key: FullKey) -> bool:
     """Whether the metadata row ``meta_key`` shares the atomic-write scope of ``key``."""
     unit = registry.get_atomicity_unit(key)
-    return derive_group_key(meta_key, unit) == derive_group_key(key, unit)
+    return scope_of(meta_key, unit) == scope_of(key, unit)
 
 
 def expand_writes(

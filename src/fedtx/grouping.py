@@ -1,17 +1,17 @@
 """Partitioning a write set into atomically-writable groups.
 
 Each write is bucketed under the prefix of its key dictated by the owning
-storage's atomicity unit, so every bucket can be handed to its adapter as one
-atomic batch. A transaction whose whole write set lands in a single bucket
-and that needs no read validation can commit in one phase: a single batch of
-already-committed records, with no coordinator involvement.
+storage's atomicity unit (``model.scope_of``), so every bucket can be handed
+to its adapter as one atomic batch. A transaction whose whole write set lands
+in a single bucket and that needs no read validation can commit in one phase:
+a single batch of already-committed records, with no coordinator involvement.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from .model import AtomicityUnit, FullKey, GroupKey, derive_group_key
+from .model import AtomicityUnit, FullKey, GroupKey, derive_group_key, scope_of
 from .storage import StorageRegistry
 
 
@@ -25,13 +25,14 @@ def group_by_atomicity_unit(
     """Bucket writes by their storage's atomic-write scope.
 
     The result is a partition of the input; iteration order is deterministic
-    (group keys sorted by their text rendering).
+    (group keys sorted by their text rendering). Writes are bucketed by scope
+    tuple, so only one ``GroupKey`` is built per group.
     """
-    groups: dict[GroupKey, list] = {}
+    buckets: dict[tuple, list] = {}
     for write in writes:
         unit = registry.get_atomicity_unit(write.key)
-        groups.setdefault(derive_group_key(write.key, unit), []).append(write)
-    return _in_render_order(groups)
+        buckets.setdefault(scope_of(write.key, unit), []).append(write)
+    return _in_render_order({GroupKey(*scope): group for scope, group in buckets.items()})
 
 
 def group_per_record(writes: Iterable[KeyedWrite]) -> dict[GroupKey, list]:

@@ -9,7 +9,9 @@ of the partition rather than the size of the store. Batches, reads, and scans
 synchronize on reader-writer latches scoped to the adapter's atomic-write unit
 (never finer than a partition), so a batch is one linearization point,
 maintains the index under the same latch, and multi-record snapshot reads
-never observe half a batch.
+never observe half a batch. Latches are keyed by scope tuples from
+``model.scope_of``, the single unit-to-prefix map; scope checks compare those
+tuples, so no read or batch builds a ``GroupKey``.
 
 Wrappers compose around the core store:
 
@@ -39,8 +41,8 @@ from .model import (
     FullKey,
     GroupKey,
     Record,
-    derive_group_key,
     render_key,
+    scope_of,
 )
 from .records import COL_TX_ID
 from .storage import (
@@ -167,7 +169,7 @@ class MemStore(StorageAdapter):
         # (namespace, table, partition key) -> non-empty clustering keys in
         # _rows; a partition's row with the empty clustering key stays out.
         self._clustered: dict[tuple, set[tuple]] = {}
-        self._latches: dict[GroupKey, RWLock] = {}
+        self._latches: dict[tuple, RWLock] = {}  # scope_of tuple -> latch
         self._latch_table_lock = threading.Lock()
         self._views: dict[str, tuple[str, str, str]] = {}
         self._view_by_table: dict[tuple[str, str], str] = {}
@@ -184,7 +186,12 @@ class MemStore(StorageAdapter):
 
     # -- latching ---------------------------------------------------------
 
-    def _latch_for(self, scope: GroupKey) -> RWLock:
+    def _latch_for(self, scope: tuple) -> RWLock:
+        latch = self._latches.get(scope)
+        if latch is not None:
+            return latch
+        # Only creation takes the table lock; re-check so that racing first
+        # touches of one scope all get the latch the winner stored.
         with self._latch_table_lock:
             latch = self._latches.get(scope)
             if latch is None:
@@ -192,7 +199,7 @@ class MemStore(StorageAdapter):
             return latch
 
     def _key_latch(self, key: FullKey) -> RWLock:
-        return self._latch_for(derive_group_key(key, self._latch_unit))
+        return self._latch_for(scope_of(key, self._latch_unit))
 
     # -- reads ------------------------------------------------------------
 
@@ -230,7 +237,7 @@ class MemStore(StorageAdapter):
         if not keys:
             return []
         unit = self._caps.atomicity_unit
-        scopes = {derive_group_key(k, unit) for k in keys}
+        scopes = {scope_of(k, unit) for k in keys}
         if len(scopes) > 1:
             raise AtomicityScopeViolation("snapshot read spans atomic-write scopes")
         with self._key_latch(keys[0]).read_locked():
@@ -259,18 +266,24 @@ class MemStore(StorageAdapter):
             namespace, app_table, meta_table = self._views[view_name]
         except KeyError:
             raise UnknownView(f"no view named {view_name!r}") from None
-        app_key = FullKey(self._name, namespace, app_table, key.partition_key, key.clustering_key)
-        meta_key = FullKey(self._name, namespace, meta_table, key.partition_key, key.clustering_key)
-        scopes = {
-            derive_group_key(app_key, self._latch_unit),
-            derive_group_key(meta_key, self._latch_unit),
-        }
-        latches = [self._latch_for(s) for s in sorted(scopes, key=lambda s: s.render())]
+        pk, ck = key.partition_key, key.clustering_key
+        app_row = (namespace, app_table, pk, ck)
+        meta_row = (namespace, meta_table, pk, ck)
+        # Each row's scope keeps as many components as the key's own scope.
+        depth = len(scope_of(key, self._latch_unit))
+        app_scope = (self._name, namespace, app_table, pk, ck)[:depth]
+        meta_scope = (self._name, namespace, meta_table, pk, ck)[:depth]
+        if app_scope == meta_scope:
+            latches = [self._latch_for(app_scope)]
+        else:
+            # the lock order of dump(), so the two never deadlock
+            scopes = sorted((app_scope, meta_scope), key=lambda s: render_key(*s))
+            latches = [self._latch_for(s) for s in scopes]
         for latch in latches:
             latch.acquire_read()
         try:
-            app = self._rows.get(_row_key(app_key))
-            meta = self._rows.get(_row_key(meta_key))
+            app = self._rows.get(app_row)
+            meta = self._rows.get(meta_row)
         finally:
             for latch in reversed(latches):
                 latch.release_read()
@@ -281,7 +294,9 @@ class MemStore(StorageAdapter):
             raise JoinIntegrityError(f"{missing} row missing for {key.render()}")
         joined = dict(app)
         joined.update(meta)
-        return Record(app_key, joined)
+        if (key.storage, key.namespace, key.table) != (self._name, namespace, app_table):
+            key = FullKey(self._name, namespace, app_table, pk, ck)
+        return Record(key, joined)
 
     # -- writes -------------------------------------------------------------
 
@@ -301,10 +316,10 @@ class MemStore(StorageAdapter):
         if not writes:
             raise ValueError("empty batch")
         unit = self._caps.atomicity_unit
-        groups = {derive_group_key(w.key, unit) for w in writes}
-        if len(groups) > 1:
+        scopes = {scope_of(w.key, unit) for w in writes}
+        if len(scopes) > 1:
             raise AtomicityScopeViolation(
-                f"batch spans {len(groups)} atomic-write scopes on {self._name!r}"
+                f"batch spans {len(scopes)} atomic-write scopes on {self._name!r}"
             )
         with self._key_latch(writes[0].key).write_locked():
             for i, write in enumerate(writes):
@@ -334,7 +349,7 @@ class MemStore(StorageAdapter):
             # run alongside view reads without lock-order inversions
             latches = [
                 self._latches[scope]
-                for scope in sorted(self._latches, key=lambda s: s.render())
+                for scope in sorted(self._latches, key=lambda s: render_key(*s))
             ]
         for latch in latches:
             latch.acquire_read()

@@ -10,6 +10,12 @@ treated as a distinct tagged type: equality and ordering are defined within a
 tag, and comparing values of different tags is an error (bool is NOT an int
 here, unlike plain Python).
 
+An atomicity unit maps a key to its scope, the prefix of
+(storage, namespace, table, partition key, clustering key) that the unit keeps.
+``scope_of`` is the one place that does so; it returns that prefix as a plain
+tuple, which is what the hot paths compare and hash. ``derive_group_key``
+wraps the same prefix in a validated ``GroupKey`` for callers that hand it on.
+
 Clustering keys are ordered by plain Python tuple comparison. That is the
 model's order, because a key component can only be an int, a str or a bytes
 (null and bool are rejected): within one type Python's ``<`` is the tag's
@@ -195,20 +201,31 @@ class GroupKey:
             self.storage, self.namespace, self.table, self.partition_key, self.clustering_key
         )
 
+    def scope(self) -> tuple:
+        """The populated fields, in the form ``scope_of`` returns."""
+        fields = (self.storage, self.namespace, self.table, self.partition_key, self.clustering_key)
+        return tuple(f for f in fields if f is not None)
+
+
+def scope_of(key: FullKey, unit: AtomicityUnit) -> tuple:
+    """The populated prefix of ``key`` that ``unit`` keeps, as a plain tuple.
+
+    Two keys fall in the same atomic-write scope exactly when their scopes
+    are equal.
+    """
+    return (key.storage, key.namespace, key.table, key.partition_key, key.clustering_key)[
+        : _UNIT_DEPTH[unit]
+    ]
+
 
 def derive_group_key(key: FullKey, unit: AtomicityUnit) -> GroupKey:
-    """Truncate a record key to the scope-prefix dictated by the atomicity unit."""
-    depth = _UNIT_DEPTH[unit]
-    return GroupKey(
-        storage=key.storage,
-        namespace=key.namespace if depth >= 2 else None,
-        table=key.table if depth >= 3 else None,
-        partition_key=key.partition_key if depth >= 4 else None,
-        clustering_key=key.clustering_key if depth >= 5 else None,
-    )
+    """``scope_of`` as a validated ``GroupKey``, for scan prefixes and group dicts."""
+    return GroupKey(*scope_of(key, unit))
 
 
 def _render_value(value) -> str:
+    if type(value) is int:
+        return int.__repr__(value)  # what json.dumps gives an exact int, without the encoder
     tag = value_tag(value)
     if tag is ValueTag.BLOB:
         return "0x" + value.hex()

@@ -66,7 +66,7 @@ from .model import (
     TransactionMetadata,
     TxOutcome,
     TxState,
-    derive_group_key,
+    scope_of,
     value_tag,
 )
 from .records import (
@@ -303,8 +303,9 @@ class TransactionManager:
             if obs.present and not obs.meta.delete_marker:
                 merged[key] = dict(obs.app_columns)
         # overlay this transaction's own buffered writes
+        scope = prefix.scope()
         for key, buffered in tx.write_set.items():
-            if derive_group_key(key, AtomicityUnit.PARTITION) != prefix:
+            if scope_of(key, AtomicityUnit.PARTITION) != scope:
                 continue
             if buffered.kind is WriteKind.DELETE:
                 merged.pop(key, None)

@@ -27,7 +27,8 @@ from fedtx import (
     build_memstore,
     if_tx_id_equals,
 )
-from fedtx.model import compare_values
+from fedtx.memstore import RWLock
+from fedtx.model import compare_values, scope_of
 from fedtx.records import COL_TX_ID
 from conftest import k, make_caps
 
@@ -42,6 +43,30 @@ def put(key, columns, condition=UNCONDITIONAL):
 
 def delete(key, condition=UNCONDITIONAL):
     return ConditionalWrite(key, {}, condition, WriteKind.DELETE)
+
+
+# Components a key pair may differ in, by index into
+# (storage, namespace, table, partition_key, clustering_key).
+_OTHER_COMPONENT = {1: "app2", 2: "t2", 3: (2,), 4: (2,)}
+_BASE_KEY = ("s1", "app", "t", (1,), (1,))
+_SCOPE_UNITS = [
+    AtomicityUnit.RECORD,
+    AtomicityUnit.PARTITION,
+    AtomicityUnit.TABLE,
+    AtomicityUnit.NAMESPACE,
+]
+
+
+def key_pair(differ_at):
+    """The base key and a key that differs from it in one component (none past the end)."""
+    other = list(_BASE_KEY)
+    if differ_at in _OTHER_COMPONENT:
+        other[differ_at] = _OTHER_COMPONENT[differ_at]
+    return FullKey(*_BASE_KEY), FullKey(*other)
+
+
+def scope_depth(unit):
+    return len(scope_of(FullKey(*_BASE_KEY), unit))
 
 
 class TestReadWrite:
@@ -102,10 +127,22 @@ class TestBatchAtomicity:
         after = {r.key.render(): dict(r.columns) for r in s.dump()}
         assert before == after
 
-    def test_scope_violation_rejected(self):
-        s = store(unit=AtomicityUnit.PARTITION)
+    @pytest.mark.parametrize("unit", _SCOPE_UNITS)
+    def test_scope_violation_rejected(self, unit):
+        """Keys differing in the last component the unit keeps span two scopes."""
+        s = store(unit=unit)
+        a, b = key_pair(scope_depth(unit) - 1)
         with pytest.raises(AtomicityScopeViolation):
-            s.atomic_write([put(k(pk=1), {"v": 1}), put(k(pk=2), {"v": 2})])
+            s.atomic_write([put(a, {"v": 1}), put(b, {"v": 2})])
+        assert s.dump() == []
+
+    @pytest.mark.parametrize("unit", _SCOPE_UNITS)
+    def test_batch_differing_below_the_unit_is_allowed(self, unit):
+        """Keys differing only in the first component the unit drops share a scope."""
+        s = store(unit=unit)
+        a, b = key_pair(scope_depth(unit))
+        assert s.atomic_write([put(a, {"v": 1}), put(b, {"v": 2})]) is None
+        assert s.read(b).columns["v"] == 2
 
     def test_same_partition_batch_allowed_at_partition_unit(self):
         s = store(unit=AtomicityUnit.PARTITION)
@@ -270,10 +307,20 @@ class TestSnapshotRead:
         assert s.snapshot_read([]) == []
         assert s.snapshot_read([k()]) == [None]
 
-    def test_scope_violation(self):
-        s = store(unit=AtomicityUnit.PARTITION, consistent=True)
+    @pytest.mark.parametrize("unit", _SCOPE_UNITS)
+    def test_scope_violation(self, unit):
+        s = store(unit=unit, consistent=True)
         with pytest.raises(AtomicityScopeViolation):
-            s.snapshot_read([k(pk=1), k(pk=2)])
+            s.snapshot_read(list(key_pair(scope_depth(unit) - 1)))
+
+    @pytest.mark.parametrize("unit", _SCOPE_UNITS)
+    def test_keys_differing_below_the_unit_read_together(self, unit):
+        s = store(unit=unit, consistent=True)
+        a, b = key_pair(scope_depth(unit))
+        s.atomic_write([put(a, {"v": 1})])
+        got = s.snapshot_read([a, b])
+        assert got[0].columns["v"] == 1
+        assert got == [s.read(a), s.read(b)]
 
     def test_pair_consistency_under_concurrent_writer(self):
         s = store(consistent=True)
@@ -332,6 +379,108 @@ class TestViews:
         s = self.view_store()
         assert s.view_for(k()) == "v"
         assert s.view_for(k(table="other")) is None
+
+    def test_joined_record_is_addressed_to_the_application_table(self):
+        s = self.view_store()
+        s.atomic_write([put(k(pk=1), {"v": 1})])
+        s.atomic_write([put(k(pk=1, table="t_meta"), {COL_TX_ID: "t0"})])
+        assert s.view_read("v", k(pk=1)).key == k(pk=1)
+        assert s.view_read("v", k(pk=1, table="t_meta")).key == k(pk=1)
+        assert s.view_read("v", k(storage="elsewhere", pk=1)).key == k(pk=1)
+
+    def test_two_latch_join_stays_consistent_beside_a_writer_and_dumps(self):
+        """A TABLE-unit view joins rows under two latches; reads, writes and dumps interleave.
+
+        The writer bumps the application row, then the metadata row, so at
+        any one instant the application value is the metadata value or one
+        ahead of it. A view read that holds both latches sees one instant.
+        """
+        s = MemStore("s1", MemStoreConfig(make_caps(AtomicityUnit.TABLE, True, True)))
+        s.register_join_view("v", "app", "t", "t_meta")
+        app_key, meta_key = k(pk=1), k(pk=1, table="t_meta")
+        s.atomic_write([put(app_key, {"v": 0})])
+        s.atomic_write([put(meta_key, {COL_TX_ID: "t0"})])
+        assert len(s._latches) == 2  # one per table
+        stop = threading.Event()
+        errors = []
+
+        def guarded(fn):
+            def run():
+                try:
+                    fn()
+                except Exception as exc:  # noqa: BLE001 - reported by the main thread
+                    errors.append(exc)
+                    stop.set()
+
+            return run
+
+        @guarded
+        def writer():
+            n = 0
+            while not stop.is_set():
+                n += 1
+                s.atomic_write([put(app_key, {"v": n})])
+                s.atomic_write([put(meta_key, {COL_TX_ID: f"t{n}"})])
+
+        @guarded
+        def dumper():
+            while not stop.is_set():
+                rows = {r.key: dict(r.columns) for r in s.dump()}
+                assert set(rows) == {app_key, meta_key}
+
+        @guarded
+        def reader():
+            for _ in range(10_000):
+                joined = s.view_read("v", app_key)
+                lag = joined.columns["v"] - int(joined.columns[COL_TX_ID][1:])
+                assert lag in (0, 1), dict(joined.columns)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            background = [threading.Thread(target=fn, daemon=True) for fn in (writer, dumper)]
+            readers = [threading.Thread(target=reader, daemon=True) for _ in range(2)]
+            for thread in background + readers:
+                thread.start()
+            for thread in readers:
+                thread.join(timeout=60)
+            stop.set()
+            for thread in background:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in background + readers), "lock-order deadlock"
+        assert errors == []
+
+
+class TestLatches:
+    @pytest.mark.parametrize("threads", [2, 8])
+    def test_racing_first_touches_share_one_latch(self, threads):
+        s = MemStore("s1", MemStoreConfig(make_caps(AtomicityUnit.PARTITION)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for pk in range(50):
+                scope = scope_of(k(pk=pk), AtomicityUnit.PARTITION)
+                barrier = threading.Barrier(threads)
+                got = []
+
+                def touch():
+                    barrier.wait()
+                    got.append(s._key_latch(k(pk=pk)))
+
+                workers = [threading.Thread(target=touch) for _ in range(threads)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=30)
+                assert len(got) == threads
+                assert all(latch is got[0] for latch in got)
+                assert isinstance(got[0], RWLock)
+                assert s._latches[scope] is got[0]
+                assert len(s._latches) == pk + 1
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestFaultInjection:

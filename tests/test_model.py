@@ -1,6 +1,8 @@
 """Keys, values, scope prefixes, and metadata invariants."""
 
 import enum
+import json
+import random
 from dataclasses import astuple
 
 import pytest
@@ -17,6 +19,7 @@ from fedtx.model import (
     compare_values,
     derive_group_key,
     render_key,
+    scope_of,
     value_tag,
     ValueTag,
 )
@@ -122,6 +125,23 @@ class TestRendering:
         assert render_key("s", "n", "t", ("a",)) == 's/n/t/pk=["a"]'
         assert render_key("s", "n", "t", (b"\x01",)) == "s/n/t/pk=[0x01]"
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rendering_matches_the_json_encoding(self, seed):
+        """Every component renders as json.dumps would, bytes as hex."""
+
+        class Colour(enum.IntEnum):
+            RED = 7
+
+        rng = random.Random(seed)
+        alphabet = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "☃", "\U0001f600", "a", "/", ","]
+        values = [0, 1, -1, 2**63, -(2**63), 2**63 - 1, Colour.RED, "", b"", b"\x00\xff"]
+        values += [rng.randint(-(2**63), 2**63) for _ in range(200)]
+        values += ["".join(rng.choices(alphabet, k=rng.randint(1, 8))) for _ in range(200)]
+        values += [rng.randbytes(rng.randint(1, 8)) for _ in range(50)]
+        for value in values:
+            expected = "0x" + value.hex() if isinstance(value, bytes) else json.dumps(value)
+            assert render_key("s", partition_key=(value,)) == f"s/pk=[{expected}]"
+
 
 class TestGroupKeyDerivation:
     def test_storage_unit_keeps_only_storage(self):
@@ -142,13 +162,16 @@ class TestGroupKeyDerivation:
         assert derive_group_key(KEY, AtomicityUnit.TABLE) == GroupKey("s1", "ns", "t")
 
 
+# int, str and bytes components, with look-alikes across types (0, "0", b"0")
+components = st.one_of(st.integers(0, 3), st.sampled_from(["0", "a"]), st.sampled_from([b"0", b""]))
+
 full_keys = st.builds(
     FullKey,
     storage=st.sampled_from(["s1", "s2"]),
     namespace=st.sampled_from(["n1", "n2"]),
     table=st.sampled_from(["t1", "t2"]),
-    partition_key=st.lists(st.integers(0, 3), min_size=1, max_size=2).map(tuple),
-    clustering_key=st.lists(st.integers(0, 3), max_size=2).map(tuple),
+    partition_key=st.lists(components, min_size=1, max_size=2).map(tuple),
+    clustering_key=st.lists(components, max_size=2).map(tuple),
 )
 
 units = st.sampled_from(list(AtomicityUnit))
@@ -174,6 +197,18 @@ class TestGroupKeyProperties:
         components2 = (k2.storage, k2.namespace, k2.table, k2.partition_key, k2.clustering_key)
         depth = len(group_fields(derive_group_key(k1, unit)))
         assert equal == (components1[:depth] == components2[:depth])
+
+    @given(full_keys, units)
+    def test_scope_is_the_populated_group_key(self, key, unit):
+        scope = scope_of(key, unit)
+        assert scope == group_fields(derive_group_key(key, unit))
+        assert scope == derive_group_key(key, unit).scope()
+
+    @given(full_keys, full_keys, units)
+    def test_equal_scopes_iff_equal_group_keys(self, k1, k2, unit):
+        assert (scope_of(k1, unit) == scope_of(k2, unit)) == (
+            derive_group_key(k1, unit) == derive_group_key(k2, unit)
+        )
 
     @given(full_keys, units)
     def test_depth_matches_unit(self, key, unit):

@@ -2,7 +2,9 @@
 
 import pytest
 
+import fedtx.transaction
 from fedtx import (
+    AtomicityUnit,
     ConditionalWrite,
     ConflictAbort,
     DecoupleConfig,
@@ -16,7 +18,7 @@ from fedtx import (
 )
 from fedtx.decoupling import ReadPath, read_dispatch
 from fedtx.memstore import _ForwardingAdapter
-from fedtx.model import BeforeImage
+from fedtx.model import BeforeImage, FullKey
 from fedtx.records import COL_BEFORE, COL_STATE, COL_TX_ID, COL_VERSION
 from fedtx.transaction import TxStatus
 from fedtx.verifier import HistoryRecorder, audit_atomicity
@@ -835,3 +837,54 @@ class TestHistoryRecording:
         assert committed[-1].reads == ((k().render(), 1),)
         assert committed[-1].writes == ((k().render(), 2),)
         assert committed[-1].begin_at < committed[-1].commit_at
+
+
+class TestScopeCost:
+    """Reads and batches compare scope tuples; validated key objects stay off the hot path."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts = {GroupKey: 0, FullKey: 0}
+        for cls in counts:
+            original = cls.__post_init__
+
+            def counting(self, _original=original, _cls=cls):
+                counts[_cls] += 1
+                _original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        return counts
+
+    def test_split_metadata_view_get(self, built):
+        caps = make_caps(AtomicityUnit.STORAGE, consistent=True, view=True)
+        env = build_env({"s1": caps}, decoupled=True, register_views=True)
+        seed(env, k(), 1)
+        key = k()
+        tx = env.manager.begin()
+        built[GroupKey] = built[FullKey] = 0
+        assert tx.get(key) == {"v": 1}
+        assert tx.read_set[key].path is ReadPath.VIEW
+        assert built[GroupKey] == 0
+        assert built[FullKey] <= 1  # the metadata row's key
+
+    def test_two_group_commit_builds_one_group_key_per_group(self, built, monkeypatch):
+        env = build_env({"s1": make_caps(), "s2": make_caps()})
+        keys = [k(storage, pk=pk) for storage in ("s1", "s2") for pk in range(4)]
+        in_grouping = []
+        grouping = fedtx.transaction.group_by_atomicity_unit
+
+        def counted_grouping(*args):
+            before = built[GroupKey]
+            groups = grouping(*args)
+            in_grouping.append(built[GroupKey] - before)
+            return groups
+
+        monkeypatch.setattr(fedtx.transaction, "group_by_atomicity_unit", counted_grouping)
+        tx = env.manager.begin()
+        for key in keys:
+            tx.put(key, {"v": 1})
+        built[GroupKey] = 0
+        tx.commit()
+        assert tx.status is TxStatus.COMMITTED
+        assert in_grouping == [2]
+        assert built[GroupKey] == 2  # none in MemStore or anywhere else
