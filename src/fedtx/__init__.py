@@ -12,7 +12,6 @@ from .decoupling import DecoupleConfig, ReadPath
 from .errors import (
     AtomicityScopeViolation,
     CapabilityUnsupported,
-    ConfigError,
     ConflictAbort,
     FedtxError,
     InjectedCrash,

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 from .errors import CapabilityUnsupported, AtomicityScopeViolation, JoinIntegrityError
 from .model import FullKey, TransactionMetadata, scope_of
 from .records import parse_metadata, split_columns
-from .storage import ConditionalWrite, StorageRegistry, UNCONDITIONAL
+from .storage import ConditionalWrite, StorageAdapter, StorageRegistry, UNCONDITIONAL
 
 
 @dataclass(frozen=True)
@@ -167,6 +167,14 @@ def read_split_snapshot(
     return _join(key, app, meta, ReadPath.SNAPSHOT)
 
 
+def _read_view(adapter: StorageAdapter, view_name: str, key: FullKey) -> ReadResult:
+    record = adapter.view_read(view_name, key)
+    if record is None:
+        return ReadResult(None, None, ReadPath.VIEW)
+    app_columns, meta_columns = split_columns(record.columns)
+    return ReadResult(app_columns, parse_metadata(meta_columns), ReadPath.VIEW)
+
+
 def read_split_view(
     registry: StorageRegistry, config: DecoupleConfig, key: FullKey
 ) -> ReadResult:
@@ -175,11 +183,7 @@ def read_split_view(
     view_name = adapter.view_for(key)
     if view_name is None:
         raise CapabilityUnsupported(f"no join view registered for {key.render()}")
-    record = adapter.view_read(view_name, key)
-    if record is None:
-        return ReadResult(None, None, ReadPath.VIEW)
-    app_columns, meta_columns = split_columns(record.columns)
-    return ReadResult(app_columns, parse_metadata(meta_columns), ReadPath.VIEW)
+    return _read_view(adapter, view_name, key)
 
 
 def read_dispatch(
@@ -188,18 +192,25 @@ def read_dispatch(
     """Fetch a logical record by the best route the storage supports.
 
     A consistent route (view or snapshot) also needs the metadata row inside
-    the key's atomic-write scope; otherwise the rows are read separately.
+    the key's atomic-write scope; otherwise the rows are read separately. A
+    view is used when the store declares views and has one for the key's table.
     """
+    adapter = registry.get_database(key)
     if config is None or not config.applies_to(key):
-        record = registry.read(key)
+        record = adapter.read(key)
         if record is None:
             return ReadResult(None, None, ReadPath.COLOCATED)
         app_columns, meta_columns = split_columns(record.columns)
         return ReadResult(app_columns, parse_metadata(meta_columns), ReadPath.COLOCATED)
-    if registry.consistent_readable(key) and metadata_in_scope(
-        registry, key, config.metadata_key(key)
-    ):
-        if registry.view_joinable(key):
-            return read_split_view(registry, config, key)
-        return read_split_snapshot(registry, config, key)
-    return read_split(registry, config, key)
+    caps = adapter.capabilities
+    unit = caps.atomicity_unit
+    consistent = caps.consistent_readable and (
+        scope_of(config.metadata_key(key), unit) == scope_of(key, unit)
+    )
+    if not consistent:
+        return read_split(registry, config, key)
+    if caps.view_joinable:
+        view_name = adapter.view_for(key)
+        if view_name is not None:
+            return _read_view(adapter, view_name, key)
+    return read_split_snapshot(registry, config, key)

@@ -62,6 +62,3 @@ class InjectedCrash(FedtxError):
 class SearchBoundExceeded(FedtxError):
     """A history is too large for the exhaustive equivalence search."""
 
-
-class ConfigError(FedtxError):
-    """A configuration file is missing, malformed, or inconsistent."""

@@ -139,18 +139,6 @@ class OpCounters:
             **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
         )
 
-    def as_text(self) -> str:
-        lines = [
-            f"reads={self.reads}",
-            f"scans={self.scans}",
-            f"batches={self.atomic_write_batches}",
-            f"writtenRecords={self.written_records}",
-            f"dbTransactions={self.db_transactions}",
-            f"viewReads={self.view_reads}",
-            f"conditionFailures={self.condition_failures}",
-        ]
-        return "\n".join(lines)
-
 
 _RowKey = tuple  # (namespace, table, partition_key, clustering_key)
 

@@ -159,11 +159,3 @@ class StorageRegistry:
         if not keys:
             return []
         return self.get_database(keys[0]).snapshot_read(keys)
-
-    def consistent_readable(self, key: FullKey) -> bool:
-        """True when this key's store can read several records at one point."""
-        return self.get_database(key).capabilities.consistent_readable
-
-    def view_joinable(self, key: FullKey) -> bool:
-        adapter = self.get_database(key)
-        return adapter.capabilities.view_joinable and adapter.view_for(key) is not None

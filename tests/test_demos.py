@@ -1,6 +1,7 @@
-"""Every narrative demo runs to completion against the source tree."""
+"""Every narrative demo and README example runs to completion against the source tree."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,12 +10,26 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(
+    r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S
+)
+
+
+def run_python(args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
+    )
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_cleanly(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
-    )
+    done = run_python([str(demo)])
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_python_blocks_run():
+    assert README_BLOCKS, "README.md has no python block"
+    for block in README_BLOCKS:
+        done = run_python(["-c", block])
+        assert done.returncode == 0, done.stderr

@@ -27,7 +27,7 @@ from fedtx import (
     build_memstore,
     if_tx_id_equals,
 )
-from fedtx.memstore import RWLock
+from fedtx.memstore import OpCounters, RWLock
 from fedtx.model import compare_values, scope_of
 from fedtx.records import COL_TX_ID
 from conftest import k, make_caps
@@ -532,9 +532,25 @@ class TestCounters:
         fresh = s.counters()
         assert fresh.reads == 0 and fresh.atomic_write_batches == 0
 
-    def test_text_dump_shape(self):
-        text = store().counters().as_text()
-        assert "reads=0" in text and "dbTransactions=0" in text
+    def test_counters_add_field_by_field(self):
+        a = OpCounters(reads=1, scans=2, atomic_write_batches=3, written_records=4)
+        b = OpCounters(reads=10, db_transactions=5, view_reads=6, condition_failures=7)
+        assert a + b == OpCounters(
+            reads=11,
+            scans=2,
+            atomic_write_batches=3,
+            written_records=4,
+            db_transactions=5,
+            view_reads=6,
+            condition_failures=7,
+        )
+
+    def test_counters_are_a_snapshot(self):
+        s = store()
+        before = s.counters()
+        s.read(k())
+        assert before.reads == 0
+        assert s.counters().reads == 1
 
 
 class TestCounterTraceAgreement:

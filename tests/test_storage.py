@@ -1,5 +1,7 @@
 """Registry routing, capability declarations, and write conditions."""
 
+from collections import Counter
+
 import pytest
 
 from fedtx import (
@@ -10,13 +12,16 @@ from fedtx import (
     DecoupleConfig,
     MemStoreConfig,
     StorageRegistry,
+    TransactionManager,
     UnknownStorage,
     WriteCondition,
     build_memstore,
 )
 from fedtx.decoupling import ReadPath, read_dispatch
+from fedtx.memstore import _ForwardingAdapter
 from fedtx.model import TransactionMetadata, TxState
 from fedtx.records import metadata_columns
+from fedtx.transaction import CoordinatorLocation
 from conftest import build_env, k, make_caps
 
 
@@ -69,8 +74,10 @@ class TestConsistentReadable:
         assert result.path is ReadPath.SNAPSHOT
 
     def test_not_declared(self):
-        registry = registry_with("s1", consistent=False)
-        assert registry.consistent_readable(k("s1")) is False
+        env = build_env({"s1": make_caps(consistent=False)}, decoupled=True)
+        write_committed(env.manager, k())
+        result = read_dispatch(env.registry, env.manager.decoupling, k())
+        assert result.path is ReadPath.SPLIT_READS
 
     def test_metadata_outside_scope(self):
         # At PARTITION scope the metadata table is a different scope: no
@@ -90,24 +97,65 @@ class TestConsistentReadable:
         # Metadata kept in the record: the capability alone decides.
         env = build_env({"s1": make_caps(consistent=True)})
         write_committed(env.manager, k())
-        assert env.registry.consistent_readable(k("s1")) is True
         result = read_dispatch(env.registry, None, k())
         assert result.path is ReadPath.COLOCATED
 
 
 class TestViewJoinable:
+    """The view route needs the declared capability and a registered view."""
+
+    def view_get(self, view=True, register_views=True):
+        env = build_env(
+            {"s1": make_caps(consistent=True, view=view)},
+            decoupled=True,
+            register_views=register_views,
+        )
+        write_committed(env.manager, k())
+        return read_dispatch(env.registry, env.manager.decoupling, k())
+
     def test_declared_with_view(self):
-        registry = registry_with("s1", consistent=True, view=True)
-        registry.get_database("s1").register_join_view("v", "app", "t", "t_meta")
-        assert registry.view_joinable(k("s1")) is True
+        assert self.view_get().path is ReadPath.VIEW
 
     def test_not_declared(self):
-        registry = registry_with("s1")
-        assert registry.view_joinable(k("s1")) is False
+        assert self.view_get(view=False).path is ReadPath.SNAPSHOT
 
     def test_declared_without_view(self):
-        registry = registry_with("s1", consistent=True, view=True)
-        assert registry.view_joinable(k("s1")) is False
+        assert self.view_get(register_views=False).path is ReadPath.SNAPSHOT
+
+    def test_view_get_asks_the_store_once(self):
+        class CallCounter(_ForwardingAdapter):
+            def __init__(self, inner):
+                super().__init__(inner)
+                self.calls = Counter()
+
+            @property
+            def capabilities(self):
+                self.calls["capabilities"] += 1
+                return super().capabilities
+
+            def view_for(self, key):
+                self.calls["view_for"] += 1
+                return super().view_for(key)
+
+        inner = build_memstore("s1", MemStoreConfig(make_caps(consistent=True, view=True)))
+        inner.register_join_view("app.t_with_meta", "app", "t", "t_meta")
+        store = CallCounter(inner)
+        registry = StorageRegistry()
+        registry.register(store)
+        registry.register(build_memstore("coord", MemStoreConfig(make_caps())))
+        manager = TransactionManager(
+            registry, CoordinatorLocation("coord"), decoupling=DecoupleConfig()
+        )
+        keys = [k(pk=pk) for pk in range(3)]
+        for key in keys:
+            write_committed(manager, key)
+        store.calls.clear()
+        inner.reset_counters()
+        tx = manager.begin()
+        for key in keys:
+            assert tx.get(key) == {"v": 7}
+        assert store.calls == {"view_for": 3, "capabilities": 3}
+        assert inner.counters().view_reads == 3
 
 
 class TestDeclarations:
