@@ -147,7 +147,8 @@ def _join(key: FullKey, app, meta, path: ReadPath) -> ReadResult:
     if app is None or meta is None:
         missing = "application" if app is None else "metadata"
         raise JoinIntegrityError(f"{missing} row missing for {key.render()}")
-    return ReadResult(dict(app.columns), parse_metadata(meta.columns), path)
+    # Record.columns is a MappingProxyType, which dict() copies slowly
+    return ReadResult(app.columns.copy(), parse_metadata(meta.columns), path)
 
 
 def read_split(

@@ -13,6 +13,17 @@ never observe half a batch. Latches are keyed by scope tuples from
 ``model.scope_of``, the single unit-to-prefix map; scope checks compare those
 tuples, so no read or batch builds a ``GroupKey``.
 
+Two invariants keep reads cheap:
+
+* A row is checked once, when ``atomic_write`` applies it: every PUT's
+  columns pass ``model.check_columns`` before the batch takes its latch, so a
+  bad batch raises with nothing applied.
+* A stored row is never mutated in place; a write replaces the whole dict.
+  So ``read``, ``snapshot_read``, ``scan`` and ``dump`` share the stored dict
+  read-only behind a ``MappingProxyType``, with no copy and no re-check
+  (``view_read`` wraps its freshly joined dict the same way), and a record
+  handed out keeps its columns whatever is written after it.
+
 Wrappers compose around the core store:
 
 * ``CountingStore`` tallies applied operations.
@@ -27,6 +38,7 @@ import enum
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from types import MappingProxyType
 from typing import Sequence
 
 from .errors import (
@@ -41,6 +53,7 @@ from .model import (
     FullKey,
     GroupKey,
     Record,
+    check_columns,
     render_key,
     scope_of,
 )
@@ -194,7 +207,7 @@ class MemStore(StorageAdapter):
     def read(self, key: FullKey) -> Record | None:
         with self._key_latch(key).read_locked():
             columns = self._rows.get(_row_key(key))
-            return Record(key, dict(columns)) if columns is not None else None
+        return Record._unchecked(key, MappingProxyType(columns)) if columns is not None else None
 
     def scan(self, prefix: GroupKey) -> list[Record]:
         if prefix.partition_key is None:
@@ -202,19 +215,19 @@ class MemStore(StorageAdapter):
         latch = self._key_latch(
             FullKey(prefix.storage, prefix.namespace, prefix.table, prefix.partition_key)
         )
-        partition = (prefix.namespace, prefix.table, prefix.partition_key)
+        namespace, table, pk = partition = (prefix.namespace, prefix.table, prefix.partition_key)
         with latch.read_locked():
             hits = [
-                (ck, dict(self._rows[partition + (ck,)]))
+                (ck, self._rows[partition + (ck,)])
                 for ck in sorted(self._clustered.get(partition, ()))
             ]
             bare = self._rows.get(partition + ((),))
         if bare is not None:
-            hits.insert(0, ((), dict(bare)))  # the empty clustering key sorts first
+            hits.insert(0, ((), bare))  # the empty clustering key sorts first
+        unchecked_key = FullKey._unchecked
         return [
-            Record(
-                FullKey(self._name, prefix.namespace, prefix.table, prefix.partition_key, ck),
-                columns,
+            Record._unchecked(
+                unchecked_key(self._name, namespace, table, pk, ck), MappingProxyType(columns)
             )
             for ck, columns in hits
         ]
@@ -229,11 +242,11 @@ class MemStore(StorageAdapter):
         if len(scopes) > 1:
             raise AtomicityScopeViolation("snapshot read spans atomic-write scopes")
         with self._key_latch(keys[0]).read_locked():
-            out = []
-            for key in keys:
-                columns = self._rows.get(_row_key(key))
-                out.append(Record(key, dict(columns)) if columns is not None else None)
-            return out
+            rows = [self._rows.get(_row_key(key)) for key in keys]
+        return [
+            Record._unchecked(key, MappingProxyType(columns)) if columns is not None else None
+            for key, columns in zip(keys, rows)
+        ]
 
     # -- views -------------------------------------------------------------
 
@@ -283,8 +296,8 @@ class MemStore(StorageAdapter):
         joined = dict(app)
         joined.update(meta)
         if (key.storage, key.namespace, key.table) != (self._name, namespace, app_table):
-            key = FullKey(self._name, namespace, app_table, pk, ck)
-        return Record(key, joined)
+            key = FullKey._unchecked(self._name, namespace, app_table, pk, ck)
+        return Record._unchecked(key, MappingProxyType(joined))
 
     # -- writes -------------------------------------------------------------
 
@@ -309,6 +322,9 @@ class MemStore(StorageAdapter):
             raise AtomicityScopeViolation(
                 f"batch spans {len(scopes)} atomic-write scopes on {self._name!r}"
             )
+        for write in writes:
+            if write.kind is WriteKind.PUT:
+                check_columns(write.columns)
         with self._key_latch(writes[0].key).write_locked():
             for i, write in enumerate(writes):
                 if not self._condition_holds(write):
@@ -325,7 +341,8 @@ class MemStore(StorageAdapter):
                 else:
                     if ck and rk not in self._rows:
                         self._clustered.setdefault(rk[:3], set()).add(ck)
-                    self._rows[rk] = dict(write.columns)
+                    # .copy(): dict() of the write's MappingProxyType misses the fast merge
+                    self._rows[rk] = write.columns.copy()
         return None
 
     # -- test and tooling surface -------------------------------------------
@@ -342,15 +359,15 @@ class MemStore(StorageAdapter):
         for latch in latches:
             latch.acquire_read()
         try:
-            items = [
-                (rk, dict(columns)) for rk, columns in self._rows.items()
-            ]
+            items = list(self._rows.items())
         finally:
             for latch in reversed(latches):
                 latch.release_read()
         items.sort(key=lambda item: render_key(self._name, item[0][0], item[0][1], item[0][2], item[0][3]))
         return [
-            Record(FullKey(self._name, ns, table, pk, ck), columns)
+            Record._unchecked(
+                FullKey._unchecked(self._name, ns, table, pk, ck), MappingProxyType(columns)
+            )
             for (ns, table, pk, ck), columns in items
         ]
 

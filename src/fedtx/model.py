@@ -122,25 +122,63 @@ class FullKey:
         _check_key_components("partition key", self.partition_key)
         _check_key_components("clustering key", self.clustering_key)
 
+    @classmethod
+    def _unchecked(
+        cls, storage: str, namespace: str, table: str, partition_key: tuple, clustering_key: tuple
+    ) -> "FullKey":
+        """A key from components already checked, both key parts tuples.
+
+        For a store rebuilding the address of a row it holds: the row's key
+        was checked when the row was written.
+        """
+        key = object.__new__(cls)
+        key.__dict__.update(
+            storage=storage,
+            namespace=namespace,
+            table=table,
+            partition_key=partition_key,
+            clustering_key=clustering_key,
+        )
+        return key
+
     def render(self) -> str:
         return render_key(
             self.storage, self.namespace, self.table, self.partition_key, self.clustering_key
         )
 
 
+def check_columns(columns: Mapping[str, object]) -> None:
+    """The column rule: every value passes ``value_tag``, every name is a non-empty str.
+
+    Raises TypeError for an unsupported value and ValueError for a bad name.
+    """
+    for name, value in columns.items():
+        if type(value) not in _EXACT_TAGS:
+            value_tag(value)  # a subclass passes; anything else raises
+        if not isinstance(name, str) or not name:
+            raise ValueError("column names must be non-empty strings")
+
+
 @dataclass(frozen=True)
 class Record:
-    """One stored record: its address plus named columns."""
+    """One stored record: its address plus named columns, read-only."""
 
     key: FullKey
     columns: Mapping[str, object]
 
     def __post_init__(self):
         object.__setattr__(self, "columns", MappingProxyType(dict(self.columns)))
-        for name, value in self.columns.items():
-            value_tag(value)
-            if not isinstance(name, str) or not name:
-                raise ValueError("column names must be non-empty strings")
+        check_columns(self.columns)
+
+    @classmethod
+    def _unchecked(cls, key: FullKey, columns: MappingProxyType) -> "Record":
+        """A record sharing ``columns``, which passed ``check_columns`` and never change.
+
+        For a store handing out a row it checked when it applied the row.
+        """
+        record = object.__new__(cls)
+        record.__dict__.update(key=key, columns=columns)
+        return record
 
 
 class AtomicityUnit(enum.IntEnum):

@@ -14,6 +14,7 @@ there; this module only defines the column codec, not the placement.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Mapping
 
 from .model import BeforeImage, TransactionMetadata, TxState, value_tag
@@ -115,9 +116,9 @@ def split_columns(columns: Mapping[str, object]) -> tuple[dict, dict]:
     return app, meta
 
 
-def combined_columns(app_columns: Mapping[str, object], meta: TransactionMetadata) -> dict:
+def combined_columns(app_columns: dict | MappingProxyType, meta: TransactionMetadata) -> dict:
     """Full stored image of a record whose metadata rides in the same row."""
     check_application_columns(app_columns)
-    out = dict(app_columns)
+    out = app_columns.copy()  # dict() of a MappingProxyType misses the fast merge
     out.update(metadata_columns(meta))
     return out

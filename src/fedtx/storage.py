@@ -105,7 +105,10 @@ class StorageAdapter(ABC):
 
         Returns None when every write applied; otherwise the index of the
         first write whose condition failed, with nothing applied. Every write
-        must fall inside one atomic-write scope of this adapter.
+        must fall inside one atomic-write scope of this adapter. A batch with
+        a PUT whose columns break ``model.check_columns`` (a non-scalar value
+        or a name that is not a non-empty str) raises before anything is
+        applied.
         """
 
     def snapshot_read(self, keys: Sequence[FullKey]) -> list[Record | None]:

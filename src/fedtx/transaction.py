@@ -66,8 +66,8 @@ from .model import (
     TransactionMetadata,
     TxOutcome,
     TxState,
+    check_columns,
     scope_of,
-    value_tag,
 )
 from .records import (
     COL_STATE,
@@ -186,6 +186,7 @@ class AttemptInfo:
     tx_id: str
     writes: Mapping[str, int]  # rendered key -> intended version
     one_phase: bool
+    deletes: tuple[str, ...] = ()  # rendered keys of the writes that delete
 
 
 class TxHandle:
@@ -213,9 +214,8 @@ class TxHandle:
 
     def put(self, key: FullKey, columns: Mapping[str, object]) -> None:
         self._check_active()
+        check_columns(columns)  # first: the prefix check needs str names
         check_application_columns(columns)
-        for value in columns.values():
-            value_tag(value)
         self.write_set[key] = BufferedWrite(WriteKind.PUT, dict(columns))
 
     def delete(self, key: FullKey) -> None:
@@ -509,7 +509,8 @@ class TransactionManager:
                 (key.render(), obs.meta.version if obs.present else 0)
                 for key, obs in tx.read_set.items()
             )
-            writes = tuple(tx.attempt.writes.items()) if tx.attempt is not None else ()
+            attempt = tx.attempt
+            writes = tuple(attempt.writes.items()) if attempt is not None else ()
             self.history.record(
                 tx_id=tx.tx_id,
                 outcome=status.value,
@@ -517,7 +518,8 @@ class TransactionManager:
                 commit_at=commit_at,
                 reads=reads,
                 writes=writes,
-                one_phase=bool(tx.attempt and tx.attempt.one_phase),
+                one_phase=bool(attempt and attempt.one_phase),
+                deletes=attempt.deletes if attempt is not None else (),
             )
 
     def _commit_pipeline(self, tx: TxHandle) -> None:
@@ -547,6 +549,11 @@ class TransactionManager:
                 tx_id=tx.tx_id,
                 writes={logical.key.render(): logical.version for logical in logicals},
                 one_phase=one_phase,
+                deletes=tuple(
+                    logical.key.render()
+                    for logical in logicals
+                    if logical.kind is WriteKind.DELETE
+                ),
             )
 
         if one_phase:

@@ -39,6 +39,7 @@ class TxSummary:
     reads: tuple[tuple[str, int], ...] = ()
     writes: tuple[tuple[str, int], ...] = ()
     one_phase: bool = False
+    deletes: tuple[str, ...] = ()  # the keys among ``writes`` that were deleted
 
     def to_json(self) -> str:
         return json.dumps(
@@ -50,6 +51,7 @@ class TxSummary:
                 "reads": [list(r) for r in self.reads],
                 "writes": [list(w) for w in self.writes],
                 "one_phase": self.one_phase,
+                "deletes": list(self.deletes),
             },
             sort_keys=True,
         )
@@ -64,6 +66,7 @@ class TxSummary:
             reads=tuple((k, v) for k, v in obj["reads"]),
             writes=tuple((k, v) for k, v in obj["writes"]),
             one_phase=obj["one_phase"],
+            deletes=tuple(obj.get("deletes", ())),
         )
 
 
@@ -109,7 +112,7 @@ class HistoryRecorder:
         self._lock = threading.Lock()
         self._entries: list[TxSummary] = []
 
-    def record(self, tx_id, outcome, begin_at, commit_at, reads, writes, one_phase):
+    def record(self, tx_id, outcome, begin_at, commit_at, reads, writes, one_phase, deletes=()):
         entry = TxSummary(
             tx_id=tx_id,
             outcome=outcome,
@@ -118,11 +121,18 @@ class HistoryRecorder:
             reads=tuple(reads),
             writes=tuple(writes),
             one_phase=one_phase,
+            deletes=tuple(deletes),
         )
         with self._lock:
             self._entries.append(entry)
 
-    def record_crashed(self, tx_id: str, writes: Mapping[str, int], one_phase: bool):
+    def record_crashed(
+        self,
+        tx_id: str,
+        writes: Mapping[str, int],
+        one_phase: bool,
+        deletes: Iterable[str] = (),
+    ):
         """Log an attempt whose process died mid-commit; outcome unknown."""
         with self._lock:
             self._entries.append(
@@ -133,6 +143,7 @@ class HistoryRecorder:
                     commit_at=None,
                     writes=tuple(writes.items()),
                     one_phase=one_phase,
+                    deletes=tuple(deletes),
                 )
             )
 
@@ -266,8 +277,12 @@ def audit_atomicity(
 
     The dump must cover every storage, including the coordinator table, taken
     after recovery settled all in-doubt records. Returns a list of findings;
-    empty means the store is clean. Histories with deletions are out of scope
-    (version lineages assume insert/update only).
+    empty means the store is clean.
+
+    A durable delete holds when its key is absent from the dump, and so does
+    every earlier durable write of that key. Re-creating a key after its
+    delete restarts its version lineage at 1; such histories are out of
+    scope, and give lineage findings.
     """
     findings: list = []
     states = _coordinator_states(dump, coordinator_table)
@@ -328,12 +343,6 @@ def audit_atomicity(
                     LineageAnomaly(key, f"version {version} claimed by two transactions")
                 )
             claimed[slot] = entry.tx_id
-            if version > final.get(key, (0, ""))[0]:
-                findings.append(
-                    PartialWrite(
-                        entry.tx_id, (key,), f"durable write at version {version} missing"
-                    )
-                )
 
     for entry in durable:
         claim(entry)
@@ -342,7 +351,9 @@ def audit_atomicity(
         marks = []
         for key, version in entry.writes:
             final_version, final_tx = final.get(key, (0, ""))
-            if version > final_version:
+            if key in entry.deletes:
+                marks.append(key not in final)
+            elif version > final_version:
                 marks.append(False)
             elif version == final_version:
                 marks.append(final_tx == entry.tx_id)
@@ -363,6 +374,30 @@ def audit_atomicity(
             )
         else:
             aborted.append(entry)
+
+    # Every durable write must show in the dump: a delete as an absent key,
+    # anything else at its version or later, or absent by a later delete.
+    deleted: dict[str, int] = {}  # key -> version of its last durable delete
+    for entry in durable:
+        for key, version in entry.writes:
+            if key in entry.deletes and version > deleted.get(key, 0):
+                deleted[key] = version
+    for entry in durable:
+        for key, version in entry.writes:
+            is_delete = key in entry.deletes
+            if is_delete:
+                missing = key in final
+            elif key in final:
+                missing = version > final[key][0]
+            else:
+                missing = version > deleted.get(key, 0)
+            if missing:
+                what = "delete" if is_delete else "write"
+                findings.append(
+                    PartialWrite(
+                        entry.tx_id, (key,), f"durable {what} at version {version} missing"
+                    )
+                )
 
     # Aborted or unresolved attempts must leave no visible trace.
     for entry in aborted:

@@ -149,6 +149,62 @@ class TestBatchAtomicity:
         batch = [put(k(pk=1, ck=1), {"v": 1}), put(k(pk=1, ck=2), {"v": 2})]
         assert s.atomic_write(batch) is None
 
+    @pytest.mark.parametrize(
+        "columns, error",
+        [({"v": 1.5}, TypeError), ({"": 1}, ValueError), ({7: 1}, ValueError)],
+        ids=["float-value", "empty-name", "int-name"],
+    )
+    def test_bad_columns_reject_the_whole_batch(self, columns, error):
+        """Columns are checked once, on the way in, before anything applies."""
+        s = store()
+        with pytest.raises(error):
+            s.atomic_write([put(k(pk=1), {"v": 1}), put(k(pk=2), columns)])
+        assert s.counters() == OpCounters()
+        assert s.read(k(pk=1)) is None
+        assert s.dump() == []
+
+
+_META_KEY = k(pk=1, ck=1, table="t_meta")
+
+
+def _view_store():
+    s = store(consistent=True, view=True)
+    s.register_join_view("v", "app", "t", "t_meta")
+    s.atomic_write([put(k(pk=1, ck=1), {"v": 1}), put(_META_KEY, {COL_TX_ID: "t0"})])
+    return s
+
+
+_SHARED_READS = {
+    "read": lambda s: s.read(k(pk=1, ck=1)),
+    "snapshot_read": lambda s: s.snapshot_read([k(pk=1, ck=1)])[0],
+    "scan": lambda s: s.scan(GroupKey("s1", "app", "t", (1,)))[0],
+    "view_read": lambda s: s.view_read("v", k(pk=1, ck=1)),
+    "dump": lambda s: next(r for r in s.dump() if r.key == k(pk=1, ck=1)),
+}
+_LATER_WRITES = {
+    "overwrite": lambda s: s.atomic_write(
+        [put(k(pk=1, ck=1), {"v": 2}), put(_META_KEY, {COL_TX_ID: "t1"})]
+    ),
+    "delete": lambda s: s.atomic_write([delete(k(pk=1, ck=1)), delete(_META_KEY)]),
+    "truncate": lambda s: s.truncate(),
+}
+
+
+class TestSharedRows:
+    """Reads share the stored row read-only; no later write shows through."""
+
+    @pytest.mark.parametrize("later", sorted(_LATER_WRITES))
+    @pytest.mark.parametrize("how", sorted(_SHARED_READS))
+    def test_record_keeps_its_columns(self, how, later):
+        s = _view_store()
+        record = _SHARED_READS[how](s)
+        expected = {"v": 1, COL_TX_ID: "t0"} if how == "view_read" else {"v": 1}
+        assert record.columns == expected
+        with pytest.raises(TypeError):
+            record.columns["v"] = 3
+        _LATER_WRITES[later](s)
+        assert record.columns == expected
+
 
 class TestScan:
     def prefix(self, pk=1):

@@ -64,6 +64,11 @@ class TestValues:
         tx = build_env().manager.begin()
         with pytest.raises(TypeError):
             tx.put(KEY, {"x": 1.5})
+        for bad_name in ("", 7):
+            with pytest.raises(ValueError):
+                Record(KEY, {bad_name: 1})
+            with pytest.raises(ValueError):
+                tx.put(KEY, {bad_name: 1})
         assert tx.write_set == {}
 
     def test_cross_tag_comparison_is_an_error(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+import fedtx.memstore
 import fedtx.transaction
 from fedtx import (
     AtomicityUnit,
@@ -15,10 +16,11 @@ from fedtx import (
     TransactionManager,
     TxOutcome,
     TxState,
+    WriteKind,
 )
 from fedtx.decoupling import ReadPath, read_dispatch
 from fedtx.memstore import _ForwardingAdapter
-from fedtx.model import BeforeImage, FullKey
+from fedtx.model import BeforeImage, FullKey, Record
 from fedtx.records import COL_BEFORE, COL_STATE, COL_TX_ID, COL_VERSION
 from fedtx.transaction import TxStatus
 from fedtx.verifier import HistoryRecorder, audit_atomicity
@@ -844,7 +846,7 @@ class TestScopeCost:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        counts = {GroupKey: 0, FullKey: 0}
+        counts = {GroupKey: 0, FullKey: 0, Record: 0}
         for cls in counts:
             original = cls.__post_init__
 
@@ -861,11 +863,55 @@ class TestScopeCost:
         seed(env, k(), 1)
         key = k()
         tx = env.manager.begin()
-        built[GroupKey] = built[FullKey] = 0
+        built[GroupKey] = built[FullKey] = built[Record] = 0
         assert tx.get(key) == {"v": 1}
         assert tx.read_set[key].path is ReadPath.VIEW
         assert built[GroupKey] == 0
         assert built[FullKey] <= 1  # the metadata row's key
+        assert built[Record] == 0
+
+    def test_partition_scan_checks_no_returned_row(self, built):
+        env = build_env({"s1": make_caps(AtomicityUnit.PARTITION)})
+        tx = env.manager.begin()
+        for ck in range(16):
+            tx.put(k(ck=ck), {"v": ck})
+        tx.commit()
+        prefix = GroupKey("s1", "app", "t", (1,))
+        built[FullKey] = built[Record] = 0
+        records = env.adapter("s1").scan(prefix)
+        assert [r.columns["v"] for r in records] == list(range(16))
+        assert built[Record] == 0
+        assert built[FullKey] <= 1  # the partition's latch key, not one per row
+
+    def test_store_reads_check_no_returned_row(self, built):
+        caps = make_caps(AtomicityUnit.STORAGE, consistent=True)
+        env = build_env({"s1": caps})
+        key, absent = k(), k(pk=2)
+        seed(env, key, 1)
+        store = env.adapter("s1")
+        built[FullKey] = built[Record] = 0
+        assert store.read(key) is not None
+        assert store.snapshot_read([key, absent])[0] is not None
+        assert len(store.dump()) == 1
+        assert built[FullKey] == built[Record] == 0
+
+    def test_each_put_is_checked_once_per_batch(self, monkeypatch):
+        checked = []
+        check = fedtx.memstore.check_columns
+
+        def counting(columns):
+            checked.append(dict(columns))
+            check(columns)
+
+        monkeypatch.setattr(fedtx.memstore, "check_columns", counting)
+        store = build_env().adapter("s1")
+        batch = [
+            ConditionalWrite(k(pk=1), {"v": 1}),
+            ConditionalWrite(k(pk=2), {"v": 2}),
+            ConditionalWrite(k(pk=3), {}, kind=WriteKind.DELETE),
+        ]
+        assert store.atomic_write(batch) is None
+        assert checked == [{"v": 1}, {"v": 2}]
 
     def test_two_group_commit_builds_one_group_key_per_group(self, built, monkeypatch):
         env = build_env({"s1": make_caps(), "s2": make_caps()})

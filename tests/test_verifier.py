@@ -1,5 +1,6 @@
 """Serializability checking and crash-atomicity auditing."""
 
+import json
 import random
 
 import pytest
@@ -111,10 +112,16 @@ class TestCheckSerializable:
             entries=[
                 tx("a", reads=[("x", 1)], writes=[("x", 2)], begin=1, commit=3),
                 tx("b", outcome="ABORTED"),
+                TxSummary("c", "COMMITTED", 4, 5, writes=(("x", 3),), deletes=("x",)),
             ],
             final={"x": 2},
         )
         assert History.loads(history.dumps()) == history
+
+    def test_entry_without_deletes_loads(self):
+        line = json.loads(tx("a", writes=[("x", 1)]).to_json())
+        del line["deletes"]
+        assert TxSummary.from_json(line) == tx("a", writes=[("x", 1)])
 
 
 # --- agreement with a conflict-graph cycle test on read-latest histories -----
@@ -294,6 +301,66 @@ class TestAuditAtomicity:
         history.entries.clear()  # dump now shows a version nobody admits writing
         findings = audit_atomicity(env.dump_all(), history, COORD)
         assert any(isinstance(f, LineageAnomaly) for f in findings)
+
+    def test_committed_delete_audits_ok(self):
+        recorder = HistoryRecorder()
+        env = build_env(history=recorder, tx_ids="tx")
+        txn = env.manager.begin()
+        txn.put(k(), {"v": 1})
+        txn.commit()
+        txn = env.manager.begin()
+        txn.delete(k())
+        txn.commit()
+        history = recorder.history()
+        assert history.entries[-1].deletes == (k().render(),)
+        assert audit_atomicity(env.dump_all(), history, COORD) == []
+
+    def test_two_phase_delete_audits_ok(self):
+        recorder = HistoryRecorder()
+        env = self.two_store_env(recorder)
+        run_clean_workload(env, recorder)
+        txn = env.manager.begin()
+        txn.delete(k(pk=0))
+        txn.delete(k("s2", pk=0))
+        txn.put(k(pk=1), {"v": 9})
+        txn.commit()
+        assert not recorder.history().entries[-1].one_phase
+        assert audit_atomicity(env.dump_all(), recorder.history(), COORD) == []
+
+    def test_missing_durable_delete_is_found(self):
+        recorder = HistoryRecorder()
+        env = build_env(history=recorder, tx_ids="tx")
+        txn = env.manager.begin()
+        txn.put(k(), {"v": 1})
+        txn.commit()
+        history = recorder.history()
+        # claim a delete of the key the dump still holds
+        history.entries.append(
+            TxSummary("tx-9", "COMMITTED", 8, 9, writes=((k().render(), 2),), deletes=(k().render(),))
+        )
+        findings = audit_atomicity(env.dump_all(), history, COORD)
+        assert [type(f) for f in findings] == [PartialWrite]
+
+    @pytest.mark.parametrize("fault", [FaultKind.CRASH_BEFORE_BATCH, FaultKind.CRASH_AFTER_BATCH])
+    def test_crashed_one_phase_delete_resolved_from_dump(self, fault):
+        """The lone batch deletes one key and creates another; the dump decides both."""
+        recorder = HistoryRecorder()
+        env = build_env(history=recorder, tx_ids="tx")
+        txn = env.manager.begin()
+        txn.put(k(pk=1), {"v": 1})
+        txn.commit()
+        txn = env.manager.begin()
+        txn.delete(k(pk=1))
+        txn.put(k(pk=2), {"v": 2})
+        env.adapter("s1").inject_faults([(0, fault)])
+        with pytest.raises(InjectedCrash):
+            txn.commit()
+        env.adapter("s1").clear_faults()
+        attempt = txn.attempt
+        recorder.record_crashed(txn.tx_id, attempt.writes, attempt.one_phase, attempt.deletes)
+        applied = fault is FaultKind.CRASH_AFTER_BATCH
+        assert (env.adapter("s1").read(k(pk=1)) is None) is applied
+        assert audit_atomicity(env.dump_all(), recorder.history(), COORD) == []
 
     def test_unknown_one_phase_outcome_resolved_from_dump(self):
         recorder = HistoryRecorder()
