@@ -37,7 +37,7 @@ from __future__ import annotations
 import enum
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Sequence
 
@@ -146,11 +146,6 @@ class OpCounters:
 
     def copy(self) -> "OpCounters":
         return replace(self)
-
-    def __add__(self, other: "OpCounters") -> "OpCounters":
-        return OpCounters(
-            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
-        )
 
 
 _RowKey = tuple  # (namespace, table, partition_key, clustering_key)
@@ -371,10 +366,6 @@ class MemStore(StorageAdapter):
             for (ns, table, pk, ck), columns in items
         ]
 
-    def truncate(self) -> None:
-        self._rows.clear()
-        self._clustered.clear()
-
 
 class _ForwardingAdapter(StorageAdapter):
     """Delegates the adapter contract to a wrapped inner adapter.
@@ -414,7 +405,7 @@ class _ForwardingAdapter(StorageAdapter):
         return self._inner.view_for(key)
 
     def __getattr__(self, item):
-        # dump/truncate/register_join_view/... pass through untouched
+        # dump/register_join_view/... pass through untouched
         return getattr(self._inner, item)
 
 

@@ -10,13 +10,12 @@ histories are capped at eight committed transactions.
 recovery has settled every in-doubt record, each attempted transaction must
 have either all of its writes in the committed lineage or none of them.
 
-Histories serialize to line-delimited JSON for fixtures; record keys appear in
-their canonical text rendering and act as opaque identities here.
+Record keys appear in their canonical text rendering and act as opaque
+identities here.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -41,34 +40,6 @@ class TxSummary:
     one_phase: bool = False
     deletes: tuple[str, ...] = ()  # the keys among ``writes`` that were deleted
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "tx_id": self.tx_id,
-                "outcome": self.outcome,
-                "begin_at": self.begin_at,
-                "commit_at": self.commit_at,
-                "reads": [list(r) for r in self.reads],
-                "writes": [list(w) for w in self.writes],
-                "one_phase": self.one_phase,
-                "deletes": list(self.deletes),
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TxSummary":
-        return cls(
-            tx_id=obj["tx_id"],
-            outcome=obj["outcome"],
-            begin_at=obj["begin_at"],
-            commit_at=obj["commit_at"],
-            reads=tuple((k, v) for k, v in obj["reads"]),
-            writes=tuple((k, v) for k, v in obj["writes"]),
-            one_phase=obj["one_phase"],
-            deletes=tuple(obj.get("deletes", ())),
-        )
-
 
 @dataclass
 class History:
@@ -80,29 +51,6 @@ class History:
 
     def committed(self) -> list[TxSummary]:
         return [e for e in self.entries if e.outcome == "COMMITTED"]
-
-    def dumps(self) -> str:
-        lines = [json.dumps({"initial": self.initial}, sort_keys=True)]
-        lines += [e.to_json() for e in self.entries]
-        if self.final is not None:
-            lines.append(json.dumps({"final": self.final}, sort_keys=True))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def loads(cls, text: str) -> "History":
-        history = cls()
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if "initial" in obj:
-                history.initial = dict(obj["initial"])
-            elif "final" in obj:
-                history.final = dict(obj["final"])
-            else:
-                history.entries.append(TxSummary.from_json(obj))
-        return history
 
 
 class HistoryRecorder:

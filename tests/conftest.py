@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -99,6 +100,55 @@ def build_env(
 
 def k(storage="s1", pk=1, ck=None, table="t", namespace="app"):
     return FullKey(storage, namespace, table, (pk,), (ck,) if ck is not None else ())
+
+
+# The paper's four metadata modes: (decoupled, consistent_readable, view_joinable).
+METADATA_MODES = {
+    "colocated": (False, False, False),
+    "split_reads": (True, False, False),
+    "snapshot": (True, True, False),
+    "view": (True, True, True),
+}
+
+
+def mode_env_args(mode, storages=("s1",)):
+    """The build_env arguments that put STORAGE-unit ``storages`` in ``mode``."""
+    decoupled, consistent, view = METADATA_MODES[mode]
+    caps = make_caps(consistent=consistent, view=view)
+    return dict(storages=dict.fromkeys(storages, caps), decoupled=decoupled, register_views=view)
+
+
+def run_workload(env, tx_count, ops_per_tx=8, record_count=1_000, read_only=False, seed=7):
+    """Load ``record_count`` rows per storage, then run ``tx_count`` transactions.
+
+    Each transaction gets ``ops_per_tx`` distinct keys, split evenly across the
+    application storages (the first ones take the remainder), and reads each
+    one, rewriting it too unless ``read_only``. Nothing retries: an abort
+    propagates. Returns each store's counters for the transactions alone.
+    """
+    names = [name for name in env.adapters if name != "coord"]
+    rng = random.Random(seed)
+    for name in names:
+        for start in range(0, record_count, 100):
+            tx = env.manager.begin()
+            for pk in range(start, min(start + 100, record_count)):
+                tx.put(k(name, pk), {"payload": rng.randbytes(32)})
+            tx.commit()
+    env.manager.drain_commit_records()
+    for adapter in env.adapters.values():
+        adapter.reset_counters()
+    base, extra = divmod(ops_per_tx, len(names))
+    for tx_index in range(tx_count):
+        rng = random.Random(f"{seed}:{tx_index}")
+        tx = env.manager.begin()
+        for i, name in enumerate(names):
+            for pk in rng.sample(range(record_count), base + (i < extra)):
+                tx.get(k(name, pk))
+                if not read_only:
+                    tx.put(k(name, pk), {"payload": rng.randbytes(32)})
+        tx.commit()
+    env.manager.drain_commit_records()
+    return {name: adapter.counters() for name, adapter in env.adapters.items()}
 
 
 @pytest.fixture

@@ -186,7 +186,6 @@ _LATER_WRITES = {
         [put(k(pk=1, ck=1), {"v": 2}), put(_META_KEY, {COL_TX_ID: "t1"})]
     ),
     "delete": lambda s: s.atomic_write([delete(k(pk=1, ck=1)), delete(_META_KEY)]),
-    "truncate": lambda s: s.truncate(),
 }
 
 
@@ -313,9 +312,6 @@ class TestScan:
             s.atomic_write([delete(record.key)])
         check_every_partition()
         assert s._clustered == {}  # emptied partitions leave no index entry behind
-        s.atomic_write([put(FullKey("s1", "app", "t", (1,), (1,)), {"v": 0})])
-        s.truncate()
-        check_every_partition()
 
     def test_scans_stay_exact_while_other_partitions_change(self):
         """Writers on separate partition latches share the index's outer map."""
@@ -587,19 +583,6 @@ class TestCounters:
         s.reset_counters()
         fresh = s.counters()
         assert fresh.reads == 0 and fresh.atomic_write_batches == 0
-
-    def test_counters_add_field_by_field(self):
-        a = OpCounters(reads=1, scans=2, atomic_write_batches=3, written_records=4)
-        b = OpCounters(reads=10, db_transactions=5, view_reads=6, condition_failures=7)
-        assert a + b == OpCounters(
-            reads=11,
-            scans=2,
-            atomic_write_batches=3,
-            written_records=4,
-            db_transactions=5,
-            view_reads=6,
-            condition_failures=7,
-        )
 
     def test_counters_are_a_snapshot(self):
         s = store()

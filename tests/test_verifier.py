@@ -1,6 +1,5 @@
 """Serializability checking and crash-atomicity auditing."""
 
-import json
 import random
 
 import pytest
@@ -105,23 +104,6 @@ class TestCheckSerializable:
         entries = [tx(f"t{i}", writes=[(f"k{i}", 1)]) for i in range(9)]
         with pytest.raises(SearchBoundExceeded):
             check_serializable(History(entries=entries))
-
-    def test_serialization_round_trip(self):
-        history = History(
-            initial={"x": 1},
-            entries=[
-                tx("a", reads=[("x", 1)], writes=[("x", 2)], begin=1, commit=3),
-                tx("b", outcome="ABORTED"),
-                TxSummary("c", "COMMITTED", 4, 5, writes=(("x", 3),), deletes=("x",)),
-            ],
-            final={"x": 2},
-        )
-        assert History.loads(history.dumps()) == history
-
-    def test_entry_without_deletes_loads(self):
-        line = json.loads(tx("a", writes=[("x", 1)]).to_json())
-        del line["deletes"]
-        assert TxSummary.from_json(line) == tx("a", writes=[("x", 1)])
 
 
 # --- agreement with a conflict-graph cycle test on read-latest histories -----
