@@ -23,8 +23,6 @@ from .errors import (
     UnknownView,
 )
 from .memstore import (
-    CountingStore,
-    FaultInjector,
     FaultKind,
     MemStore,
     MemStoreConfig,

@@ -4,8 +4,9 @@ With a ``DecoupleConfig`` in force, every logical record it applies to splits
 into an application row and a metadata row in a sibling table (same primary
 key, table name suffixed). Both rows always travel in the same atomic batch,
 which stays legal as long as the sibling table falls inside the same
-atomic-write scope of the storage (``metadata_in_scope``, which compares the
-two rows' ``model.scope_of`` tuples, the single unit-to-prefix map).
+atomic-write scope of the storage (``metadata_in_scope`` compares the two
+rows' addresses cut to the depth of the key's ``model.scope_of`` tuple, the
+single unit-to-prefix map).
 
 Reading takes one of three routes, picked per key from the adapter's declared
 capabilities and from whether the metadata row shares the key's scope:
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import CapabilityUnsupported, AtomicityScopeViolation, JoinIntegrityError
-from .model import FullKey, TransactionMetadata, scope_of
+from .model import AtomicityUnit, FullKey, TransactionMetadata, scope_of
 from .records import parse_metadata, split_columns
 from .storage import ConditionalWrite, StorageAdapter, StorageRegistry, UNCONDITIONAL
 
@@ -94,10 +95,16 @@ class ReadResult:
         return self.meta is not None
 
 
-def metadata_in_scope(registry: StorageRegistry, key: FullKey, meta_key: FullKey) -> bool:
-    """Whether the metadata row ``meta_key`` shares the atomic-write scope of ``key``."""
-    unit = registry.get_atomicity_unit(key)
-    return scope_of(meta_key, unit) == scope_of(key, unit)
+def metadata_in_scope(config: DecoupleConfig, key: FullKey, unit: AtomicityUnit) -> bool:
+    """Whether the metadata row of ``key`` shares its atomic-write scope under ``unit``.
+
+    The metadata row's components are cut to the depth of ``key``'s own
+    scope, so no metadata key is built just to compare scopes.
+    """
+    scope = scope_of(key, unit)
+    table = key.table + config.meta_table_suffix
+    meta = (key.storage, key.namespace, table, key.partition_key, key.clustering_key)
+    return meta[: len(scope)] == scope
 
 
 def expand_writes(
@@ -120,11 +127,11 @@ def expand_writes(
         if not config.applies_to(write.key):
             apps.append(write)
             continue
-        meta_key = config.metadata_key(write.key)
-        if not metadata_in_scope(registry, write.key, meta_key):
+        if not metadata_in_scope(config, write.key, registry.get_atomicity_unit(write.key)):
             raise AtomicityScopeViolation(
                 f"metadata row for {write.key.render()} falls outside the atomic scope"
             )
+        meta_key = config.metadata_key(write.key)
         app_columns, meta_columns = split_columns(write.columns)
         apps.append(
             ConditionalWrite(write.key, app_columns, UNCONDITIONAL, write.kind)
@@ -204,11 +211,7 @@ def read_dispatch(
         app_columns, meta_columns = split_columns(record.columns)
         return ReadResult(app_columns, parse_metadata(meta_columns), ReadPath.COLOCATED)
     caps = adapter.capabilities
-    unit = caps.atomicity_unit
-    consistent = caps.consistent_readable and (
-        scope_of(config.metadata_key(key), unit) == scope_of(key, unit)
-    )
-    if not consistent:
+    if not (caps.consistent_readable and metadata_in_scope(config, key, caps.atomicity_unit)):
         return read_split(registry, config, key)
     if caps.view_joinable:
         view_name = adapter.view_for(key)

@@ -1,4 +1,4 @@
-"""Deterministic in-memory storage adapter plus counting/fault-injection wrappers.
+"""Deterministic in-memory storage adapter that counts its calls and can crash.
 
 The store keeps a flat hash map from (namespace, table, partition key,
 clustering key) to columns, so a point read is one dict lookup. Beside it a
@@ -24,12 +24,15 @@ Two invariants keep reads cheap:
   (``view_read`` wraps its freshly joined dict the same way), and a record
   handed out keeps its columns whatever is written after it.
 
-Wrappers compose around the core store:
+Beside the data, the store keeps a test and benchmark surface under one lock
+of its own:
 
-* ``CountingStore`` tallies applied operations.
-* ``FaultInjector`` crashes the ``atomic_write`` calls chosen by
-  ``inject_faults`` either before or after the batch applies, simulating a
-  process dying mid-commit.
+* ``counters`` tallies the operations that completed: a call that raises is
+  not counted, and a batch whose condition failed counts only under
+  ``condition_failures``.
+* ``inject_faults`` plans crashes of chosen ``atomic_write`` calls, either
+  before the batch applies (nothing applied, nothing counted) or after it
+  (applied and counted), simulating a process dying mid-commit.
 """
 
 from __future__ import annotations
@@ -171,6 +174,12 @@ class MemStore(StorageAdapter):
         self._view_by_table: dict[tuple[str, str], str] = {}
         # Latches never get finer than a partition so scans stay covered.
         self._latch_unit = max(self._caps.atomicity_unit, AtomicityUnit.PARTITION)
+        # Guards the counters and the fault plan; taken after a latch is
+        # released, never while one is held.
+        self._lock = threading.Lock()
+        self._counters = OpCounters()
+        self._attempts = 0  # atomic_write calls since the last inject_faults
+        self._plan: list[tuple[int, FaultKind]] = []
 
     @property
     def name(self) -> str:
@@ -202,6 +211,8 @@ class MemStore(StorageAdapter):
     def read(self, key: FullKey) -> Record | None:
         with self._key_latch(key).read_locked():
             columns = self._rows.get(_row_key(key))
+        with self._lock:
+            self._counters.reads += 1
         return Record._unchecked(key, MappingProxyType(columns)) if columns is not None else None
 
     def scan(self, prefix: GroupKey) -> list[Record]:
@@ -217,6 +228,8 @@ class MemStore(StorageAdapter):
                 for ck in sorted(self._clustered.get(partition, ()))
             ]
             bare = self._rows.get(partition + ((),))
+        with self._lock:
+            self._counters.scans += 1
         if bare is not None:
             hits.insert(0, ((), bare))  # the empty clustering key sorts first
         unchecked_key = FullKey._unchecked
@@ -230,14 +243,17 @@ class MemStore(StorageAdapter):
     def snapshot_read(self, keys: Sequence[FullKey]) -> list[Record | None]:
         if not self._caps.consistent_readable:
             raise CapabilityUnsupported(f"storage {self._name!r} is not consistent-readable")
-        if not keys:
-            return []
         unit = self._caps.atomicity_unit
         scopes = {scope_of(k, unit) for k in keys}
         if len(scopes) > 1:
             raise AtomicityScopeViolation("snapshot read spans atomic-write scopes")
-        with self._key_latch(keys[0]).read_locked():
-            rows = [self._rows.get(_row_key(key)) for key in keys]
+        rows = []
+        if keys:
+            with self._key_latch(keys[0]).read_locked():
+                rows = [self._rows.get(_row_key(key)) for key in keys]
+        with self._lock:
+            self._counters.reads += len(keys)
+            self._counters.db_transactions += 1
         return [
             Record._unchecked(key, MappingProxyType(columns)) if columns is not None else None
             for key, columns in zip(keys, rows)
@@ -283,11 +299,14 @@ class MemStore(StorageAdapter):
         finally:
             for latch in reversed(latches):
                 latch.release_read()
-        if app is None and meta is None:
-            return None
-        if app is None or meta is None:
+        if (app is None) != (meta is None):
             missing = "application" if app is None else "metadata"
             raise JoinIntegrityError(f"{missing} row missing for {key.render()}")
+        with self._lock:
+            self._counters.reads += 1
+            self._counters.view_reads += 1
+        if app is None:
+            return None
         joined = dict(app)
         joined.update(meta)
         if (key.storage, key.namespace, key.table) != (self._name, namespace, app_table):
@@ -309,6 +328,27 @@ class MemStore(StorageAdapter):
         return current.get(COL_TX_ID) == write.condition.expected_tx_id
 
     def atomic_write(self, writes: Sequence[ConditionalWrite]) -> int | None:
+        with self._lock:
+            index = self._attempts
+            self._attempts += 1
+            fault = self._plan.pop(0)[1] if self._plan and self._plan[0][0] == index else None
+        if fault is FaultKind.CRASH_BEFORE_BATCH:
+            raise InjectedCrash(f"before batch #{index} on {self._name!r}")
+        failed_at = self._apply(writes)
+        with self._lock:
+            counters = self._counters
+            if failed_at is None:
+                counters.atomic_write_batches += 1
+                counters.written_records += len(writes)
+                counters.db_transactions += 1
+            else:
+                counters.condition_failures += 1
+        if fault is FaultKind.CRASH_AFTER_BATCH:
+            raise InjectedCrash(f"after batch #{index} on {self._name!r}")
+        return failed_at
+
+    def _apply(self, writes: Sequence[ConditionalWrite]) -> int | None:
+        """The batch contract itself: apply all of ``writes`` or report the first failure."""
         if not writes:
             raise ValueError("empty batch")
         unit = self._caps.atomicity_unit
@@ -342,6 +382,34 @@ class MemStore(StorageAdapter):
 
     # -- test and tooling surface -------------------------------------------
 
+    def counters(self) -> OpCounters:
+        with self._lock:
+            return self._counters.copy()
+
+    def reset_counters(self) -> None:
+        with self._lock:
+            self._counters = OpCounters()
+
+    def inject_faults(self, plan: Sequence[tuple[int, FaultKind]]) -> None:
+        """Crash the ``atomic_write`` calls at the planned indices.
+
+        Indices count ``atomic_write`` calls from this one on, each taken as
+        the call arrives, before any check: a batch that fails its condition
+        or raises takes one too. A BEFORE crash leaves the batch unapplied;
+        an AFTER crash lets it apply first. Either way the error propagates so
+        the caller dies exactly as a real process would.
+        """
+        indices = [index for index, _ in plan]
+        if any(b <= a for a, b in zip(indices, indices[1:])):
+            raise ValueError("fault plan indices must be strictly increasing")
+        with self._lock:
+            self._plan = [(index, FaultKind(kind)) for index, kind in plan]
+            self._attempts = 0
+
+    def clear_faults(self) -> None:
+        with self._lock:
+            self._plan = []
+
     def dump(self) -> list[Record]:
         """Every stored record, deterministically ordered."""
         with self._latch_table_lock:
@@ -367,152 +435,10 @@ class MemStore(StorageAdapter):
         ]
 
 
-class _ForwardingAdapter(StorageAdapter):
-    """Delegates the adapter contract to a wrapped inner adapter.
+def build_memstore(name: str, config: MemStoreConfig) -> MemStore:
+    """The store every environment registers: a ``MemStore`` named ``name``.
 
-    The contract is forwarded method by method because the base class's
-    defaults for ``snapshot_read``, ``view_read`` and ``view_for`` would
-    otherwise shadow ``__getattr__``, which forwards everything else.
+    It counts its own applied operations and holds its own fault plan, so
+    there is nothing to compose around it.
     """
-
-    def __init__(self, inner: StorageAdapter):
-        self._inner = inner
-
-    @property
-    def name(self) -> str:
-        return self._inner.name
-
-    @property
-    def capabilities(self) -> AdapterCapabilities:
-        return self._inner.capabilities
-
-    def read(self, key):
-        return self._inner.read(key)
-
-    def scan(self, prefix):
-        return self._inner.scan(prefix)
-
-    def atomic_write(self, writes):
-        return self._inner.atomic_write(writes)
-
-    def snapshot_read(self, keys):
-        return self._inner.snapshot_read(keys)
-
-    def view_read(self, view_name, key):
-        return self._inner.view_read(view_name, key)
-
-    def view_for(self, key):
-        return self._inner.view_for(key)
-
-    def __getattr__(self, item):
-        # dump/register_join_view/... pass through untouched
-        return getattr(self._inner, item)
-
-
-class CountingStore(_ForwardingAdapter):
-    """Counts operations applied by the wrapped adapter."""
-
-    def __init__(self, inner: StorageAdapter):
-        super().__init__(inner)
-        self._lock = threading.Lock()
-        self._counters = OpCounters()
-
-    def counters(self) -> OpCounters:
-        with self._lock:
-            return self._counters.copy()
-
-    def reset_counters(self) -> None:
-        with self._lock:
-            self._counters = OpCounters()
-
-    def read(self, key):
-        result = self._inner.read(key)
-        with self._lock:
-            self._counters.reads += 1
-        return result
-
-    def scan(self, prefix):
-        result = self._inner.scan(prefix)
-        with self._lock:
-            self._counters.scans += 1
-        return result
-
-    def snapshot_read(self, keys):
-        result = self._inner.snapshot_read(keys)
-        with self._lock:
-            self._counters.reads += len(keys)
-            self._counters.db_transactions += 1
-        return result
-
-    def view_read(self, view_name, key):
-        result = self._inner.view_read(view_name, key)
-        with self._lock:
-            self._counters.reads += 1
-            self._counters.view_reads += 1
-        return result
-
-    def atomic_write(self, writes):
-        failed_at = self._inner.atomic_write(writes)
-        with self._lock:
-            if failed_at is None:
-                self._counters.atomic_write_batches += 1
-                self._counters.written_records += len(writes)
-                self._counters.db_transactions += 1
-            else:
-                self._counters.condition_failures += 1
-        return failed_at
-
-
-class FaultInjector(_ForwardingAdapter):
-    """Raises planned crashes around chosen atomic-write calls.
-
-    Indices count ``atomic_write`` calls arriving at this wrapper since the
-    last ``inject_faults``. A BEFORE crash leaves the batch unapplied; an
-    AFTER crash lets it apply first. Either way the error propagates so the
-    caller dies exactly as a real process would.
-    """
-
-    def __init__(self, inner: StorageAdapter):
-        super().__init__(inner)
-        self._lock = threading.Lock()
-        self._attempts = 0
-        self._plan: list[tuple[int, FaultKind]] = []
-
-    def inject_faults(self, plan: Sequence[tuple[int, FaultKind]]) -> None:
-        indices = [index for index, _ in plan]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise ValueError("fault plan indices must be strictly increasing")
-        with self._lock:
-            self._plan = [(index, FaultKind(kind)) for index, kind in plan]
-            self._attempts = 0
-
-    def clear_faults(self) -> None:
-        with self._lock:
-            self._plan = []
-
-    def pending_faults(self) -> int:
-        with self._lock:
-            return len(self._plan)
-
-    def atomic_write(self, writes):
-        with self._lock:
-            index = self._attempts
-            self._attempts += 1
-            fault = None
-            if self._plan and self._plan[0][0] == index:
-                fault = self._plan.pop(0)[1]
-        if fault is FaultKind.CRASH_BEFORE_BATCH:
-            raise InjectedCrash(f"before batch #{index} on {self.name!r}")
-        result = self._inner.atomic_write(writes)
-        if fault is FaultKind.CRASH_AFTER_BATCH:
-            raise InjectedCrash(f"after batch #{index} on {self.name!r}")
-        return result
-
-
-def build_memstore(name: str, config: MemStoreConfig) -> FaultInjector:
-    """Standard composition: faults outermost, counting next, store innermost.
-
-    Counters therefore reflect operations that actually executed: a
-    crash-before batch is never counted, a crash-after batch is.
-    """
-    return FaultInjector(CountingStore(MemStore(name, config)))
+    return MemStore(name, config)

@@ -18,7 +18,6 @@ from fedtx import (
     RecoveryFailed,
 )
 from fedtx.decoupling import read_split, read_split_snapshot, read_split_view
-from fedtx.memstore import _ForwardingAdapter
 from fedtx.records import COL_STATE, is_metadata_column
 from fedtx.verifier import HistoryRecorder, audit_atomicity, check_serializable
 from conftest import METADATA_MODES, build_env, k, make_caps, mode_env_args, run_workload
@@ -212,13 +211,20 @@ def test_criterion_6_crash_atomicity():
         assert crashes >= 300  # the faults actually fired
 
 
-class _InterposingReader(_ForwardingAdapter):
-    def __init__(self, inner):
-        super().__init__(inner)
+class _InterposingReader:
+    """Runs a one-shot ``callback`` right after the store's next application-row read.
+
+    It overrides ``read`` on the store instance, so the registry keeps routing
+    to the same store.
+    """
+
+    def __init__(self, store):
         self.callback = None
+        self._read = store.read
+        store.read = self.read
 
     def read(self, key):
-        result = self._inner.read(key)
+        result = self._read(key)
         if self.callback is not None and not key.table.endswith("_meta"):
             callback, self.callback = self.callback, None
             callback()
@@ -230,7 +236,6 @@ def test_criterion_7_torn_read_safety():
     with criterion(7, "torn-read safety", 60):
         env = build_env(decoupled=True)
         hook = _InterposingReader(env.adapters["s1"])
-        env.registry._adapters["s1"] = hook
         tx = env.manager.begin()
         tx.put(k(), {"v": 0})
         tx.commit()
@@ -262,7 +267,6 @@ def test_split_reads_read_modify_write_keeps_a_concurrent_update():
     """A writer landing between the two split reads of a read-modify-write."""
     env = build_env(decoupled=True)
     hook = _InterposingReader(env.adapters["s1"])
-    env.registry._adapters["s1"] = hook
     tx = env.manager.begin()
     tx.put(k(), {"v": 0})
     tx.commit()

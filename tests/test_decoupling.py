@@ -14,12 +14,13 @@ from fedtx import (
 from fedtx.decoupling import (
     ReadPath,
     expand_writes,
+    metadata_in_scope,
     read_dispatch,
     read_split,
     read_split_snapshot,
     read_split_view,
 )
-from fedtx.model import TransactionMetadata
+from fedtx.model import TransactionMetadata, scope_of
 from fedtx.records import combined_columns, metadata_columns
 from conftest import build_env, k, make_caps
 
@@ -56,6 +57,17 @@ class TestLocator:
     def test_namespace_filter(self):
         cfg = DecoupleConfig(namespaces=frozenset({"other"}))
         assert not cfg.applies_to(k())
+
+
+    @pytest.mark.parametrize("cfg", [CFG, DecoupleConfig(meta_table_suffix="__tx")], ids=["meta", "tx"])
+    @pytest.mark.parametrize("ck", [None, 3], ids=["no-ck", "ck"])
+    @pytest.mark.parametrize("unit", list(AtomicityUnit), ids=lambda unit: unit.name.lower())
+    def test_metadata_in_scope_agrees_with_the_metadata_key(self, cfg, ck, unit):
+        key = k(ck=ck)
+        expected = scope_of(cfg.metadata_key(key), unit) == scope_of(key, unit)
+        assert metadata_in_scope(cfg, key, unit) is expected
+        # the sibling table shares a scope only where the scope stops above the table
+        assert expected is (unit >= AtomicityUnit.NAMESPACE)
 
 
 class TestDecouple:

@@ -4,6 +4,7 @@ import functools
 import random
 import sys
 import threading
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -565,6 +566,47 @@ class TestFaultInjection:
         assert s.atomic_write([put(k(), {"v": 1})]) is None
 
 
+    @pytest.mark.parametrize(
+        "batch, error",
+        [
+            ([put(k(pk=1), {"v": 1}, if_tx_id_equals("nope"))], None),
+            ([put(k(pk=1), {"v": 1}), put(k(pk=2), {"v": 2})], AtomicityScopeViolation),
+            ([], ValueError),
+        ],
+        ids=["condition-fails", "scope-violation", "empty"],
+    )
+    def test_a_batch_that_applies_nothing_takes_an_index(self, batch, error):
+        s = store(AtomicityUnit.PARTITION)
+        s.inject_faults([(1, FaultKind.CRASH_BEFORE_BATCH)])
+        if error is None:
+            assert s.atomic_write(batch) == 0
+        else:
+            with pytest.raises(error):
+                s.atomic_write(batch)
+        with pytest.raises(InjectedCrash, match="#1"):
+            s.atomic_write([put(k(pk=3), {"v": 3})])
+        assert s.read(k(pk=3)) is None
+        assert s.atomic_write([put(k(pk=3), {"v": 3})]) is None  # the plan is spent
+        counters = s.counters()
+        assert counters.atomic_write_batches == 1
+        assert counters.condition_failures == (1 if error is None else 0)
+
+    def test_a_fault_fires_before_any_check(self):
+        s = store(AtomicityUnit.PARTITION)
+        s.inject_faults([(0, FaultKind.CRASH_BEFORE_BATCH)])
+        with pytest.raises(InjectedCrash):
+            s.atomic_write([put(k(pk=1), {"v": 1}), put(k(pk=2), {"v": 2})])
+        assert s.counters() == OpCounters()
+
+    def test_crash_after_a_failed_condition_counts_the_failure(self):
+        s = store()
+        s.inject_faults([(0, FaultKind.CRASH_AFTER_BATCH)])
+        with pytest.raises(InjectedCrash):
+            s.atomic_write([put(k(), {"v": 1}, if_tx_id_equals("nope"))])
+        assert s.read(k()) is None
+        assert s.counters() == OpCounters(reads=1, condition_failures=1)
+
+
 class TestCounters:
     def test_batch_and_record_counts(self):
         s = store()
@@ -590,6 +632,64 @@ class TestCounters:
         s.read(k())
         assert before.reads == 0
         assert s.counters().reads == 1
+
+
+    def test_build_memstore_returns_the_store_itself(self):
+        assert type(store()) is MemStore
+
+    def test_counters_stay_exact_under_threads(self):
+        s = store(AtomicityUnit.PARTITION, consistent=True)
+        threads = 8
+        tallies = [OpCounters() for _ in range(threads)]
+        barrier = threading.Barrier(threads)
+        errors = []
+
+        def work(t):
+            tally = tallies[t]
+            rng = random.Random(t)
+            try:
+                barrier.wait()
+                for i in range(2_000):
+                    pk = rng.randrange(4)  # threads share partitions, so latches contend
+                    op = rng.randrange(5)
+                    if op == 0:
+                        batch = [put(k(pk=pk, ck=ck), {"v": i}) for ck in range(rng.randint(1, 3))]
+                        assert s.atomic_write(batch) is None
+                        tally.atomic_write_batches += 1
+                        tally.written_records += len(batch)
+                        tally.db_transactions += 1
+                    elif op == 1:
+                        assert s.atomic_write([put(k(pk=pk), {"v": i}, if_tx_id_equals("nope"))]) == 0
+                        tally.condition_failures += 1
+                    elif op == 2:
+                        s.read(k(pk=pk, ck=0))
+                        tally.reads += 1
+                    elif op == 3:
+                        s.scan(GroupKey("s1", "app", "t", (pk,)))
+                        tally.scans += 1
+                    else:
+                        s.snapshot_read([k(pk=pk, ck=0), k(pk=pk, ck=1)])
+                        tally.reads += 2
+                        tally.db_transactions += 1
+            except BaseException as exc:  # reported below; a thread's raise is lost
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(t,)) for t in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert not any(worker.is_alive() for worker in workers)
+        expected = OpCounters(
+            **{f.name: sum(getattr(tally, f.name) for tally in tallies) for f in fields(OpCounters)}
+        )
+        assert s.counters() == expected
 
 
 class TestCounterTraceAgreement:

@@ -10,6 +10,7 @@ from fedtx import (
     ConditionalWrite,
     ConditionKind,
     DecoupleConfig,
+    MemStore,
     MemStoreConfig,
     StorageRegistry,
     TransactionManager,
@@ -18,7 +19,6 @@ from fedtx import (
     build_memstore,
 )
 from fedtx.decoupling import ReadPath, read_dispatch
-from fedtx.memstore import _ForwardingAdapter
 from fedtx.model import TransactionMetadata, TxState
 from fedtx.records import metadata_columns
 from fedtx.transaction import CoordinatorLocation
@@ -123,9 +123,9 @@ class TestViewJoinable:
         assert self.view_get(register_views=False).path is ReadPath.SNAPSHOT
 
     def test_view_get_asks_the_store_once(self):
-        class CallCounter(_ForwardingAdapter):
-            def __init__(self, inner):
-                super().__init__(inner)
+        class CallCounter(MemStore):
+            def __init__(self, name, config):
+                super().__init__(name, config)
                 self.calls = Counter()
 
             @property
@@ -137,9 +137,8 @@ class TestViewJoinable:
                 self.calls["view_for"] += 1
                 return super().view_for(key)
 
-        inner = build_memstore("s1", MemStoreConfig(make_caps(consistent=True, view=True)))
-        inner.register_join_view("app.t_with_meta", "app", "t", "t_meta")
-        store = CallCounter(inner)
+        store = CallCounter("s1", MemStoreConfig(make_caps(consistent=True, view=True)))
+        store.register_join_view("app.t_with_meta", "app", "t", "t_meta")
         registry = StorageRegistry()
         registry.register(store)
         registry.register(build_memstore("coord", MemStoreConfig(make_caps())))
@@ -150,12 +149,12 @@ class TestViewJoinable:
         for key in keys:
             write_committed(manager, key)
         store.calls.clear()
-        inner.reset_counters()
+        store.reset_counters()
         tx = manager.begin()
         for key in keys:
             assert tx.get(key) == {"v": 7}
         assert store.calls == {"view_for": 3, "capabilities": 3}
-        assert inner.counters().view_reads == 3
+        assert store.counters().view_reads == 3
 
 
 class TestDeclarations:

@@ -1,5 +1,7 @@
 """Transaction lifecycle, the commit pipeline, conflicts, and lazy recovery."""
 
+import re
+
 import pytest
 
 import fedtx.memstore
@@ -12,6 +14,7 @@ from fedtx import (
     FaultKind,
     GroupKey,
     InjectedCrash,
+    RecoveryFailed,
     TransactionFinished,
     TransactionManager,
     TxOutcome,
@@ -19,9 +22,8 @@ from fedtx import (
     WriteKind,
 )
 from fedtx.decoupling import ReadPath, read_dispatch
-from fedtx.memstore import _ForwardingAdapter
-from fedtx.model import BeforeImage, FullKey, Record
-from fedtx.records import COL_BEFORE, COL_STATE, COL_TX_ID, COL_VERSION
+from fedtx.model import BeforeImage, FullKey, Record, TransactionMetadata
+from fedtx.records import COL_BEFORE, COL_STATE, COL_TX_ID, COL_VERSION, combined_columns
 from fedtx.transaction import TxStatus
 from fedtx.verifier import HistoryRecorder, audit_atomicity
 from conftest import SEVEN_METADATA_COLUMNS, build_env, k, make_caps
@@ -421,11 +423,14 @@ class TestConflicts:
             reader.commit()
 
 
-class _OneShotHook(_ForwardingAdapter):
-    """Fires a one-shot callback at the first call matching the predicate."""
+class _OneShotHook:
+    """Fires a one-shot callback at the first call matching the predicate.
 
-    def __init__(self, inner):
-        super().__init__(inner)
+    Subclasses override a method on the store instance itself, so the
+    registry keeps routing to the same store.
+    """
+
+    def __init__(self):
         self.armed = None
 
     def arm(self, predicate, callback):
@@ -441,8 +446,13 @@ class _OneShotHook(_ForwardingAdapter):
 class ReadHook(_OneShotHook):
     """Fires right after a read of a key matching the predicate."""
 
+    def __init__(self, store):
+        super().__init__()
+        self._read = store.read
+        store.read = self.read
+
     def read(self, key):
-        result = self._inner.read(key)
+        result = self._read(key)
         self._fire(key)
         return result
 
@@ -450,17 +460,19 @@ class ReadHook(_OneShotHook):
 class WriteHook(_OneShotHook):
     """Fires right before a batch matching the predicate."""
 
+    def __init__(self, store):
+        super().__init__()
+        self._atomic_write = store.atomic_write
+        store.atomic_write = self.atomic_write
+
     def atomic_write(self, writes):
         self._fire(writes)
-        return self._inner.atomic_write(writes)
+        return self._atomic_write(writes)
 
 
 def hooked_env(**kwargs):
     env = build_env(**kwargs)
-    hook = ReadHook(env.adapters["s1"])
-    env.registry._adapters["s1"] = hook  # swap in place; same storage name
-    env.adapters["s1"] = hook
-    return env, hook
+    return env, ReadHook(env.adapters["s1"])
 
 
 class TestTornReads:
@@ -544,6 +556,31 @@ class TestRecovery:
         assert committed_value(env, k("s1")) == {"v": 1}
         assert committed_value(env, k("s2")) == {"v": 2}
 
+    def test_recovery_that_runs_out_of_attempts_leaves_the_transaction_active(self):
+        env = build_env()
+        seed(env, k(), 0)
+        store = env.adapter("s1")
+        # A row that stays PREPARED however often it is settled: its rollback's
+        # tx-id condition never holds against the stored row.
+        ghost = TransactionMetadata("ghost", 2, TxState.PREPARED, prepared_at=1)
+        stuck = Record(k(), combined_columns({"v": 5}, ghost))
+        reads = []
+
+        def stuck_read(key):
+            reads.append(key)
+            return stuck
+
+        store.read = stuck_read
+        tx = env.manager.begin()
+        with pytest.raises(RecoveryFailed, match=re.escape(k().render())):
+            tx.get(k())
+        assert reads == [k()] * fedtx.transaction._RECOVERY_ATTEMPTS
+        assert tx.status is TxStatus.ACTIVE
+        tx.abort()
+        assert tx.status is TxStatus.ABORTED
+        del store.read
+        assert committed_value(env, k()) == {"v": 0}
+
     def test_crash_during_commit_record_phase_rolls_forward(self):
         env = self.crash_env()
         victim = env.manager.begin()
@@ -607,10 +644,9 @@ class TestRecovery:
         env.adapter("coord").clear_faults()
 
         hook = ReadHook(env.adapters["coord"])
-        env.registry._adapters["coord"] = hook
 
         def late_commit():  # the "dead" committer's outcome lands mid-recovery
-            hook.atomic_write(
+            env.adapter("coord").atomic_write(
                 [
                     ConditionalWrite(
                         env.manager.coordinator.key_for(victim.tx_id),
@@ -713,9 +749,7 @@ class TestLostRaceLeavesNoResidue:
         env = build_env({"s1": make_caps(), "s2": make_caps()}, decoupled=decoupled)
         for key in (k("s1", pk=1), k("s1", pk=2), k("s2", pk=9)):
             seed(env, key, 0)
-        hook = WriteHook(env.adapters[store])
-        env.registry._adapters[store] = hook
-        return env, hook
+        return env, WriteHook(env.adapters[store])
 
     def overwrite(self, env, key):
         def interpose():
