@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 from .errors import CapabilityUnsupported, AtomicityScopeViolation, JoinIntegrityError
 from .model import AtomicityUnit, FullKey, TransactionMetadata, scope_of
-from .records import parse_metadata, split_columns
+from .records import application_columns, parse_metadata, split_columns
 from .storage import ConditionalWrite, StorageAdapter, StorageRegistry, UNCONDITIONAL
 
 
@@ -179,8 +179,8 @@ def _read_view(adapter: StorageAdapter, view_name: str, key: FullKey) -> ReadRes
     record = adapter.view_read(view_name, key)
     if record is None:
         return ReadResult(None, None, ReadPath.VIEW)
-    app_columns, meta_columns = split_columns(record.columns)
-    return ReadResult(app_columns, parse_metadata(meta_columns), ReadPath.VIEW)
+    columns = record.columns
+    return ReadResult(application_columns(columns), parse_metadata(columns), ReadPath.VIEW)
 
 
 def read_split_view(
@@ -208,8 +208,8 @@ def read_dispatch(
         record = adapter.read(key)
         if record is None:
             return ReadResult(None, None, ReadPath.COLOCATED)
-        app_columns, meta_columns = split_columns(record.columns)
-        return ReadResult(app_columns, parse_metadata(meta_columns), ReadPath.COLOCATED)
+        columns = record.columns
+        return ReadResult(application_columns(columns), parse_metadata(columns), ReadPath.COLOCATED)
     caps = adapter.capabilities
     if not (caps.consistent_readable and metadata_in_scope(config, key, caps.atomicity_unit)):
         return read_split(registry, config, key)

@@ -11,7 +11,9 @@ synchronize on reader-writer latches scoped to the adapter's atomic-write unit
 maintains the index under the same latch, and multi-record snapshot reads
 never observe half a batch. Latches are keyed by scope tuples from
 ``model.scope_of``, the single unit-to-prefix map; scope checks compare those
-tuples, so no read or batch builds a ``GroupKey``.
+tuples, so no read or batch builds a ``GroupKey``. A latch is a plain mutex
+over its holder counts that notifies only when a thread waits, so an
+uncontended store call pays two mutex round trips for it.
 
 Two invariants keep reads cheap:
 
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import enum
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Sequence
@@ -71,51 +72,50 @@ from .storage import (
 
 
 class RWLock:
-    """Reader-writer lock: shared readers, exclusive writers."""
+    """Reader-writer latch: shared readers, one exclusive writer.
+
+    A plain mutex guards the holder counts and a count of the threads blocked
+    in ``wait()``; a release notifies only when that count is non-zero, so an
+    uncontended acquire/release pair is two mutex round trips and nothing more.
+    """
 
     def __init__(self):
-        self._cond = threading.Condition()
+        self._mutex = threading.Lock()
+        self._cond = threading.Condition(self._mutex)
         self._readers = 0
         self._writer = False
+        self._waiting = 0  # threads blocked in self._cond.wait()
+
+    def _wait(self):
+        self._waiting += 1
+        try:
+            self._cond.wait()
+        finally:
+            self._waiting -= 1
 
     def acquire_read(self):
-        with self._cond:
+        with self._mutex:
             while self._writer:
-                self._cond.wait()
+                self._wait()
             self._readers += 1
 
     def release_read(self):
-        with self._cond:
+        with self._mutex:
             self._readers -= 1
-            if self._readers == 0:
+            if self._waiting and not self._readers:
                 self._cond.notify_all()
 
     def acquire_write(self):
-        with self._cond:
+        with self._mutex:
             while self._writer or self._readers:
-                self._cond.wait()
+                self._wait()
             self._writer = True
 
     def release_write(self):
-        with self._cond:
+        with self._mutex:
             self._writer = False
-            self._cond.notify_all()
-
-    @contextmanager
-    def read_locked(self):
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
-
-    @contextmanager
-    def write_locked(self):
-        self.acquire_write()
-        try:
-            yield
-        finally:
-            self.release_write()
+            if self._waiting:
+                self._cond.notify_all()
 
 
 class FaultKind(enum.Enum):
@@ -209,8 +209,12 @@ class MemStore(StorageAdapter):
     # -- reads ------------------------------------------------------------
 
     def read(self, key: FullKey) -> Record | None:
-        with self._key_latch(key).read_locked():
+        latch = self._key_latch(key)
+        latch.acquire_read()
+        try:
             columns = self._rows.get(_row_key(key))
+        finally:
+            latch.release_read()
         with self._lock:
             self._counters.reads += 1
         return Record._unchecked(key, MappingProxyType(columns)) if columns is not None else None
@@ -222,12 +226,15 @@ class MemStore(StorageAdapter):
             FullKey(prefix.storage, prefix.namespace, prefix.table, prefix.partition_key)
         )
         namespace, table, pk = partition = (prefix.namespace, prefix.table, prefix.partition_key)
-        with latch.read_locked():
+        latch.acquire_read()
+        try:
             hits = [
                 (ck, self._rows[partition + (ck,)])
                 for ck in sorted(self._clustered.get(partition, ()))
             ]
             bare = self._rows.get(partition + ((),))
+        finally:
+            latch.release_read()
         with self._lock:
             self._counters.scans += 1
         if bare is not None:
@@ -249,8 +256,12 @@ class MemStore(StorageAdapter):
             raise AtomicityScopeViolation("snapshot read spans atomic-write scopes")
         rows = []
         if keys:
-            with self._key_latch(keys[0]).read_locked():
+            latch = self._key_latch(keys[0])
+            latch.acquire_read()
+            try:
                 rows = [self._rows.get(_row_key(key)) for key in keys]
+            finally:
+                latch.release_read()
         with self._lock:
             self._counters.reads += len(keys)
             self._counters.db_transactions += 1
@@ -360,7 +371,9 @@ class MemStore(StorageAdapter):
         for write in writes:
             if write.kind is WriteKind.PUT:
                 check_columns(write.columns)
-        with self._key_latch(writes[0].key).write_locked():
+        latch = self._key_latch(writes[0].key)
+        latch.acquire_write()
+        try:
             for i, write in enumerate(writes):
                 if not self._condition_holds(write):
                     return i
@@ -378,6 +391,8 @@ class MemStore(StorageAdapter):
                         self._clustered.setdefault(rk[:3], set()).add(ck)
                     # .copy(): dict() of the write's MappingProxyType misses the fast merge
                     self._rows[rk] = write.columns.copy()
+        finally:
+            latch.release_write()
         return None
 
     # -- test and tooling surface -------------------------------------------

@@ -340,6 +340,17 @@ class TransactionMetadata:
         if self.tx_state is TxState.COMMITTED and self.committed_at is None:
             raise ValueError("a COMMITTED record must carry committed_at")
 
+    @classmethod
+    def _decoded(cls, **fields) -> "TransactionMetadata":
+        """Metadata decoded from a stored row: every field at once, not one setattr each.
+
+        Runs the same invariants as the constructor.
+        """
+        meta = object.__new__(cls)
+        meta.__dict__.update(fields)
+        meta.__post_init__()
+        return meta
+
 
 class TxOutcome(enum.Enum):
     COMMITTED = "COMMITTED"

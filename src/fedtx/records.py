@@ -10,6 +10,11 @@ the rest: ``_tx_before`` (the prior tx id; None when there is no image),
 ``_tx_before_col_<c>`` holding its raw value. Every name starts with
 ``_tx_``, so stores that keep metadata in a separate table put the whole set
 there; this module only defines the column codec, not the placement.
+
+A read decodes metadata straight from the stored row: ``parse_metadata``
+looks up the ``_tx_*`` columns by name and ``application_columns`` copies out
+the rest, so no read partitions the row first. Only the write path, which
+routes the two halves of a row to different tables, needs ``split_columns``.
 """
 
 from __future__ import annotations
@@ -75,6 +80,16 @@ def metadata_columns(meta: TransactionMetadata) -> dict:
     return columns
 
 
+_STATES = {state.value: state for state in TxState}
+
+
+def _state(value) -> TxState:
+    try:
+        return _STATES[value]
+    except (KeyError, TypeError):
+        return TxState(value)  # raises the enum's ValueError
+
+
 def _parse_before(prior_tx_id: str, columns: Mapping[str, object]) -> BeforeImage:
     start = len(BEFORE_COLUMN_PREFIX)
     return BeforeImage(
@@ -83,28 +98,35 @@ def _parse_before(prior_tx_id: str, columns: Mapping[str, object]) -> BeforeImag
             for name, value in columns.items()
             if name.startswith(BEFORE_COLUMN_PREFIX)
         },
-        metadata=TransactionMetadata(
+        metadata=TransactionMetadata._decoded(
             tx_id=prior_tx_id,
             version=columns[COL_BEFORE_VERSION],
-            tx_state=TxState(columns[COL_BEFORE_STATE]),
+            tx_state=_state(columns[COL_BEFORE_STATE]),
             prepared_at=columns[COL_BEFORE_PREPARED_AT],
             committed_at=columns[COL_BEFORE_COMMITTED_AT],
+            before_image=None,
+            delete_marker=False,
         ),
     )
 
 
 def parse_metadata(columns: Mapping[str, object]) -> TransactionMetadata:
-    """Rebuild metadata from a record's reserved columns."""
+    """Decode metadata straight from a stored row; columns without the prefix are ignored."""
     prior_tx_id = columns.get(COL_BEFORE)
-    return TransactionMetadata(
+    return TransactionMetadata._decoded(
         tx_id=columns[COL_TX_ID],
         version=columns[COL_VERSION],
-        tx_state=TxState(columns[COL_STATE]),
+        tx_state=_state(columns[COL_STATE]),
         prepared_at=columns[COL_PREPARED_AT],
         committed_at=columns.get(COL_COMMITTED_AT),
         before_image=None if prior_tx_id is None else _parse_before(prior_tx_id, columns),
         delete_marker=bool(columns.get(COL_DELETED, False)),
     )
+
+
+def application_columns(columns: Mapping[str, object]) -> dict:
+    """A stored row's application columns (every name without the prefix), as a fresh dict."""
+    return {name: value for name, value in columns.items() if not name.startswith(META_PREFIX)}
 
 
 def split_columns(columns: Mapping[str, object]) -> tuple[dict, dict]:

@@ -71,10 +71,10 @@ from .model import (
 )
 from .records import (
     COL_STATE,
+    application_columns,
     check_application_columns,
     combined_columns,
     parse_metadata,
-    split_columns,
 )
 from .storage import (
     ConditionalWrite,
@@ -295,10 +295,11 @@ class TransactionManager:
             if self.decoupling is not None and self.decoupling.applies_to(key):
                 obs = self._observe(key)  # the scanned row lacks its metadata
             else:
-                app_columns, meta_columns = split_columns(record.columns)
-                obs = ReadResult(app_columns, parse_metadata(meta_columns), ReadPath.COLOCATED)
-                if obs.present and obs.meta.tx_state is TxState.PREPARED:
+                meta = parse_metadata(record.columns)
+                if meta.tx_state is TxState.PREPARED:
                     obs = self._observe(key)
+                else:
+                    obs = ReadResult(application_columns(record.columns), meta, ReadPath.COLOCATED)
             obs = tx.read_set.setdefault(key, obs)
             if obs.present and not obs.meta.delete_marker:
                 merged[key] = dict(obs.app_columns)
@@ -429,13 +430,15 @@ class TransactionManager:
         Serializable transactions re-read everything else; otherwise only
         split-table reads that were not self-consistent need a second look.
         """
+        if not tx.serializable and self.decoupling is None:
+            return []
         plan = []
         for key, obs in tx.read_set.items():
             if key in written_keys:
                 continue
             if tx.serializable:
                 plan.append((key, obs))
-            elif self.decoupling is not None and obs.path is ReadPath.SPLIT_READS:
+            elif obs.path is ReadPath.SPLIT_READS:
                 plan.append((key, obs))
         return plan
 

@@ -4,6 +4,7 @@ import functools
 import random
 import sys
 import threading
+import time
 from dataclasses import fields
 
 import pytest
@@ -534,6 +535,131 @@ class TestLatches:
                 assert len(s._latches) == pk + 1
         finally:
             sys.setswitchinterval(interval)
+
+
+    @staticmethod
+    def wait_for_waiters(latch, count, timeout=10):
+        deadline = time.monotonic() + timeout
+        while latch._waiting != count:
+            assert time.monotonic() < deadline, f"{latch._waiting} of {count} threads waiting"
+            time.sleep(0.001)
+
+    def test_a_writer_waits_for_the_last_reader(self):
+        latch = RWLock()
+        latch.acquire_read()
+        latch.acquire_read()
+        acquired = threading.Event()
+
+        def write():
+            latch.acquire_write()
+            acquired.set()
+            latch.release_write()
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        self.wait_for_waiters(latch, 1)
+        latch.release_read()
+        assert not acquired.wait(0.05)  # one reader still holds the latch
+        latch.release_read()
+        assert acquired.wait(10)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert latch._waiting == 0
+
+    def test_readers_wait_for_a_writer_and_all_wake(self):
+        latch = RWLock()
+        latch.acquire_write()
+        done = []
+
+        def read(i):
+            latch.acquire_read()
+            done.append(i)
+            latch.release_read()
+
+        readers = [threading.Thread(target=read, args=(i,), daemon=True) for i in range(4)]
+        for reader in readers:
+            reader.start()
+        self.wait_for_waiters(latch, 4)
+        assert done == []
+        latch.release_write()
+        for reader in readers:
+            reader.join(timeout=10)
+        assert not any(reader.is_alive() for reader in readers)
+        assert sorted(done) == [0, 1, 2, 3]
+
+    def test_two_readers_share_the_latch(self):
+        latch = RWLock()
+        latch.acquire_read()
+        inside, leave = threading.Event(), threading.Event()
+
+        def read():
+            latch.acquire_read()
+            inside.set()
+            leave.wait(10)
+            latch.release_read()
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        assert inside.wait(10)  # entered while this thread still holds the latch
+        assert latch._readers == 2 and latch._waiting == 0
+        leave.set()
+        reader.join(timeout=10)
+        latch.release_read()
+        assert not reader.is_alive()
+        latch.acquire_write()  # every reader left, so the latch is free
+        latch.release_write()
+
+    def test_mixed_holders_never_overlap_a_writer_or_lose_a_wakeup(self):
+        latch = RWLock()
+        threads = 8
+        book = threading.Lock()
+        holders = {"readers": 0, "writers": 0}
+        overlaps = []
+        barrier = threading.Barrier(threads)
+
+        def hold(rng, write):
+            with book:
+                kind = "writers" if write else "readers"
+                holders[kind] += 1
+                if holders["writers"] > 1 or (holders["writers"] and holders["readers"]):
+                    overlaps.append(dict(holders))
+            for _ in range(rng.randrange(3)):
+                time.sleep(0)  # hand the CPU over while holding
+            with book:
+                holders[kind] -= 1
+
+        def work(t):
+            rng = random.Random(t)
+            barrier.wait()
+            for _ in range(1_500):
+                if rng.random() < 0.3:
+                    latch.acquire_write()
+                    try:
+                        hold(rng, True)
+                    finally:
+                        latch.release_write()
+                else:
+                    latch.acquire_read()
+                    try:
+                        hold(rng, False)
+                    finally:
+                        latch.release_read()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # daemon: a thread stranded by a lost wakeup must not hold the run open
+            workers = [threading.Thread(target=work, args=(t,), daemon=True) for t in range(threads)]
+            for worker in workers:
+                worker.start()
+            deadline = time.monotonic() + 60
+            for worker in workers:
+                worker.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers), "lost wakeup"
+        assert overlaps == []
+        assert (latch._readers, latch._writer, latch._waiting) == (0, False, 0)
 
 
 class TestFaultInjection:

@@ -1,11 +1,20 @@
 """Round trips of the metadata column codec."""
 
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given, strategies as st
 
 from fedtx.model import BeforeImage, TransactionMetadata, TxState
 from fedtx.records import (
     COL_BEFORE,
+    COL_BEFORE_STATE,
+    COL_BEFORE_VERSION,
+    COL_COMMITTED_AT,
+    COL_STATE,
+    COL_TX_ID,
+    COL_VERSION,
+    application_columns,
     check_application_columns,
     combined_columns,
     is_metadata_column,
@@ -106,3 +115,64 @@ def test_metadata_columns_are_recognized():
     for name in metadata_columns(committed_meta()):
         assert is_metadata_column(name)
     assert not is_metadata_column("payload")
+
+
+stored_metadata = st.one_of(
+    metadata,
+    st.builds(committed_meta, tx_id=st.text(min_size=1, max_size=8), version=st.integers(1, 9)),
+)
+
+
+@given(app_columns, stored_metadata)
+def test_a_stored_row_decodes_to_its_metadata_and_application_columns(columns, meta):
+    stored = combined_columns(columns, meta)
+    for row in (stored, MappingProxyType(stored)):  # a read hands out the stored dict read-only
+        assert parse_metadata(row) == meta
+        app = application_columns(row)
+        assert app == split_columns(row)[0] == dict(columns)
+        assert type(app) is dict and app is not row
+
+
+@given(app_columns, before_images)
+def test_a_prepared_row_decodes_its_before_image(columns, before):
+    meta = TransactionMetadata("t1", 2, TxState.PREPARED, prepared_at=5, before_image=before)
+    row = combined_columns(columns, meta)
+    assert parse_metadata(row).before_image == before
+    assert application_columns(row) == split_columns(row)[0] == dict(columns)
+
+
+def prepared_row_with_before_image():
+    meta = TransactionMetadata(
+        "t1", 2, TxState.PREPARED, prepared_at=5, before_image=BeforeImage({"v": 0}, committed_meta())
+    )
+    return combined_columns({"v": 1}, meta)
+
+
+@pytest.mark.parametrize("column", [COL_STATE, COL_BEFORE_STATE])
+@pytest.mark.parametrize("value", ["ABORTED", "prepared", "", 0, None])
+def test_an_unknown_state_raises(column, value):
+    row = prepared_row_with_before_image()
+    row[column] = value
+    with pytest.raises(ValueError):
+        parse_metadata(row)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {COL_VERSION: 0},
+        {COL_TX_ID: ""},
+        {COL_COMMITTED_AT: None},
+        {COL_BEFORE_VERSION: 0},
+        {COL_BEFORE: ""},
+    ],
+    ids=["version-0", "empty-tx-id", "committed-without-committed-at", "before-version-0", "before-empty-tx-id"],
+)
+def test_a_row_breaking_a_metadata_invariant_raises(change):
+    row = prepared_row_with_before_image()
+    row[COL_STATE] = "COMMITTED"
+    row[COL_COMMITTED_AT] = 6
+    parse_metadata(row)  # valid as it stands
+    row.update(change)
+    with pytest.raises(ValueError):
+        parse_metadata(row)

@@ -4,7 +4,9 @@ import re
 
 import pytest
 
+import fedtx.decoupling
 import fedtx.memstore
+import fedtx.records
 import fedtx.transaction
 from fedtx import (
     AtomicityUnit,
@@ -26,7 +28,7 @@ from fedtx.model import BeforeImage, FullKey, Record, TransactionMetadata
 from fedtx.records import COL_BEFORE, COL_STATE, COL_TX_ID, COL_VERSION, combined_columns
 from fedtx.transaction import TxStatus
 from fedtx.verifier import HistoryRecorder, audit_atomicity
-from conftest import SEVEN_METADATA_COLUMNS, build_env, k, make_caps
+from conftest import METADATA_MODES, SEVEN_METADATA_COLUMNS, build_env, k, make_caps, mode_env_args
 
 
 def committed_value(env, key):
@@ -500,6 +502,52 @@ class TestTornReads:
         reader.commit()
 
 
+class _WalkCountingDict(dict):
+    walks = 0
+
+    def items(self):
+        self.walks += 1
+        return super().items()
+
+
+class TestValidationPlan:
+    @staticmethod
+    def walked_plan(manager, tx, written_keys):
+        """The plan a walk of the whole read set gives, in every mode."""
+        return [
+            (key, obs)
+            for key, obs in tx.read_set.items()
+            if key not in written_keys
+            and (
+                tx.serializable
+                or (manager.decoupling is not None and obs.path is ReadPath.SPLIT_READS)
+            )
+        ]
+
+    @pytest.mark.parametrize("serializable", [False, True], ids=["plain", "serializable"])
+    @pytest.mark.parametrize("mode", list(METADATA_MODES))
+    def test_plan_matches_the_full_walk(self, mode, serializable):
+        env = build_env(**mode_env_args(mode))
+        for pk in range(6):
+            seed(env, k(pk=pk), pk)
+        tx = env.manager.begin(serializable=serializable)
+        for pk in list(range(6)) + [99]:  # pk 99 is absent
+            tx.get(k(pk=pk))
+        tx.put(k(pk=0), {"v": 10})
+        written = {k(pk=0)}
+        expected = self.walked_plan(env.manager, tx, written)
+        tx.read_set = _WalkCountingDict(tx.read_set)
+        plan = env.manager._validation_plan(tx, written)
+        assert plan == expected
+        revalidated = serializable or mode == "split_reads"
+        assert [key for key, _ in plan] == ([k(pk=pk) for pk in (1, 2, 3, 4, 5, 99)] if revalidated else [])
+        # Without metadata tables or serializability nothing can need a re-read.
+        skips = mode == "colocated" and not serializable
+        assert tx.read_set.walks == (0 if skips else 1)
+        tx.commit()
+        assert tx.status is TxStatus.COMMITTED
+
+
 class TestRecovery:
     def crash_env(self, decoupled=False):
         env = build_env({"s1": make_caps(), "s2": make_caps()}, decoupled=decoupled, tx_ids="vic")
@@ -928,6 +976,60 @@ class TestScopeCost:
         assert store.snapshot_read([key, absent])[0] is not None
         assert len(store.dump()) == 1
         assert built[FullKey] == built[Record] == 0
+
+    def test_reads_decode_each_row_once(self, monkeypatch):
+        calls = {"split_columns": 0, "parse_metadata": 0, "TxState": 0}
+        for module in (fedtx.records, fedtx.decoupling, fedtx.transaction):
+            for name in ("split_columns", "parse_metadata"):
+                original = getattr(module, name, None)
+                if original is None:
+                    continue  # the module does not call it
+
+                def counting(*args, _name=name, _original=original):
+                    calls[_name] += 1
+                    return _original(*args)
+
+                monkeypatch.setattr(module, name, counting)
+        enum_call = type(TxState).__call__
+
+        def counting_call(cls, *args, **kwargs):
+            if cls is TxState:
+                calls["TxState"] += 1
+            return enum_call(cls, *args, **kwargs)
+
+        monkeypatch.setattr(type(TxState), "__call__", counting_call)
+
+        def decoded_by(read):
+            calls.update(dict.fromkeys(calls, 0))
+            read()
+            return calls.copy()
+
+        colocated = build_env()
+        seed(colocated, k(), 1)
+        tx = colocated.manager.begin()
+        assert decoded_by(lambda: tx.get(k())) == {"split_columns": 0, "parse_metadata": 1, "TxState": 0}
+        assert tx.read_set[k()].path is ReadPath.COLOCATED
+
+        caps = make_caps(AtomicityUnit.STORAGE, consistent=True, view=True)
+        view = build_env({"s1": caps}, decoupled=True, register_views=True)
+        seed(view, k(), 1)
+        tx = view.manager.begin()
+        assert decoded_by(lambda: tx.get(k())) == {"split_columns": 0, "parse_metadata": 1, "TxState": 0}
+        assert tx.read_set[k()].path is ReadPath.VIEW
+
+        partition = build_env({"s1": make_caps(AtomicityUnit.PARTITION)})
+        tx = partition.manager.begin()
+        for ck in range(16):
+            tx.put(k(ck=ck), {"v": ck})
+        tx.commit()
+        tx = partition.manager.begin()
+        rows = []
+        assert decoded_by(lambda: rows.extend(tx.scan(GroupKey("s1", "app", "t", (1,))))) == {
+            "split_columns": 0,
+            "parse_metadata": 16,
+            "TxState": 0,
+        }
+        assert [columns for _, columns in rows] == [{"v": ck} for ck in range(16)]
 
     def test_each_put_is_checked_once_per_batch(self, monkeypatch):
         checked = []
