@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Checking committed histories against a brute-force serial-order search.
+"""Checking committed histories with a serialization-graph test.
 
 The manager can record every finished transaction: observed read versions,
-written versions, and begin/commit stamps. The checker then searches for a
-serial order that reproduces every observation, additionally forcing T1
-before T2 whenever T1 committed before T2 began. Small histories make an
-exhaustive search feasible, which is exactly what you want from an oracle.
+written versions, and begin/commit stamps. Each version has one writer, so
+the checker links writers to readers, readers to the next writer, and each
+writer to the next one, adds an edge from T1 to T2 whenever T1 committed
+before T2 began, and looks for a cycle. A serial order that reproduces every
+observation exists exactly when there is none, and the check stays linear
+in the size of the history.
 
 The classic write-skew pair shows both halves: committed under plain
-conflict-checking it fails the search, while serializable mode refuses to
+conflict-checking it forms a cycle, while serializable mode refuses to
 commit the second transaction in the first place.
 """
 

@@ -17,7 +17,6 @@ from .errors import (
     InjectedCrash,
     JoinIntegrityError,
     RecoveryFailed,
-    SearchBoundExceeded,
     TransactionFinished,
     UnknownStorage,
     UnknownView,

@@ -33,41 +33,46 @@ from .records import application_columns, parse_metadata, split_columns
 from .storage import ConditionalWrite, StorageAdapter, StorageRegistry, UNCONDITIONAL
 
 
+META_TABLE_SUFFIX = "_meta"
+
+
 @dataclass(frozen=True)
 class DecoupleConfig:
     """Where metadata rows live relative to their application rows.
 
     ``namespaces`` limits the split to the given namespaces; None means every
-    namespace. The locator is injective: application table names may not end
-    with the metadata suffix.
+    namespace. A metadata table is its application table's name plus
+    ``META_TABLE_SUFFIX``. The locator is injective: application table names
+    may not end with the suffix.
     """
 
     namespaces: frozenset[str] | None = None
-    meta_table_suffix: str = "_meta"
 
     def applies_to(self, key: FullKey) -> bool:
         if self.namespaces is not None and key.namespace not in self.namespaces:
             return False
-        return not key.table.endswith(self.meta_table_suffix)
+        return not key.table.endswith(META_TABLE_SUFFIX)
 
-    def metadata_key(self, key: FullKey) -> FullKey:
-        if key.table.endswith(self.meta_table_suffix):
+    @staticmethod
+    def metadata_key(key: FullKey) -> FullKey:
+        if key.table.endswith(META_TABLE_SUFFIX):
             raise ValueError(f"{key.table!r} is already a metadata table")
         return FullKey(
             key.storage,
             key.namespace,
-            key.table + self.meta_table_suffix,
+            key.table + META_TABLE_SUFFIX,
             key.partition_key,
             key.clustering_key,
         )
 
-    def application_key(self, meta_key: FullKey) -> FullKey:
-        if not meta_key.table.endswith(self.meta_table_suffix):
+    @staticmethod
+    def application_key(meta_key: FullKey) -> FullKey:
+        if not meta_key.table.endswith(META_TABLE_SUFFIX):
             raise ValueError(f"{meta_key.table!r} is not a metadata table")
         return FullKey(
             meta_key.storage,
             meta_key.namespace,
-            meta_key.table[: -len(self.meta_table_suffix)],
+            meta_key.table[: -len(META_TABLE_SUFFIX)],
             meta_key.partition_key,
             meta_key.clustering_key,
         )
@@ -95,14 +100,14 @@ class ReadResult:
         return self.meta is not None
 
 
-def metadata_in_scope(config: DecoupleConfig, key: FullKey, unit: AtomicityUnit) -> bool:
+def metadata_in_scope(key: FullKey, unit: AtomicityUnit) -> bool:
     """Whether the metadata row of ``key`` shares its atomic-write scope under ``unit``.
 
     The metadata row's components are cut to the depth of ``key``'s own
     scope, so no metadata key is built just to compare scopes.
     """
     scope = scope_of(key, unit)
-    table = key.table + config.meta_table_suffix
+    table = key.table + META_TABLE_SUFFIX
     meta = (key.storage, key.namespace, table, key.partition_key, key.clustering_key)
     return meta[: len(scope)] == scope
 
@@ -127,7 +132,7 @@ def expand_writes(
         if not config.applies_to(write.key):
             apps.append(write)
             continue
-        if not metadata_in_scope(config, write.key, registry.get_atomicity_unit(write.key)):
+        if not metadata_in_scope(write.key, registry.get_atomicity_unit(write.key)):
             raise AtomicityScopeViolation(
                 f"metadata row for {write.key.render()} falls outside the atomic scope"
             )
@@ -211,7 +216,7 @@ def read_dispatch(
         columns = record.columns
         return ReadResult(application_columns(columns), parse_metadata(columns), ReadPath.COLOCATED)
     caps = adapter.capabilities
-    if not (caps.consistent_readable and metadata_in_scope(config, key, caps.atomicity_unit)):
+    if not (caps.consistent_readable and metadata_in_scope(key, caps.atomicity_unit)):
         return read_split(registry, config, key)
     if caps.view_joinable:
         view_name = adapter.view_for(key)

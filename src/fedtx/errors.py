@@ -58,7 +58,3 @@ class InjectedCrash(FedtxError):
     would leave behind.
     """
 
-
-class SearchBoundExceeded(FedtxError):
-    """A history is too large for the exhaustive equivalence search."""
-

@@ -43,6 +43,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 from .decoupling import (
+    META_TABLE_SUFFIX,
     DecoupleConfig,
     ReadPath,
     ReadResult,
@@ -390,9 +391,7 @@ class TransactionManager:
                 if record.columns.get(COL_STATE) != TxState.PREPARED.value:
                     continue
                 key = record.key
-                if self.decoupling is not None and key.table.endswith(
-                    self.decoupling.meta_table_suffix
-                ):
+                if self.decoupling is not None and key.table.endswith(META_TABLE_SUFFIX):
                     app_key = self.decoupling.application_key(key)
                     if self.decoupling.applies_to(app_key):
                         key = app_key

@@ -1,10 +1,13 @@
 """Correctness oracles over recorded transaction histories.
 
-``check_serializable`` searches for a serial order of the committed
-transactions that reproduces every observed read version and the final store
+``check_serializable`` decides whether some serial order of the committed
+transactions reproduces every observed read version and the final store
 versions, additionally respecting real-time precedence (a transaction that
-committed before another began must come first). The search is exhaustive, so
-histories are capped at eight committed transactions.
+committed before another began must come first). It is Adya's
+serialization-graph test (*Weak Consistency*, 1999): a version-lineage check
+and then a cycle search over dependency edges, linear in the history's size.
+It needs stamps from one manager's clock and no committed deletes; its
+docstring says why.
 
 ``audit_atomicity`` cross-checks a store dump against the attempt log: after
 recovery has settled every in-doubt record, each attempted transaction must
@@ -17,14 +20,13 @@ identities here.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import SearchBoundExceeded
-from .model import FullKey, Record, TxOutcome, TxState
+from .decoupling import META_TABLE_SUFFIX, DecoupleConfig
+from .model import Record, TxOutcome, TxState
 from .records import COL_STATE, COL_TX_ID, COL_VERSION
-
-_SEARCH_BOUND = 8
 
 
 @dataclass(frozen=True)
@@ -108,76 +110,116 @@ class Violation:
     tx_ids: tuple[str, ...]
 
 
-def _replayable(tx: TxSummary, versions: dict[str, int], initial: Mapping[str, int]) -> bool:
-    for key, version in tx.reads:
-        if versions.get(key, initial.get(key, 0)) != version:
-            return False
-    for key, version in tx.writes:
-        if versions.get(key, initial.get(key, 0)) + 1 != version:
-            return False
-    return True
-
-
 def check_serializable(history: History) -> Violation | None:
-    """Exhaustively search for an explaining serial order; None means one exists.
+    """Decide whether a serial order explains the committed history; None means one does.
 
-    The order must respect real-time precedence: whenever one transaction
-    committed before another began, it must be serialized first.
+    Every version has one writer, so the check first maps ``(key, version)``
+    to its writer. A version written twice (a lost update), a written version
+    with no predecessor, a read of a version nobody committed, or a final
+    version that is not the key's latest written one is a violation naming
+    the transactions involved. Then a cycle over these edges is a violation
+    naming the transactions on it:
+
+    * write-read: the writer of a version precedes its readers;
+    * read-write: a reader of a version precedes the writer of the next one;
+    * write-write: the writer of a version precedes the writer of the next;
+    * real time: a transaction that committed before another began precedes
+      it. Commit stamps are chained in sorted order, so this adds a linear
+      number of edges; a missing stamp adds none.
+
+    Two limits hold. Begin and commit stamps come from one manager's clock,
+    so a history recorded by several managers has no meaningful real-time
+    edges. A read of an absent key records version 0, so histories with
+    committed deletes are out of scope.
     """
     txs = history.committed()
-    if len(txs) > _SEARCH_BOUND:
-        raise SearchBoundExceeded(f"{len(txs)} committed transactions exceed the bound")
-
-    must_precede: list[set[int]] = []
-    for i, ti in enumerate(txs):
-        before = set()
-        for j, tj in enumerate(txs):
-            if i == j:
-                continue
-            if (
-                tj.commit_at is not None
-                and ti.begin_at is not None
-                and tj.commit_at < ti.begin_at
-            ):
-                before.add(j)
-        must_precede.append(before)
-
     initial = history.initial
+    writer: dict[tuple[str, int], int] = {}  # (key, version) -> index in txs
+    latest: dict[str, int] = {}
+    for i, t in enumerate(txs):
+        for key, version in t.writes:
+            other = writer.setdefault((key, version), i)
+            if other != i:
+                return Violation(
+                    f"{key} version {version} written twice (lost update)",
+                    (txs[other].tx_id, t.tx_id),
+                )
+            latest[key] = max(version, latest.get(key, version))
+    for (key, version), i in writer.items():
+        if version != initial.get(key, 0) + 1 and (key, version - 1) not in writer:
+            return Violation(f"{key} version {version} has no predecessor", (txs[i].tx_id,))
+    for t in txs:
+        for key, version in t.reads:
+            if version != initial.get(key, 0) and (key, version) not in writer:
+                return Violation(f"{key} version {version} read but never written", (t.tx_id,))
+    if history.final is not None:
+        for key in latest.keys() | history.final.keys():
+            base = initial.get(key, 0)
+            last, final = latest.get(key, base), history.final.get(key, base)
+            if final != last:
+                wrote = writer.get((key, last))
+                return Violation(
+                    f"{key} ends at version {final}, not its latest written version {last}",
+                    () if wrote is None else (txs[wrote].tx_id,),
+                )
 
-    def matches_final(versions: dict[str, int]) -> bool:
-        if history.final is None:
-            return True
-        for key, version in versions.items():
-            if history.final.get(key, initial.get(key, 0)) != version:
-                return False
-        for key, version in history.final.items():
-            if versions.get(key, initial.get(key, 0)) != version:
-                return False
-        return True
-
+    # Nodes 0..n-1 are the transactions; n.. chain their commit stamps in order.
     n = len(txs)
+    succ: list[list[int]] = [[] for _ in txs]
+    for i, t in enumerate(txs):
+        for key, version in t.reads:
+            wrote = writer.get((key, version))
+            if wrote is not None:
+                succ[wrote].append(i)  # wr
+            later = writer.get((key, version + 1))
+            if later is not None and later != i:
+                succ[i].append(later)  # rw
+        for key, version in t.writes:
+            later = writer.get((key, version + 1))
+            if later is not None:
+                succ[i].append(later)  # ww
+    commits = sorted((t.commit_at, i) for i, t in enumerate(txs) if t.commit_at is not None)
+    stamps = [stamp for stamp, _ in commits]
+    for rank, (_, i) in enumerate(commits):
+        succ[i].append(n + rank)
+        succ.append([n + rank + 1] if rank + 1 < len(commits) else [])
+    for i, t in enumerate(txs):
+        if t.begin_at is not None:
+            before = bisect_left(stamps, t.begin_at)
+            if before:
+                succ[n + before - 1].append(i)  # committed before t began
 
-    def search(chosen: set[int], versions: dict[str, int]) -> bool:
-        if len(chosen) == n:
-            return matches_final(versions)
-        for i in range(n):
-            if i in chosen or not must_precede[i] <= chosen:
-                continue
-            if not _replayable(txs[i], versions, initial):
-                continue
-            updated = dict(versions)
-            for key, version in txs[i].writes:
-                updated[key] = version
-            if search(chosen | {i}, updated):
-                return True
-        return False
-
-    if search(set(), {}):
+    cycle = _find_cycle(succ)
+    if cycle is None:
         return None
     return Violation(
-        "no serial order reproduces the observed reads and final versions",
-        tuple(t.tx_id for t in txs),
+        "dependency cycle: no serial order reproduces the observed reads",
+        tuple(txs[node].tx_id for node in cycle if node < n),
     )
+
+
+def _find_cycle(succ: list[list[int]]) -> list[int] | None:
+    """Iterative depth-first search; returns the nodes of one cycle, if any."""
+    state = [0] * len(succ)  # 0 unvisited, 1 on the current path, 2 finished
+    for root in range(len(succ)):
+        if state[root]:
+            continue
+        state[root] = 1
+        path = [root]
+        pending = [iter(succ[root])]
+        while pending:
+            for node in pending[-1]:
+                if state[node] == 1:
+                    return path[path.index(node) :]
+                if state[node] == 0:
+                    state[node] = 1
+                    path.append(node)
+                    pending.append(iter(succ[node]))
+                    break
+            else:
+                state[path.pop()] = 2
+                pending.pop()
+    return None
 
 
 @dataclass(frozen=True)
@@ -219,7 +261,6 @@ def audit_atomicity(
     dump: Sequence[Record],
     history: History,
     coordinator_table: tuple[str, str, str],
-    meta_table_suffix: str = "_meta",
 ) -> list:
     """All-or-nothing check of every attempted transaction against a store dump.
 
@@ -244,14 +285,8 @@ def audit_atomicity(
         if COL_STATE not in columns:
             continue
         key = record.key
-        if key.table.endswith(meta_table_suffix):
-            key = FullKey(
-                key.storage,
-                key.namespace,
-                key.table[: -len(meta_table_suffix)],
-                key.partition_key,
-                key.clustering_key,
-            )
+        if key.table.endswith(META_TABLE_SUFFIX):
+            key = DecoupleConfig.application_key(key)
         rendered = key.render()
         if columns[COL_STATE] == TxState.PREPARED.value:
             prepared.setdefault(columns[COL_TX_ID], []).append(rendered)

@@ -59,13 +59,12 @@ class TestLocator:
         assert not cfg.applies_to(k())
 
 
-    @pytest.mark.parametrize("cfg", [CFG, DecoupleConfig(meta_table_suffix="__tx")], ids=["meta", "tx"])
     @pytest.mark.parametrize("ck", [None, 3], ids=["no-ck", "ck"])
     @pytest.mark.parametrize("unit", list(AtomicityUnit), ids=lambda unit: unit.name.lower())
-    def test_metadata_in_scope_agrees_with_the_metadata_key(self, cfg, ck, unit):
+    def test_metadata_in_scope_agrees_with_the_metadata_key(self, ck, unit):
         key = k(ck=ck)
-        expected = scope_of(cfg.metadata_key(key), unit) == scope_of(key, unit)
-        assert metadata_in_scope(cfg, key, unit) is expected
+        expected = scope_of(CFG.metadata_key(key), unit) == scope_of(key, unit)
+        assert metadata_in_scope(key, unit) is expected
         # the sibling table shares a scope only where the scope stops above the table
         assert expected is (unit >= AtomicityUnit.NAMESPACE)
 
