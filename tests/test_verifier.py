@@ -84,6 +84,42 @@ class TestCheckSerializable:
         )
         assert check_serializable(history) is not None
 
+    def test_a_written_version_needs_its_predecessor(self):
+        history = History(
+            initial={"x": 3},
+            entries=[tx("a", reads=[("x", 3)], writes=[("x", 5)])],
+        )
+        violation = check_serializable(history)
+        assert isinstance(violation, Violation)
+        assert "no predecessor" in violation.message
+        assert violation.tx_ids == ("a",)
+
+    def test_a_read_version_needs_a_committed_writer(self):
+        history = History(
+            entries=[
+                tx("a", writes=[("x", 1)]),
+                tx("w", reads=[("x", 1)], writes=[("x", 2)], outcome="ABORTED"),
+                tx("b", reads=[("x", 2)]),  # a dirty read of the aborted write
+            ]
+        )
+        violation = check_serializable(history)
+        assert isinstance(violation, Violation)
+        assert "never written" in violation.message
+        assert violation.tx_ids == ("b",)
+
+    def test_a_final_version_behind_the_latest_write_names_its_writer(self):
+        history = History(
+            entries=[
+                tx("a", reads=[("x", 0)], writes=[("x", 1)]),
+                tx("b", reads=[("x", 1)], writes=[("x", 2)]),
+            ],
+            final={"x": 1},
+        )
+        violation = check_serializable(history)
+        assert isinstance(violation, Violation)
+        assert "not its latest written version 2" in violation.message
+        assert violation.tx_ids == ("b",)
+
     def test_real_time_precedence_makes_stale_reads_violations(self):
         stale_read = tx("b", reads=[("x", 0)], writes=[("y", 1)], begin=10, commit=12)
         earlier_writer = tx("a", reads=[("x", 0)], writes=[("x", 1)], begin=1, commit=5)
