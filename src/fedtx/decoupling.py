@@ -138,10 +138,8 @@ def expand_writes(
             )
         meta_key = config.metadata_key(write.key)
         app_columns, meta_columns = split_columns(write.columns)
-        apps.append(
-            ConditionalWrite(write.key, app_columns, UNCONDITIONAL, write.kind)
-        )
-        metas.append(ConditionalWrite(meta_key, meta_columns, write.condition, write.kind))
+        apps.append(ConditionalWrite._owning(write.key, app_columns, UNCONDITIONAL, write.kind))
+        metas.append(ConditionalWrite._owning(meta_key, meta_columns, write.condition, write.kind))
     return apps + metas
 
 

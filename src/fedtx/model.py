@@ -311,8 +311,22 @@ class BeforeImage:
 
     def __post_init__(self):
         object.__setattr__(self, "columns", MappingProxyType(dict(self.columns)))
+        self._check_depth()
+
+    def _check_depth(self) -> None:
         if self.metadata.before_image is not None:
             raise ValueError("a before-image's metadata may not nest another before-image")
+
+    @classmethod
+    def _sharing(cls, columns: dict, metadata: "TransactionMetadata") -> "BeforeImage":
+        """An image sharing ``columns``, a dict that nobody changes from now on, without a copy.
+
+        For columns decoded fresh from a stored row. Runs the same nesting check.
+        """
+        image = object.__new__(cls)
+        image.__dict__.update(columns=MappingProxyType(columns), metadata=metadata)
+        image._check_depth()
+        return image
 
 
 @dataclass(frozen=True)
@@ -342,8 +356,9 @@ class TransactionMetadata:
 
     @classmethod
     def _decoded(cls, **fields) -> "TransactionMetadata":
-        """Metadata decoded from a stored row: every field at once, not one setattr each.
+        """Metadata from every field at once, not one setattr each.
 
+        For metadata decoded from a stored row or built on the commit path.
         Runs the same invariants as the constructor.
         """
         meta = object.__new__(cls)

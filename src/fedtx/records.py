@@ -15,6 +15,10 @@ A read decodes metadata straight from the stored row: ``parse_metadata``
 looks up the ``_tx_*`` columns by name and ``application_columns`` copies out
 the rest, so no read partitions the row first. Only the write path, which
 routes the two halves of a row to different tables, needs ``split_columns``.
+
+The write side encodes each row once: ``combined_columns`` builds the stored
+image as one fresh dict, and the commit path hands that dict to its
+``ConditionalWrite`` without another copy.
 """
 
 from __future__ import annotations
@@ -92,13 +96,13 @@ def _state(value) -> TxState:
 
 def _parse_before(prior_tx_id: str, columns: Mapping[str, object]) -> BeforeImage:
     start = len(BEFORE_COLUMN_PREFIX)
-    return BeforeImage(
-        columns={
+    return BeforeImage._sharing(
+        {
             name[start:]: value
             for name, value in columns.items()
             if name.startswith(BEFORE_COLUMN_PREFIX)
         },
-        metadata=TransactionMetadata._decoded(
+        TransactionMetadata._decoded(
             tx_id=prior_tx_id,
             version=columns[COL_BEFORE_VERSION],
             tx_state=_state(columns[COL_BEFORE_STATE]),

@@ -53,7 +53,13 @@ def if_tx_id_equals(tx_id: str) -> WriteCondition:
 
 @dataclass(frozen=True)
 class ConditionalWrite:
-    """One write in an atomic batch: full post-image plus an apply condition."""
+    """One write in an atomic batch: full post-image plus an apply condition.
+
+    The constructor copies ``columns``, so the caller may go on changing the
+    mapping it passed. ``_owning`` skips that copy; its precondition is a
+    fresh dict that nobody else holds, which is how the commit path builds
+    each written row.
+    """
 
     key: FullKey
     columns: Mapping[str, object]
@@ -62,6 +68,21 @@ class ConditionalWrite:
 
     def __post_init__(self):
         object.__setattr__(self, "columns", MappingProxyType(dict(self.columns)))
+
+    @classmethod
+    def _owning(
+        cls,
+        key: FullKey,
+        columns: dict,
+        condition: WriteCondition = UNCONDITIONAL,
+        kind: WriteKind = WriteKind.PUT,
+    ) -> "ConditionalWrite":
+        """A write that takes over ``columns``, a fresh dict nobody else holds, without a copy."""
+        write = object.__new__(cls)
+        write.__dict__.update(
+            key=key, columns=MappingProxyType(columns), condition=condition, kind=kind
+        )
+        return write
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,7 @@ from .storage import (
     ConditionalWrite,
     IF_NOT_EXISTS,
     StorageRegistry,
+    WriteCondition,
     WriteKind,
     if_tx_id_equals,
 )
@@ -118,21 +119,20 @@ class BufferedWrite:
     columns: dict | None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class _LogicalWrite:
-    """A write-set entry resolved against its observed base version."""
+    """A write-set entry resolved against its observed base version.
+
+    Its version and its ``condition`` are fixed when ``_materialize_writes``
+    builds it: the observed tx id, or absence when nothing was observed.
+    """
 
     key: FullKey
     kind: WriteKind
     columns: Mapping[str, object] | None
     observed: ReadResult
     version: int
-
-    @property
-    def condition(self):
-        if self.observed.present:
-            return if_tx_id_equals(self.observed.meta.tx_id)
-        return IF_NOT_EXISTS
+    condition: WriteCondition
 
     def before_image(self) -> BeforeImage | None:
         if not self.observed.present:
@@ -140,25 +140,33 @@ class _LogicalWrite:
         prior = self.observed.meta  # settled, so it has no image of its own
         if prior.before_image is not None:
             prior = replace(prior, before_image=None)
-        return BeforeImage(self.observed.app_columns, prior)
+        # the read decoded app_columns into a fresh dict that nothing changes
+        return BeforeImage._sharing(self.observed.app_columns, prior)
 
     def prepared_write(self, tx_id: str, prepared_at: int) -> ConditionalWrite:
-        meta = TransactionMetadata(
+        meta = TransactionMetadata._decoded(
             tx_id=tx_id,
             version=self.version,
             tx_state=TxState.PREPARED,
             prepared_at=prepared_at,
+            committed_at=None,
             before_image=self.before_image(),
             delete_marker=self.kind is WriteKind.DELETE,
         )
         columns = {} if self.kind is WriteKind.DELETE else self.columns
-        return ConditionalWrite(self.key, combined_columns(columns, meta), self.condition)
+        return ConditionalWrite._owning(self.key, combined_columns(columns, meta), self.condition)
 
     def committed_write(
         self, tx_id: str, prepared_at: int, committed_at: int, condition
     ) -> ConditionalWrite:
-        meta = TransactionMetadata(
-            tx_id, self.version, TxState.COMMITTED, prepared_at, committed_at
+        meta = TransactionMetadata._decoded(
+            tx_id=tx_id,
+            version=self.version,
+            tx_state=TxState.COMMITTED,
+            prepared_at=prepared_at,
+            committed_at=committed_at,
+            before_image=None,
+            delete_marker=False,
         )
         columns = None if self.kind is WriteKind.DELETE else self.columns
         return _committed_write(self.key, columns, meta, condition)
@@ -169,15 +177,17 @@ def _committed_write(
 ) -> ConditionalWrite:
     """Settled image of a write: ``columns`` under COMMITTED ``meta``, or a delete when None."""
     if columns is None:
-        return ConditionalWrite(key, {}, condition, WriteKind.DELETE)
-    return ConditionalWrite(key, combined_columns(columns, meta), condition)
+        return ConditionalWrite._owning(key, {}, condition, WriteKind.DELETE)
+    return ConditionalWrite._owning(key, combined_columns(columns, meta), condition)
 
 
 def _restore_write(key: FullKey, before: BeforeImage | None, condition) -> ConditionalWrite:
     """Undo of a prepared write: its before-image back, or a delete if it created the record."""
     if before is None:
-        return ConditionalWrite(key, {}, condition, WriteKind.DELETE)
-    return ConditionalWrite(key, combined_columns(before.columns, before.metadata), condition)
+        return ConditionalWrite._owning(key, {}, condition, WriteKind.DELETE)
+    return ConditionalWrite._owning(
+        key, combined_columns(before.columns, before.metadata), condition
+    )
 
 
 @dataclass(frozen=True)
@@ -414,9 +424,13 @@ class TransactionManager:
                 tx.read_set[key] = observed
             if buffered.kind is WriteKind.DELETE and not observed.present:
                 continue  # deleting nothing is a no-op
-            version = observed.meta.version + 1 if observed.present else 1
+            if observed.present:
+                version = observed.meta.version + 1
+                condition = if_tx_id_equals(observed.meta.tx_id)
+            else:
+                version, condition = 1, IF_NOT_EXISTS
             logicals.append(
-                _LogicalWrite(key, buffered.kind, buffered.columns, observed, version)
+                _LogicalWrite(key, buffered.kind, buffered.columns, observed, version, condition)
             )
         return logicals
 

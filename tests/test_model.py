@@ -270,3 +270,13 @@ class TestTransactionMetadata:
         )
         with pytest.raises(ValueError):
             BeforeImage({"v": 2}, nested)
+        with pytest.raises(ValueError):
+            BeforeImage._sharing({"v": 2}, nested)
+
+    def test_a_sharing_before_image_equals_a_copying_one(self):
+        prior = TransactionMetadata("t0", 1, TxState.COMMITTED, 1, committed_at=2)
+        columns = {"v": 1}
+        shared = BeforeImage._sharing(columns, prior)
+        assert shared == BeforeImage({"v": 1}, prior)
+        with pytest.raises(TypeError):
+            shared.columns["v"] = 2  # read-only over the shared dict

@@ -26,6 +26,7 @@ from fedtx import (
 from fedtx.decoupling import ReadPath, read_dispatch
 from fedtx.model import BeforeImage, FullKey, Record, TransactionMetadata
 from fedtx.records import COL_BEFORE, COL_STATE, COL_TX_ID, COL_VERSION, combined_columns
+from fedtx.storage import WriteCondition
 from fedtx.transaction import TxStatus
 from fedtx.verifier import HistoryRecorder, audit_atomicity
 from conftest import METADATA_MODES, SEVEN_METADATA_COLUMNS, build_env, k, make_caps, mode_env_args
@@ -1070,3 +1071,107 @@ class TestScopeCost:
         assert tx.status is TxStatus.COMMITTED
         assert in_grouping == [2]
         assert built[GroupKey] == 2  # none in MemStore or anywhere else
+
+    def test_commit_builds_each_row_once(self, monkeypatch):
+        """No written data row goes through the copying constructor or a per-access condition.
+
+        ``combined_columns`` is counted under the name ``perfbench`` traces,
+        so the counts match its ``records.combined_columns.calls_per_tx``.
+        """
+        counts = {"copied": [], "conditions": 0, "combined": 0}
+        copying = ConditionalWrite.__post_init__
+        checking = WriteCondition.__post_init__
+        combine = fedtx.transaction.combined_columns
+
+        def counted_copy(write):
+            counts["copied"].append(write.key)
+            copying(write)
+
+        def counted_condition(condition):
+            counts["conditions"] += 1
+            checking(condition)
+
+        def counted_combine(*args):
+            counts["combined"] += 1
+            return combine(*args)
+
+        monkeypatch.setattr(ConditionalWrite, "__post_init__", counted_copy)
+        monkeypatch.setattr(WriteCondition, "__post_init__", counted_condition)
+        monkeypatch.setattr(fedtx.transaction, "combined_columns", counted_combine)
+
+        def commit_cost(env, keys):
+            for key in keys:
+                seed(env, key, 1)
+            tx = env.manager.begin()
+            for key in keys:
+                tx.put(key, {"v": tx.get(key)["v"] + 1})
+            counts.update(copied=[], conditions=0, combined=0)
+            tx.commit()
+            assert tx.status is TxStatus.COMMITTED
+            assert {key: committed_value(env, key) for key in keys} == dict.fromkeys(keys, {"v": 2})
+            data_rows = [key for key in counts["copied"] if key.storage != "coord"]
+            return data_rows, counts["conditions"], counts["combined"]
+
+        two_phase = build_env({"s1": make_caps(), "s2": make_caps()})
+        keys = [k(storage, pk=pk) for storage in ("s1", "s2") for pk in range(4)]
+        data_rows, conditions, combined = commit_cost(two_phase, keys)
+        assert two_phase.counters("coord").atomic_write_batches > 0
+        assert data_rows == []
+        assert combined == 16  # 8 prepared rows and 8 committed rows
+        assert conditions <= 8 + 1  # one per logical write, one for the commit records
+
+        one_phase = build_env({"s1": make_caps(AtomicityUnit.PARTITION)})
+        keys = [k(ck=ck) for ck in range(4)]
+        data_rows, conditions, combined = commit_cost(one_phase, keys)
+        assert one_phase.counters("coord").atomic_write_batches == 0
+        assert data_rows == []
+        assert combined == 4
+        assert conditions <= 4
+
+
+class TestRowAliasing:
+    """Rows built without a copy stay out of reach of the caller's dicts."""
+
+    @pytest.mark.parametrize("decoupled", [False, True], ids=["colocated", "split"])
+    def test_abort_after_crash_restores_rows_the_caller_mutated(self, decoupled):
+        env = build_env({"s1": make_caps(), "s2": make_caps()}, decoupled=decoupled)
+        keys = [k("s1"), k("s2")]
+        for key in keys:
+            tx = env.manager.begin()
+            tx.put(key, {"v": 1, "name": "old"})
+            tx.commit()
+        stored = {name: [dict(r.columns) for r in env.adapter(name).dump()] for name in ("s1", "s2")}
+
+        victim = env.manager.begin()
+        got, given = {}, {}
+        for key in keys:
+            got[key] = victim.get(key)
+            given[key] = {"v": 10, "name": "new"}
+            victim.put(key, given[key])
+        for key in keys:
+            got[key]["v"] = given[key]["v"] = -1
+            got[key]["extra"] = given[key]["extra"] = 0
+        env.adapter("coord").inject_faults([(0, FaultKind.CRASH_BEFORE_BATCH)])
+        with pytest.raises(InjectedCrash):
+            victim.commit()
+        env.adapter("coord").clear_faults()
+        for key in keys:
+            got[key]["name"] = given[key]["name"] = "mutated"
+
+        prepared = [r.columns for r in env.dump_all() if r.columns.get(COL_STATE) == "PREPARED"]
+        assert len(prepared) == 2
+        app = [r.columns for r in env.dump_all() if r.columns.get("v") is not None]
+        assert sorted(row["v"] for row in app) == [10, 10]
+        victim.abort()
+        assert victim.status is TxStatus.ABORTED
+        assert {name: [dict(r.columns) for r in env.adapter(name).dump()] for name in ("s1", "s2")} == stored
+
+    def test_public_write_copies_the_callers_columns(self):
+        store = build_env().adapter("s1")
+        columns = {"v": 1}
+        write = ConditionalWrite(k(), columns)
+        columns["v"] = 2
+        columns["x"] = 3
+        assert store.atomic_write([write]) is None
+        columns["v"] = 4
+        assert dict(store.read(k()).columns) == {"v": 1}
