@@ -51,6 +51,7 @@ from .storage import (
     UNCONDITIONAL,
     WriteCondition,
     WriteKind,
+    if_columns_equal,
     if_tx_id_equals,
 )
 from .transaction import (

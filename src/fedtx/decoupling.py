@@ -18,7 +18,15 @@ capabilities and from whether the metadata row shares the key's scope:
   must re-validate such reads before committing.
 
 Each result is tagged with the route that produced it so the commit pipeline
-knows which reads still need validation.
+knows which reads still need validation. A write derived from a split read
+also conditions the application row on the columns it read
+(``expand_writes``), so a torn pair can never be written back.
+
+A read itself decodes nothing: its ``ReadResult`` keeps the stored row(s) the store
+handed out, which never change afterwards, and decodes from them only what
+the transaction asks for. A read-only transaction checks the row's state and
+copies its application columns; only a key it writes decodes the full
+metadata.
 """
 
 from __future__ import annotations
@@ -28,9 +36,22 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import CapabilityUnsupported, AtomicityScopeViolation, JoinIntegrityError
-from .model import AtomicityUnit, FullKey, TransactionMetadata, scope_of
-from .records import application_columns, parse_metadata, split_columns
-from .storage import ConditionalWrite, StorageAdapter, StorageRegistry, UNCONDITIONAL
+from .model import AtomicityUnit, FullKey, TransactionMetadata, TxState, scope_of
+from .records import (
+    COL_DELETED,
+    COL_STATE,
+    _state,
+    application_columns,
+    parse_metadata,
+    split_columns,
+)
+from .storage import (
+    ConditionalWrite,
+    StorageAdapter,
+    StorageRegistry,
+    UNCONDITIONAL,
+    if_columns_equal,
+)
 
 
 META_TABLE_SUFFIX = "_meta"
@@ -87,17 +108,59 @@ class ReadPath(enum.Enum):
     VIEW = "VIEW"
 
 
-@dataclass(frozen=True)
 class ReadResult:
-    """A joined logical record (or its absence) plus the route that read it."""
+    """A logical record (or its absence) as one route read it, decoded on demand.
 
-    app_columns: Mapping[str, object] | None
-    meta: TransactionMetadata | None
-    path: ReadPath
+    ``app_row`` and ``meta_row`` are the read-only mappings the store handed
+    out: the application row and the row holding the ``_tx_*`` columns. The
+    colocated and view routes read one row and hold it as both; an absent
+    record holds None for both. The accessors decode only what they return:
+
+    * ``present``: whether the record exists; decodes nothing.
+    * ``prepared``: whether it is in doubt; decodes only ``_tx_state``, and an
+      unknown state raises as ``parse_metadata`` does.
+    * ``deleted``: the raw ``_tx_deleted`` flag of a present record.
+    * ``meta``: the full ``TransactionMetadata``, decoded at most once.
+    * ``app_columns``: the application columns as a dict, filtered at most
+      once and shared (by the before-image too), so nobody may change it;
+      a caller gets a copy.
+    """
+
+    __slots__ = ("app_row", "meta_row", "path", "_meta", "_app_columns")
+
+    def __init__(self, app_row: Mapping | None, meta_row: Mapping | None, path: ReadPath):
+        self.app_row = app_row
+        self.meta_row = meta_row
+        self.path = path
+        self._meta = None
+        self._app_columns = None
 
     @property
     def present(self) -> bool:
-        return self.meta is not None
+        return self.meta_row is not None
+
+    @property
+    def prepared(self) -> bool:
+        row = self.meta_row
+        return row is not None and _state(row[COL_STATE]) is TxState.PREPARED
+
+    @property
+    def deleted(self) -> bool:
+        return bool(self.meta_row.get(COL_DELETED, False))
+
+    @property
+    def meta(self) -> TransactionMetadata | None:
+        meta = self._meta
+        if meta is None and self.meta_row is not None:
+            meta = self._meta = parse_metadata(self.meta_row)
+        return meta
+
+    @property
+    def app_columns(self) -> dict | None:
+        columns = self._app_columns
+        if columns is None and self.app_row is not None:
+            columns = self._app_columns = application_columns(self.app_row)
+        return columns
 
 
 def metadata_in_scope(key: FullKey, unit: AtomicityUnit) -> bool:
@@ -116,13 +179,20 @@ def expand_writes(
     registry: StorageRegistry,
     config: DecoupleConfig | None,
     writes: Sequence[ConditionalWrite],
+    observed: Mapping[FullKey, ReadResult] | None = None,
 ) -> list[ConditionalWrite]:
     """Rewrite a logical batch into the physical one the store will apply.
 
-    Split keys contribute two writes: the application row unconditionally, and
-    the metadata row carrying the original condition (tx-id checks live in the
-    metadata columns). Application rows come first, metadata rows after. The
-    metadata row must stay inside the batch's atomic scope.
+    Split keys contribute two writes: the application row, and the metadata
+    row carrying the original condition (tx-id checks live in the metadata
+    columns). Application rows come first, metadata rows after. The metadata
+    row must stay inside the batch's atomic scope.
+
+    The application row is unconditional unless ``observed`` holds a present
+    ``SPLIT_READS`` result for the key. Then the write was derived from two
+    reads that a writer may have torn apart, and the row must still hold the
+    columns that were read. With the tx id equal too, the pair read was one
+    version, value for value.
     """
     if config is None:
         return list(writes)
@@ -138,7 +208,12 @@ def expand_writes(
             )
         meta_key = config.metadata_key(write.key)
         app_columns, meta_columns = split_columns(write.columns)
-        apps.append(ConditionalWrite._owning(write.key, app_columns, UNCONDITIONAL, write.kind))
+        obs = observed.get(write.key) if observed is not None else None
+        if obs is not None and obs.path is ReadPath.SPLIT_READS and obs.present:
+            app_condition = if_columns_equal(obs.app_columns)
+        else:
+            app_condition = UNCONDITIONAL
+        apps.append(ConditionalWrite._owning(write.key, app_columns, app_condition, write.kind))
         metas.append(ConditionalWrite._owning(meta_key, meta_columns, write.condition, write.kind))
     return apps + metas
 
@@ -157,8 +232,7 @@ def _join(key: FullKey, app, meta, path: ReadPath) -> ReadResult:
     if app is None or meta is None:
         missing = "application" if app is None else "metadata"
         raise JoinIntegrityError(f"{missing} row missing for {key.render()}")
-    # Record.columns is a MappingProxyType, which dict() copies slowly
-    return ReadResult(app.columns.copy(), parse_metadata(meta.columns), path)
+    return ReadResult(app.columns, meta.columns, path)
 
 
 def read_split(
@@ -183,7 +257,7 @@ def _read_view(adapter: StorageAdapter, view_name: str, key: FullKey) -> ReadRes
     if record is None:
         return ReadResult(None, None, ReadPath.VIEW)
     columns = record.columns
-    return ReadResult(application_columns(columns), parse_metadata(columns), ReadPath.VIEW)
+    return ReadResult(columns, columns, ReadPath.VIEW)
 
 
 def read_split_view(
@@ -212,7 +286,7 @@ def read_dispatch(
         if record is None:
             return ReadResult(None, None, ReadPath.COLOCATED)
         columns = record.columns
-        return ReadResult(application_columns(columns), parse_metadata(columns), ReadPath.COLOCATED)
+        return ReadResult(columns, columns, ReadPath.COLOCATED)
     caps = adapter.capabilities
     if not (caps.consistent_readable and metadata_in_scope(key, caps.atomicity_unit)):
         return read_split(registry, config, key)

@@ -60,6 +60,7 @@ from .model import (
     check_columns,
     render_key,
     scope_of,
+    value_tag,
 )
 from .records import COL_TX_ID
 from .storage import (
@@ -328,15 +329,20 @@ class MemStore(StorageAdapter):
 
     def _condition_holds(self, write: ConditionalWrite) -> bool:
         current = self._rows.get(_row_key(write.key))
-        kind = write.condition.kind
-        if kind is ConditionKind.UNCONDITIONAL:
-            return True
+        condition = write.condition
+        kind = condition.kind
+        # The commit path's condition first. It and IF_COLUMNS_EQUAL fail on
+        # an absent record, for deletes as well.
+        if kind is ConditionKind.IF_TX_ID_EQUALS:
+            return current is not None and current.get(COL_TX_ID) == condition.expected_tx_id
         if kind is ConditionKind.IF_NOT_EXISTS:
             return current is None
-        # IF_TX_ID_EQUALS: an absent record fails, for deletes as well.
-        if current is None:
-            return False
-        return current.get(COL_TX_ID) == write.condition.expected_tx_id
+        if kind is ConditionKind.UNCONDITIONAL:
+            return True
+        expected = condition.expected_columns  # IF_COLUMNS_EQUAL
+        return current == expected and all(
+            value_tag(value) is value_tag(expected[name]) for name, value in current.items()
+        )
 
     def atomic_write(self, writes: Sequence[ConditionalWrite]) -> int | None:
         with self._lock:

@@ -161,7 +161,13 @@ def check_columns(columns: Mapping[str, object]) -> None:
 
 @dataclass(frozen=True)
 class Record:
-    """One stored record: its address plus named columns, read-only."""
+    """One stored record: its address plus named columns, read-only.
+
+    The columns never change once the record exists: a store hands out a
+    snapshot of the row, and a later write replaces the row instead of
+    changing the record a reader holds. So a reader may keep a record and
+    decode it whenever it likes.
+    """
 
     key: FullKey
     columns: Mapping[str, object]

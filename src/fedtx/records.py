@@ -11,10 +11,13 @@ the rest: ``_tx_before`` (the prior tx id; None when there is no image),
 ``_tx_``, so stores that keep metadata in a separate table put the whole set
 there; this module only defines the column codec, not the placement.
 
-A read decodes metadata straight from the stored row: ``parse_metadata``
-looks up the ``_tx_*`` columns by name and ``application_columns`` copies out
-the rest, so no read partitions the row first. Only the write path, which
-routes the two halves of a row to different tables, needs ``split_columns``.
+A read decodes on demand, straight from the stored row it keeps
+(``decoupling.ReadResult``): the in-doubt check looks up ``_tx_state`` alone
+through ``_state``, ``parse_metadata`` looks up the ``_tx_*`` columns by name
+only when the full metadata is wanted (a key the transaction writes), and
+``application_columns`` copies out the rest. No read partitions the row
+first. Only the write path, which routes the two halves of a row to
+different tables, needs ``split_columns``.
 
 The write side encodes each row once: ``combined_columns`` builds the stored
 image as one fresh dict, and the commit path hands that dict to its

@@ -29,18 +29,33 @@ class ConditionKind(enum.Enum):
     UNCONDITIONAL = "UNCONDITIONAL"
     IF_NOT_EXISTS = "IF_NOT_EXISTS"
     IF_TX_ID_EQUALS = "IF_TX_ID_EQUALS"
+    IF_COLUMNS_EQUAL = "IF_COLUMNS_EQUAL"
 
 
 @dataclass(frozen=True)
 class WriteCondition:
+    """When a write may apply, checked against the stored record at apply time.
+
+    ``IF_COLUMNS_EQUAL`` holds when the record exists and its columns are
+    exactly ``expected_columns``: the same names, and each pair of values
+    equal within one ``model.ValueTag`` (so ``True`` does not equal ``1``).
+    """
+
     kind: ConditionKind
     expected_tx_id: str | None = None
+    expected_columns: Mapping[str, object] | None = None
 
     def __post_init__(self):
-        if self.kind is ConditionKind.IF_TX_ID_EQUALS and not self.expected_tx_id:
-            raise ValueError("IF_TX_ID_EQUALS requires a non-empty expected tx id")
-        if self.kind is not ConditionKind.IF_TX_ID_EQUALS and self.expected_tx_id is not None:
+        columns = self.expected_columns
+        if self.kind is ConditionKind.IF_TX_ID_EQUALS:
+            if not self.expected_tx_id:
+                raise ValueError("IF_TX_ID_EQUALS requires a non-empty expected tx id")
+            if columns is None:
+                return  # the commit path's condition, checked in the fewest steps
+        elif self.expected_tx_id is not None:
             raise ValueError("expected_tx_id only applies to IF_TX_ID_EQUALS")
+        if (self.kind is ConditionKind.IF_COLUMNS_EQUAL) != (columns is not None):
+            raise ValueError("expected_columns applies to, and is required by, IF_COLUMNS_EQUAL")
 
 
 UNCONDITIONAL = WriteCondition(ConditionKind.UNCONDITIONAL)
@@ -49,6 +64,11 @@ IF_NOT_EXISTS = WriteCondition(ConditionKind.IF_NOT_EXISTS)
 
 def if_tx_id_equals(tx_id: str) -> WriteCondition:
     return WriteCondition(ConditionKind.IF_TX_ID_EQUALS, tx_id)
+
+
+def if_columns_equal(columns: Mapping[str, object]) -> WriteCondition:
+    """Apply only while the record holds exactly ``columns``, which must not change afterwards."""
+    return WriteCondition(ConditionKind.IF_COLUMNS_EQUAL, expected_columns=columns)
 
 
 @dataclass(frozen=True)
@@ -103,6 +123,10 @@ class StorageAdapter(ABC):
     with every condition holding at apply time, or applies nothing and reports
     the index of the first failing condition. All calls are linearizable with
     respect to each other on the same adapter.
+
+    A ``Record`` a read returns is a snapshot: its columns never change
+    afterwards, whatever is written later. Callers rely on that to keep the
+    record and decode it later (``decoupling.ReadResult`` does).
     """
 
     @property

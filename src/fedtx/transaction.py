@@ -6,7 +6,8 @@ that leans on each store's atomic-write scope:
 1. group the write set so each group fits one atomic batch (``grouping``);
 2. prepare each group in one conditional batch: records carry the new values
    in PREPARED state plus a before-image, and apply only if the record is
-   still at the version this transaction observed;
+   still at the version this transaction observed (and, for a split read,
+   still holds the application columns it read);
 3. re-read whatever observations conditional writes cannot cover (serializable
    mode, or split-table reads that may have been torn);
 4. write one COMMITTED outcome record to the coordinator table; this write
@@ -72,10 +73,9 @@ from .model import (
 )
 from .records import (
     COL_STATE,
-    application_columns,
     check_application_columns,
     combined_columns,
-    parse_metadata,
+    parse_metadata,  # noqa: F401 - perfbench/tracing.py rebinds this name here
 )
 from .storage import (
     ConditionalWrite,
@@ -135,12 +135,12 @@ class _LogicalWrite:
     condition: WriteCondition
 
     def before_image(self) -> BeforeImage | None:
-        if not self.observed.present:
-            return None
         prior = self.observed.meta  # settled, so it has no image of its own
+        if prior is None:
+            return None
         if prior.before_image is not None:
             prior = replace(prior, before_image=None)
-        # the read decoded app_columns into a fresh dict that nothing changes
+        # the read's own app_columns: filtered once, and nothing changes them
         return BeforeImage._sharing(self.observed.app_columns, prior)
 
     def prepared_write(self, tx_id: str, prepared_at: int) -> ConditionalWrite:
@@ -295,7 +295,7 @@ class TransactionManager:
         if cached is None:
             cached = self._observe(key)
             tx.read_set[key] = cached
-        return dict(cached.app_columns) if cached.present and not cached.meta.delete_marker else None
+        return cached.app_columns.copy() if cached.present and not cached.deleted else None
 
     def _scan(self, tx: TxHandle, prefix: GroupKey) -> list[tuple[FullKey, dict]]:
         """Partition scan; every returned record lands in the read set individually."""
@@ -306,14 +306,13 @@ class TransactionManager:
             if self.decoupling is not None and self.decoupling.applies_to(key):
                 obs = self._observe(key)  # the scanned row lacks its metadata
             else:
-                meta = parse_metadata(record.columns)
-                if meta.tx_state is TxState.PREPARED:
+                columns = record.columns
+                obs = ReadResult(columns, columns, ReadPath.COLOCATED)
+                if obs.prepared:
                     obs = self._observe(key)
-                else:
-                    obs = ReadResult(application_columns(record.columns), meta, ReadPath.COLOCATED)
             obs = tx.read_set.setdefault(key, obs)
-            if obs.present and not obs.meta.delete_marker:
-                merged[key] = dict(obs.app_columns)
+            if obs.present and not obs.deleted:
+                merged[key] = obs.app_columns.copy()
         # overlay this transaction's own buffered writes
         scope = prefix.scope()
         for key, buffered in tx.write_set.items():
@@ -327,18 +326,24 @@ class TransactionManager:
 
     # -- reads and recovery ----------------------------------------------------
 
-    def _observe(self, key: FullKey) -> ReadResult:
-        """Read a record, resolving any in-doubt state before returning it."""
+    def _observe(self, key: FullKey, obs: ReadResult | None = None) -> ReadResult:
+        """Read a record, resolving any in-doubt state before returning it.
+
+        ``obs``, when given, is a read already made and stands for the first
+        one. A record is read again after each resolution, so a settle that
+        lost its condition is retried on what the store now holds.
+        """
         for _ in range(_RECOVERY_ATTEMPTS):
-            try:
-                obs = read_dispatch(self.registry, self.decoupling, key)
-            except JoinIntegrityError:
-                # Transient under a concurrent split-row delete; read again.
-                continue
-            if obs.present and obs.meta.tx_state is TxState.PREPARED:
-                self._resolve_prepared(key, obs)
-                continue
-            return obs
+            if obs is None:
+                try:
+                    obs = read_dispatch(self.registry, self.decoupling, key)
+                except JoinIntegrityError:
+                    # Transient under a concurrent split-row delete; read again.
+                    continue
+            if not obs.prepared:
+                return obs
+            self._resolve_prepared(key, obs)
+            obs = None
         raise RecoveryFailed(f"record {key.render()} kept reverting to in-doubt state")
 
     def _read_coordinator(self, tx_id: str) -> CoordinatorState | None:
@@ -381,8 +386,10 @@ class TransactionManager:
             meta, tx_state=TxState.COMMITTED, committed_at=committed_at, before_image=None
         )
         columns = None if meta.delete_marker else obs.app_columns
-        # A racing recovery may have settled it first; that is fine.
-        self._write([_committed_write(key, columns, settled, if_tx_id_equals(meta.tx_id))])
+        # A racing recovery may have settled it first; that is fine. A split
+        # read may also be torn; then the write fails and the caller reads again.
+        write = _committed_write(key, columns, settled, if_tx_id_equals(meta.tx_id))
+        self._write([write], {key: obs})
 
     def _roll_back(self, key: FullKey, obs: ReadResult) -> None:
         condition = if_tx_id_equals(obs.meta.tx_id)
@@ -406,8 +413,8 @@ class TransactionManager:
                     if self.decoupling.applies_to(app_key):
                         key = app_key
                 obs = read_dispatch(self.registry, self.decoupling, key)
-                if obs.present and obs.meta.tx_state is TxState.PREPARED:
-                    self._resolve_prepared(key, obs)
+                if obs.prepared:
+                    self._observe(key, obs)
                     recovered += 1
         return recovered
 
@@ -424,9 +431,10 @@ class TransactionManager:
                 tx.read_set[key] = observed
             if buffered.kind is WriteKind.DELETE and not observed.present:
                 continue  # deleting nothing is a no-op
-            if observed.present:
-                version = observed.meta.version + 1
-                condition = if_tx_id_equals(observed.meta.tx_id)
+            meta = observed.meta
+            if meta is not None:
+                version = meta.version + 1
+                condition = if_tx_id_equals(meta.tx_id)
             else:
                 version, condition = 1, IF_NOT_EXISTS
             logicals.append(
@@ -439,7 +447,8 @@ class TransactionManager:
     ) -> list[tuple[FullKey, ReadResult]]:
         """Which observations a re-read must still cover.
 
-        Keys this transaction writes are validated by their conditional writes.
+        Keys this transaction writes are validated by their conditional writes,
+        which also check a split read's application columns.
         Serializable transactions re-read everything else; otherwise only
         split-table reads that were not self-consistent need a second look.
         """
@@ -469,13 +478,20 @@ class TransactionManager:
             if (current.meta.tx_id, current.meta.version) != (obs.meta.tx_id, obs.meta.version):
                 return f"{key.render()} advanced past the observed version"
             split = obs.path is ReadPath.SPLIT_READS or current.path is ReadPath.SPLIT_READS
-            if split and dict(current.app_columns) != dict(obs.app_columns):
+            if split and current.app_columns != obs.app_columns:
                 return f"{key.render()} was read torn"
         return None
 
-    def _write(self, writes: list[ConditionalWrite]) -> int | None:
-        """Apply one logical batch; returns ``atomic_write``'s physical failure index."""
-        return self.registry.atomic_write(expand_writes(self.registry, self.decoupling, writes))
+    def _write(
+        self, writes: list[ConditionalWrite], observed: Mapping[FullKey, ReadResult] | None = None
+    ) -> int | None:
+        """Apply one logical batch; returns ``atomic_write``'s physical failure index.
+
+        ``observed`` holds the reads the writes were derived from; a split read
+        among them conditions its application row (``expand_writes``).
+        """
+        expanded = expand_writes(self.registry, self.decoupling, writes, observed)
+        return self.registry.atomic_write(expanded)
 
     def _settle_groups(self, batches: list[list[ConditionalWrite]]) -> None:
         """Issue tx-id-conditioned batches, one per group, in order.
@@ -579,7 +595,7 @@ class TransactionManager:
                 logical.committed_write(tx.tx_id, ts, ts, logical.condition)
                 for logical in group_list[0]
             ]
-            if self._write(batch) is not None:
+            if self._write(batch, tx.read_set) is not None:
                 self._finish(tx, TxStatus.ABORTED)
                 raise ConflictAbort("single-batch commit lost a conflict")
             self._finish(tx, TxStatus.COMMITTED, self._tick())
@@ -592,7 +608,7 @@ class TransactionManager:
         for group in group_list:
             tx._prepared_groups.append(group)
             batch = [logical.prepared_write(tx.tx_id, tx.prepared_at) for logical in group]
-            if self._write(batch) is not None:
+            if self._write(batch, tx.read_set) is not None:
                 tx._prepared_groups.pop()
                 self._end(tx, self._claim_outcome(tx.tx_id, TxOutcome.ABORTED))
                 raise ConflictAbort("prepare lost a conflict")

@@ -258,11 +258,36 @@ def test_criterion_7_torn_read_safety():
         assert aborted == 100
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="known defect: the split-reads route loses updates (ROADMAP, Known defects)",
-)
+def test_split_reads_read_only_get_keeps_a_committed_write():
+    """A writer that dies past its commit point between the two split reads of a get.
+
+    The reader finds the writer's PREPARED metadata beside the application
+    row it read before the writer prepared. Rolling forward that torn pair
+    would store the old value under the writer's COMMITTED metadata.
+    """
+    env = build_env(decoupled=True, one_phase=False)
+    hook = _InterposingReader(env.adapters["s1"])
+    tx = env.manager.begin()
+    tx.put(k(), {"v": 0})
+    tx.commit()
+
+    def interpose():
+        writer = env.manager.begin()
+        writer.put(k(), {"v": 10})
+        # the outcome record lands, then the writer dies before its commit records
+        env.adapter("coord").inject_faults([(0, FaultKind.CRASH_AFTER_BATCH)])
+        with pytest.raises(InjectedCrash):
+            writer.commit()
+        env.adapter("coord").clear_faults()
+
+    reader = env.manager.begin()
+    hook.callback = interpose
+    assert reader.get(k()) == {"v": 10}
+    reader.commit()
+    assert env.manager.begin().get(k()) == {"v": 10}, "the writer's committed 10 was lost"
+    assert not [r for r in env.dump_all() if r.columns.get(COL_STATE) == "PREPARED"]
+
+
 def test_split_reads_read_modify_write_keeps_a_concurrent_update():
     """A writer landing between the two split reads of a read-modify-write."""
     env = build_env(decoupled=True)

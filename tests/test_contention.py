@@ -6,10 +6,11 @@ commits goes through the serialization-graph check and the atomicity audit;
 then no record may stay PREPARED and the sum of the values must equal three
 times the commits.
 
-The split-reads cases pin a known lost update, so they run hotter: twelve
-threads of 500 transactions over 4 keys. At 20 keys and six threads of 300,
-a run whose threads switched only every few milliseconds (as on a busy host)
-could lose no update at all, and that pass would break the strict mark.
+The split-reads cases run hotter: twelve threads of 500 transactions over 4
+keys. That route reads a key's two rows one after the other, so a writer can
+tear the pair, and the hot load makes torn reads common. At 20 keys and six
+threads of 300, a run whose threads switched only every few milliseconds (as
+on a busy host) could tear no pair at all.
 """
 
 import random
@@ -31,16 +32,6 @@ THREADS, TXS_PER_THREAD, KEYS_PER_TX = 6, 300, 3
 HOT_KEYS = [k(store, pk) for store in STORES for pk in range(2)]
 # mode -> (keys, threads, transactions a thread)
 CONTENTION = {"split_reads": (HOT_KEYS, 12, 500)}
-
-SPLIT_READS_LOSES_UPDATES = pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="known defect: the split-reads route loses updates (ROADMAP, Known defects)",
-)
-MODES = [
-    pytest.param(mode, marks=SPLIT_READS_LOSES_UPDATES if mode == "split_reads" else ())
-    for mode in METADATA_MODES
-]
 
 
 def dump_versions(env):
@@ -71,7 +62,7 @@ def worker(manager, seed, serializable, commits, keys, txs):
 
 
 @pytest.mark.parametrize("serializable", [False, True], ids=["plain", "serializable"])
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", list(METADATA_MODES))
 def test_contended_read_modify_writes_conserve_the_sum(mode, serializable):
     keys, thread_count, txs = CONTENTION.get(mode, (KEYS, THREADS, TXS_PER_THREAD))
     env = build_env(**mode_env_args(mode, STORES))
@@ -103,8 +94,6 @@ def test_contended_read_modify_writes_conserve_the_sum(mode, serializable):
     assert not any(thread.is_alive() for thread in threads), "a worker hung"
     env.manager.drain_commit_records()
 
-    # pytest.fail, not assert: the split-reads mark forgives only an
-    # AssertionError, so these three checks fail every mode.
     history = recorder.history(initial)
     history.final = dump_versions(env)
     violation = check_serializable(history)

@@ -9,6 +9,8 @@ from fedtx import (
     DecoupleConfig,
     JoinIntegrityError,
     TxState,
+    UNCONDITIONAL,
+    if_columns_equal,
     if_tx_id_equals,
 )
 from fedtx.decoupling import (
@@ -22,9 +24,15 @@ from fedtx.decoupling import (
 )
 from fedtx.model import TransactionMetadata, scope_of
 from fedtx.records import combined_columns, metadata_columns
-from conftest import build_env, k, make_caps
+from conftest import METADATA_MODES, build_env, k, make_caps, mode_env_args
 
 CFG = DecoupleConfig()
+MODE_PATHS = {
+    "colocated": ReadPath.COLOCATED,
+    "split_reads": ReadPath.SPLIT_READS,
+    "snapshot": ReadPath.SNAPSHOT,
+    "view": ReadPath.VIEW,
+}
 
 
 def committed_meta(tx_id="t0", version=1):
@@ -102,6 +110,44 @@ class TestExpandWrites:
         app, meta = physical
         assert app.key.table == "t" and app.condition.kind.name == "UNCONDITIONAL"
         assert meta.key.table == "t_meta" and meta.condition.expected_tx_id == "t9"
+
+    def test_a_split_read_conditions_the_application_row_on_its_columns(self):
+        env = seeded_env()
+        observed = {k(): read_split(env.registry, env.manager.decoupling, k())}
+        logical = ConditionalWrite(
+            k(), combined_columns({"v": 8}, committed_meta("t1", 2)), if_tx_id_equals("t0")
+        )
+        app, meta = expand_writes(env.registry, env.manager.decoupling, [logical], observed)
+        assert app.condition == if_columns_equal({"v": 7})
+        assert meta.condition == if_tx_id_equals("t0")
+
+    @pytest.mark.parametrize("consistent, view", [(True, False), (True, True)], ids=["snapshot", "view"])
+    def test_a_consistent_read_leaves_the_application_row_unconditional(self, consistent, view):
+        env = seeded_env(consistent=consistent, view=view)
+        observed = {k(): read_dispatch(env.registry, env.manager.decoupling, k())}
+        logical = ConditionalWrite(k(), combined_columns({"v": 8}, committed_meta("t1", 2)))
+        app, _ = expand_writes(env.registry, env.manager.decoupling, [logical], observed)
+        assert app.condition == UNCONDITIONAL
+
+    def test_an_absent_split_read_leaves_the_application_row_unconditional(self):
+        env = seeded_env()
+        observed = {k(pk=2): read_split(env.registry, env.manager.decoupling, k(pk=2))}
+        logical = ConditionalWrite(k(pk=2), combined_columns({"v": 8}, committed_meta()))
+        app, _ = expand_writes(env.registry, env.manager.decoupling, [logical], observed)
+        assert app.condition == UNCONDITIONAL
+
+    def test_a_torn_split_read_fails_its_batch(self):
+        env = seeded_env()
+        observed = {k(): read_split(env.registry, env.manager.decoupling, k())}
+        # another value under the same metadata: what a torn pair looks like
+        env.adapter("s1").atomic_write([ConditionalWrite(k(), {"v": 9})])
+        logical = ConditionalWrite(
+            k(), combined_columns({"v": 8}, committed_meta("t1", 2)), if_tx_id_equals("t0")
+        )
+        physical = expand_writes(env.registry, env.manager.decoupling, [logical], observed)
+        assert env.registry.atomic_write(physical) == 0
+        assert env.registry.read(k()).columns == {"v": 9}
+        assert env.registry.read(CFG.metadata_key(k())).columns["_tx_id"] == "t0"
 
     def test_single_batch_of_two_rows(self):
         env = build_env(decoupled=True)
@@ -202,6 +248,36 @@ class TestReadRoutes:
         view = read_split_view(env.registry, cfg, k())
         assert split.app_columns == snapshot.app_columns == view.app_columns
         assert split.meta == snapshot.meta == view.meta
+
+    def test_accessors_decode_once(self):
+        env = seeded_env()
+        result = read_split(env.registry, env.manager.decoupling, k())
+        assert (result.present, result.prepared, result.deleted) == (True, False, False)
+        assert result.meta is result.meta
+        assert result.app_columns is result.app_columns
+        absent = read_split(env.registry, env.manager.decoupling, k(pk=99))
+        assert (absent.present, absent.prepared) == (False, False)
+
+    @pytest.mark.parametrize("mode", list(METADATA_MODES))
+    def test_a_result_decoded_late_yields_what_was_read(self, mode):
+        """The stored rows a result keeps are snapshots, whatever is written after the read."""
+        env = build_env(**mode_env_args(mode))
+        cfg = env.manager.decoupling
+        tx = env.manager.begin()
+        tx.put(k(), {"v": 1})
+        tx.commit()
+        result = read_dispatch(env.registry, cfg, k())
+        assert result.path is MODE_PATHS[mode]
+        tx = env.manager.begin()
+        tx.put(k(), {"v": 2})
+        tx.commit()
+        tx = env.manager.begin()
+        tx.delete(k())
+        tx.commit()
+        assert read_dispatch(env.registry, cfg, k()).present is False
+        assert (result.present, result.prepared, result.deleted) == (True, False, False)
+        assert result.app_columns == {"v": 1}
+        assert (result.meta.version, result.meta.tx_state) == (1, TxState.COMMITTED)
 
     def test_snapshot_counts_one_db_transaction(self):
         env = seeded_env(consistent=True)

@@ -27,6 +27,7 @@ from fedtx import (
     UnknownView,
     WriteKind,
     build_memstore,
+    if_columns_equal,
     if_tx_id_equals,
 )
 from fedtx.memstore import OpCounters, RWLock
@@ -91,6 +92,17 @@ class TestReadWrite:
         s = store()
         assert s.atomic_write([put(k(), {"v": 1}, IF_NOT_EXISTS)]) is None
         assert s.atomic_write([put(k(), {"v": 2}, IF_NOT_EXISTS)]) == 0
+
+    def test_columns_condition_compares_every_column_tag_exactly(self):
+        s = store()
+        assert s.atomic_write([put(k(), {"v": 1, "b": True})]) is None
+        for expected in ({"v": 1, "b": 1}, {"v": 1}, {"v": 1, "b": True, "c": None}, {}):
+            assert s.atomic_write([put(k(), {"v": 2}, if_columns_equal(expected))]) == 0
+        assert s.atomic_write([put(k(pk=2), {"v": 2}, if_columns_equal({}))]) == 0  # absent
+        assert s.atomic_write([put(k(), {"v": 2}, if_columns_equal({"v": 1, "b": True}))]) is None
+        assert s.atomic_write([delete(k(), if_columns_equal({"v": 1, "b": True}))]) == 0
+        assert s.atomic_write([delete(k(), if_columns_equal({"v": 2}))]) is None
+        assert s.read(k()) is None
 
     def test_delete_with_tx_id_condition_on_absent_record_fails(self):
         s = store()
@@ -858,7 +870,7 @@ ops = st.lists(
         st.sampled_from(["put", "delete", "read", "scan"]),
         st.integers(0, 2),  # partition
         st.integers(0, 2),  # clustering
-        st.integers(0, 3),  # value / condition selector
+        st.integers(0, 5),  # value / condition selector
     ),
     max_size=40,
 )
@@ -877,6 +889,9 @@ class ReferenceMap:
             return True
         if kind.name == "IF_NOT_EXISTS":
             return current is None
+        if kind.name == "IF_COLUMNS_EQUAL":
+            expected = write.condition.expected_columns
+            return current == expected and all(type(current[n]) is type(v) for n, v in expected.items())
         return current is not None and current.get(COL_TX_ID) == write.condition.expected_tx_id
 
     def atomic_write(self, writes):
@@ -896,7 +911,14 @@ class ReferenceMap:
 def test_matches_reference_replay(schedule):
     s = MemStore("s1", MemStoreConfig(make_caps()))
     ref = ReferenceMap()
-    conditions = [UNCONDITIONAL, IF_NOT_EXISTS, if_tx_id_equals("a"), if_tx_id_equals("b")]
+    conditions = [
+        UNCONDITIONAL,
+        IF_NOT_EXISTS,
+        if_tx_id_equals("a"),
+        if_tx_id_equals("b"),
+        if_columns_equal({"v": 1, COL_TX_ID: "a"}),
+        if_columns_equal({"v": True, COL_TX_ID: "a"}),  # never holds: True is not 1
+    ]
     for op, pk, ck, x in schedule:
         key = k(pk=pk, ck=ck)
         if op == "put":

@@ -17,6 +17,7 @@ from fedtx import (
     UnknownStorage,
     WriteCondition,
     build_memstore,
+    if_columns_equal,
 )
 from fedtx.decoupling import ReadPath, read_dispatch
 from fedtx.model import TransactionMetadata, TxState
@@ -171,6 +172,15 @@ class TestDeclarations:
     def test_other_conditions_reject_id(self):
         with pytest.raises(ValueError):
             WriteCondition(ConditionKind.IF_NOT_EXISTS, "t1")
+
+    def test_columns_condition_requires_columns(self):
+        with pytest.raises(ValueError):
+            WriteCondition(ConditionKind.IF_COLUMNS_EQUAL)
+        with pytest.raises(ValueError):
+            WriteCondition(ConditionKind.IF_NOT_EXISTS, expected_columns={})
+        with pytest.raises(ValueError):
+            WriteCondition(ConditionKind.IF_COLUMNS_EQUAL, "t1", {})
+        assert if_columns_equal({"v": 1}).expected_columns == {"v": 1}
 
     def test_empty_batch_rejected(self):
         registry = registry_with("s1")

@@ -605,6 +605,30 @@ class TestRecovery:
         assert committed_value(env, k("s1")) == {"v": 1}
         assert committed_value(env, k("s2")) == {"v": 2}
 
+    def test_sweep_reads_again_after_a_torn_roll_forward(self):
+        """A sweep's roll-forward built from a torn split read fails, and the record is read again."""
+        env = build_env(decoupled=True, one_phase=False)
+        seed(env, k(), 0)
+        hook = ReadHook(env.adapters["s1"])
+
+        def commit_then_die(value):
+            writer = env.manager.begin()
+            writer.put(k(), {"v": value})
+            env.adapter("coord").inject_faults([(0, FaultKind.CRASH_AFTER_BATCH)])
+            with pytest.raises(InjectedCrash):
+                writer.commit()  # dies past its commit point, records still PREPARED
+            env.adapter("coord").clear_faults()
+
+        commit_then_die(10)
+        # Between the sweep's two reads, a second writer settles the first
+        # and dies past its own commit point: the sweep joins the first
+        # writer's value with the second writer's metadata.
+        hook.arm(lambda key: key.table == "t", lambda: commit_then_die(20))
+        assert env.manager.recover_all_prepared() == 1
+        assert hook.armed is None
+        assert not [r for r in env.dump_all() if r.columns.get(COL_STATE) == "PREPARED"]
+        assert committed_value(env, k()) == {"v": 20}
+
     def test_recovery_that_runs_out_of_attempts_leaves_the_transaction_active(self):
         env = build_env()
         seed(env, k(), 0)
@@ -1005,19 +1029,24 @@ class TestScopeCost:
             read()
             return calls.copy()
 
+        def decodes(count):
+            return {"split_columns": 0, "parse_metadata": count, "TxState": 0}
+
+        # A read-only get decodes no metadata at all.
         colocated = build_env()
         seed(colocated, k(), 1)
         tx = colocated.manager.begin()
-        assert decoded_by(lambda: tx.get(k())) == {"split_columns": 0, "parse_metadata": 1, "TxState": 0}
+        assert decoded_by(lambda: tx.get(k())) == decodes(0)
         assert tx.read_set[k()].path is ReadPath.COLOCATED
 
         caps = make_caps(AtomicityUnit.STORAGE, consistent=True, view=True)
         view = build_env({"s1": caps}, decoupled=True, register_views=True)
         seed(view, k(), 1)
         tx = view.manager.begin()
-        assert decoded_by(lambda: tx.get(k())) == {"split_columns": 0, "parse_metadata": 1, "TxState": 0}
+        assert decoded_by(lambda: tx.get(k())) == decodes(0)
         assert tx.read_set[k()].path is ReadPath.VIEW
 
+        # A scan decodes only the rows the transaction then rewrites.
         partition = build_env({"s1": make_caps(AtomicityUnit.PARTITION)})
         tx = partition.manager.begin()
         for ck in range(16):
@@ -1025,12 +1054,31 @@ class TestScopeCost:
         tx.commit()
         tx = partition.manager.begin()
         rows = []
-        assert decoded_by(lambda: rows.extend(tx.scan(GroupKey("s1", "app", "t", (1,))))) == {
-            "split_columns": 0,
-            "parse_metadata": 16,
-            "TxState": 0,
-        }
+
+        def scan_and_rewrite():
+            rows.extend(tx.scan(GroupKey("s1", "app", "t", (1,))))
+            for ck in range(0, 16, 4):
+                tx.put(k(ck=ck), {"v": -ck})
+            tx.commit()
+
+        assert decoded_by(scan_and_rewrite) == decodes(4)
         assert [columns for _, columns in rows] == [{"v": ck} for ck in range(16)]
+
+        # A read-modify-write decodes each key once: the metadata the commit
+        # needs for its condition is reused by the before-image.
+        cross = build_env({"s1": make_caps(), "s2": make_caps()})
+        keys = [k(store, pk) for store in ("s1", "s2") for pk in range(4)]
+        for key in keys:
+            seed(cross, key, 1)
+        tx = cross.manager.begin()
+
+        def read_modify_write():
+            for key in keys:
+                tx.put(key, {"v": tx.get(key)["v"] + 1})
+            tx.commit()
+
+        assert decoded_by(read_modify_write) == decodes(8)
+        assert [cross.manager.begin().get(key) for key in keys] == [{"v": 2}] * 8
 
     def test_each_put_is_checked_once_per_batch(self, monkeypatch):
         checked = []
@@ -1166,6 +1214,32 @@ class TestRowAliasing:
         assert victim.status is TxStatus.ABORTED
         assert {name: [dict(r.columns) for r in env.adapter(name).dump()] for name in ("s1", "s2")} == stored
 
+    @pytest.mark.parametrize("decoupled", [False, True], ids=["colocated", "split"])
+    def test_mutating_read_results_changes_no_later_read_or_before_image(self, decoupled):
+        env = build_env({"s1": make_caps(), "s2": make_caps()}, decoupled=decoupled)
+        scanned_keys = [k("s1", ck=ck) for ck in range(3)]
+        for key in scanned_keys + [k("s2")]:
+            seed(env, key, 1)
+        tx = env.manager.begin()
+        for columns in [tx.get(k("s1", ck=0))] + [c for _, c in tx.scan(GroupKey("s1", "app", "t", (1,)))]:
+            columns["v"] = -1
+            columns["extra"] = 0
+        assert tx.get(k("s1", ck=0)) == {"v": 1}
+        assert [c for _, c in tx.scan(GroupKey("s1", "app", "t", (1,)))] == [{"v": 1}] * 3
+
+        for key in scanned_keys + [k("s2")]:
+            tx.put(key, {"v": 10})
+        env.adapter("coord").inject_faults([(0, FaultKind.CRASH_BEFORE_BATCH)])
+        with pytest.raises(InjectedCrash):
+            tx.commit()
+        env.adapter("coord").clear_faults()
+        prepared = [r.columns for r in env.dump_all() if r.columns.get(COL_STATE) == "PREPARED"]
+        assert len(prepared) == 4
+        for columns in prepared:
+            assert fedtx.records.parse_metadata(columns).before_image.columns == {"v": 1}
+        tx.abort()
+        assert [committed_value(env, key) for key in scanned_keys] == [{"v": 1}] * 3
+
     def test_public_write_copies_the_callers_columns(self):
         store = build_env().adapter("s1")
         columns = {"v": 1}
@@ -1175,3 +1249,21 @@ class TestRowAliasing:
         assert store.atomic_write([write]) is None
         columns["v"] = 4
         assert dict(store.read(k()).columns) == {"v": 1}
+
+
+class TestReadDecoding:
+    """A read decodes its stored row on demand, and still rejects what it cannot decode."""
+
+    @pytest.mark.parametrize("mode", list(METADATA_MODES))
+    def test_an_unknown_state_still_raises_on_read(self, mode):
+        env = build_env(**mode_env_args(mode))
+        columns = combined_columns({"v": 1}, TransactionMetadata("t0", 1, TxState.COMMITTED, 1, 2))
+        columns[COL_STATE] = "LIMBO"
+        logical = ConditionalWrite(k(), columns)
+        env.registry.atomic_write(
+            fedtx.decoupling.expand_writes(env.registry, env.manager.decoupling, [logical])
+        )
+        with pytest.raises(ValueError, match="LIMBO"):
+            env.manager.begin().get(k())
+        with pytest.raises(ValueError, match="LIMBO"):
+            env.manager.begin().scan(GroupKey("s1", "app", "t", (1,)))
