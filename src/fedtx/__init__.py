@@ -8,6 +8,8 @@ per-record transaction metadata either inside the record or in a sibling table
 within the same atomic scope.
 """
 
+from types import ModuleType as _ModuleType
+
 from .decoupling import DecoupleConfig, ReadPath
 from .errors import (
     AtomicityScopeViolation,
@@ -36,9 +38,8 @@ from .model import (
     GroupKey,
     Record,
     TransactionMetadata,
-    TxOutcome,
     TxState,
-    derive_group_key,
+    TxStatus,
     render_key,
 )
 from .storage import (
@@ -58,7 +59,6 @@ from .transaction import (
     CoordinatorLocation,
     TransactionManager,
     TxHandle,
-    TxStatus,
 )
 from .verifier import (
     History,
@@ -69,4 +69,8 @@ from .verifier import (
     check_serializable,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

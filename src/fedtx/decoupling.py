@@ -35,8 +35,8 @@ import enum
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import CapabilityUnsupported, AtomicityScopeViolation, JoinIntegrityError
-from .model import AtomicityUnit, FullKey, TransactionMetadata, TxState, scope_of
+from .errors import AtomicityScopeViolation, JoinIntegrityError
+from .model import AtomicityUnit, FullKey, GroupKey, TransactionMetadata, TxState, scope_of
 from .records import (
     COL_DELETED,
     COL_STATE,
@@ -73,6 +73,13 @@ class DecoupleConfig:
         if self.namespaces is not None and key.namespace not in self.namespaces:
             return False
         return not key.table.endswith(META_TABLE_SUFFIX)
+
+    def holds_metadata(self, key: FullKey | GroupKey) -> bool:
+        """Whether ``key`` (a record or a scan prefix) is in a split namespace's metadata table."""
+        table = key.table
+        if table is None or not table.endswith(META_TABLE_SUFFIX):
+            return False
+        return self.namespaces is None or key.namespace in self.namespaces
 
     @staticmethod
     def metadata_key(key: FullKey) -> FullKey:
@@ -258,17 +265,6 @@ def _read_view(adapter: StorageAdapter, view_name: str, key: FullKey) -> ReadRes
         return ReadResult(None, None, ReadPath.VIEW)
     columns = record.columns
     return ReadResult(columns, columns, ReadPath.VIEW)
-
-
-def read_split_view(
-    registry: StorageRegistry, config: DecoupleConfig, key: FullKey
-) -> ReadResult:
-    """One read of the store-side join view; the join is pushed down."""
-    adapter = registry.get_database(key)
-    view_name = adapter.view_for(key)
-    if view_name is None:
-        raise CapabilityUnsupported(f"no join view registered for {key.render()}")
-    return _read_view(adapter, view_name, key)
 
 
 def read_dispatch(

@@ -1,55 +1,48 @@
 """Partitioning a write set into atomically-writable groups.
 
-Each write is bucketed under the prefix of its key dictated by the owning
-storage's atomicity unit (``model.scope_of``), so every bucket can be handed
-to its adapter as one atomic batch. A transaction whose whole write set lands
-in a single bucket and that needs no read validation can commit in one phase:
-a single batch of already-committed records, with no coordinator involvement.
+A write group is an atomicity-unit scope: each write is bucketed under the
+prefix of its key that the owning storage's atomicity unit keeps
+(``model.scope_of``), so every group can be handed to its adapter as one
+atomic batch. A transaction whose whole write set lands in a single group and
+that needs no read validation can commit in one phase: a single batch of
+already-committed records, with no coordinator involvement.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Sequence
 
-from .model import AtomicityUnit, FullKey, GroupKey, derive_group_key, scope_of
+from .model import AtomicityUnit, render_key, scope_of
 from .storage import StorageRegistry
 
 
-class KeyedWrite(Protocol):
-    key: FullKey
+def group_by_atomicity_unit(registry: StorageRegistry, writes: Iterable) -> list[list]:
+    """Bucket writes (anything with a ``key``) by their storage's atomic-write scope.
 
-
-def group_by_atomicity_unit(
-    registry: StorageRegistry, writes: Iterable[KeyedWrite]
-) -> dict[GroupKey, list]:
-    """Bucket writes by their storage's atomic-write scope.
-
-    The result is a partition of the input; iteration order is deterministic
-    (group keys sorted by their text rendering). Writes are bucketed by scope
-    tuple, so only one ``GroupKey`` is built per group.
+    The result is a partition of the input, ordered by the text rendering of
+    each group's scope.
     """
     buckets: dict[tuple, list] = {}
     for write in writes:
         unit = registry.get_atomicity_unit(write.key)
         buckets.setdefault(scope_of(write.key, unit), []).append(write)
-    return _in_render_order({GroupKey(*scope): group for scope, group in buckets.items()})
+    return _in_render_order(buckets)
 
 
-def group_per_record(writes: Iterable[KeyedWrite]) -> dict[GroupKey, list]:
+def group_per_record(writes: Iterable) -> list[list]:
     """Baseline grouping: every write is its own single-record batch."""
-    groups = {derive_group_key(w.key, AtomicityUnit.RECORD): [w] for w in writes}
-    return _in_render_order(groups)
+    return _in_render_order({scope_of(w.key, AtomicityUnit.RECORD): [w] for w in writes})
 
 
-def _in_render_order(groups: dict[GroupKey, list]) -> dict[GroupKey, list]:
-    """Groups sorted by key rendering; a lone group needs no rendering."""
-    if len(groups) < 2:
-        return groups
-    return {k: groups[k] for k in sorted(groups, key=GroupKey.render)}
+def _in_render_order(buckets: dict[tuple, list]) -> list[list]:
+    """Groups sorted by their scope's rendering; a lone group needs no rendering."""
+    if len(buckets) < 2:
+        return list(buckets.values())
+    return [buckets[scope] for scope in sorted(buckets, key=lambda scope: render_key(*scope))]
 
 
 def one_phase_eligible(
-    groups: Mapping[GroupKey, Sequence], serializable_mode: bool, validation_required: bool
+    groups: Sequence[Sequence], serializable_mode: bool, validation_required: bool
 ) -> bool:
     """One-phase commit applies to exactly one group with no validation pass."""
     return len(groups) == 1 and not serializable_mode and not validation_required

@@ -221,7 +221,7 @@ class MemStore(StorageAdapter):
         return Record._unchecked(key, MappingProxyType(columns)) if columns is not None else None
 
     def scan(self, prefix: GroupKey) -> list[Record]:
-        if prefix.partition_key is None:
+        if prefix.partition_key is None or prefix.clustering_key is not None:
             raise ValueError("scan prefix must identify one partition")
         latch = self._key_latch(
             FullKey(prefix.storage, prefix.namespace, prefix.table, prefix.partition_key)

@@ -13,8 +13,8 @@ here, unlike plain Python).
 An atomicity unit maps a key to its scope, the prefix of
 (storage, namespace, table, partition key, clustering key) that the unit keeps.
 ``scope_of`` is the one place that does so; it returns that prefix as a plain
-tuple, which is what the hot paths compare and hash. ``derive_group_key``
-wraps the same prefix in a validated ``GroupKey`` for callers that hand it on.
+tuple, which is what the hot paths compare and hash. A ``GroupKey`` is such a
+prefix written out by a caller: the partition a scan reads.
 
 Clustering keys are ordered by plain Python tuple comparison. That is the
 model's order, because a key component can only be an int, a str or a bytes
@@ -71,23 +71,6 @@ def value_tag(value) -> ValueTag:
     if isinstance(value, bytes):
         return ValueTag.BLOB
     raise TypeError(f"unsupported column value type: {type(value).__name__}")
-
-
-def compare_values(a, b) -> int:
-    """Three-way comparison of two scalars of the same tag.
-
-    Raises TypeError when the tags differ; there is no cross-tag order.
-    """
-    ta, tb = value_tag(a), value_tag(b)
-    if ta is not tb:
-        raise TypeError(f"cannot compare {ta.value} with {tb.value}")
-    if ta is ValueTag.NULL:
-        return 0
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
 
 
 def _check_key_components(name: str, components: tuple) -> None:
@@ -200,8 +183,8 @@ class AtomicityUnit(enum.IntEnum):
     STORAGE = 5
 
 
-# Depth of the populated group-key prefix per unit: STORAGE keeps only the
-# storage name, RECORD keeps everything down to the clustering key.
+# Depth of the scope prefix per unit: STORAGE keeps only the storage name,
+# RECORD keeps everything down to the clustering key.
 _UNIT_DEPTH = {
     AtomicityUnit.STORAGE: 1,
     AtomicityUnit.NAMESPACE: 2,
@@ -213,12 +196,10 @@ _UNIT_DEPTH = {
 
 @dataclass(frozen=True)
 class GroupKey:
-    """Prefix of a FullKey identifying one atomically-writable scope.
+    """Prefix of a FullKey; a scan names the partition it reads with one.
 
     Populated fields always form a prefix of
-    (storage, namespace, table, partition_key, clustering_key); the populated
-    depth is set by the atomicity unit the key was derived under. Two writes
-    with equal group keys can be applied together in one atomic batch.
+    (storage, namespace, table, partition_key, clustering_key).
     """
 
     storage: str
@@ -238,7 +219,7 @@ class GroupKey:
             if value is None:
                 seen_gap = True
             elif seen_gap:
-                raise ValueError("populated group-key fields must form a prefix")
+                raise ValueError("populated fields must form a prefix of the key")
 
     def render(self) -> str:
         return render_key(
@@ -260,11 +241,6 @@ def scope_of(key: FullKey, unit: AtomicityUnit) -> tuple:
     return (key.storage, key.namespace, key.table, key.partition_key, key.clustering_key)[
         : _UNIT_DEPTH[unit]
     ]
-
-
-def derive_group_key(key: FullKey, unit: AtomicityUnit) -> GroupKey:
-    """``scope_of`` as a validated ``GroupKey``, for scan prefixes and group dicts."""
-    return GroupKey(*scope_of(key, unit))
 
 
 def _render_value(value) -> str:
@@ -373,15 +349,29 @@ class TransactionMetadata:
         return meta
 
 
-class TxOutcome(enum.Enum):
+class TxStatus(enum.Enum):
+    """Where a transaction stands: still ACTIVE, or its one outcome.
+
+    A transaction that is still ACTIVE once its process has died never
+    reached an outcome of its own.
+    """
+
+    ACTIVE = "ACTIVE"
     COMMITTED = "COMMITTED"
     ABORTED = "ABORTED"
 
 
 @dataclass(frozen=True)
 class CoordinatorState:
-    """Write-once outcome record; the single source of truth for a transaction."""
+    """Write-once outcome record; the single source of truth for a transaction.
+
+    Its state is an outcome: COMMITTED or ABORTED, never ACTIVE.
+    """
 
     tx_id: str
-    state: TxOutcome
+    state: TxStatus
     created_at: int
+
+    def __post_init__(self):
+        if self.state is TxStatus.ACTIVE:
+            raise ValueError(f"outcome record of {self.tx_id} holds no outcome")

@@ -142,7 +142,11 @@ class StorageAdapter(ABC):
 
     @abstractmethod
     def scan(self, prefix: GroupKey) -> list[Record]:
-        """All records of one partition, ordered by clustering key."""
+        """All records of one partition, ordered by clustering key.
+
+        ``prefix`` names exactly one partition: its clustering key is None.
+        Any other prefix raises ValueError.
+        """
 
     @abstractmethod
     def atomic_write(self, writes: Sequence[ConditionalWrite]) -> int | None:

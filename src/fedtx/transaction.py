@@ -3,7 +3,8 @@
 Every transaction buffers its writes locally and commits through a pipeline
 that leans on each store's atomic-write scope:
 
-1. group the write set so each group fits one atomic batch (``grouping``);
+1. group the write set by atomicity-unit scope, so each group fits one
+   atomic batch (``grouping``);
 2. prepare each group in one conditional batch: records carry the new values
    in PREPARED state plus a before-image, and apply only if the record is
    still at the version this transaction observed (and, for a split read,
@@ -19,23 +20,24 @@ A transaction whose writes all land in one group and that needs no validation
 skips all of this and writes COMMITTED records directly in a single batch,
 touching neither the coordinator nor a second phase.
 
-Every two-phase transaction ends the same way: it claims an outcome with the
-write-once coordinator record (adopting the stored one if the claim loses),
-then settles each group it may have prepared to match: COMMITTED records, or
-before-images restored. Conflicts surface as ``ConflictAbort`` after that
-settling. ``abort()`` after a commit that crashed mid-pipeline claims ABORTED
-the same way: if the commit point had already passed, the records are rolled
-forward instead and ``abort()`` raises ``TransactionFinished``. A crashed
-one-phase commit has no outcome record: ``abort()`` reads one written key to
-learn whether the lone batch landed, and finishes to match. A record left
-PREPARED by a dead transaction is resolved lazily at read time from the
-coordinator: roll forward when the writer committed, roll back (claiming the
-abort first when there is no record yet) when it did not.
+A transaction's status is a ``TxStatus``: ACTIVE, then its one outcome,
+COMMITTED or ABORTED. Every two-phase transaction ends the same way: it claims
+an outcome with the write-once coordinator record (adopting the stored one if
+the claim loses), then settles each group it may have prepared to match:
+COMMITTED records, or before-images restored. Conflicts surface as
+``ConflictAbort`` after that settling. ``abort()`` after a commit that crashed
+mid-pipeline claims ABORTED the same way: if the commit point had already
+passed, the records are rolled forward instead and ``abort()`` raises
+``TransactionFinished``. A crashed one-phase commit has no outcome record:
+``abort()`` reads one written key to learn whether the lone batch landed, and
+finishes to match. A record left PREPARED by a dead transaction is resolved
+lazily at read time from the coordinator: roll forward when the writer
+committed, roll back (claiming the abort first when there is no record yet)
+when it did not.
 """
 
 from __future__ import annotations
 
-import enum
 import logging
 import queue
 import threading
@@ -44,7 +46,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 from .decoupling import (
-    META_TABLE_SUFFIX,
     DecoupleConfig,
     ReadPath,
     ReadResult,
@@ -66,8 +67,8 @@ from .model import (
     FullKey,
     GroupKey,
     TransactionMetadata,
-    TxOutcome,
     TxState,
+    TxStatus,
     check_columns,
     scope_of,
 )
@@ -85,6 +86,7 @@ from .storage import (
     WriteKind,
     if_tx_id_equals,
 )
+from .verifier import TxSummary
 
 _RECOVERY_ATTEMPTS = 10
 _COMMIT_QUEUE_SIZE = 64
@@ -107,28 +109,16 @@ class CoordinatorLocation:
         return FullKey(self.storage, self.namespace, self.table, (tx_id,))
 
 
-class TxStatus(enum.Enum):
-    ACTIVE = "ACTIVE"
-    COMMITTED = "COMMITTED"
-    ABORTED = "ABORTED"
-
-
-@dataclass
-class BufferedWrite:
-    kind: WriteKind
-    columns: dict | None
-
-
 @dataclass(slots=True, eq=False)
 class _LogicalWrite:
     """A write-set entry resolved against its observed base version.
 
-    Its version and its ``condition`` are fixed when ``_materialize_writes``
-    builds it: the observed tx id, or absence when nothing was observed.
+    ``columns`` is None for a delete. Its version and its ``condition`` are
+    fixed when ``_materialize_writes`` builds it: the observed tx id, or
+    absence when nothing was observed.
     """
 
     key: FullKey
-    kind: WriteKind
     columns: Mapping[str, object] | None
     observed: ReadResult
     version: int
@@ -151,9 +141,9 @@ class _LogicalWrite:
             prepared_at=prepared_at,
             committed_at=None,
             before_image=self.before_image(),
-            delete_marker=self.kind is WriteKind.DELETE,
+            delete_marker=self.columns is None,
         )
-        columns = {} if self.kind is WriteKind.DELETE else self.columns
+        columns = {} if self.columns is None else self.columns
         return ConditionalWrite._owning(self.key, combined_columns(columns, meta), self.condition)
 
     def committed_write(
@@ -168,8 +158,7 @@ class _LogicalWrite:
             before_image=None,
             delete_marker=False,
         )
-        columns = None if self.kind is WriteKind.DELETE else self.columns
-        return _committed_write(self.key, columns, meta, condition)
+        return _committed_write(self.key, self.columns, meta, condition)
 
 
 def _committed_write(
@@ -190,14 +179,21 @@ def _restore_write(key: FullKey, before: BeforeImage | None, condition) -> Condi
     )
 
 
-@dataclass(frozen=True)
-class AttemptInfo:
-    """What a commit attempt was about to write; built only for a history sink."""
-
-    tx_id: str
-    writes: Mapping[str, int]  # rendered key -> intended version
-    one_phase: bool
-    deletes: tuple[str, ...] = ()  # rendered keys of the writes that delete
+def _attempt(tx: TxHandle, logicals=(), one_phase: bool = False) -> TxSummary:
+    """``tx``'s history entry before it has an outcome: what it read and means to write."""
+    return TxSummary(
+        tx.tx_id,
+        TxStatus.ACTIVE,
+        tx.begin_at,
+        None,
+        reads=tuple(
+            (key.render(), obs.meta.version if obs.present else 0)
+            for key, obs in tx.read_set.items()
+        ),
+        writes=tuple((logical.key.render(), logical.version) for logical in logicals),
+        one_phase=one_phase,
+        deletes=tuple(logical.key.render() for logical in logicals if logical.columns is None),
+    )
 
 
 class TxHandle:
@@ -210,8 +206,8 @@ class TxHandle:
         self.begin_at = begin_at
         self.status = TxStatus.ACTIVE
         self.read_set: dict[FullKey, ReadResult] = {}
-        self.write_set: dict[FullKey, BufferedWrite] = {}
-        self.attempt: AttemptInfo | None = None
+        self.write_set: dict[FullKey, dict | None] = {}  # None deletes the key
+        self.attempt: TxSummary | None = None  # built at commit for a history sink
         self.prepared_at: int | None = None
         self._prepared_groups: list[list[_LogicalWrite]] = []  # may hold PREPARED records
         self._one_phase_batch: list[_LogicalWrite] | None = None  # issued; may have applied
@@ -220,20 +216,29 @@ class TxHandle:
         if self.status is not TxStatus.ACTIVE:
             raise TransactionFinished(f"transaction {self.tx_id} is {self.status.value}")
 
+    def _check_access(self, key: FullKey | GroupKey) -> None:
+        """Refuse a finished transaction, and a key in a split namespace's metadata table."""
+        self._check_active()
+        config = self._manager.decoupling
+        if config is not None and config.holds_metadata(key):
+            raise ValueError(f"{key.render()} is in a metadata table")
+
     def get(self, key: FullKey) -> dict | None:
+        self._check_access(key)
         return self._manager._get(self, key)
 
     def put(self, key: FullKey, columns: Mapping[str, object]) -> None:
-        self._check_active()
+        self._check_access(key)
         check_columns(columns)  # first: the prefix check needs str names
         check_application_columns(columns)
-        self.write_set[key] = BufferedWrite(WriteKind.PUT, dict(columns))
+        self.write_set[key] = dict(columns)
 
     def delete(self, key: FullKey) -> None:
-        self._check_active()
-        self.write_set[key] = BufferedWrite(WriteKind.DELETE, None)
+        self._check_access(key)
+        self.write_set[key] = None
 
     def scan(self, prefix: GroupKey) -> list[tuple[FullKey, dict]]:
+        self._check_access(prefix)
         return self._manager._scan(self, prefix)
 
     def commit(self) -> None:
@@ -287,10 +292,9 @@ class TransactionManager:
         return TxHandle(self, self._tx_id_factory(), serializable, self._tick())
 
     def _get(self, tx: TxHandle, key: FullKey) -> dict | None:
-        tx._check_active()
-        buffered = tx.write_set.get(key)
-        if buffered is not None:
-            return dict(buffered.columns) if buffered.kind is WriteKind.PUT else None
+        if key in tx.write_set:
+            columns = tx.write_set[key]
+            return None if columns is None else dict(columns)
         cached = tx.read_set.get(key)
         if cached is None:
             cached = self._observe(key)
@@ -299,7 +303,6 @@ class TransactionManager:
 
     def _scan(self, tx: TxHandle, prefix: GroupKey) -> list[tuple[FullKey, dict]]:
         """Partition scan; every returned record lands in the read set individually."""
-        tx._check_active()
         merged: dict[FullKey, dict] = {}
         for record in self.registry.scan(prefix):
             key = record.key
@@ -315,13 +318,13 @@ class TransactionManager:
                 merged[key] = obs.app_columns.copy()
         # overlay this transaction's own buffered writes
         scope = prefix.scope()
-        for key, buffered in tx.write_set.items():
+        for key, columns in tx.write_set.items():
             if scope_of(key, AtomicityUnit.PARTITION) != scope:
                 continue
-            if buffered.kind is WriteKind.DELETE:
+            if columns is None:
                 merged.pop(key, None)
             else:
-                merged[key] = dict(buffered.columns)
+                merged[key] = dict(columns)
         return sorted(merged.items(), key=lambda item: item[0].clustering_key)
 
     # -- reads and recovery ----------------------------------------------------
@@ -352,11 +355,11 @@ class TransactionManager:
             return None
         return CoordinatorState(
             tx_id,
-            TxOutcome(record.columns[COORD_STATE_COLUMN]),
+            TxStatus(record.columns[COORD_STATE_COLUMN]),
             record.columns[COORD_CREATED_COLUMN],
         )
 
-    def _claim_outcome(self, tx_id: str, proposed: TxOutcome) -> CoordinatorState:
+    def _claim_outcome(self, tx_id: str, proposed: TxStatus) -> CoordinatorState:
         """Write-once outcome record: create it with ``proposed``, or adopt the stored one."""
         created_at = self._tick()
         write = ConditionalWrite(
@@ -373,9 +376,9 @@ class TransactionManager:
         meta = obs.meta
         # No outcome yet: claim the abort; the writer's own claim may still win.
         state = self._read_coordinator(meta.tx_id) or self._claim_outcome(
-            meta.tx_id, TxOutcome.ABORTED
+            meta.tx_id, TxStatus.ABORTED
         )
-        if state.state is TxOutcome.COMMITTED:
+        if state.state is TxStatus.COMMITTED:
             self._roll_forward(key, obs, state.created_at)
         else:
             self._roll_back(key, obs)
@@ -408,10 +411,8 @@ class TransactionManager:
                 if record.columns.get(COL_STATE) != TxState.PREPARED.value:
                     continue
                 key = record.key
-                if self.decoupling is not None and key.table.endswith(META_TABLE_SUFFIX):
-                    app_key = self.decoupling.application_key(key)
-                    if self.decoupling.applies_to(app_key):
-                        key = app_key
+                if self.decoupling is not None and self.decoupling.holds_metadata(key):
+                    key = self.decoupling.application_key(key)
                 obs = read_dispatch(self.registry, self.decoupling, key)
                 if obs.prepared:
                     self._observe(key, obs)
@@ -422,14 +423,14 @@ class TransactionManager:
 
     def _materialize_writes(self, tx: TxHandle) -> list[_LogicalWrite]:
         logicals = []
-        for key, buffered in tx.write_set.items():
+        for key, columns in tx.write_set.items():
             observed = tx.read_set.get(key)
             if observed is None:
                 # Blind write: settle the base version now so the conditional
                 # write and the before-image are well-defined.
                 observed = self._observe(key)
                 tx.read_set[key] = observed
-            if buffered.kind is WriteKind.DELETE and not observed.present:
+            if columns is None and not observed.present:
                 continue  # deleting nothing is a no-op
             meta = observed.meta
             if meta is not None:
@@ -437,9 +438,7 @@ class TransactionManager:
                 condition = if_tx_id_equals(meta.tx_id)
             else:
                 version, condition = 1, IF_NOT_EXISTS
-            logicals.append(
-                _LogicalWrite(key, buffered.kind, buffered.columns, observed, version, condition)
-            )
+            logicals.append(_LogicalWrite(key, columns, observed, version, condition))
         return logicals
 
     def _validation_plan(
@@ -516,7 +515,7 @@ class TransactionManager:
         condition was settled by a recovery, and maybe overwritten since.
         """
         condition = if_tx_id_equals(tx.tx_id)
-        committed = state.state is TxOutcome.COMMITTED
+        committed = state.state is TxStatus.COMMITTED
         commit_at = self._tick() if committed else None
         batches = [
             [
@@ -537,22 +536,8 @@ class TransactionManager:
     def _finish(self, tx: TxHandle, status: TxStatus, commit_at: int | None = None):
         tx.status = status
         if self.history is not None:
-            reads = tuple(
-                (key.render(), obs.meta.version if obs.present else 0)
-                for key, obs in tx.read_set.items()
-            )
-            attempt = tx.attempt
-            writes = tuple(attempt.writes.items()) if attempt is not None else ()
-            self.history.record(
-                tx_id=tx.tx_id,
-                outcome=status.value,
-                begin_at=tx.begin_at,
-                commit_at=commit_at,
-                reads=reads,
-                writes=writes,
-                one_phase=bool(attempt and attempt.one_phase),
-                deletes=attempt.deletes if attempt is not None else (),
-            )
+            attempt = tx.attempt or _attempt(tx)
+            self.history.record(replace(attempt, outcome=status, commit_at=commit_at))
 
     def _commit_pipeline(self, tx: TxHandle) -> None:
         logicals = self._materialize_writes(tx)
@@ -572,28 +557,18 @@ class TransactionManager:
             groups = group_by_atomicity_unit(self.registry, logicals)
         else:
             groups = group_per_record(logicals)
-        group_list = list(groups.values())
         one_phase = self.one_phase_enabled and one_phase_eligible(
             groups, tx.serializable, bool(plan)
         )
         if self.history is not None:
-            tx.attempt = AttemptInfo(
-                tx_id=tx.tx_id,
-                writes={logical.key.render(): logical.version for logical in logicals},
-                one_phase=one_phase,
-                deletes=tuple(
-                    logical.key.render()
-                    for logical in logicals
-                    if logical.kind is WriteKind.DELETE
-                ),
-            )
+            tx.attempt = _attempt(tx, logicals, one_phase)
 
         if one_phase:
             ts = self._tick()
-            tx._one_phase_batch = group_list[0]  # a crash may still land the batch
+            tx._one_phase_batch = groups[0]  # a crash may still land the batch
             batch = [
                 logical.committed_write(tx.tx_id, ts, ts, logical.condition)
-                for logical in group_list[0]
+                for logical in groups[0]
             ]
             if self._write(batch, tx.read_set) is not None:
                 self._finish(tx, TxStatus.ABORTED)
@@ -605,26 +580,26 @@ class TransactionManager:
         # first conflict. A group is listed before its batch is issued, since
         # a crash may still land the batch.
         tx.prepared_at = self._tick()
-        for group in group_list:
+        for group in groups:
             tx._prepared_groups.append(group)
             batch = [logical.prepared_write(tx.tx_id, tx.prepared_at) for logical in group]
             if self._write(batch, tx.read_set) is not None:
                 tx._prepared_groups.pop()
-                self._end(tx, self._claim_outcome(tx.tx_id, TxOutcome.ABORTED))
+                self._end(tx, self._claim_outcome(tx.tx_id, TxStatus.ABORTED))
                 raise ConflictAbort("prepare lost a conflict")
 
         # Validate phase: re-read whatever the conditions above cannot cover.
         if plan:
             mismatch = self._validate(plan)
             if mismatch is not None:
-                self._end(tx, self._claim_outcome(tx.tx_id, TxOutcome.ABORTED))
+                self._end(tx, self._claim_outcome(tx.tx_id, TxStatus.ABORTED))
                 raise ConflictAbort(mismatch)
 
         # Commit point: the write-once outcome record; a lazy recovery may
         # have claimed the abort first.
-        state = self._claim_outcome(tx.tx_id, TxOutcome.COMMITTED)
+        state = self._claim_outcome(tx.tx_id, TxStatus.COMMITTED)
         self._end(tx, state)
-        if state.state is TxOutcome.ABORTED:
+        if state.state is TxStatus.ABORTED:
             raise ConflictAbort("aborted by a lazy recovery")
 
     def _commit_record_worker(self):
@@ -657,7 +632,7 @@ class TransactionManager:
         """Whether a crashed one-phase batch landed; it is atomic, so one key decides."""
         first = tx._one_phase_batch[0]
         obs = self._observe(first.key)
-        if first.kind is WriteKind.DELETE:
+        if first.columns is None:
             return not obs.present
         return obs.present and obs.meta.tx_id == tx.tx_id
 
@@ -666,7 +641,7 @@ class TransactionManager:
             if tx._prepared_groups:
                 # A crashed commit may have passed its commit point; if so the
                 # claim adopts COMMITTED and the records are rolled forward.
-                self._end(tx, self._claim_outcome(tx.tx_id, TxOutcome.ABORTED))
+                self._end(tx, self._claim_outcome(tx.tx_id, TxStatus.ABORTED))
             elif tx._one_phase_batch is not None and self._one_phase_applied(tx):
                 self._finish(tx, TxStatus.COMMITTED, self._tick())
             else:

@@ -11,7 +11,9 @@ docstring says why.
 
 ``audit_atomicity`` cross-checks a store dump against the attempt log: after
 recovery has settled every in-doubt record, each attempted transaction must
-have either all of its writes in the committed lineage or none of them.
+have either all of its writes in the committed lineage or none of them. An
+attempt logged while still ACTIVE died mid-commit; the coordinator record
+decides its outcome, or for a one-phase attempt the dump does.
 
 Record keys appear in their canonical text rendering and act as opaque
 identities here.
@@ -25,16 +27,20 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .decoupling import META_TABLE_SUFFIX, DecoupleConfig
-from .model import Record, TxOutcome, TxState
+from .model import Record, TxState, TxStatus
 from .records import COL_STATE, COL_TX_ID, COL_VERSION
 
 
 @dataclass(frozen=True)
 class TxSummary:
-    """One finished commit attempt, as the manager reported it."""
+    """One commit attempt, as the manager reported it.
+
+    ``outcome`` is the transaction's status: COMMITTED, ABORTED, or ACTIVE for
+    an attempt whose process died mid-commit.
+    """
 
     tx_id: str
-    outcome: str  # COMMITTED | ABORTED | UNKNOWN (crashed mid-commit)
+    outcome: TxStatus
     begin_at: int | None
     commit_at: int | None
     reads: tuple[tuple[str, int], ...] = ()
@@ -52,7 +58,7 @@ class History:
     final: dict[str, int] | None = None
 
     def committed(self) -> list[TxSummary]:
-        return [e for e in self.entries if e.outcome == "COMMITTED"]
+        return [e for e in self.entries if e.outcome is TxStatus.COMMITTED]
 
 
 class HistoryRecorder:
@@ -62,40 +68,10 @@ class HistoryRecorder:
         self._lock = threading.Lock()
         self._entries: list[TxSummary] = []
 
-    def record(self, tx_id, outcome, begin_at, commit_at, reads, writes, one_phase, deletes=()):
-        entry = TxSummary(
-            tx_id=tx_id,
-            outcome=outcome,
-            begin_at=begin_at,
-            commit_at=commit_at,
-            reads=tuple(reads),
-            writes=tuple(writes),
-            one_phase=one_phase,
-            deletes=tuple(deletes),
-        )
+    def record(self, entry: TxSummary) -> None:
+        """Log one attempt; an entry still ACTIVE is one whose process died mid-commit."""
         with self._lock:
             self._entries.append(entry)
-
-    def record_crashed(
-        self,
-        tx_id: str,
-        writes: Mapping[str, int],
-        one_phase: bool,
-        deletes: Iterable[str] = (),
-    ):
-        """Log an attempt whose process died mid-commit; outcome unknown."""
-        with self._lock:
-            self._entries.append(
-                TxSummary(
-                    tx_id=tx_id,
-                    outcome="UNKNOWN",
-                    begin_at=None,
-                    commit_at=None,
-                    writes=tuple(writes.items()),
-                    one_phase=one_phase,
-                    deletes=tuple(deletes),
-                )
-            )
 
     def history(self, initial: Mapping[str, int] | None = None) -> History:
         with self._lock:
@@ -249,11 +225,11 @@ class LineageAnomaly:
 
 def _coordinator_states(records: Iterable[Record], coordinator_table: tuple[str, str, str]):
     storage, namespace, table = coordinator_table
-    states: dict[str, str] = {}
+    states: dict[str, TxStatus] = {}
     for record in records:
         key = record.key
         if (key.storage, key.namespace, key.table) == (storage, namespace, table):
-            states[key.partition_key[0]] = record.columns["tx_state"]
+            states[key.partition_key[0]] = TxStatus(record.columns["tx_state"])
     return states
 
 
@@ -303,9 +279,9 @@ def audit_atomicity(
     unresolved: list[TxSummary] = []
     for entry in history.entries:
         outcome = states.get(entry.tx_id, entry.outcome)
-        if outcome == TxOutcome.COMMITTED.value:
+        if outcome is TxStatus.COMMITTED:
             durable.append(entry)
-        elif outcome == TxOutcome.ABORTED.value:
+        elif outcome is TxStatus.ABORTED:
             aborted.append(entry)
         elif entry.one_phase:
             # No coordinator record by design: the single batch either

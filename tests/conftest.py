@@ -17,6 +17,7 @@ from fedtx import (
     TransactionManager,
     build_memstore,
 )
+from fedtx.model import ValueTag, value_tag
 from fedtx.transaction import CoordinatorLocation
 
 
@@ -30,6 +31,23 @@ SEVEN_METADATA_COLUMNS = {
     "_tx_deleted",
     "_tx_before",
 }
+
+
+def compare_values(a, b) -> int:
+    """Oracle: three-way comparison of two scalars of the same tag.
+
+    Raises TypeError when the tags differ; there is no cross-tag order.
+    """
+    ta, tb = value_tag(a), value_tag(b)
+    if ta is not tb:
+        raise TypeError(f"cannot compare {ta.value} with {tb.value}")
+    if ta is ValueTag.NULL:
+        return 0
+    if a < b:
+        return -1
+    if a > b:
+        return 1
+    return 0
 
 
 def make_caps(unit=AtomicityUnit.STORAGE, consistent=False, view=False):

@@ -17,7 +17,7 @@ from fedtx import (
     InjectedCrash,
     RecoveryFailed,
 )
-from fedtx.decoupling import read_split, read_split_snapshot, read_split_view
+from fedtx.decoupling import ReadPath, read_dispatch, read_split, read_split_snapshot
 from fedtx.records import COL_STATE, is_metadata_column
 from fedtx.verifier import HistoryRecorder, audit_atomicity, check_serializable
 from conftest import METADATA_MODES, build_env, k, make_caps, mode_env_args, run_workload
@@ -197,9 +197,7 @@ def test_criterion_6_crash_atomicity():
                 except InjectedCrash:
                     crashes += 1
                     if tx.attempt is not None:
-                        recorder.record_crashed(
-                            tx.tx_id, tx.attempt.writes, tx.attempt.one_phase
-                        )
+                        recorder.record(tx.attempt)
                 except (ConflictAbort, RecoveryFailed):
                     pass
 
@@ -333,7 +331,8 @@ def test_criterion_8_read_route_equivalence():
             key = k(pk=pk)
             split = read_split(env.registry, cfg, key)
             snapshot = read_split_snapshot(env.registry, cfg, key)
-            view = read_split_view(env.registry, cfg, key)
+            view = read_dispatch(env.registry, cfg, key)
+            assert view.path is ReadPath.VIEW
             assert split.app_columns == snapshot.app_columns == view.app_columns
             assert split.meta == snapshot.meta == view.meta
 

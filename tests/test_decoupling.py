@@ -20,7 +20,6 @@ from fedtx.decoupling import (
     read_dispatch,
     read_split,
     read_split_snapshot,
-    read_split_view,
 )
 from fedtx.model import TransactionMetadata, scope_of
 from fedtx.records import combined_columns, metadata_columns
@@ -245,7 +244,8 @@ class TestReadRoutes:
         cfg = env.manager.decoupling
         split = read_split(env.registry, cfg, k())
         snapshot = read_split_snapshot(env.registry, cfg, k())
-        view = read_split_view(env.registry, cfg, k())
+        view = read_dispatch(env.registry, cfg, k())
+        assert view.path is ReadPath.VIEW
         assert split.app_columns == snapshot.app_columns == view.app_columns
         assert split.meta == snapshot.meta == view.meta
 
@@ -289,6 +289,6 @@ class TestReadRoutes:
     def test_view_counts_one_read(self):
         env = seeded_env(consistent=True, view=True)
         env.adapter("s1").reset_counters()
-        read_split_view(env.registry, env.manager.decoupling, k())
+        assert read_dispatch(env.registry, env.manager.decoupling, k()).path is ReadPath.VIEW
         counters = env.counters("s1")
         assert (counters.reads, counters.view_reads, counters.db_transactions) == (1, 1, 0)

@@ -2,8 +2,9 @@
 
 from hypothesis import given, strategies as st
 
-from fedtx import AtomicityUnit, ConditionalWrite, GroupKey, derive_group_key
+from fedtx import AtomicityUnit, ConditionalWrite, render_key
 from fedtx.grouping import group_by_atomicity_unit, group_per_record, one_phase_eligible
+from fedtx.model import scope_of
 from conftest import build_env, k, make_caps
 
 
@@ -20,37 +21,37 @@ def test_two_storage_unit_stores_give_two_groups_of_four():
     registry = two_storage_registry()
     writes = [write(k(s, pk=i)) for s in ("s1", "s2") for i in range(4)]
     groups = group_by_atomicity_unit(registry, writes)
-    assert {key.render(): len(ws) for key, ws in groups.items()} == {"s1": 4, "s2": 4}
+    assert [[w.key.storage for w in ws] for ws in groups] == [["s1"] * 4, ["s2"] * 4]
 
 
 def test_partition_unit_buckets_by_partition():
     registry = build_env({"s1": make_caps(AtomicityUnit.PARTITION)}).registry
     writes = [write(k(pk=1, ck=1)), write(k(pk=1, ck=2)), write(k(pk=2, ck=1))]
     groups = group_by_atomicity_unit(registry, writes)
-    assert sorted(len(ws) for ws in groups.values()) == [1, 2]
+    assert sorted(len(ws) for ws in groups) == [1, 2]
 
 
 def test_empty_write_set():
-    assert group_by_atomicity_unit(two_storage_registry(), []) == {}
+    assert group_by_atomicity_unit(two_storage_registry(), []) == []
 
 
 def test_iteration_order_is_sorted_by_rendering():
     registry = two_storage_registry()
     writes = [write(k("s2")), write(k("s1"))]
     groups = group_by_atomicity_unit(registry, writes)
-    assert [key.render() for key in groups] == ["s1", "s2"]
+    assert [ws[0].key.storage for ws in groups] == ["s1", "s2"]
 
 
 def test_per_record_grouping_gives_singletons():
     writes = [write(k(pk=i)) for i in range(5)]
     groups = group_per_record(writes)
     assert len(groups) == 5
-    assert all(len(ws) == 1 for ws in groups.values())
+    assert all(len(ws) == 1 for ws in groups)
 
 
 class TestOnePhaseEligibility:
-    single = {GroupKey("s1"): [1]}
-    double = {GroupKey("s1"): [1], GroupKey("s2"): [2]}
+    single = [[1]]
+    double = [[1], [2]]
 
     def test_single_group_no_validation(self):
         assert one_phase_eligible(self.single, False, False) is True
@@ -80,12 +81,16 @@ def test_grouping_partitions_the_write_set(key_list):
     )
     writes = [write(key) for key in key_list]
     groups = group_by_atomicity_unit(env.registry, writes)
-    assert sum(len(ws) for ws in groups.values()) == len(writes)
+    assert sum(len(ws) for ws in groups) == len(writes)
     seen = set()
-    for group_key, members in groups.items():
+    scopes = set()
+    for members in groups:
+        unit = env.registry.get_atomicity_unit(members[0].key)
+        scope = scope_of(members[0].key, unit)
+        assert scope not in scopes  # one group per scope
+        scopes.add(scope)
         for member in members:
-            unit = env.registry.get_atomicity_unit(member.key)
-            assert derive_group_key(member.key, unit) == group_key
+            assert scope_of(member.key, env.registry.get_atomicity_unit(member.key)) == scope
             assert id(member) not in seen
             seen.add(id(member))
 
@@ -94,9 +99,9 @@ def render_ordered(registry, writes, unit=None):
     """Reference grouping: buckets sorted by their key rendering, at any size."""
     buckets = {}
     for w in writes:
-        scope = unit or registry.get_atomicity_unit(w.key)
-        buckets.setdefault(derive_group_key(w.key, scope), []).append(w)
-    return [(key, buckets[key]) for key in sorted(buckets, key=GroupKey.render)]
+        scope = scope_of(w.key, unit or registry.get_atomicity_unit(w.key))
+        buckets.setdefault(render_key(*scope), []).append(w)
+    return [buckets[rendered] for rendered in sorted(buckets)]
 
 
 @given(st.lists(keys, min_size=1, max_size=12, unique=True))
@@ -105,10 +110,6 @@ def test_group_order_is_the_render_order_at_every_size(key_list):
         {"s1": make_caps(AtomicityUnit.PARTITION), "s2": make_caps(AtomicityUnit.STORAGE)}
     )
     writes = [write(key) for key in key_list]
-    assert list(group_by_atomicity_unit(env.registry, writes).items()) == render_ordered(
-        env.registry, writes
-    )
-    assert list(group_per_record(writes).items()) == render_ordered(
-        env.registry, writes, AtomicityUnit.RECORD
-    )
+    assert group_by_atomicity_unit(env.registry, writes) == render_ordered(env.registry, writes)
+    assert group_per_record(writes) == render_ordered(env.registry, writes, AtomicityUnit.RECORD)
 

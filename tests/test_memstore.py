@@ -31,9 +31,9 @@ from fedtx import (
     if_tx_id_equals,
 )
 from fedtx.memstore import OpCounters, RWLock
-from fedtx.model import compare_values, scope_of
+from fedtx.model import scope_of
 from fedtx.records import COL_TX_ID
-from conftest import k, make_caps
+from conftest import compare_values, k, make_caps
 
 
 def store(unit=AtomicityUnit.STORAGE, consistent=False, view=False):
@@ -281,6 +281,8 @@ class TestScan:
     def test_scan_requires_partition_depth(self):
         with pytest.raises(ValueError):
             store().scan(GroupKey("s1", "app", "t"))
+        with pytest.raises(ValueError):  # a clustering key is deeper than one partition
+            store().scan(GroupKey("s1", "app", "t", (1,), (1,)))
 
     @pytest.mark.parametrize("unit", [AtomicityUnit.STORAGE, AtomicityUnit.PARTITION])
     @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -3,6 +3,7 @@
 import enum
 import json
 import random
+import types
 from dataclasses import astuple
 
 import pytest
@@ -16,15 +17,13 @@ from fedtx.model import (
     Record,
     TransactionMetadata,
     TxState,
-    compare_values,
-    derive_group_key,
     render_key,
     scope_of,
     value_tag,
     ValueTag,
 )
 from fedtx.records import metadata_columns
-from conftest import build_env
+from conftest import build_env, compare_values
 
 KEY = FullKey("s1", "ns", "t", (5,), (2,))
 
@@ -148,23 +147,19 @@ class TestRendering:
             assert render_key("s", partition_key=(value,)) == f"s/pk=[{expected}]"
 
 
-class TestGroupKeyDerivation:
+class TestScopeOf:
     def test_storage_unit_keeps_only_storage(self):
-        assert derive_group_key(KEY, AtomicityUnit.STORAGE) == GroupKey(storage="s1")
+        assert scope_of(KEY, AtomicityUnit.STORAGE) == ("s1",)
 
     def test_record_unit_keeps_everything(self):
-        assert derive_group_key(KEY, AtomicityUnit.RECORD) == GroupKey(
-            "s1", "ns", "t", (5,), (2,)
-        )
+        assert scope_of(KEY, AtomicityUnit.RECORD) == ("s1", "ns", "t", (5,), (2,))
 
     def test_partition_unit_stops_at_partition_key(self):
-        assert derive_group_key(KEY, AtomicityUnit.PARTITION) == GroupKey(
-            "s1", "ns", "t", (5,)
-        )
+        assert scope_of(KEY, AtomicityUnit.PARTITION) == ("s1", "ns", "t", (5,))
 
     def test_namespace_and_table_depths(self):
-        assert derive_group_key(KEY, AtomicityUnit.NAMESPACE) == GroupKey("s1", "ns")
-        assert derive_group_key(KEY, AtomicityUnit.TABLE) == GroupKey("s1", "ns", "t")
+        assert scope_of(KEY, AtomicityUnit.NAMESPACE) == ("s1", "ns")
+        assert scope_of(KEY, AtomicityUnit.TABLE) == ("s1", "ns", "t")
 
 
 # int, str and bytes components, with look-alikes across types (0, "0", b"0")
@@ -187,32 +182,32 @@ def group_fields(group):
     return tuple(f for f in astuple(group) if f is not None)
 
 
-class TestGroupKeyProperties:
+class TestScopeProperties:
     @given(full_keys, units, units)
     def test_broader_unit_gives_prefix(self, key, u1, u2):
         if u1 >= u2:
-            broad = group_fields(derive_group_key(key, u1))
-            narrow = group_fields(derive_group_key(key, u2))
+            broad = scope_of(key, u1)
+            narrow = scope_of(key, u2)
             assert narrow[: len(broad)] == broad
 
     @given(full_keys, full_keys, units)
     def test_equal_groups_iff_agreement_to_depth(self, k1, k2, unit):
-        equal = derive_group_key(k1, unit) == derive_group_key(k2, unit)
+        equal = scope_of(k1, unit) == scope_of(k2, unit)
         components1 = (k1.storage, k1.namespace, k1.table, k1.partition_key, k1.clustering_key)
         components2 = (k2.storage, k2.namespace, k2.table, k2.partition_key, k2.clustering_key)
-        depth = len(group_fields(derive_group_key(k1, unit)))
+        depth = len(scope_of(k1, unit))
         assert equal == (components1[:depth] == components2[:depth])
 
     @given(full_keys, units)
     def test_scope_is_the_populated_group_key(self, key, unit):
         scope = scope_of(key, unit)
-        assert scope == group_fields(derive_group_key(key, unit))
-        assert scope == derive_group_key(key, unit).scope()
+        assert scope == group_fields(GroupKey(*scope))
+        assert scope == GroupKey(*scope).scope()
 
     @given(full_keys, full_keys, units)
     def test_equal_scopes_iff_equal_group_keys(self, k1, k2, unit):
         assert (scope_of(k1, unit) == scope_of(k2, unit)) == (
-            derive_group_key(k1, unit) == derive_group_key(k2, unit)
+            GroupKey(*scope_of(k1, unit)) == GroupKey(*scope_of(k2, unit))
         )
 
     @given(full_keys, units)
@@ -224,7 +219,7 @@ class TestGroupKeyProperties:
             AtomicityUnit.PARTITION: 4,
             AtomicityUnit.RECORD: 5,
         }[unit]
-        assert len(group_fields(derive_group_key(key, unit))) == expected
+        assert len(scope_of(key, unit)) == expected
 
 
 class TestGroupKey:
@@ -280,3 +275,11 @@ class TestTransactionMetadata:
         assert shared == BeforeImage({"v": 1}, prior)
         with pytest.raises(TypeError):
             shared.columns["v"] = 2  # read-only over the shared dict
+
+
+def test_star_import_binds_no_module():
+    namespace = {}
+    exec("from fedtx import *", namespace)
+    modules = [name for name, value in namespace.items() if isinstance(value, types.ModuleType)]
+    assert modules == []
+    assert "TransactionManager" in namespace and "TxStatus" in namespace

@@ -1,6 +1,7 @@
 """Transaction lifecycle, the commit pipeline, conflicts, and lazy recovery."""
 
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -19,15 +20,14 @@ from fedtx import (
     RecoveryFailed,
     TransactionFinished,
     TransactionManager,
-    TxOutcome,
     TxState,
+    TxStatus,
     WriteKind,
 )
 from fedtx.decoupling import ReadPath, read_dispatch
 from fedtx.model import BeforeImage, FullKey, Record, TransactionMetadata
 from fedtx.records import COL_BEFORE, COL_STATE, COL_TX_ID, COL_VERSION, combined_columns
 from fedtx.storage import WriteCondition
-from fedtx.transaction import TxStatus
 from fedtx.verifier import HistoryRecorder, audit_atomicity
 from conftest import METADATA_MODES, SEVEN_METADATA_COLUMNS, build_env, k, make_caps, mode_env_args
 
@@ -141,14 +141,14 @@ class TestAbort:
     @pytest.mark.parametrize(
         "one_phase, store, fault, outcome",
         [
-            (False, "coord", (0, FaultKind.CRASH_BEFORE_BATCH), TxOutcome.ABORTED),
-            (False, "s2", (0, FaultKind.CRASH_BEFORE_BATCH), TxOutcome.ABORTED),
-            (False, "s2", (0, FaultKind.CRASH_AFTER_BATCH), TxOutcome.ABORTED),
-            (False, "coord", (0, FaultKind.CRASH_AFTER_BATCH), TxOutcome.COMMITTED),
-            (False, "s1", (1, FaultKind.CRASH_BEFORE_BATCH), TxOutcome.COMMITTED),
-            (False, "s2", (1, FaultKind.CRASH_BEFORE_BATCH), TxOutcome.COMMITTED),
-            (True, "s1", (0, FaultKind.CRASH_BEFORE_BATCH), TxOutcome.ABORTED),
-            (True, "s1", (0, FaultKind.CRASH_AFTER_BATCH), TxOutcome.COMMITTED),
+            (False, "coord", (0, FaultKind.CRASH_BEFORE_BATCH), TxStatus.ABORTED),
+            (False, "s2", (0, FaultKind.CRASH_BEFORE_BATCH), TxStatus.ABORTED),
+            (False, "s2", (0, FaultKind.CRASH_AFTER_BATCH), TxStatus.ABORTED),
+            (False, "coord", (0, FaultKind.CRASH_AFTER_BATCH), TxStatus.COMMITTED),
+            (False, "s1", (1, FaultKind.CRASH_BEFORE_BATCH), TxStatus.COMMITTED),
+            (False, "s2", (1, FaultKind.CRASH_BEFORE_BATCH), TxStatus.COMMITTED),
+            (True, "s1", (0, FaultKind.CRASH_BEFORE_BATCH), TxStatus.ABORTED),
+            (True, "s1", (0, FaultKind.CRASH_AFTER_BATCH), TxStatus.COMMITTED),
         ],
         ids=[
             "before-outcome",
@@ -190,10 +190,10 @@ class TestAbort:
             assert victim.tx_id not in coord_rows
         else:
             assert coord_rows[victim.tx_id]["tx_state"] == outcome.value
-        committed = outcome is TxOutcome.COMMITTED
+        committed = outcome is TxStatus.COMMITTED
         assert raised == committed
         assert victim.status is (TxStatus.COMMITTED if committed else TxStatus.ABORTED)
-        assert recorder.history().entries[-1].outcome == outcome.value
+        assert recorder.history().entries[-1].outcome is outcome
         assert recorder.history().entries[-1].one_phase == one_phase
         seeded = {k("s1"): {"v": 1}, k("s2"): {"v": 2}}
         expected = {key: writes.get(key, seeded[key]) if committed else seeded[key] for key in seeded}
@@ -223,10 +223,10 @@ class TestAbort:
         assert committed_value(env, k()) == (None if applied else {"v": 1})
         # audit_atomicity leaves deletions out of scope; the history must
         # still say what the store shows.
-        assert recorder.history().entries[-1].outcome == victim.status.value
+        assert recorder.history().entries[-1].outcome is victim.status
 
 
-class TestAttemptInfo:
+class TestAttempt:
     @pytest.mark.parametrize("stores", [("s1",), ("s1", "s2")], ids=["one-phase", "two-phase"])
     def test_attempt_is_built_only_for_a_history_sink(self, stores):
         caps = {name: make_caps() for name in ("s1", "s2")}
@@ -248,6 +248,9 @@ class TestAttemptInfo:
                 writes,
                 len(stores) == 1,
             )
+            assert tx.attempt.outcome is TxStatus.ACTIVE
+            finished = replace(tx.attempt, outcome=TxStatus.COMMITTED, commit_at=entry.commit_at)
+            assert entry == finished
 
 
 class TestCommitShapes:
@@ -372,7 +375,7 @@ class TestConflicts:
         # s2's prepared record was rolled back to absence
         assert committed_value(env, k("s2")) is None
         coord_rows = {r.key.partition_key[0]: r.columns for r in env.adapter("coord").dump()}
-        assert coord_rows[t2_id]["tx_state"] == TxOutcome.ABORTED.value
+        assert coord_rows[t2_id]["tx_state"] == TxStatus.ABORTED.value
 
     def test_prepare_stops_at_the_first_conflict(self):
         env = build_env({"s1": make_caps(), "s2": make_caps()}, tx_ids="tx")
@@ -388,7 +391,7 @@ class TestConflicts:
             t2.commit()
         assert env.counters("s2").atomic_write_batches == 0
         coord_rows = {r.key.partition_key[0]: r.columns for r in env.adapter("coord").dump()}
-        assert coord_rows[t2.tx_id]["tx_state"] == TxOutcome.ABORTED.value
+        assert coord_rows[t2.tx_id]["tx_state"] == TxStatus.ABORTED.value
 
     def test_write_skew_rejected_in_serializable_mode(self, env):
         seed(env, k(pk=1), 0)
@@ -574,7 +577,7 @@ class TestRecovery:
         victim = self.crashed_commit(env, FaultKind.CRASH_BEFORE_BATCH)
         assert committed_value(env, k("s1")) == {"v": 1}  # never the prepared value
         coord_rows = {r.key.partition_key[0]: r.columns for r in env.adapter("coord").dump()}
-        assert coord_rows[victim.tx_id]["tx_state"] == TxOutcome.ABORTED.value
+        assert coord_rows[victim.tx_id]["tx_state"] == TxStatus.ABORTED.value
 
     def test_crash_after_outcome_rolls_forward_on_read(self):
         env = self.crash_env()
@@ -683,6 +686,17 @@ class TestRecovery:
         assert manager.recover_all_prepared() == 2
         assert [r for r in env.dump_all() if r.columns.get(COL_STATE) == "PREPARED"] == []
 
+    @pytest.mark.parametrize("stored", ["ACTIVE", "MAYBE"])
+    def test_a_coordinator_row_without_an_outcome_raises_on_read(self, stored):
+        env = self.crash_env()
+        victim = self.crashed_commit(env, FaultKind.CRASH_BEFORE_BATCH)
+        row = {"tx_state": stored, "created_at": 99}
+        write = ConditionalWrite(env.manager.coordinator.key_for(victim.tx_id), row)
+        assert env.adapter("coord").atomic_write([write]) is None
+        with pytest.raises(ValueError):
+            env.manager.begin().get(k("s1"))  # never read as "not committed"
+        assert read_dispatch(env.registry, None, k("s1")).prepared
+
     def test_background_commit_record_failure_is_reported(self):
         env = build_env({"s1": make_caps(), "s2": make_caps()}, async_commit=True)
         tx = env.manager.begin()
@@ -740,7 +754,7 @@ class TestRecovery:
     )
     @pytest.mark.parametrize(
         "store, outcome",
-        [("s1", TxOutcome.ABORTED), ("s2", TxOutcome.ABORTED), ("coord", TxOutcome.COMMITTED)],
+        [("s1", TxStatus.ABORTED), ("s2", TxStatus.ABORTED), ("coord", TxStatus.COMMITTED)],
         ids=["after-s1-prepare", "after-s2-prepare", "after-outcome"],
     )
     def test_lazy_recovery_of_a_mixed_type_before_image(self, route, store, outcome):
@@ -788,7 +802,7 @@ class TestRecovery:
             else:  # a settled row has only _tx_before; a split application row has none
                 assert image == ([COL_BEFORE] if COL_STATE in columns else [])
 
-        committed = outcome is TxOutcome.COMMITTED
+        committed = outcome is TxStatus.COMMITTED
         for key in keys:  # each reader settles the record lazily
             assert committed_value(env, key) == (writes[key] if committed else self.MIXED_ROW)
         if committed:
@@ -931,6 +945,51 @@ class TestScan:
         rows = tx.scan(GroupKey("s1", "app", "t", (1,)))
         assert [cols["v"] for _, cols in rows] == [1, 2]
 
+    @pytest.mark.parametrize(
+        "prefix",
+        [GroupKey("s1", "app", "t", (1,), (1,)), GroupKey("s1", "app", "t"), GroupKey("s1")],
+        ids=["clustering-key", "table", "storage"],
+    )
+    def test_a_prefix_other_than_one_partition_is_refused(self, env, prefix):
+        for ck in (1, 2):
+            seed(env, k(pk=1, ck=ck), ck)
+        tx = env.manager.begin()
+        tx.put(k(pk=1, ck=1), {"v": 100})
+        tx.delete(k(pk=1, ck=2))
+        with pytest.raises(ValueError):
+            tx.scan(prefix)
+        rows = tx.scan(GroupKey("s1", "app", "t", (1,)))
+        assert [(key.clustering_key, cols) for key, cols in rows] == [((1,), {"v": 100})]
+
+
+class TestMetadataTables:
+    @pytest.mark.parametrize("mode", list(METADATA_MODES))
+    def test_a_split_namespace_metadata_table_is_out_of_reach(self, mode):
+        env = build_env(**mode_env_args(mode))
+        seed(env, k(), 1)
+        meta_key = k(table="t_meta")
+        tx = env.manager.begin()
+        attempts = [
+            lambda: tx.get(meta_key),
+            lambda: tx.put(meta_key, {"v": 666}),
+            lambda: tx.delete(meta_key),
+            lambda: tx.scan(GroupKey("s1", "app", "t_meta", (1,))),
+        ]
+        decoupled = METADATA_MODES[mode][0]
+        for attempt in attempts:
+            if decoupled:
+                with pytest.raises(ValueError, match="metadata table"):
+                    attempt()
+            else:
+                attempt()  # colocated, t_meta is an ordinary table
+        tx.commit()
+        assert tx.write_set == ({} if decoupled else {meta_key: None})
+        obs = read_dispatch(env.registry, env.manager.decoupling, k())
+        assert (obs.app_columns, obs.meta.version) == ({"v": 1}, 1)
+        if decoupled:  # every route still agrees on the key
+            split = fedtx.decoupling.read_split(env.registry, env.manager.decoupling, k())
+            assert (split.app_columns, split.meta) == (obs.app_columns, obs.meta)
+
 
 class TestHistoryRecording:
     def test_committed_history_carries_reads_and_writes(self):
@@ -942,7 +1001,7 @@ class TestHistoryRecording:
         tx.put(k(), {"v": 1})
         tx.commit()
         entries = recorder.history().entries
-        committed = [e for e in entries if e.outcome == "COMMITTED"]
+        committed = [e for e in entries if e.outcome is TxStatus.COMMITTED]
         assert committed[-1].reads == ((k().render(), 1),)
         assert committed[-1].writes == ((k().render(), 2),)
         assert committed[-1].begin_at < committed[-1].commit_at
@@ -1098,7 +1157,7 @@ class TestScopeCost:
         assert store.atomic_write(batch) is None
         assert checked == [{"v": 1}, {"v": 2}]
 
-    def test_two_group_commit_builds_one_group_key_per_group(self, built, monkeypatch):
+    def test_two_group_commit_builds_no_group_key(self, built, monkeypatch):
         env = build_env({"s1": make_caps(), "s2": make_caps()})
         keys = [k(storage, pk=pk) for storage in ("s1", "s2") for pk in range(4)]
         in_grouping = []
@@ -1117,8 +1176,8 @@ class TestScopeCost:
         built[GroupKey] = 0
         tx.commit()
         assert tx.status is TxStatus.COMMITTED
-        assert in_grouping == [2]
-        assert built[GroupKey] == 2  # none in MemStore or anywhere else
+        assert in_grouping == [0]  # groups are bucketed by scope tuple
+        assert built[GroupKey] == 0  # none in MemStore or anywhere else
 
     def test_commit_builds_each_row_once(self, monkeypatch):
         """No written data row goes through the copying constructor or a per-access condition.

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from fedtx import FaultKind, InjectedCrash
+from fedtx import FaultKind, InjectedCrash, TxStatus
 from fedtx.verifier import (
     History,
     HistoryRecorder,
@@ -22,7 +22,9 @@ from conftest import build_env, k, make_caps
 COORD = ("coord", "coordinator", "state")
 
 
-def tx(tx_id, reads=(), writes=(), begin=0, commit=None, outcome="COMMITTED", one_phase=False):
+def tx(
+    tx_id, reads=(), writes=(), begin=0, commit=None, outcome=TxStatus.COMMITTED, one_phase=False
+):
     return TxSummary(
         tx_id=tx_id,
         outcome=outcome,
@@ -98,7 +100,7 @@ class TestCheckSerializable:
         history = History(
             entries=[
                 tx("a", writes=[("x", 1)]),
-                tx("w", reads=[("x", 1)], writes=[("x", 2)], outcome="ABORTED"),
+                tx("w", reads=[("x", 1)], writes=[("x", 2)], outcome=TxStatus.ABORTED),
                 tx("b", reads=[("x", 2)]),  # a dirty read of the aborted write
             ]
         )
@@ -241,7 +243,7 @@ def random_history(rng: random.Random) -> History:
             writes,
             begin=None if rng.random() < 0.2 else begin_at,
             commit=None if rng.random() < 0.2 else commit_at,
-            outcome="ABORTED" if rng.random() < 0.1 else "COMMITTED",
+            outcome=TxStatus.ABORTED if rng.random() < 0.1 else TxStatus.COMMITTED,
         )
         entries.append(entry)
     final = None
@@ -298,7 +300,7 @@ class TestAuditAtomicity:
         env.adapter("s2").inject_faults([(0, FaultKind.CRASH_BEFORE_BATCH)])
         with pytest.raises(InjectedCrash):
             victim.commit()
-        recorder.record_crashed(victim.tx_id, victim.attempt.writes, victim.attempt.one_phase)
+        recorder.record(victim.attempt)
         findings = audit_atomicity(env.dump_all(), recorder.history(), COORD)
         assert any(isinstance(f, PreparedResidue) for f in findings)
 
@@ -313,7 +315,7 @@ class TestAuditAtomicity:
         with pytest.raises(InjectedCrash):
             victim.commit()
         env.adapter("coord").clear_faults()
-        recorder.record_crashed(victim.tx_id, victim.attempt.writes, victim.attempt.one_phase)
+        recorder.record(victim.attempt)
         env.manager.recover_all_prepared()
         findings = audit_atomicity(env.dump_all(), recorder.history(), COORD)
         assert findings == []
@@ -384,7 +386,14 @@ class TestAuditAtomicity:
         history = recorder.history()
         # claim a delete of the key the dump still holds
         history.entries.append(
-            TxSummary("tx-9", "COMMITTED", 8, 9, writes=((k().render(), 2),), deletes=(k().render(),))
+            TxSummary(
+                "tx-9",
+                TxStatus.COMMITTED,
+                8,
+                9,
+                writes=((k().render(), 2),),
+                deletes=(k().render(),),
+            )
         )
         findings = audit_atomicity(env.dump_all(), history, COORD)
         assert [type(f) for f in findings] == [PartialWrite]
@@ -404,8 +413,7 @@ class TestAuditAtomicity:
         with pytest.raises(InjectedCrash):
             txn.commit()
         env.adapter("s1").clear_faults()
-        attempt = txn.attempt
-        recorder.record_crashed(txn.tx_id, attempt.writes, attempt.one_phase, attempt.deletes)
+        recorder.record(txn.attempt)
         applied = fault is FaultKind.CRASH_AFTER_BATCH
         assert (env.adapter("s1").read(k(pk=1)) is None) is applied
         assert audit_atomicity(env.dump_all(), recorder.history(), COORD) == []
@@ -419,7 +427,7 @@ class TestAuditAtomicity:
         with pytest.raises(InjectedCrash):
             txn.commit()
         env.adapter("s1").clear_faults()
-        recorder.record_crashed(txn.tx_id, txn.attempt.writes, txn.attempt.one_phase)
+        recorder.record(txn.attempt)
         history = recorder.history()
         assert history.entries[-1].one_phase
         findings = audit_atomicity(env.dump_all(), history, COORD)
