@@ -38,7 +38,6 @@ from typing import Mapping, Sequence
 from .errors import AtomicityScopeViolation, JoinIntegrityError
 from .model import AtomicityUnit, FullKey, GroupKey, TransactionMetadata, TxState, scope_of
 from .records import (
-    COL_DELETED,
     COL_STATE,
     _state,
     application_columns,
@@ -126,7 +125,6 @@ class ReadResult:
     * ``present``: whether the record exists; decodes nothing.
     * ``prepared``: whether it is in doubt; decodes only ``_tx_state``, and an
       unknown state raises as ``parse_metadata`` does.
-    * ``deleted``: the raw ``_tx_deleted`` flag of a present record.
     * ``meta``: the full ``TransactionMetadata``, decoded at most once.
     * ``app_columns``: the application columns as a dict, filtered at most
       once and shared (by the before-image too), so nobody may change it;
@@ -150,10 +148,6 @@ class ReadResult:
     def prepared(self) -> bool:
         row = self.meta_row
         return row is not None and _state(row[COL_STATE]) is TxState.PREPARED
-
-    @property
-    def deleted(self) -> bool:
-        return bool(self.meta_row.get(COL_DELETED, False))
 
     @property
     def meta(self) -> TransactionMetadata | None:

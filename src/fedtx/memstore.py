@@ -5,20 +5,24 @@ clustering key) to columns, so a point read is one dict lookup. Beside it a
 clustering-key index maps each (namespace, table, partition key) to the set of
 non-empty clustering keys stored under it; a scan reads that set plus the
 partition's empty-clustering-key row and sorts the hits, so it costs the size
-of the partition rather than the size of the store. Batches, reads, and scans
-synchronize on reader-writer latches scoped to the adapter's atomic-write unit
-(never finer than a partition), so a batch is one linearization point,
-maintains the index under the same latch, and multi-record snapshot reads
-never observe half a batch. Latches are keyed by scope tuples from
-``model.scope_of``, the single unit-to-prefix map; scope checks compare those
-tuples, so no read or batch builds a ``GroupKey``. A latch is a plain mutex
-over its holder counts that notifies only when a thread waits, so an
-uncontended store call pays two mutex round trips for it.
+of the partition rather than the size of the store.
+
+One mutex per store serializes every call: each read, scan, view join, batch
+and dump is one critical section, so a batch is one linearization point, the
+index changes with the rows it indexes, and a multi-record read never observes
+half a batch. That is all the adapter contract asks (calls on one adapter are
+linearizable). Finer latches would only let calls on different scopes overlap;
+those calls commute, so they allow no history this mutex forbids, and under
+the interpreter lock they buy no parallelism either. The atomic-write unit
+still bounds what one call may touch: ``atomic_write`` and ``snapshot_read``
+raise ``AtomicityScopeViolation`` for keys that span scopes of
+``model.scope_of``, the single unit-to-prefix map, exactly as a real store
+would refuse them.
 
 Two invariants keep reads cheap:
 
 * A row is checked once, when ``atomic_write`` applies it: every PUT's
-  columns pass ``model.check_columns`` before the batch takes its latch, so a
+  columns pass ``model.check_columns`` before the batch takes the mutex, so a
   bad batch raises with nothing applied.
 * A stored row is never mutated in place; a write replaces the whole dict.
   So ``read``, ``snapshot_read``, ``scan`` and ``dump`` share the stored dict
@@ -26,8 +30,8 @@ Two invariants keep reads cheap:
   (``view_read`` wraps its freshly joined dict the same way), and a record
   handed out keeps its columns whatever is written after it.
 
-Beside the data, the store keeps a test and benchmark surface under one lock
-of its own:
+Beside the data, the same mutex guards a test and benchmark surface, so a
+count changes in the same critical section as the rows it counts:
 
 * ``counters`` tallies the operations that completed: a call that raises is
   not counted, and a batch whose condition failed counts only under
@@ -52,16 +56,7 @@ from .errors import (
     JoinIntegrityError,
     UnknownView,
 )
-from .model import (
-    AtomicityUnit,
-    FullKey,
-    GroupKey,
-    Record,
-    check_columns,
-    render_key,
-    scope_of,
-    value_tag,
-)
+from .model import FullKey, GroupKey, Record, check_columns, render_key, scope_of, value_tag
 from .records import COL_TX_ID
 from .storage import (
     AdapterCapabilities,
@@ -70,53 +65,6 @@ from .storage import (
     StorageAdapter,
     WriteKind,
 )
-
-
-class RWLock:
-    """Reader-writer latch: shared readers, one exclusive writer.
-
-    A plain mutex guards the holder counts and a count of the threads blocked
-    in ``wait()``; a release notifies only when that count is non-zero, so an
-    uncontended acquire/release pair is two mutex round trips and nothing more.
-    """
-
-    def __init__(self):
-        self._mutex = threading.Lock()
-        self._cond = threading.Condition(self._mutex)
-        self._readers = 0
-        self._writer = False
-        self._waiting = 0  # threads blocked in self._cond.wait()
-
-    def _wait(self):
-        self._waiting += 1
-        try:
-            self._cond.wait()
-        finally:
-            self._waiting -= 1
-
-    def acquire_read(self):
-        with self._mutex:
-            while self._writer:
-                self._wait()
-            self._readers += 1
-
-    def release_read(self):
-        with self._mutex:
-            self._readers -= 1
-            if self._waiting and not self._readers:
-                self._cond.notify_all()
-
-    def acquire_write(self):
-        with self._mutex:
-            while self._writer or self._readers:
-                self._wait()
-            self._writer = True
-
-    def release_write(self):
-        with self._mutex:
-            self._writer = False
-            if self._waiting:
-                self._cond.notify_all()
 
 
 class FaultKind(enum.Enum):
@@ -169,14 +117,9 @@ class MemStore(StorageAdapter):
         # (namespace, table, partition key) -> non-empty clustering keys in
         # _rows; a partition's row with the empty clustering key stays out.
         self._clustered: dict[tuple, set[tuple]] = {}
-        self._latches: dict[tuple, RWLock] = {}  # scope_of tuple -> latch
-        self._latch_table_lock = threading.Lock()
         self._views: dict[str, tuple[str, str, str]] = {}
         self._view_by_table: dict[tuple[str, str], str] = {}
-        # Latches never get finer than a partition so scans stay covered.
-        self._latch_unit = max(self._caps.atomicity_unit, AtomicityUnit.PARTITION)
-        # Guards the counters and the fault plan; taken after a latch is
-        # released, never while one is held.
+        # Guards the rows, the index, the counters and the fault plan.
         self._lock = threading.Lock()
         self._counters = OpCounters()
         self._attempts = 0  # atomic_write calls since the last inject_faults
@@ -190,53 +133,24 @@ class MemStore(StorageAdapter):
     def capabilities(self) -> AdapterCapabilities:
         return self._caps
 
-    # -- latching ---------------------------------------------------------
-
-    def _latch_for(self, scope: tuple) -> RWLock:
-        latch = self._latches.get(scope)
-        if latch is not None:
-            return latch
-        # Only creation takes the table lock; re-check so that racing first
-        # touches of one scope all get the latch the winner stored.
-        with self._latch_table_lock:
-            latch = self._latches.get(scope)
-            if latch is None:
-                latch = self._latches[scope] = RWLock()
-            return latch
-
-    def _key_latch(self, key: FullKey) -> RWLock:
-        return self._latch_for(scope_of(key, self._latch_unit))
-
     # -- reads ------------------------------------------------------------
 
     def read(self, key: FullKey) -> Record | None:
-        latch = self._key_latch(key)
-        latch.acquire_read()
-        try:
-            columns = self._rows.get(_row_key(key))
-        finally:
-            latch.release_read()
         with self._lock:
+            columns = self._rows.get(_row_key(key))
             self._counters.reads += 1
         return Record._unchecked(key, MappingProxyType(columns)) if columns is not None else None
 
     def scan(self, prefix: GroupKey) -> list[Record]:
         if prefix.partition_key is None or prefix.clustering_key is not None:
             raise ValueError("scan prefix must identify one partition")
-        latch = self._key_latch(
-            FullKey(prefix.storage, prefix.namespace, prefix.table, prefix.partition_key)
-        )
         namespace, table, pk = partition = (prefix.namespace, prefix.table, prefix.partition_key)
-        latch.acquire_read()
-        try:
+        with self._lock:
             hits = [
                 (ck, self._rows[partition + (ck,)])
                 for ck in sorted(self._clustered.get(partition, ()))
             ]
             bare = self._rows.get(partition + ((),))
-        finally:
-            latch.release_read()
-        with self._lock:
             self._counters.scans += 1
         if bare is not None:
             hits.insert(0, ((), bare))  # the empty clustering key sorts first
@@ -252,18 +166,10 @@ class MemStore(StorageAdapter):
         if not self._caps.consistent_readable:
             raise CapabilityUnsupported(f"storage {self._name!r} is not consistent-readable")
         unit = self._caps.atomicity_unit
-        scopes = {scope_of(k, unit) for k in keys}
-        if len(scopes) > 1:
+        if len({scope_of(k, unit) for k in keys}) > 1:
             raise AtomicityScopeViolation("snapshot read spans atomic-write scopes")
-        rows = []
-        if keys:
-            latch = self._key_latch(keys[0])
-            latch.acquire_read()
-            try:
-                rows = [self._rows.get(_row_key(key)) for key in keys]
-            finally:
-                latch.release_read()
         with self._lock:
+            rows = [self._rows.get(_row_key(key)) for key in keys]
             self._counters.reads += len(keys)
             self._counters.db_transactions += 1
         return [
@@ -291,30 +197,12 @@ class MemStore(StorageAdapter):
         except KeyError:
             raise UnknownView(f"no view named {view_name!r}") from None
         pk, ck = key.partition_key, key.clustering_key
-        app_row = (namespace, app_table, pk, ck)
-        meta_row = (namespace, meta_table, pk, ck)
-        # Each row's scope keeps as many components as the key's own scope.
-        depth = len(scope_of(key, self._latch_unit))
-        app_scope = (self._name, namespace, app_table, pk, ck)[:depth]
-        meta_scope = (self._name, namespace, meta_table, pk, ck)[:depth]
-        if app_scope == meta_scope:
-            latches = [self._latch_for(app_scope)]
-        else:
-            # the lock order of dump(), so the two never deadlock
-            scopes = sorted((app_scope, meta_scope), key=lambda s: render_key(*s))
-            latches = [self._latch_for(s) for s in scopes]
-        for latch in latches:
-            latch.acquire_read()
-        try:
-            app = self._rows.get(app_row)
-            meta = self._rows.get(meta_row)
-        finally:
-            for latch in reversed(latches):
-                latch.release_read()
-        if (app is None) != (meta is None):
-            missing = "application" if app is None else "metadata"
-            raise JoinIntegrityError(f"{missing} row missing for {key.render()}")
         with self._lock:
+            app = self._rows.get((namespace, app_table, pk, ck))
+            meta = self._rows.get((namespace, meta_table, pk, ck))
+            if (app is None) != (meta is None):
+                missing = "application" if app is None else "metadata"
+                raise JoinIntegrityError(f"{missing} row missing for {key.render()}")
             self._counters.reads += 1
             self._counters.view_reads += 1
         if app is None:
@@ -352,20 +240,15 @@ class MemStore(StorageAdapter):
         if fault is FaultKind.CRASH_BEFORE_BATCH:
             raise InjectedCrash(f"before batch #{index} on {self._name!r}")
         failed_at = self._apply(writes)
-        with self._lock:
-            counters = self._counters
-            if failed_at is None:
-                counters.atomic_write_batches += 1
-                counters.written_records += len(writes)
-                counters.db_transactions += 1
-            else:
-                counters.condition_failures += 1
         if fault is FaultKind.CRASH_AFTER_BATCH:
             raise InjectedCrash(f"after batch #{index} on {self._name!r}")
         return failed_at
 
     def _apply(self, writes: Sequence[ConditionalWrite]) -> int | None:
-        """The batch contract itself: apply all of ``writes`` or report the first failure."""
+        """The batch contract itself: apply all of ``writes`` or report the first failure.
+
+        The batch, or its failed condition, is counted under the same lock.
+        """
         if not writes:
             raise ValueError("empty batch")
         unit = self._caps.atomicity_unit
@@ -377,11 +260,11 @@ class MemStore(StorageAdapter):
         for write in writes:
             if write.kind is WriteKind.PUT:
                 check_columns(write.columns)
-        latch = self._key_latch(writes[0].key)
-        latch.acquire_write()
-        try:
+        with self._lock:
+            counters = self._counters
             for i, write in enumerate(writes):
                 if not self._condition_holds(write):
+                    counters.condition_failures += 1
                     return i
             for write in writes:
                 rk = _row_key(write.key)
@@ -397,8 +280,9 @@ class MemStore(StorageAdapter):
                         self._clustered.setdefault(rk[:3], set()).add(ck)
                     # .copy(): dict() of the write's MappingProxyType misses the fast merge
                     self._rows[rk] = write.columns.copy()
-        finally:
-            latch.release_write()
+            counters.atomic_write_batches += 1
+            counters.written_records += len(writes)
+            counters.db_transactions += 1
         return None
 
     # -- test and tooling surface -------------------------------------------
@@ -433,21 +317,9 @@ class MemStore(StorageAdapter):
 
     def dump(self) -> list[Record]:
         """Every stored record, deterministically ordered."""
-        with self._latch_table_lock:
-            # sorted like every other multi-latch acquisition, so dumps can
-            # run alongside view reads without lock-order inversions
-            latches = [
-                self._latches[scope]
-                for scope in sorted(self._latches, key=lambda s: render_key(*s))
-            ]
-        for latch in latches:
-            latch.acquire_read()
-        try:
+        with self._lock:
             items = list(self._rows.items())
-        finally:
-            for latch in reversed(latches):
-                latch.release_read()
-        items.sort(key=lambda item: render_key(self._name, item[0][0], item[0][1], item[0][2], item[0][3]))
+        items.sort(key=lambda item: render_key(self._name, *item[0]))
         return [
             Record._unchecked(
                 FullKey._unchecked(self._name, ns, table, pk, ck), MappingProxyType(columns)

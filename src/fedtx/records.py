@@ -46,6 +46,11 @@ COL_BEFORE_PREPARED_AT = "_tx_before_prepared_at"
 COL_BEFORE_COMMITTED_AT = "_tx_before_committed_at"
 BEFORE_COLUMN_PREFIX = "_tx_before_col_"
 
+# The coordinator table's rows: a transaction's outcome and when it was
+# first claimed, as plain columns with no ``_tx_*`` metadata.
+COORD_STATE_COLUMN = "tx_state"
+COORD_CREATED_COLUMN = "created_at"
+
 
 def is_metadata_column(name: str) -> bool:
     return name.startswith(META_PREFIX)

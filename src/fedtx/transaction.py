@@ -74,6 +74,8 @@ from .model import (
 )
 from .records import (
     COL_STATE,
+    COORD_CREATED_COLUMN,
+    COORD_STATE_COLUMN,
     check_application_columns,
     combined_columns,
     parse_metadata,  # noqa: F401 - perfbench/tracing.py rebinds this name here
@@ -92,9 +94,6 @@ _RECOVERY_ATTEMPTS = 10
 _COMMIT_QUEUE_SIZE = 64
 
 _log = logging.getLogger(__name__)
-
-COORD_STATE_COLUMN = "tx_state"
-COORD_CREATED_COLUMN = "created_at"
 
 
 @dataclass(frozen=True)
@@ -299,7 +298,7 @@ class TransactionManager:
         if cached is None:
             cached = self._observe(key)
             tx.read_set[key] = cached
-        return cached.app_columns.copy() if cached.present and not cached.deleted else None
+        return cached.app_columns.copy() if cached.present else None
 
     def _scan(self, tx: TxHandle, prefix: GroupKey) -> list[tuple[FullKey, dict]]:
         """Partition scan; every returned record lands in the read set individually."""
@@ -314,7 +313,7 @@ class TransactionManager:
                 if obs.prepared:
                     obs = self._observe(key)
             obs = tx.read_set.setdefault(key, obs)
-            if obs.present and not obs.deleted:
+            if obs.present:
                 merged[key] = obs.app_columns.copy()
         # overlay this transaction's own buffered writes
         scope = prefix.scope()

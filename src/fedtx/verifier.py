@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .decoupling import META_TABLE_SUFFIX, DecoupleConfig
 from .model import Record, TxState, TxStatus
-from .records import COL_STATE, COL_TX_ID, COL_VERSION
+from .records import COL_STATE, COL_TX_ID, COL_VERSION, COORD_STATE_COLUMN
 
 
 @dataclass(frozen=True)
@@ -229,7 +229,7 @@ def _coordinator_states(records: Iterable[Record], coordinator_table: tuple[str,
     for record in records:
         key = record.key
         if (key.storage, key.namespace, key.table) == (storage, namespace, table):
-            states[key.partition_key[0]] = TxStatus(record.columns["tx_state"])
+            states[key.partition_key[0]] = TxStatus(record.columns[COORD_STATE_COLUMN])
     return states
 
 

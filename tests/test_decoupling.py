@@ -252,7 +252,7 @@ class TestReadRoutes:
     def test_accessors_decode_once(self):
         env = seeded_env()
         result = read_split(env.registry, env.manager.decoupling, k())
-        assert (result.present, result.prepared, result.deleted) == (True, False, False)
+        assert (result.present, result.prepared) == (True, False)
         assert result.meta is result.meta
         assert result.app_columns is result.app_columns
         absent = read_split(env.registry, env.manager.decoupling, k(pk=99))
@@ -275,7 +275,7 @@ class TestReadRoutes:
         tx.delete(k())
         tx.commit()
         assert read_dispatch(env.registry, cfg, k()).present is False
-        assert (result.present, result.prepared, result.deleted) == (True, False, False)
+        assert (result.present, result.prepared) == (True, False)
         assert result.app_columns == {"v": 1}
         assert (result.meta.version, result.meta.tx_state) == (1, TxState.COMMITTED)
 

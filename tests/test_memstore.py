@@ -4,7 +4,6 @@ import functools
 import random
 import sys
 import threading
-import time
 from dataclasses import fields
 
 import pytest
@@ -30,7 +29,7 @@ from fedtx import (
     if_columns_equal,
     if_tx_id_equals,
 )
-from fedtx.memstore import OpCounters, RWLock
+from fedtx.memstore import OpCounters
 from fedtx.model import scope_of
 from fedtx.records import COL_TX_ID
 from conftest import compare_values, k, make_caps
@@ -268,7 +267,7 @@ class TestScan:
         s.atomic_write([put(k(pk=1, ck=1), {"v": 1}), put(k(pk=1, ck="a"), {"v": 2})])
         with pytest.raises(TypeError):
             s.scan(self.prefix())
-        s.atomic_write([delete(k(pk=1, ck="a"))])  # the scan released its latch
+        s.atomic_write([delete(k(pk=1, ck="a"))])  # the scan released the store's lock
         assert [r.key.clustering_key for r in s.scan(self.prefix())] == [(1,)]
 
     def test_scan_after_delete(self):
@@ -330,7 +329,7 @@ class TestScan:
         assert s._clustered == {}  # emptied partitions leave no index entry behind
 
     def test_scans_stay_exact_while_other_partitions_change(self):
-        """Writers on separate partition latches share the index's outer map."""
+        """Threads that each own a partition interleave on the index's shared outer map."""
         s = MemStore("s1", MemStoreConfig(make_caps(AtomicityUnit.PARTITION)))
         errors = []
 
@@ -456,19 +455,18 @@ class TestViews:
         assert s.view_read("v", k(pk=1, table="t_meta")).key == k(pk=1)
         assert s.view_read("v", k(storage="elsewhere", pk=1)).key == k(pk=1)
 
-    def test_two_latch_join_stays_consistent_beside_a_writer_and_dumps(self):
-        """A TABLE-unit view joins rows under two latches; reads, writes and dumps interleave.
+    def test_table_unit_view_join_stays_consistent_beside_a_writer_and_dumps(self):
+        """A TABLE-unit view joins rows of two scopes; reads, writes and dumps interleave.
 
         The writer bumps the application row, then the metadata row, so at
         any one instant the application value is the metadata value or one
-        ahead of it. A view read that holds both latches sees one instant.
+        ahead of it. A view read sees one instant.
         """
         s = MemStore("s1", MemStoreConfig(make_caps(AtomicityUnit.TABLE, True, True)))
         s.register_join_view("v", "app", "t", "t_meta")
         app_key, meta_key = k(pk=1), k(pk=1, table="t_meta")
         s.atomic_write([put(app_key, {"v": 0})])
         s.atomic_write([put(meta_key, {COL_TX_ID: "t0"})])
-        assert len(s._latches) == 2  # one per table
         stop = threading.Event()
         errors = []
 
@@ -519,161 +517,6 @@ class TestViews:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in background + readers), "lock-order deadlock"
         assert errors == []
-
-
-class TestLatches:
-    @pytest.mark.parametrize("threads", [2, 8])
-    def test_racing_first_touches_share_one_latch(self, threads):
-        s = MemStore("s1", MemStoreConfig(make_caps(AtomicityUnit.PARTITION)))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for pk in range(50):
-                scope = scope_of(k(pk=pk), AtomicityUnit.PARTITION)
-                barrier = threading.Barrier(threads)
-                got = []
-
-                def touch():
-                    barrier.wait()
-                    got.append(s._key_latch(k(pk=pk)))
-
-                workers = [threading.Thread(target=touch) for _ in range(threads)]
-                for worker in workers:
-                    worker.start()
-                for worker in workers:
-                    worker.join(timeout=30)
-                assert len(got) == threads
-                assert all(latch is got[0] for latch in got)
-                assert isinstance(got[0], RWLock)
-                assert s._latches[scope] is got[0]
-                assert len(s._latches) == pk + 1
-        finally:
-            sys.setswitchinterval(interval)
-
-
-    @staticmethod
-    def wait_for_waiters(latch, count, timeout=10):
-        deadline = time.monotonic() + timeout
-        while latch._waiting != count:
-            assert time.monotonic() < deadline, f"{latch._waiting} of {count} threads waiting"
-            time.sleep(0.001)
-
-    def test_a_writer_waits_for_the_last_reader(self):
-        latch = RWLock()
-        latch.acquire_read()
-        latch.acquire_read()
-        acquired = threading.Event()
-
-        def write():
-            latch.acquire_write()
-            acquired.set()
-            latch.release_write()
-
-        writer = threading.Thread(target=write, daemon=True)
-        writer.start()
-        self.wait_for_waiters(latch, 1)
-        latch.release_read()
-        assert not acquired.wait(0.05)  # one reader still holds the latch
-        latch.release_read()
-        assert acquired.wait(10)
-        writer.join(timeout=10)
-        assert not writer.is_alive()
-        assert latch._waiting == 0
-
-    def test_readers_wait_for_a_writer_and_all_wake(self):
-        latch = RWLock()
-        latch.acquire_write()
-        done = []
-
-        def read(i):
-            latch.acquire_read()
-            done.append(i)
-            latch.release_read()
-
-        readers = [threading.Thread(target=read, args=(i,), daemon=True) for i in range(4)]
-        for reader in readers:
-            reader.start()
-        self.wait_for_waiters(latch, 4)
-        assert done == []
-        latch.release_write()
-        for reader in readers:
-            reader.join(timeout=10)
-        assert not any(reader.is_alive() for reader in readers)
-        assert sorted(done) == [0, 1, 2, 3]
-
-    def test_two_readers_share_the_latch(self):
-        latch = RWLock()
-        latch.acquire_read()
-        inside, leave = threading.Event(), threading.Event()
-
-        def read():
-            latch.acquire_read()
-            inside.set()
-            leave.wait(10)
-            latch.release_read()
-
-        reader = threading.Thread(target=read, daemon=True)
-        reader.start()
-        assert inside.wait(10)  # entered while this thread still holds the latch
-        assert latch._readers == 2 and latch._waiting == 0
-        leave.set()
-        reader.join(timeout=10)
-        latch.release_read()
-        assert not reader.is_alive()
-        latch.acquire_write()  # every reader left, so the latch is free
-        latch.release_write()
-
-    def test_mixed_holders_never_overlap_a_writer_or_lose_a_wakeup(self):
-        latch = RWLock()
-        threads = 8
-        book = threading.Lock()
-        holders = {"readers": 0, "writers": 0}
-        overlaps = []
-        barrier = threading.Barrier(threads)
-
-        def hold(rng, write):
-            with book:
-                kind = "writers" if write else "readers"
-                holders[kind] += 1
-                if holders["writers"] > 1 or (holders["writers"] and holders["readers"]):
-                    overlaps.append(dict(holders))
-            for _ in range(rng.randrange(3)):
-                time.sleep(0)  # hand the CPU over while holding
-            with book:
-                holders[kind] -= 1
-
-        def work(t):
-            rng = random.Random(t)
-            barrier.wait()
-            for _ in range(1_500):
-                if rng.random() < 0.3:
-                    latch.acquire_write()
-                    try:
-                        hold(rng, True)
-                    finally:
-                        latch.release_write()
-                else:
-                    latch.acquire_read()
-                    try:
-                        hold(rng, False)
-                    finally:
-                        latch.release_read()
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            # daemon: a thread stranded by a lost wakeup must not hold the run open
-            workers = [threading.Thread(target=work, args=(t,), daemon=True) for t in range(threads)]
-            for worker in workers:
-                worker.start()
-            deadline = time.monotonic() + 60
-            for worker in workers:
-                worker.join(timeout=max(0.0, deadline - time.monotonic()))
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(worker.is_alive() for worker in workers), "lost wakeup"
-        assert overlaps == []
-        assert (latch._readers, latch._writer, latch._waiting) == (0, False, 0)
 
 
 class TestFaultInjection:
@@ -790,7 +633,7 @@ class TestCounters:
             try:
                 barrier.wait()
                 for i in range(2_000):
-                    pk = rng.randrange(4)  # threads share partitions, so latches contend
+                    pk = rng.randrange(4)  # threads share partitions, so their calls contend
                     op = rng.randrange(5)
                     if op == 0:
                         batch = [put(k(pk=pk, ck=ck), {"v": i}) for ck in range(rng.randint(1, 3))]

@@ -1047,7 +1047,7 @@ class TestScopeCost:
         records = env.adapter("s1").scan(prefix)
         assert [r.columns["v"] for r in records] == list(range(16))
         assert built[Record] == 0
-        assert built[FullKey] <= 1  # the partition's latch key, not one per row
+        assert built[FullKey] == 0  # neither one per row nor one for the partition
 
     def test_store_reads_check_no_returned_row(self, built):
         caps = make_caps(AtomicityUnit.STORAGE, consistent=True)
