@@ -675,6 +675,122 @@ class TestCounters:
         assert s.counters() == expected
 
 
+def run_threads(work, threads, timeout=60):
+    """Run ``work(t)`` on ``threads`` threads at a tiny switch interval; return their errors."""
+    errors = []
+
+    def guarded(t):
+        try:
+            work(t)
+        except BaseException as exc:  # reported below; a thread's raise is lost
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # daemon: a thread stuck on a leaked lock must not hold the run open
+        workers = [threading.Thread(target=guarded, args=(t,), daemon=True) for t in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers), "a thread never finished"
+    return errors
+
+
+class TestOneCriticalSection:
+    """Each call is one critical section: a batch checks and applies at one instant."""
+
+    @pytest.mark.parametrize("threads", [2, 8])
+    def test_racing_compare_and_set_loses_no_update(self, threads):
+        s = store(AtomicityUnit.PARTITION)
+        s.atomic_write([put(k(), {"v": 0})])
+        s.reset_counters()
+        rounds = 150
+        attempts = [0] * threads
+        barrier = threading.Barrier(threads)
+
+        def work(t):
+            barrier.wait()
+            done = 0
+            while done < rounds:
+                seen = s.read(k()).columns
+                attempts[t] += 1
+                batch = [put(k(), {"v": seen["v"] + 1}, if_columns_equal(seen))]
+                if s.atomic_write(batch) is None:
+                    done += 1
+
+        assert run_threads(work, threads) == []
+        counters = s.counters()
+        assert counters.atomic_write_batches == threads * rounds
+        assert counters.condition_failures == sum(attempts) - threads * rounds
+        assert counters.reads == sum(attempts)
+        assert s.read(k()).columns == {"v": threads * rounds}
+
+    @pytest.mark.parametrize("how", ["dump", "scan"])
+    def test_a_multi_record_read_never_sees_half_a_batch(self, how):
+        s = store()
+        keys = [k(pk=1, ck=ck) for ck in range(3)]
+        s.atomic_write([put(key, {"v": 0}) for key in keys])
+        stop = threading.Event()
+
+        def work(t):
+            if t == 0:
+                value = 1
+                while not stop.is_set():
+                    s.atomic_write([put(key, {"v": value}) for key in keys])
+                    value += 1
+                return
+            try:
+                for _ in range(300):
+                    if how == "dump":
+                        records = s.dump()
+                    else:
+                        records = s.scan(GroupKey("s1", "app", "t", (1,)))
+                    assert [r.key for r in records] == keys
+                    assert len({r.columns["v"] for r in records}) == 1
+            finally:
+                stop.set()
+
+        assert run_threads(work, 2) == []
+
+    @pytest.mark.parametrize("failure", ["view join", "scan sort", "condition", "crash after"])
+    def test_a_failed_call_leaves_the_store_to_other_threads(self, failure):
+        s = store(consistent=True, view=True)
+        s.register_join_view("v", "app", "t", "t_meta")
+        if failure == "view join":
+            s.atomic_write([put(k(pk=1), {"v": 1})])
+            with pytest.raises(JoinIntegrityError):
+                s.view_read("v", k(pk=1))
+        elif failure == "scan sort":
+            s.atomic_write([put(k(pk=1, ck=1), {"v": 1}), put(k(pk=1, ck="a"), {"v": 2})])
+            with pytest.raises(TypeError):
+                s.scan(GroupKey("s1", "app", "t", (1,)))
+        elif failure == "condition":
+            assert s.atomic_write([put(k(pk=1), {"v": 1}, if_tx_id_equals("nope"))]) == 0
+        else:
+            s.inject_faults([(0, FaultKind.CRASH_AFTER_BATCH)])
+            with pytest.raises(InjectedCrash):
+                s.atomic_write([put(k(pk=1), {"v": 1})])
+
+        # Every later call runs on a thread with a deadline, so a lock the
+        # failed call kept fails the test instead of hanging it.
+        def work(t):
+            before = s.counters()
+            assert s.atomic_write([put(k(pk=2), {"v": 2})]) is None
+            assert s.read(k(pk=2)).columns == {"v": 2}
+            assert k(pk=2) in [r.key for r in s.dump()]
+            after = s.counters()
+            assert (after.atomic_write_batches, after.reads) == (
+                before.atomic_write_batches + 1,
+                before.reads + 1,
+            )
+
+        assert run_threads(work, 1, timeout=10) == []
+
+
 class TestCounterTraceAgreement:
     def test_counters_equal_an_independent_operation_trace(self):
         s = store(consistent=True)

@@ -2,10 +2,12 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
 from fedtx import FaultKind, InjectedCrash, TxStatus
+from fedtx.records import COORD_STATE_COLUMN
 from fedtx.verifier import (
     History,
     HistoryRecorder,
@@ -417,6 +419,26 @@ class TestAuditAtomicity:
         applied = fault is FaultKind.CRASH_AFTER_BATCH
         assert (env.adapter("s1").read(k(pk=1)) is None) is applied
         assert audit_atomicity(env.dump_all(), recorder.history(), COORD) == []
+
+    def test_the_coordinator_row_decides_an_attempt_left_active(self):
+        """The audit reads a two-phase outcome from the row the commit wrote."""
+        recorder = HistoryRecorder()
+        env = self.two_store_env(recorder)
+        txn = env.manager.begin()
+        txn.put(k("s1"), {"v": 1})
+        txn.put(k("s2"), {"v": 2})
+        txn.commit()
+        history = recorder.history()
+        entry = history.entries[-1]
+        assert not entry.one_phase
+        history.entries[-1] = replace(entry, outcome=TxStatus.ACTIVE, commit_at=None)
+        dump = env.dump_all()
+        rows = [r for r in dump if (r.key.storage, r.key.namespace, r.key.table) == COORD]
+        assert [r.columns[COORD_STATE_COLUMN] for r in rows] == ["COMMITTED"]
+        assert audit_atomicity(dump, history, COORD) == []
+        # Without its outcome row the attempt counts as aborted, yet its writes are durable.
+        without_outcome = [r for r in dump if r not in rows]
+        assert audit_atomicity(without_outcome, history, COORD) != []
 
     def test_unknown_one_phase_outcome_resolved_from_dump(self):
         recorder = HistoryRecorder()
