@@ -8,8 +8,10 @@ atomic-write scope of the storage (``metadata_in_scope`` compares the two
 rows' addresses cut to the depth of the key's ``model.scope_of`` tuple, the
 single unit-to-prefix map).
 
-Reading takes one of three routes, picked per key from the adapter's declared
-capabilities and from whether the metadata row shares the key's scope:
+Reading takes one of three routes, picked from the adapter's declared
+capabilities and views and from whether the metadata row shares the key's
+scope. All of that is fixed per table, so the route is resolved once per
+table and config (``StorageRegistry.table_route``):
 
 * a registered database view joins the two rows inside the store;
 * a multi-record consistent read fetches both rows at one point;
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import AtomicityScopeViolation, JoinIntegrityError
-from .model import AtomicityUnit, FullKey, GroupKey, TransactionMetadata, TxState, scope_of
+from .model import AtomicityUnit, FullKey, GroupKey, Record, TransactionMetadata, TxState, scope_of
 from .records import (
     COL_STATE,
     _state,
@@ -68,7 +70,8 @@ class DecoupleConfig:
 
     namespaces: frozenset[str] | None = None
 
-    def applies_to(self, key: FullKey) -> bool:
+    def applies_to(self, key: FullKey | GroupKey) -> bool:
+        """Whether ``key`` (a record or a scan prefix naming a table) is split."""
         if self.namespaces is not None and key.namespace not in self.namespaces:
             return False
         return not key.table.endswith(META_TABLE_SUFFIX)
@@ -84,7 +87,7 @@ class DecoupleConfig:
     def metadata_key(key: FullKey) -> FullKey:
         if key.table.endswith(META_TABLE_SUFFIX):
             raise ValueError(f"{key.table!r} is already a metadata table")
-        return FullKey(
+        return FullKey._unchecked(
             key.storage,
             key.namespace,
             key.table + META_TABLE_SUFFIX,
@@ -96,7 +99,7 @@ class DecoupleConfig:
     def application_key(meta_key: FullKey) -> FullKey:
         if not meta_key.table.endswith(META_TABLE_SUFFIX):
             raise ValueError(f"{meta_key.table!r} is not a metadata table")
-        return FullKey(
+        return FullKey._unchecked(
             meta_key.storage,
             meta_key.namespace,
             meta_key.table[: -len(META_TABLE_SUFFIX)],
@@ -253,35 +256,51 @@ def read_split_snapshot(
     return _join(key, app, meta, ReadPath.SNAPSHOT)
 
 
-def _read_view(adapter: StorageAdapter, view_name: str, key: FullKey) -> ReadResult:
-    record = adapter.view_read(view_name, key)
+def _one_row(record: Record | None, path: ReadPath) -> ReadResult:
+    """The result of a one-row route: colocated, or a view's join of both halves."""
     if record is None:
-        return ReadResult(None, None, ReadPath.VIEW)
+        return ReadResult(None, None, path)
     columns = record.columns
-    return ReadResult(columns, columns, ReadPath.VIEW)
+    return ReadResult(columns, columns, path)
+
+
+def _route(
+    registry: StorageRegistry, config: DecoupleConfig, key: FullKey
+) -> tuple[ReadPath, StorageAdapter, str | None]:
+    """The best route for ``key``'s table: (path, adapter, view name or None).
+
+    A consistent route (view or snapshot) also needs the metadata row inside
+    the key's atomic-write scope; otherwise the rows are read separately. A
+    view is used when the store declares views and has one for the table.
+    """
+    adapter = registry.get_database(key)
+    if not config.applies_to(key):
+        return ReadPath.COLOCATED, adapter, None
+    caps = adapter.capabilities
+    if not (caps.consistent_readable and metadata_in_scope(key, caps.atomicity_unit)):
+        return ReadPath.SPLIT_READS, adapter, None
+    if caps.view_joinable:
+        view_name = adapter.view_for(key)
+        if view_name is not None:
+            return ReadPath.VIEW, adapter, view_name
+    return ReadPath.SNAPSHOT, adapter, None
 
 
 def read_dispatch(
     registry: StorageRegistry, config: DecoupleConfig | None, key: FullKey
 ) -> ReadResult:
-    """Fetch a logical record by the best route the storage supports.
+    """Fetch a logical record by the best route the storage supports (see ``_route``).
 
-    A consistent route (view or snapshot) also needs the metadata row inside
-    the key's atomic-write scope; otherwise the rows are read separately. A
-    view is used when the store declares views and has one for the key's table.
+    The route is resolved once per table and ``config``; without a config
+    every record is colocated.
     """
-    adapter = registry.get_database(key)
-    if config is None or not config.applies_to(key):
-        record = adapter.read(key)
-        if record is None:
-            return ReadResult(None, None, ReadPath.COLOCATED)
-        columns = record.columns
-        return ReadResult(columns, columns, ReadPath.COLOCATED)
-    caps = adapter.capabilities
-    if not (caps.consistent_readable and metadata_in_scope(key, caps.atomicity_unit)):
-        return read_split(registry, config, key)
-    if caps.view_joinable:
-        view_name = adapter.view_for(key)
-        if view_name is not None:
-            return _read_view(adapter, view_name, key)
-    return read_split_snapshot(registry, config, key)
+    if config is None:
+        return _one_row(registry.get_database(key).read(key), ReadPath.COLOCATED)
+    path, adapter, view_name = registry.table_route(config, key, _route)
+    if path is ReadPath.VIEW:
+        return _one_row(adapter.view_read(view_name, key), path)
+    if path is ReadPath.COLOCATED:
+        return _one_row(adapter.read(key), path)
+    if path is ReadPath.SNAPSHOT:
+        return read_split_snapshot(registry, config, key)
+    return read_split(registry, config, key)

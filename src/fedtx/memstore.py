@@ -182,7 +182,11 @@ class MemStore(StorageAdapter):
     def register_join_view(
         self, view_name: str, namespace: str, app_table: str, meta_table: str
     ) -> None:
-        """Expose a primary-key join of an application table and its metadata table."""
+        """Expose a primary-key join of an application table and its metadata table.
+
+        The read route learns of views and capabilities once per table and
+        keeps the answer, so register every view before the store serves reads.
+        """
         self._views[view_name] = (namespace, app_table, meta_table)
         self._view_by_table[(namespace, app_table)] = view_name
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -82,13 +82,17 @@ def _check_key_components(name: str, components: tuple) -> None:
             raise ValueError(f"{name} component may not be {tag.value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FullKey:
     """Complete address of one record.
 
     The partition key must be non-empty; the clustering key may be empty. No
     key component may be null or bool. (partition_key, clustering_key) is
     unique within a table.
+
+    A key is slotted and hashed once: both constructors compute the hash of
+    its five components and keep it in ``_hash``, which equality ignores, so
+    every dict a key is looked up in reuses it.
     """
 
     storage: str
@@ -96,14 +100,19 @@ class FullKey:
     table: str
     partition_key: tuple
     clustering_key: tuple = ()
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "partition_key", tuple(self.partition_key))
-        object.__setattr__(self, "clustering_key", tuple(self.clustering_key))
+        _set_partition_key(self, tuple(self.partition_key))
+        _set_clustering_key(self, tuple(self.clustering_key))
         if not self.partition_key:
             raise ValueError("partition key must be non-empty")
         _check_key_components("partition key", self.partition_key)
         _check_key_components("clustering key", self.clustering_key)
+        components = (
+            self.storage, self.namespace, self.table, self.partition_key, self.clustering_key
+        )
+        _set_hash(self, hash(components))
 
     @classmethod
     def _unchecked(
@@ -115,19 +124,37 @@ class FullKey:
         was checked when the row was written.
         """
         key = object.__new__(cls)
-        key.__dict__.update(
-            storage=storage,
-            namespace=namespace,
-            table=table,
-            partition_key=partition_key,
-            clustering_key=clustering_key,
-        )
+        _set_storage(key, storage)
+        _set_namespace(key, namespace)
+        _set_table(key, table)
+        _set_partition_key(key, partition_key)
+        _set_clustering_key(key, clustering_key)
+        _set_hash(key, hash((storage, namespace, table, partition_key, clustering_key)))
         return key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # A str hash differs between processes, so a copied or unpickled key
+        # is rebuilt from its components, never handed the stored hash.
+        return FullKey, (
+            self.storage, self.namespace, self.table, self.partition_key, self.clustering_key
+        )
 
     def render(self) -> str:
         return render_key(
             self.storage, self.namespace, self.table, self.partition_key, self.clustering_key
         )
+
+
+# Each slot's own setter fills a key past the frozen __setattr__ in one call;
+# object.__setattr__ would look the name up on the class first, which costs
+# about half as much again on every key a store rebuilds.
+_set_storage, _set_namespace, _set_table, _set_partition_key, _set_clustering_key, _set_hash = (
+    FullKey.__dict__[name].__set__
+    for name in ("storage", "namespace", "table", "partition_key", "clustering_key", "_hash")
+)
 
 
 def check_columns(columns: Mapping[str, object]) -> None:

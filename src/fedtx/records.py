@@ -151,8 +151,12 @@ def split_columns(columns: Mapping[str, object]) -> tuple[dict, dict]:
 
 
 def combined_columns(app_columns: dict | MappingProxyType, meta: TransactionMetadata) -> dict:
-    """Full stored image of a record whose metadata rides in the same row."""
-    check_application_columns(app_columns)
+    """Full stored image of a record whose metadata rides in the same row.
+
+    ``app_columns`` holds no ``_tx_*`` name: ``tx.put`` refuses one, and
+    every other caller passes the application columns of a stored row or of
+    a before-image parsed from one.
+    """
     out = app_columns.copy()  # dict() of a MappingProxyType misses the fast merge
     out.update(metadata_columns(meta))
     return out

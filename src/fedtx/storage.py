@@ -14,7 +14,7 @@ import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import CapabilityUnsupported, UnknownStorage
 from .model import AtomicityUnit, FullKey, GroupKey, Record
@@ -168,15 +168,21 @@ class StorageAdapter(ABC):
         raise CapabilityUnsupported(f"storage {self.name!r} is not view-joinable")
 
     def view_for(self, key: FullKey) -> str | None:
-        """Name of a registered join view covering this key's table, if any."""
+        """Name of a registered join view covering this key's table, if any.
+
+        The read route asks this and ``capabilities`` once per table and keeps
+        the answers, so an adapter registers its views before it serves reads.
+        """
         return None
 
 
 class StorageRegistry:
-    """Maps storage names to adapters and routes keyed operations."""
+    """Maps storage names to adapters, routes keyed operations, and memoizes per-table routes."""
 
     def __init__(self):
         self._adapters: dict[str, StorageAdapter] = {}
+        # (storage, namespace, table) -> (settings, value) of the last table_route
+        self._routes: dict[tuple[str, str, str], tuple] = {}
 
     def register(self, adapter: StorageAdapter) -> None:
         if adapter.name in self._adapters:
@@ -192,6 +198,18 @@ class StorageRegistry:
             return self._adapters[name]
         except KeyError:
             raise UnknownStorage(f"no storage registered under {name!r}") from None
+
+    def table_route(self, settings, key: FullKey, resolve: Callable) -> object:
+        """``resolve(self, settings, key)``, computed once per table and ``settings`` object.
+
+        The value may depend only on ``settings`` and on the key's storage,
+        namespace and table. Other settings resolve their own, which replaces it.
+        """
+        table = (key.storage, key.namespace, key.table)
+        entry = self._routes.get(table)
+        if entry is None or entry[0] is not settings:
+            entry = self._routes[table] = (settings, resolve(self, settings, key))
+        return entry[1]
 
     def get_atomicity_unit(self, key: FullKey) -> AtomicityUnit:
         return self.get_database(key).capabilities.atomicity_unit

@@ -38,6 +38,7 @@ when it did not.
 
 from __future__ import annotations
 
+import base64
 import logging
 import queue
 import threading
@@ -269,7 +270,11 @@ class TransactionManager:
         self.pushdown_enabled = pushdown_enabled
         self.one_phase_enabled = one_phase_enabled
         self.history = history
-        self._tx_id_factory = tx_id_factory or (lambda: str(uuid.uuid4()))
+        self._tx_id_factory = tx_id_factory
+        # A default tx id is this prefix plus the begin tick in hex: the tick
+        # never repeats within a manager, the random 128 bits across managers.
+        prefix = base64.urlsafe_b64encode(uuid.uuid4().bytes).rstrip(b"=").decode()
+        self._tx_id_prefix = prefix + "."
         self._clock = 0
         self._clock_lock = threading.Lock()
         self._queue: queue.Queue | None = None
@@ -288,7 +293,12 @@ class TransactionManager:
     # -- transaction surface -------------------------------------------------
 
     def begin(self, serializable: bool = False) -> TxHandle:
-        return TxHandle(self, self._tx_id_factory(), serializable, self._tick())
+        begin_at = self._tick()
+        if self._tx_id_factory is None:
+            tx_id = f"{self._tx_id_prefix}{begin_at:x}"
+        else:
+            tx_id = self._tx_id_factory()
+        return TxHandle(self, tx_id, serializable, begin_at)
 
     def _get(self, tx: TxHandle, key: FullKey) -> dict | None:
         if key in tx.write_set:
@@ -301,11 +311,19 @@ class TransactionManager:
         return cached.app_columns.copy() if cached.present else None
 
     def _scan(self, tx: TxHandle, prefix: GroupKey) -> list[tuple[FullKey, dict]]:
-        """Partition scan; every returned record lands in the read set individually."""
+        """Partition scan; every returned record lands in the read set individually.
+
+        The partition lies in one table, so whether its rows are split is
+        decided once. The store returns them in clustering order; only a
+        buffered write that adds a key to the partition calls for a sort.
+        """
+        # Scan first: the store refuses any prefix but one partition.
+        records = self.registry.scan(prefix)
+        split = self.decoupling is not None and self.decoupling.applies_to(prefix)
         merged: dict[FullKey, dict] = {}
-        for record in self.registry.scan(prefix):
+        for record in records:
             key = record.key
-            if self.decoupling is not None and self.decoupling.applies_to(key):
+            if split:
                 obs = self._observe(key)  # the scanned row lacks its metadata
             else:
                 columns = record.columns
@@ -317,14 +335,19 @@ class TransactionManager:
                 merged[key] = obs.app_columns.copy()
         # overlay this transaction's own buffered writes
         scope = prefix.scope()
+        added = False
         for key, columns in tx.write_set.items():
             if scope_of(key, AtomicityUnit.PARTITION) != scope:
                 continue
             if columns is None:
                 merged.pop(key, None)
             else:
+                added = added or key not in merged
                 merged[key] = dict(columns)
-        return sorted(merged.items(), key=lambda item: item[0].clustering_key)
+        items = list(merged.items())
+        if added:
+            items.sort(key=lambda item: item[0].clustering_key)
+        return items
 
     # -- reads and recovery ----------------------------------------------------
 

@@ -2,9 +2,14 @@
 
 import enum
 import json
+import os
+import pickle
 import random
+import subprocess
+import sys
 import types
 from dataclasses import astuple
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -114,6 +119,31 @@ class TestFullKey:
         key = FullKey("s", "ns", "t", [1, 2], [3])
         assert key.partition_key == (1, 2)
         assert key.clustering_key == (3,)
+
+    def test_both_constructors_hash_the_five_components(self):
+        key = FullKey("s", "ns", "t", [1, "a"], [b"x"])
+        rebuilt = FullKey._unchecked("s", "ns", "t", (1, "a"), (b"x",))
+        assert key == rebuilt and {key: 1}[rebuilt] == 1
+        assert hash(key) == hash(rebuilt) == hash(("s", "ns", "t", (1, "a"), (b"x",)))
+        assert not hasattr(key, "__dict__")
+        assert "_hash" not in repr(key)
+
+    def test_a_pickled_key_hashes_anew_in_another_process(self):
+        root = Path(__file__).resolve().parent.parent
+        child = (
+            "import pickle, sys\n"
+            "key = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert hash(key) == hash(('s', 'ns', 't', (1,), ('a',))), 'stale hash'\n"
+            "assert {key: 1}[type(key)('s', 'ns', 't', (1,), ('a',))] == 1\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", child],
+            input=pickle.dumps(FullKey("s", "ns", "t", (1,), ("a",))),
+            env=dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="1"),
+            capture_output=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr.decode()
 
 
 class TestRendering:

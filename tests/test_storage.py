@@ -123,7 +123,10 @@ class TestViewJoinable:
     def test_declared_without_view(self):
         assert self.view_get(register_views=False).path is ReadPath.SNAPSHOT
 
-    def test_view_get_asks_the_store_once(self):
+    @staticmethod
+    def counted_view_manager():
+        """A manager over a view-joinable store that counts its route queries."""
+
         class CallCounter(MemStore):
             def __init__(self, name, config):
                 super().__init__(name, config)
@@ -140,13 +143,22 @@ class TestViewJoinable:
 
         store = CallCounter("s1", MemStoreConfig(make_caps(consistent=True, view=True)))
         store.register_join_view("app.t_with_meta", "app", "t", "t_meta")
+        store.register_join_view("app.u_with_meta", "app", "u", "u_meta")
         registry = StorageRegistry()
         registry.register(store)
         registry.register(build_memstore("coord", MemStoreConfig(make_caps())))
         manager = TransactionManager(
             registry, CoordinatorLocation("coord"), decoupling=DecoupleConfig()
         )
+        return store, manager
+
+    def test_view_get_asks_the_store_once(self):
+        store, manager = self.counted_view_manager()
         keys = [k(pk=pk) for pk in range(3)]
+        tx = manager.begin()
+        for key in keys:
+            assert tx.get(key) is None
+        assert store.calls == {"view_for": 1, "capabilities": 1}
         for key in keys:
             write_committed(manager, key)
         store.calls.clear()
@@ -154,8 +166,40 @@ class TestViewJoinable:
         tx = manager.begin()
         for key in keys:
             assert tx.get(key) == {"v": 7}
-        assert store.calls == {"view_for": 3, "capabilities": 3}
+        assert store.calls == {}  # later gets ask the store nothing
         assert store.counters().view_reads == 3
+
+    def test_a_second_table_resolves_its_own_route(self):
+        store, manager = self.counted_view_manager()
+        tx = manager.begin()
+        tx.get(k())
+        store.calls.clear()
+        assert tx.get(k(table="u")) is None
+        assert tx.read_set[k(table="u")].path is ReadPath.VIEW
+        assert store.calls == {"view_for": 1, "capabilities": 1}
+        tx.get(k(table="u", pk=2))
+        tx.get(k(pk=2))
+        assert store.calls == {"view_for": 1, "capabilities": 1}
+
+    def test_a_second_config_resolves_its_own_route(self):
+        store, manager = self.counted_view_manager()
+        manager.begin().get(k())
+        # A second config over the same registry that splits only namespace
+        # "other": table t is colocated for it, whatever the first config found.
+        other = TransactionManager(
+            manager.registry,
+            manager.coordinator,
+            decoupling=DecoupleConfig(namespaces=frozenset({"other"})),
+        )
+        store.calls.clear()
+        tx = other.begin()
+        assert tx.get(k()) is None
+        assert tx.read_set[k()].path is ReadPath.COLOCATED
+        assert store.calls == {}  # a colocated route asks for no view
+        tx = manager.begin()  # the memo now holds the other config's route: resolve again
+        assert tx.get(k()) is None
+        assert tx.read_set[k()].path is ReadPath.VIEW
+        assert store.calls == {"view_for": 1, "capabilities": 1}
 
 
 class TestDeclarations:

@@ -1,6 +1,8 @@
 """Transaction lifecycle, the commit pipeline, conflicts, and lazy recovery."""
 
 import re
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -99,6 +101,52 @@ class TestLifecycle:
             tx.get(k())
         with pytest.raises(TransactionFinished):
             tx.commit()
+
+
+class TestTxIds:
+    """A default tx id is the manager's random prefix plus its begin tick."""
+
+    def test_two_managers_over_one_registry_never_share_an_id(self, env):
+        other = TransactionManager(env.manager.registry, env.manager.coordinator)
+        ids = {env.manager.begin().tx_id for _ in range(100)}
+        ids |= {other.begin().tx_id for _ in range(100)}
+        assert len(ids) == 200
+
+    def test_threads_beginning_on_one_manager_never_share_an_id(self, env):
+        per_thread = [[] for _ in range(4)]
+
+        def begin_many(out):
+            for _ in range(1_000):
+                out.append(env.manager.begin().tx_id)
+
+        threads = [threading.Thread(target=begin_many, args=(out,)) for out in per_thread]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads), "a thread hung"
+        assert len({tx_id for out in per_thread for tx_id in out}) == 4_000
+
+    def test_a_default_id_is_no_longer_than_a_uuid_string(self, env):
+        tx = env.manager.begin()
+        assert 0 < len(tx.tx_id) <= 36
+        assert tx.tx_id.endswith(f".{tx.begin_at:x}")
+
+    def test_a_factory_still_names_the_transaction(self, env):
+        names = iter(["first", "second"])
+        manager = TransactionManager(
+            env.manager.registry, env.manager.coordinator, tx_id_factory=lambda: next(names)
+        )
+        tx = manager.begin()
+        assert [tx.tx_id, manager.begin().tx_id] == ["first", "second"]
+        tx.put(k(), {"v": 1})
+        tx.commit()
+        assert env.registry.read(k()).columns[COL_TX_ID] == "first"
 
 
 class TestAbort:
@@ -929,6 +977,20 @@ class TestScan:
         assert [(key.clustering_key[0], cols["v"]) for key, cols in rows] == [(1, 1), (2, 2)]
         assert k(pk=1, ck=1) in tx.read_set
 
+    @pytest.mark.parametrize("mode", list(METADATA_MODES))
+    def test_a_buffered_insert_comes_back_in_clustering_order(self, mode):
+        env = build_env(**mode_env_args(mode))
+        for ck in (0, 2, 4, 6):
+            seed(env, k(pk=1, ck=ck), ck)
+        tx = env.manager.begin()
+        tx.put(k(pk=1, ck=3), {"v": 3})  # lands mid-partition
+        tx.put(k(pk=1, ck=4), {"v": 40})  # overwrites in place
+        tx.put(k(pk=2, ck=1), {"v": 1})  # another partition
+        rows = tx.scan(GroupKey("s1", "app", "t", (1,)))
+        assert [(key.clustering_key[0], cols["v"]) for key, cols in rows] == [
+            (0, 0), (2, 2), (3, 3), (4, 40), (6, 6)
+        ]
+
     def test_scan_recovers_prepared_records(self):
         env = build_env({"s1": make_caps(), "s2": make_caps()})
         tx = env.manager.begin()
@@ -1033,7 +1095,7 @@ class TestScopeCost:
         assert tx.get(key) == {"v": 1}
         assert tx.read_set[key].path is ReadPath.VIEW
         assert built[GroupKey] == 0
-        assert built[FullKey] <= 1  # the metadata row's key
+        assert built[FullKey] == 0  # the view joins by the key the transaction holds
         assert built[Record] == 0
 
     def test_partition_scan_checks_no_returned_row(self, built):
