@@ -202,22 +202,30 @@ def expand_writes(
         return list(writes)
     apps: list[ConditionalWrite] = []
     metas: list[ConditionalWrite] = []
+    split_tables: dict[tuple, bool] = {}  # whether a table splits, decided once per call
     for write in writes:
-        if not config.applies_to(write.key):
+        key = write.key
+        table = (key.storage, key.namespace, key.table)
+        split = split_tables.get(table)
+        if split is None:
+            split = split_tables[table] = config.applies_to(key)
+            # The metadata row's scope differs from the key's only by its
+            # table, so one key stands for every key of its table.
+            if split and not metadata_in_scope(key, registry.get_atomicity_unit(key)):
+                raise AtomicityScopeViolation(
+                    f"metadata row for {key.render()} falls outside the atomic scope"
+                )
+        if not split:
             apps.append(write)
             continue
-        if not metadata_in_scope(write.key, registry.get_atomicity_unit(write.key)):
-            raise AtomicityScopeViolation(
-                f"metadata row for {write.key.render()} falls outside the atomic scope"
-            )
-        meta_key = config.metadata_key(write.key)
+        meta_key = config.metadata_key(key)
         app_columns, meta_columns = split_columns(write.columns)
-        obs = observed.get(write.key) if observed is not None else None
+        obs = observed.get(key) if observed is not None else None
         if obs is not None and obs.path is ReadPath.SPLIT_READS and obs.present:
             app_condition = if_columns_equal(obs.app_columns)
         else:
             app_condition = UNCONDITIONAL
-        apps.append(ConditionalWrite._owning(write.key, app_columns, app_condition, write.kind))
+        apps.append(ConditionalWrite._owning(key, app_columns, app_condition, write.kind))
         metas.append(ConditionalWrite._owning(meta_key, meta_columns, write.condition, write.kind))
     return apps + metas
 

@@ -22,10 +22,14 @@ def group_by_atomicity_unit(registry: StorageRegistry, writes: Iterable) -> list
     The result is a partition of the input, ordered by the text rendering of
     each group's scope.
     """
+    units: dict[str, AtomicityUnit] = {}  # a storage's unit, asked once per call
     buckets: dict[tuple, list] = {}
     for write in writes:
-        unit = registry.get_atomicity_unit(write.key)
-        buckets.setdefault(scope_of(write.key, unit), []).append(write)
+        key = write.key
+        unit = units.get(key.storage)
+        if unit is None:
+            unit = units[key.storage] = registry.get_atomicity_unit(key)
+        buckets.setdefault(scope_of(key, unit), []).append(write)
     return _in_render_order(buckets)
 
 

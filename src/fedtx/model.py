@@ -367,8 +367,8 @@ class TransactionMetadata:
     def _decoded(cls, **fields) -> "TransactionMetadata":
         """Metadata from every field at once, not one setattr each.
 
-        For metadata decoded from a stored row or built on the commit path.
-        Runs the same invariants as the constructor.
+        For metadata decoded from a stored row. Runs the same invariants as
+        the constructor.
         """
         meta = object.__new__(cls)
         meta.__dict__.update(fields)

@@ -19,9 +19,12 @@ only when the full metadata is wanted (a key the transaction writes), and
 first. Only the write path, which routes the two halves of a row to
 different tables, needs ``split_columns``.
 
-The write side encodes each row once: ``combined_columns`` builds the stored
-image as one fresh dict, and the commit path hands that dict to its
-``ConditionalWrite`` without another copy.
+The write side encodes each row once, in one step and from plain fields:
+``combined_columns`` is the one encoder of every stored image (prepared,
+committed, rolled forward or restored). It copies a PREPARED row's
+before-image straight from the settled row it replaces, so no metadata or
+before-image object is built to write a row, and the commit path hands the
+fresh dict to its ``ConditionalWrite`` without another copy.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Mapping
 
-from .model import BeforeImage, TransactionMetadata, TxState, value_tag
+from .model import BeforeImage, TransactionMetadata, TxState
 
 META_PREFIX = "_tx_"
 
@@ -61,35 +64,6 @@ def check_application_columns(columns: Mapping[str, object]) -> None:
     for name in columns:
         if is_metadata_column(name):
             raise ValueError(f"column name {name!r} uses the reserved {META_PREFIX!r} prefix")
-
-
-def metadata_columns(meta: TransactionMetadata) -> dict:
-    """Render metadata as its reserved storage columns.
-
-    Without a before-image these are exactly the seven below, ``_tx_before``
-    set to None; a before-image adds its ``_tx_before_*`` columns.
-    """
-    columns = {
-        COL_TX_ID: meta.tx_id,
-        COL_VERSION: meta.version,
-        COL_STATE: meta.tx_state.value,
-        COL_PREPARED_AT: meta.prepared_at,
-        COL_COMMITTED_AT: meta.committed_at,
-        COL_DELETED: meta.delete_marker,
-        COL_BEFORE: None,
-    }
-    before = meta.before_image
-    if before is not None:
-        prior = before.metadata
-        columns[COL_BEFORE] = prior.tx_id
-        columns[COL_BEFORE_VERSION] = prior.version
-        columns[COL_BEFORE_STATE] = prior.tx_state.value
-        columns[COL_BEFORE_PREPARED_AT] = prior.prepared_at
-        columns[COL_BEFORE_COMMITTED_AT] = prior.committed_at
-        for name, value in before.columns.items():
-            value_tag(value)
-            columns[BEFORE_COLUMN_PREFIX + name] = value
-    return columns
 
 
 _STATES = {state.value: state for state in TxState}
@@ -150,13 +124,46 @@ def split_columns(columns: Mapping[str, object]) -> tuple[dict, dict]:
     return app, meta
 
 
-def combined_columns(app_columns: dict | MappingProxyType, meta: TransactionMetadata) -> dict:
-    """Full stored image of a record whose metadata rides in the same row.
+def combined_columns(
+    app_columns: dict | MappingProxyType,
+    tx_id: str,
+    version: int,
+    state: TxState,
+    prepared_at: int,
+    committed_at: int | None = None,
+    deleted: bool = False,
+    before: Mapping[str, object] | None = None,
+    before_app: Mapping[str, object] | None = None,
+) -> dict:
+    """The full stored image of a record, as one fresh dict.
 
-    ``app_columns`` holds no ``_tx_*`` name: ``tx.put`` refuses one, and
-    every other caller passes the application columns of a stored row or of
-    a before-image parsed from one.
+    The application columns come first, then the seven metadata columns
+    with ``_tx_before`` None. For a PREPARED row, ``before`` is the settled
+    row this write replaces (or, with split metadata, the row holding its
+    ``_tx_*`` columns) and ``before_app`` its application columns: its tx
+    id, version, state and timestamps become the ``_tx_before*`` columns,
+    and ``before_app`` the ``_tx_before_col_*`` ones. A before-image never
+    nests, so ``before``'s own ``_tx_before*`` columns are left behind.
+
+    No column holds a ``_tx_*`` name: ``tx.put`` refuses one, and every
+    other caller passes the application columns of a stored row. The store
+    checks the values (``model.check_columns``) when it applies the write.
     """
     out = app_columns.copy()  # dict() of a MappingProxyType misses the fast merge
-    out.update(metadata_columns(meta))
+    out[COL_TX_ID] = tx_id
+    out[COL_VERSION] = version
+    out[COL_STATE] = state._value_  # the enum's stored value; ``.value`` is a slower property
+    out[COL_PREPARED_AT] = prepared_at
+    out[COL_COMMITTED_AT] = committed_at
+    out[COL_DELETED] = deleted
+    if before is None:
+        out[COL_BEFORE] = None
+        return out
+    out[COL_BEFORE] = before[COL_TX_ID]
+    out[COL_BEFORE_VERSION] = before[COL_VERSION]
+    out[COL_BEFORE_STATE] = before[COL_STATE]
+    out[COL_BEFORE_PREPARED_AT] = before[COL_PREPARED_AT]
+    out[COL_BEFORE_COMMITTED_AT] = before.get(COL_COMMITTED_AT)
+    for name, value in before_app.items():
+        out[BEFORE_COLUMN_PREFIX + name] = value
     return out

@@ -97,7 +97,11 @@ class ConditionalWrite:
         condition: WriteCondition = UNCONDITIONAL,
         kind: WriteKind = WriteKind.PUT,
     ) -> "ConditionalWrite":
-        """A write that takes over ``columns``, a fresh dict nobody else holds, without a copy."""
+        """A write that takes over ``columns``, a fresh dict nobody else holds, without a copy.
+
+        The commit path passes the dict ``records.combined_columns`` has just
+        encoded, or the two halves ``decoupling.expand_writes`` splits it into.
+        """
         write = object.__new__(cls)
         write.__dict__.update(
             key=key, columns=MappingProxyType(columns), condition=condition, kind=kind

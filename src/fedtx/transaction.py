@@ -63,7 +63,6 @@ from .errors import (
 from .grouping import group_by_atomicity_unit, group_per_record, one_phase_eligible
 from .model import (
     AtomicityUnit,
-    BeforeImage,
     CoordinatorState,
     FullKey,
     GroupKey,
@@ -115,7 +114,11 @@ class _LogicalWrite:
 
     ``columns`` is None for a delete. Its version and its ``condition`` are
     fixed when ``_materialize_writes`` builds it: the observed tx id, or
-    absence when nothing was observed.
+    absence when nothing was observed. Each stored image is encoded in one
+    ``combined_columns`` call from these fields and the observed row: the
+    before-image of a prepared row is that settled row's ``_tx_*`` columns
+    and the read's own ``app_columns`` (filtered once, and nothing changes
+    them), so no metadata object is built to write a key.
     """
 
     key: FullKey
@@ -124,59 +127,70 @@ class _LogicalWrite:
     version: int
     condition: WriteCondition
 
-    def before_image(self) -> BeforeImage | None:
-        prior = self.observed.meta  # settled, so it has no image of its own
-        if prior is None:
-            return None
-        if prior.before_image is not None:
-            prior = replace(prior, before_image=None)
-        # the read's own app_columns: filtered once, and nothing changes them
-        return BeforeImage._sharing(self.observed.app_columns, prior)
-
     def prepared_write(self, tx_id: str, prepared_at: int) -> ConditionalWrite:
-        meta = TransactionMetadata._decoded(
-            tx_id=tx_id,
-            version=self.version,
-            tx_state=TxState.PREPARED,
-            prepared_at=prepared_at,
-            committed_at=None,
-            before_image=self.before_image(),
-            delete_marker=self.columns is None,
-        )
+        obs = self.observed
         columns = {} if self.columns is None else self.columns
-        return ConditionalWrite._owning(self.key, combined_columns(columns, meta), self.condition)
+        row = combined_columns(
+            columns,
+            tx_id,
+            self.version,
+            TxState.PREPARED,
+            prepared_at,
+            None,
+            self.columns is None,
+            obs.meta_row,
+            obs.app_columns,
+        )
+        return ConditionalWrite._owning(self.key, row, self.condition)
 
     def committed_write(
         self, tx_id: str, prepared_at: int, committed_at: int, condition
     ) -> ConditionalWrite:
-        meta = TransactionMetadata._decoded(
-            tx_id=tx_id,
-            version=self.version,
-            tx_state=TxState.COMMITTED,
-            prepared_at=prepared_at,
-            committed_at=committed_at,
-            before_image=None,
-            delete_marker=False,
+        return _committed_write(
+            self.key, self.columns, tx_id, self.version, prepared_at, committed_at, condition
         )
-        return _committed_write(self.key, self.columns, meta, condition)
+
+    def restore_write(self, condition) -> ConditionalWrite:
+        """Undo of this write's prepared row: the settled row it observed, or a delete."""
+        return _restore_write(self.key, self.observed.app_columns, self.observed.meta, condition)
 
 
 def _committed_write(
-    key: FullKey, columns: Mapping[str, object] | None, meta: TransactionMetadata, condition
+    key: FullKey,
+    columns: Mapping[str, object] | None,
+    tx_id: str,
+    version: int,
+    prepared_at: int,
+    committed_at: int,
+    condition,
 ) -> ConditionalWrite:
-    """Settled image of a write: ``columns`` under COMMITTED ``meta``, or a delete when None."""
+    """Settled image of a write: ``columns`` COMMITTED at ``version``, or a delete when None."""
     if columns is None:
         return ConditionalWrite._owning(key, {}, condition, WriteKind.DELETE)
-    return ConditionalWrite._owning(key, combined_columns(columns, meta), condition)
+    row = combined_columns(columns, tx_id, version, TxState.COMMITTED, prepared_at, committed_at)
+    return ConditionalWrite._owning(key, row, condition)
 
 
-def _restore_write(key: FullKey, before: BeforeImage | None, condition) -> ConditionalWrite:
-    """Undo of a prepared write: its before-image back, or a delete if it created the record."""
-    if before is None:
+def _restore_write(
+    key: FullKey, columns: Mapping[str, object] | None, prior: TransactionMetadata | None, condition
+) -> ConditionalWrite:
+    """Undo of a prepared write: the settled ``prior`` and its ``columns`` back, or a delete.
+
+    ``prior`` is None when the prepared write created the record. It is a
+    settled version, so the restored row carries no before-image.
+    """
+    if prior is None:
         return ConditionalWrite._owning(key, {}, condition, WriteKind.DELETE)
-    return ConditionalWrite._owning(
-        key, combined_columns(before.columns, before.metadata), condition
+    row = combined_columns(
+        columns,
+        prior.tx_id,
+        prior.version,
+        prior.tx_state,
+        prior.prepared_at,
+        prior.committed_at,
+        prior.delete_marker,
     )
+    return ConditionalWrite._owning(key, row, condition)
 
 
 def _attempt(tx: TxHandle, logicals=(), one_phase: bool = False) -> TxSummary:
@@ -298,6 +312,8 @@ class TransactionManager:
             tx_id = f"{self._tx_id_prefix}{begin_at:x}"
         else:
             tx_id = self._tx_id_factory()
+            if not tx_id:
+                raise ValueError("tx_id must be non-empty")
         return TxHandle(self, tx_id, serializable, begin_at)
 
     def _get(self, tx: TxHandle, key: FullKey) -> dict | None:
@@ -407,18 +423,20 @@ class TransactionManager:
 
     def _roll_forward(self, key: FullKey, obs: ReadResult, committed_at: int) -> None:
         meta = obs.meta
-        settled = replace(
-            meta, tx_state=TxState.COMMITTED, committed_at=committed_at, before_image=None
-        )
         columns = None if meta.delete_marker else obs.app_columns
         # A racing recovery may have settled it first; that is fine. A split
         # read may also be torn; then the write fails and the caller reads again.
-        write = _committed_write(key, columns, settled, if_tx_id_equals(meta.tx_id))
+        condition = if_tx_id_equals(meta.tx_id)
+        write = _committed_write(
+            key, columns, meta.tx_id, meta.version, meta.prepared_at, committed_at, condition
+        )
         self._write([write], {key: obs})
 
     def _roll_back(self, key: FullKey, obs: ReadResult) -> None:
+        before = obs.meta.before_image
+        columns, prior = (None, None) if before is None else (before.columns, before.metadata)
         condition = if_tx_id_equals(obs.meta.tx_id)
-        self._write([_restore_write(key, obs.meta.before_image, condition)])
+        self._write([_restore_write(key, columns, prior, condition)])
 
     def recover_all_prepared(self) -> int:
         """Sweep every dumpable storage and settle all in-doubt records."""
@@ -543,7 +561,7 @@ class TransactionManager:
             [
                 logical.committed_write(tx.tx_id, tx.prepared_at, state.created_at, condition)
                 if committed
-                else _restore_write(logical.key, logical.before_image(), condition)
+                else logical.restore_write(condition)
                 for logical in group
             ]
             for group in tx._prepared_groups

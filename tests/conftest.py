@@ -17,7 +17,22 @@ from fedtx import (
     TransactionManager,
     build_memstore,
 )
-from fedtx.model import ValueTag, value_tag
+from fedtx.model import TransactionMetadata, ValueTag, value_tag
+from fedtx.records import (
+    BEFORE_COLUMN_PREFIX,
+    COL_BEFORE,
+    COL_BEFORE_COMMITTED_AT,
+    COL_BEFORE_PREPARED_AT,
+    COL_BEFORE_STATE,
+    COL_BEFORE_VERSION,
+    COL_COMMITTED_AT,
+    COL_DELETED,
+    COL_PREPARED_AT,
+    COL_STATE,
+    COL_TX_ID,
+    COL_VERSION,
+    combined_columns,
+)
 from fedtx.transaction import CoordinatorLocation
 
 
@@ -48,6 +63,62 @@ def compare_values(a, b) -> int:
     if a > b:
         return 1
     return 0
+
+
+def reference_metadata_columns(meta: TransactionMetadata) -> dict:
+    """Oracle: a metadata object rendered as its reserved columns, field by field.
+
+    The seven settled columns, ``_tx_before`` None; a before-image adds its
+    ``_tx_before_*`` columns. ``fedtx.records.combined_columns`` must write
+    exactly these from plain fields.
+    """
+    columns = {
+        COL_TX_ID: meta.tx_id,
+        COL_VERSION: meta.version,
+        COL_STATE: meta.tx_state.value,
+        COL_PREPARED_AT: meta.prepared_at,
+        COL_COMMITTED_AT: meta.committed_at,
+        COL_DELETED: meta.delete_marker,
+        COL_BEFORE: None,
+    }
+    before = meta.before_image
+    if before is not None:
+        prior = before.metadata
+        columns[COL_BEFORE] = prior.tx_id
+        columns[COL_BEFORE_VERSION] = prior.version
+        columns[COL_BEFORE_STATE] = prior.tx_state.value
+        columns[COL_BEFORE_PREPARED_AT] = prior.prepared_at
+        columns[COL_BEFORE_COMMITTED_AT] = prior.committed_at
+        for name, value in before.columns.items():
+            value_tag(value)
+            columns[BEFORE_COLUMN_PREFIX + name] = value
+    return columns
+
+
+def reference_columns(app_columns, meta: TransactionMetadata) -> dict:
+    """Oracle: the full stored image of ``app_columns`` under the metadata object ``meta``."""
+    out = dict(app_columns)
+    out.update(reference_metadata_columns(meta))
+    return out
+
+
+def stored_row(app_columns, meta: TransactionMetadata) -> dict:
+    """The stored image ``fedtx.records.combined_columns`` encodes from the fields of ``meta``."""
+    before = meta.before_image
+    prior_row = prior_app = None
+    if before is not None:
+        prior_row, prior_app = reference_metadata_columns(before.metadata), before.columns
+    return combined_columns(
+        app_columns,
+        meta.tx_id,
+        meta.version,
+        meta.tx_state,
+        meta.prepared_at,
+        meta.committed_at,
+        meta.delete_marker,
+        prior_row,
+        prior_app,
+    )
 
 
 def make_caps(unit=AtomicityUnit.STORAGE, consistent=False, view=False):

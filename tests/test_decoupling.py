@@ -22,8 +22,15 @@ from fedtx.decoupling import (
     read_split_snapshot,
 )
 from fedtx.model import TransactionMetadata, scope_of
-from fedtx.records import combined_columns, metadata_columns
-from conftest import METADATA_MODES, build_env, k, make_caps, mode_env_args
+from conftest import (
+    METADATA_MODES,
+    build_env,
+    k,
+    make_caps,
+    mode_env_args,
+    reference_metadata_columns,
+    stored_row,
+)
 
 CFG = DecoupleConfig()
 MODE_PATHS = {
@@ -79,15 +86,15 @@ class TestLocator:
 class TestDecouple:
     def test_column_partition(self):
         env = build_env(decoupled=True)
-        logical = ConditionalWrite(k(), combined_columns({"v": 7}, committed_meta()))
+        logical = ConditionalWrite(k(), stored_row({"v": 7}, committed_meta()))
         app, meta = expand_writes(env.registry, env.manager.decoupling, [logical])
         assert (app.key, dict(app.columns)) == (k(), {"v": 7})
         assert meta.key.table == "t_meta"
-        assert dict(meta.columns) == metadata_columns(committed_meta())
+        assert dict(meta.columns) == reference_metadata_columns(committed_meta())
 
     def test_round_trip(self):
         env = build_env(decoupled=True)
-        columns = combined_columns({"v": 7, "w": b"x"}, committed_meta())
+        columns = stored_row({"v": 7, "w": b"x"}, committed_meta())
         assert write(env, [ConditionalWrite(k(), columns)]) is None
         rejoined = dict(env.registry.read(k()).columns)
         rejoined.update(env.registry.read(CFG.metadata_key(k())).columns)
@@ -102,7 +109,7 @@ class TestExpandWrites:
     def test_one_logical_write_becomes_two_physical(self):
         env = build_env(decoupled=True)
         logical = ConditionalWrite(
-            k(), combined_columns({"v": 1}, committed_meta()), if_tx_id_equals("t9")
+            k(), stored_row({"v": 1}, committed_meta()), if_tx_id_equals("t9")
         )
         physical = expand_writes(env.registry, env.manager.decoupling, [logical])
         assert len(physical) == 2
@@ -114,7 +121,7 @@ class TestExpandWrites:
         env = seeded_env()
         observed = {k(): read_split(env.registry, env.manager.decoupling, k())}
         logical = ConditionalWrite(
-            k(), combined_columns({"v": 8}, committed_meta("t1", 2)), if_tx_id_equals("t0")
+            k(), stored_row({"v": 8}, committed_meta("t1", 2)), if_tx_id_equals("t0")
         )
         app, meta = expand_writes(env.registry, env.manager.decoupling, [logical], observed)
         assert app.condition == if_columns_equal({"v": 7})
@@ -124,14 +131,14 @@ class TestExpandWrites:
     def test_a_consistent_read_leaves_the_application_row_unconditional(self, consistent, view):
         env = seeded_env(consistent=consistent, view=view)
         observed = {k(): read_dispatch(env.registry, env.manager.decoupling, k())}
-        logical = ConditionalWrite(k(), combined_columns({"v": 8}, committed_meta("t1", 2)))
+        logical = ConditionalWrite(k(), stored_row({"v": 8}, committed_meta("t1", 2)))
         app, _ = expand_writes(env.registry, env.manager.decoupling, [logical], observed)
         assert app.condition == UNCONDITIONAL
 
     def test_an_absent_split_read_leaves_the_application_row_unconditional(self):
         env = seeded_env()
         observed = {k(pk=2): read_split(env.registry, env.manager.decoupling, k(pk=2))}
-        logical = ConditionalWrite(k(pk=2), combined_columns({"v": 8}, committed_meta()))
+        logical = ConditionalWrite(k(pk=2), stored_row({"v": 8}, committed_meta()))
         app, _ = expand_writes(env.registry, env.manager.decoupling, [logical], observed)
         assert app.condition == UNCONDITIONAL
 
@@ -141,7 +148,7 @@ class TestExpandWrites:
         # another value under the same metadata: what a torn pair looks like
         env.adapter("s1").atomic_write([ConditionalWrite(k(), {"v": 9})])
         logical = ConditionalWrite(
-            k(), combined_columns({"v": 8}, committed_meta("t1", 2)), if_tx_id_equals("t0")
+            k(), stored_row({"v": 8}, committed_meta("t1", 2)), if_tx_id_equals("t0")
         )
         physical = expand_writes(env.registry, env.manager.decoupling, [logical], observed)
         assert env.registry.atomic_write(physical) == 0
@@ -150,7 +157,7 @@ class TestExpandWrites:
 
     def test_single_batch_of_two_rows(self):
         env = build_env(decoupled=True)
-        logical = ConditionalWrite(k(), combined_columns({"v": 1}, committed_meta()))
+        logical = ConditionalWrite(k(), stored_row({"v": 1}, committed_meta()))
         assert write(env, [logical]) is None
         counters = env.counters("s1")
         assert counters.atomic_write_batches == 1
@@ -159,7 +166,7 @@ class TestExpandWrites:
     def test_four_logical_writes_one_batch_of_eight(self):
         env = build_env(decoupled=True)
         batch = [
-            ConditionalWrite(k(pk=i), combined_columns({"v": i}, committed_meta()))
+            ConditionalWrite(k(pk=i), stored_row({"v": i}, committed_meta()))
             for i in range(4)
         ]
         assert write(env, batch) is None
@@ -168,10 +175,10 @@ class TestExpandWrites:
 
     def test_failed_metadata_condition_suppresses_application_write(self):
         env = build_env(decoupled=True)
-        first = ConditionalWrite(k(), combined_columns({"v": 1}, committed_meta("t0")))
+        first = ConditionalWrite(k(), stored_row({"v": 1}, committed_meta("t0")))
         assert write(env, [first]) is None
         stale = ConditionalWrite(
-            k(), combined_columns({"v": 2}, committed_meta("t1", 2)), if_tx_id_equals("wrong")
+            k(), stored_row({"v": 2}, committed_meta("t1", 2)), if_tx_id_equals("wrong")
         )
         failed = write(env, [stale])
         assert failed is not None
@@ -179,7 +186,7 @@ class TestExpandWrites:
 
     def test_colocation_violation(self):
         env = build_env({"s1": make_caps(AtomicityUnit.TABLE)}, decoupled=True)
-        logical = ConditionalWrite(k(), combined_columns({"v": 1}, committed_meta()))
+        logical = ConditionalWrite(k(), stored_row({"v": 1}, committed_meta()))
         with pytest.raises(AtomicityScopeViolation):
             expand_writes(env.registry, env.manager.decoupling, [logical])
 
@@ -190,7 +197,7 @@ def seeded_env(consistent=False, view=False):
         decoupled=True,
         register_views=view,
     )
-    logical = ConditionalWrite(k(), combined_columns({"v": 7}, committed_meta()))
+    logical = ConditionalWrite(k(), stored_row({"v": 7}, committed_meta()))
     write(env, [logical])
     return env
 

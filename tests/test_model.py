@@ -27,8 +27,8 @@ from fedtx.model import (
     value_tag,
     ValueTag,
 )
-from fedtx.records import metadata_columns
-from conftest import build_env, compare_values
+from fedtx.storage import ConditionalWrite
+from conftest import build_env, compare_values, stored_row
 
 KEY = FullKey("s1", "ns", "t", (5,), (2,))
 
@@ -63,8 +63,9 @@ class TestValues:
         meta = TransactionMetadata(
             "t1", 2, TxState.PREPARED, prepared_at=2, before_image=BeforeImage({"x": 1.5}, prior)
         )
-        with pytest.raises(TypeError):
-            metadata_columns(meta)
+        store = build_env().adapter("s1")
+        with pytest.raises(TypeError):  # the store checks every column a PUT writes
+            store.atomic_write([ConditionalWrite(KEY, stored_row({}, meta))])
         tx = build_env().manager.begin()
         with pytest.raises(TypeError):
             tx.put(KEY, {"x": 1.5})

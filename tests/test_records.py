@@ -1,11 +1,13 @@
 """Round trips of the metadata column codec."""
 
+from dataclasses import replace
 from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fedtx.model import BeforeImage, TransactionMetadata, TxState
+from fedtx.decoupling import ReadPath, ReadResult
+from fedtx.model import BeforeImage, FullKey, TransactionMetadata, TxState, value_tag
 from fedtx.records import (
     COL_BEFORE,
     COL_BEFORE_STATE,
@@ -16,13 +18,18 @@ from fedtx.records import (
     COL_VERSION,
     application_columns,
     check_application_columns,
-    combined_columns,
     is_metadata_column,
-    metadata_columns,
     parse_metadata,
     split_columns,
 )
-from conftest import SEVEN_METADATA_COLUMNS
+from fedtx.storage import IF_NOT_EXISTS, WriteKind, if_tx_id_equals
+from fedtx.transaction import _LogicalWrite, _restore_write
+from conftest import (
+    SEVEN_METADATA_COLUMNS,
+    reference_columns,
+    reference_metadata_columns,
+    stored_row,
+)
 
 scalars = st.one_of(
     st.none(),
@@ -70,12 +77,12 @@ metadata = st.builds(
 
 @given(metadata)
 def test_metadata_round_trip(meta):
-    assert parse_metadata(metadata_columns(meta)) == meta
+    assert parse_metadata(stored_row({}, meta)) == meta
 
 
 @given(app_columns, metadata)
 def test_split_inverts_combine(columns, meta):
-    app, raw_meta = split_columns(combined_columns(columns, meta))
+    app, raw_meta = split_columns(stored_row(columns, meta))
     assert app == dict(columns)
     assert parse_metadata(raw_meta) == meta
 
@@ -83,7 +90,7 @@ def test_split_inverts_combine(columns, meta):
 @given(app_columns, before_images)
 def test_before_image_columns_all_land_on_the_metadata_side(columns, before):
     meta = TransactionMetadata("t1", 2, TxState.PREPARED, prepared_at=5, before_image=before)
-    stored = combined_columns(columns, meta)
+    stored = stored_row(columns, meta)
     app, raw_meta = split_columns(stored)
     before_columns = {name for name in stored if name.startswith(COL_BEFORE)}
     assert before_columns <= set(raw_meta)
@@ -94,11 +101,11 @@ def test_before_image_columns_all_land_on_the_metadata_side(columns, before):
 def test_before_image_without_application_columns_is_kept():
     before = BeforeImage({}, committed_meta())
     meta = TransactionMetadata("t1", 2, TxState.PREPARED, prepared_at=5, before_image=before)
-    assert parse_metadata(metadata_columns(meta)).before_image == BeforeImage({}, committed_meta())
+    assert parse_metadata(stored_row({}, meta)).before_image == BeforeImage({}, committed_meta())
 
 
 def test_committed_image_has_exactly_the_seven_metadata_columns():
-    stored = combined_columns({"v": 1, "before": b"x"}, committed_meta(version=3))
+    stored = stored_row({"v": 1, "before": b"x"}, committed_meta(version=3))
     app, raw_meta = split_columns(stored)
     assert app == {"v": 1, "before": b"x"}
     assert set(raw_meta) == SEVEN_METADATA_COLUMNS
@@ -112,7 +119,7 @@ def test_reserved_prefix_is_rejected():
 
 
 def test_metadata_columns_are_recognized():
-    for name in metadata_columns(committed_meta()):
+    for name in stored_row({}, committed_meta()):
         assert is_metadata_column(name)
     assert not is_metadata_column("payload")
 
@@ -125,7 +132,7 @@ stored_metadata = st.one_of(
 
 @given(app_columns, stored_metadata)
 def test_a_stored_row_decodes_to_its_metadata_and_application_columns(columns, meta):
-    stored = combined_columns(columns, meta)
+    stored = stored_row(columns, meta)
     for row in (stored, MappingProxyType(stored)):  # a read hands out the stored dict read-only
         assert parse_metadata(row) == meta
         app = application_columns(row)
@@ -136,7 +143,7 @@ def test_a_stored_row_decodes_to_its_metadata_and_application_columns(columns, m
 @given(app_columns, before_images)
 def test_a_prepared_row_decodes_its_before_image(columns, before):
     meta = TransactionMetadata("t1", 2, TxState.PREPARED, prepared_at=5, before_image=before)
-    row = combined_columns(columns, meta)
+    row = stored_row(columns, meta)
     assert parse_metadata(row).before_image == before
     assert application_columns(row) == split_columns(row)[0] == dict(columns)
 
@@ -145,7 +152,7 @@ def prepared_row_with_before_image():
     meta = TransactionMetadata(
         "t1", 2, TxState.PREPARED, prepared_at=5, before_image=BeforeImage({"v": 0}, committed_meta())
     )
-    return combined_columns({"v": 1}, meta)
+    return stored_row({"v": 1}, meta)
 
 
 @pytest.mark.parametrize("column", [COL_STATE, COL_BEFORE_STATE])
@@ -176,3 +183,97 @@ def test_a_row_breaking_a_metadata_invariant_raises(change):
     row.update(change)
     with pytest.raises(ValueError):
         parse_metadata(row)
+
+
+# -- the encoder against the object oracle ------------------------------------------
+
+KEY = FullKey("s1", "app", "t", (1,))
+
+
+def tagged(columns):
+    """A row column for column, in order, each value with its tag: True and 1 differ."""
+    return [(name, value_tag(value), value) for name, value in columns.items()]
+
+
+def observed_row(prior, layout):
+    """The ReadResult a read of the settled ``prior`` (app columns, metadata) returns."""
+    if prior is None:
+        return ReadResult(None, None, ReadPath.COLOCATED)
+    app, meta = prior
+    if layout == "colocated":
+        row = MappingProxyType(reference_columns(app, meta))
+        return ReadResult(row, row, ReadPath.COLOCATED)
+    return ReadResult(
+        MappingProxyType(dict(app)),
+        MappingProxyType(reference_metadata_columns(meta)),
+        ReadPath.SPLIT_READS,
+    )
+
+
+settled = st.builds(
+    TransactionMetadata,
+    tx_id=st.text(min_size=1, max_size=8),
+    version=st.integers(1, 9),
+    tx_state=st.just(TxState.COMMITTED),
+    prepared_at=st.integers(1, 99),
+    committed_at=st.integers(1, 99),
+    delete_marker=st.just(False),
+)
+
+# A settled row carries no before-image; one left by a foreign writer is dropped.
+settled_with_stray_image = st.one_of(
+    settled,
+    st.builds(lambda meta, image: replace(meta, before_image=image), settled, before_images),
+)
+
+
+@given(
+    columns=st.one_of(st.none(), app_columns),  # None deletes the key
+    prior=st.one_of(st.none(), st.tuples(app_columns, settled_with_stray_image)),
+    layout=st.sampled_from(["colocated", "split"]),
+    tx_id=st.text(min_size=1, max_size=8),
+    prepared_at=st.integers(1, 99),
+    committed_at=st.integers(1, 99),
+)
+def test_every_image_a_write_stores_is_the_object_oracles(
+    columns, prior, layout, tx_id, prepared_at, committed_at
+):
+    obs = observed_row(prior, layout)
+    if prior is None:
+        version, condition, image = 1, IF_NOT_EXISTS, None
+        prior_meta = None
+    else:
+        prior_app, prior_meta = prior
+        version, condition = prior_meta.version + 1, if_tx_id_equals(prior_meta.tx_id)
+        image = BeforeImage(prior_app, replace(prior_meta, before_image=None))
+    logical = _LogicalWrite(KEY, columns, obs, version, condition)
+    deleted = columns is None
+
+    prepared = logical.prepared_write(tx_id, prepared_at)
+    meta = TransactionMetadata(
+        tx_id, version, TxState.PREPARED, prepared_at, None, image, delete_marker=deleted
+    )
+    assert tagged(prepared.columns) == tagged(reference_columns(columns or {}, meta))
+    assert (prepared.kind, prepared.condition) == (WriteKind.PUT, condition)
+
+    committed = logical.committed_write(tx_id, prepared_at, committed_at, condition)
+    if deleted:
+        assert (committed.kind, dict(committed.columns)) == (WriteKind.DELETE, {})
+    else:
+        meta = TransactionMetadata(tx_id, version, TxState.COMMITTED, prepared_at, committed_at)
+        assert committed.kind is WriteKind.PUT
+        assert tagged(committed.columns) == tagged(reference_columns(columns, meta))
+
+    # The abort path restores from the read; a recovery, from the prepared row.
+    recovered = parse_metadata(prepared.columns).before_image
+    if recovered is None:
+        recovery = _restore_write(KEY, None, None, condition)
+    else:
+        recovery = _restore_write(KEY, recovered.columns, recovered.metadata, condition)
+    for restore in (logical.restore_write(condition), recovery):
+        if image is None:
+            assert (restore.kind, dict(restore.columns)) == (WriteKind.DELETE, {})
+        else:
+            settled_row = reference_columns(image.columns, image.metadata)
+            assert restore.kind is WriteKind.PUT
+            assert tagged(restore.columns) == tagged(settled_row)

@@ -14,6 +14,7 @@ from fedtx import (
     MemStoreConfig,
     StorageRegistry,
     TransactionManager,
+    TxStatus,
     UnknownStorage,
     WriteCondition,
     build_memstore,
@@ -21,9 +22,8 @@ from fedtx import (
 )
 from fedtx.decoupling import ReadPath, read_dispatch
 from fedtx.model import TransactionMetadata, TxState
-from fedtx.records import metadata_columns
 from fedtx.transaction import CoordinatorLocation
-from conftest import build_env, k, make_caps
+from conftest import build_env, k, make_caps, reference_metadata_columns
 
 
 def write_committed(manager, key):
@@ -88,7 +88,7 @@ class TestConsistentReadable:
         cfg = DecoupleConfig()
         env.adapter("s1").atomic_write([ConditionalWrite(k(), {"v": 7})])
         env.adapter("s1").atomic_write(
-            [ConditionalWrite(cfg.metadata_key(k()), metadata_columns(meta))]
+            [ConditionalWrite(cfg.metadata_key(k()), reference_metadata_columns(meta))]
         )
         result = read_dispatch(env.registry, cfg, k())
         assert result.path is ReadPath.SPLIT_READS
@@ -180,6 +180,23 @@ class TestViewJoinable:
         tx.get(k(table="u", pk=2))
         tx.get(k(pk=2))
         assert store.calls == {"view_for": 1, "capabilities": 1}
+
+    @pytest.mark.parametrize("tables", [("t",), ("t", "u")], ids=["one-table", "two-tables"])
+    def test_a_commit_asks_for_the_unit_once_per_storage_and_table(self, tables):
+        store, manager = self.counted_view_manager()
+        keys = [k(pk=pk, table=table) for table in tables for pk in range(8 // len(tables))]
+        tx = manager.begin()
+        for key in keys:
+            assert tx.get(key) is None  # resolves each table's read route
+            tx.put(key, {"v": 1})
+        store.calls.clear()
+        tx.commit()
+        assert tx.status is TxStatus.COMMITTED
+        assert store.counters().atomic_write_batches == 1  # one-phase: one group, one batch
+        # grouping asks once for the storage; expand_writes once per split table
+        assert store.calls == {"capabilities": 1 + len(tables)}
+        tx = manager.begin()
+        assert [tx.get(key) for key in keys] == [{"v": 1}] * 8
 
     def test_a_second_config_resolves_its_own_route(self):
         store, manager = self.counted_view_manager()

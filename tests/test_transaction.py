@@ -27,11 +27,27 @@ from fedtx import (
     WriteKind,
 )
 from fedtx.decoupling import ReadPath, read_dispatch
-from fedtx.model import BeforeImage, FullKey, Record, TransactionMetadata
-from fedtx.records import COL_BEFORE, COL_STATE, COL_TX_ID, COL_VERSION, combined_columns
+from fedtx.model import BeforeImage, FullKey, Record, TransactionMetadata, value_tag
+from fedtx.records import (
+    COL_BEFORE,
+    COL_STATE,
+    COL_TX_ID,
+    COL_VERSION,
+    COORD_CREATED_COLUMN,
+    split_columns,
+)
 from fedtx.storage import WriteCondition
 from fedtx.verifier import HistoryRecorder, audit_atomicity
-from conftest import METADATA_MODES, SEVEN_METADATA_COLUMNS, build_env, k, make_caps, mode_env_args
+from conftest import (
+    METADATA_MODES,
+    SEVEN_METADATA_COLUMNS,
+    build_env,
+    k,
+    make_caps,
+    mode_env_args,
+    reference_columns,
+    stored_row,
+)
 
 
 def committed_value(env, key):
@@ -147,6 +163,19 @@ class TestTxIds:
         tx.put(k(), {"v": 1})
         tx.commit()
         assert env.registry.read(k()).columns[COL_TX_ID] == "first"
+
+    @pytest.mark.parametrize("empty", ["", None], ids=["empty-str", "none"])
+    def test_a_factory_id_that_is_empty_is_refused_at_begin(self, env, empty):
+        names = iter([empty, "second"])
+        manager = TransactionManager(
+            env.manager.registry, env.manager.coordinator, tx_id_factory=lambda: next(names)
+        )
+        with pytest.raises(ValueError, match="tx_id must be non-empty"):
+            manager.begin()
+        tx = manager.begin()  # the refusal leaves the manager usable
+        tx.put(k(), {"v": 1})
+        tx.commit()
+        assert env.registry.read(k()).columns[COL_TX_ID] == "second"
 
 
 class TestAbort:
@@ -687,7 +716,7 @@ class TestRecovery:
         # A row that stays PREPARED however often it is settled: its rollback's
         # tx-id condition never holds against the stored row.
         ghost = TransactionMetadata("ghost", 2, TxState.PREPARED, prepared_at=1)
-        stuck = Record(k(), combined_columns({"v": 5}, ghost))
+        stuck = Record(k(), stored_row({"v": 5}, ghost))
         reads = []
 
         def stuck_read(key):
@@ -1244,13 +1273,18 @@ class TestScopeCost:
     def test_commit_builds_each_row_once(self, monkeypatch):
         """No written data row goes through the copying constructor or a per-access condition.
 
-        ``combined_columns`` is counted under the name ``perfbench`` traces,
-        so the counts match its ``records.combined_columns.calls_per_tx``.
+        Each row is encoded by one ``combined_columns`` call from plain
+        fields: no before-image is built, and the only metadata decoded is
+        that of the rows the commit observed. ``combined_columns`` is counted
+        under the name ``perfbench`` traces, so the counts match its
+        ``records.combined_columns.calls_per_tx``.
         """
-        counts = {"copied": [], "conditions": 0, "combined": 0}
+        counts = {"copied": [], "conditions": 0, "combined": 0, "decoded": [], "images": 0}
         copying = ConditionalWrite.__post_init__
         checking = WriteCondition.__post_init__
         combine = fedtx.transaction.combined_columns
+        decode = TransactionMetadata._decoded.__func__
+        share = BeforeImage._sharing.__func__
 
         def counted_copy(write):
             counts["copied"].append(write.key)
@@ -1260,13 +1294,23 @@ class TestScopeCost:
             counts["conditions"] += 1
             checking(condition)
 
-        def counted_combine(*args):
+        def counted_combine(*args, **kwargs):
             counts["combined"] += 1
-            return combine(*args)
+            return combine(*args, **kwargs)
+
+        def counted_decode(cls, **fields):
+            counts["decoded"].append(fields["tx_id"])
+            return decode(cls, **fields)
+
+        def counted_share(cls, columns, metadata):
+            counts["images"] += 1
+            return share(cls, columns, metadata)
 
         monkeypatch.setattr(ConditionalWrite, "__post_init__", counted_copy)
         monkeypatch.setattr(WriteCondition, "__post_init__", counted_condition)
         monkeypatch.setattr(fedtx.transaction, "combined_columns", counted_combine)
+        monkeypatch.setattr(TransactionMetadata, "_decoded", classmethod(counted_decode))
+        monkeypatch.setattr(BeforeImage, "_sharing", classmethod(counted_share))
 
         def commit_cost(env, keys):
             for key in keys:
@@ -1274,28 +1318,40 @@ class TestScopeCost:
             tx = env.manager.begin()
             for key in keys:
                 tx.put(key, {"v": tx.get(key)["v"] + 1})
-            counts.update(copied=[], conditions=0, combined=0)
+            counts.update(copied=[], conditions=0, combined=0, decoded=[], images=0)
             tx.commit()
             assert tx.status is TxStatus.COMMITTED
             assert {key: committed_value(env, key) for key in keys} == dict.fromkeys(keys, {"v": 2})
             data_rows = [key for key in counts["copied"] if key.storage != "coord"]
-            return data_rows, counts["conditions"], counts["combined"]
+            # every decode is of an observed row: none of this commit's own metadata
+            assert tx.tx_id not in counts["decoded"]
+            return (
+                data_rows,
+                counts["conditions"],
+                counts["combined"],
+                len(counts["decoded"]),
+                counts["images"],
+            )
 
         two_phase = build_env({"s1": make_caps(), "s2": make_caps()})
         keys = [k(storage, pk=pk) for storage in ("s1", "s2") for pk in range(4)]
-        data_rows, conditions, combined = commit_cost(two_phase, keys)
+        data_rows, conditions, combined, decoded, images = commit_cost(two_phase, keys)
         assert two_phase.counters("coord").atomic_write_batches > 0
         assert data_rows == []
         assert combined == 16  # 8 prepared rows and 8 committed rows
         assert conditions <= 8 + 1  # one per logical write, one for the commit records
+        assert decoded == 8  # the 8 observed rows, in _materialize_writes
+        assert images == 0
 
         one_phase = build_env({"s1": make_caps(AtomicityUnit.PARTITION)})
         keys = [k(ck=ck) for ck in range(4)]
-        data_rows, conditions, combined = commit_cost(one_phase, keys)
+        data_rows, conditions, combined, decoded, images = commit_cost(one_phase, keys)
         assert one_phase.counters("coord").atomic_write_batches == 0
         assert data_rows == []
         assert combined == 4
         assert conditions <= 4
+        assert decoded == 4
+        assert images == 0
 
 
 class TestRowAliasing:
@@ -1378,7 +1434,7 @@ class TestReadDecoding:
     @pytest.mark.parametrize("mode", list(METADATA_MODES))
     def test_an_unknown_state_still_raises_on_read(self, mode):
         env = build_env(**mode_env_args(mode))
-        columns = combined_columns({"v": 1}, TransactionMetadata("t0", 1, TxState.COMMITTED, 1, 2))
+        columns = stored_row({"v": 1}, TransactionMetadata("t0", 1, TxState.COMMITTED, 1, 2))
         columns[COL_STATE] = "LIMBO"
         logical = ConditionalWrite(k(), columns)
         env.registry.atomic_write(
@@ -1388,3 +1444,101 @@ class TestReadDecoding:
             env.manager.begin().get(k())
         with pytest.raises(ValueError, match="LIMBO"):
             env.manager.begin().scan(GroupKey("s1", "app", "t", (1,)))
+
+
+class TestStoredImages:
+    """Every row the protocol stores is the object oracle's image of what happened.
+
+    The metadata of each expected row is built as objects from the handles'
+    own ticks and the coordinator's outcome record, then rendered by the
+    oracle and, in a split mode, cut into its two physical rows.
+    """
+
+    COLUMNS = {"v": 1, "flag": True, "name": "a", "blob": b"\x00", "none": None}
+
+    @staticmethod
+    def dump(env):
+        return {
+            record.key.render(): [(name, value_tag(v), v) for name, v in record.columns.items()]
+            for name in ("s1", "s2")
+            for record in env.adapter(name).dump()
+        }
+
+    @staticmethod
+    def expected(env, rows):
+        physical = {}
+        for key, row in rows.items():
+            if env.manager.decoupling is None:
+                physical[key] = row
+            else:
+                physical[key], physical[DecoupleConfig.metadata_key(key)] = split_columns(row)
+        return {
+            key.render(): [(name, value_tag(v), v) for name, v in row.items()]
+            for key, row in physical.items()
+        }
+
+    @staticmethod
+    def outcome_at(env, tx):
+        return env.registry.read(env.manager.coordinator.key_for(tx.tx_id)).columns[
+            COORD_CREATED_COLUMN
+        ]
+
+    def prepare_and_crash(self, env, crash):
+        """Rewrite s1 and delete s2 in one transaction that dies at the coordinator write."""
+        tx = env.manager.begin()
+        assert tx.get(k("s1")) is not None and tx.get(k("s2")) is not None
+        tx.put(k("s1"), dict(self.COLUMNS, v=tx.get(k("s1"))["v"] + 1))
+        tx.delete(k("s2"))
+        env.adapter("coord").inject_faults([(0, crash)])
+        with pytest.raises(InjectedCrash):
+            tx.commit()
+        env.adapter("coord").clear_faults()
+        return tx
+
+    def prepared_rows(self, tx, before):
+        image = BeforeImage(self.COLUMNS, before)
+        return {
+            k("s1"): reference_columns(
+                dict(self.COLUMNS, v=2),
+                TransactionMetadata(tx.tx_id, 2, TxState.PREPARED, tx.prepared_at, None, image),
+            ),
+            k("s2"): reference_columns(
+                {},
+                TransactionMetadata(
+                    tx.tx_id, 2, TxState.PREPARED, tx.prepared_at, None, image, delete_marker=True
+                ),
+            ),
+        }
+
+    @pytest.mark.parametrize("mode", list(METADATA_MODES))
+    def test_commit_restore_and_roll_forward_store_the_oracles_rows(self, mode):
+        env = build_env(**mode_env_args(mode, storages=("s1", "s2")), tx_ids="tx")
+        keys = [k("s1"), k("s2")]
+
+        first = env.manager.begin()
+        for key in keys:
+            first.put(key, self.COLUMNS)
+        first.commit()
+        settled = TransactionMetadata(
+            first.tx_id, 1, TxState.COMMITTED, first.prepared_at, self.outcome_at(env, first)
+        )
+        committed = self.expected(env, dict.fromkeys(keys, reference_columns(self.COLUMNS, settled)))
+        assert self.dump(env) == committed
+
+        # Abort after prepare: both prepared rows, then both settled rows restored.
+        aborted = self.prepare_and_crash(env, FaultKind.CRASH_BEFORE_BATCH)
+        assert self.dump(env) == self.expected(env, self.prepared_rows(aborted, settled))
+        aborted.abort()
+        assert aborted.status is TxStatus.ABORTED
+        assert self.dump(env) == committed
+
+        # Past the commit point: a reader rolls both records forward.
+        winner = self.prepare_and_crash(env, FaultKind.CRASH_AFTER_BATCH)
+        assert self.dump(env) == self.expected(env, self.prepared_rows(winner, settled))
+        reader = env.manager.begin()
+        assert [reader.get(key) for key in keys] == [dict(self.COLUMNS, v=2), None]
+        rolled = TransactionMetadata(
+            winner.tx_id, 2, TxState.COMMITTED, winner.prepared_at, self.outcome_at(env, winner)
+        )
+        expected = {k("s1"): reference_columns(dict(self.COLUMNS, v=2), rolled)}
+        assert self.dump(env) == self.expected(env, expected)
