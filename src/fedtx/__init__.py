@@ -32,12 +32,10 @@ from .memstore import (
 )
 from .model import (
     AtomicityUnit,
-    BeforeImage,
     CoordinatorState,
     FullKey,
     GroupKey,
     Record,
-    TransactionMetadata,
     TxState,
     TxStatus,
     render_key,

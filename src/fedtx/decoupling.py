@@ -24,11 +24,11 @@ knows which reads still need validation. A write derived from a split read
 also conditions the application row on the columns it read
 (``expand_writes``), so a torn pair can never be written back.
 
-A read itself decodes nothing: its ``ReadResult`` keeps the stored row(s) the store
-handed out, which never change afterwards, and decodes from them only what
-the transaction asks for. A read-only transaction checks the row's state and
-copies its application columns; only a key it writes decodes the full
-metadata.
+A read itself decodes nothing: its ``ReadResult`` keeps the stored row(s)
+the store handed out, which never change afterwards, and that row is the
+metadata. A read-only transaction checks the row's state and copies its
+application columns; only a key it writes has its metadata row checked
+(``records.parse_metadata``) before its columns are read by name.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import AtomicityScopeViolation, JoinIntegrityError
-from .model import AtomicityUnit, FullKey, GroupKey, Record, TransactionMetadata, TxState, scope_of
+from .model import AtomicityUnit, FullKey, GroupKey, Record, TxState, scope_of
 from .records import (
     COL_STATE,
     _state,
@@ -118,20 +118,22 @@ class ReadPath(enum.Enum):
 
 
 class ReadResult:
-    """A logical record (or its absence) as one route read it, decoded on demand.
+    """A logical record (or its absence) as one route read it, checked on demand.
 
     ``app_row`` and ``meta_row`` are the read-only mappings the store handed
     out: the application row and the row holding the ``_tx_*`` columns. The
     colocated and view routes read one row and hold it as both; an absent
-    record holds None for both. The accessors decode only what they return:
+    record holds None for both. The accessors look at only what they return:
 
-    * ``present``: whether the record exists; decodes nothing.
-    * ``prepared``: whether it is in doubt; decodes only ``_tx_state``, and an
+    * ``present``: whether the record exists; looks at nothing.
+    * ``prepared``: whether it is in doubt; parses only ``_tx_state``, and an
       unknown state raises as ``parse_metadata`` does.
-    * ``meta``: the full ``TransactionMetadata``, decoded at most once.
+    * ``meta``: ``meta_row`` once ``parse_metadata`` has checked it, at most
+      once. A view's is the whole joined row, a split route's holds only the
+      ``_tx_*`` columns; read it through the ``records.COL_*`` names.
     * ``app_columns``: the application columns as a dict, filtered at most
-      once and shared (by the before-image too), so nobody may change it;
-      a caller gets a copy.
+      once and shared (a prepared write's before-image is encoded from it),
+      so nobody may change it; a caller gets a copy.
     """
 
     __slots__ = ("app_row", "meta_row", "path", "_meta", "_app_columns")
@@ -153,7 +155,7 @@ class ReadResult:
         return row is not None and _state(row[COL_STATE]) is TxState.PREPARED
 
     @property
-    def meta(self) -> TransactionMetadata | None:
+    def meta(self) -> Mapping | None:
         meta = self._meta
         if meta is None and self.meta_row is not None:
             meta = self._meta = parse_metadata(self.meta_row)

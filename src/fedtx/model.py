@@ -1,4 +1,4 @@
-"""Core data model: keys, column values, atomic-write scopes, and record metadata.
+"""Core data model: keys, column values, atomic-write scopes, and transaction status.
 
 Records live in a multi-dimensional map: a record is addressed by
 (storage, namespace, table, partition key, clustering key) and carries a flat
@@ -21,6 +21,10 @@ model's order, because a key component can only be an int, a str or a bytes
 (null and bool are rejected): within one type Python's ``<`` is the tag's
 order, across types both raise ``TypeError``, and a shorter prefix sorts
 first.
+
+A record's transaction metadata has no type of its own: it is the reserved
+``_tx_*`` columns of the stored row (``records``). ``TxState`` names the
+values of its state column.
 
 All types in this module are immutable value objects and safe to share across
 threads.
@@ -303,77 +307,10 @@ def render_key(
 
 
 class TxState(enum.Enum):
+    """A stored record's ``_tx_state``: in doubt, or settled."""
+
     PREPARED = "PREPARED"
     COMMITTED = "COMMITTED"
-
-
-@dataclass(frozen=True)
-class BeforeImage:
-    """Previous version of a record, kept for rollback.
-
-    Holds the prior application columns and the prior metadata; the nested
-    metadata never carries its own before-image (depth is exactly one).
-    """
-
-    columns: Mapping[str, object]
-    metadata: "TransactionMetadata"
-
-    def __post_init__(self):
-        object.__setattr__(self, "columns", MappingProxyType(dict(self.columns)))
-        self._check_depth()
-
-    def _check_depth(self) -> None:
-        if self.metadata.before_image is not None:
-            raise ValueError("a before-image's metadata may not nest another before-image")
-
-    @classmethod
-    def _sharing(cls, columns: dict, metadata: "TransactionMetadata") -> "BeforeImage":
-        """An image sharing ``columns``, a dict that nobody changes from now on, without a copy.
-
-        For columns decoded fresh from a stored row. Runs the same nesting check.
-        """
-        image = object.__new__(cls)
-        image.__dict__.update(columns=MappingProxyType(columns), metadata=metadata)
-        image._check_depth()
-        return image
-
-
-@dataclass(frozen=True)
-class TransactionMetadata:
-    """Per-record write-ahead state: who wrote it last, and at which version.
-
-    ``delete_marker`` is only meaningful while PREPARED: it flags that the
-    owning transaction intends to remove the record, so roll-forward deletes
-    instead of committing the columns.
-    """
-
-    tx_id: str
-    version: int
-    tx_state: TxState
-    prepared_at: int
-    committed_at: int | None = None
-    before_image: BeforeImage | None = None
-    delete_marker: bool = False
-
-    def __post_init__(self):
-        if not self.tx_id:
-            raise ValueError("tx_id must be non-empty")
-        if self.version < 1:
-            raise ValueError("version starts at 1")
-        if self.tx_state is TxState.COMMITTED and self.committed_at is None:
-            raise ValueError("a COMMITTED record must carry committed_at")
-
-    @classmethod
-    def _decoded(cls, **fields) -> "TransactionMetadata":
-        """Metadata from every field at once, not one setattr each.
-
-        For metadata decoded from a stored row. Runs the same invariants as
-        the constructor.
-        """
-        meta = object.__new__(cls)
-        meta.__dict__.update(fields)
-        meta.__post_init__()
-        return meta
 
 
 class TxStatus(enum.Enum):

@@ -11,20 +11,20 @@ the rest: ``_tx_before`` (the prior tx id; None when there is no image),
 ``_tx_``, so stores that keep metadata in a separate table put the whole set
 there; this module only defines the column codec, not the placement.
 
-A read decodes on demand, straight from the stored row it keeps
-(``decoupling.ReadResult``): the in-doubt check looks up ``_tx_state`` alone
-through ``_state``, ``parse_metadata`` looks up the ``_tx_*`` columns by name
-only when the full metadata is wanted (a key the transaction writes), and
-``application_columns`` copies out the rest. No read partitions the row
-first. Only the write path, which routes the two halves of a row to
-different tables, needs ``split_columns``.
+The stored row is the one form of a record's metadata; nothing decodes it
+into objects. A read keeps the row the store handed out
+(``decoupling.ReadResult``): the in-doubt check looks up ``_tx_state``
+alone through ``_state``, ``parse_metadata`` checks the ``_tx_*`` columns of
+a key the transaction writes and hands the row back to be read by name, and
+``application_columns`` copies out the rest. Only the write path, which
+routes the two halves of a row to different tables, needs ``split_columns``.
 
-The write side encodes each row once, in one step and from plain fields:
 ``combined_columns`` is the one encoder of every stored image (prepared,
-committed, rolled forward or restored). It copies a PREPARED row's
-before-image straight from the settled row it replaces, so no metadata or
-before-image object is built to write a row, and the commit path hands the
-fresh dict to its ``ConditionalWrite`` without another copy.
+committed, rolled forward or restored), in one step from plain fields. A
+PREPARED row's before-image is copied straight from the settled row it
+replaces; a restore encodes that settled row again, from the row read
+(``settled_image``) or from the prepared row's ``_tx_before*`` columns
+(``prior_image``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Mapping
 
-from .model import BeforeImage, TransactionMetadata, TxState
+from .model import TxState
 
 META_PREFIX = "_tx_"
 
@@ -76,38 +76,31 @@ def _state(value) -> TxState:
         return TxState(value)  # raises the enum's ValueError
 
 
-def _parse_before(prior_tx_id: str, columns: Mapping[str, object]) -> BeforeImage:
-    start = len(BEFORE_COLUMN_PREFIX)
-    return BeforeImage._sharing(
-        {
-            name[start:]: value
-            for name, value in columns.items()
-            if name.startswith(BEFORE_COLUMN_PREFIX)
-        },
-        TransactionMetadata._decoded(
-            tx_id=prior_tx_id,
-            version=columns[COL_BEFORE_VERSION],
-            tx_state=_state(columns[COL_BEFORE_STATE]),
-            prepared_at=columns[COL_BEFORE_PREPARED_AT],
-            committed_at=columns[COL_BEFORE_COMMITTED_AT],
-            before_image=None,
-            delete_marker=False,
-        ),
-    )
+def _check(tx_id, version, state, prepared_at, committed_at) -> None:
+    """One version's three invariants; an unknown state raises too.
+
+    The caller looks up every field, ``prepared_at`` too, so a missing one raises KeyError.
+    """
+    if not tx_id:
+        raise ValueError("tx_id must be non-empty")
+    if version < 1:
+        raise ValueError("version starts at 1")
+    if _state(state) is TxState.COMMITTED and committed_at is None:
+        raise ValueError("a COMMITTED record must carry committed_at")
 
 
-def parse_metadata(columns: Mapping[str, object]) -> TransactionMetadata:
-    """Decode metadata straight from a stored row; columns without the prefix are ignored."""
-    prior_tx_id = columns.get(COL_BEFORE)
-    return TransactionMetadata._decoded(
-        tx_id=columns[COL_TX_ID],
-        version=columns[COL_VERSION],
-        tx_state=_state(columns[COL_STATE]),
-        prepared_at=columns[COL_PREPARED_AT],
-        committed_at=columns.get(COL_COMMITTED_AT),
-        before_image=None if prior_tx_id is None else _parse_before(prior_tx_id, columns),
-        delete_marker=bool(columns.get(COL_DELETED, False)),
-    )
+def parse_metadata(row: Mapping[str, object]) -> Mapping[str, object]:
+    """Check a stored row's metadata, and its before-image's when ``_tx_before`` is set.
+
+    Returns ``row`` itself, whose ``COL_*`` columns the caller then reads by name.
+    """
+    committed_at = row.get(COL_COMMITTED_AT)
+    _check(row[COL_TX_ID], row[COL_VERSION], row[COL_STATE], row[COL_PREPARED_AT], committed_at)
+    prior = row.get(COL_BEFORE)
+    if prior is not None:
+        version, state = row[COL_BEFORE_VERSION], row[COL_BEFORE_STATE]
+        _check(prior, version, state, row[COL_BEFORE_PREPARED_AT], row[COL_BEFORE_COMMITTED_AT])
+    return row
 
 
 def application_columns(columns: Mapping[str, object]) -> dict:
@@ -167,3 +160,36 @@ def combined_columns(
     for name, value in before_app.items():
         out[BEFORE_COLUMN_PREFIX + name] = value
     return out
+
+
+def settled_image(meta: Mapping[str, object], app_columns: Mapping[str, object]) -> dict:
+    """The stored image of the settled version with ``meta``'s ``_tx_*`` and ``app_columns``.
+
+    A settled version carries no before-image: ``meta``'s ``_tx_before*`` stay behind.
+    """
+    return combined_columns(
+        app_columns,
+        meta[COL_TX_ID],
+        meta[COL_VERSION],
+        _state(meta[COL_STATE]),
+        meta[COL_PREPARED_AT],
+        meta.get(COL_COMMITTED_AT),
+        bool(meta.get(COL_DELETED, False)),
+    )
+
+
+def prior_image(meta: Mapping[str, object]) -> dict | None:
+    """The settled image a PREPARED row (its ``_tx_*`` columns ``meta``) replaced, or None."""
+    prior = meta.get(COL_BEFORE)
+    if prior is None:
+        return None  # the prepared write created the record
+    start = len(BEFORE_COLUMN_PREFIX)
+    app = {name[start:]: v for name, v in meta.items() if name.startswith(BEFORE_COLUMN_PREFIX)}
+    return combined_columns(
+        app,
+        prior,
+        meta[COL_BEFORE_VERSION],
+        _state(meta[COL_BEFORE_STATE]),
+        meta[COL_BEFORE_PREPARED_AT],
+        meta[COL_BEFORE_COMMITTED_AT],
+    )

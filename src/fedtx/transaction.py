@@ -29,11 +29,12 @@ COMMITTED records, or before-images restored. Conflicts surface as
 mid-pipeline claims ABORTED the same way: if the commit point had already
 passed, the records are rolled forward instead and ``abort()`` raises
 ``TransactionFinished``. A crashed one-phase commit has no outcome record:
-``abort()`` reads one written key to learn whether the lone batch landed, and
-finishes to match. A record left PREPARED by a dead transaction is resolved
-lazily at read time from the coordinator: roll forward when the writer
-committed, roll back (claiming the abort first when there is no record yet)
-when it did not.
+``abort()`` reads the written keys until one still holds either this
+transaction's write or the version it observed, learns from it whether the
+lone batch landed, and finishes to match. A record left PREPARED by a dead
+transaction is resolved lazily at read time from the coordinator: roll
+forward when the writer committed, roll back (claiming the abort first when
+there is no record yet) when it did not.
 """
 
 from __future__ import annotations
@@ -66,19 +67,24 @@ from .model import (
     CoordinatorState,
     FullKey,
     GroupKey,
-    TransactionMetadata,
     TxState,
     TxStatus,
     check_columns,
     scope_of,
 )
 from .records import (
+    COL_DELETED,
+    COL_PREPARED_AT,
     COL_STATE,
+    COL_TX_ID,
+    COL_VERSION,
     COORD_CREATED_COLUMN,
     COORD_STATE_COLUMN,
     check_application_columns,
     combined_columns,
     parse_metadata,  # noqa: F401 - perfbench/tracing.py rebinds this name here
+    prior_image,
+    settled_image,
 )
 from .storage import (
     ConditionalWrite,
@@ -118,7 +124,7 @@ class _LogicalWrite:
     ``combined_columns`` call from these fields and the observed row: the
     before-image of a prepared row is that settled row's ``_tx_*`` columns
     and the read's own ``app_columns`` (filtered once, and nothing changes
-    them), so no metadata object is built to write a key.
+    them), and its restore is that settled row encoded again.
     """
 
     key: FullKey
@@ -152,7 +158,9 @@ class _LogicalWrite:
 
     def restore_write(self, condition) -> ConditionalWrite:
         """Undo of this write's prepared row: the settled row it observed, or a delete."""
-        return _restore_write(self.key, self.observed.app_columns, self.observed.meta, condition)
+        obs = self.observed
+        row = settled_image(obs.meta, obs.app_columns) if obs.present else None
+        return _restore_write(self.key, row, condition)
 
 
 def _committed_write(
@@ -171,25 +179,13 @@ def _committed_write(
     return ConditionalWrite._owning(key, row, condition)
 
 
-def _restore_write(
-    key: FullKey, columns: Mapping[str, object] | None, prior: TransactionMetadata | None, condition
-) -> ConditionalWrite:
-    """Undo of a prepared write: the settled ``prior`` and its ``columns`` back, or a delete.
+def _restore_write(key: FullKey, row: dict | None, condition) -> ConditionalWrite:
+    """Undo of a prepared write: the settled stored image ``row`` back, or a delete.
 
-    ``prior`` is None when the prepared write created the record. It is a
-    settled version, so the restored row carries no before-image.
+    ``row`` is None when the prepared write created the record.
     """
-    if prior is None:
+    if row is None:
         return ConditionalWrite._owning(key, {}, condition, WriteKind.DELETE)
-    row = combined_columns(
-        columns,
-        prior.tx_id,
-        prior.version,
-        prior.tx_state,
-        prior.prepared_at,
-        prior.committed_at,
-        prior.delete_marker,
-    )
     return ConditionalWrite._owning(key, row, condition)
 
 
@@ -201,7 +197,7 @@ def _attempt(tx: TxHandle, logicals=(), one_phase: bool = False) -> TxSummary:
         tx.begin_at,
         None,
         reads=tuple(
-            (key.render(), obs.meta.version if obs.present else 0)
+            (key.render(), obs.meta[COL_VERSION] if obs.present else 0)
             for key, obs in tx.read_set.items()
         ),
         writes=tuple((logical.key.render(), logical.version) for logical in logicals),
@@ -329,6 +325,7 @@ class TransactionManager:
     def _scan(self, tx: TxHandle, prefix: GroupKey) -> list[tuple[FullKey, dict]]:
         """Partition scan; every returned record lands in the read set individually.
 
+        A key already in the read set keeps that read and is not read again.
         The partition lies in one table, so whether its rows are split is
         decided once. The store returns them in clustering order; only a
         buffered write that adds a key to the partition calls for a sort.
@@ -337,16 +334,19 @@ class TransactionManager:
         records = self.registry.scan(prefix)
         split = self.decoupling is not None and self.decoupling.applies_to(prefix)
         merged: dict[FullKey, dict] = {}
+        read_set = tx.read_set
         for record in records:
             key = record.key
-            if split:
-                obs = self._observe(key)  # the scanned row lacks its metadata
-            else:
-                columns = record.columns
-                obs = ReadResult(columns, columns, ReadPath.COLOCATED)
-                if obs.prepared:
-                    obs = self._observe(key)
-            obs = tx.read_set.setdefault(key, obs)
+            obs = read_set.get(key)
+            if obs is None:
+                if split:
+                    obs = self._observe(key)  # the scanned row lacks its metadata
+                else:
+                    columns = record.columns
+                    obs = ReadResult(columns, columns, ReadPath.COLOCATED)
+                    if obs.prepared:
+                        obs = self._observe(key)
+                read_set[key] = obs
             if obs.present:
                 merged[key] = obs.app_columns.copy()
         # overlay this transaction's own buffered writes
@@ -411,11 +411,9 @@ class TransactionManager:
 
     def _resolve_prepared(self, key: FullKey, obs: ReadResult) -> None:
         """Settle a record left PREPARED by another transaction."""
-        meta = obs.meta
+        tx_id = obs.meta[COL_TX_ID]
         # No outcome yet: claim the abort; the writer's own claim may still win.
-        state = self._read_coordinator(meta.tx_id) or self._claim_outcome(
-            meta.tx_id, TxStatus.ABORTED
-        )
+        state = self._read_coordinator(tx_id) or self._claim_outcome(tx_id, TxStatus.ABORTED)
         if state.state is TxStatus.COMMITTED:
             self._roll_forward(key, obs, state.created_at)
         else:
@@ -423,20 +421,20 @@ class TransactionManager:
 
     def _roll_forward(self, key: FullKey, obs: ReadResult, committed_at: int) -> None:
         meta = obs.meta
-        columns = None if meta.delete_marker else obs.app_columns
+        tx_id = meta[COL_TX_ID]
+        columns = None if meta.get(COL_DELETED) else obs.app_columns
         # A racing recovery may have settled it first; that is fine. A split
         # read may also be torn; then the write fails and the caller reads again.
-        condition = if_tx_id_equals(meta.tx_id)
+        condition = if_tx_id_equals(tx_id)
         write = _committed_write(
-            key, columns, meta.tx_id, meta.version, meta.prepared_at, committed_at, condition
+            key, columns, tx_id, meta[COL_VERSION], meta[COL_PREPARED_AT], committed_at, condition
         )
         self._write([write], {key: obs})
 
     def _roll_back(self, key: FullKey, obs: ReadResult) -> None:
-        before = obs.meta.before_image
-        columns, prior = (None, None) if before is None else (before.columns, before.metadata)
-        condition = if_tx_id_equals(obs.meta.tx_id)
-        self._write([_restore_write(key, columns, prior, condition)])
+        meta = obs.meta
+        condition = if_tx_id_equals(meta[COL_TX_ID])
+        self._write([_restore_write(key, prior_image(meta), condition)])
 
     def recover_all_prepared(self) -> int:
         """Sweep every dumpable storage and settle all in-doubt records."""
@@ -474,8 +472,8 @@ class TransactionManager:
                 continue  # deleting nothing is a no-op
             meta = observed.meta
             if meta is not None:
-                version = meta.version + 1
-                condition = if_tx_id_equals(meta.tx_id)
+                version = meta[COL_VERSION] + 1
+                condition = if_tx_id_equals(meta[COL_TX_ID])
             else:
                 version, condition = 1, IF_NOT_EXISTS
             logicals.append(_LogicalWrite(key, columns, observed, version, condition))
@@ -514,7 +512,8 @@ class TransactionManager:
                 return f"presence of {key.render()} changed"
             if not obs.present:
                 continue
-            if (current.meta.tx_id, current.meta.version) != (obs.meta.tx_id, obs.meta.version):
+            now, then = current.meta, obs.meta
+            if (now[COL_TX_ID], now[COL_VERSION]) != (then[COL_TX_ID], then[COL_VERSION]):
                 return f"{key.render()} advanced past the observed version"
             split = obs.path is ReadPath.SPLIT_READS or current.path is ReadPath.SPLIT_READS
             if split and current.app_columns != obs.app_columns:
@@ -669,12 +668,28 @@ class TransactionManager:
         return failed
 
     def _one_phase_applied(self, tx: TxHandle) -> bool:
-        """Whether a crashed one-phase batch landed; it is atomic, so one key decides."""
-        first = tx._one_phase_batch[0]
-        obs = self._observe(first.key)
-        if first.columns is None:
-            return not obs.present
-        return obs.present and obs.meta.tx_id == tx.tx_id
+        """Whether a crashed one-phase batch landed.
+
+        The batch is atomic, so the first key that still holds this
+        transaction's write (landed) or the version it observed (did not)
+        decides. Later writers may have replaced every key; then the first
+        key decides as best it can: a delete landed when the key is gone.
+        """
+        batch = tx._one_phase_batch
+        first = None
+        for logical in batch:
+            obs = self._observe(logical.key)
+            if first is None:
+                first = obs
+            if not obs.present:
+                continue
+            tx_id = obs.meta[COL_TX_ID]
+            if tx_id == tx.tx_id:
+                return True
+            observed = logical.observed
+            if observed.present and tx_id == observed.meta[COL_TX_ID]:
+                return False
+        return batch[0].columns is None and not first.present
 
     def _abort(self, tx: TxHandle) -> None:
         if tx.status is TxStatus.ACTIVE:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 import pytest
 
@@ -17,7 +20,7 @@ from fedtx import (
     TransactionManager,
     build_memstore,
 )
-from fedtx.model import TransactionMetadata, ValueTag, value_tag
+from fedtx.model import TxState, ValueTag, value_tag
 from fedtx.records import (
     BEFORE_COLUMN_PREFIX,
     COL_BEFORE,
@@ -63,6 +66,82 @@ def compare_values(a, b) -> int:
     if a > b:
         return 1
     return 0
+
+
+@dataclass(frozen=True)
+class BeforeImage:
+    """Oracle: the previous version of a record, kept by a PREPARED row for rollback.
+
+    Holds the prior application columns and the prior metadata; the nested
+    metadata never carries its own before-image (depth is exactly one).
+    """
+
+    columns: Mapping[str, object]
+    metadata: "TransactionMetadata"
+
+    def __post_init__(self):
+        object.__setattr__(self, "columns", MappingProxyType(dict(self.columns)))
+        if self.metadata.before_image is not None:
+            raise ValueError("a before-image's metadata may not nest another before-image")
+
+
+@dataclass(frozen=True)
+class TransactionMetadata:
+    """Oracle: a record's metadata as an object, checked on construction.
+
+    ``delete_marker`` is only meaningful while PREPARED: roll-forward then
+    deletes instead of committing the columns.
+    """
+
+    tx_id: str
+    version: int
+    tx_state: TxState
+    prepared_at: int
+    committed_at: int | None = None
+    before_image: BeforeImage | None = None
+    delete_marker: bool = False
+
+    def __post_init__(self):
+        if not self.tx_id:
+            raise ValueError("tx_id must be non-empty")
+        if self.version < 1:
+            raise ValueError("version starts at 1")
+        if self.tx_state is TxState.COMMITTED and self.committed_at is None:
+            raise ValueError("a COMMITTED record must carry committed_at")
+
+
+def decode_metadata(row: Mapping[str, object] | None) -> TransactionMetadata | None:
+    """Oracle: a stored row's ``_tx_*`` columns decoded field by field into objects.
+
+    Columns without the prefix are ignored, and an absent row (None) has no
+    metadata. ``fedtx.records.parse_metadata`` must accept exactly the rows
+    this accepts.
+    """
+    if row is None:
+        return None
+    prior_tx_id = row.get(COL_BEFORE)
+    before = None
+    if prior_tx_id is not None:
+        start = len(BEFORE_COLUMN_PREFIX)
+        before = BeforeImage(
+            {name[start:]: v for name, v in row.items() if name.startswith(BEFORE_COLUMN_PREFIX)},
+            TransactionMetadata(
+                prior_tx_id,
+                row[COL_BEFORE_VERSION],
+                TxState(row[COL_BEFORE_STATE]),
+                row[COL_BEFORE_PREPARED_AT],
+                row[COL_BEFORE_COMMITTED_AT],
+            ),
+        )
+    return TransactionMetadata(
+        row[COL_TX_ID],
+        row[COL_VERSION],
+        TxState(row[COL_STATE]),
+        row[COL_PREPARED_AT],
+        row.get(COL_COMMITTED_AT),
+        before,
+        bool(row.get(COL_DELETED, False)),
+    )
 
 
 def reference_metadata_columns(meta: TransactionMetadata) -> dict:

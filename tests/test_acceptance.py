@@ -20,7 +20,15 @@ from fedtx import (
 from fedtx.decoupling import ReadPath, read_dispatch, read_split, read_split_snapshot
 from fedtx.records import COL_STATE, is_metadata_column
 from fedtx.verifier import HistoryRecorder, audit_atomicity, check_serializable
-from conftest import METADATA_MODES, build_env, k, make_caps, mode_env_args, run_workload
+from conftest import (
+    METADATA_MODES,
+    build_env,
+    decode_metadata,
+    k,
+    make_caps,
+    mode_env_args,
+    run_workload,
+)
 
 COORD = ("coord", "coordinator", "state")
 
@@ -334,7 +342,8 @@ def test_criterion_8_read_route_equivalence():
             view = read_dispatch(env.registry, cfg, key)
             assert view.path is ReadPath.VIEW
             assert split.app_columns == snapshot.app_columns == view.app_columns
-            assert split.meta == snapshot.meta == view.meta
+            metas = [decode_metadata(result.meta) for result in (split, snapshot, view)]
+            assert metas[0] == metas[1] == metas[2]
 
 
 def _application_state(env):

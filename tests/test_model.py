@@ -1,4 +1,4 @@
-"""Keys, values, scope prefixes, and metadata invariants."""
+"""Keys, values, scope prefixes, and the package surface."""
 
 import enum
 import json
@@ -16,11 +16,9 @@ from hypothesis import given, strategies as st
 
 from fedtx.model import (
     AtomicityUnit,
-    BeforeImage,
     FullKey,
     GroupKey,
     Record,
-    TransactionMetadata,
     TxState,
     render_key,
     scope_of,
@@ -28,7 +26,7 @@ from fedtx.model import (
     ValueTag,
 )
 from fedtx.storage import ConditionalWrite
-from conftest import build_env, compare_values, stored_row
+from conftest import BeforeImage, TransactionMetadata, build_env, compare_values, stored_row
 
 KEY = FullKey("s1", "ns", "t", (5,), (2,))
 
@@ -279,38 +277,11 @@ class TestRecord:
             Record(KEY, {"": 1})
 
 
-class TestTransactionMetadata:
-    def test_committed_requires_timestamp(self):
-        with pytest.raises(ValueError):
-            TransactionMetadata("t1", 1, TxState.COMMITTED, prepared_at=1)
-
-    def test_version_starts_at_one(self):
-        with pytest.raises(ValueError):
-            TransactionMetadata("t1", 0, TxState.PREPARED, prepared_at=1)
-
-    def test_before_image_depth_is_one(self):
-        prior = TransactionMetadata("t0", 1, TxState.COMMITTED, 1, committed_at=2)
-        image = BeforeImage({"v": 1}, prior)
-        nested = TransactionMetadata(
-            "t1", 2, TxState.PREPARED, prepared_at=3, before_image=image
-        )
-        with pytest.raises(ValueError):
-            BeforeImage({"v": 2}, nested)
-        with pytest.raises(ValueError):
-            BeforeImage._sharing({"v": 2}, nested)
-
-    def test_a_sharing_before_image_equals_a_copying_one(self):
-        prior = TransactionMetadata("t0", 1, TxState.COMMITTED, 1, committed_at=2)
-        columns = {"v": 1}
-        shared = BeforeImage._sharing(columns, prior)
-        assert shared == BeforeImage({"v": 1}, prior)
-        with pytest.raises(TypeError):
-            shared.columns["v"] = 2  # read-only over the shared dict
-
-
 def test_star_import_binds_no_module():
     namespace = {}
     exec("from fedtx import *", namespace)
     modules = [name for name, value in namespace.items() if isinstance(value, types.ModuleType)]
     assert modules == []
     assert "TransactionManager" in namespace and "TxStatus" in namespace
+    # A record's metadata is its stored row; no object type stands for it.
+    assert not {"TransactionMetadata", "BeforeImage"} & set(namespace)

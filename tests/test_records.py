@@ -1,13 +1,13 @@
-"""Round trips of the metadata column codec."""
+"""Round trips of the metadata column codec, and its row check against the object oracle."""
 
 from dataclasses import replace
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fedtx.decoupling import ReadPath, ReadResult
-from fedtx.model import BeforeImage, FullKey, TransactionMetadata, TxState, value_tag
+from fedtx.model import FullKey, TxState, value_tag
 from fedtx.records import (
     COL_BEFORE,
     COL_BEFORE_STATE,
@@ -20,12 +20,18 @@ from fedtx.records import (
     check_application_columns,
     is_metadata_column,
     parse_metadata,
+    prior_image,
+    settled_image,
     split_columns,
 )
 from fedtx.storage import IF_NOT_EXISTS, WriteKind, if_tx_id_equals
 from fedtx.transaction import _LogicalWrite, _restore_write
 from conftest import (
+    METADATA_MODES,
     SEVEN_METADATA_COLUMNS,
+    BeforeImage,
+    TransactionMetadata,
+    decode_metadata,
     reference_columns,
     reference_metadata_columns,
     stored_row,
@@ -77,14 +83,16 @@ metadata = st.builds(
 
 @given(metadata)
 def test_metadata_round_trip(meta):
-    assert parse_metadata(stored_row({}, meta)) == meta
+    row = stored_row({}, meta)
+    assert parse_metadata(row) is row
+    assert decode_metadata(row) == meta
 
 
 @given(app_columns, metadata)
 def test_split_inverts_combine(columns, meta):
     app, raw_meta = split_columns(stored_row(columns, meta))
     assert app == dict(columns)
-    assert parse_metadata(raw_meta) == meta
+    assert decode_metadata(parse_metadata(raw_meta)) == meta
 
 
 @given(app_columns, before_images)
@@ -95,13 +103,14 @@ def test_before_image_columns_all_land_on_the_metadata_side(columns, before):
     before_columns = {name for name in stored if name.startswith(COL_BEFORE)}
     assert before_columns <= set(raw_meta)
     assert len(before_columns) == 5 + len(before.columns)
-    assert parse_metadata(raw_meta).before_image == before
+    assert decode_metadata(parse_metadata(raw_meta)).before_image == before
 
 
 def test_before_image_without_application_columns_is_kept():
     before = BeforeImage({}, committed_meta())
     meta = TransactionMetadata("t1", 2, TxState.PREPARED, prepared_at=5, before_image=before)
-    assert parse_metadata(stored_row({}, meta)).before_image == BeforeImage({}, committed_meta())
+    row = stored_row({}, meta)
+    assert decode_metadata(parse_metadata(row)).before_image == BeforeImage({}, committed_meta())
 
 
 def test_committed_image_has_exactly_the_seven_metadata_columns():
@@ -110,7 +119,7 @@ def test_committed_image_has_exactly_the_seven_metadata_columns():
     assert app == {"v": 1, "before": b"x"}
     assert set(raw_meta) == SEVEN_METADATA_COLUMNS
     assert raw_meta[COL_BEFORE] is None
-    assert parse_metadata(raw_meta) == committed_meta(version=3)
+    assert decode_metadata(parse_metadata(raw_meta)) == committed_meta(version=3)
 
 
 def test_reserved_prefix_is_rejected():
@@ -134,7 +143,7 @@ stored_metadata = st.one_of(
 def test_a_stored_row_decodes_to_its_metadata_and_application_columns(columns, meta):
     stored = stored_row(columns, meta)
     for row in (stored, MappingProxyType(stored)):  # a read hands out the stored dict read-only
-        assert parse_metadata(row) == meta
+        assert decode_metadata(parse_metadata(row)) == meta
         app = application_columns(row)
         assert app == split_columns(row)[0] == dict(columns)
         assert type(app) is dict and app is not row
@@ -144,7 +153,7 @@ def test_a_stored_row_decodes_to_its_metadata_and_application_columns(columns, m
 def test_a_prepared_row_decodes_its_before_image(columns, before):
     meta = TransactionMetadata("t1", 2, TxState.PREPARED, prepared_at=5, before_image=before)
     row = stored_row(columns, meta)
-    assert parse_metadata(row).before_image == before
+    assert decode_metadata(parse_metadata(row)).before_image == before
     assert application_columns(row) == split_columns(row)[0] == dict(columns)
 
 
@@ -265,11 +274,7 @@ def test_every_image_a_write_stores_is_the_object_oracles(
         assert tagged(committed.columns) == tagged(reference_columns(columns, meta))
 
     # The abort path restores from the read; a recovery, from the prepared row.
-    recovered = parse_metadata(prepared.columns).before_image
-    if recovered is None:
-        recovery = _restore_write(KEY, None, None, condition)
-    else:
-        recovery = _restore_write(KEY, recovered.columns, recovered.metadata, condition)
+    recovery = _restore_write(KEY, prior_image(prepared.columns), condition)
     for restore in (logical.restore_write(condition), recovery):
         if image is None:
             assert (restore.kind, dict(restore.columns)) == (WriteKind.DELETE, {})
@@ -277,3 +282,59 @@ def test_every_image_a_write_stores_is_the_object_oracles(
             settled_row = reference_columns(image.columns, image.metadata)
             assert restore.kind is WriteKind.PUT
             assert tagged(restore.columns) == tagged(settled_row)
+
+
+# -- the row check against the oracle decode ----------------------------------------
+
+MISSING = object()  # a fault that drops the column
+
+# Values that may break a metadata column: wrong types, unknown states, an
+# empty id, versions below 1, and valid ones that change its meaning.
+fault_values = st.sampled_from(
+    [None, "", "x", b"x", 0, 2, True, False, "PREPARED", "COMMITTED", "ABORTED"]
+)
+
+@settings(max_examples=200)
+@given(
+    columns=app_columns,
+    meta=stored_metadata,  # settled, or PREPARED with or without a before-image and delete marker
+    mode=st.sampled_from(list(METADATA_MODES)),
+    fault=st.one_of(
+        st.none(),
+        st.tuples(st.integers(0, 99), st.just(MISSING)),
+        st.tuples(st.integers(0, 99), fault_values),
+    ),
+)
+def test_the_row_check_accepts_exactly_what_the_oracle_decodes(columns, meta, mode, fault):
+    """``parse_metadata`` raises where the oracle decode raises, and both restores re-encode it.
+
+    A colocated or view read checks the whole stored row, a split or
+    snapshot read only the ``_tx_*`` half; each row may carry one fault.
+    """
+    row = stored_row(columns, meta)
+    if fault is not None:
+        index, value = fault
+        names = sorted(name for name in row if is_metadata_column(name))
+        name = names[index % len(names)]
+        if value is MISSING:
+            del row[name]
+        else:
+            row[name] = value
+    app, meta_half = split_columns(row)
+    decoupled = METADATA_MODES[mode][0]
+    row = MappingProxyType(meta_half if decoupled else row)
+    try:
+        expected = decode_metadata(row)
+    except Exception as error:  # noqa: BLE001 - the same error must come from the check
+        with pytest.raises(type(error)):
+            parse_metadata(row)
+        return
+    assert parse_metadata(row) is row
+    settled_row = reference_columns(app, replace(expected, before_image=None))
+    assert tagged(settled_image(row, app)) == tagged(settled_row)
+    before = expected.before_image
+    if before is None:
+        assert prior_image(row) is None
+    else:
+        prior_row = reference_columns(before.columns, before.metadata)
+        assert tagged(prior_image(row)) == tagged(prior_row)

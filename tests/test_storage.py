@@ -21,9 +21,16 @@ from fedtx import (
     if_columns_equal,
 )
 from fedtx.decoupling import ReadPath, read_dispatch
-from fedtx.model import TransactionMetadata, TxState
+from fedtx.model import TxState
 from fedtx.transaction import CoordinatorLocation
-from conftest import build_env, k, make_caps, reference_metadata_columns
+from conftest import (
+    TransactionMetadata,
+    build_env,
+    decode_metadata,
+    k,
+    make_caps,
+    reference_metadata_columns,
+)
 
 
 def write_committed(manager, key):
@@ -92,7 +99,7 @@ class TestConsistentReadable:
         )
         result = read_dispatch(env.registry, cfg, k())
         assert result.path is ReadPath.SPLIT_READS
-        assert (result.app_columns, result.meta) == ({"v": 7}, meta)
+        assert (result.app_columns, decode_metadata(result.meta)) == ({"v": 7}, meta)
 
     def test_no_locator_means_colocated(self):
         # Metadata kept in the record: the capability alone decides.

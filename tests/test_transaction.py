@@ -19,6 +19,7 @@ from fedtx import (
     FaultKind,
     GroupKey,
     InjectedCrash,
+    OpCounters,
     RecoveryFailed,
     TransactionFinished,
     TransactionManager,
@@ -27,7 +28,7 @@ from fedtx import (
     WriteKind,
 )
 from fedtx.decoupling import ReadPath, read_dispatch
-from fedtx.model import BeforeImage, FullKey, Record, TransactionMetadata, value_tag
+from fedtx.model import FullKey, Record, value_tag
 from fedtx.records import (
     COL_BEFORE,
     COL_STATE,
@@ -41,7 +42,10 @@ from fedtx.verifier import HistoryRecorder, audit_atomicity
 from conftest import (
     METADATA_MODES,
     SEVEN_METADATA_COLUMNS,
+    BeforeImage,
+    TransactionMetadata,
     build_env,
+    decode_metadata,
     k,
     make_caps,
     mode_env_args,
@@ -93,8 +97,8 @@ class TestLifecycle:
         seed(env, k(), 5)
         tx = env.manager.begin()
         assert tx.get(k()) == {"v": 5}
-        obs = tx.read_set[k()]
-        assert obs.meta.version == 1 and obs.meta.tx_state is TxState.COMMITTED
+        meta = decode_metadata(tx.read_set[k()].meta)
+        assert meta.version == 1 and meta.tx_state is TxState.COMMITTED
 
     def test_repeated_get_reads_storage_once(self, env):
         seed(env, k(), 5)
@@ -301,6 +305,39 @@ class TestAbort:
         # audit_atomicity leaves deletions out of scope; the history must
         # still say what the store shows.
         assert recorder.history().entries[-1].outcome is victim.status
+
+    @pytest.mark.parametrize("decoupled", [False, True], ids=["colocated", "split"])
+    @pytest.mark.parametrize("fault", list(FaultKind), ids=lambda f: f.name.lower())
+    def test_abort_after_crashed_one_phase_batch_looks_past_a_rewritten_key(self, decoupled, fault):
+        """A later writer of the batch's first key leaves the other key to tell whether it landed."""
+        recorder = HistoryRecorder()
+        env = build_env(decoupled=decoupled, history=recorder)
+        keys = [k(pk=1), k(pk=2)]
+        for key in keys:
+            seed(env, key, 1)
+        victim = env.manager.begin()
+        for key in keys:
+            victim.put(key, {"v": 10})
+        env.adapter("s1").inject_faults([(0, fault)])
+        with pytest.raises(InjectedCrash):
+            victim.commit()
+        env.adapter("s1").clear_faults()
+        writer = env.manager.begin()
+        writer.put(keys[0], {"v": writer.get(keys[0])["v"] + 100})
+        writer.commit()
+        applied = fault is FaultKind.CRASH_AFTER_BATCH
+        if applied:
+            with pytest.raises(TransactionFinished):
+                victim.abort()
+        else:
+            victim.abort()
+        assert victim.status is (TxStatus.COMMITTED if applied else TxStatus.ABORTED)
+        assert recorder.history().entries[-1].one_phase
+        assert recorder.history().entries[-1].outcome is victim.status
+        expected = [{"v": 110}, {"v": 10}] if applied else [{"v": 101}, {"v": 1}]
+        assert [committed_value(env, key) for key in keys] == expected
+        coord = ("coord", "coordinator", "state")
+        assert audit_atomicity(env.dump_all(), recorder.history(), coord) == []
 
 
 class TestAttempt:
@@ -630,8 +667,8 @@ class TestValidationPlan:
 
 
 class TestRecovery:
-    def crash_env(self, decoupled=False):
-        env = build_env({"s1": make_caps(), "s2": make_caps()}, decoupled=decoupled, tx_ids="vic")
+    def crash_env(self, mode="colocated"):
+        env = build_env(**mode_env_args(mode, storages=("s1", "s2")), tx_ids="vic")
         seed(env, k("s1"), 1)
         seed(env, k("s2"), 2)
         return env
@@ -649,31 +686,54 @@ class TestRecovery:
         env.adapter("coord").clear_faults()
         return victim
 
-    def test_crash_before_outcome_rolls_back_on_read(self):
-        env = self.crash_env()
+    @pytest.mark.parametrize("mode", list(METADATA_MODES))
+    def test_crash_before_outcome_rolls_back_on_read(self, mode):
+        env = self.crash_env(mode)
         victim = self.crashed_commit(env, FaultKind.CRASH_BEFORE_BATCH)
         assert committed_value(env, k("s1")) == {"v": 1}  # never the prepared value
         coord_rows = {r.key.partition_key[0]: r.columns for r in env.adapter("coord").dump()}
         assert coord_rows[victim.tx_id]["tx_state"] == TxStatus.ABORTED.value
 
-    def test_crash_after_outcome_rolls_forward_on_read(self):
-        env = self.crash_env()
+    @pytest.mark.parametrize("mode", list(METADATA_MODES))
+    def test_crash_after_outcome_rolls_forward_on_read(self, mode):
+        env = self.crash_env(mode)
         self.crashed_commit(env, FaultKind.CRASH_AFTER_BATCH)
         assert committed_value(env, k("s1")) == {"v": 10}
         assert committed_value(env, k("s2")) == {"v": 10}
         # rolled-forward records are settled, with the rollback image cleared
-        row = {r.key.storage: r for r in env.adapter("s1").dump()}["s1"]
-        assert row.columns[COL_STATE] == TxState.COMMITTED.value
-        assert row.columns["_tx_before"] is None
+        (row,) = [r.columns for r in env.adapter("s1").dump() if COL_STATE in r.columns]
+        assert row[COL_STATE] == TxState.COMMITTED.value
+        assert row[COL_BEFORE] is None
 
-    def test_roll_forward_of_prepared_delete_removes_record(self):
-        env = self.crash_env()
+    @pytest.mark.parametrize("mode", list(METADATA_MODES))
+    def test_roll_forward_of_prepared_delete_removes_record(self, mode):
+        env = self.crash_env(mode)
         self.crashed_commit(env, FaultKind.CRASH_AFTER_BATCH, kind="delete")
         assert committed_value(env, k("s1")) is None
         assert not [r for r in env.adapter("s1").dump()]
 
-    def test_crash_between_prepare_groups_sweep_restores(self):
-        env = self.crash_env()
+    @pytest.mark.parametrize("mode", list(METADATA_MODES))
+    def test_prepared_re_create_rolls_back_to_a_delete_then_takes_a_fresh_put(self, mode):
+        env = self.crash_env(mode)
+        tx = env.manager.begin()
+        tx.delete(k("s1"))
+        tx.commit()
+        assert not env.adapter("s1").dump()
+        self.crashed_commit(env, FaultKind.CRASH_BEFORE_BATCH)
+        prepared = [r.columns for r in env.adapter("s1").dump() if COL_STATE in r.columns]
+        assert [(row[COL_STATE], row[COL_BEFORE]) for row in prepared] == [("PREPARED", None)]
+        assert committed_value(env, k("s1")) is None  # the re-create rolls back to a delete
+        assert not env.adapter("s1").dump()  # of both halves, when split
+        tx = env.manager.begin()
+        tx.put(k("s1"), {"v": 5})
+        tx.commit()
+        (row,) = [r.columns for r in env.adapter("s1").dump() if COL_STATE in r.columns]
+        assert (committed_value(env, k("s1")), row[COL_VERSION]) == ({"v": 5}, 1)
+        assert committed_value(env, k("s2")) == {"v": 2}
+
+    @pytest.mark.parametrize("mode", list(METADATA_MODES))
+    def test_crash_between_prepare_groups_sweep_restores(self, mode):
+        env = self.crash_env(mode)
         victim = env.manager.begin()
         victim.put(k("s1"), {"v": 10})
         victim.put(k("s2"), {"v": 20})
@@ -790,11 +850,6 @@ class TestRecovery:
         assert states == {"s1": "COMMITTED", "s2": "COMMITTED"}
         assert committed_value(env, k("s1")) == {"v": 1}
 
-    def test_recovery_works_on_split_tables(self):
-        env = self.crash_env(decoupled=True)
-        self.crashed_commit(env, FaultKind.CRASH_AFTER_BATCH)
-        assert committed_value(env, k("s1")) == {"v": 10}
-
     def test_recovery_abort_write_can_lose_to_committer(self):
         env = build_env({"s1": make_caps(), "s2": make_caps()}, tx_ids="vic")
         seed(env, k("s1"), 1)
@@ -858,7 +913,7 @@ class TestRecovery:
             return read_dispatch(env.registry, env.manager.decoupling, key)
 
         seeded_rows = rows()
-        prior_meta = read(k("s1")).meta
+        prior_meta = decode_metadata(read(k("s1")).meta)
         writes = {k("s1"): {"v": 10}, k("s2"): {"v": 20}}
         victim = env.manager.begin()
         for key, columns in writes.items():
@@ -870,8 +925,9 @@ class TestRecovery:
 
         prepared = read(k("s1"))
         assert prepared.path is route
-        assert prepared.meta.tx_state is TxState.PREPARED
-        assert prepared.meta.before_image == BeforeImage(self.MIXED_ROW, prior_meta)
+        prepared_meta = decode_metadata(prepared.meta)
+        assert prepared_meta.tx_state is TxState.PREPARED
+        assert prepared_meta.before_image == BeforeImage(self.MIXED_ROW, prior_meta)
         for columns in rows().values():  # the image rides with the state columns (_meta when split)
             image = [name for name in columns if name.startswith(COL_BEFORE)]
             if columns.get(COL_STATE) == "PREPARED":
@@ -889,7 +945,7 @@ class TestRecovery:
                 assert columns.get(COL_BEFORE) is None
         else:
             assert rows() == seeded_rows  # prior columns and tx id, version, timestamps
-            assert read(k("s1")).meta == prior_meta
+            assert decode_metadata(read(k("s1")).meta) == prior_meta
         assert env.manager.recover_all_prepared() == 0
 
         if committed:
@@ -1020,6 +1076,21 @@ class TestScan:
             (0, 0), (2, 2), (3, 3), (4, 40), (6, 6)
         ]
 
+    @pytest.mark.parametrize("mode", list(METADATA_MODES))
+    def test_a_scan_reads_no_row_the_transaction_already_read(self, mode):
+        env = build_env(**mode_env_args(mode))
+        keys = [k(pk=1, ck=ck) for ck in range(16)]
+        for key in keys:
+            seed(env, key, key.clustering_key[0])
+        tx = env.manager.begin()
+        got = [tx.get(key) for key in keys]
+        reads = dict(tx.read_set)
+        env.adapter("s1").reset_counters()
+        rows = tx.scan(GroupKey("s1", "app", "t", (1,)))
+        assert env.counters("s1") == OpCounters(scans=1)
+        assert [columns for _, columns in rows] == got
+        assert all(tx.read_set[key] is reads[key] for key in keys)
+
     def test_scan_recovers_prepared_records(self):
         env = build_env({"s1": make_caps(), "s2": make_caps()})
         tx = env.manager.begin()
@@ -1076,10 +1147,11 @@ class TestMetadataTables:
         tx.commit()
         assert tx.write_set == ({} if decoupled else {meta_key: None})
         obs = read_dispatch(env.registry, env.manager.decoupling, k())
-        assert (obs.app_columns, obs.meta.version) == ({"v": 1}, 1)
+        meta = decode_metadata(obs.meta)
+        assert (obs.app_columns, meta.version) == ({"v": 1}, 1)
         if decoupled:  # every route still agrees on the key
             split = fedtx.decoupling.read_split(env.registry, env.manager.decoupling, k())
-            assert (split.app_columns, split.meta) == (obs.app_columns, obs.meta)
+            assert (split.app_columns, decode_metadata(split.meta)) == (obs.app_columns, meta)
 
 
 class TestHistoryRecording:
@@ -1274,17 +1346,15 @@ class TestScopeCost:
         """No written data row goes through the copying constructor or a per-access condition.
 
         Each row is encoded by one ``combined_columns`` call from plain
-        fields: no before-image is built, and the only metadata decoded is
-        that of the rows the commit observed. ``combined_columns`` is counted
-        under the name ``perfbench`` traces, so the counts match its
-        ``records.combined_columns.calls_per_tx``.
+        fields, and the only metadata checked is that of the rows the commit
+        observed. Both functions are counted under the names ``perfbench``
+        traces, so the counts match its ``records.combined_columns`` and
+        ``records.parse_metadata`` ``calls_per_tx``.
         """
-        counts = {"copied": [], "conditions": 0, "combined": 0, "decoded": [], "images": 0}
+        counts = {"copied": [], "conditions": 0, "combined": 0, "checked": []}
         copying = ConditionalWrite.__post_init__
         checking = WriteCondition.__post_init__
         combine = fedtx.transaction.combined_columns
-        decode = TransactionMetadata._decoded.__func__
-        share = BeforeImage._sharing.__func__
 
         def counted_copy(write):
             counts["copied"].append(write.key)
@@ -1298,19 +1368,17 @@ class TestScopeCost:
             counts["combined"] += 1
             return combine(*args, **kwargs)
 
-        def counted_decode(cls, **fields):
-            counts["decoded"].append(fields["tx_id"])
-            return decode(cls, **fields)
-
-        def counted_share(cls, columns, metadata):
-            counts["images"] += 1
-            return share(cls, columns, metadata)
-
         monkeypatch.setattr(ConditionalWrite, "__post_init__", counted_copy)
         monkeypatch.setattr(WriteCondition, "__post_init__", counted_condition)
         monkeypatch.setattr(fedtx.transaction, "combined_columns", counted_combine)
-        monkeypatch.setattr(TransactionMetadata, "_decoded", classmethod(counted_decode))
-        monkeypatch.setattr(BeforeImage, "_sharing", classmethod(counted_share))
+        for module in (fedtx.decoupling, fedtx.transaction):
+            parse = module.parse_metadata
+
+            def counted_parse(row, _parse=parse):
+                counts["checked"].append(row[COL_TX_ID])
+                return _parse(row)
+
+            monkeypatch.setattr(module, "parse_metadata", counted_parse)
 
         def commit_cost(env, keys):
             for key in keys:
@@ -1318,40 +1386,32 @@ class TestScopeCost:
             tx = env.manager.begin()
             for key in keys:
                 tx.put(key, {"v": tx.get(key)["v"] + 1})
-            counts.update(copied=[], conditions=0, combined=0, decoded=[], images=0)
+            counts.update(copied=[], conditions=0, combined=0, checked=[])
             tx.commit()
             assert tx.status is TxStatus.COMMITTED
             assert {key: committed_value(env, key) for key in keys} == dict.fromkeys(keys, {"v": 2})
             data_rows = [key for key in counts["copied"] if key.storage != "coord"]
-            # every decode is of an observed row: none of this commit's own metadata
-            assert tx.tx_id not in counts["decoded"]
-            return (
-                data_rows,
-                counts["conditions"],
-                counts["combined"],
-                len(counts["decoded"]),
-                counts["images"],
-            )
+            # every check is of an observed row: none of this commit's own metadata
+            assert tx.tx_id not in counts["checked"]
+            return data_rows, counts["conditions"], counts["combined"], len(counts["checked"])
 
         two_phase = build_env({"s1": make_caps(), "s2": make_caps()})
         keys = [k(storage, pk=pk) for storage in ("s1", "s2") for pk in range(4)]
-        data_rows, conditions, combined, decoded, images = commit_cost(two_phase, keys)
+        data_rows, conditions, combined, checked = commit_cost(two_phase, keys)
         assert two_phase.counters("coord").atomic_write_batches > 0
         assert data_rows == []
         assert combined == 16  # 8 prepared rows and 8 committed rows
         assert conditions <= 8 + 1  # one per logical write, one for the commit records
-        assert decoded == 8  # the 8 observed rows, in _materialize_writes
-        assert images == 0
+        assert checked == 8  # the 8 observed rows, in _materialize_writes
 
         one_phase = build_env({"s1": make_caps(AtomicityUnit.PARTITION)})
         keys = [k(ck=ck) for ck in range(4)]
-        data_rows, conditions, combined, decoded, images = commit_cost(one_phase, keys)
+        data_rows, conditions, combined, checked = commit_cost(one_phase, keys)
         assert one_phase.counters("coord").atomic_write_batches == 0
         assert data_rows == []
         assert combined == 4
         assert conditions <= 4
-        assert decoded == 4
-        assert images == 0
+        assert checked == 4
 
 
 class TestRowAliasing:
@@ -1413,7 +1473,7 @@ class TestRowAliasing:
         prepared = [r.columns for r in env.dump_all() if r.columns.get(COL_STATE) == "PREPARED"]
         assert len(prepared) == 4
         for columns in prepared:
-            assert fedtx.records.parse_metadata(columns).before_image.columns == {"v": 1}
+            assert decode_metadata(columns).before_image.columns == {"v": 1}
         tx.abort()
         assert [committed_value(env, key) for key in scanned_keys] == [{"v": 1}] * 3
 
