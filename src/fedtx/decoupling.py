@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import AtomicityScopeViolation, JoinIntegrityError
-from .model import AtomicityUnit, FullKey, GroupKey, Record, TxState, scope_of
+from .model import AtomicityUnit, FullKey, GroupKey, TxState, scope_of
 from .records import (
     COL_STATE,
     _state,
@@ -240,13 +240,11 @@ def logical_index(config: DecoupleConfig | None, writes: Sequence[ConditionalWri
     return split[i - len(writes)]
 
 
-def _join(key: FullKey, app, meta, path: ReadPath) -> ReadResult:
-    if app is None and meta is None:
-        return ReadResult(None, None, path)
-    if app is None or meta is None:
+def _join(key: FullKey, app: Mapping | None, meta: Mapping | None, path: ReadPath) -> ReadResult:
+    if (app is None) != (meta is None):
         missing = "application" if app is None else "metadata"
         raise JoinIntegrityError(f"{missing} row missing for {key.render()}")
-    return ReadResult(app.columns, meta.columns, path)
+    return ReadResult(app, meta, path)
 
 
 def read_split(
@@ -264,14 +262,6 @@ def read_split_snapshot(
     """Both rows fetched at one consistent point via the store's own transaction."""
     app, meta = registry.snapshot_read([key, config.metadata_key(key)])
     return _join(key, app, meta, ReadPath.SNAPSHOT)
-
-
-def _one_row(record: Record | None, path: ReadPath) -> ReadResult:
-    """The result of a one-row route: colocated, or a view's join of both halves."""
-    if record is None:
-        return ReadResult(None, None, path)
-    columns = record.columns
-    return ReadResult(columns, columns, path)
 
 
 def _route(
@@ -305,12 +295,15 @@ def read_dispatch(
     every record is colocated.
     """
     if config is None:
-        return _one_row(registry.get_database(key).read(key), ReadPath.COLOCATED)
+        row = registry.get_database(key).read(key)
+        return ReadResult(row, row, ReadPath.COLOCATED)
     path, adapter, view_name = registry.table_route(config, key, _route)
     if path is ReadPath.VIEW:
-        return _one_row(adapter.view_read(view_name, key), path)
+        row = adapter.view_read(view_name, key)
+        return ReadResult(row, row, path)
     if path is ReadPath.COLOCATED:
-        return _one_row(adapter.read(key), path)
+        row = adapter.read(key)
+        return ReadResult(row, row, path)
     if path is ReadPath.SNAPSHOT:
         return read_split_snapshot(registry, config, key)
     return read_split(registry, config, key)

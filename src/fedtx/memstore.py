@@ -27,8 +27,8 @@ Two invariants keep reads cheap:
 * A stored row is never mutated in place; a write replaces the whole dict.
   So ``read``, ``snapshot_read``, ``scan`` and ``dump`` share the stored dict
   read-only behind a ``MappingProxyType``, with no copy and no re-check
-  (``view_read`` wraps its freshly joined dict the same way), and a record
-  handed out keeps its columns whatever is written after it.
+  (``view_read`` wraps its freshly joined dict the same way), and a row
+  handed out never changes after the read, whatever is written later.
 
 Beside the data, the same mutex guards a test and benchmark surface, so a
 count changes in the same critical section as the rows it counts:
@@ -47,7 +47,7 @@ import enum
 import threading
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     AtomicityScopeViolation,
@@ -135,36 +135,32 @@ class MemStore(StorageAdapter):
 
     # -- reads ------------------------------------------------------------
 
-    def read(self, key: FullKey) -> Record | None:
+    def read(self, key: FullKey) -> Mapping | None:
         with self._lock:
             columns = self._rows.get(_row_key(key))
             self._counters.reads += 1
-        return Record._unchecked(key, MappingProxyType(columns)) if columns is not None else None
+        return MappingProxyType(columns) if columns is not None else None
 
-    def scan(self, prefix: GroupKey) -> list[Record]:
+    def scan(self, prefix: GroupKey) -> list[tuple[tuple, Mapping]]:
         if prefix.partition_key is None or prefix.clustering_key is not None:
             raise ValueError("scan prefix must identify one partition")
-        namespace, table, pk = partition = (prefix.namespace, prefix.table, prefix.partition_key)
+        partition = (prefix.namespace, prefix.table, prefix.partition_key)
         with self._lock:
             hits = [
-                (ck, self._rows[partition + (ck,)])
+                (ck, MappingProxyType(self._rows[partition + (ck,)]))
                 for ck in sorted(self._clustered.get(partition, ()))
             ]
             bare = self._rows.get(partition + ((),))
             self._counters.scans += 1
         if bare is not None:
-            hits.insert(0, ((), bare))  # the empty clustering key sorts first
-        unchecked_key = FullKey._unchecked
-        return [
-            Record._unchecked(
-                unchecked_key(self._name, namespace, table, pk, ck), MappingProxyType(columns)
-            )
-            for ck, columns in hits
-        ]
+            hits.insert(0, ((), MappingProxyType(bare)))  # the empty clustering key sorts first
+        return hits
 
-    def snapshot_read(self, keys: Sequence[FullKey]) -> list[Record | None]:
+    def snapshot_read(self, keys: Sequence[FullKey]) -> list[Mapping | None]:
         if not self._caps.consistent_readable:
             raise CapabilityUnsupported(f"storage {self._name!r} is not consistent-readable")
+        if not keys:
+            return []
         unit = self._caps.atomicity_unit
         if len({scope_of(k, unit) for k in keys}) > 1:
             raise AtomicityScopeViolation("snapshot read spans atomic-write scopes")
@@ -172,10 +168,7 @@ class MemStore(StorageAdapter):
             rows = [self._rows.get(_row_key(key)) for key in keys]
             self._counters.reads += len(keys)
             self._counters.db_transactions += 1
-        return [
-            Record._unchecked(key, MappingProxyType(columns)) if columns is not None else None
-            for key, columns in zip(keys, rows)
-        ]
+        return [MappingProxyType(columns) if columns is not None else None for columns in rows]
 
     # -- views -------------------------------------------------------------
 
@@ -193,7 +186,7 @@ class MemStore(StorageAdapter):
     def view_for(self, key: FullKey) -> str | None:
         return self._view_by_table.get((key.namespace, key.table))
 
-    def view_read(self, view_name: str, key: FullKey) -> Record | None:
+    def view_read(self, view_name: str, key: FullKey) -> Mapping | None:
         if not self._caps.view_joinable:
             raise CapabilityUnsupported(f"storage {self._name!r} is not view-joinable")
         try:
@@ -213,9 +206,7 @@ class MemStore(StorageAdapter):
             return None
         joined = dict(app)
         joined.update(meta)
-        if (key.storage, key.namespace, key.table) != (self._name, namespace, app_table):
-            key = FullKey._unchecked(self._name, namespace, app_table, pk, ck)
-        return Record._unchecked(key, MappingProxyType(joined))
+        return MappingProxyType(joined)
 
     # -- writes -------------------------------------------------------------
 

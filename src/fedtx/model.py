@@ -124,8 +124,9 @@ class FullKey:
     ) -> "FullKey":
         """A key from components already checked, both key parts tuples.
 
-        For a store rebuilding the address of a row it holds: the row's key
-        was checked when the row was written.
+        For an address built from checked parts, such as a transaction's scan
+        joining its prefix to each clustering key the store returned: the
+        row's key was checked when the row was written.
         """
         key = object.__new__(cls)
         _set_storage(key, storage)
@@ -175,12 +176,11 @@ def check_columns(columns: Mapping[str, object]) -> None:
 
 @dataclass(frozen=True)
 class Record:
-    """One stored record: its address plus named columns, read-only.
+    """One stored record as a store's ``dump`` lists it: its address plus named columns.
 
-    The columns never change once the record exists: a store hands out a
-    snapshot of the row, and a later write replaces the row instead of
-    changing the record a reader holds. So a reader may keep a record and
-    decode it whenever it likes.
+    A read hands out only the row; the dump also names each row's key, for
+    the sweeps and audits that walk a whole store. The columns are read-only
+    and never change: a later write replaces the stored row instead.
     """
 
     key: FullKey
@@ -194,7 +194,7 @@ class Record:
     def _unchecked(cls, key: FullKey, columns: MappingProxyType) -> "Record":
         """A record sharing ``columns``, which passed ``check_columns`` and never change.
 
-        For a store handing out a row it checked when it applied the row.
+        For a store dumping a row it checked when it applied the row.
         """
         record = object.__new__(cls)
         record.__dict__.update(key=key, columns=columns)

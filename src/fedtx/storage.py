@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import CapabilityUnsupported, UnknownStorage
-from .model import AtomicityUnit, FullKey, GroupKey, Record
+from .model import AtomicityUnit, FullKey, GroupKey
 
 
 class WriteKind(enum.Enum):
@@ -128,9 +128,10 @@ class StorageAdapter(ABC):
     the index of the first failing condition. All calls are linearizable with
     respect to each other on the same adapter.
 
-    A ``Record`` a read returns is a snapshot: its columns never change
-    afterwards, whatever is written later. Callers rely on that to keep the
-    record and decode it later (``decoupling.ReadResult`` does).
+    A read hands back the stored row itself: a read-only mapping of column
+    names to values, or None for an absent record. That row never changes
+    after the read, whatever is written later. Callers rely on that to keep
+    the row and decode it later (``decoupling.ReadResult`` does).
     """
 
     @property
@@ -142,12 +143,13 @@ class StorageAdapter(ABC):
     def capabilities(self) -> AdapterCapabilities: ...
 
     @abstractmethod
-    def read(self, key: FullKey) -> Record | None: ...
+    def read(self, key: FullKey) -> Mapping | None: ...
 
     @abstractmethod
-    def scan(self, prefix: GroupKey) -> list[Record]:
-        """All records of one partition, ordered by clustering key.
+    def scan(self, prefix: GroupKey) -> list[tuple[tuple, Mapping]]:
+        """Every row of one partition as a (clustering key, row) pair, in clustering order.
 
+        Each row is read-only and never changes afterwards, as for ``read``.
         ``prefix`` names exactly one partition: its clustering key is None.
         Any other prefix raises ValueError.
         """
@@ -164,11 +166,11 @@ class StorageAdapter(ABC):
         applied.
         """
 
-    def snapshot_read(self, keys: Sequence[FullKey]) -> list[Record | None]:
-        """Read several records of one scope at a single consistent point."""
+    def snapshot_read(self, keys: Sequence[FullKey]) -> list[Mapping | None]:
+        """Read the rows of several keys of one scope at a single consistent point."""
         raise CapabilityUnsupported(f"storage {self.name!r} is not consistent-readable")
 
-    def view_read(self, view_name: str, key: FullKey) -> Record | None:
+    def view_read(self, view_name: str, key: FullKey) -> Mapping | None:
         raise CapabilityUnsupported(f"storage {self.name!r} is not view-joinable")
 
     def view_for(self, key: FullKey) -> str | None:
@@ -218,10 +220,10 @@ class StorageRegistry:
     def get_atomicity_unit(self, key: FullKey) -> AtomicityUnit:
         return self.get_database(key).capabilities.atomicity_unit
 
-    def read(self, key: FullKey) -> Record | None:
+    def read(self, key: FullKey) -> Mapping | None:
         return self.get_database(key).read(key)
 
-    def scan(self, prefix: GroupKey) -> list[Record]:
+    def scan(self, prefix: GroupKey) -> list[tuple[tuple, Mapping]]:
         return self.get_database(prefix.storage).scan(prefix)
 
     def atomic_write(self, writes: Sequence[ConditionalWrite]) -> int | None:
@@ -229,7 +231,7 @@ class StorageRegistry:
             raise ValueError("empty batch")
         return self.get_database(writes[0].key).atomic_write(writes)
 
-    def snapshot_read(self, keys: Sequence[FullKey]) -> list[Record | None]:
+    def snapshot_read(self, keys: Sequence[FullKey]) -> list[Mapping | None]:
         if not keys:
             return []
         return self.get_database(keys[0]).snapshot_read(keys)

@@ -327,23 +327,25 @@ class TransactionManager:
 
         A key already in the read set keeps that read and is not read again.
         The partition lies in one table, so whether its rows are split is
-        decided once. The store returns them in clustering order; only a
-        buffered write that adds a key to the partition calls for a sort.
+        decided once. The store returns each row with its clustering key, in
+        clustering order; only a buffered write that adds a key to the
+        partition calls for a sort.
         """
         # Scan first: the store refuses any prefix but one partition.
-        records = self.registry.scan(prefix)
+        rows = self.registry.scan(prefix)
         split = self.decoupling is not None and self.decoupling.applies_to(prefix)
         merged: dict[FullKey, dict] = {}
         read_set = tx.read_set
-        for record in records:
-            key = record.key
+        address = (prefix.storage, prefix.namespace, prefix.table, prefix.partition_key)
+        unchecked_key = FullKey._unchecked
+        for ck, row in rows:
+            key = unchecked_key(*address, ck)
             obs = read_set.get(key)
             if obs is None:
                 if split:
                     obs = self._observe(key)  # the scanned row lacks its metadata
                 else:
-                    columns = record.columns
-                    obs = ReadResult(columns, columns, ReadPath.COLOCATED)
+                    obs = ReadResult(row, row, ReadPath.COLOCATED)
                     if obs.prepared:
                         obs = self._observe(key)
                 read_set[key] = obs
@@ -388,14 +390,10 @@ class TransactionManager:
         raise RecoveryFailed(f"record {key.render()} kept reverting to in-doubt state")
 
     def _read_coordinator(self, tx_id: str) -> CoordinatorState | None:
-        record = self.registry.read(self.coordinator.key_for(tx_id))
-        if record is None:
+        row = self.registry.read(self.coordinator.key_for(tx_id))
+        if row is None:
             return None
-        return CoordinatorState(
-            tx_id,
-            TxStatus(record.columns[COORD_STATE_COLUMN]),
-            record.columns[COORD_CREATED_COLUMN],
-        )
+        return CoordinatorState(tx_id, TxStatus(row[COORD_STATE_COLUMN]), row[COORD_CREATED_COLUMN])
 
     def _claim_outcome(self, tx_id: str, proposed: TxStatus) -> CoordinatorState:
         """Write-once outcome record: create it with ``proposed``, or adopt the stored one."""

@@ -98,8 +98,8 @@ class TestDecouple:
         env = build_env(decoupled=True)
         columns = stored_row({"v": 7, "w": b"x"}, committed_meta())
         assert write(env, [ConditionalWrite(k(), columns)]) is None
-        rejoined = dict(env.registry.read(k()).columns)
-        rejoined.update(env.registry.read(CFG.metadata_key(k())).columns)
+        rejoined = dict(env.registry.read(k()))
+        rejoined.update(env.registry.read(CFG.metadata_key(k())))
         assert rejoined == dict(columns)
 
     def test_empty(self):
@@ -154,8 +154,8 @@ class TestExpandWrites:
         )
         physical = expand_writes(env.registry, env.manager.decoupling, [logical], observed)
         assert env.registry.atomic_write(physical) == 0
-        assert env.registry.read(k()).columns == {"v": 9}
-        assert env.registry.read(CFG.metadata_key(k())).columns["_tx_id"] == "t0"
+        assert env.registry.read(k()) == {"v": 9}
+        assert env.registry.read(CFG.metadata_key(k()))["_tx_id"] == "t0"
 
     def test_single_batch_of_two_rows(self):
         env = build_env(decoupled=True)
@@ -184,7 +184,7 @@ class TestExpandWrites:
         )
         failed = write(env, [stale])
         assert failed is not None
-        assert env.registry.read(k()).columns == {"v": 1}
+        assert env.registry.read(k()) == {"v": 1}
 
     def test_colocation_violation(self):
         env = build_env({"s1": make_caps(AtomicityUnit.TABLE)}, decoupled=True)

@@ -78,14 +78,14 @@ class TestReadWrite:
     def test_read_your_write(self):
         s = store()
         assert s.atomic_write([put(k(), {"v": 1})]) is None
-        assert s.read(k()).columns == {"v": 1}
+        assert s.read(k()) == {"v": 1}
 
     def test_failed_condition_leaves_prior_value(self):
         s = store()
         s.atomic_write([put(k(), {"v": 1, COL_TX_ID: "a"})])
         failed = s.atomic_write([put(k(), {"v": 2}, if_tx_id_equals("b"))])
         assert failed == 0
-        assert dict(s.read(k()).columns) == {"v": 1, COL_TX_ID: "a"}
+        assert s.read(k()) == {"v": 1, COL_TX_ID: "a"}
 
     def test_if_not_exists(self):
         s = store()
@@ -155,7 +155,7 @@ class TestBatchAtomicity:
         s = store(unit=unit)
         a, b = key_pair(scope_depth(unit))
         assert s.atomic_write([put(a, {"v": 1}), put(b, {"v": 2})]) is None
-        assert s.read(b).columns["v"] == 2
+        assert s.read(b)["v"] == 2
 
     def test_same_partition_batch_allowed_at_partition_unit(self):
         s = store(unit=AtomicityUnit.PARTITION)
@@ -190,9 +190,9 @@ def _view_store():
 _SHARED_READS = {
     "read": lambda s: s.read(k(pk=1, ck=1)),
     "snapshot_read": lambda s: s.snapshot_read([k(pk=1, ck=1)])[0],
-    "scan": lambda s: s.scan(GroupKey("s1", "app", "t", (1,)))[0],
+    "scan": lambda s: s.scan(GroupKey("s1", "app", "t", (1,)))[0][1],
     "view_read": lambda s: s.view_read("v", k(pk=1, ck=1)),
-    "dump": lambda s: next(r for r in s.dump() if r.key == k(pk=1, ck=1)),
+    "dump": lambda s: next(r for r in s.dump() if r.key == k(pk=1, ck=1)).columns,
 }
 _LATER_WRITES = {
     "overwrite": lambda s: s.atomic_write(
@@ -209,13 +209,13 @@ class TestSharedRows:
     @pytest.mark.parametrize("how", sorted(_SHARED_READS))
     def test_record_keeps_its_columns(self, how, later):
         s = _view_store()
-        record = _SHARED_READS[how](s)
+        row = _SHARED_READS[how](s)
         expected = {"v": 1, COL_TX_ID: "t0"} if how == "view_read" else {"v": 1}
-        assert record.columns == expected
+        assert row == expected
         with pytest.raises(TypeError):
-            record.columns["v"] = 3
+            row["v"] = 3
         _LATER_WRITES[later](s)
-        assert record.columns == expected
+        assert row == expected
 
 
 class TestScan:
@@ -229,7 +229,7 @@ class TestScan:
         s = store()
         for ck in (3, 1, 2):
             s.atomic_write([put(k(pk=1, ck=ck), {"v": ck})])
-        assert [r.key.clustering_key for r in s.scan(self.prefix())] == [(1,), (2,), (3,)]
+        assert [ck for ck, _ in s.scan(self.prefix())] == [(1,), (2,), (3,)]
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_scan_order_matches_the_tagged_value_order(self, seed):
@@ -259,7 +259,7 @@ class TestScan:
             }
             for ck in cks:
                 s.atomic_write([put(FullKey("s1", "app", "t", (pk,), ck), {"v": 1})])
-            scanned = [r.key.clustering_key for r in s.scan(self.prefix(pk))]
+            scanned = [ck for ck, _ in s.scan(self.prefix(pk))]
             assert scanned == sorted(cks, key=functools.cmp_to_key(reference))
 
     def test_scan_of_mixed_component_types_raises(self):
@@ -268,14 +268,14 @@ class TestScan:
         with pytest.raises(TypeError):
             s.scan(self.prefix())
         s.atomic_write([delete(k(pk=1, ck="a"))])  # the scan released the store's lock
-        assert [r.key.clustering_key for r in s.scan(self.prefix())] == [(1,)]
+        assert [ck for ck, _ in s.scan(self.prefix())] == [(1,)]
 
     def test_scan_after_delete(self):
         s = store()
         for ck in (1, 2, 3):
             s.atomic_write([put(k(pk=1, ck=ck), {"v": ck})])
         s.atomic_write([delete(k(pk=1, ck=2))])
-        assert [r.key.clustering_key for r in s.scan(self.prefix())] == [(1,), (3,)]
+        assert [ck for ck, _ in s.scan(self.prefix())] == [(1,), (3,)]
 
     def test_scan_requires_partition_depth(self):
         with pytest.raises(ValueError):
@@ -303,12 +303,16 @@ class TestScan:
             for ns, table, pk in partitions:
                 expected = sorted(
                     (
-                        r for r in dump
+                        (r.key, r.columns) for r in dump
                         if (r.key.namespace, r.key.table, r.key.partition_key) == (ns, table, pk)
                     ),
-                    key=lambda r: r.key.clustering_key,
+                    key=lambda item: item[0].clustering_key,
                 )
-                assert s.scan(GroupKey("s1", ns, table, pk)) == expected
+                scanned = [
+                    (FullKey("s1", ns, table, pk, ck), row)
+                    for ck, row in s.scan(GroupKey("s1", ns, table, pk))
+                ]
+                assert scanned == expected
 
         emptied = 0
         for step in range(300):
@@ -345,7 +349,7 @@ class TestScan:
                     else:
                         s.atomic_write([put(k(pk=pk, ck=ck[0]), {"v": step})])
                         model[ck] = {"v": step}
-                    got = [(r.key.clustering_key, dict(r.columns)) for r in s.scan(prefix)]
+                    got = [(ck, dict(row)) for ck, row in s.scan(prefix)]
                     assert got == sorted(model.items())
             except Exception as exc:  # noqa: BLE001 - reported by the main thread
                 errors.append(exc)
@@ -372,6 +376,7 @@ class TestSnapshotRead:
     def test_empty_and_absent(self):
         s = store(consistent=True)
         assert s.snapshot_read([]) == []
+        assert s.counters() == OpCounters()  # a read of nothing reaches no row
         assert s.snapshot_read([k()]) == [None]
 
     @pytest.mark.parametrize("unit", _SCOPE_UNITS)
@@ -386,7 +391,7 @@ class TestSnapshotRead:
         a, b = key_pair(scope_depth(unit))
         s.atomic_write([put(a, {"v": 1})])
         got = s.snapshot_read([a, b])
-        assert got[0].columns["v"] == 1
+        assert got[0]["v"] == 1
         assert got == [s.read(a), s.read(b)]
 
     def test_pair_consistency_under_concurrent_writer(self):
@@ -406,7 +411,7 @@ class TestSnapshotRead:
         try:
             for _ in range(300):
                 a, b = s.snapshot_read([k1, k2])
-                assert a.columns["v"] == b.columns["v"]
+                assert a["v"] == b["v"]
         finally:
             stop.set()
             thread.join()
@@ -422,8 +427,7 @@ class TestViews:
         s = self.view_store()
         s.atomic_write([put(k(pk=1), {"v": 1})])
         s.atomic_write([put(k(pk=1, table="t_meta"), {COL_TX_ID: "t0"})])
-        joined = s.view_read("v", k(pk=1))
-        assert dict(joined.columns) == {"v": 1, COL_TX_ID: "t0"}
+        assert s.view_read("v", k(pk=1)) == {"v": 1, COL_TX_ID: "t0"}
 
     def test_absent(self):
         assert self.view_store().view_read("v", k(pk=9)) is None
@@ -446,14 +450,6 @@ class TestViews:
         s = self.view_store()
         assert s.view_for(k()) == "v"
         assert s.view_for(k(table="other")) is None
-
-    def test_joined_record_is_addressed_to_the_application_table(self):
-        s = self.view_store()
-        s.atomic_write([put(k(pk=1), {"v": 1})])
-        s.atomic_write([put(k(pk=1, table="t_meta"), {COL_TX_ID: "t0"})])
-        assert s.view_read("v", k(pk=1)).key == k(pk=1)
-        assert s.view_read("v", k(pk=1, table="t_meta")).key == k(pk=1)
-        assert s.view_read("v", k(storage="elsewhere", pk=1)).key == k(pk=1)
 
     def test_table_unit_view_join_stays_consistent_beside_a_writer_and_dumps(self):
         """A TABLE-unit view joins rows of two scopes; reads, writes and dumps interleave.
@@ -498,8 +494,8 @@ class TestViews:
         def reader():
             for _ in range(10_000):
                 joined = s.view_read("v", app_key)
-                lag = joined.columns["v"] - int(joined.columns[COL_TX_ID][1:])
-                assert lag in (0, 1), dict(joined.columns)
+                lag = joined["v"] - int(joined[COL_TX_ID][1:])
+                assert lag in (0, 1), dict(joined)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -535,7 +531,7 @@ class TestFaultInjection:
         s.inject_faults([(0, FaultKind.CRASH_AFTER_BATCH)])
         with pytest.raises(InjectedCrash):
             s.atomic_write([put(k(pk=1), {"v": 1})])
-        assert s.read(k(pk=1)).columns == {"v": 1}
+        assert s.read(k(pk=1)) == {"v": 1}
         assert s.counters().atomic_write_batches == 1
 
     def test_plan_indices_must_increase(self):
@@ -716,7 +712,7 @@ class TestOneCriticalSection:
             barrier.wait()
             done = 0
             while done < rounds:
-                seen = s.read(k()).columns
+                seen = s.read(k())
                 attempts[t] += 1
                 batch = [put(k(), {"v": seen["v"] + 1}, if_columns_equal(seen))]
                 if s.atomic_write(batch) is None:
@@ -727,7 +723,7 @@ class TestOneCriticalSection:
         assert counters.atomic_write_batches == threads * rounds
         assert counters.condition_failures == sum(attempts) - threads * rounds
         assert counters.reads == sum(attempts)
-        assert s.read(k()).columns == {"v": threads * rounds}
+        assert s.read(k()) == {"v": threads * rounds}
 
     @pytest.mark.parametrize("how", ["dump", "scan"])
     def test_a_multi_record_read_never_sees_half_a_batch(self, how):
@@ -746,11 +742,12 @@ class TestOneCriticalSection:
             try:
                 for _ in range(300):
                     if how == "dump":
-                        records = s.dump()
+                        rows = [(r.key, r.columns) for r in s.dump()]
                     else:
-                        records = s.scan(GroupKey("s1", "app", "t", (1,)))
-                    assert [r.key for r in records] == keys
-                    assert len({r.columns["v"] for r in records}) == 1
+                        scanned = s.scan(GroupKey("s1", "app", "t", (1,)))
+                        rows = [(k(pk=1, ck=ck[0]), row) for ck, row in scanned]
+                    assert [key for key, _ in rows] == keys
+                    assert len({row["v"] for _, row in rows}) == 1
             finally:
                 stop.set()
 
@@ -780,7 +777,7 @@ class TestOneCriticalSection:
         def work(t):
             before = s.counters()
             assert s.atomic_write([put(k(pk=2), {"v": 2})]) is None
-            assert s.read(k(pk=2)).columns == {"v": 2}
+            assert s.read(k(pk=2)) == {"v": 2}
             assert k(pk=2) in [r.key for r in s.dump()]
             after = s.counters()
             assert (after.atomic_write_batches, after.reads) == (
@@ -891,9 +888,10 @@ def test_matches_reference_replay(schedule):
         elif op == "read":
             got = s.read(key)
             expected = ref.rows.get(key)
-            assert (got.columns if got else None) == (dict(expected) if expected else None)
+            assert got == expected
         else:
-            got = {r.key: dict(r.columns) for r in s.scan(GroupKey("s1", "app", "t", (pk,)))}
+            scanned = s.scan(GroupKey("s1", "app", "t", (pk,)))
+            got = {FullKey("s1", "app", "t", (pk,), ck): dict(row) for ck, row in scanned}
             expected = {
                 key: dict(columns)
                 for key, columns in ref.rows.items()

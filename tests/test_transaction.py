@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 from dataclasses import replace
+from types import MappingProxyType
 
 import pytest
 
@@ -166,7 +167,7 @@ class TestTxIds:
         assert [tx.tx_id, manager.begin().tx_id] == ["first", "second"]
         tx.put(k(), {"v": 1})
         tx.commit()
-        assert env.registry.read(k()).columns[COL_TX_ID] == "first"
+        assert env.registry.read(k())[COL_TX_ID] == "first"
 
     @pytest.mark.parametrize("empty", ["", None], ids=["empty-str", "none"])
     def test_a_factory_id_that_is_empty_is_refused_at_begin(self, env, empty):
@@ -179,7 +180,7 @@ class TestTxIds:
         tx = manager.begin()  # the refusal leaves the manager usable
         tx.put(k(), {"v": 1})
         tx.commit()
-        assert env.registry.read(k()).columns[COL_TX_ID] == "second"
+        assert env.registry.read(k())[COL_TX_ID] == "second"
 
 
 class TestAbort:
@@ -776,7 +777,7 @@ class TestRecovery:
         # A row that stays PREPARED however often it is settled: its rollback's
         # tx-id condition never holds against the stored row.
         ghost = TransactionMetadata("ghost", 2, TxState.PREPARED, prepared_at=1)
-        stuck = Record(k(), stored_row({"v": 5}, ghost))
+        stuck = MappingProxyType(stored_row({"v": 5}, ghost))
         reads = []
 
         def stuck_read(key):
@@ -1199,18 +1200,35 @@ class TestScopeCost:
         assert built[FullKey] == 0  # the view joins by the key the transaction holds
         assert built[Record] == 0
 
-    def test_partition_scan_checks_no_returned_row(self, built):
+    def test_partition_scan_checks_no_returned_row(self, built, monkeypatch):
         env = build_env({"s1": make_caps(AtomicityUnit.PARTITION)})
         tx = env.manager.begin()
         for ck in range(16):
             tx.put(k(ck=ck), {"v": ck})
         tx.commit()
         prefix = GroupKey("s1", "app", "t", (1,))
+        unchecked = []
+        build_unchecked = FullKey._unchecked.__func__
+
+        def counting(cls, *parts):
+            unchecked.append(parts)
+            return build_unchecked(cls, *parts)
+
+        monkeypatch.setattr(FullKey, "_unchecked", classmethod(counting))
         built[FullKey] = built[Record] = 0
-        records = env.adapter("s1").scan(prefix)
-        assert [r.columns["v"] for r in records] == list(range(16))
+        rows = env.adapter("s1").scan(prefix)
+        assert [(ck, row["v"]) for ck, row in rows] == [((ck,), ck) for ck in range(16)]
         assert built[Record] == 0
         assert built[FullKey] == 0  # neither one per row nor one for the partition
+        assert unchecked == []
+        # A transaction's scan addresses each row once, from the prefix and its clustering key.
+        tx = env.manager.begin()
+        expected = [(k(ck=ck), {"v": ck}) for ck in range(16)]
+        built[FullKey] = 0
+        assert tx.scan(prefix) == expected
+        assert unchecked == [("s1", "app", "t", (1,), (ck,)) for ck in range(16)]
+        assert built[FullKey] == built[Record] == 0
+        assert list(tx.read_set) == [key for key, _ in expected]
 
     def test_store_reads_check_no_returned_row(self, built):
         caps = make_caps(AtomicityUnit.STORAGE, consistent=True)
@@ -1485,7 +1503,7 @@ class TestRowAliasing:
         columns["x"] = 3
         assert store.atomic_write([write]) is None
         columns["v"] = 4
-        assert dict(store.read(k()).columns) == {"v": 1}
+        assert store.read(k()) == {"v": 1}
 
 
 class TestReadDecoding:
@@ -1539,9 +1557,7 @@ class TestStoredImages:
 
     @staticmethod
     def outcome_at(env, tx):
-        return env.registry.read(env.manager.coordinator.key_for(tx.tx_id)).columns[
-            COORD_CREATED_COLUMN
-        ]
+        return env.registry.read(env.manager.coordinator.key_for(tx.tx_id))[COORD_CREATED_COLUMN]
 
     def prepare_and_crash(self, env, crash):
         """Rewrite s1 and delete s2 in one transaction that dies at the coordinator write."""
