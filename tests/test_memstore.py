@@ -451,6 +451,16 @@ class TestViews:
         assert s.view_for(k()) == "v"
         assert s.view_for(k(table="other")) is None
 
+    def test_joined_record_is_addressed_to_the_application_table(self):
+        """The view joins its own tables' rows, whatever table or storage the key names."""
+        s = self.view_store()
+        s.atomic_write([put(k(pk=1), {"v": 1})])
+        s.atomic_write([put(k(pk=1, table="t_meta"), {COL_TX_ID: "t0"})])
+        joined = {"v": 1, COL_TX_ID: "t0"}
+        assert s.view_read("v", k(pk=1)) == joined
+        assert s.view_read("v", k(pk=1, table="t_meta")) == joined
+        assert s.view_read("v", k(storage="elsewhere", pk=1)) == joined
+
     def test_table_unit_view_join_stays_consistent_beside_a_writer_and_dumps(self):
         """A TABLE-unit view joins rows of two scopes; reads, writes and dumps interleave.
 
