@@ -22,9 +22,9 @@ routes the two halves of a row to different tables, needs ``split_columns``.
 ``combined_columns`` is the one encoder of every stored image (prepared,
 committed, rolled forward or restored), in one step from plain fields. A
 PREPARED row's before-image is copied straight from the settled row it
-replaces; a restore encodes that settled row again, from the row read
-(``settled_image``) or from the prepared row's ``_tx_before*`` columns
-(``prior_image``).
+replaces; a restore encodes that settled row again from the prepared row's
+``_tx_before*`` columns (``prior_image``), so the PREPARED row alone is the
+undo log, whichever client settles it.
 """
 
 from __future__ import annotations
@@ -160,22 +160,6 @@ def combined_columns(
     for name, value in before_app.items():
         out[BEFORE_COLUMN_PREFIX + name] = value
     return out
-
-
-def settled_image(meta: Mapping[str, object], app_columns: Mapping[str, object]) -> dict:
-    """The stored image of the settled version with ``meta``'s ``_tx_*`` and ``app_columns``.
-
-    A settled version carries no before-image: ``meta``'s ``_tx_before*`` stay behind.
-    """
-    return combined_columns(
-        app_columns,
-        meta[COL_TX_ID],
-        meta[COL_VERSION],
-        _state(meta[COL_STATE]),
-        meta[COL_PREPARED_AT],
-        meta.get(COL_COMMITTED_AT),
-        bool(meta.get(COL_DELETED, False)),
-    )
 
 
 def prior_image(meta: Mapping[str, object]) -> dict | None:

@@ -24,7 +24,8 @@ A transaction's status is a ``TxStatus``: ACTIVE, then its one outcome,
 COMMITTED or ABORTED. Every two-phase transaction ends the same way: it claims
 an outcome with the write-once coordinator record (adopting the stored one if
 the claim loses), then settles each group it may have prepared to match:
-COMMITTED records, or before-images restored. Conflicts surface as
+COMMITTED records, or before-images restored. The owner and a lazy recovery
+settle a record the same way, from its PREPARED row alone. Conflicts surface as
 ``ConflictAbort`` after that settling. ``abort()`` after a commit that crashed
 mid-pipeline claims ABORTED the same way: if the commit point had already
 passed, the records are rolled forward instead and ``abort()`` raises
@@ -45,7 +46,7 @@ import queue
 import threading
 import uuid
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .decoupling import (
     DecoupleConfig,
@@ -84,7 +85,6 @@ from .records import (
     combined_columns,
     parse_metadata,  # noqa: F401 - perfbench/tracing.py rebinds this name here
     prior_image,
-    settled_image,
 )
 from .storage import (
     ConditionalWrite,
@@ -120,11 +120,11 @@ class _LogicalWrite:
 
     ``columns`` is None for a delete. Its version and its ``condition`` are
     fixed when ``_materialize_writes`` builds it: the observed tx id, or
-    absence when nothing was observed. Each stored image is encoded in one
+    absence when nothing was observed. Its prepared row is encoded in one
     ``combined_columns`` call from these fields and the observed row: the
-    before-image of a prepared row is that settled row's ``_tx_*`` columns
-    and the read's own ``app_columns`` (filtered once, and nothing changes
-    them), and its restore is that settled row encoded again.
+    before-image is that settled row's ``_tx_*`` columns and the read's own
+    ``app_columns`` (filtered once, and nothing changes them). The prepared
+    row is then all a settle needs (``_settle_write``).
     """
 
     key: FullKey
@@ -149,19 +149,6 @@ class _LogicalWrite:
         )
         return ConditionalWrite._owning(self.key, row, self.condition)
 
-    def committed_write(
-        self, tx_id: str, prepared_at: int, committed_at: int, condition
-    ) -> ConditionalWrite:
-        return _committed_write(
-            self.key, self.columns, tx_id, self.version, prepared_at, committed_at, condition
-        )
-
-    def restore_write(self, condition) -> ConditionalWrite:
-        """Undo of this write's prepared row: the settled row it observed, or a delete."""
-        obs = self.observed
-        row = settled_image(obs.meta, obs.app_columns) if obs.present else None
-        return _restore_write(self.key, row, condition)
-
 
 def _committed_write(
     key: FullKey,
@@ -179,11 +166,26 @@ def _committed_write(
     return ConditionalWrite._owning(key, row, condition)
 
 
-def _restore_write(key: FullKey, row: dict | None, condition) -> ConditionalWrite:
-    """Undo of a prepared write: the settled stored image ``row`` back, or a delete.
+def _settle_write(
+    key: FullKey,
+    prepared: Mapping[str, object],
+    app_columns: Mapping[str, object] | None,
+    committed_at: int | None,
+    condition,
+) -> ConditionalWrite:
+    """Settle of a PREPARED row, from the row alone: ``prepared`` holds its ``_tx_*`` columns.
 
-    ``row`` is None when the prepared write created the record.
+    With ``committed_at`` it rolls forward: ``app_columns`` COMMITTED at the
+    prepared version, or a delete of a prepared delete. Without, it rolls
+    back to the before-image the row carries, or deletes the key that the
+    prepared write created.
     """
+    if committed_at is not None:
+        columns = None if prepared.get(COL_DELETED) else app_columns
+        tx_id, version = prepared[COL_TX_ID], prepared[COL_VERSION]
+        prepared_at = prepared[COL_PREPARED_AT]
+        return _committed_write(key, columns, tx_id, version, prepared_at, committed_at, condition)
+    row = prior_image(prepared)
     if row is None:
         return ConditionalWrite._owning(key, {}, condition, WriteKind.DELETE)
     return ConditionalWrite._owning(key, row, condition)
@@ -219,7 +221,8 @@ class TxHandle:
         self.write_set: dict[FullKey, dict | None] = {}  # None deletes the key
         self.attempt: TxSummary | None = None  # built at commit for a history sink
         self.prepared_at: int | None = None
-        self._prepared_groups: list[list[_LogicalWrite]] = []  # may hold PREPARED records
+        # Each group beside its issued prepare batch; these may hold PREPARED records.
+        self._prepared_groups: list[tuple[list[_LogicalWrite], list[ConditionalWrite]]] = []
         self._one_phase_batch: list[_LogicalWrite] | None = None  # issued; may have applied
 
     def _check_active(self):
@@ -270,7 +273,6 @@ class TransactionManager:
         pushdown_enabled: bool = True,
         one_phase_enabled: bool = True,
         async_commit_records: bool = False,
-        tx_id_factory: Callable[[], str] | None = None,
         history=None,
     ):
         registry.get_database(coordinator.storage)  # fail fast on bad location
@@ -280,8 +282,7 @@ class TransactionManager:
         self.pushdown_enabled = pushdown_enabled
         self.one_phase_enabled = one_phase_enabled
         self.history = history
-        self._tx_id_factory = tx_id_factory
-        # A default tx id is this prefix plus the begin tick in hex: the tick
+        # A tx id is this prefix plus the begin tick in hex: the tick
         # never repeats within a manager, the random 128 bits across managers.
         prefix = base64.urlsafe_b64encode(uuid.uuid4().bytes).rstrip(b"=").decode()
         self._tx_id_prefix = prefix + "."
@@ -304,13 +305,7 @@ class TransactionManager:
 
     def begin(self, serializable: bool = False) -> TxHandle:
         begin_at = self._tick()
-        if self._tx_id_factory is None:
-            tx_id = f"{self._tx_id_prefix}{begin_at:x}"
-        else:
-            tx_id = self._tx_id_factory()
-            if not tx_id:
-                raise ValueError("tx_id must be non-empty")
-        return TxHandle(self, tx_id, serializable, begin_at)
+        return TxHandle(self, f"{self._tx_id_prefix}{begin_at:x}", serializable, begin_at)
 
     def _get(self, tx: TxHandle, key: FullKey) -> dict | None:
         if key in tx.write_set:
@@ -408,31 +403,18 @@ class TransactionManager:
         return self._read_coordinator(tx_id)
 
     def _resolve_prepared(self, key: FullKey, obs: ReadResult) -> None:
-        """Settle a record left PREPARED by another transaction."""
+        """Settle a record left PREPARED by another transaction, from the row read.
+
+        A racing recovery may have settled it first; that is fine. A
+        roll-forward passes the read on, so a split read that was torn fails
+        its application-row condition and the caller reads again.
+        """
         tx_id = obs.meta[COL_TX_ID]
         # No outcome yet: claim the abort; the writer's own claim may still win.
         state = self._read_coordinator(tx_id) or self._claim_outcome(tx_id, TxStatus.ABORTED)
-        if state.state is TxStatus.COMMITTED:
-            self._roll_forward(key, obs, state.created_at)
-        else:
-            self._roll_back(key, obs)
-
-    def _roll_forward(self, key: FullKey, obs: ReadResult, committed_at: int) -> None:
-        meta = obs.meta
-        tx_id = meta[COL_TX_ID]
-        columns = None if meta.get(COL_DELETED) else obs.app_columns
-        # A racing recovery may have settled it first; that is fine. A split
-        # read may also be torn; then the write fails and the caller reads again.
-        condition = if_tx_id_equals(tx_id)
-        write = _committed_write(
-            key, columns, tx_id, meta[COL_VERSION], meta[COL_PREPARED_AT], committed_at, condition
-        )
-        self._write([write], {key: obs})
-
-    def _roll_back(self, key: FullKey, obs: ReadResult) -> None:
-        meta = obs.meta
-        condition = if_tx_id_equals(meta[COL_TX_ID])
-        self._write([_restore_write(key, prior_image(meta), condition)])
+        committed_at = state.created_at if state.state is TxStatus.COMMITTED else None
+        write = _settle_write(key, obs.meta, obs.app_columns, committed_at, if_tx_id_equals(tx_id))
+        self._write([write], None if committed_at is None else {key: obs})
 
     def recover_all_prepared(self) -> int:
         """Sweep every dumpable storage and settle all in-doubt records."""
@@ -548,20 +530,21 @@ class TransactionManager:
         """Settle every group ``tx`` may have prepared to its claimed outcome, then finish it.
 
         COMMITTED flips each group's records (perhaps behind the queue);
-        ABORTED restores their before-images. A record that lost the tx-id
-        condition was settled by a recovery, and maybe overwritten since.
+        ABORTED restores their before-images. Each settle is built from the
+        prepared row this transaction issued, as a recovery builds it from the
+        row it read. A record that lost the tx-id condition was settled by a
+        recovery, and maybe overwritten since.
         """
         condition = if_tx_id_equals(tx.tx_id)
         committed = state.state is TxStatus.COMMITTED
         commit_at = self._tick() if committed else None
+        committed_at = state.created_at if committed else None
         batches = [
             [
-                logical.committed_write(tx.tx_id, tx.prepared_at, state.created_at, condition)
-                if committed
-                else logical.restore_write(condition)
-                for logical in group
+                _settle_write(logical.key, write.columns, logical.columns, committed_at, condition)
+                for logical, write in zip(group, batch)
             ]
-            for group in tx._prepared_groups
+            for group, batch in tx._prepared_groups
         ]
         if committed and self._queue is not None:
             self._queue.put((tx.tx_id, batches))
@@ -604,7 +587,10 @@ class TransactionManager:
             ts = self._tick()
             tx._one_phase_batch = groups[0]  # a crash may still land the batch
             batch = [
-                logical.committed_write(tx.tx_id, ts, ts, logical.condition)
+                _committed_write(
+                    logical.key, logical.columns, tx.tx_id, logical.version, ts, ts,
+                    logical.condition,
+                )
                 for logical in groups[0]
             ]
             if self._write(batch, tx.read_set) is not None:
@@ -618,8 +604,8 @@ class TransactionManager:
         # a crash may still land the batch.
         tx.prepared_at = self._tick()
         for group in groups:
-            tx._prepared_groups.append(group)
             batch = [logical.prepared_write(tx.tx_id, tx.prepared_at) for logical in group]
+            tx._prepared_groups.append((group, batch))
             if self._write(batch, tx.read_set) is not None:
                 tx._prepared_groups.pop()
                 self._end(tx, self._claim_outcome(tx.tx_id, TxStatus.ABORTED))

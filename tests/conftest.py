@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -233,7 +232,6 @@ def build_env(
     pushdown=True,
     one_phase=True,
     history=None,
-    tx_ids=None,
     async_commit=False,
 ):
     """storages: mapping name -> AdapterCapabilities (default one STORAGE-unit store)."""
@@ -249,10 +247,6 @@ def build_env(
     coord = build_memstore("coord", MemStoreConfig(make_caps()))
     registry.register(coord)
     adapters["coord"] = coord
-    factory = None
-    if tx_ids is not None:
-        counter = itertools.count()
-        factory = lambda: f"{tx_ids}-{next(counter)}"  # noqa: E731
     manager = TransactionManager(
         registry,
         CoordinatorLocation("coord"),
@@ -260,7 +254,6 @@ def build_env(
         pushdown_enabled=pushdown,
         one_phase_enabled=one_phase,
         async_commit_records=async_commit,
-        tx_id_factory=factory,
         history=history,
     )
     return Env(manager, registry, adapters, coord)

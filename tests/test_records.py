@@ -21,11 +21,10 @@ from fedtx.records import (
     is_metadata_column,
     parse_metadata,
     prior_image,
-    settled_image,
     split_columns,
 )
 from fedtx.storage import IF_NOT_EXISTS, WriteKind, if_tx_id_equals
-from fedtx.transaction import _LogicalWrite, _restore_write
+from fedtx.transaction import _LogicalWrite, _settle_write
 from conftest import (
     METADATA_MODES,
     SEVEN_METADATA_COLUMNS,
@@ -265,17 +264,28 @@ def test_every_image_a_write_stores_is_the_object_oracles(
     assert tagged(prepared.columns) == tagged(reference_columns(columns or {}, meta))
     assert (prepared.kind, prepared.condition) == (WriteKind.PUT, condition)
 
-    committed = logical.committed_write(tx_id, prepared_at, committed_at, condition)
-    if deleted:
-        assert (committed.kind, dict(committed.columns)) == (WriteKind.DELETE, {})
-    else:
-        meta = TransactionMetadata(tx_id, version, TxState.COMMITTED, prepared_at, committed_at)
-        assert committed.kind is WriteKind.PUT
-        assert tagged(committed.columns) == tagged(reference_columns(columns, meta))
+    # The owner settles from the row it issued; a recovery, from its read of
+    # that row: the whole row on one-row routes, the two halves on the others.
+    app_half, meta_half = split_columns(prepared.columns)
+    whole = MappingProxyType(dict(prepared.columns))
+    reads = [
+        ReadResult(whole, whole, path) if path in (ReadPath.COLOCATED, ReadPath.VIEW)
+        else ReadResult(MappingProxyType(app_half), MappingProxyType(meta_half), path)
+        for path in ReadPath
+    ]
+    sources = [(prepared.columns, columns)] + [(obs.meta, obs.app_columns) for obs in reads]
+    for row, app in sources:
+        committed = _settle_write(KEY, row, app, committed_at, condition)
+        assert committed.condition == condition
+        if deleted:
+            assert (committed.kind, dict(committed.columns)) == (WriteKind.DELETE, {})
+        else:
+            meta = TransactionMetadata(tx_id, version, TxState.COMMITTED, prepared_at, committed_at)
+            assert committed.kind is WriteKind.PUT
+            assert tagged(committed.columns) == tagged(reference_columns(columns, meta))
 
-    # The abort path restores from the read; a recovery, from the prepared row.
-    recovery = _restore_write(KEY, prior_image(prepared.columns), condition)
-    for restore in (logical.restore_write(condition), recovery):
+        restore = _settle_write(KEY, row, app, None, condition)
+        assert restore.condition == condition
         if image is None:
             assert (restore.kind, dict(restore.columns)) == (WriteKind.DELETE, {})
         else:
@@ -306,7 +316,7 @@ fault_values = st.sampled_from(
     ),
 )
 def test_the_row_check_accepts_exactly_what_the_oracle_decodes(columns, meta, mode, fault):
-    """``parse_metadata`` raises where the oracle decode raises, and both restores re-encode it.
+    """``parse_metadata`` raises where the oracle decode raises, and ``prior_image`` re-encodes it.
 
     A colocated or view read checks the whole stored row, a split or
     snapshot read only the ``_tx_*`` half; each row may carry one fault.
@@ -320,7 +330,7 @@ def test_the_row_check_accepts_exactly_what_the_oracle_decodes(columns, meta, mo
             del row[name]
         else:
             row[name] = value
-    app, meta_half = split_columns(row)
+    meta_half = split_columns(row)[1]
     decoupled = METADATA_MODES[mode][0]
     row = MappingProxyType(meta_half if decoupled else row)
     try:
@@ -330,8 +340,6 @@ def test_the_row_check_accepts_exactly_what_the_oracle_decodes(columns, meta, mo
             parse_metadata(row)
         return
     assert parse_metadata(row) is row
-    settled_row = reference_columns(app, replace(expected, before_image=None))
-    assert tagged(settled_image(row, app)) == tagged(settled_row)
     before = expected.before_image
     if before is None:
         assert prior_image(row) is None

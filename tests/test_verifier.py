@@ -284,7 +284,7 @@ def run_clean_workload(env, recorder):
 
 class TestAuditAtomicity:
     def two_store_env(self, recorder):
-        return build_env({"s1": make_caps(), "s2": make_caps()}, history=recorder, tx_ids="tx")
+        return build_env({"s1": make_caps(), "s2": make_caps()}, history=recorder)
 
     def test_clean_run_audits_ok(self):
         recorder = HistoryRecorder()
@@ -356,7 +356,7 @@ class TestAuditAtomicity:
 
     def test_committed_delete_audits_ok(self):
         recorder = HistoryRecorder()
-        env = build_env(history=recorder, tx_ids="tx")
+        env = build_env(history=recorder)
         txn = env.manager.begin()
         txn.put(k(), {"v": 1})
         txn.commit()
@@ -381,7 +381,7 @@ class TestAuditAtomicity:
 
     def test_missing_durable_delete_is_found(self):
         recorder = HistoryRecorder()
-        env = build_env(history=recorder, tx_ids="tx")
+        env = build_env(history=recorder)
         txn = env.manager.begin()
         txn.put(k(), {"v": 1})
         txn.commit()
@@ -404,7 +404,7 @@ class TestAuditAtomicity:
     def test_crashed_one_phase_delete_resolved_from_dump(self, fault):
         """The lone batch deletes one key and creates another; the dump decides both."""
         recorder = HistoryRecorder()
-        env = build_env(history=recorder, tx_ids="tx")
+        env = build_env(history=recorder)
         txn = env.manager.begin()
         txn.put(k(pk=1), {"v": 1})
         txn.commit()
@@ -442,7 +442,7 @@ class TestAuditAtomicity:
 
     def test_unknown_one_phase_outcome_resolved_from_dump(self):
         recorder = HistoryRecorder()
-        env = build_env(history=recorder, tx_ids="tx")
+        env = build_env(history=recorder)
         txn = env.manager.begin()
         txn.put(k(), {"v": 1})
         env.adapter("s1").inject_faults([(0, FaultKind.CRASH_AFTER_BATCH)])
