@@ -32,7 +32,6 @@ from .memstore import (
 )
 from .model import (
     AtomicityUnit,
-    CoordinatorState,
     FullKey,
     GroupKey,
     Record,

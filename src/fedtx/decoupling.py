@@ -71,15 +71,14 @@ class DecoupleConfig:
     namespaces: frozenset[str] | None = None
 
     def applies_to(self, key: FullKey | GroupKey) -> bool:
-        """Whether ``key`` (a record or a scan prefix naming a table) is split."""
+        """Whether ``key`` (a record or a scan prefix) is split."""
         if self.namespaces is not None and key.namespace not in self.namespaces:
             return False
         return not key.table.endswith(META_TABLE_SUFFIX)
 
     def holds_metadata(self, key: FullKey | GroupKey) -> bool:
         """Whether ``key`` (a record or a scan prefix) is in a split namespace's metadata table."""
-        table = key.table
-        if table is None or not table.endswith(META_TABLE_SUFFIX):
+        if not key.table.endswith(META_TABLE_SUFFIX):
             return False
         return self.namespaces is None or key.namespace in self.namespaces
 

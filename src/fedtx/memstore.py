@@ -3,9 +3,10 @@
 The store keeps a flat hash map from (namespace, table, partition key,
 clustering key) to columns, so a point read is one dict lookup. Beside it a
 clustering-key index maps each (namespace, table, partition key) to the set of
-non-empty clustering keys stored under it; a scan reads that set plus the
-partition's empty-clustering-key row and sorts the hits, so it costs the size
-of the partition rather than the size of the store.
+non-empty clustering keys stored under it. A scan names one partition (a
+``GroupKey`` cannot name anything else), reads that set plus the partition's
+empty-clustering-key row and sorts the hits, so it costs the size of the
+partition rather than the size of the store.
 
 One mutex per store serializes every call: each read, scan, view join, batch
 and dump is one critical section, so a batch is one linearization point, the
@@ -29,6 +30,8 @@ Two invariants keep reads cheap:
   read-only behind a ``MappingProxyType``, with no copy and no re-check
   (``view_read`` wraps its freshly joined dict the same way), and a row
   handed out never changes after the read, whatever is written later.
+  ``dump`` pairs each shared row with its key in a plain ``model.Record``,
+  the only place one is built.
 
 Beside the data, the same mutex guards a test and benchmark surface, so a
 count changes in the same critical section as the rows it counts:
@@ -142,8 +145,6 @@ class MemStore(StorageAdapter):
         return MappingProxyType(columns) if columns is not None else None
 
     def scan(self, prefix: GroupKey) -> list[tuple[tuple, Mapping]]:
-        if prefix.partition_key is None or prefix.clustering_key is not None:
-            raise ValueError("scan prefix must identify one partition")
         partition = (prefix.namespace, prefix.table, prefix.partition_key)
         with self._lock:
             hits = [
@@ -316,9 +317,7 @@ class MemStore(StorageAdapter):
             items = list(self._rows.items())
         items.sort(key=lambda item: render_key(self._name, *item[0]))
         return [
-            Record._unchecked(
-                FullKey._unchecked(self._name, ns, table, pk, ck), MappingProxyType(columns)
-            )
+            Record(FullKey._unchecked(self._name, ns, table, pk, ck), MappingProxyType(columns))
             for (ns, table, pk, ck), columns in items
         ]
 

@@ -13,8 +13,9 @@ here, unlike plain Python).
 An atomicity unit maps a key to its scope, the prefix of
 (storage, namespace, table, partition key, clustering key) that the unit keeps.
 ``scope_of`` is the one place that does so; it returns that prefix as a plain
-tuple, which is what the hot paths compare and hash. A ``GroupKey`` is such a
-prefix written out by a caller: the partition a scan reads.
+tuple, which is what the hot paths compare and hash. A ``GroupKey`` addresses
+the one partition a scan reads: its partition key is checked as a ``FullKey``'s
+is, and its ``scope()`` is the PARTITION scope of every key in it.
 
 Clustering keys are ordered by plain Python tuple comparison. That is the
 model's order, because a key component can only be an int, a str or a bytes
@@ -35,8 +36,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 ColumnValue = int | str | bool | bytes | None
 
@@ -174,31 +174,17 @@ def check_columns(columns: Mapping[str, object]) -> None:
             raise ValueError("column names must be non-empty strings")
 
 
-@dataclass(frozen=True)
-class Record:
-    """One stored record as a store's ``dump`` lists it: its address plus named columns.
+class Record(NamedTuple):
+    """One stored record as a store's ``dump`` lists it: its address and its row.
 
     A read hands out only the row; the dump also names each row's key, for
-    the sweeps and audits that walk a whole store. The columns are read-only
-    and never change: a later write replaces the stored row instead.
+    the sweeps and audits that walk a whole store. The row is the store's
+    read-only mapping and never changes: a later write replaces the stored
+    row instead.
     """
 
     key: FullKey
     columns: Mapping[str, object]
-
-    def __post_init__(self):
-        object.__setattr__(self, "columns", MappingProxyType(dict(self.columns)))
-        check_columns(self.columns)
-
-    @classmethod
-    def _unchecked(cls, key: FullKey, columns: MappingProxyType) -> "Record":
-        """A record sharing ``columns``, which passed ``check_columns`` and never change.
-
-        For a store dumping a row it checked when it applied the row.
-        """
-        record = object.__new__(cls)
-        record.__dict__.update(key=key, columns=columns)
-        return record
 
 
 class AtomicityUnit(enum.IntEnum):
@@ -227,40 +213,29 @@ _UNIT_DEPTH = {
 
 @dataclass(frozen=True)
 class GroupKey:
-    """Prefix of a FullKey; a scan names the partition it reads with one.
+    """Address of one partition: the prefix a scan names.
 
-    Populated fields always form a prefix of
-    (storage, namespace, table, partition_key, clustering_key).
+    The partition key is checked as a ``FullKey``'s is: non-empty, and no
+    component null or bool.
     """
 
     storage: str
-    namespace: str | None = None
-    table: str | None = None
-    partition_key: tuple | None = None
-    clustering_key: tuple | None = None
+    namespace: str
+    table: str
+    partition_key: tuple
 
     def __post_init__(self):
-        if self.partition_key is not None:
-            object.__setattr__(self, "partition_key", tuple(self.partition_key))
-        if self.clustering_key is not None:
-            object.__setattr__(self, "clustering_key", tuple(self.clustering_key))
-        fields = (self.namespace, self.table, self.partition_key, self.clustering_key)
-        seen_gap = False
-        for value in fields:
-            if value is None:
-                seen_gap = True
-            elif seen_gap:
-                raise ValueError("populated fields must form a prefix of the key")
+        object.__setattr__(self, "partition_key", tuple(self.partition_key))
+        if not self.partition_key:
+            raise ValueError("partition key must be non-empty")
+        _check_key_components("partition key", self.partition_key)
 
     def render(self) -> str:
-        return render_key(
-            self.storage, self.namespace, self.table, self.partition_key, self.clustering_key
-        )
+        return render_key(self.storage, self.namespace, self.table, self.partition_key)
 
     def scope(self) -> tuple:
-        """The populated fields, in the form ``scope_of`` returns."""
-        fields = (self.storage, self.namespace, self.table, self.partition_key, self.clustering_key)
-        return tuple(f for f in fields if f is not None)
+        """The PARTITION scope ``scope_of`` gives every key of this partition."""
+        return (self.storage, self.namespace, self.table, self.partition_key)
 
 
 def scope_of(key: FullKey, unit: AtomicityUnit) -> tuple:
@@ -323,19 +298,3 @@ class TxStatus(enum.Enum):
     ACTIVE = "ACTIVE"
     COMMITTED = "COMMITTED"
     ABORTED = "ABORTED"
-
-
-@dataclass(frozen=True)
-class CoordinatorState:
-    """Write-once outcome record; the single source of truth for a transaction.
-
-    Its state is an outcome: COMMITTED or ABORTED, never ACTIVE.
-    """
-
-    tx_id: str
-    state: TxStatus
-    created_at: int
-
-    def __post_init__(self):
-        if self.state is TxStatus.ACTIVE:
-            raise ValueError(f"outcome record of {self.tx_id} holds no outcome")

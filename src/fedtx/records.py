@@ -25,6 +25,9 @@ PREPARED row's before-image is copied straight from the settled row it
 replaces; a restore encodes that settled row again from the prepared row's
 ``_tx_before*`` columns (``prior_image``), so the PREPARED row alone is the
 undo log, whichever client settles it.
+
+The coordinator table's rows are the other stored form the protocol reads:
+a transaction's write-once outcome, decoded by ``outcome_committed_at``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Mapping
 
-from .model import TxState
+from .model import TxState, TxStatus
 
 META_PREFIX = "_tx_"
 
@@ -53,6 +56,16 @@ BEFORE_COLUMN_PREFIX = "_tx_before_col_"
 # first claimed, as plain columns with no ``_tx_*`` metadata.
 COORD_STATE_COLUMN = "tx_state"
 COORD_CREATED_COLUMN = "created_at"
+
+
+def outcome_committed_at(row: Mapping[str, object]) -> int | None:
+    """A coordinator row's outcome: ``created_at`` if COMMITTED, None if ABORTED; else raises."""
+    state = row[COORD_STATE_COLUMN]
+    if state == TxStatus.COMMITTED._value_:  # ``.value`` is a slower property
+        return row[COORD_CREATED_COLUMN]
+    if state != TxStatus.ABORTED._value_:
+        raise ValueError(f"coordinator row holds no outcome: {state!r}")
+    return None
 
 
 def is_metadata_column(name: str) -> bool:

@@ -150,8 +150,8 @@ class StorageAdapter(ABC):
         """Every row of one partition as a (clustering key, row) pair, in clustering order.
 
         Each row is read-only and never changes afterwards, as for ``read``.
-        ``prefix`` names exactly one partition: its clustering key is None.
-        Any other prefix raises ValueError.
+        A ``GroupKey`` always names exactly one partition, so there is no
+        other prefix to refuse.
         """
 
     @abstractmethod
@@ -187,8 +187,8 @@ class StorageRegistry:
 
     def __init__(self):
         self._adapters: dict[str, StorageAdapter] = {}
-        # (storage, namespace, table) -> (settings, value) of the last table_route
-        self._routes: dict[tuple[str, str, str], tuple] = {}
+        # (id(settings), storage, namespace, table) -> (settings, value) of table_route
+        self._routes: dict[tuple, tuple] = {}
 
     def register(self, adapter: StorageAdapter) -> None:
         if adapter.name in self._adapters:
@@ -209,12 +209,13 @@ class StorageRegistry:
         """``resolve(self, settings, key)``, computed once per table and ``settings`` object.
 
         The value may depend only on ``settings`` and on the key's storage,
-        namespace and table. Other settings resolve their own, which replaces it.
+        namespace and table. Each settings object keeps its own entry, found
+        by identity: the entry holds the object, so its id is not reused.
         """
-        table = (key.storage, key.namespace, key.table)
-        entry = self._routes.get(table)
-        if entry is None or entry[0] is not settings:
-            entry = self._routes[table] = (settings, resolve(self, settings, key))
+        slot = (id(settings), key.storage, key.namespace, key.table)
+        entry = self._routes.get(slot)
+        if entry is None:
+            entry = self._routes[slot] = (settings, resolve(self, settings, key))
         return entry[1]
 
     def get_atomicity_unit(self, key: FullKey) -> AtomicityUnit:

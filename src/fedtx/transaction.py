@@ -65,7 +65,6 @@ from .errors import (
 from .grouping import group_by_atomicity_unit, group_per_record, one_phase_eligible
 from .model import (
     AtomicityUnit,
-    CoordinatorState,
     FullKey,
     GroupKey,
     TxState,
@@ -83,6 +82,7 @@ from .records import (
     COORD_STATE_COLUMN,
     check_application_columns,
     combined_columns,
+    outcome_committed_at,
     parse_metadata,  # noqa: F401 - perfbench/tracing.py rebinds this name here
     prior_image,
 )
@@ -230,9 +230,12 @@ class TxHandle:
             raise TransactionFinished(f"transaction {self.tx_id} is {self.status.value}")
 
     def _check_access(self, key: FullKey | GroupKey) -> None:
-        """Refuse a finished transaction, and a key in a split namespace's metadata table."""
+        """Refuse a finished transaction, and a key of the coordinator or a split metadata table."""
         self._check_active()
-        config = self._manager.decoupling
+        manager = self._manager
+        if (key.storage, key.namespace, key.table) == manager._coordinator_table:
+            raise ValueError(f"{key.render()} is in the coordinator table")
+        config = manager.decoupling
         if config is not None and config.holds_metadata(key):
             raise ValueError(f"{key.render()} is in a metadata table")
 
@@ -278,6 +281,7 @@ class TransactionManager:
         registry.get_database(coordinator.storage)  # fail fast on bad location
         self.registry = registry
         self.coordinator = coordinator
+        self._coordinator_table = (coordinator.storage, coordinator.namespace, coordinator.table)
         self.decoupling = decoupling
         self.pushdown_enabled = pushdown_enabled
         self.one_phase_enabled = one_phase_enabled
@@ -326,15 +330,14 @@ class TransactionManager:
         clustering order; only a buffered write that adds a key to the
         partition calls for a sort.
         """
-        # Scan first: the store refuses any prefix but one partition.
         rows = self.registry.scan(prefix)
         split = self.decoupling is not None and self.decoupling.applies_to(prefix)
         merged: dict[FullKey, dict] = {}
         read_set = tx.read_set
-        address = (prefix.storage, prefix.namespace, prefix.table, prefix.partition_key)
+        scope = prefix.scope()
         unchecked_key = FullKey._unchecked
         for ck, row in rows:
-            key = unchecked_key(*address, ck)
+            key = unchecked_key(*scope, ck)
             obs = read_set.get(key)
             if obs is None:
                 if split:
@@ -347,7 +350,6 @@ class TransactionManager:
             if obs.present:
                 merged[key] = obs.app_columns.copy()
         # overlay this transaction's own buffered writes
-        scope = prefix.scope()
         added = False
         for key, columns in tx.write_set.items():
             if scope_of(key, AtomicityUnit.PARTITION) != scope:
@@ -384,23 +386,13 @@ class TransactionManager:
             obs = None
         raise RecoveryFailed(f"record {key.render()} kept reverting to in-doubt state")
 
-    def _read_coordinator(self, tx_id: str) -> CoordinatorState | None:
-        row = self.registry.read(self.coordinator.key_for(tx_id))
-        if row is None:
-            return None
-        return CoordinatorState(tx_id, TxStatus(row[COORD_STATE_COLUMN]), row[COORD_CREATED_COLUMN])
-
-    def _claim_outcome(self, tx_id: str, proposed: TxStatus) -> CoordinatorState:
-        """Write-once outcome record: create it with ``proposed``, or adopt the stored one."""
-        created_at = self._tick()
-        write = ConditionalWrite(
-            self.coordinator.key_for(tx_id),
-            {COORD_STATE_COLUMN: proposed.value, COORD_CREATED_COLUMN: created_at},
-            IF_NOT_EXISTS,
-        )
-        if self.registry.atomic_write([write]) is None:
-            return CoordinatorState(tx_id, proposed, created_at)
-        return self._read_coordinator(tx_id)
+    def _claim_outcome(self, tx_id: str, proposed: TxStatus) -> int | None:
+        """Claim the write-once outcome ``proposed`` or adopt the stored one, as its commit time."""
+        key = self.coordinator.key_for(tx_id)
+        row = {COORD_STATE_COLUMN: proposed.value, COORD_CREATED_COLUMN: self._tick()}
+        if self.registry.atomic_write([ConditionalWrite(key, row, IF_NOT_EXISTS)]) is not None:
+            row = self.registry.read(key)
+        return outcome_committed_at(row)
 
     def _resolve_prepared(self, key: FullKey, obs: ReadResult) -> None:
         """Settle a record left PREPARED by another transaction, from the row read.
@@ -410,9 +402,11 @@ class TransactionManager:
         its application-row condition and the caller reads again.
         """
         tx_id = obs.meta[COL_TX_ID]
-        # No outcome yet: claim the abort; the writer's own claim may still win.
-        state = self._read_coordinator(tx_id) or self._claim_outcome(tx_id, TxStatus.ABORTED)
-        committed_at = state.created_at if state.state is TxStatus.COMMITTED else None
+        row = self.registry.read(self.coordinator.key_for(tx_id))
+        if row is not None:
+            committed_at = outcome_committed_at(row)
+        else:  # no outcome yet: claim the abort; the writer's own claim may still win
+            committed_at = self._claim_outcome(tx_id, TxStatus.ABORTED)
         write = _settle_write(key, obs.meta, obs.app_columns, committed_at, if_tx_id_equals(tx_id))
         self._write([write], None if committed_at is None else {key: obs})
 
@@ -526,19 +520,19 @@ class TransactionManager:
                     break
                 del writes[logical_index(self.decoupling, writes, failed)]
 
-    def _end(self, tx: TxHandle, state: CoordinatorState) -> None:
+    def _end(self, tx: TxHandle, committed_at: int | None) -> None:
         """Settle every group ``tx`` may have prepared to its claimed outcome, then finish it.
 
-        COMMITTED flips each group's records (perhaps behind the queue);
-        ABORTED restores their before-images. Each settle is built from the
-        prepared row this transaction issued, as a recovery builds it from the
-        row it read. A record that lost the tx-id condition was settled by a
+        ``committed_at`` is the outcome ``_claim_outcome`` returns. A commit
+        flips each group's records (perhaps behind the queue); an abort (None)
+        restores their before-images. Each settle is built from the prepared
+        row this transaction issued, as a recovery builds it from the row it
+        read. A record that lost the tx-id condition was settled by a
         recovery, and maybe overwritten since.
         """
         condition = if_tx_id_equals(tx.tx_id)
-        committed = state.state is TxStatus.COMMITTED
+        committed = committed_at is not None
         commit_at = self._tick() if committed else None
-        committed_at = state.created_at if committed else None
         batches = [
             [
                 _settle_write(logical.key, write.columns, logical.columns, committed_at, condition)
@@ -620,9 +614,9 @@ class TransactionManager:
 
         # Commit point: the write-once outcome record; a lazy recovery may
         # have claimed the abort first.
-        state = self._claim_outcome(tx.tx_id, TxStatus.COMMITTED)
-        self._end(tx, state)
-        if state.state is TxStatus.ABORTED:
+        committed_at = self._claim_outcome(tx.tx_id, TxStatus.COMMITTED)
+        self._end(tx, committed_at)
+        if committed_at is None:
             raise ConflictAbort("aborted by a lazy recovery")
 
     def _commit_record_worker(self):

@@ -277,11 +277,19 @@ class TestScan:
         s.atomic_write([delete(k(pk=1, ck=2))])
         assert [ck for ck, _ in s.scan(self.prefix())] == [(1,), (3,)]
 
-    def test_scan_requires_partition_depth(self):
-        with pytest.raises(ValueError):
-            store().scan(GroupKey("s1", "app", "t"))
-        with pytest.raises(ValueError):  # a clustering key is deeper than one partition
-            store().scan(GroupKey("s1", "app", "t", (1,), (1,)))
+    def test_scan_reads_exactly_the_named_partition(self):
+        s = store()
+        keys = [k(pk=1, ck=1), k(pk=1), k(pk=2, ck=1), k(table="u", pk=1, ck=1)]
+        keys.append(FullKey("s1", "app", "t", (1, 1), (1,)))
+        for n, key in enumerate(keys):
+            s.atomic_write([put(key, {"v": n})])
+        assert s.scan(self.prefix()) == [((), {"v": 1}), ((1,), {"v": 0})]
+        with pytest.raises(TypeError):  # a table is no partition
+            GroupKey("s1", "app", "t")
+        with pytest.raises(TypeError):  # nor is a record
+            GroupKey("s1", "app", "t", (1,), (1,))
+        with pytest.raises(ValueError):  # (True,) would alias partition (1,)
+            GroupKey("s1", "app", "t", (True,))
 
     @pytest.mark.parametrize("unit", [AtomicityUnit.STORAGE, AtomicityUnit.PARTITION])
     @pytest.mark.parametrize("seed", [1, 2, 3])

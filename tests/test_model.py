@@ -18,7 +18,6 @@ from fedtx.model import (
     AtomicityUnit,
     FullKey,
     GroupKey,
-    Record,
     TxState,
     render_key,
     scope_of,
@@ -54,8 +53,6 @@ class TestValues:
 
     def test_unsupported_values_are_rejected_at_every_edge(self):
         with pytest.raises(TypeError):
-            Record(KEY, {"x": 1.5})
-        with pytest.raises(TypeError):
             FullKey("s1", "ns", "t", (1.5,))
         prior = TransactionMetadata("t0", 1, TxState.COMMITTED, prepared_at=1, committed_at=1)
         meta = TransactionMetadata(
@@ -68,8 +65,6 @@ class TestValues:
         with pytest.raises(TypeError):
             tx.put(KEY, {"x": 1.5})
         for bad_name in ("", 7):
-            with pytest.raises(ValueError):
-                Record(KEY, {bad_name: 1})
             with pytest.raises(ValueError):
                 tx.put(KEY, {bad_name: 1})
         assert tx.write_set == {}
@@ -206,11 +201,6 @@ full_keys = st.builds(
 units = st.sampled_from(list(AtomicityUnit))
 
 
-def group_fields(group):
-    """Populated fields of a group key, storage first."""
-    return tuple(f for f in astuple(group) if f is not None)
-
-
 class TestScopeProperties:
     @given(full_keys, units, units)
     def test_broader_unit_gives_prefix(self, key, u1, u2):
@@ -227,16 +217,16 @@ class TestScopeProperties:
         depth = len(scope_of(k1, unit))
         assert equal == (components1[:depth] == components2[:depth])
 
-    @given(full_keys, units)
-    def test_scope_is_the_populated_group_key(self, key, unit):
-        scope = scope_of(key, unit)
-        assert scope == group_fields(GroupKey(*scope))
-        assert scope == GroupKey(*scope).scope()
+    @given(full_keys)
+    def test_the_partition_scope_is_the_group_keys(self, key):
+        scope = scope_of(key, AtomicityUnit.PARTITION)
+        assert scope == astuple(GroupKey(*scope)) == GroupKey(*scope).scope()
 
-    @given(full_keys, full_keys, units)
-    def test_equal_scopes_iff_equal_group_keys(self, k1, k2, unit):
-        assert (scope_of(k1, unit) == scope_of(k2, unit)) == (
-            GroupKey(*scope_of(k1, unit)) == GroupKey(*scope_of(k2, unit))
+    @given(full_keys, full_keys)
+    def test_equal_partition_scopes_iff_equal_group_keys(self, k1, k2):
+        partition = AtomicityUnit.PARTITION
+        assert (scope_of(k1, partition) == scope_of(k2, partition)) == (
+            GroupKey(*scope_of(k1, partition)) == GroupKey(*scope_of(k2, partition))
         )
 
     @given(full_keys, units)
@@ -252,9 +242,23 @@ class TestScopeProperties:
 
 
 class TestGroupKey:
-    def test_populated_fields_must_be_prefix(self):
-        with pytest.raises(ValueError):
-            GroupKey(storage="s", table="t")  # gap at namespace
+    def test_names_exactly_one_partition(self):
+        with pytest.raises(TypeError):
+            GroupKey("s", "ns", "t")  # a table
+        with pytest.raises(TypeError):
+            GroupKey("s", "ns", "t", (1,), (2,))  # a record
+        prefix = GroupKey("s", "ns", "t", [1, "a"])
+        assert prefix.partition_key == (1, "a")
+        assert prefix.render() == 's/ns/t/pk=[1,"a"]'
+
+    @pytest.mark.parametrize(
+        "partition_key", [(), (None,), (True,), (1, False)], ids=["empty", "null", "bool", "last-bool"]
+    )
+    def test_checks_its_partition_key_as_a_full_key_does(self, partition_key):
+        with pytest.raises(ValueError, match="partition key"):
+            FullKey("s", "ns", "t", partition_key)
+        with pytest.raises(ValueError, match="partition key"):
+            GroupKey("s", "ns", "t", partition_key)
 
     def test_unit_order(self):
         assert (
@@ -266,17 +270,6 @@ class TestGroupKey:
         )
 
 
-class TestRecord:
-    def test_columns_are_frozen(self):
-        record = Record(KEY, {"a": 1})
-        with pytest.raises(TypeError):
-            record.columns["a"] = 2
-
-    def test_rejects_bad_column_names(self):
-        with pytest.raises(ValueError):
-            Record(KEY, {"": 1})
-
-
 def test_star_import_binds_no_module():
     namespace = {}
     exec("from fedtx import *", namespace)
@@ -285,3 +278,5 @@ def test_star_import_binds_no_module():
     assert "TransactionManager" in namespace and "TxStatus" in namespace
     # A record's metadata is its stored row; no object type stands for it.
     assert not {"TransactionMetadata", "BeforeImage"} & set(namespace)
+    # Nor for a coordinator row's outcome: records.outcome_committed_at decodes the row.
+    assert [name for name in namespace if name.endswith("State")] == ["TxState"]

@@ -16,9 +16,12 @@ from fedtx.records import (
     COL_STATE,
     COL_TX_ID,
     COL_VERSION,
+    COORD_CREATED_COLUMN,
+    COORD_STATE_COLUMN,
     application_columns,
     check_application_columns,
     is_metadata_column,
+    outcome_committed_at,
     parse_metadata,
     prior_image,
     split_columns,
@@ -196,6 +199,19 @@ def test_a_row_breaking_a_metadata_invariant_raises(change):
 # -- the encoder against the object oracle ------------------------------------------
 
 KEY = FullKey("s1", "app", "t", (1,))
+
+
+@pytest.mark.parametrize(
+    "state, expected", [("COMMITTED", 7), ("ABORTED", None)], ids=["committed", "aborted"]
+)
+def test_a_coordinator_row_decodes_to_its_outcome(state, expected):
+    assert outcome_committed_at({COORD_STATE_COLUMN: state, COORD_CREATED_COLUMN: 7}) == expected
+
+
+@pytest.mark.parametrize("state", ["ACTIVE", "PREPARED", "committed", None, 1])
+def test_a_coordinator_row_without_an_outcome_raises(state):
+    with pytest.raises(ValueError, match="no outcome"):
+        outcome_committed_at({COORD_STATE_COLUMN: state, COORD_CREATED_COLUMN: 7})
 
 
 def tagged(columns):

@@ -220,10 +220,10 @@ class TestViewJoinable:
         assert tx.get(k()) is None
         assert tx.read_set[k()].path is ReadPath.COLOCATED
         assert store.calls == {}  # a colocated route asks for no view
-        tx = manager.begin()  # the memo now holds the other config's route: resolve again
+        tx = manager.begin()  # the first config's route is still kept beside the other's
         assert tx.get(k()) is None
         assert tx.read_set[k()].path is ReadPath.VIEW
-        assert store.calls == {"view_for": 1, "capabilities": 1}
+        assert store.calls == {}
 
 
 class TestDeclarations:

@@ -36,6 +36,8 @@ from fedtx.records import (
     COL_TX_ID,
     COL_VERSION,
     COORD_CREATED_COLUMN,
+    COORD_STATE_COLUMN,
+    outcome_committed_at,
     split_columns,
 )
 from fedtx.storage import WriteCondition
@@ -835,14 +837,22 @@ class TestRecovery:
 
     @pytest.mark.parametrize("stored", ["ACTIVE", "MAYBE"])
     def test_a_coordinator_row_without_an_outcome_raises_on_read(self, stored):
-        env = self.crash_env()
+        recorder = HistoryRecorder()
+        env = build_env({"s1": make_caps(), "s2": make_caps()}, history=recorder)
+        seed(env, k("s1"), 1)
+        seed(env, k("s2"), 2)
         victim = self.crashed_commit(env, FaultKind.CRASH_BEFORE_BATCH)
         row = {"tx_state": stored, "created_at": 99}
         write = ConditionalWrite(env.manager.coordinator.key_for(victim.tx_id), row)
         assert env.adapter("coord").atomic_write([write]) is None
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no outcome"):
             env.manager.begin().get(k("s1"))  # never read as "not committed"
+        with pytest.raises(ValueError, match="no outcome"):
+            victim.abort()  # the claim loses and adopts no outcome either
+        assert victim.status is TxStatus.ACTIVE
         assert read_dispatch(env.registry, None, k("s1")).prepared
+        with pytest.raises(ValueError, match="no outcome"):
+            audit_atomicity(env.dump_all(), recorder.history(), ("coord", "coordinator", "state"))
 
     def test_background_commit_record_failure_is_reported(self):
         env = build_env({"s1": make_caps(), "s2": make_caps()}, async_commit=True)
@@ -1117,21 +1127,21 @@ class TestScan:
         rows = tx.scan(GroupKey("s1", "app", "t", (1,)))
         assert [cols["v"] for _, cols in rows] == [1, 2]
 
-    @pytest.mark.parametrize(
-        "prefix",
-        [GroupKey("s1", "app", "t", (1,), (1,)), GroupKey("s1", "app", "t"), GroupKey("s1")],
-        ids=["clustering-key", "table", "storage"],
-    )
-    def test_a_prefix_other_than_one_partition_is_refused(self, env, prefix):
+    @pytest.mark.parametrize("partition_key", [(True,), (None,), ()], ids=["bool", "null", "empty"])
+    def test_a_prefix_that_is_no_partition_is_refused(self, env, partition_key):
+        """A bool partition key would alias the int one: (True,) read partition (1,)."""
         for ck in (1, 2):
             seed(env, k(pk=1, ck=ck), ck)
         tx = env.manager.begin()
         tx.put(k(pk=1, ck=1), {"v": 100})
         tx.delete(k(pk=1, ck=2))
-        with pytest.raises(ValueError):
-            tx.scan(prefix)
+        with pytest.raises(ValueError, match="partition key"):
+            tx.scan(GroupKey("s1", "app", "t", partition_key))
+        assert list(tx.read_set) == []
         rows = tx.scan(GroupKey("s1", "app", "t", (1,)))
         assert [(key.clustering_key, cols) for key, cols in rows] == [((1,), {"v": 100})]
+        tx.commit()
+        assert committed_value(env, k(pk=1, ck=1)) == {"v": 100}
 
 
 class TestMetadataTables:
@@ -1163,6 +1173,35 @@ class TestMetadataTables:
             split = fedtx.decoupling.read_split(env.registry, env.manager.decoupling, k())
             assert (split.app_columns, decode_metadata(split.meta)) == (obs.app_columns, meta)
 
+    @pytest.mark.parametrize("op", ["get", "put", "delete", "scan"])
+    def test_the_coordinator_table_is_out_of_reach(self, op):
+        env = build_env({"s1": make_caps(), "s2": make_caps()})
+        done = env.manager.begin()
+        done.put(k("s1"), {"v": 1})
+        done.put(k("s2"), {"v": 2})
+        done.commit()
+        other = env.manager.begin()
+        other.put(k("s1"), {"v": 10})
+        other.put(k("s2"), {"v": 20})
+        done_key = env.manager.coordinator.key_for(done.tx_id)
+        forged = {COORD_STATE_COLUMN: "ABORTED", COORD_CREATED_COLUMN: 1}
+        partition = GroupKey("coord", "coordinator", "state", (done.tx_id,))
+        attempt = {
+            "get": lambda: tx.get(done_key),
+            "put": lambda: tx.put(env.manager.coordinator.key_for(other.tx_id), forged),
+            "delete": lambda: tx.delete(done_key),
+            "scan": lambda: tx.scan(partition),
+        }[op]
+        tx = env.manager.begin()
+        with pytest.raises(ValueError, match="coordinator table"):
+            attempt()
+        assert tx.read_set == {} and tx.write_set == {}
+        tx.put(k("s1", pk=2), {"v": 3})  # the refusal leaves the transaction usable
+        tx.commit()
+        other.commit()  # no forged outcome aborts it
+        assert committed_value(env, k("s1")) == {"v": 10}
+        assert outcome_committed_at(env.registry.read(done_key)) is not None
+
 
 class TestHistoryRecording:
     def test_committed_history_carries_reads_and_writes(self):
@@ -1185,8 +1224,9 @@ class TestScopeCost:
 
     @pytest.fixture
     def built(self, monkeypatch):
+        """Keys built through their checking constructor, and ``Record``s built at all."""
         counts = {GroupKey: 0, FullKey: 0, Record: 0}
-        for cls in counts:
+        for cls in (GroupKey, FullKey):
             original = cls.__post_init__
 
             def counting(self, _original=original, _cls=cls):
@@ -1194,6 +1234,13 @@ class TestScopeCost:
                 _original(self)
 
             monkeypatch.setattr(cls, "__post_init__", counting)
+        new_record = Record.__new__
+
+        def counting_record(cls, *fields):
+            counts[Record] += 1
+            return new_record(cls, *fields)
+
+        monkeypatch.setattr(Record, "__new__", counting_record)
         return counts
 
     def test_split_metadata_view_get(self, built):
@@ -1248,8 +1295,10 @@ class TestScopeCost:
         built[FullKey] = built[Record] = 0
         assert store.read(key) is not None
         assert store.snapshot_read([key, absent])[0] is not None
+        assert built[Record] == 0
         assert len(store.dump()) == 1
-        assert built[FullKey] == built[Record] == 0
+        assert built[FullKey] == 0
+        assert built[Record] == 1  # the dump pairs each row with its key, and checks neither
 
     def test_reads_decode_each_row_once(self, monkeypatch):
         calls = {"split_columns": 0, "parse_metadata": 0, "TxState": 0}
