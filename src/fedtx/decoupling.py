@@ -2,11 +2,14 @@
 
 With a ``DecoupleConfig`` in force, every logical record it applies to splits
 into an application row and a metadata row in a sibling table (same primary
-key, table name suffixed). Both rows always travel in the same atomic batch,
-which stays legal as long as the sibling table falls inside the same
-atomic-write scope of the storage (``metadata_in_scope`` compares the two
-rows' addresses cut to the depth of the key's ``model.scope_of`` tuple, the
-single unit-to-prefix map).
+key, table name suffixed). Two rules place metadata rows, whatever the config:
+
+* a table whose name ends in ``META_TABLE_SUFFIX`` is a metadata table in
+  every namespace (``holds_metadata``); no transaction touches one, and
+  ``logical_key`` maps any stored row to the record it belongs to;
+* both rows always travel in the same atomic batch, which is legal exactly
+  when the store's atomicity unit stops above the table, since the two rows
+  differ only in their table (``metadata_in_scope``).
 
 Reading takes one of three routes, picked from the adapter's declared
 capabilities and views and from whether the metadata row shares the key's
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import AtomicityScopeViolation, JoinIntegrityError
-from .model import AtomicityUnit, FullKey, GroupKey, TxState, scope_of
+from .model import AtomicityUnit, FullKey, GroupKey, TxState
 from .records import (
     COL_STATE,
     _state,
@@ -60,27 +63,25 @@ META_TABLE_SUFFIX = "_meta"
 
 @dataclass(frozen=True)
 class DecoupleConfig:
-    """Where metadata rows live relative to their application rows.
+    """Which records split their metadata into a sibling table.
 
     ``namespaces`` limits the split to the given namespaces; None means every
     namespace. A metadata table is its application table's name plus
-    ``META_TABLE_SUFFIX``. The locator is injective: application table names
-    may not end with the suffix.
+    ``META_TABLE_SUFFIX``. The locator is injective: in every namespace and
+    under any config, a table whose name ends with the suffix is a metadata
+    table (``holds_metadata``), never an application table.
     """
 
     namespaces: frozenset[str] | None = None
 
     def applies_to(self, key: FullKey | GroupKey) -> bool:
         """Whether ``key`` (a record or a scan prefix) is split."""
-        if self.namespaces is not None and key.namespace not in self.namespaces:
-            return False
-        return not key.table.endswith(META_TABLE_SUFFIX)
-
-    def holds_metadata(self, key: FullKey | GroupKey) -> bool:
-        """Whether ``key`` (a record or a scan prefix) is in a split namespace's metadata table."""
-        if not key.table.endswith(META_TABLE_SUFFIX):
-            return False
         return self.namespaces is None or key.namespace in self.namespaces
+
+    @staticmethod
+    def holds_metadata(key: FullKey | GroupKey) -> bool:
+        """Whether ``key`` (a record or a scan prefix) is in a metadata table."""
+        return key.table.endswith(META_TABLE_SUFFIX)
 
     @staticmethod
     def metadata_key(key: FullKey) -> FullKey:
@@ -168,16 +169,13 @@ class ReadResult:
         return columns
 
 
-def metadata_in_scope(key: FullKey, unit: AtomicityUnit) -> bool:
-    """Whether the metadata row of ``key`` shares its atomic-write scope under ``unit``.
+def metadata_in_scope(unit: AtomicityUnit) -> bool:
+    """Whether a metadata row shares its record's atomic-write scope under ``unit``.
 
-    The metadata row's components are cut to the depth of ``key``'s own
-    scope, so no metadata key is built just to compare scopes.
+    The two rows differ only in their table, so they share a scope exactly
+    when the scope stops above the table.
     """
-    scope = scope_of(key, unit)
-    table = key.table + META_TABLE_SUFFIX
-    meta = (key.storage, key.namespace, table, key.partition_key, key.clustering_key)
-    return meta[: len(scope)] == scope
+    return unit >= AtomicityUnit.NAMESPACE
 
 
 def expand_writes(
@@ -210,9 +208,7 @@ def expand_writes(
         split = split_tables.get(table)
         if split is None:
             split = split_tables[table] = config.applies_to(key)
-            # The metadata row's scope differs from the key's only by its
-            # table, so one key stands for every key of its table.
-            if split and not metadata_in_scope(key, registry.get_atomicity_unit(key)):
+            if split and not metadata_in_scope(registry.get_atomicity_unit(key)):
                 raise AtomicityScopeViolation(
                     f"metadata row for {key.render()} falls outside the atomic scope"
                 )
@@ -231,12 +227,9 @@ def expand_writes(
     return apps + metas
 
 
-def logical_index(config: DecoupleConfig | None, writes: Sequence[ConditionalWrite], i: int) -> int:
-    """Map index ``i`` of ``expand_writes(..., writes)`` back to its write in ``writes``."""
-    if i < len(writes):
-        return i
-    split = [j for j, write in enumerate(writes) if config.applies_to(write.key)]
-    return split[i - len(writes)]
+def logical_key(key: FullKey) -> FullKey:
+    """The record a row stored at ``key`` belongs to; a metadata row's is its application row."""
+    return DecoupleConfig.application_key(key) if DecoupleConfig.holds_metadata(key) else key
 
 
 def _join(key: FullKey, app: Mapping | None, meta: Mapping | None, path: ReadPath) -> ReadResult:
@@ -276,7 +269,7 @@ def _route(
     if not config.applies_to(key):
         return ReadPath.COLOCATED, adapter, None
     caps = adapter.capabilities
-    if not (caps.consistent_readable and metadata_in_scope(key, caps.atomicity_unit)):
+    if not (caps.consistent_readable and metadata_in_scope(caps.atomicity_unit)):
         return ReadPath.SPLIT_READS, adapter, None
     if caps.view_joinable:
         view_name = adapter.view_for(key)

@@ -53,7 +53,7 @@ from .decoupling import (
     ReadPath,
     ReadResult,
     expand_writes,
-    logical_index,
+    logical_key,
     read_dispatch,
 )
 from .errors import (
@@ -230,13 +230,11 @@ class TxHandle:
             raise TransactionFinished(f"transaction {self.tx_id} is {self.status.value}")
 
     def _check_access(self, key: FullKey | GroupKey) -> None:
-        """Refuse a finished transaction, and a key of the coordinator or a split metadata table."""
+        """Refuse a finished transaction, and a key of the coordinator or a metadata table."""
         self._check_active()
-        manager = self._manager
-        if (key.storage, key.namespace, key.table) == manager._coordinator_table:
+        if (key.storage, key.namespace, key.table) == self._manager._coordinator_table:
             raise ValueError(f"{key.render()} is in the coordinator table")
-        config = manager.decoupling
-        if config is not None and config.holds_metadata(key):
+        if DecoupleConfig.holds_metadata(key):
             raise ValueError(f"{key.render()} is in a metadata table")
 
     def get(self, key: FullKey) -> dict | None:
@@ -340,12 +338,10 @@ class TransactionManager:
             key = unchecked_key(*scope, ck)
             obs = read_set.get(key)
             if obs is None:
-                if split:
-                    obs = self._observe(key)  # the scanned row lacks its metadata
-                else:
-                    obs = ReadResult(row, row, ReadPath.COLOCATED)
-                    if obs.prepared:
-                        obs = self._observe(key)
+                # A split row lacks its metadata; a colocated one is read again only in doubt.
+                obs = None if split else ReadResult(row, row, ReadPath.COLOCATED)
+                if obs is None or obs.prepared:
+                    obs = self._observe(key, obs)
                 read_set[key] = obs
             if obs.present:
                 merged[key] = obs.app_columns.copy()
@@ -411,7 +407,11 @@ class TransactionManager:
         self._write([write], None if committed_at is None else {key: obs})
 
     def recover_all_prepared(self) -> int:
-        """Sweep every dumpable storage and settle all in-doubt records."""
+        """Sweep every dumpable storage and settle all in-doubt records.
+
+        A PREPARED row, a split record's metadata row too, stands for the
+        record ``logical_key`` maps it to.
+        """
         if self._queue is not None:
             self._queue.join()  # failures stay listed for drain_commit_records
         recovered = 0
@@ -422,9 +422,7 @@ class TransactionManager:
             for record in dump():
                 if record.columns.get(COL_STATE) != TxState.PREPARED.value:
                     continue
-                key = record.key
-                if self.decoupling is not None and self.decoupling.holds_metadata(key):
-                    key = self.decoupling.application_key(key)
+                key = logical_key(record.key)
                 obs = read_dispatch(self.registry, self.decoupling, key)
                 if obs.prepared:
                     self._observe(key, obs)
@@ -496,29 +494,31 @@ class TransactionManager:
 
     def _write(
         self, writes: list[ConditionalWrite], observed: Mapping[FullKey, ReadResult] | None = None
-    ) -> int | None:
-        """Apply one logical batch; returns ``atomic_write``'s physical failure index.
+    ) -> FullKey | None:
+        """Apply one logical batch; returns the key of the logical write that failed, or None.
 
         ``observed`` holds the reads the writes were derived from; a split read
-        among them conditions its application row (``expand_writes``).
+        among them conditions its application row (``expand_writes``). The
+        store names the physical row whose condition failed, and
+        ``logical_key`` maps it back to its write.
         """
         expanded = expand_writes(self.registry, self.decoupling, writes, observed)
-        return self.registry.atomic_write(expanded)
+        failed = self.registry.atomic_write(expanded)
+        return None if failed is None else logical_key(expanded[failed].key)
 
     def _settle_groups(self, batches: list[list[ConditionalWrite]]) -> None:
         """Issue tx-id-conditioned batches, one per group, in order.
 
         A record whose condition fails was settled by a recovery, and perhaps
-        overwritten since; that write is dropped and the rest of its group is
-        reissued, so one lost race never strands the group's other records.
+        overwritten since; the write ``_write`` names is dropped and the rest
+        of its group is reissued, so one lost race never strands the others.
         """
-        for batch in batches:
-            writes = list(batch)
+        for writes in batches:
             while writes:
                 failed = self._write(writes)
                 if failed is None:
                     break
-                del writes[logical_index(self.decoupling, writes, failed)]
+                writes = [write for write in writes if write.key != failed]
 
     def _end(self, tx: TxHandle, committed_at: int | None) -> None:
         """Settle every group ``tx`` may have prepared to its claimed outcome, then finish it.

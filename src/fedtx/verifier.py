@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .decoupling import META_TABLE_SUFFIX, DecoupleConfig
+from .decoupling import logical_key
 from .model import Record, TxState, TxStatus
 from .records import COL_STATE, COL_TX_ID, COL_VERSION, outcome_committed_at
 
@@ -253,18 +253,15 @@ def audit_atomicity(
     findings: list = []
     states = _coordinator_states(dump, coordinator_table)
 
-    # Final per-key (version, tx_id) from state-bearing rows; metadata rows
-    # represent their application row.
+    # Final per-key (version, tx_id) from state-bearing rows, each under the
+    # record ``logical_key`` maps it to.
     final: dict[str, tuple[int, str]] = {}
     prepared: dict[str, list[str]] = {}
     for record in dump:
         columns = record.columns
         if COL_STATE not in columns:
             continue
-        key = record.key
-        if key.table.endswith(META_TABLE_SUFFIX):
-            key = DecoupleConfig.application_key(key)
-        rendered = key.render()
+        rendered = logical_key(record.key).render()
         if columns[COL_STATE] == TxState.PREPARED.value:
             prepared.setdefault(columns[COL_TX_ID], []).append(rendered)
             continue

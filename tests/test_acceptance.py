@@ -17,7 +17,7 @@ from fedtx import (
     InjectedCrash,
     RecoveryFailed,
 )
-from fedtx.decoupling import ReadPath, read_dispatch, read_split, read_split_snapshot
+from fedtx.decoupling import ReadPath, logical_key, read_dispatch, read_split, read_split_snapshot
 from fedtx.records import COL_STATE, is_metadata_column
 from fedtx.verifier import HistoryRecorder, audit_atomicity, check_serializable
 from conftest import (
@@ -113,10 +113,7 @@ def _dump_versions(env):
         for record in env.adapter(name).dump():
             if COL_STATE not in record.columns:
                 continue
-            key = record.key
-            if key.table.endswith("_meta"):
-                key = env.manager.decoupling.application_key(key)
-            versions[key.render()] = record.columns["_tx_version"]
+            versions[logical_key(record.key).render()] = record.columns["_tx_version"]
     return versions
 
 

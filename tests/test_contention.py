@@ -19,8 +19,8 @@ import threading
 
 import pytest
 
-from fedtx import ConflictAbort, DecoupleConfig, RecoveryFailed, TxState
-from fedtx.decoupling import META_TABLE_SUFFIX
+from fedtx import ConflictAbort, RecoveryFailed, TxState
+from fedtx.decoupling import logical_key
 from fedtx.records import COL_STATE, COL_VERSION
 from fedtx.verifier import HistoryRecorder, audit_atomicity, check_serializable
 from conftest import METADATA_MODES, build_env, k, mode_env_args
@@ -41,10 +41,7 @@ def dump_versions(env):
         for record in env.adapter(name).dump():
             if COL_STATE not in record.columns:
                 continue
-            key = record.key
-            if key.table.endswith(META_TABLE_SUFFIX):
-                key = DecoupleConfig.application_key(key)
-            versions[key.render()] = record.columns[COL_VERSION]
+            versions[logical_key(record.key).render()] = record.columns[COL_VERSION]
     return versions
 
 

@@ -16,6 +16,7 @@ from fedtx import (
 from fedtx.decoupling import (
     ReadPath,
     expand_writes,
+    logical_key,
     metadata_in_scope,
     read_dispatch,
     read_split,
@@ -74,13 +75,20 @@ class TestLocator:
         cfg = DecoupleConfig(namespaces=frozenset({"other"}))
         assert not cfg.applies_to(k())
 
+    @pytest.mark.parametrize("namespace", ["app", "other"])
+    def test_a_meta_table_holds_metadata_in_every_namespace(self, namespace):
+        meta_key = k(namespace=namespace, table="t_meta")
+        assert DecoupleConfig.holds_metadata(meta_key)
+        assert not DecoupleConfig.holds_metadata(k(namespace=namespace))
+        assert logical_key(meta_key) == k(namespace=namespace)
+        assert logical_key(k(namespace=namespace)) == k(namespace=namespace)
 
     @pytest.mark.parametrize("ck", [None, 3], ids=["no-ck", "ck"])
     @pytest.mark.parametrize("unit", list(AtomicityUnit), ids=lambda unit: unit.name.lower())
     def test_metadata_in_scope_agrees_with_the_metadata_key(self, ck, unit):
         key = k(ck=ck)
         expected = scope_of(CFG.metadata_key(key), unit) == scope_of(key, unit)
-        assert metadata_in_scope(key, unit) is expected
+        assert metadata_in_scope(unit) is expected
         # the sibling table shares a scope only where the scope stops above the table
         assert expected is (unit >= AtomicityUnit.NAMESPACE)
 

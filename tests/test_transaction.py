@@ -544,6 +544,23 @@ class TestConflicts:
         t1.commit()
         t2.commit()  # no lost update: disjoint writes both apply
 
+    @pytest.mark.parametrize("seeded", [False, True], ids=["created", "deleted"])
+    def test_a_serializable_read_whose_key_appears_or_vanishes_aborts(self, env, seeded):
+        if seeded:
+            seed(env, k(pk=1), 0)
+        reader = env.manager.begin(serializable=True)
+        assert (reader.get(k(pk=1)) is None) is not seeded
+        reader.put(k(pk=2), {"v": 1})
+        other = env.manager.begin()
+        if seeded:
+            other.delete(k(pk=1))
+        else:
+            other.put(k(pk=1), {"v": 5})
+        other.commit()
+        with pytest.raises(ConflictAbort, match=re.escape(f"presence of {k(pk=1).render()} changed")):
+            reader.commit()
+        assert committed_value(env, k(pk=2)) is None
+
     def test_stale_read_only_transaction_aborts_when_serializable(self, env):
         seed(env, k(), 0)
         reader = env.manager.begin(serializable=True)
@@ -630,6 +647,40 @@ class TestTornReads:
         reader = env.manager.begin()
         reader.get(k())
         reader.commit()
+
+    @staticmethod
+    def deleter(env, key):
+        def interpose():
+            writer = env.manager.begin()
+            writer.delete(key)
+            writer.commit()
+
+        return interpose
+
+    def test_a_delete_between_split_reads_reads_the_record_again(self):
+        """The pair torn by a delete fails its join; the second read finds nothing."""
+        env, hook = hooked_env(decoupled=True)
+        seed(env, k(), 0)
+        hook.arm(lambda key: key.table == "t", self.deleter(env, k()))
+        reader = env.manager.begin()
+        assert reader.get(k()) is None
+        assert hook.armed is None
+        assert reader.read_set[k()].present is False
+        reader.commit()
+
+    def test_a_delete_during_validation_aborts(self):
+        env, hook = hooked_env(decoupled=True)
+        seed(env, k(pk=1), 0)
+        reader = env.manager.begin()
+        assert reader.get(k(pk=1)) == {"v": 0}
+        reader.put(k(pk=2), {"v": 1})
+        # k(pk=2) is read first, as the blind write's base; validation reads k(pk=1)
+        hook.arm(lambda key: key == k(pk=1), self.deleter(env, k(pk=1)))
+        with pytest.raises(ConflictAbort, match=re.escape(f"{k(pk=1).render()} was mid-removal")):
+            reader.commit()
+        assert hook.armed is None
+        assert committed_value(env, k(pk=1)) is None
+        assert committed_value(env, k(pk=2)) is None
 
 
 class _WalkCountingDict(dict):
@@ -817,14 +868,16 @@ class TestRecovery:
         env.adapter("s2").clear_faults()
         assert committed_value(env, k("s2")) == {"v": 20}
 
-    def test_sweep_settles_meta_named_tables_outside_split_namespaces(self):
+    def test_sweep_settles_tables_outside_split_namespaces(self):
         env = build_env({"s1": make_caps(), "s2": make_caps()})
         manager = TransactionManager(
             env.registry,
             env.manager.coordinator,
             decoupling=DecoupleConfig(namespaces=frozenset({"app"})),
         )
-        orders = k("s1", namespace="other", table="orders_meta")  # an ordinary table there
+        orders = k("s1", namespace="other", table="orders")  # colocated there
+        with pytest.raises(ValueError, match="metadata table"):
+            manager.begin().put(k("s1", namespace="other", table="orders_meta"), {"v": 1})
         victim = manager.begin()
         victim.put(orders, {"v": 1})
         victim.put(k("s2"), {"v": 2})
@@ -1006,6 +1059,16 @@ class TestLostRaceLeavesNoResidue:
             tx.put(key, {"v": 7})
         return tx
 
+    def commit_record_of(self, tx):
+        def matches(writes):
+            return any(
+                w.columns.get(COL_TX_ID) == tx.tx_id
+                and w.columns.get(COL_STATE) == TxState.COMMITTED.value
+                for w in writes
+            )
+
+        return matches
+
     def assert_no_prepared(self, env):
         prepared = [
             r.key.render()
@@ -1019,15 +1082,7 @@ class TestLostRaceLeavesNoResidue:
     def test_commit_record_batch_flips_the_rest(self, decoupled, lost_pk):
         env, hook = self.race_env(decoupled, "s1")
         tx = self.begin_t(env)
-
-        def commit_record_of_t(writes):
-            return any(
-                w.columns.get(COL_TX_ID) == tx.tx_id
-                and w.columns.get(COL_STATE) == TxState.COMMITTED.value
-                for w in writes
-            )
-
-        hook.arm(commit_record_of_t, self.overwrite(env, k("s1", pk=lost_pk)))
+        hook.arm(self.commit_record_of(tx), self.overwrite(env, k("s1", pk=lost_pk)))
         tx.commit()
         assert hook.armed is None
         self.assert_no_prepared(env)
@@ -1035,6 +1090,33 @@ class TestLostRaceLeavesNoResidue:
         assert committed_value(env, k("s1", pk=lost_pk)) == {"v": 100}
         assert committed_value(env, k("s1", pk=kept_pk)) == {"v": 7}
         assert committed_value(env, k("s2", pk=9)) == {"v": 7}
+
+    @pytest.mark.parametrize("lost", ["split", "colocated"])
+    def test_a_mixed_commit_record_batch_flips_the_rest(self, lost):
+        """One batch settles a split record (two rows) and a colocated one (one row)."""
+        env = build_env()
+        env.manager = TransactionManager(
+            env.registry,
+            env.manager.coordinator,
+            decoupling=DecoupleConfig(namespaces=frozenset({"app"})),
+            one_phase_enabled=False,
+        )
+        keys = {"split": k(), "colocated": k(namespace="other", table="u")}
+        for key in keys.values():
+            seed(env, key, 0)
+        stored = {(r.key.namespace, r.key.table) for r in env.adapter("s1").dump()}
+        assert stored == {("app", "t"), ("app", "t_meta"), ("other", "u")}
+        hook = WriteHook(env.adapters["s1"])
+        tx = env.manager.begin()
+        for key in keys.values():
+            tx.put(key, {"v": 7})
+        hook.arm(self.commit_record_of(tx), self.overwrite(env, keys[lost]))
+        tx.commit()
+        assert hook.armed is None
+        self.assert_no_prepared(env)
+        (kept,) = set(keys) - {lost}
+        assert committed_value(env, keys[lost]) == {"v": 100}
+        assert committed_value(env, keys[kept]) == {"v": 7}
 
     @pytest.mark.parametrize("decoupled", [False, True], ids=["colocated", "split"])
     @pytest.mark.parametrize("lost_pk", [1, 2])
@@ -1123,9 +1205,14 @@ class TestScan:
         with pytest.raises(InjectedCrash):
             victim.commit()
         env.adapter("coord").clear_faults()
+        env.adapter("s1").reset_counters()
         tx = env.manager.begin()
         rows = tx.scan(GroupKey("s1", "app", "t", (1,)))
         assert [cols["v"] for _, cols in rows] == [1, 2]
+        # the scanned PREPARED row is settled as scanned, then read once more
+        assert env.counters("s1") == OpCounters(
+            reads=1, scans=1, atomic_write_batches=1, written_records=1, db_transactions=1
+        )
 
     @pytest.mark.parametrize("partition_key", [(True,), (None,), ()], ids=["bool", "null", "empty"])
     def test_a_prefix_that_is_no_partition_is_refused(self, env, partition_key):
@@ -1146,7 +1233,8 @@ class TestScan:
 
 class TestMetadataTables:
     @pytest.mark.parametrize("mode", list(METADATA_MODES))
-    def test_a_split_namespace_metadata_table_is_out_of_reach(self, mode):
+    def test_a_metadata_table_is_out_of_reach(self, mode):
+        """A ``_meta`` table holds metadata under any config, colocated included."""
         env = build_env(**mode_env_args(mode))
         seed(env, k(), 1)
         meta_key = k(table="t_meta")
@@ -1157,21 +1245,43 @@ class TestMetadataTables:
             lambda: tx.delete(meta_key),
             lambda: tx.scan(GroupKey("s1", "app", "t_meta", (1,))),
         ]
-        decoupled = METADATA_MODES[mode][0]
         for attempt in attempts:
-            if decoupled:
-                with pytest.raises(ValueError, match="metadata table"):
-                    attempt()
-            else:
-                attempt()  # colocated, t_meta is an ordinary table
+            with pytest.raises(ValueError, match="metadata table"):
+                attempt()
         tx.commit()
-        assert tx.write_set == ({} if decoupled else {meta_key: None})
+        assert tx.read_set == {} and tx.write_set == {}
         obs = read_dispatch(env.registry, env.manager.decoupling, k())
         meta = decode_metadata(obs.meta)
         assert (obs.app_columns, meta.version) == ({"v": 1}, 1)
-        if decoupled:  # every route still agrees on the key
+        if METADATA_MODES[mode][0]:  # every route still agrees on the key
             split = fedtx.decoupling.read_split(env.registry, env.manager.decoupling, k())
             assert (split.app_columns, decode_metadata(split.meta)) == (obs.app_columns, meta)
+
+    @pytest.mark.parametrize(
+        "config",
+        [None, DecoupleConfig(namespaces=frozenset({"other"}))],
+        ids=["no-config", "other-namespace"],
+    )
+    @pytest.mark.parametrize("op", ["get", "put", "delete", "scan"])
+    def test_a_manager_that_splits_nothing_cannot_reach_a_split_record(self, config, op):
+        """A manager over the same registry that does not split ``app`` still sees ``t_meta`` as metadata."""
+        env = build_env(decoupled=True)
+        seed(env, k(), 1)
+        meta_key = k(table="t_meta")
+        tx = TransactionManager(env.registry, env.manager.coordinator, decoupling=config).begin()
+        attempt = {
+            "get": lambda: tx.get(meta_key),
+            "put": lambda: tx.put(meta_key, {"x": 2}),
+            "delete": lambda: tx.delete(meta_key),
+            "scan": lambda: tx.scan(GroupKey("s1", "app", "t_meta", (1,))),
+        }[op]
+        with pytest.raises(ValueError, match="metadata table"):
+            attempt()
+        tx.commit()
+        assert tx.read_set == {} and tx.write_set == {}
+        obs = read_dispatch(env.registry, env.manager.decoupling, k())
+        assert (obs.app_columns, decode_metadata(obs.meta).version) == ({"v": 1}, 1)
+        assert "x" not in env.registry.read(DecoupleConfig.metadata_key(k()))
 
     @pytest.mark.parametrize("op", ["get", "put", "delete", "scan"])
     def test_the_coordinator_table_is_out_of_reach(self, op):

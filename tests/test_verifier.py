@@ -354,6 +354,41 @@ class TestAuditAtomicity:
         findings = audit_atomicity(env.dump_all(), history, COORD)
         assert any(isinstance(f, LineageAnomaly) for f in findings)
 
+    def test_a_version_claimed_by_two_committed_transactions_is_an_anomaly(self):
+        recorder = HistoryRecorder()
+        env = build_env(history=recorder)
+        txn = env.manager.begin()
+        txn.put(k(), {"v": 1})
+        txn.commit()
+        history = recorder.history()
+        writer = history.entries[-1]
+        history.entries.append(replace(writer, tx_id="tx-9"))  # claims the same version
+        key = k().render()
+        assert audit_atomicity(env.dump_all(), history, COORD) == [
+            LineageAnomaly(key, "version 1 claimed by two transactions"),
+            LineageAnomaly(key, f"final version 1 not owned by {writer.tx_id}"),
+        ]
+
+    def test_a_one_phase_batch_found_in_part_is_a_partial_write(self):
+        """An attempt left ACTIVE with one write in the dump and one missing."""
+        recorder = HistoryRecorder()
+        env = build_env(history=recorder)
+        txn = env.manager.begin()
+        txn.put(k(pk=1), {"v": 1})
+        txn.commit()
+        history = recorder.history()
+        entry = history.entries[-1]
+        assert entry.one_phase
+        landed, missing = k(pk=1).render(), k(pk=2).render()
+        history.entries[-1] = replace(
+            entry, outcome=TxStatus.ACTIVE, commit_at=None, writes=((landed, 1), (missing, 1))
+        )
+        assert audit_atomicity(env.dump_all(), history, COORD) == [
+            PartialWrite(entry.tx_id, (landed, missing), "single-batch commit applied partially"),
+            LineageAnomaly(landed, "version 1 has no recorded writer"),
+            LineageAnomaly(landed, f"final version 1 not owned by {entry.tx_id}"),
+        ]
+
     def test_committed_delete_audits_ok(self):
         recorder = HistoryRecorder()
         env = build_env(history=recorder)
