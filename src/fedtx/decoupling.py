@@ -29,8 +29,8 @@ also conditions the application row on the columns it read
 
 A read itself decodes nothing: its ``ReadResult`` keeps the stored row(s)
 the store handed out, which never change afterwards, and that row is the
-metadata. A read-only transaction checks the row's state and copies its
-application columns; only a key it writes has its metadata row checked
+metadata. A read-only transaction checks the row's state and filters out
+its application columns; only a key it writes has its metadata row checked
 (``records.parse_metadata``) before its columns are read by name.
 """
 
@@ -133,7 +133,8 @@ class ReadResult:
       ``_tx_*`` columns; read it through the ``records.COL_*`` names.
     * ``app_columns``: the application columns as a dict, filtered at most
       once and shared (a prepared write's before-image is encoded from it),
-      so nobody may change it; a caller gets a copy.
+      so nobody may change it. ``get`` hands out a copy of it; a scan does
+      not use it, and hands out a freshly filtered dict of ``app_row``.
     """
 
     __slots__ = ("app_row", "meta_row", "path", "_meta", "_app_columns")

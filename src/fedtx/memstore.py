@@ -66,6 +66,7 @@ from .storage import (
     ConditionalWrite,
     ConditionKind,
     StorageAdapter,
+    WriteCondition,
     WriteKind,
 )
 
@@ -211,9 +212,8 @@ class MemStore(StorageAdapter):
 
     # -- writes -------------------------------------------------------------
 
-    def _condition_holds(self, write: ConditionalWrite) -> bool:
-        current = self._rows.get(_row_key(write.key))
-        condition = write.condition
+    def _condition_holds(self, condition: WriteCondition, current: dict | None) -> bool:
+        """Whether ``condition`` holds on ``current``, the stored row or None."""
         kind = condition.kind
         # The commit path's condition first. It and IF_COLUMNS_EQUAL fail on
         # an absent record, for deletes as well.
@@ -256,26 +256,27 @@ class MemStore(StorageAdapter):
         for write in writes:
             if write.kind is WriteKind.PUT:
                 check_columns(write.columns)
+        row_keys = [_row_key(write.key) for write in writes]
         with self._lock:
             counters = self._counters
+            rows = self._rows
             for i, write in enumerate(writes):
-                if not self._condition_holds(write):
+                if not self._condition_holds(write.condition, rows.get(row_keys[i])):
                     counters.condition_failures += 1
                     return i
-            for write in writes:
-                rk = _row_key(write.key)
+            for rk, write in zip(row_keys, writes):
                 ck = rk[3]
                 if write.kind is WriteKind.DELETE:
-                    if self._rows.pop(rk, None) is not None and ck:
+                    if rows.pop(rk, None) is not None and ck:
                         cks = self._clustered[rk[:3]]
                         cks.discard(ck)
                         if not cks:
                             del self._clustered[rk[:3]]
                 else:
-                    if ck and rk not in self._rows:
+                    if ck and rk not in rows:
                         self._clustered.setdefault(rk[:3], set()).add(ck)
                     # .copy(): dict() of the write's MappingProxyType misses the fast merge
-                    self._rows[rk] = write.columns.copy()
+                    rows[rk] = write.columns.copy()
             counters.atomic_write_batches += 1
             counters.written_records += len(writes)
             counters.db_transactions += 1

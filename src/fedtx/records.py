@@ -16,8 +16,10 @@ into objects. A read keeps the row the store handed out
 (``decoupling.ReadResult``): the in-doubt check looks up ``_tx_state``
 alone through ``_state``, ``parse_metadata`` checks the ``_tx_*`` columns of
 a key the transaction writes and hands the row back to be read by name, and
-``application_columns`` copies out the rest. Only the write path, which
-routes the two halves of a row to different tables, needs ``split_columns``.
+``application_columns`` copies out the rest: a set lookup drops the seven
+``_tx_*`` names of a settled row, and only other names meet the prefix test.
+Only the write path, which routes the two halves of a row to different
+tables, needs ``split_columns``.
 
 ``combined_columns`` is the one encoder of every stored image (prepared,
 committed, rolled forward or restored), in one step from plain fields. A
@@ -116,9 +118,19 @@ def parse_metadata(row: Mapping[str, object]) -> Mapping[str, object]:
     return row
 
 
+# The ``_tx_*`` columns of every settled row (see the module docstring).
+_SETTLED_COLUMNS = frozenset(
+    (COL_TX_ID, COL_VERSION, COL_STATE, COL_PREPARED_AT, COL_COMMITTED_AT, COL_DELETED, COL_BEFORE)
+)
+
+
 def application_columns(columns: Mapping[str, object]) -> dict:
     """A stored row's application columns (every name without the prefix), as a fresh dict."""
-    return {name: value for name, value in columns.items() if not name.startswith(META_PREFIX)}
+    return {
+        name: value
+        for name, value in columns.items()
+        if name not in _SETTLED_COLUMNS and not name.startswith(META_PREFIX)
+    }
 
 
 def split_columns(columns: Mapping[str, object]) -> tuple[dict, dict]:

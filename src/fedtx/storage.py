@@ -50,8 +50,6 @@ class WriteCondition:
         if self.kind is ConditionKind.IF_TX_ID_EQUALS:
             if not self.expected_tx_id:
                 raise ValueError("IF_TX_ID_EQUALS requires a non-empty expected tx id")
-            if columns is None:
-                return  # the commit path's condition, checked in the fewest steps
         elif self.expected_tx_id is not None:
             raise ValueError("expected_tx_id only applies to IF_TX_ID_EQUALS")
         if (self.kind is ConditionKind.IF_COLUMNS_EQUAL) != (columns is not None):
@@ -63,7 +61,17 @@ IF_NOT_EXISTS = WriteCondition(ConditionKind.IF_NOT_EXISTS)
 
 
 def if_tx_id_equals(tx_id: str) -> WriteCondition:
-    return WriteCondition(ConditionKind.IF_TX_ID_EQUALS, tx_id)
+    """The commit path's condition, built without ``WriteCondition``'s checking constructor.
+
+    It refuses an empty ``tx_id`` itself, the one check that constructor would make of it.
+    """
+    if not tx_id:
+        raise ValueError("IF_TX_ID_EQUALS requires a non-empty expected tx id")
+    condition = object.__new__(WriteCondition)
+    condition.__dict__.update(
+        kind=ConditionKind.IF_TX_ID_EQUALS, expected_tx_id=tx_id, expected_columns=None
+    )
+    return condition
 
 
 def if_columns_equal(columns: Mapping[str, object]) -> WriteCondition:

@@ -80,6 +80,7 @@ from .records import (
     COL_VERSION,
     COORD_CREATED_COLUMN,
     COORD_STATE_COLUMN,
+    application_columns,
     check_application_columns,
     combined_columns,
     outcome_committed_at,
@@ -325,15 +326,16 @@ class TransactionManager:
         A key already in the read set keeps that read and is not read again.
         The partition lies in one table, so whether its rows are split is
         decided once. The store returns each row with its clustering key, in
-        clustering order; only a buffered write that adds a key to the
-        partition calls for a sort.
+        clustering order, and each row present is handed out in one pass as
+        a freshly filtered dict of its application columns. Only a buffered
+        write in the partition calls for a merge and a sort.
         """
         rows = self.registry.scan(prefix)
         split = self.decoupling is not None and self.decoupling.applies_to(prefix)
-        merged: dict[FullKey, dict] = {}
         read_set = tx.read_set
         scope = prefix.scope()
         unchecked_key = FullKey._unchecked
+        items = []
         for ck, row in rows:
             key = unchecked_key(*scope, ck)
             obs = read_set.get(key)
@@ -344,21 +346,22 @@ class TransactionManager:
                     obs = self._observe(key, obs)
                 read_set[key] = obs
             if obs.present:
-                merged[key] = obs.app_columns.copy()
+                items.append((key, application_columns(obs.app_row)))
+        own = [
+            (key, columns)
+            for key, columns in tx.write_set.items()
+            if scope_of(key, AtomicityUnit.PARTITION) == scope
+        ]
+        if not own:
+            return items
         # overlay this transaction's own buffered writes
-        added = False
-        for key, columns in tx.write_set.items():
-            if scope_of(key, AtomicityUnit.PARTITION) != scope:
-                continue
+        merged = dict(items)
+        for key, columns in own:
             if columns is None:
                 merged.pop(key, None)
             else:
-                added = added or key not in merged
                 merged[key] = dict(columns)
-        items = list(merged.items())
-        if added:
-            items.sort(key=lambda item: item[0].clustering_key)
-        return items
+        return sorted(merged.items(), key=lambda item: item[0].clustering_key)
 
     # -- reads and recovery ----------------------------------------------------
 

@@ -159,6 +159,40 @@ def test_a_prepared_row_decodes_its_before_image(columns, before):
     assert application_columns(row) == split_columns(row)[0] == dict(columns)
 
 
+# Names that the application-column filter must tell apart: application names
+# close to the prefix, the seven settled ``_tx_*`` names, before-image names
+# and an unknown ``_tx_*`` name.
+mixed_names = st.one_of(
+    st.sampled_from(
+        [
+            "_tx",
+            "_t",
+            "tx_",
+            "_TX_",
+            "_TX_id",
+            "v",
+            *sorted(SEVEN_METADATA_COLUMNS),
+            "_tx_before_version",
+            "_tx_before_state",
+            "_tx_before_prepared_at",
+            "_tx_before_committed_at",
+            "_tx_before_col_v",
+            "_tx_before_col__tx",
+            "_tx_zz",
+        ]
+    ),
+    st.text(max_size=6),
+)
+
+
+@given(st.lists(st.tuples(mixed_names, scalars), max_size=24))
+def test_application_columns_is_the_prefix_filter_in_row_order(pairs):
+    row = dict(pairs)
+    expected = [(name, value) for name, value in row.items() if not name.startswith("_tx_")]
+    for stored in (row, MappingProxyType(row)):
+        assert list(application_columns(stored).items()) == expected
+
+
 def prepared_row_with_before_image():
     meta = TransactionMetadata(
         "t1", 2, TxState.PREPARED, prepared_at=5, before_image=BeforeImage({"v": 0}, committed_meta())

@@ -1410,6 +1410,37 @@ class TestScopeCost:
         assert built[FullKey] == 0
         assert built[Record] == 1  # the dump pairs each row with its key, and checks neither
 
+    def test_a_partition_scan_filters_each_row_once(self, monkeypatch):
+        env = build_env({"s1": make_caps(AtomicityUnit.PARTITION)})
+        tx = env.manager.begin()
+        for ck in range(16):
+            tx.put(k(ck=ck), {"v": ck})
+        tx.commit()
+        calls = {"application_columns": 0, "parse_metadata": 0}
+        for module in (fedtx.records, fedtx.decoupling, fedtx.transaction):
+            for name in calls:
+                original = getattr(module, name, None)
+                if original is None:
+                    continue  # the module does not call it
+
+                def counting(*args, _name=name, _original=original):
+                    calls[_name] += 1
+                    return _original(*args)
+
+                monkeypatch.setattr(module, name, counting)
+        prefix = GroupKey("s1", "app", "t", (1,))
+        tx = env.manager.begin()
+        assert tx.scan(prefix) == [(k(ck=ck), {"v": ck}) for ck in range(16)]
+        assert calls == {"application_columns": 16, "parse_metadata": 0}
+        # Buffered writes in the partition are merged in, in clustering order.
+        tx.put(k(ck=-1), {"v": -1})
+        tx.put(k(ck=3), {"v": -3})
+        tx.delete(k(ck=5))
+        expected = [(k(ck=-1), {"v": -1})] + [
+            (k(ck=ck), {"v": -3 if ck == 3 else ck}) for ck in range(16) if ck != 5
+        ]
+        assert tx.scan(prefix) == expected
+
     def test_reads_decode_each_row_once(self, monkeypatch):
         calls = {"split_columns": 0, "parse_metadata": 0, "TxState": 0}
         for module in (fedtx.records, fedtx.decoupling, fedtx.transaction):
