@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """How write grouping turns a chatty commit into a handful of batches.
 
-A transaction that touches two stores writes eight records. Treating every
-record as its own tiny database costs 17 write transactions: eight prepares,
-one outcome record, eight commits. Grouping writes by each store's
-atomic-write scope collapses that to five, and a transaction confined to a
-single store collapses all the way to one batch with no outcome record at all.
+A transaction that touches two stores writes eight records. Over stores that
+declare only record-level atomicity (``AtomicityUnit.RECORD``, the pre-AU
+baseline) every record is its own tiny database, and the commit costs 17
+write transactions: eight prepares, one outcome record, eight commits. The
+same commit over stores that declare their whole storage as the atomicity
+unit groups its writes by scope and takes five, and a transaction confined to
+a single store collapses all the way to one batch with no outcome record at
+all.
 """
 
 from fedtx import (
@@ -20,22 +23,15 @@ from fedtx import (
 from fedtx.transaction import CoordinatorLocation
 
 
-def fresh_manager(pushdown: bool, one_phase: bool):
+def fresh_manager(unit: AtomicityUnit):
     registry = StorageRegistry()
     adapters = {}
     for name in ("inventory", "orders", "coord"):
-        adapter = build_memstore(
-            name, MemStoreConfig(AdapterCapabilities(AtomicityUnit.STORAGE))
-        )
+        caps = AdapterCapabilities(AtomicityUnit.STORAGE if name == "coord" else unit)
+        adapter = build_memstore(name, MemStoreConfig(caps))
         registry.register(adapter)
         adapters[name] = adapter
-    manager = TransactionManager(
-        registry,
-        CoordinatorLocation("coord"),
-        pushdown_enabled=pushdown,
-        one_phase_enabled=one_phase,
-    )
-    return manager, adapters
+    return TransactionManager(registry, CoordinatorLocation("coord")), adapters
 
 
 def key(storage, pk):
@@ -56,15 +52,15 @@ def total_write_transactions(adapters):
 
 print(__doc__)
 
-manager, adapters = fresh_manager(pushdown=False, one_phase=False)
+manager, adapters = fresh_manager(AtomicityUnit.RECORD)
 write_eight(manager)
 print(f"per-record batches : {total_write_transactions(adapters)} write transactions")
 
-manager, adapters = fresh_manager(pushdown=True, one_phase=True)
+manager, adapters = fresh_manager(AtomicityUnit.STORAGE)
 write_eight(manager)
 print(f"grouped by scope   : {total_write_transactions(adapters)} write transactions")
 
-manager, adapters = fresh_manager(pushdown=True, one_phase=True)
+manager, adapters = fresh_manager(AtomicityUnit.STORAGE)
 tx = manager.begin()
 for i in range(8):
     tx.put(key("inventory", i), {"stock": i})

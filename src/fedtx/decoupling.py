@@ -11,10 +11,10 @@ key, table name suffixed). Two rules place metadata rows, whatever the config:
   when the store's atomicity unit stops above the table, since the two rows
   differ only in their table (``metadata_in_scope``).
 
-Reading takes one of three routes, picked from the adapter's declared
-capabilities and views and from whether the metadata row shares the key's
-scope. All of that is fixed per table, so the route is resolved once per
-table and config (``StorageRegistry.table_route``):
+Reading takes one of three routes, picked from the capabilities the adapter
+declared at registration, from its views, and from whether the metadata row
+shares the key's scope. All of that is fixed per table, so the route is
+resolved once per table and config (``StorageRegistry.table_route``):
 
 * a registered database view joins the two rows inside the store;
 * a multi-record consistent read fetches both rows at one point;
@@ -179,6 +179,15 @@ def metadata_in_scope(unit: AtomicityUnit) -> bool:
     return unit >= AtomicityUnit.NAMESPACE
 
 
+def splits(registry: StorageRegistry, config: DecoupleConfig | None, key: FullKey) -> bool:
+    """Whether ``config`` splits ``key``; raises if its metadata row would leave the key's scope."""
+    if config is None or not config.applies_to(key):
+        return False
+    if not metadata_in_scope(registry.get_atomicity_unit(key)):
+        raise AtomicityScopeViolation(f"metadata row for {key.render()} leaves its atomic scope")
+    return True
+
+
 def expand_writes(
     registry: StorageRegistry,
     config: DecoupleConfig | None,
@@ -190,7 +199,7 @@ def expand_writes(
     Split keys contribute two writes: the application row, and the metadata
     row carrying the original condition (tx-id checks live in the metadata
     columns). Application rows come first, metadata rows after. The metadata
-    row must stay inside the batch's atomic scope.
+    row must stay inside the batch's atomic scope (``splits``).
 
     The application row is unconditional unless ``observed`` holds a present
     ``SPLIT_READS`` result for the key. Then the write was derived from two
@@ -202,18 +211,9 @@ def expand_writes(
         return list(writes)
     apps: list[ConditionalWrite] = []
     metas: list[ConditionalWrite] = []
-    split_tables: dict[tuple, bool] = {}  # whether a table splits, decided once per call
     for write in writes:
         key = write.key
-        table = (key.storage, key.namespace, key.table)
-        split = split_tables.get(table)
-        if split is None:
-            split = split_tables[table] = config.applies_to(key)
-            if split and not metadata_in_scope(registry.get_atomicity_unit(key)):
-                raise AtomicityScopeViolation(
-                    f"metadata row for {key.render()} falls outside the atomic scope"
-                )
-        if not split:
+        if not splits(registry, config, key):
             apps.append(write)
             continue
         meta_key = config.metadata_key(key)
@@ -269,7 +269,7 @@ def _route(
     adapter = registry.get_database(key)
     if not config.applies_to(key):
         return ReadPath.COLOCATED, adapter, None
-    caps = adapter.capabilities
+    caps = registry.capabilities(key)
     if not (caps.consistent_readable and metadata_in_scope(caps.atomicity_unit)):
         return ReadPath.SPLIT_READS, adapter, None
     if caps.view_joinable:

@@ -179,8 +179,8 @@ class MemStore(StorageAdapter):
     ) -> None:
         """Expose a primary-key join of an application table and its metadata table.
 
-        The read route learns of views and capabilities once per table and
-        keeps the answer, so register every view before the store serves reads.
+        The read route asks for a table's view once and keeps the answer, so
+        register every view before the store serves reads.
         """
         self._views[view_name] = (namespace, app_table, meta_table)
         self._view_by_table[(namespace, app_table)] = view_name

@@ -184,17 +184,22 @@ class StorageAdapter(ABC):
     def view_for(self, key: FullKey) -> str | None:
         """Name of a registered join view covering this key's table, if any.
 
-        The read route asks this and ``capabilities`` once per table and keeps
-        the answers, so an adapter registers its views before it serves reads.
+        The read route asks this once per table and keeps the answer, so an
+        adapter registers its views before it serves reads.
         """
         return None
 
 
 class StorageRegistry:
-    """Maps storage names to adapters, routes keyed operations, and memoizes per-table routes."""
+    """Maps storage names to adapters, routes keyed operations, and memoizes per-table routes.
+
+    ``register`` reads each adapter's ``capabilities`` once and keeps them for
+    every later question; routes are still kept per table and config.
+    """
 
     def __init__(self):
         self._adapters: dict[str, StorageAdapter] = {}
+        self._capabilities: dict[str, AdapterCapabilities] = {}
         # (id(settings), storage, namespace, table) -> (settings, value) of table_route
         self._routes: dict[tuple, tuple] = {}
 
@@ -202,6 +207,7 @@ class StorageRegistry:
         if adapter.name in self._adapters:
             raise ValueError(f"storage {adapter.name!r} already registered")
         self._adapters[adapter.name] = adapter
+        self._capabilities[adapter.name] = adapter.capabilities
 
     def storages(self) -> Iterator[StorageAdapter]:
         return iter(self._adapters.values())
@@ -226,8 +232,15 @@ class StorageRegistry:
             entry = self._routes[slot] = (settings, resolve(self, settings, key))
         return entry[1]
 
+    def capabilities(self, key: FullKey) -> AdapterCapabilities:
+        """What ``key``'s storage declared at ``register``."""
+        try:
+            return self._capabilities[key.storage]
+        except KeyError:
+            raise UnknownStorage(f"no storage registered under {key.storage!r}") from None
+
     def get_atomicity_unit(self, key: FullKey) -> AtomicityUnit:
-        return self.get_database(key).capabilities.atomicity_unit
+        return self.capabilities(key).atomicity_unit
 
     def read(self, key: FullKey) -> Mapping | None:
         return self.get_database(key).read(key)

@@ -55,6 +55,7 @@ from .decoupling import (
     expand_writes,
     logical_key,
     read_dispatch,
+    splits,
 )
 from .errors import (
     ConflictAbort,
@@ -62,7 +63,7 @@ from .errors import (
     RecoveryFailed,
     TransactionFinished,
 )
-from .grouping import group_by_atomicity_unit, group_per_record, one_phase_eligible
+from .grouping import group_by_atomicity_unit, one_phase_eligible
 from .model import (
     AtomicityUnit,
     FullKey,
@@ -238,18 +239,23 @@ class TxHandle:
         if DecoupleConfig.holds_metadata(key):
             raise ValueError(f"{key.render()} is in a metadata table")
 
+    def _check_write(self, key: FullKey) -> None:
+        """``_check_access``, then refuse a split key before any store is touched (``splits``)."""
+        self._check_access(key)
+        splits(self._manager.registry, self._manager.decoupling, key)
+
     def get(self, key: FullKey) -> dict | None:
         self._check_access(key)
         return self._manager._get(self, key)
 
     def put(self, key: FullKey, columns: Mapping[str, object]) -> None:
-        self._check_access(key)
+        self._check_write(key)
         check_columns(columns)  # first: the prefix check needs str names
         check_application_columns(columns)
         self.write_set[key] = dict(columns)
 
     def delete(self, key: FullKey) -> None:
-        self._check_access(key)
+        self._check_write(key)
         self.write_set[key] = None
 
     def scan(self, prefix: GroupKey) -> list[tuple[FullKey, dict]]:
@@ -272,7 +278,6 @@ class TransactionManager:
         registry: StorageRegistry,
         coordinator: CoordinatorLocation,
         decoupling: DecoupleConfig | None = None,
-        pushdown_enabled: bool = True,
         one_phase_enabled: bool = True,
         async_commit_records: bool = False,
         history=None,
@@ -282,7 +287,6 @@ class TransactionManager:
         self.coordinator = coordinator
         self._coordinator_table = (coordinator.storage, coordinator.namespace, coordinator.table)
         self.decoupling = decoupling
-        self.pushdown_enabled = pushdown_enabled
         self.one_phase_enabled = one_phase_enabled
         self.history = history
         # A tx id is this prefix plus the begin tick in hex: the tick
@@ -466,15 +470,11 @@ class TransactionManager:
         """
         if not tx.serializable and self.decoupling is None:
             return []
-        plan = []
-        for key, obs in tx.read_set.items():
-            if key in written_keys:
-                continue
-            if tx.serializable:
-                plan.append((key, obs))
-            elif obs.path is ReadPath.SPLIT_READS:
-                plan.append((key, obs))
-        return plan
+        return [
+            (key, obs)
+            for key, obs in tx.read_set.items()
+            if key not in written_keys and (tx.serializable or obs.path is ReadPath.SPLIT_READS)
+        ]
 
     def _validate(self, plan: list[tuple[FullKey, ReadResult]]) -> str | None:
         """Re-read observations; returns a mismatch description or None."""
@@ -570,10 +570,7 @@ class TransactionManager:
             self._finish(tx, TxStatus.COMMITTED, self._tick())
             return
 
-        if self.pushdown_enabled:
-            groups = group_by_atomicity_unit(self.registry, logicals)
-        else:
-            groups = group_per_record(logicals)
+        groups = group_by_atomicity_unit(self.registry, logicals)
         one_phase = self.one_phase_enabled and one_phase_eligible(
             groups, tx.serializable, bool(plan)
         )

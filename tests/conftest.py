@@ -229,7 +229,6 @@ def build_env(
     storages=None,
     decoupled=False,
     register_views=False,
-    pushdown=True,
     one_phase=True,
     history=None,
     async_commit=False,
@@ -251,7 +250,6 @@ def build_env(
         registry,
         CoordinatorLocation("coord"),
         decoupling=DecoupleConfig() if decoupled else None,
-        pushdown_enabled=pushdown,
         one_phase_enabled=one_phase,
         async_commit_records=async_commit,
         history=history,

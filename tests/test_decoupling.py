@@ -9,6 +9,7 @@ from fedtx import (
     DecoupleConfig,
     JoinIntegrityError,
     TxState,
+    TxStatus,
     UNCONDITIONAL,
     if_columns_equal,
     if_tx_id_equals,
@@ -199,6 +200,27 @@ class TestExpandWrites:
         logical = ConditionalWrite(k(), stored_row({"v": 1}, committed_meta()))
         with pytest.raises(AtomicityScopeViolation):
             expand_writes(env.registry, env.manager.decoupling, [logical])
+
+    @pytest.mark.parametrize("count", [1, 2], ids=["one-key", "two-keys"])
+    @pytest.mark.parametrize(
+        "unit",
+        [AtomicityUnit.RECORD, AtomicityUnit.PARTITION, AtomicityUnit.TABLE],
+        ids=lambda unit: unit.name,
+    )
+    def test_a_split_write_the_store_cannot_batch_is_refused_before_any_store(self, unit, count):
+        env = build_env({"s1": make_caps(unit)}, decoupled=True)
+        tx = env.manager.begin()
+        for pk in range(count):
+            with pytest.raises(AtomicityScopeViolation):
+                tx.put(k(pk=pk), {"v": pk})
+            with pytest.raises(AtomicityScopeViolation):
+                tx.delete(k(pk=pk))
+        assert tx.write_set == {}
+        tx.abort()
+        assert tx.status is TxStatus.ABORTED
+        # no coordinator row, no stored row, so nothing PREPARED
+        assert env.dump_all() == []
+        assert all(env.counters(name).atomic_write_batches == 0 for name in env.adapters)
 
 
 def seeded_env(consistent=False, view=False):

@@ -28,6 +28,13 @@ def test_demo_exits_cleanly(demo):
     assert done.returncode == 0, done.stderr
 
 
+def test_write_grouping_demo_prints_17_5_and_1_write_transactions():
+    done = run_python([str(ROOT / "demos" / "write_grouping.py")])
+    assert done.returncode == 0, done.stderr
+    counts = re.findall(r"^[a-z -]+: (\d+) write transactions?\b", done.stdout, re.M)
+    assert counts == ["17", "5", "1"]
+
+
 def test_readme_python_blocks_run():
     assert README_BLOCKS, "README.md has no python block"
     for block in README_BLOCKS:

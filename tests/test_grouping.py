@@ -3,7 +3,7 @@
 from hypothesis import given, strategies as st
 
 from fedtx import AtomicityUnit, ConditionalWrite, render_key
-from fedtx.grouping import group_by_atomicity_unit, group_per_record, one_phase_eligible
+from fedtx.grouping import group_by_atomicity_unit, one_phase_eligible
 from fedtx.model import scope_of
 from conftest import build_env, k, make_caps
 
@@ -43,8 +43,10 @@ def test_iteration_order_is_sorted_by_rendering():
 
 
 def test_per_record_grouping_gives_singletons():
+    # The pre-AU baseline is a store that declares record-level atomicity.
+    registry = build_env({"s1": make_caps(AtomicityUnit.RECORD)}).registry
     writes = [write(k(pk=i)) for i in range(5)]
-    groups = group_per_record(writes)
+    groups = group_by_atomicity_unit(registry, writes)
     assert len(groups) == 5
     assert all(len(ws) == 1 for ws in groups)
 
@@ -68,17 +70,23 @@ class TestOnePhaseEligibility:
 
 keys = st.builds(
     k,
-    storage=st.sampled_from(["s1", "s2"]),
+    storage=st.sampled_from(["s1", "s2", "s3"]),
     pk=st.integers(0, 3),
     ck=st.integers(0, 2),
 )
 
 
+# One storage per unit: RECORD, PARTITION and STORAGE.
+UNIT_STORAGES = {
+    "s1": make_caps(AtomicityUnit.PARTITION),
+    "s2": make_caps(AtomicityUnit.STORAGE),
+    "s3": make_caps(AtomicityUnit.RECORD),
+}
+
+
 @given(st.lists(keys, max_size=12, unique=True))
 def test_grouping_partitions_the_write_set(key_list):
-    env = build_env(
-        {"s1": make_caps(AtomicityUnit.PARTITION), "s2": make_caps(AtomicityUnit.STORAGE)}
-    )
+    env = build_env(UNIT_STORAGES)
     writes = [write(key) for key in key_list]
     groups = group_by_atomicity_unit(env.registry, writes)
     assert sum(len(ws) for ws in groups) == len(writes)
@@ -95,21 +103,18 @@ def test_grouping_partitions_the_write_set(key_list):
             seen.add(id(member))
 
 
-def render_ordered(registry, writes, unit=None):
+def render_ordered(registry, writes):
     """Reference grouping: buckets sorted by their key rendering, at any size."""
     buckets = {}
     for w in writes:
-        scope = scope_of(w.key, unit or registry.get_atomicity_unit(w.key))
+        scope = scope_of(w.key, registry.get_atomicity_unit(w.key))
         buckets.setdefault(render_key(*scope), []).append(w)
     return [buckets[rendered] for rendered in sorted(buckets)]
 
 
 @given(st.lists(keys, min_size=1, max_size=12, unique=True))
 def test_group_order_is_the_render_order_at_every_size(key_list):
-    env = build_env(
-        {"s1": make_caps(AtomicityUnit.PARTITION), "s2": make_caps(AtomicityUnit.STORAGE)}
-    )
+    env = build_env(UNIT_STORAGES)
     writes = [write(key) for key in key_list]
     assert group_by_atomicity_unit(env.registry, writes) == render_ordered(env.registry, writes)
-    assert group_per_record(writes) == render_ordered(env.registry, writes, AtomicityUnit.RECORD)
 

@@ -165,7 +165,7 @@ class TestViewJoinable:
         tx = manager.begin()
         for key in keys:
             assert tx.get(key) is None
-        assert store.calls == {"view_for": 1, "capabilities": 1}
+        assert store.calls == {"view_for": 1, "capabilities": 1}  # capabilities: at register
         for key in keys:
             write_committed(manager, key)
         store.calls.clear()
@@ -183,13 +183,13 @@ class TestViewJoinable:
         store.calls.clear()
         assert tx.get(k(table="u")) is None
         assert tx.read_set[k(table="u")].path is ReadPath.VIEW
-        assert store.calls == {"view_for": 1, "capabilities": 1}
+        assert store.calls == {"view_for": 1}  # the capabilities were kept at register
         tx.get(k(table="u", pk=2))
         tx.get(k(pk=2))
-        assert store.calls == {"view_for": 1, "capabilities": 1}
+        assert store.calls == {"view_for": 1}
 
     @pytest.mark.parametrize("tables", [("t",), ("t", "u")], ids=["one-table", "two-tables"])
-    def test_a_commit_asks_for_the_unit_once_per_storage_and_table(self, tables):
+    def test_a_commit_asks_the_store_for_nothing_but_its_batch(self, tables):
         store, manager = self.counted_view_manager()
         keys = [k(pk=pk, table=table) for table in tables for pk in range(8 // len(tables))]
         tx = manager.begin()
@@ -200,8 +200,8 @@ class TestViewJoinable:
         tx.commit()
         assert tx.status is TxStatus.COMMITTED
         assert store.counters().atomic_write_batches == 1  # one-phase: one group, one batch
-        # grouping asks once for the storage; expand_writes once per split table
-        assert store.calls == {"capabilities": 1 + len(tables)}
+        # grouping and expand_writes read the capabilities the registry kept
+        assert store.calls == {}
         tx = manager.begin()
         assert [tx.get(key) for key in keys] == [{"v": 1}] * 8
 
