@@ -18,6 +18,7 @@ from .errors import (
     FedtxError,
     InjectedCrash,
     JoinIntegrityError,
+    MissingMetadata,
     RecoveryFailed,
     TransactionFinished,
     UnknownStorage,

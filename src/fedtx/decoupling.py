@@ -14,7 +14,9 @@ key, table name suffixed). Two rules place metadata rows, whatever the config:
 Reading takes one of three routes, picked from the capabilities the adapter
 declared at registration, from its views, and from whether the metadata row
 shares the key's scope. All of that is fixed per table, so the route is
-resolved once per table and config (``StorageRegistry.table_route``):
+resolved on a table's first read under a config and kept in the registry
+(``StorageRegistry.routes``); every later read of the table finds it with one
+dict lookup:
 
 * a registered database view joins the two rows inside the store;
 * a multi-record consistent read fetches both rows at one point;
@@ -29,8 +31,9 @@ also conditions the application row on the columns it read
 
 A read itself decodes nothing: its ``ReadResult`` keeps the stored row(s)
 the store handed out, which never change afterwards, and that row is the
-metadata. A read-only transaction checks the row's state and filters out
-its application columns; only a key it writes has its metadata row checked
+metadata. A settled ``get`` costs one route lookup, one store call and one
+filter: the transaction checks the row's state and filters out its
+application columns once. Only a key it writes has its metadata row checked
 (``records.parse_metadata``) before its columns are read by name.
 """
 
@@ -40,7 +43,7 @@ import enum
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import AtomicityScopeViolation, JoinIntegrityError
+from .errors import AtomicityScopeViolation, JoinIntegrityError, MissingMetadata
 from .model import AtomicityUnit, FullKey, GroupKey, TxState
 from .records import (
     COL_STATE,
@@ -61,7 +64,7 @@ from .storage import (
 META_TABLE_SUFFIX = "_meta"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecoupleConfig:
     """Which records split their metadata into a sibling table.
 
@@ -70,6 +73,10 @@ class DecoupleConfig:
     ``META_TABLE_SUFFIX``. The locator is injective: in every namespace and
     under any config, a table whose name ends with the suffix is a metadata
     table (``holds_metadata``), never an application table.
+
+    A config is equal only to itself, and hashes by identity: the read-route
+    memo (``StorageRegistry.routes``) keeps one entry per table and config
+    object, and finds it without calling back into Python.
     """
 
     namespaces: frozenset[str] | None = None
@@ -127,14 +134,17 @@ class ReadResult:
 
     * ``present``: whether the record exists; looks at nothing.
     * ``prepared``: whether it is in doubt; parses only ``_tx_state``, and an
-      unknown state raises as ``parse_metadata`` does.
+      unknown state raises as ``parse_metadata`` does. Every read passes
+      this check first, so a row with no ``_tx_state`` at all raises
+      ``MissingMetadata`` here.
     * ``meta``: ``meta_row`` once ``parse_metadata`` has checked it, at most
       once. A view's is the whole joined row, a split route's holds only the
       ``_tx_*`` columns; read it through the ``records.COL_*`` names.
     * ``app_columns``: the application columns as a dict, filtered at most
       once and shared (a prepared write's before-image is encoded from it),
-      so nobody may change it. ``get`` hands out a copy of it; a scan does
-      not use it, and hands out a freshly filtered dict of ``app_row``.
+      so nobody may change it; it is None exactly when the record is absent.
+      ``get`` hands out a copy of it; a scan does not use it, and hands out
+      a freshly filtered dict of ``app_row``.
     """
 
     __slots__ = ("app_row", "meta_row", "path", "_meta", "_app_columns")
@@ -153,7 +163,15 @@ class ReadResult:
     @property
     def prepared(self) -> bool:
         row = self.meta_row
-        return row is not None and _state(row[COL_STATE]) is TxState.PREPARED
+        if row is None:
+            return False
+        try:
+            state = row[COL_STATE]
+        except KeyError:
+            raise MissingMetadata(
+                f"the row read carries no fedtx metadata (no {COL_STATE!r} column)"
+            ) from None
+        return _state(state) is TxState.PREPARED
 
     @property
     def meta(self) -> Mapping | None:
@@ -258,16 +276,18 @@ def read_split_snapshot(
 
 
 def _route(
-    registry: StorageRegistry, config: DecoupleConfig, key: FullKey
+    registry: StorageRegistry, config: DecoupleConfig | None, key: FullKey
 ) -> tuple[ReadPath, StorageAdapter, str | None]:
     """The best route for ``key``'s table: (path, adapter, view name or None).
 
-    A consistent route (view or snapshot) also needs the metadata row inside
-    the key's atomic-write scope; otherwise the rows are read separately. A
-    view is used when the store declares views and has one for the table.
+    A table ``config`` does not split (every table without a config) is
+    colocated. A consistent route (view or snapshot) also needs the metadata
+    row inside the key's atomic-write scope; otherwise the rows are read
+    separately. A view is used when the store declares views and has one for
+    the table.
     """
     adapter = registry.get_database(key)
-    if not config.applies_to(key):
+    if config is None or not config.applies_to(key):
         return ReadPath.COLOCATED, adapter, None
     caps = registry.capabilities(key)
     if not (caps.consistent_readable and metadata_in_scope(caps.atomicity_unit)):
@@ -284,13 +304,14 @@ def read_dispatch(
 ) -> ReadResult:
     """Fetch a logical record by the best route the storage supports (see ``_route``).
 
-    The route is resolved once per table and ``config``; without a config
-    every record is colocated.
+    The route is one lookup in ``registry.routes``, keyed by ``config``
+    (None too) and the key's table; a table's first read resolves it.
     """
-    if config is None:
-        row = registry.get_database(key).read(key)
-        return ReadResult(row, row, ReadPath.COLOCATED)
-    path, adapter, view_name = registry.table_route(config, key, _route)
+    slot = (config, key.storage, key.namespace, key.table)
+    route = registry.routes.get(slot)
+    if route is None:
+        route = registry.routes[slot] = _route(registry, config, key)
+    path, adapter, view_name = route
     if path is ReadPath.VIEW:
         row = adapter.view_read(view_name, key)
         return ReadResult(row, row, path)

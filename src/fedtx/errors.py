@@ -29,6 +29,15 @@ class JoinIntegrityError(FedtxError):
     """
 
 
+class MissingMetadata(FedtxError):
+    """A row read as a record carries none of the ``_tx_*`` metadata columns.
+
+    Every row a transaction writes carries them. A row without them was
+    written by hand, or is a split record's application row read by a
+    manager whose ``DecoupleConfig`` does not split its namespace.
+    """
+
+
 class ConflictAbort(FedtxError):
     """The transaction lost a conflict and was rolled back.
 

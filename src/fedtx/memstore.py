@@ -206,9 +206,7 @@ class MemStore(StorageAdapter):
             self._counters.view_reads += 1
         if app is None:
             return None
-        joined = dict(app)
-        joined.update(meta)
-        return MappingProxyType(joined)
+        return MappingProxyType(app | meta)
 
     # -- writes -------------------------------------------------------------
 

@@ -14,7 +14,7 @@ import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import CapabilityUnsupported, UnknownStorage
 from .model import AtomicityUnit, FullKey, GroupKey
@@ -191,17 +191,19 @@ class StorageAdapter(ABC):
 
 
 class StorageRegistry:
-    """Maps storage names to adapters, routes keyed operations, and memoizes per-table routes.
+    """Maps storage names to adapters, routes keyed operations, and keeps per-table read routes.
 
     ``register`` reads each adapter's ``capabilities`` once and keeps them for
-    every later question; routes are still kept per table and config.
+    every later question. ``routes`` is the read route's memo, filled in by
+    ``decoupling.read_dispatch``: (config, storage, namespace, table) to the
+    route that table's reads take under that config. A route depends only on
+    what was registered, so an entry never goes stale.
     """
 
     def __init__(self):
         self._adapters: dict[str, StorageAdapter] = {}
         self._capabilities: dict[str, AdapterCapabilities] = {}
-        # (id(settings), storage, namespace, table) -> (settings, value) of table_route
-        self._routes: dict[tuple, tuple] = {}
+        self.routes: dict[tuple, tuple] = {}
 
     def register(self, adapter: StorageAdapter) -> None:
         if adapter.name in self._adapters:
@@ -218,19 +220,6 @@ class StorageRegistry:
             return self._adapters[name]
         except KeyError:
             raise UnknownStorage(f"no storage registered under {name!r}") from None
-
-    def table_route(self, settings, key: FullKey, resolve: Callable) -> object:
-        """``resolve(self, settings, key)``, computed once per table and ``settings`` object.
-
-        The value may depend only on ``settings`` and on the key's storage,
-        namespace and table. Each settings object keeps its own entry, found
-        by identity: the entry holds the object, so its id is not reused.
-        """
-        slot = (id(settings), key.storage, key.namespace, key.table)
-        entry = self._routes.get(slot)
-        if entry is None:
-            entry = self._routes[slot] = (settings, resolve(self, settings, key))
-        return entry[1]
 
     def capabilities(self, key: FullKey) -> AdapterCapabilities:
         """What ``key``'s storage declared at ``register``."""

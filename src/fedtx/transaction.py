@@ -232,9 +232,19 @@ class TxHandle:
             raise TransactionFinished(f"transaction {self.tx_id} is {self.status.value}")
 
     def _check_access(self, key: FullKey | GroupKey) -> None:
-        """Refuse a finished transaction, and a key of the coordinator or a metadata table."""
-        self._check_active()
-        if (key.storage, key.namespace, key.table) == self._manager._coordinator_table:
+        """Refuse a finished transaction, and a key of the coordinator or a metadata table.
+
+        The coordinator table is compared field by field, the table first:
+        it is the field an application key most often differs in.
+        """
+        if self.status is not TxStatus.ACTIVE:
+            self._check_active()  # raises
+        coordinator = self._manager.coordinator
+        if (
+            key.table == coordinator.table
+            and key.namespace == coordinator.namespace
+            and key.storage == coordinator.storage
+        ):
             raise ValueError(f"{key.render()} is in the coordinator table")
         if DecoupleConfig.holds_metadata(key):
             raise ValueError(f"{key.render()} is in a metadata table")
@@ -285,7 +295,6 @@ class TransactionManager:
         registry.get_database(coordinator.storage)  # fail fast on bad location
         self.registry = registry
         self.coordinator = coordinator
-        self._coordinator_table = (coordinator.storage, coordinator.namespace, coordinator.table)
         self.decoupling = decoupling
         self.one_phase_enabled = one_phase_enabled
         self.history = history
@@ -315,14 +324,20 @@ class TransactionManager:
         return TxHandle(self, f"{self._tx_id_prefix}{begin_at:x}", serializable, begin_at)
 
     def _get(self, tx: TxHandle, key: FullKey) -> dict | None:
-        if key in tx.write_set:
-            columns = tx.write_set[key]
+        """A buffered write, else the read set's read, else a first read (``_observe``), as a copy.
+
+        The read's application columns are filtered once (``ReadResult.app_columns``),
+        so a repeat ``get`` makes neither a store call nor a filter.
+        """
+        write_set = tx.write_set
+        if write_set and key in write_set:  # an empty write set needs no key hash
+            columns = write_set[key]
             return None if columns is None else dict(columns)
-        cached = tx.read_set.get(key)
-        if cached is None:
-            cached = self._observe(key)
-            tx.read_set[key] = cached
-        return cached.app_columns.copy() if cached.present else None
+        obs = tx.read_set.get(key)
+        if obs is None:
+            obs = tx.read_set[key] = self._observe(key)
+        columns = obs.app_columns  # None exactly when the record is absent
+        return None if columns is None else columns.copy()
 
     def _scan(self, tx: TxHandle, prefix: GroupKey) -> list[tuple[FullKey, dict]]:
         """Partition scan; every returned record lands in the read set individually.
@@ -372,22 +387,30 @@ class TransactionManager:
     def _observe(self, key: FullKey, obs: ReadResult | None = None) -> ReadResult:
         """Read a record, resolving any in-doubt state before returning it.
 
-        ``obs``, when given, is a read already made and stands for the first
-        one. A record is read again after each resolution, so a settle that
-        lost its condition is retried on what the store now holds.
+        A settled first read returns at once: one route read and one state
+        check. ``obs``, when given, is a PREPARED first read the caller
+        already made. A PREPARED row is settled and the record read again, so
+        a settle that lost its condition is retried on what the store now
+        holds; a split pair torn by a concurrent delete (``JoinIntegrityError``)
+        is read again too. Every read counts toward ``_RECOVERY_ATTEMPTS``,
+        the first one included.
         """
-        for _ in range(_RECOVERY_ATTEMPTS):
+        reads = 0 if obs is None else 1
+        while True:
             if obs is None:
+                reads += 1
                 try:
                     obs = read_dispatch(self.registry, self.decoupling, key)
                 except JoinIntegrityError:
-                    # Transient under a concurrent split-row delete; read again.
-                    continue
-            if not obs.prepared:
-                return obs
-            self._resolve_prepared(key, obs)
+                    pass  # torn by a concurrent split-row delete: obs stays None
+            if obs is not None:
+                if not obs.prepared:
+                    return obs
+                self._resolve_prepared(key, obs)
+            if reads == _RECOVERY_ATTEMPTS:
+                why = "reverting to in-doubt state" if obs else "reading as a torn split pair"
+                raise RecoveryFailed(f"record {key.render()} kept {why} after {reads} reads")
             obs = None
-        raise RecoveryFailed(f"record {key.render()} kept reverting to in-doubt state")
 
     def _claim_outcome(self, tx_id: str, proposed: TxStatus) -> int | None:
         """Claim the write-once outcome ``proposed`` or adopt the stored one, as its commit time."""
@@ -468,12 +491,15 @@ class TransactionManager:
         Serializable transactions re-read everything else; otherwise only
         split-table reads that were not self-consistent need a second look.
         """
-        if not tx.serializable and self.decoupling is None:
+        if tx.serializable:
+            return [(key, obs) for key, obs in tx.read_set.items() if key not in written_keys]
+        if self.decoupling is None:
             return []
+        # The route first: it spares every other read a key hash.
         return [
             (key, obs)
             for key, obs in tx.read_set.items()
-            if key not in written_keys and (tx.serializable or obs.path is ReadPath.SPLIT_READS)
+            if obs.path is ReadPath.SPLIT_READS and key not in written_keys
         ]
 
     def _validate(self, plan: list[tuple[FullKey, ReadResult]]) -> str | None:

@@ -20,6 +20,7 @@ from fedtx import (
     FaultKind,
     GroupKey,
     InjectedCrash,
+    MissingMetadata,
     OpCounters,
     RecoveryFailed,
     TransactionFinished,
@@ -668,6 +669,44 @@ class TestTornReads:
         assert reader.read_set[k()].present is False
         reader.commit()
 
+    @staticmethod
+    def route_reads(monkeypatch):
+        """The key of every route read ``fedtx.transaction`` makes from now on."""
+        reads = []
+        dispatch = fedtx.transaction.read_dispatch
+
+        def counted(*args):
+            reads.append(args[2])
+            return dispatch(*args)
+
+        monkeypatch.setattr(fedtx.transaction, "read_dispatch", counted)
+        return reads
+
+    def test_an_insert_between_split_reads_reads_the_record_again(self, monkeypatch):
+        """The first pair joins an absent application row to a new metadata row; the second read returns the record."""
+        env, hook = hooked_env(decoupled=True)
+        hook.arm(lambda key: key.table == "t", lambda: seed(env, k(), 5))
+        reads = self.route_reads(monkeypatch)
+        reader = env.manager.begin()
+        assert reader.get(k()) == {"v": 5}
+        assert hook.armed is None
+        # The writer's own blind-write read ran inside the first one.
+        assert reads == [k()] * 3
+        reader.commit()
+        assert reader.status is TxStatus.COMMITTED
+
+    @pytest.mark.parametrize("mode", ["split_reads", "snapshot", "view"])
+    def test_a_pair_that_stays_torn_raises_after_every_attempt(self, mode, monkeypatch):
+        """Every route read counts, the fast first one too, and the error names the torn pair."""
+        env = build_env(**mode_env_args(mode))
+        env.adapter("s1").atomic_write([ConditionalWrite(k(), {"v": 1})])  # no metadata row
+        reads = self.route_reads(monkeypatch)
+        tx = env.manager.begin()
+        with pytest.raises(RecoveryFailed, match=f"{re.escape(k().render())} kept reading as a torn"):
+            tx.get(k())
+        assert reads == [k()] * fedtx.transaction._RECOVERY_ATTEMPTS
+        assert tx.status is TxStatus.ACTIVE and tx.read_set == {}
+
     def test_a_delete_during_validation_aborts(self):
         env, hook = hooked_env(decoupled=True)
         seed(env, k(pk=1), 0)
@@ -1283,6 +1322,22 @@ class TestMetadataTables:
         assert (obs.app_columns, decode_metadata(obs.meta).version) == ({"v": 1}, 1)
         assert "x" not in env.registry.read(DecoupleConfig.metadata_key(k()))
 
+    @pytest.mark.parametrize("op", ["get", "put"])
+    def test_a_manager_that_does_not_split_a_split_record_gets_a_clear_error(self, op):
+        """A split record's application row, read as a colocated record, carries no metadata."""
+        env = build_env(decoupled=True)
+        seed(env, k(), 1)
+        tx = TransactionManager(env.registry, env.manager.coordinator).begin()
+        with pytest.raises(MissingMetadata, match="carries no fedtx metadata"):
+            if op == "get":
+                tx.get(k())
+            else:
+                tx.put(k(), {"v": 2})
+                tx.commit()
+        assert tx.status is TxStatus.ACTIVE and tx.read_set == {}
+        obs = read_dispatch(env.registry, env.manager.decoupling, k())
+        assert (obs.app_columns, decode_metadata(obs.meta).version) == ({"v": 1}, 1)
+
     @pytest.mark.parametrize("op", ["get", "put", "delete", "scan"])
     def test_the_coordinator_table_is_out_of_reach(self, op):
         env = build_env({"s1": make_caps(), "s2": make_caps()})
@@ -1518,6 +1573,40 @@ class TestScopeCost:
 
         assert decoded_by(read_modify_write) == decodes(8)
         assert [cross.manager.begin().get(key) for key in keys] == [{"v": 2}] * 8
+
+    @pytest.mark.parametrize("mode", list(METADATA_MODES))
+    def test_a_settled_get_is_one_store_call_and_one_filter(self, mode, monkeypatch):
+        """A first ``get`` makes its route's one store call and filters once; a repeat makes neither."""
+        env = build_env(**mode_env_args(mode))
+        seed(env, k(), 1)
+        store = env.adapter("s1")
+        calls = []
+        for op in ("read", "snapshot_read", "view_read"):
+
+            def counted(*args, _op=op, _method=getattr(store, op)):
+                calls.append(_op)
+                return _method(*args)
+
+            monkeypatch.setattr(store, op, counted)
+        filtered = []
+        application_columns = fedtx.decoupling.application_columns
+
+        def counting_filter(row):
+            filtered.append(row)
+            return application_columns(row)
+
+        monkeypatch.setattr(fedtx.decoupling, "application_columns", counting_filter)
+        expected = {
+            "colocated": ["read"],
+            "split_reads": ["read", "read"],
+            "snapshot": ["snapshot_read"],
+            "view": ["view_read"],
+        }[mode]
+        tx = env.manager.begin()
+        assert tx.get(k()) == {"v": 1}
+        assert (calls, len(filtered)) == (expected, 1)
+        assert tx.get(k()) == {"v": 1}
+        assert (calls, len(filtered)) == (expected, 1)
 
     def test_each_put_is_checked_once_per_batch(self, monkeypatch):
         checked = []
