@@ -1,12 +1,13 @@
 """Deterministic in-memory storage adapter that counts its calls and can crash.
 
 The store keeps a flat hash map from (namespace, table, partition key,
-clustering key) to columns, so a point read is one dict lookup. Beside it a
-clustering-key index maps each (namespace, table, partition key) to the set of
-non-empty clustering keys stored under it. A scan names one partition (a
-``GroupKey`` cannot name anything else), reads that set plus the partition's
-empty-clustering-key row and sorts the hits, so it costs the size of the
-partition rather than the size of the store.
+clustering key) to columns, so a point read is one dict lookup. That row key is
+the record's ``FullKey`` less its storage name, the plain tuple ``key[1:]``.
+Beside it a clustering-key index maps each (namespace, table, partition key) to
+the set of non-empty clustering keys stored under it. A scan names one
+partition (a ``GroupKey`` cannot name anything else), reads that set plus the
+partition's empty-clustering-key row and sorts the hits, so it costs the size
+of the partition rather than the size of the store.
 
 One mutex per store serializes every call: each read, scan, view join, batch
 and dump is one critical section, so a batch is one linearization point, the
@@ -104,11 +105,7 @@ class OpCounters:
         return replace(self)
 
 
-_RowKey = tuple  # (namespace, table, partition_key, clustering_key)
-
-
-def _row_key(key: FullKey) -> _RowKey:
-    return (key.namespace, key.table, key.partition_key, key.clustering_key)
+_RowKey = tuple  # key[1:]: (namespace, table, partition_key, clustering_key)
 
 
 class MemStore(StorageAdapter):
@@ -141,7 +138,7 @@ class MemStore(StorageAdapter):
 
     def read(self, key: FullKey) -> Mapping | None:
         with self._lock:
-            columns = self._rows.get(_row_key(key))
+            columns = self._rows.get(key[1:])
             self._counters.reads += 1
         return MappingProxyType(columns) if columns is not None else None
 
@@ -167,7 +164,7 @@ class MemStore(StorageAdapter):
         if len({scope_of(k, unit) for k in keys}) > 1:
             raise AtomicityScopeViolation("snapshot read spans atomic-write scopes")
         with self._lock:
-            rows = [self._rows.get(_row_key(key)) for key in keys]
+            rows = [self._rows.get(key[1:]) for key in keys]
             self._counters.reads += len(keys)
             self._counters.db_transactions += 1
         return [MappingProxyType(columns) if columns is not None else None for columns in rows]
@@ -211,12 +208,13 @@ class MemStore(StorageAdapter):
     # -- writes -------------------------------------------------------------
 
     def _condition_holds(self, condition: WriteCondition, current: dict | None) -> bool:
-        """Whether ``condition`` holds on ``current``, the stored row or None."""
+        """Whether ``condition`` holds on ``current``, the stored row or None.
+
+        ``_apply`` tests the commit path's IF_TX_ID_EQUALS itself, so every
+        other kind comes here. IF_COLUMNS_EQUAL fails on an absent record,
+        for deletes as well.
+        """
         kind = condition.kind
-        # The commit path's condition first. It and IF_COLUMNS_EQUAL fail on
-        # an absent record, for deletes as well.
-        if kind is ConditionKind.IF_TX_ID_EQUALS:
-            return current is not None and current.get(COL_TX_ID) == condition.expected_tx_id
         if kind is ConditionKind.IF_NOT_EXISTS:
             return current is None
         if kind is ConditionKind.UNCONDITIONAL:
@@ -251,15 +249,24 @@ class MemStore(StorageAdapter):
             raise AtomicityScopeViolation(
                 f"batch spans {len(scopes)} atomic-write scopes on {self._name!r}"
             )
+        row_keys = []
         for write in writes:
             if write.kind is WriteKind.PUT:
                 check_columns(write.columns)
-        row_keys = [_row_key(write.key) for write in writes]
+            row_keys.append(write.key[1:])
+        commit_kind = ConditionKind.IF_TX_ID_EQUALS
         with self._lock:
             counters = self._counters
             rows = self._rows
-            for i, write in enumerate(writes):
-                if not self._condition_holds(write.condition, rows.get(row_keys[i])):
+            for i, (rk, write) in enumerate(zip(row_keys, writes)):
+                condition = write.condition
+                current = rows.get(rk)
+                if condition.kind is commit_kind:  # the commit path's; fails on an absent record
+                    tx_id = condition.expected_tx_id
+                    holds = current is not None and current.get(COL_TX_ID) == tx_id
+                else:
+                    holds = self._condition_holds(condition, current)
+                if not holds:
                     counters.condition_failures += 1
                     return i
             for rk, write in zip(row_keys, writes):
@@ -316,8 +323,8 @@ class MemStore(StorageAdapter):
             items = list(self._rows.items())
         items.sort(key=lambda item: render_key(self._name, *item[0]))
         return [
-            Record(FullKey._unchecked(self._name, ns, table, pk, ck), MappingProxyType(columns))
-            for (ns, table, pk, ck), columns in items
+            Record(FullKey._unchecked(self._name, *rk), MappingProxyType(columns))
+            for rk, columns in items
         ]
 
 

@@ -10,12 +10,13 @@ treated as a distinct tagged type: equality and ordering are defined within a
 tag, and comparing values of different tags is an error (bool is NOT an int
 here, unlike plain Python).
 
-An atomicity unit maps a key to its scope, the prefix of
-(storage, namespace, table, partition key, clustering key) that the unit keeps.
-``scope_of`` is the one place that does so; it returns that prefix as a plain
-tuple, which is what the hot paths compare and hash. A ``GroupKey`` addresses
-the one partition a scan reads: its partition key is checked as a ``FullKey``'s
-is, and its ``scope()`` is the PARTITION scope of every key in it.
+A ``FullKey`` is itself the tuple (storage, namespace, table, partition key,
+clustering key), so it hashes and compares in C, and an atomicity unit's scope
+is a prefix of it: the slice that the unit keeps. ``scope_of`` is the one place
+that maps a unit to that slice, a plain tuple, which is what the hot paths
+compare and hash. A ``GroupKey`` addresses the one partition a scan reads: its
+partition key is checked as a ``FullKey``'s is, and its ``scope()`` is the
+PARTITION scope of every key in it.
 
 Clustering keys are ordered by plain Python tuple comparison. That is the
 model's order, because a key component can only be an int, a str or a bytes
@@ -35,7 +36,8 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from collections import _tuplegetter  # the C field getter of namedtuple's classes
+from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 ColumnValue = int | str | bool | bytes | None
@@ -86,37 +88,45 @@ def _check_key_components(name: str, components: tuple) -> None:
             raise ValueError(f"{name} component may not be {tag.value}")
 
 
-@dataclass(frozen=True, slots=True)
-class FullKey:
+_new_tuple = tuple.__new__
+
+
+class FullKey(tuple):
     """Complete address of one record.
 
     The partition key must be non-empty; the clustering key may be empty. No
     key component may be null or bool. (partition_key, clustering_key) is
     unique within a table.
 
-    A key is slotted and hashed once: both constructors compute the hash of
-    its five components and keep it in ``_hash``, which equality ignores, so
-    every dict a key is looked up in reuses it.
+    A key is the tuple of its five components, (storage, namespace, table,
+    partition key, clustering key), and holds nothing else: it hashes,
+    compares and slices as that tuple, all in C, and each field is read
+    through the C getter ``collections.namedtuple`` uses.
     """
 
-    storage: str
-    namespace: str
-    table: str
-    partition_key: tuple
-    clustering_key: tuple = ()
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        _set_partition_key(self, tuple(self.partition_key))
-        _set_clustering_key(self, tuple(self.clustering_key))
-        if not self.partition_key:
+    def __new__(
+        cls,
+        storage: str,
+        namespace: str,
+        table: str,
+        partition_key: Iterable,
+        clustering_key: Iterable = (),
+    ) -> "FullKey":
+        partition_key = tuple(partition_key)
+        clustering_key = tuple(clustering_key)
+        if not partition_key:
             raise ValueError("partition key must be non-empty")
-        _check_key_components("partition key", self.partition_key)
-        _check_key_components("clustering key", self.clustering_key)
-        components = (
-            self.storage, self.namespace, self.table, self.partition_key, self.clustering_key
-        )
-        _set_hash(self, hash(components))
+        _check_key_components("partition key", partition_key)
+        _check_key_components("clustering key", clustering_key)
+        return _new_tuple(cls, (storage, namespace, table, partition_key, clustering_key))
+
+    storage = _tuplegetter(0, "Name of the store.")
+    namespace = _tuplegetter(1, "Namespace within the store.")
+    table = _tuplegetter(2, "Table within the namespace.")
+    partition_key = _tuplegetter(3, "Non-empty tuple naming the partition.")
+    clustering_key = _tuplegetter(4, "Tuple ordering the record within its partition.")
 
     @classmethod
     def _unchecked(
@@ -128,38 +138,20 @@ class FullKey:
         joining its prefix to each clustering key the store returned: the
         row's key was checked when the row was written.
         """
-        key = object.__new__(cls)
-        _set_storage(key, storage)
-        _set_namespace(key, namespace)
-        _set_table(key, table)
-        _set_partition_key(key, partition_key)
-        _set_clustering_key(key, clustering_key)
-        _set_hash(key, hash((storage, namespace, table, partition_key, clustering_key)))
-        return key
+        return _new_tuple(cls, (storage, namespace, table, partition_key, clustering_key))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __repr__(self) -> str:
+        return (
+            "FullKey(storage=%r, namespace=%r, table=%r, partition_key=%r, clustering_key=%r)"
+            % self
+        )
 
     def __reduce__(self):
-        # A str hash differs between processes, so a copied or unpickled key
-        # is rebuilt from its components, never handed the stored hash.
-        return FullKey, (
-            self.storage, self.namespace, self.table, self.partition_key, self.clustering_key
-        )
+        # A copied or unpickled key is rebuilt through the checking constructor.
+        return FullKey, tuple(self)
 
     def render(self) -> str:
-        return render_key(
-            self.storage, self.namespace, self.table, self.partition_key, self.clustering_key
-        )
-
-
-# Each slot's own setter fills a key past the frozen __setattr__ in one call;
-# object.__setattr__ would look the name up on the class first, which costs
-# about half as much again on every key a store rebuilds.
-_set_storage, _set_namespace, _set_table, _set_partition_key, _set_clustering_key, _set_hash = (
-    FullKey.__dict__[name].__set__
-    for name in ("storage", "namespace", "table", "partition_key", "clustering_key", "_hash")
-)
+        return render_key(*self)
 
 
 def check_columns(columns: Mapping[str, object]) -> None:
@@ -241,12 +233,12 @@ class GroupKey:
 def scope_of(key: FullKey, unit: AtomicityUnit) -> tuple:
     """The populated prefix of ``key`` that ``unit`` keeps, as a plain tuple.
 
+    A slice of a key is a plain tuple, even one of all five components.
+
     Two keys fall in the same atomic-write scope exactly when their scopes
     are equal.
     """
-    return (key.storage, key.namespace, key.table, key.partition_key, key.clustering_key)[
-        : _UNIT_DEPTH[unit]
-    ]
+    return key[: _UNIT_DEPTH[unit]]
 
 
 def _render_value(value) -> str:

@@ -416,7 +416,8 @@ class TransactionManager:
         """Claim the write-once outcome ``proposed`` or adopt the stored one, as its commit time."""
         key = self.coordinator.key_for(tx_id)
         row = {COORD_STATE_COLUMN: proposed.value, COORD_CREATED_COLUMN: self._tick()}
-        if self.registry.atomic_write([ConditionalWrite(key, row, IF_NOT_EXISTS)]) is not None:
+        claim = ConditionalWrite._owning(key, row, IF_NOT_EXISTS)  # row: fresh, held by no one
+        if self.registry.atomic_write([claim]) is not None:
             row = self.registry.read(key)
         return outcome_committed_at(row)
 

@@ -1,5 +1,6 @@
 """Keys, values, scope prefixes, and the package surface."""
 
+import copy
 import enum
 import json
 import os
@@ -122,6 +123,46 @@ class TestFullKey:
         assert not hasattr(key, "__dict__")
         assert "_hash" not in repr(key)
 
+    def test_hash_and_equality_are_the_tuples_own(self):
+        assert FullKey.__hash__ is tuple.__hash__
+        assert FullKey.__eq__ is tuple.__eq__
+        assert KEY == ("s1", "ns", "t", (5,), (2,)) and hash(KEY) == hash(tuple(KEY))
+
+    def test_repr_names_every_field(self):
+        assert repr(FullKey("s", "ns", "t", (1, "a"))) == (
+            "FullKey(storage='s', namespace='ns', table='t', partition_key=(1, 'a'), "
+            "clustering_key=())"
+        )
+
+    def test_no_public_path_builds_an_unchecked_key(self):
+        public = {name for name in dir(FullKey) if not name.startswith("_")}
+        fields = {"storage", "namespace", "table", "partition_key", "clustering_key"}
+        # tuple's own count and index, and no namedtuple _make or _replace
+        assert public == fields | {"render", "count", "index"}
+        assert not hasattr(FullKey, "_make") and not hasattr(FullKey, "_replace")
+        for derived in (KEY[:], KEY[:5], KEY + (), KEY * 1, tuple(KEY)):
+            assert type(derived) is tuple
+
+    def test_copies_and_pickles_are_rebuilt_through_the_checks(self, monkeypatch):
+        built = []
+        checking = FullKey.__new__
+
+        def counting(cls, *parts, **named):
+            built.append(parts)
+            return checking(cls, *parts, **named)
+
+        monkeypatch.setattr(FullKey, "__new__", counting)
+        copies = [copy.copy(KEY), copy.deepcopy(KEY)]
+        copies += [pickle.loads(pickle.dumps(KEY, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        assert copies == [KEY] * len(copies)
+        assert all(type(key) is FullKey for key in copies)
+        assert built == [tuple(KEY)] * len(copies)
+        # A key smuggled past the checks does not survive a round trip.
+        forged = tuple.__new__(FullKey, ("s", "ns", "t", (True,), ()))
+        for p in range(pickle.HIGHEST_PROTOCOL + 1):
+            with pytest.raises(ValueError, match="partition key"):
+                pickle.loads(pickle.dumps(forged, p))
+
     def test_a_pickled_key_hashes_anew_in_another_process(self):
         root = Path(__file__).resolve().parent.parent
         child = (
@@ -228,6 +269,21 @@ class TestScopeProperties:
         assert (scope_of(k1, partition) == scope_of(k2, partition)) == (
             GroupKey(*scope_of(k1, partition)) == GroupKey(*scope_of(k2, partition))
         )
+
+    @given(full_keys, units)
+    def test_scope_is_a_plain_tuple_of_the_fields(self, key, unit):
+        fields = (key.storage, key.namespace, key.table, key.partition_key, key.clustering_key)
+        scope = scope_of(key, unit)
+        assert type(scope) is tuple
+        assert scope == fields[: len(scope)]
+
+    @given(full_keys)
+    def test_a_key_is_its_unchecked_twin_and_never_a_group_key(self, key):
+        twin = FullKey._unchecked(*key)
+        assert type(twin) is FullKey and twin == key and hash(twin) == hash(key)
+        prefix = GroupKey(*scope_of(key, AtomicityUnit.PARTITION))
+        assert key != prefix and prefix != key
+        assert {key: 1}.get(prefix) is None and {prefix: 1}.get(key) is None
 
     @given(full_keys, units)
     def test_depth_matches_unit(self, key, unit):

@@ -1391,14 +1391,20 @@ class TestScopeCost:
     def built(self, monkeypatch):
         """Keys built through their checking constructor, and ``Record``s built at all."""
         counts = {GroupKey: 0, FullKey: 0, Record: 0}
-        for cls in (GroupKey, FullKey):
-            original = cls.__post_init__
+        check_group_key = GroupKey.__post_init__
 
-            def counting(self, _original=original, _cls=cls):
-                counts[_cls] += 1
-                _original(self)
+        def counting_group_key(self):
+            counts[GroupKey] += 1
+            check_group_key(self)
 
-            monkeypatch.setattr(cls, "__post_init__", counting)
+        monkeypatch.setattr(GroupKey, "__post_init__", counting_group_key)
+        new_key = FullKey.__new__  # the checking constructor; FullKey._unchecked bypasses it
+
+        def counting_key(cls, *parts, **named):
+            counts[FullKey] += 1
+            return new_key(cls, *parts, **named)
+
+        monkeypatch.setattr(FullKey, "__new__", counting_key)
         new_record = Record.__new__
 
         def counting_record(cls, *fields):
@@ -1649,7 +1655,9 @@ class TestScopeCost:
         assert built[GroupKey] == 0  # none in MemStore or anywhere else
 
     def test_commit_builds_each_row_once(self, monkeypatch):
-        """No written data row goes through the copying constructor or a per-access condition.
+        """No written row, the coordinator's included, goes through the copying constructor.
+
+        Nor does any write take a per-access condition.
 
         Each row is encoded by one ``combined_columns`` call from plain
         fields, and the only metadata checked is that of the rows the commit
@@ -1696,25 +1704,24 @@ class TestScopeCost:
             tx.commit()
             assert tx.status is TxStatus.COMMITTED
             assert {key: committed_value(env, key) for key in keys} == dict.fromkeys(keys, {"v": 2})
-            data_rows = [key for key in counts["copied"] if key.storage != "coord"]
             # every check is of an observed row: none of this commit's own metadata
             assert tx.tx_id not in counts["checked"]
-            return data_rows, counts["conditions"], counts["combined"], len(counts["checked"])
+            return counts["copied"], counts["conditions"], counts["combined"], len(counts["checked"])
 
         two_phase = build_env({"s1": make_caps(), "s2": make_caps()})
         keys = [k(storage, pk=pk) for storage in ("s1", "s2") for pk in range(4)]
-        data_rows, conditions, combined, checked = commit_cost(two_phase, keys)
+        copied, conditions, combined, checked = commit_cost(two_phase, keys)
         assert two_phase.counters("coord").atomic_write_batches > 0
-        assert data_rows == []
+        assert copied == []  # the coordinator row is built fresh and handed over
         assert combined == 16  # 8 prepared rows and 8 committed rows
         assert conditions <= 8 + 1  # one per logical write, one for the commit records
         assert checked == 8  # the 8 observed rows, in _materialize_writes
 
         one_phase = build_env({"s1": make_caps(AtomicityUnit.PARTITION)})
         keys = [k(ck=ck) for ck in range(4)]
-        data_rows, conditions, combined, checked = commit_cost(one_phase, keys)
+        copied, conditions, combined, checked = commit_cost(one_phase, keys)
         assert one_phase.counters("coord").atomic_write_batches == 0
-        assert data_rows == []
+        assert copied == []
         assert combined == 4
         assert conditions <= 4
         assert checked == 4
