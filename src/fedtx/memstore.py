@@ -23,9 +23,12 @@ would refuse them.
 
 Two invariants keep reads cheap:
 
-* A row is checked once, when ``atomic_write`` applies it: every PUT's
-  columns pass ``model.check_columns`` before the batch takes the mutex, so a
-  bad batch raises with nothing applied.
+* A row is checked once, when ``atomic_write`` applies it. The batch's
+  scope is tested first; then one staging pass, before the batch takes the
+  mutex, runs ``model.check_columns`` on every PUT's columns (a DELETE's are
+  never checked) and slices each row key, so a bad batch raises with nothing
+  applied. The condition loop and the apply loop inside the mutex both read
+  the staged entries.
 * A stored row is never mutated in place; a write replaces the whole dict.
   So ``read``, ``snapshot_read``, ``scan`` and ``dump`` share the stored dict
   read-only behind a ``MappingProxyType``, with no copy and no re-check
@@ -160,8 +163,8 @@ class MemStore(StorageAdapter):
             raise CapabilityUnsupported(f"storage {self._name!r} is not consistent-readable")
         if not keys:
             return []
-        unit = self._caps.atomicity_unit
-        if len({scope_of(k, unit) for k in keys}) > 1:
+        depth = len(scope_of(keys[0], self._caps.atomicity_unit))
+        if len({key[:depth] for key in keys}) > 1:
             raise AtomicityScopeViolation("snapshot read spans atomic-write scopes")
         with self._lock:
             rows = [self._rows.get(key[1:]) for key in keys]
@@ -239,27 +242,30 @@ class MemStore(StorageAdapter):
     def _apply(self, writes: Sequence[ConditionalWrite]) -> int | None:
         """The batch contract itself: apply all of ``writes`` or report the first failure.
 
-        The batch, or its failed condition, is counted under the same lock.
+        Its checks run in a fixed order: an empty batch, then the scope (one
+        depth from ``scope_of``, one slice per key), then each PUT's columns,
+        then the conditions. The batch, or its failed condition, is counted
+        under the same lock.
         """
         if not writes:
             raise ValueError("empty batch")
-        unit = self._caps.atomicity_unit
-        scopes = {scope_of(w.key, unit) for w in writes}
+        depth = len(scope_of(writes[0].key, self._caps.atomicity_unit))
+        scopes = {write.key[:depth] for write in writes}
         if len(scopes) > 1:
             raise AtomicityScopeViolation(
                 f"batch spans {len(scopes)} atomic-write scopes on {self._name!r}"
             )
-        row_keys = []
-        for write in writes:
-            if write.kind is WriteKind.PUT:
-                check_columns(write.columns)
-            row_keys.append(write.key[1:])
+        # The staging pass: check each PUT's columns and slice its row key.
+        staged = []
+        for key, columns, condition, kind in writes:
+            if kind is WriteKind.PUT:
+                check_columns(columns)
+            staged.append((key[1:], columns, condition, kind))
         commit_kind = ConditionKind.IF_TX_ID_EQUALS
         with self._lock:
             counters = self._counters
             rows = self._rows
-            for i, (rk, write) in enumerate(zip(row_keys, writes)):
-                condition = write.condition
+            for i, (rk, _, condition, _) in enumerate(staged):
                 current = rows.get(rk)
                 if condition.kind is commit_kind:  # the commit path's; fails on an absent record
                     tx_id = condition.expected_tx_id
@@ -269,9 +275,9 @@ class MemStore(StorageAdapter):
                 if not holds:
                     counters.condition_failures += 1
                     return i
-            for rk, write in zip(row_keys, writes):
+            for rk, columns, _, kind in staged:
                 ck = rk[3]
-                if write.kind is WriteKind.DELETE:
+                if kind is WriteKind.DELETE:
                     if rows.pop(rk, None) is not None and ck:
                         cks = self._clustered[rk[:3]]
                         cks.discard(ck)
@@ -281,7 +287,7 @@ class MemStore(StorageAdapter):
                     if ck and rk not in rows:
                         self._clustered.setdefault(rk[:3], set()).add(ck)
                     # .copy(): dict() of the write's MappingProxyType misses the fast merge
-                    rows[rk] = write.columns.copy()
+                    rows[rk] = columns.copy()
             counters.atomic_write_batches += 1
             counters.written_records += len(writes)
             counters.db_transactions += 1

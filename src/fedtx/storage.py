@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
+from collections import _tuplegetter  # the C field getter of namedtuple's classes
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .errors import CapabilityUnsupported, UnknownStorage
 from .model import AtomicityUnit, FullKey, GroupKey
+
+_new_tuple = tuple.__new__
 
 
 class WriteKind(enum.Enum):
@@ -32,28 +35,49 @@ class ConditionKind(enum.Enum):
     IF_COLUMNS_EQUAL = "IF_COLUMNS_EQUAL"
 
 
-@dataclass(frozen=True)
-class WriteCondition:
+class WriteCondition(tuple):
     """When a write may apply, checked against the stored record at apply time.
 
     ``IF_COLUMNS_EQUAL`` holds when the record exists and its columns are
     exactly ``expected_columns``: the same names, and each pair of values
     equal within one ``model.ValueTag`` (so ``True`` does not equal ``1``).
+
+    A condition is the tuple (kind, expected_tx_id, expected_columns) and
+    holds nothing else, as ``model.FullKey`` is its components: the
+    constructor checks that the fields fit the kind, and each field is read
+    through the C getter ``collections.namedtuple`` uses. A copy or an
+    unpickled condition is rebuilt through that constructor.
     """
 
-    kind: ConditionKind
-    expected_tx_id: str | None = None
-    expected_columns: Mapping[str, object] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        columns = self.expected_columns
-        if self.kind is ConditionKind.IF_TX_ID_EQUALS:
-            if not self.expected_tx_id:
+    def __new__(
+        cls,
+        kind: ConditionKind,
+        expected_tx_id: str | None = None,
+        expected_columns: Mapping[str, object] | None = None,
+    ) -> "WriteCondition":
+        if kind is ConditionKind.IF_TX_ID_EQUALS:
+            if not expected_tx_id:
                 raise ValueError("IF_TX_ID_EQUALS requires a non-empty expected tx id")
-        elif self.expected_tx_id is not None:
+        elif expected_tx_id is not None:
             raise ValueError("expected_tx_id only applies to IF_TX_ID_EQUALS")
-        if (self.kind is ConditionKind.IF_COLUMNS_EQUAL) != (columns is not None):
+        if (kind is ConditionKind.IF_COLUMNS_EQUAL) != (expected_columns is not None):
             raise ValueError("expected_columns applies to, and is required by, IF_COLUMNS_EQUAL")
+        return _new_tuple(cls, (kind, expected_tx_id, expected_columns))
+
+    kind = _tuplegetter(0, "The ``ConditionKind`` tested.")
+    expected_tx_id = _tuplegetter(1, "The tx id IF_TX_ID_EQUALS expects, else None.")
+    expected_columns = _tuplegetter(2, "The row IF_COLUMNS_EQUAL expects, else None.")
+
+    def __repr__(self) -> str:
+        return "WriteCondition(kind=%r, expected_tx_id=%r, expected_columns=%r)" % self
+
+    def __reduce__(self):
+        # A copied or unpickled condition is rebuilt through the checking
+        # constructor; a read-only row is handed over as a plain dict copy.
+        kind, tx_id, columns = self
+        return WriteCondition, (kind, tx_id, None if columns is None else dict(columns))
 
 
 UNCONDITIONAL = WriteCondition(ConditionKind.UNCONDITIONAL)
@@ -61,17 +85,13 @@ IF_NOT_EXISTS = WriteCondition(ConditionKind.IF_NOT_EXISTS)
 
 
 def if_tx_id_equals(tx_id: str) -> WriteCondition:
-    """The commit path's condition, built without ``WriteCondition``'s checking constructor.
+    """The commit path's condition: one ``tuple.__new__`` call, past ``WriteCondition``'s checks.
 
     It refuses an empty ``tx_id`` itself, the one check that constructor would make of it.
     """
     if not tx_id:
         raise ValueError("IF_TX_ID_EQUALS requires a non-empty expected tx id")
-    condition = object.__new__(WriteCondition)
-    condition.__dict__.update(
-        kind=ConditionKind.IF_TX_ID_EQUALS, expected_tx_id=tx_id, expected_columns=None
-    )
-    return condition
+    return _new_tuple(WriteCondition, (ConditionKind.IF_TX_ID_EQUALS, tx_id, None))
 
 
 def if_columns_equal(columns: Mapping[str, object]) -> WriteCondition:
@@ -79,23 +99,34 @@ def if_columns_equal(columns: Mapping[str, object]) -> WriteCondition:
     return WriteCondition(ConditionKind.IF_COLUMNS_EQUAL, expected_columns=columns)
 
 
-@dataclass(frozen=True)
-class ConditionalWrite:
+class ConditionalWrite(tuple):
     """One write in an atomic batch: full post-image plus an apply condition.
 
-    The constructor copies ``columns``, so the caller may go on changing the
-    mapping it passed. ``_owning`` skips that copy; its precondition is a
-    fresh dict that nobody else holds, which is how the commit path builds
-    each written row.
+    A write is the tuple (key, columns, condition, kind), read through the
+    same C field getters as ``WriteCondition``. The constructor copies
+    ``columns`` into a read-only ``MappingProxyType``, so the caller may go on
+    changing the mapping it passed; a copied or unpickled write is rebuilt
+    through it. ``_owning`` skips that copy; its precondition is a fresh dict
+    that nobody else holds, which is how the commit path builds each written
+    row. Neither checks the columns: the store does, for every PUT of a batch
+    (``StorageAdapter.atomic_write``).
     """
 
-    key: FullKey
-    columns: Mapping[str, object]
-    condition: WriteCondition = UNCONDITIONAL
-    kind: WriteKind = WriteKind.PUT
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "columns", MappingProxyType(dict(self.columns)))
+    def __new__(
+        cls,
+        key: FullKey,
+        columns: Mapping[str, object],
+        condition: WriteCondition = UNCONDITIONAL,
+        kind: WriteKind = WriteKind.PUT,
+    ) -> "ConditionalWrite":
+        return _new_tuple(cls, (key, MappingProxyType(dict(columns)), condition, kind))
+
+    key = _tuplegetter(0, "The ``FullKey`` written.")
+    columns = _tuplegetter(1, "The read-only post-image.")
+    condition = _tuplegetter(2, "The ``WriteCondition`` the write applies under.")
+    kind = _tuplegetter(3, "The ``WriteKind``: PUT or DELETE.")
 
     @classmethod
     def _owning(
@@ -107,14 +138,20 @@ class ConditionalWrite:
     ) -> "ConditionalWrite":
         """A write that takes over ``columns``, a fresh dict nobody else holds, without a copy.
 
-        The commit path passes the dict ``records.combined_columns`` has just
-        encoded, or the two halves ``decoupling.expand_writes`` splits it into.
+        One ``tuple.__new__`` call. The commit path passes the dict
+        ``records.combined_columns`` has just encoded, or the two halves
+        ``decoupling.expand_writes`` splits it into.
         """
-        write = object.__new__(cls)
-        write.__dict__.update(
-            key=key, columns=MappingProxyType(columns), condition=condition, kind=kind
-        )
-        return write
+        return _new_tuple(cls, (key, MappingProxyType(columns), condition, kind))
+
+    def __repr__(self) -> str:
+        return "ConditionalWrite(key=%r, columns=%r, condition=%r, kind=%r)" % self
+
+    def __reduce__(self):
+        # A copied or unpickled write is rebuilt through the copying
+        # constructor, so its columns are a read-only copy again.
+        key, columns, condition, kind = self
+        return ConditionalWrite, (key, dict(columns), condition, kind)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import threading
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fedtx import (
     AtomicityUnit,
@@ -175,6 +175,160 @@ class TestBatchAtomicity:
         assert s.counters() == OpCounters()
         assert s.read(k(pk=1)) is None
         assert s.dump() == []
+
+
+# Each key component's choices; the first is the one a batch shares unless it spreads.
+_KEY_CHOICES = (("s1", "s2"), ("app", "app2"), ("t", "t2"), ((1,), (2,)), ((), (1,), (2,)))
+_BAD_COLUMNS = [({"v": 1.5}, TypeError), ({"": 1}, ValueError), ({7: 1}, ValueError)]
+_GOOD_COLUMNS = st.fixed_dictionaries({"v": st.integers(0, 2), COL_TX_ID: st.sampled_from("ab")})
+_CONDITIONS = [
+    UNCONDITIONAL,
+    IF_NOT_EXISTS,
+    if_tx_id_equals("a"),
+    if_tx_id_equals("b"),
+    if_columns_equal({"v": 0, COL_TX_ID: "a"}),
+    if_columns_equal({"v": False, COL_TX_ID: "a"}),  # never holds: False is not 0
+]
+
+
+def _holds(condition, current):
+    """Reference for one condition on the stored row ``current`` (or None)."""
+    if condition.kind.name == "UNCONDITIONAL":
+        return True
+    if condition.kind.name == "IF_NOT_EXISTS":
+        return current is None
+    if condition.kind.name == "IF_COLUMNS_EQUAL":
+        expected = condition.expected_columns
+        return current == expected and all(type(current[n]) is type(v) for n, v in expected.items())
+    return current is not None and current.get(COL_TX_ID) == condition.expected_tx_id
+
+
+@st.composite
+def contract_cases(draw):
+    """A unit, the rows stored before the batch, and a batch of (write, column error) pairs.
+
+    Every key below the unit's scope depth is drawn freely; at or above it a
+    key keeps the shared first choice unless the batch spreads over scopes.
+    Some PUTs and some DELETEs carry bad columns.
+    """
+    unit = draw(st.sampled_from(list(AtomicityUnit)))
+    depth = scope_depth(unit)
+    spread = draw(st.booleans())
+    row_keys = st.tuples(*map(st.sampled_from, _KEY_CHOICES[1:]))
+    stored = draw(st.dictionaries(row_keys, _GOOD_COLUMNS, max_size=6))
+    batch = []
+    for _ in range(draw(st.sampled_from(range(6)))):
+        parts = [
+            draw(st.sampled_from(choices)) if spread or i >= depth else choices[0]
+            for i, choices in enumerate(_KEY_CHOICES)
+        ]
+        kind = draw(st.sampled_from(WriteKind))
+        columns, error = draw(st.sampled_from([(None, None)] * 3 + _BAD_COLUMNS))
+        if columns is None:
+            columns = {} if kind is WriteKind.DELETE else draw(_GOOD_COLUMNS)
+        condition = draw(st.sampled_from(_CONDITIONS))
+        batch.append((ConditionalWrite(FullKey(*parts), columns, condition, kind), error))
+    return unit, stored, batch
+
+
+class TestBatchContractOrder:
+    """The order of the batch contract, against a reference, at every unit.
+
+    An empty batch raises ValueError; then a batch spanning scopes raises
+    AtomicityScopeViolation, whatever its columns; then the first PUT with bad
+    columns raises, whatever the conditions (a DELETE's columns are never
+    checked); then the first failing condition's index is returned. A call
+    that raises applies and counts nothing, and every call takes a fault-plan
+    index.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(contract_cases())
+    # A bad PUT behind a failing condition, a bad PUT in a batch spanning
+    # scopes, and a DELETE carrying bad columns.
+    @example(
+        (AtomicityUnit.RECORD, {}, [
+            (put(k(), {"v": 1}, if_tx_id_equals("a")), None),
+            (put(k(), {"v": 1.5}), TypeError),
+        ])
+    )
+    @example(
+        (AtomicityUnit.STORAGE, {}, [
+            (put(k(), {"": 1}), ValueError),
+            (put(k(storage="s2"), {"v": 1}), None),
+        ])
+    )
+    @example(
+        (AtomicityUnit.PARTITION, {}, [
+            (delete(k()), None),
+            (ConditionalWrite(k(ck=1), {7: 1}, kind=WriteKind.DELETE), None),
+        ])
+    )
+    def test_each_rule_wins_over_the_ones_after_it(self, case):
+        unit, stored, batch = case
+        s = store(unit)
+        for rk, columns in stored.items():
+            s.atomic_write([put(FullKey("s1", *rk), columns)])
+        s.reset_counters()
+        s.inject_faults([(1, FaultKind.CRASH_BEFORE_BATCH)])
+        writes = [write for write, _ in batch]
+        rows = {rk: dict(columns) for rk, columns in stored.items()}
+        expected = OpCounters()
+        bad_puts = [error for write, error in batch if error and write.kind is WriteKind.PUT]
+        if not writes:
+            outcome = ValueError
+        elif len({scope_of(write.key, unit) for write in writes}) > 1:
+            outcome = AtomicityScopeViolation
+        elif bad_puts:
+            outcome = bad_puts[0]
+        else:
+            failed = [
+                i for i, w in enumerate(writes) if not _holds(w.condition, rows.get(w.key[1:]))
+            ]
+            outcome = failed[0] if failed else None
+        if isinstance(outcome, type):
+            with pytest.raises(outcome):
+                s.atomic_write(writes)
+        else:
+            assert s.atomic_write(writes) == outcome
+            if outcome is None:
+                for write in writes:
+                    if write.kind is WriteKind.DELETE:
+                        rows.pop(write.key[1:], None)
+                    else:
+                        rows[write.key[1:]] = dict(write.columns)
+                expected = OpCounters(
+                    atomic_write_batches=1, written_records=len(writes), db_transactions=1
+                )
+            else:
+                expected = OpCounters(condition_failures=1)
+        assert s.counters() == expected
+        assert {tuple(r.key)[1:]: dict(r.columns) for r in s.dump()} == rows
+        # The call took index 0 of the plan, whatever it did, so the next one is #1.
+        with pytest.raises(InjectedCrash, match="#1"):
+            s.atomic_write([put(k(pk=9), {"v": 0})])
+        assert s.read(k(pk=9)) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(list(AtomicityUnit)),
+        st.lists(st.tuples(*map(st.sampled_from, _KEY_CHOICES)), min_size=1, max_size=5),
+    )
+    def test_a_call_raises_exactly_when_its_keys_span_scopes(self, unit, parts):
+        """``snapshot_read`` and ``atomic_write`` agree with one ``scope_of`` per key."""
+        keys = [FullKey(*p) for p in parts]
+        spans = len({scope_of(key, unit) for key in keys}) > 1
+        s = store(unit, consistent=True)
+        calls = [s.snapshot_read, lambda keys: s.atomic_write([put(key, {"v": 1}) for key in keys])]
+        for call in calls:
+            if spans:
+                with pytest.raises(AtomicityScopeViolation):
+                    call(keys)
+            else:
+                call(keys)
+        if spans:
+            assert s.counters() == OpCounters()
+            assert s.dump() == []
 
 
 _META_KEY = k(pk=1, ck=1, table="t_meta")
@@ -859,16 +1013,7 @@ class ReferenceMap:
         self.rows = {}
 
     def holds(self, write):
-        current = self.rows.get(write.key)
-        kind = write.condition.kind
-        if kind.name == "UNCONDITIONAL":
-            return True
-        if kind.name == "IF_NOT_EXISTS":
-            return current is None
-        if kind.name == "IF_COLUMNS_EQUAL":
-            expected = write.condition.expected_columns
-            return current == expected and all(type(current[n]) is type(v) for n, v in expected.items())
-        return current is not None and current.get(COL_TX_ID) == write.condition.expected_tx_id
+        return _holds(write.condition, self.rows.get(write.key))
 
     def atomic_write(self, writes):
         for i, write in enumerate(writes):

@@ -1,6 +1,9 @@
 """Registry routing, capability declarations, and write conditions."""
 
+import copy
+import pickle
 from collections import Counter
+from types import MappingProxyType
 
 import pytest
 
@@ -10,15 +13,19 @@ from fedtx import (
     ConditionalWrite,
     ConditionKind,
     DecoupleConfig,
+    IF_NOT_EXISTS,
     MemStore,
     MemStoreConfig,
     StorageRegistry,
     TransactionManager,
     TxStatus,
+    UNCONDITIONAL,
     UnknownStorage,
     WriteCondition,
+    WriteKind,
     build_memstore,
     if_columns_equal,
+    if_tx_id_equals,
 )
 from fedtx.decoupling import ReadPath, read_dispatch
 from fedtx.model import TxState
@@ -254,3 +261,110 @@ class TestDeclarations:
         registry = registry_with("s1")
         with pytest.raises(ValueError):
             registry.atomic_write([])
+
+
+def round_trips(value):
+    """``value`` copied, deep-copied and pickled under every protocol."""
+    copies = [copy.copy(value), copy.deepcopy(value)]
+    pickles = [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    return copies + pickles
+
+
+class TestWriteTuples:
+    """A condition and a write are their tuples, built and rebuilt through the checks."""
+
+    def test_fields_are_the_tuple(self):
+        condition = if_tx_id_equals("t1")
+        write = ConditionalWrite(k(), {"v": 1}, condition)
+        assert condition == (ConditionKind.IF_TX_ID_EQUALS, "t1", None)
+        assert condition == WriteCondition(ConditionKind.IF_TX_ID_EQUALS, "t1")
+        assert type(condition) is WriteCondition
+        assert (condition.kind, condition.expected_tx_id, condition.expected_columns) == condition
+        assert tuple(write) == (k(), {"v": 1}, condition, WriteKind.PUT)
+        assert (write.key, write.columns, write.condition, write.kind) == write
+        assert UNCONDITIONAL == (ConditionKind.UNCONDITIONAL, None, None)
+        for value in (condition, write):
+            assert not hasattr(value, "__dict__")
+
+    def test_repr_names_every_field(self):
+        assert repr(if_tx_id_equals("t1")) == (
+            "WriteCondition(kind=<ConditionKind.IF_TX_ID_EQUALS: 'IF_TX_ID_EQUALS'>, "
+            "expected_tx_id='t1', expected_columns=None)"
+        )
+        write = ConditionalWrite(k(), {"v": 1}, IF_NOT_EXISTS, WriteKind.DELETE)
+        assert repr(write) == (
+            f"ConditionalWrite(key={k()!r}, columns={MappingProxyType({'v': 1})!r}, "
+            f"condition={IF_NOT_EXISTS!r}, kind=<WriteKind.DELETE: 'DELETE'>)"
+        )
+
+    def test_no_public_path_skips_the_checks(self):
+        for cls, fields in [
+            (WriteCondition, {"kind", "expected_tx_id", "expected_columns"}),
+            (ConditionalWrite, {"key", "columns", "condition", "kind"}),
+        ]:
+            public = {name for name in dir(cls) if not name.startswith("_")}
+            # tuple's own count and index, and no namedtuple _make or _replace
+            assert public == fields | {"count", "index"}
+            assert not hasattr(cls, "_make") and not hasattr(cls, "_replace")
+
+    def test_the_constructor_copies_the_columns_and_owning_takes_them_over(self):
+        columns = {"v": 1}
+        copied = ConditionalWrite(k(), columns)
+        owned = ConditionalWrite._owning(k(), columns)
+        columns["v"] = 2
+        assert copied.columns == {"v": 1} and owned.columns == {"v": 2}
+        assert type(owned) is ConditionalWrite and owned.condition is UNCONDITIONAL
+        for write in (copied, owned):
+            with pytest.raises(TypeError):
+                write.columns["v"] = 3
+
+    @pytest.mark.parametrize(
+        "condition",
+        [UNCONDITIONAL, IF_NOT_EXISTS, if_tx_id_equals("t1"), if_columns_equal({"v": 1}),
+         if_columns_equal(MappingProxyType({"v": 1}))],
+        ids=["unconditional", "if-not-exists", "tx-id", "columns", "read-only-columns"],
+    )
+    def test_copies_and_pickles_are_rebuilt_through_the_checks(self, monkeypatch, condition):
+        built = {WriteCondition: [], ConditionalWrite: []}
+        for cls in built:
+
+            def counting(cls_, *fields, _new=cls.__new__, _cls=cls):
+                built[_cls].append(fields)
+                return _new(cls_, *fields)
+
+            monkeypatch.setattr(cls, "__new__", counting)
+        write = ConditionalWrite._owning(k(), {"v": 1}, condition)
+        copies = round_trips(write)
+        assert copies == [write] * len(copies)
+        assert {(type(c), type(c.condition)) for c in copies} == {(ConditionalWrite, WriteCondition)}
+        assert built[ConditionalWrite] == [(k(), {"v": 1}, condition, WriteKind.PUT)] * len(copies)
+        # A shallow copy shares the condition; every other copy rebuilds it too.
+        assert built[WriteCondition] == [tuple(condition)] * (len(copies) - 1)
+        for c in copies:
+            assert type(c.columns) is MappingProxyType
+            with pytest.raises(TypeError):
+                c.columns["v"] = 2
+
+    def test_an_unpickled_write_holds_a_read_only_copy(self):
+        columns = {"v": 1}
+        forged = tuple.__new__(ConditionalWrite, (k(), columns, UNCONDITIONAL, WriteKind.PUT))
+        for c in round_trips(forged):
+            assert type(c.columns) is MappingProxyType and c.columns == {"v": 1}
+            columns["v"] += 1  # the copy does not follow the mapping it came from
+            assert c.columns == {"v": 1}
+
+    def test_a_forged_condition_does_not_survive_a_round_trip(self):
+        forged = [
+            tuple.__new__(WriteCondition, (ConditionKind.IF_TX_ID_EQUALS, "", None)),
+            tuple.__new__(WriteCondition, (ConditionKind.IF_NOT_EXISTS, "t1", None)),
+            tuple.__new__(WriteCondition, (ConditionKind.IF_COLUMNS_EQUAL, None, None)),
+        ]
+        for condition in forged:
+            for p in range(pickle.HIGHEST_PROTOCOL + 1):
+                with pytest.raises(ValueError):
+                    pickle.loads(pickle.dumps(condition, p))
+            with pytest.raises(ValueError):
+                copy.copy(condition)
+            write = ConditionalWrite._owning(k(), {}, condition)
+            with pytest.raises(ValueError):
+                copy.deepcopy(write)

@@ -1666,24 +1666,24 @@ class TestScopeCost:
         ``records.parse_metadata`` ``calls_per_tx``.
         """
         counts = {"copied": [], "conditions": 0, "combined": 0, "checked": []}
-        copying = ConditionalWrite.__post_init__
-        checking = WriteCondition.__post_init__
+        copying = ConditionalWrite.__new__  # ConditionalWrite._owning bypasses it
+        checking = WriteCondition.__new__  # storage.if_tx_id_equals bypasses it
         combine = fedtx.transaction.combined_columns
 
-        def counted_copy(write):
-            counts["copied"].append(write.key)
-            copying(write)
+        def counted_copy(cls, key, *fields):
+            counts["copied"].append(key)
+            return copying(cls, key, *fields)
 
-        def counted_condition(condition):
+        def counted_condition(cls, *fields, **named):
             counts["conditions"] += 1
-            checking(condition)
+            return checking(cls, *fields, **named)
 
         def counted_combine(*args, **kwargs):
             counts["combined"] += 1
             return combine(*args, **kwargs)
 
-        monkeypatch.setattr(ConditionalWrite, "__post_init__", counted_copy)
-        monkeypatch.setattr(WriteCondition, "__post_init__", counted_condition)
+        monkeypatch.setattr(ConditionalWrite, "__new__", counted_copy)
+        monkeypatch.setattr(WriteCondition, "__new__", counted_condition)
         monkeypatch.setattr(fedtx.transaction, "combined_columns", counted_combine)
         for module in (fedtx.decoupling, fedtx.transaction):
             parse = module.parse_metadata
