@@ -19,15 +19,25 @@ resolved on a table's first read under a config and kept in the registry
 dict lookup:
 
 * a registered database view joins the two rows inside the store;
-* a multi-record consistent read fetches both rows at one point;
+* a multi-record consistent read fetches both rows at one point
+  (``read_snapshot``, which reads any number of records of one scope in one
+  call: the commit pipeline reads all the blind writes of a scope at once);
 * two independent reads, joined here. This last route can observe a torn
   pair when a writer lands between the two reads, so the transaction layer
   must re-validate such reads before committing.
 
 Each result is tagged with the route that produced it so the commit pipeline
-knows which reads still need validation. A write derived from a split read
-also conditions the application row on the columns it read
-(``expand_writes``), so a torn pair can never be written back.
+knows which reads still need validation, and whether the record splits
+(``ReadResult.split``): it splits exactly when its read did not come by the
+colocated route.
+
+Writing builds each physical row once. A colocated record's write is its
+one row, a ``ConditionalWrite`` already; a split record's is a
+``SplitWrite``: its application row beside the fresh metadata row its
+``_tx_*`` columns were encoded into. ``expand_writes`` turns a batch of them
+into the rows the store applies; a write derived from a split read also
+conditions the application row on the columns it read, so a torn pair can
+never be written back.
 
 A read itself decodes nothing: its ``ReadResult`` keeps the stored row(s)
 the store handed out, which never change afterwards, and that row is the
@@ -41,27 +51,25 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import AtomicityScopeViolation, JoinIntegrityError, MissingMetadata
 from .model import AtomicityUnit, FullKey, GroupKey, TxState
-from .records import (
-    COL_STATE,
-    _state,
-    application_columns,
-    parse_metadata,
-    split_columns,
-)
+from .records import COL_STATE, _state, application_columns, parse_metadata
 from .storage import (
     ConditionalWrite,
     StorageAdapter,
     StorageRegistry,
     UNCONDITIONAL,
+    WriteCondition,
+    WriteKind,
     if_columns_equal,
 )
 
 
 META_TABLE_SUFFIX = "_meta"
+
+_new_tuple = tuple.__new__
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,27 +100,20 @@ class DecoupleConfig:
 
     @staticmethod
     def metadata_key(key: FullKey) -> FullKey:
-        if key.table.endswith(META_TABLE_SUFFIX):
-            raise ValueError(f"{key.table!r} is already a metadata table")
-        return FullKey._unchecked(
-            key.storage,
-            key.namespace,
-            key.table + META_TABLE_SUFFIX,
-            key.partition_key,
-            key.clustering_key,
-        )
+        """The metadata row's key: one tuple built from ``key``'s components."""
+        storage, namespace, table, partition_key, clustering_key = key
+        if table.endswith(META_TABLE_SUFFIX):
+            raise ValueError(f"{table!r} is already a metadata table")
+        table += META_TABLE_SUFFIX
+        return _new_tuple(FullKey, (storage, namespace, table, partition_key, clustering_key))
 
     @staticmethod
     def application_key(meta_key: FullKey) -> FullKey:
-        if not meta_key.table.endswith(META_TABLE_SUFFIX):
-            raise ValueError(f"{meta_key.table!r} is not a metadata table")
-        return FullKey._unchecked(
-            meta_key.storage,
-            meta_key.namespace,
-            meta_key.table[: -len(META_TABLE_SUFFIX)],
-            meta_key.partition_key,
-            meta_key.clustering_key,
-        )
+        storage, namespace, table, partition_key, clustering_key = meta_key
+        if not table.endswith(META_TABLE_SUFFIX):
+            raise ValueError(f"{table!r} is not a metadata table")
+        table = table[: -len(META_TABLE_SUFFIX)]
+        return _new_tuple(FullKey, (storage, namespace, table, partition_key, clustering_key))
 
 
 class ReadPath(enum.Enum):
@@ -124,6 +125,11 @@ class ReadPath(enum.Enum):
     VIEW = "VIEW"
 
 
+# Bound once: reading an enum member through its class costs about 0.1 µs on
+# Python 3.11, and these are read per record.
+_COLOCATED, _SNAPSHOT, _SPLIT_READS = ReadPath.COLOCATED, ReadPath.SNAPSHOT, ReadPath.SPLIT_READS
+
+
 class ReadResult:
     """A logical record (or its absence) as one route read it, checked on demand.
 
@@ -133,6 +139,8 @@ class ReadResult:
     record holds None for both. The accessors look at only what they return:
 
     * ``present``: whether the record exists; looks at nothing.
+    * ``split``: whether the record's metadata lives in its own row, which
+      is exactly when the read did not come by the colocated route.
     * ``prepared``: whether it is in doubt; parses only ``_tx_state``, and an
       unknown state raises as ``parse_metadata`` does. Every read passes
       this check first, so a row with no ``_tx_state`` at all raises
@@ -159,6 +167,10 @@ class ReadResult:
     @property
     def present(self) -> bool:
         return self.meta_row is not None
+
+    @property
+    def split(self) -> bool:
+        return self.path is not _COLOCATED
 
     @property
     def prepared(self) -> bool:
@@ -206,18 +218,34 @@ def splits(registry: StorageRegistry, config: DecoupleConfig | None, key: FullKe
     return True
 
 
-def expand_writes(
-    registry: StorageRegistry,
-    config: DecoupleConfig | None,
-    writes: Sequence[ConditionalWrite],
-    observed: Mapping[FullKey, ReadResult] | None = None,
-) -> list[ConditionalWrite]:
-    """Rewrite a logical batch into the physical one the store will apply.
+class SplitWrite(NamedTuple):
+    """A split record's write, before ``expand_writes`` cuts it into its two rows.
 
-    Split keys contribute two writes: the application row, and the metadata
-    row carrying the original condition (tx-id checks live in the metadata
-    columns). Application rows come first, metadata rows after. The metadata
-    row must stay inside the batch's atomic scope (``splits``).
+    Its first four fields line up with ``ConditionalWrite``'s: ``columns`` is
+    the metadata row, the record's ``_tx_*`` columns, which carries
+    ``condition`` to the metadata table; ``app_row`` is the application row.
+    Both are fresh dicts that the physical writes take over.
+    """
+
+    key: FullKey
+    columns: dict
+    condition: WriteCondition
+    kind: WriteKind
+    app_row: dict
+
+
+def expand_writes(
+    config: DecoupleConfig | None,
+    writes: Sequence[ConditionalWrite | SplitWrite],
+    observed: Mapping[FullKey, ReadResult] | None = None,
+) -> Sequence[ConditionalWrite]:
+    """Rewrite a batch of record writes into the physical one the store applies.
+
+    Without a config nothing splits, and the batch is handed back as it is.
+    A split record contributes two writes: the application row, and the
+    metadata row carrying the original condition (tx-id checks live in the
+    metadata columns). Application rows (and colocated records) come first,
+    metadata rows after; ``logical_key`` maps a failed row back to its record.
 
     The application row is unconditional unless ``observed`` holds a present
     ``SPLIT_READS`` result for the key. Then the write was derived from two
@@ -226,23 +254,22 @@ def expand_writes(
     version, value for value.
     """
     if config is None:
-        return list(writes)
+        return writes
     apps: list[ConditionalWrite] = []
     metas: list[ConditionalWrite] = []
     for write in writes:
-        key = write.key
-        if not splits(registry, config, key):
+        if write.__class__ is not SplitWrite:
             apps.append(write)
             continue
-        meta_key = config.metadata_key(key)
-        app_columns, meta_columns = split_columns(write.columns)
+        key, meta_row, condition, kind, app_row = write
         obs = observed.get(key) if observed is not None else None
-        if obs is not None and obs.path is ReadPath.SPLIT_READS and obs.present:
+        if obs is not None and obs.path is _SPLIT_READS and obs.present:
             app_condition = if_columns_equal(obs.app_columns)
         else:
             app_condition = UNCONDITIONAL
-        apps.append(ConditionalWrite._owning(key, app_columns, app_condition, write.kind))
-        metas.append(ConditionalWrite._owning(meta_key, meta_columns, write.condition, write.kind))
+        apps.append(ConditionalWrite._owning(key, app_row, app_condition, kind))
+        meta_key = DecoupleConfig.metadata_key(key)
+        metas.append(ConditionalWrite._owning(meta_key, meta_row, condition, kind))
     return apps + metas
 
 
@@ -267,12 +294,45 @@ def read_split(
     return _join(key, app, meta, ReadPath.SPLIT_READS)
 
 
+def read_snapshot(
+    registry: StorageRegistry, config: DecoupleConfig | None, keys: Sequence[FullKey]
+) -> list[ReadResult | None]:
+    """Records of one scope of a consistent-readable store, all read in one ``snapshot_read``.
+
+    A record ``config`` splits is fetched as both its rows and joined here
+    (a ``SNAPSHOT`` result); any other as its one row (``COLOCATED``). A
+    split pair with one row missing reads as None: a consistent read meets
+    one only where a row was written outside the protocol.
+    """
+    physical = []
+    split = []
+    for key in keys:
+        physical.append(key)
+        splits_key = config is not None and config.applies_to(key)
+        if splits_key:
+            physical.append(DecoupleConfig.metadata_key(key))
+        split.append(splits_key)
+    rows = iter(registry.snapshot_read(physical))
+    results: list[ReadResult | None] = []
+    for splits_key in split:
+        app = next(rows)
+        if not splits_key:
+            results.append(ReadResult(app, app, _COLOCATED))
+            continue
+        meta = next(rows)
+        torn = (app is None) != (meta is None)
+        results.append(None if torn else ReadResult(app, meta, _SNAPSHOT))
+    return results
+
+
 def read_split_snapshot(
     registry: StorageRegistry, config: DecoupleConfig, key: FullKey
 ) -> ReadResult:
-    """Both rows fetched at one consistent point via the store's own transaction."""
-    app, meta = registry.snapshot_read([key, config.metadata_key(key)])
-    return _join(key, app, meta, ReadPath.SNAPSHOT)
+    """Both rows fetched at one consistent point: ``read_snapshot``'s one-key case."""
+    result = read_snapshot(registry, config, [key])[0]
+    if result is None:
+        raise JoinIntegrityError(f"one of the two rows of {key.render()} is missing")
+    return result
 
 
 def _route(

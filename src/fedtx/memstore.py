@@ -26,9 +26,9 @@ Two invariants keep reads cheap:
 * A row is checked once, when ``atomic_write`` applies it. The batch's
   scope is tested first; then one staging pass, before the batch takes the
   mutex, runs ``model.check_columns`` on every PUT's columns (a DELETE's are
-  never checked) and slices each row key, so a bad batch raises with nothing
-  applied. The condition loop and the apply loop inside the mutex both read
-  the staged entries.
+  never checked), refuses a write whose kind is neither, and slices each row
+  key, so a bad batch raises with nothing applied. The condition loop and
+  the apply loop inside the mutex both read the staged entries.
 * A stored row is never mutated in place; a write replaces the whole dict.
   So ``read``, ``snapshot_read``, ``scan`` and ``dump`` share the stored dict
   read-only behind a ``MappingProxyType``, with no copy and no re-check
@@ -243,9 +243,9 @@ class MemStore(StorageAdapter):
         """The batch contract itself: apply all of ``writes`` or report the first failure.
 
         Its checks run in a fixed order: an empty batch, then the scope (one
-        depth from ``scope_of``, one slice per key), then each PUT's columns,
-        then the conditions. The batch, or its failed condition, is counted
-        under the same lock.
+        depth from ``scope_of``, one slice per key), then each write's kind
+        and each PUT's columns, then the conditions. The batch, or its
+        failed condition, is counted under the same lock.
         """
         if not writes:
             raise ValueError("empty batch")
@@ -260,6 +260,8 @@ class MemStore(StorageAdapter):
         for key, columns, condition, kind in writes:
             if kind is WriteKind.PUT:
                 check_columns(columns)
+            elif kind is not WriteKind.DELETE:
+                raise TypeError(f"write kind {kind!r} is not a WriteKind")
             staged.append((key[1:], columns, condition, kind))
         commit_kind = ConditionKind.IF_TX_ID_EQUALS
         with self._lock:

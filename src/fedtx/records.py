@@ -18,15 +18,17 @@ alone through ``_state``, ``parse_metadata`` checks the ``_tx_*`` columns of
 a key the transaction writes and hands the row back to be read by name, and
 ``application_columns`` copies out the rest: a set lookup drops the seven
 ``_tx_*`` names of a settled row, and only other names meet the prefix test.
-Only the write path, which routes the two halves of a row to different
-tables, needs ``split_columns``.
 
 ``combined_columns`` is the one encoder of every stored image (prepared,
-committed, rolled forward or restored), in one step from plain fields. A
-PREPARED row's before-image is copied straight from the settled row it
-replaces; a restore encodes that settled row again from the prepared row's
-``_tx_before*`` columns (``prior_image``), so the PREPARED row alone is the
-undo log, whichever client settles it.
+committed, rolled forward or restored), in one step from plain fields. It
+writes the ``_tx_*`` columns into the row it is handed: a copy of the
+application columns for a colocated record, or a fresh metadata row for a
+record whose metadata lives in a sibling table. So each physical row is
+built once, and nothing is merged only to be split again. A PREPARED row's
+before-image is copied straight from the settled row it replaces; a restore
+encodes that settled row again from the prepared row's ``_tx_before*``
+columns (``prior_image``), so the PREPARED row alone is the undo log,
+whichever client settles it.
 
 The coordinator table's rows are the other stored form the protocol reads:
 a transaction's write-once outcome, decoded by ``outcome_committed_at``.
@@ -34,7 +36,6 @@ a transaction's write-once outcome, decoded by ``outcome_committed_at``.
 
 from __future__ import annotations
 
-from types import MappingProxyType
 from typing import Mapping
 
 from .model import TxState, TxStatus
@@ -136,17 +137,8 @@ def application_columns(columns: Mapping[str, object]) -> dict:
     }
 
 
-def split_columns(columns: Mapping[str, object]) -> tuple[dict, dict]:
-    """Partition stored columns into (application columns, metadata columns)."""
-    app: dict = {}
-    meta: dict = {}
-    for name, value in columns.items():
-        (meta if name.startswith(META_PREFIX) else app)[name] = value
-    return app, meta
-
-
 def combined_columns(
-    app_columns: dict | MappingProxyType,
+    row: dict,
     tx_id: str,
     version: int,
     state: TxState,
@@ -156,52 +148,59 @@ def combined_columns(
     before: Mapping[str, object] | None = None,
     before_app: Mapping[str, object] | None = None,
 ) -> dict:
-    """The full stored image of a record, as one fresh dict.
+    """Write a record's metadata columns into ``row``, a fresh dict, and return it.
 
-    The application columns come first, then the seven metadata columns
-    with ``_tx_before`` None. For a PREPARED row, ``before`` is the settled
-    row this write replaces (or, with split metadata, the row holding its
-    ``_tx_*`` columns) and ``before_app`` its application columns: its tx
-    id, version, state and timestamps become the ``_tx_before*`` columns,
-    and ``before_app`` the ``_tx_before_col_*`` ones. A before-image never
-    nests, so ``before``'s own ``_tx_before*`` columns are left behind.
+    ``row`` is the record's colocated row (a copy of its application
+    columns, which keep their place in front) or its empty metadata row. The
+    seven metadata columns follow, ``_tx_before`` None. For a PREPARED row,
+    ``before`` is the settled row this write replaces (or, with split
+    metadata, the row holding its ``_tx_*`` columns) and ``before_app`` its
+    application columns: its tx id, version, state and timestamps become the
+    ``_tx_before*`` columns, and ``before_app`` the ``_tx_before_col_*`` ones.
+    A before-image never nests, so ``before``'s own ``_tx_before*`` columns
+    are left behind.
 
-    No column holds a ``_tx_*`` name: ``tx.put`` refuses one, and every
-    other caller passes the application columns of a stored row. The store
-    checks the values (``model.check_columns``) when it applies the write.
+    No application column holds a ``_tx_*`` name: ``tx.put`` refuses one, and
+    every other caller copies the application columns of a stored row. The
+    store checks the values (``model.check_columns``) when it applies the write.
     """
-    out = app_columns.copy()  # dict() of a MappingProxyType misses the fast merge
-    out[COL_TX_ID] = tx_id
-    out[COL_VERSION] = version
-    out[COL_STATE] = state._value_  # the enum's stored value; ``.value`` is a slower property
-    out[COL_PREPARED_AT] = prepared_at
-    out[COL_COMMITTED_AT] = committed_at
-    out[COL_DELETED] = deleted
+    row[COL_TX_ID] = tx_id
+    row[COL_VERSION] = version
+    row[COL_STATE] = state._value_  # the enum's stored value; ``.value`` is a slower property
+    row[COL_PREPARED_AT] = prepared_at
+    row[COL_COMMITTED_AT] = committed_at
+    row[COL_DELETED] = deleted
     if before is None:
-        out[COL_BEFORE] = None
-        return out
-    out[COL_BEFORE] = before[COL_TX_ID]
-    out[COL_BEFORE_VERSION] = before[COL_VERSION]
-    out[COL_BEFORE_STATE] = before[COL_STATE]
-    out[COL_BEFORE_PREPARED_AT] = before[COL_PREPARED_AT]
-    out[COL_BEFORE_COMMITTED_AT] = before.get(COL_COMMITTED_AT)
+        row[COL_BEFORE] = None
+        return row
+    row[COL_BEFORE] = before[COL_TX_ID]
+    row[COL_BEFORE_VERSION] = before[COL_VERSION]
+    row[COL_BEFORE_STATE] = before[COL_STATE]
+    row[COL_BEFORE_PREPARED_AT] = before[COL_PREPARED_AT]
+    row[COL_BEFORE_COMMITTED_AT] = before.get(COL_COMMITTED_AT)
     for name, value in before_app.items():
-        out[BEFORE_COLUMN_PREFIX + name] = value
-    return out
+        row[BEFORE_COLUMN_PREFIX + name] = value
+    return row
 
 
-def prior_image(meta: Mapping[str, object]) -> dict | None:
-    """The settled image a PREPARED row (its ``_tx_*`` columns ``meta``) replaced, or None."""
+def prior_image(meta: Mapping[str, object], split: bool) -> tuple[dict, dict] | None:
+    """The settled image a PREPARED row (its ``_tx_*`` columns ``meta``) replaced, or None.
+
+    It is the pair (application columns, the row holding the ``_tx_*``
+    columns): one colocated row twice, or, when ``split``, the application
+    row and a fresh metadata row.
+    """
     prior = meta.get(COL_BEFORE)
     if prior is None:
         return None  # the prepared write created the record
     start = len(BEFORE_COLUMN_PREFIX)
     app = {name[start:]: v for name, v in meta.items() if name.startswith(BEFORE_COLUMN_PREFIX)}
-    return combined_columns(
-        app,
+    row = combined_columns(
+        {} if split else app,
         prior,
         meta[COL_BEFORE_VERSION],
         _state(meta[COL_BEFORE_STATE]),
         meta[COL_BEFORE_PREPARED_AT],
         meta[COL_BEFORE_COMMITTED_AT],
     )
+    return app, row

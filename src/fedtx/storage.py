@@ -103,13 +103,15 @@ class ConditionalWrite(tuple):
     """One write in an atomic batch: full post-image plus an apply condition.
 
     A write is the tuple (key, columns, condition, kind), read through the
-    same C field getters as ``WriteCondition``. The constructor copies
-    ``columns`` into a read-only ``MappingProxyType``, so the caller may go on
-    changing the mapping it passed; a copied or unpickled write is rebuilt
-    through it. ``_owning`` skips that copy; its precondition is a fresh dict
-    that nobody else holds, which is how the commit path builds each written
-    row. Neither checks the columns: the store does, for every PUT of a batch
-    (``StorageAdapter.atomic_write``).
+    same C field getters as ``WriteCondition``. The constructor refuses a
+    ``condition`` that is not a ``WriteCondition`` and a ``kind`` that is not
+    a ``WriteKind`` member, and copies ``columns`` into a read-only
+    ``MappingProxyType``, so the caller may go on changing the mapping it
+    passed; a copied or unpickled write is rebuilt through it. ``_owning``
+    skips the checks and the copy; its precondition is a fresh dict that
+    nobody else holds, and a condition and kind of the right types, which is
+    how the commit path builds each written row. Neither checks the columns:
+    the store does, for every PUT of a batch (``StorageAdapter.atomic_write``).
     """
 
     __slots__ = ()
@@ -121,6 +123,10 @@ class ConditionalWrite(tuple):
         condition: WriteCondition = UNCONDITIONAL,
         kind: WriteKind = WriteKind.PUT,
     ) -> "ConditionalWrite":
+        if not isinstance(condition, WriteCondition):
+            raise TypeError(f"condition must be a WriteCondition, not {type(condition).__name__}")
+        if not isinstance(kind, WriteKind):
+            raise TypeError(f"kind must be a WriteKind, not {kind!r}")
         return _new_tuple(cls, (key, MappingProxyType(dict(columns)), condition, kind))
 
     key = _tuplegetter(0, "The ``FullKey`` written.")
@@ -138,9 +144,10 @@ class ConditionalWrite(tuple):
     ) -> "ConditionalWrite":
         """A write that takes over ``columns``, a fresh dict nobody else holds, without a copy.
 
-        One ``tuple.__new__`` call. The commit path passes the dict
-        ``records.combined_columns`` has just encoded, or the two halves
-        ``decoupling.expand_writes`` splits it into.
+        One ``tuple.__new__`` call. The commit path passes each row it has
+        just built: a colocated row or a metadata row that
+        ``records.combined_columns`` has encoded into, or an application row
+        that ``decoupling.expand_writes`` places beside its metadata row.
         """
         return _new_tuple(cls, (key, MappingProxyType(columns), condition, kind))
 

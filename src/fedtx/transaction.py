@@ -52,9 +52,11 @@ from .decoupling import (
     DecoupleConfig,
     ReadPath,
     ReadResult,
+    SplitWrite,
     expand_writes,
     logical_key,
     read_dispatch,
+    read_snapshot,
     splits,
 )
 from .errors import (
@@ -100,6 +102,10 @@ from .verifier import TxSummary
 
 _RECOVERY_ATTEMPTS = 10
 _COMMIT_QUEUE_SIZE = 64
+# Bound once: reading an enum member through its class costs about 0.1 µs on
+# Python 3.11, and the row builders below run once per written row.
+_PREPARED, _COMMITTED = TxState.PREPARED, TxState.COMMITTED
+_PUT, _DELETE = WriteKind.PUT, WriteKind.DELETE
 
 _log = logging.getLogger(__name__)
 
@@ -120,36 +126,52 @@ class CoordinatorLocation:
 class _LogicalWrite:
     """A write-set entry resolved against its observed base version.
 
-    ``columns`` is None for a delete. Its version and its ``condition`` are
-    fixed when ``_materialize_writes`` builds it: the observed tx id, or
-    absence when nothing was observed. Its prepared row is encoded in one
-    ``combined_columns`` call from these fields and the observed row: the
-    before-image is that settled row's ``_tx_*`` columns and the read's own
-    ``app_columns`` (filtered once, and nothing changes them). The prepared
-    row is then all a settle needs (``_settle_write``).
+    ``columns`` is None for a delete. ``_materialize_writes`` builds it from
+    the write set with the transaction's earlier read of the key, if any,
+    then observes a blind write and fixes its version, its ``condition``
+    (the observed tx id, or absence when nothing was observed) and whether
+    it ``split``s, once for every row it writes. Its prepared
+    row is encoded in one ``combined_columns`` call from these fields and
+    the observed row: the before-image is that settled row's ``_tx_*``
+    columns and the read's own ``app_columns`` (filtered once, and nothing
+    changes them). The prepared row is then all a settle needs
+    (``_settle_write``).
     """
 
     key: FullKey
     columns: Mapping[str, object] | None
-    observed: ReadResult
-    version: int
-    condition: WriteCondition
+    observed: ReadResult | None
+    version: int = 0
+    condition: WriteCondition | None = None
+    split: bool = False
 
-    def prepared_write(self, tx_id: str, prepared_at: int) -> ConditionalWrite:
+    def prepared_write(self, tx_id: str, prepared_at: int) -> ConditionalWrite | SplitWrite:
         obs = self.observed
-        columns = {} if self.columns is None else self.columns
-        row = combined_columns(
-            columns,
+        columns = self.columns
+        app = {} if columns is None else columns.copy()
+        split = self.split
+        row = {} if split else app
+        combined_columns(
+            row,
             tx_id,
             self.version,
-            TxState.PREPARED,
+            _PREPARED,
             prepared_at,
             None,
-            self.columns is None,
+            columns is None,
             obs.meta_row,
             obs.app_columns,
         )
+        if split:
+            return SplitWrite(self.key, row, self.condition, _PUT, app)
         return ConditionalWrite._owning(self.key, row, self.condition)
+
+
+def _delete_write(key: FullKey, condition, split: bool) -> ConditionalWrite | SplitWrite:
+    """A delete of the record at ``key``: of both its rows when ``split``."""
+    if split:
+        return SplitWrite(key, {}, condition, _DELETE, {})
+    return ConditionalWrite._owning(key, {}, condition, _DELETE)
 
 
 def _committed_write(
@@ -160,11 +182,16 @@ def _committed_write(
     prepared_at: int,
     committed_at: int,
     condition,
-) -> ConditionalWrite:
+    split: bool,
+) -> ConditionalWrite | SplitWrite:
     """Settled image of a write: ``columns`` COMMITTED at ``version``, or a delete when None."""
     if columns is None:
-        return ConditionalWrite._owning(key, {}, condition, WriteKind.DELETE)
-    row = combined_columns(columns, tx_id, version, TxState.COMMITTED, prepared_at, committed_at)
+        return _delete_write(key, condition, split)
+    app = columns.copy()
+    row = {} if split else app
+    combined_columns(row, tx_id, version, _COMMITTED, prepared_at, committed_at)
+    if split:
+        return SplitWrite(key, row, condition, _PUT, app)
     return ConditionalWrite._owning(key, row, condition)
 
 
@@ -174,22 +201,29 @@ def _settle_write(
     app_columns: Mapping[str, object] | None,
     committed_at: int | None,
     condition,
-) -> ConditionalWrite:
+    split: bool,
+) -> ConditionalWrite | SplitWrite:
     """Settle of a PREPARED row, from the row alone: ``prepared`` holds its ``_tx_*`` columns.
 
     With ``committed_at`` it rolls forward: ``app_columns`` COMMITTED at the
     prepared version, or a delete of a prepared delete. Without, it rolls
     back to the before-image the row carries, or deletes the key that the
-    prepared write created.
+    prepared write created. ``split`` says whether the record's metadata
+    lives in its own row.
     """
     if committed_at is not None:
         columns = None if prepared.get(COL_DELETED) else app_columns
         tx_id, version = prepared[COL_TX_ID], prepared[COL_VERSION]
         prepared_at = prepared[COL_PREPARED_AT]
-        return _committed_write(key, columns, tx_id, version, prepared_at, committed_at, condition)
-    row = prior_image(prepared)
-    if row is None:
-        return ConditionalWrite._owning(key, {}, condition, WriteKind.DELETE)
+        return _committed_write(
+            key, columns, tx_id, version, prepared_at, committed_at, condition, split
+        )
+    image = prior_image(prepared, split)
+    if image is None:
+        return _delete_write(key, condition, split)
+    app, row = image
+    if split:
+        return SplitWrite(key, row, condition, _PUT, app)
     return ConditionalWrite._owning(key, row, condition)
 
 
@@ -224,7 +258,7 @@ class TxHandle:
         self.attempt: TxSummary | None = None  # built at commit for a history sink
         self.prepared_at: int | None = None
         # Each group beside its issued prepare batch; these may hold PREPARED records.
-        self._prepared_groups: list[tuple[list[_LogicalWrite], list[ConditionalWrite]]] = []
+        self._prepared_groups: list[tuple[list[_LogicalWrite], list]] = []
         self._one_phase_batch: list[_LogicalWrite] | None = None  # issued; may have applied
 
     def _check_active(self):
@@ -434,7 +468,8 @@ class TransactionManager:
             committed_at = outcome_committed_at(row)
         else:  # no outcome yet: claim the abort; the writer's own claim may still win
             committed_at = self._claim_outcome(tx_id, TxStatus.ABORTED)
-        write = _settle_write(key, obs.meta, obs.app_columns, committed_at, if_tx_id_equals(tx_id))
+        condition = if_tx_id_equals(tx_id)
+        write = _settle_write(key, obs.meta, obs.app_columns, committed_at, condition, obs.split)
         self._write([write], None if committed_at is None else {key: obs})
 
     def recover_all_prepared(self) -> int:
@@ -462,25 +497,74 @@ class TransactionManager:
 
     # -- commit pipeline -------------------------------------------------------
 
-    def _materialize_writes(self, tx: TxHandle) -> list[_LogicalWrite]:
-        logicals = []
-        for key, columns in tx.write_set.items():
-            observed = tx.read_set.get(key)
+    def _materialize_writes(
+        self, tx: TxHandle
+    ) -> tuple[list[_LogicalWrite], list[list[_LogicalWrite]]]:
+        """The write set resolved against observed versions: in write order, and grouped by scope.
+
+        The write set is grouped by atomicity-unit scope first
+        (``group_by_atomicity_unit``). A blind write, a key this transaction
+        never read, is observed here so that its condition and before-image
+        are well-defined: per scope where a store can read them together
+        (``_observe_blind``), else by its own ``_observe``, in write order.
+        Each enters the read set in write order. Deleting an absent key is a
+        no-op; it is dropped, with any group it empties.
+        """
+        read_set = tx.read_set
+        decoupled = self.decoupling is not None
+        logicals = [
+            _LogicalWrite(key, columns, read_set.get(key)) for key, columns in tx.write_set.items()
+        ]
+        groups = group_by_atomicity_unit(self.registry, logicals)
+        scoped = None  # the blind writes read per scope, once the first blind write shows up
+        noops = False
+        for logical in logicals:
+            observed = logical.observed
             if observed is None:
-                # Blind write: settle the base version now so the conditional
-                # write and the before-image are well-defined.
-                observed = self._observe(key)
-                tx.read_set[key] = observed
-            if columns is None and not observed.present:
-                continue  # deleting nothing is a no-op
+                key = logical.key
+                if scoped is None:
+                    scoped = self._observe_blind(groups)
+                observed = scoped.get(key) if scoped else None
+                if observed is None:
+                    observed = self._observe(key)
+                logical.observed = read_set[key] = observed
+            if logical.columns is None and not observed.present:
+                noops = True  # deleting nothing: left without a condition, and dropped below
+                continue
+            if decoupled:
+                logical.split = observed.split
             meta = observed.meta
             if meta is not None:
-                version = meta[COL_VERSION] + 1
-                condition = if_tx_id_equals(meta[COL_TX_ID])
+                logical.version = meta[COL_VERSION] + 1
+                logical.condition = if_tx_id_equals(meta[COL_TX_ID])
             else:
-                version, condition = 1, IF_NOT_EXISTS
-            logicals.append(_LogicalWrite(key, columns, observed, version, condition))
-        return logicals
+                logical.version, logical.condition = 1, IF_NOT_EXISTS
+        if noops:
+            logicals = [logical for logical in logicals if logical.condition is not None]
+            kept = ([write for write in group if write.condition is not None] for group in groups)
+            groups = [group for group in kept if group]
+        return logicals, groups
+
+    def _observe_blind(self, groups: list[list[_LogicalWrite]]) -> dict[FullKey, ReadResult]:
+        """Observe the blind writes of each scope of a consistent-readable store in one read.
+
+        A group with two or more blind writes there is read in one
+        ``read_snapshot``. A settled record is observed as read; a PREPARED,
+        torn or metadata-free one goes through ``_observe``, as a read of its
+        own would, with the same errors. A group on any other store costs one
+        capability lookup and no read.
+        """
+        scoped: dict[FullKey, ReadResult] = {}
+        for group in groups:
+            if len(group) > 1 and self.registry.capabilities(group[0].key).consistent_readable:
+                keys = [logical.key for logical in group if logical.observed is None]
+                if len(keys) < 2:
+                    continue
+                for key, obs in zip(keys, read_snapshot(self.registry, self.decoupling, keys)):
+                    if obs is None or obs.prepared:
+                        obs = self._observe(key, obs)
+                    scoped[key] = obs
+        return scoped
 
     def _validation_plan(
         self, tx: TxHandle, written_keys: set[FullKey]
@@ -523,16 +607,18 @@ class TransactionManager:
         return None
 
     def _write(
-        self, writes: list[ConditionalWrite], observed: Mapping[FullKey, ReadResult] | None = None
+        self,
+        writes: list[ConditionalWrite | SplitWrite],
+        observed: Mapping[FullKey, ReadResult] | None = None,
     ) -> FullKey | None:
-        """Apply one logical batch; returns the key of the logical write that failed, or None.
+        """Apply one batch of record writes; returns the key of the one that failed, or None.
 
         ``observed`` holds the reads the writes were derived from; a split read
         among them conditions its application row (``expand_writes``). The
         store names the physical row whose condition failed, and
         ``logical_key`` maps it back to its write.
         """
-        expanded = expand_writes(self.registry, self.decoupling, writes, observed)
+        expanded = expand_writes(self.decoupling, writes, observed)
         failed = self.registry.atomic_write(expanded)
         return None if failed is None else logical_key(expanded[failed].key)
 
@@ -565,7 +651,14 @@ class TransactionManager:
         commit_at = self._tick() if committed else None
         batches = [
             [
-                _settle_write(logical.key, write.columns, logical.columns, committed_at, condition)
+                _settle_write(
+                    logical.key,
+                    write.columns,
+                    logical.columns,
+                    committed_at,
+                    condition,
+                    logical.split,
+                )
                 for logical, write in zip(group, batch)
             ]
             for group, batch in tx._prepared_groups
@@ -584,11 +677,11 @@ class TransactionManager:
             self.history.record(replace(attempt, outcome=status, commit_at=commit_at))
 
     def _commit_pipeline(self, tx: TxHandle) -> None:
-        logicals = self._materialize_writes(tx)
+        logicals, groups = self._materialize_writes(tx) if tx.write_set else ((), ())
         written_keys = {logical.key for logical in logicals}
         plan = self._validation_plan(tx, written_keys)
 
-        if not logicals:
+        if not groups:
             # Read-only: nothing to arbitrate, so no coordinator record.
             mismatch = self._validate(plan)
             if mismatch is not None:
@@ -597,7 +690,6 @@ class TransactionManager:
             self._finish(tx, TxStatus.COMMITTED, self._tick())
             return
 
-        groups = group_by_atomicity_unit(self.registry, logicals)
         one_phase = self.one_phase_enabled and one_phase_eligible(
             groups, tx.serializable, bool(plan)
         )
@@ -610,7 +702,7 @@ class TransactionManager:
             batch = [
                 _committed_write(
                     logical.key, logical.columns, tx.tx_id, logical.version, ts, ts,
-                    logical.condition,
+                    logical.condition, logical.split,
                 )
                 for logical in groups[0]
             ]

@@ -180,14 +180,27 @@ def reference_columns(app_columns, meta: TransactionMetadata) -> dict:
     return out
 
 
+def split_columns(columns: Mapping[str, object]) -> tuple[dict, dict]:
+    """Oracle: stored columns cut by the reserved prefix into (application row, metadata row).
+
+    The two physical rows a split record's colocated image becomes, each in
+    the image's column order.
+    """
+    app: dict = {}
+    meta: dict = {}
+    for name, value in columns.items():
+        (meta if name.startswith("_tx_") else app)[name] = value
+    return app, meta
+
+
 def stored_row(app_columns, meta: TransactionMetadata) -> dict:
-    """The stored image ``fedtx.records.combined_columns`` encodes from the fields of ``meta``."""
+    """The colocated image ``fedtx.records.combined_columns`` encodes from ``meta``'s fields."""
     before = meta.before_image
     prior_row = prior_app = None
     if before is not None:
         prior_row, prior_app = reference_metadata_columns(before.metadata), before.columns
     return combined_columns(
-        app_columns,
+        dict(app_columns),
         meta.tx_id,
         meta.version,
         meta.tx_state,

@@ -11,11 +11,13 @@ from fedtx import (
     TxState,
     TxStatus,
     UNCONDITIONAL,
+    WriteKind,
     if_columns_equal,
     if_tx_id_equals,
 )
 from fedtx.decoupling import (
     ReadPath,
+    SplitWrite,
     expand_writes,
     logical_key,
     metadata_in_scope,
@@ -33,6 +35,7 @@ from conftest import (
     make_caps,
     mode_env_args,
     reference_metadata_columns,
+    split_columns,
     stored_row,
 )
 
@@ -51,9 +54,15 @@ def committed_meta(tx_id="t0", version=1):
     )
 
 
+def split_write(columns, condition=UNCONDITIONAL, key=None):
+    """A split record's write of the colocated image ``columns``: its two halves, unexpanded."""
+    app, meta = split_columns(columns)
+    return SplitWrite(key or k(), meta, condition, WriteKind.PUT, app)
+
+
 def write(env, writes):
-    """Apply one logical batch the way the commit pipeline does."""
-    return env.registry.atomic_write(expand_writes(env.registry, env.manager.decoupling, writes))
+    """Apply one batch of record writes the way the commit pipeline does."""
+    return env.registry.atomic_write(expand_writes(env.manager.decoupling, writes))
 
 
 class TestLocator:
@@ -97,8 +106,8 @@ class TestLocator:
 class TestDecouple:
     def test_column_partition(self):
         env = build_env(decoupled=True)
-        logical = ConditionalWrite(k(), stored_row({"v": 7}, committed_meta()))
-        app, meta = expand_writes(env.registry, env.manager.decoupling, [logical])
+        logical = split_write(stored_row({"v": 7}, committed_meta()))
+        app, meta = expand_writes(env.manager.decoupling, [logical])
         assert (app.key, dict(app.columns)) == (k(), {"v": 7})
         assert meta.key.table == "t_meta"
         assert dict(meta.columns) == reference_metadata_columns(committed_meta())
@@ -106,23 +115,21 @@ class TestDecouple:
     def test_round_trip(self):
         env = build_env(decoupled=True)
         columns = stored_row({"v": 7, "w": b"x"}, committed_meta())
-        assert write(env, [ConditionalWrite(k(), columns)]) is None
+        assert write(env, [split_write(columns)]) is None
         rejoined = dict(env.registry.read(k()))
         rejoined.update(env.registry.read(CFG.metadata_key(k())))
         assert rejoined == dict(columns)
 
     def test_empty(self):
         env = build_env(decoupled=True)
-        assert expand_writes(env.registry, env.manager.decoupling, []) == []
+        assert expand_writes(env.manager.decoupling, []) == []
 
 
 class TestExpandWrites:
     def test_one_logical_write_becomes_two_physical(self):
         env = build_env(decoupled=True)
-        logical = ConditionalWrite(
-            k(), stored_row({"v": 1}, committed_meta()), if_tx_id_equals("t9")
-        )
-        physical = expand_writes(env.registry, env.manager.decoupling, [logical])
+        logical = split_write(stored_row({"v": 1}, committed_meta()), if_tx_id_equals("t9"))
+        physical = expand_writes(env.manager.decoupling, [logical])
         assert len(physical) == 2
         app, meta = physical
         assert app.key.table == "t" and app.condition.kind.name == "UNCONDITIONAL"
@@ -131,10 +138,8 @@ class TestExpandWrites:
     def test_a_split_read_conditions_the_application_row_on_its_columns(self):
         env = seeded_env()
         observed = {k(): read_split(env.registry, env.manager.decoupling, k())}
-        logical = ConditionalWrite(
-            k(), stored_row({"v": 8}, committed_meta("t1", 2)), if_tx_id_equals("t0")
-        )
-        app, meta = expand_writes(env.registry, env.manager.decoupling, [logical], observed)
+        logical = split_write(stored_row({"v": 8}, committed_meta("t1", 2)), if_tx_id_equals("t0"))
+        app, meta = expand_writes(env.manager.decoupling, [logical], observed)
         assert app.condition == if_columns_equal({"v": 7})
         assert meta.condition == if_tx_id_equals("t0")
 
@@ -142,15 +147,15 @@ class TestExpandWrites:
     def test_a_consistent_read_leaves_the_application_row_unconditional(self, consistent, view):
         env = seeded_env(consistent=consistent, view=view)
         observed = {k(): read_dispatch(env.registry, env.manager.decoupling, k())}
-        logical = ConditionalWrite(k(), stored_row({"v": 8}, committed_meta("t1", 2)))
-        app, _ = expand_writes(env.registry, env.manager.decoupling, [logical], observed)
+        logical = split_write(stored_row({"v": 8}, committed_meta("t1", 2)))
+        app, _ = expand_writes(env.manager.decoupling, [logical], observed)
         assert app.condition == UNCONDITIONAL
 
     def test_an_absent_split_read_leaves_the_application_row_unconditional(self):
         env = seeded_env()
         observed = {k(pk=2): read_split(env.registry, env.manager.decoupling, k(pk=2))}
-        logical = ConditionalWrite(k(pk=2), stored_row({"v": 8}, committed_meta()))
-        app, _ = expand_writes(env.registry, env.manager.decoupling, [logical], observed)
+        logical = split_write(stored_row({"v": 8}, committed_meta()), key=k(pk=2))
+        app, _ = expand_writes(env.manager.decoupling, [logical], observed)
         assert app.condition == UNCONDITIONAL
 
     def test_a_torn_split_read_fails_its_batch(self):
@@ -158,17 +163,15 @@ class TestExpandWrites:
         observed = {k(): read_split(env.registry, env.manager.decoupling, k())}
         # another value under the same metadata: what a torn pair looks like
         env.adapter("s1").atomic_write([ConditionalWrite(k(), {"v": 9})])
-        logical = ConditionalWrite(
-            k(), stored_row({"v": 8}, committed_meta("t1", 2)), if_tx_id_equals("t0")
-        )
-        physical = expand_writes(env.registry, env.manager.decoupling, [logical], observed)
+        logical = split_write(stored_row({"v": 8}, committed_meta("t1", 2)), if_tx_id_equals("t0"))
+        physical = expand_writes(env.manager.decoupling, [logical], observed)
         assert env.registry.atomic_write(physical) == 0
         assert env.registry.read(k()) == {"v": 9}
         assert env.registry.read(CFG.metadata_key(k()))["_tx_id"] == "t0"
 
     def test_single_batch_of_two_rows(self):
         env = build_env(decoupled=True)
-        logical = ConditionalWrite(k(), stored_row({"v": 1}, committed_meta()))
+        logical = split_write(stored_row({"v": 1}, committed_meta()))
         assert write(env, [logical]) is None
         counters = env.counters("s1")
         assert counters.atomic_write_batches == 1
@@ -177,7 +180,7 @@ class TestExpandWrites:
     def test_four_logical_writes_one_batch_of_eight(self):
         env = build_env(decoupled=True)
         batch = [
-            ConditionalWrite(k(pk=i), stored_row({"v": i}, committed_meta()))
+            split_write(stored_row({"v": i}, committed_meta()), key=k(pk=i))
             for i in range(4)
         ]
         assert write(env, batch) is None
@@ -186,20 +189,31 @@ class TestExpandWrites:
 
     def test_failed_metadata_condition_suppresses_application_write(self):
         env = build_env(decoupled=True)
-        first = ConditionalWrite(k(), stored_row({"v": 1}, committed_meta("t0")))
+        first = split_write(stored_row({"v": 1}, committed_meta("t0")))
         assert write(env, [first]) is None
-        stale = ConditionalWrite(
-            k(), stored_row({"v": 2}, committed_meta("t1", 2)), if_tx_id_equals("wrong")
-        )
+        stale = split_write(stored_row({"v": 2}, committed_meta("t1", 2)), if_tx_id_equals("wrong"))
         failed = write(env, [stale])
         assert failed is not None
         assert env.registry.read(k()) == {"v": 1}
 
     def test_colocation_violation(self):
+        """A split write the store cannot batch spans two scopes, and the store refuses it."""
         env = build_env({"s1": make_caps(AtomicityUnit.TABLE)}, decoupled=True)
-        logical = ConditionalWrite(k(), stored_row({"v": 1}, committed_meta()))
+        logical = split_write(stored_row({"v": 1}, committed_meta()))
         with pytest.raises(AtomicityScopeViolation):
-            expand_writes(env.registry, env.manager.decoupling, [logical])
+            write(env, [logical])
+        assert env.dump_all() == []
+
+    def test_colocated_records_pass_through_in_place(self):
+        """A colocated record's write is its row already, and keeps its place among the app rows."""
+        env = build_env(decoupled=True)
+        colocated = ConditionalWrite(k(pk=2), {"v": 2})
+        split = split_write(stored_row({"v": 1}, committed_meta()))
+        physical = expand_writes(env.manager.decoupling, [split, colocated])
+        assert [write.key for write in physical] == [k(), k(pk=2), CFG.metadata_key(k())]
+        assert physical[1] is colocated
+        batch = [colocated]
+        assert expand_writes(None, batch) is batch  # without a config nothing splits
 
     @pytest.mark.parametrize("count", [1, 2], ids=["one-key", "two-keys"])
     @pytest.mark.parametrize(
@@ -229,7 +243,7 @@ def seeded_env(consistent=False, view=False):
         decoupled=True,
         register_views=view,
     )
-    logical = ConditionalWrite(k(), stored_row({"v": 7}, committed_meta()))
+    logical = split_write(stored_row({"v": 7}, committed_meta()))
     write(env, [logical])
     return env
 

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 from dataclasses import fields
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -308,6 +309,37 @@ class TestBatchContractOrder:
         with pytest.raises(InjectedCrash, match="#1"):
             s.atomic_write([put(k(pk=9), {"v": 0})])
         assert s.read(k(pk=9)) is None
+
+    @pytest.mark.parametrize(
+        "condition, kind",
+        [
+            (UNCONDITIONAL, "PUT"),
+            (UNCONDITIONAL, None),
+            (None, WriteKind.PUT),
+            ("IF_NOT_EXISTS", WriteKind.PUT),
+        ],
+        ids=["kind-str", "kind-none", "condition-none", "condition-str"],
+    )
+    def test_the_constructor_refuses_a_foreign_kind_or_condition(self, condition, kind):
+        with pytest.raises(TypeError, match="kind|condition"):
+            ConditionalWrite(k(), {"v": 1.5, 3: object()}, condition, kind)
+
+    @pytest.mark.parametrize("kind", ["PUT", "DELETE", None])
+    def test_a_forged_write_of_a_foreign_kind_is_refused_with_nothing_applied(self, kind):
+        """A write built past the constructor whose kind is no ``WriteKind`` stores nothing.
+
+        The staging pass refuses it wherever it stands in the batch, bad
+        columns or not, before any condition or row is touched.
+        """
+        s = store()
+        s.inject_faults([(1, FaultKind.CRASH_BEFORE_BATCH)])
+        columns = MappingProxyType({"v": 1.5, 3: object()})
+        forged = tuple.__new__(ConditionalWrite, (k(pk=2), columns, UNCONDITIONAL, kind))
+        with pytest.raises(TypeError, match="not a WriteKind"):
+            s.atomic_write([put(k(), {"v": 1}, if_tx_id_equals("a")), forged])
+        assert (s.counters(), s.dump()) == (OpCounters(), [])
+        with pytest.raises(InjectedCrash, match="#1"):
+            s.atomic_write([put(k(pk=9), {"v": 0})])
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -6,7 +6,7 @@ from types import MappingProxyType
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedtx.decoupling import ReadPath, ReadResult
+from fedtx.decoupling import ReadPath, ReadResult, SplitWrite
 from fedtx.model import FullKey, TxState, value_tag
 from fedtx.records import (
     COL_BEFORE,
@@ -24,9 +24,8 @@ from fedtx.records import (
     outcome_committed_at,
     parse_metadata,
     prior_image,
-    split_columns,
 )
-from fedtx.storage import IF_NOT_EXISTS, WriteKind, if_tx_id_equals
+from fedtx.storage import IF_NOT_EXISTS, ConditionalWrite, WriteKind, if_tx_id_equals
 from fedtx.transaction import _LogicalWrite, _settle_write
 from conftest import (
     METADATA_MODES,
@@ -36,6 +35,7 @@ from conftest import (
     decode_metadata,
     reference_columns,
     reference_metadata_columns,
+    split_columns,
     stored_row,
 )
 
@@ -256,7 +256,8 @@ def tagged(columns):
 def observed_row(prior, layout):
     """The ReadResult a read of the settled ``prior`` (app columns, metadata) returns."""
     if prior is None:
-        return ReadResult(None, None, ReadPath.COLOCATED)
+        path = ReadPath.COLOCATED if layout == "colocated" else ReadPath.SPLIT_READS
+        return ReadResult(None, None, path)
     app, meta = prior
     if layout == "colocated":
         row = MappingProxyType(reference_columns(app, meta))
@@ -304,44 +305,65 @@ def test_every_image_a_write_stores_is_the_object_oracles(
         prior_app, prior_meta = prior
         version, condition = prior_meta.version + 1, if_tx_id_equals(prior_meta.tx_id)
         image = BeforeImage(prior_app, replace(prior_meta, before_image=None))
-    logical = _LogicalWrite(KEY, columns, obs, version, condition)
     deleted = columns is None
+    split = layout == "split"
+    logical = _LogicalWrite(KEY, columns, obs, version, condition, split)
 
     prepared = logical.prepared_write(tx_id, prepared_at)
     meta = TransactionMetadata(
         tx_id, version, TxState.PREPARED, prepared_at, None, image, delete_marker=deleted
     )
-    assert tagged(prepared.columns) == tagged(reference_columns(columns or {}, meta))
+    assert physical_rows(prepared, split) == oracle_rows(columns or {}, meta, split)
     assert (prepared.kind, prepared.condition) == (WriteKind.PUT, condition)
 
     # The owner settles from the row it issued; a recovery, from its read of
     # that row: the whole row on one-row routes, the two halves on the others.
-    app_half, meta_half = split_columns(prepared.columns)
-    whole = MappingProxyType(dict(prepared.columns))
-    reads = [
-        ReadResult(whole, whole, path) if path in (ReadPath.COLOCATED, ReadPath.VIEW)
-        else ReadResult(MappingProxyType(app_half), MappingProxyType(meta_half), path)
-        for path in ReadPath
-    ]
+    if split:
+        app_half, meta_half = MappingProxyType(prepared.app_row), MappingProxyType(prepared.columns)
+        whole = MappingProxyType(prepared.app_row | prepared.columns)
+        reads = [ReadResult(whole, whole, ReadPath.VIEW)] + [
+            ReadResult(app_half, meta_half, path)
+            for path in (ReadPath.SNAPSHOT, ReadPath.SPLIT_READS)
+        ]
+    else:
+        whole = MappingProxyType(dict(prepared.columns))
+        reads = [ReadResult(whole, whole, ReadPath.COLOCATED)]
     sources = [(prepared.columns, columns)] + [(obs.meta, obs.app_columns) for obs in reads]
     for row, app in sources:
-        committed = _settle_write(KEY, row, app, committed_at, condition)
+        committed = _settle_write(KEY, row, app, committed_at, condition, split)
         assert committed.condition == condition
         if deleted:
-            assert (committed.kind, dict(committed.columns)) == (WriteKind.DELETE, {})
+            assert committed.kind is WriteKind.DELETE
+            assert physical_rows(committed, split) == [[]] * (1 + split)
         else:
             meta = TransactionMetadata(tx_id, version, TxState.COMMITTED, prepared_at, committed_at)
             assert committed.kind is WriteKind.PUT
-            assert tagged(committed.columns) == tagged(reference_columns(columns, meta))
+            assert physical_rows(committed, split) == oracle_rows(columns, meta, split)
 
-        restore = _settle_write(KEY, row, app, None, condition)
+        restore = _settle_write(KEY, row, app, None, condition, split)
         assert restore.condition == condition
         if image is None:
-            assert (restore.kind, dict(restore.columns)) == (WriteKind.DELETE, {})
+            assert restore.kind is WriteKind.DELETE
+            assert physical_rows(restore, split) == [[]] * (1 + split)
         else:
-            settled_row = reference_columns(image.columns, image.metadata)
             assert restore.kind is WriteKind.PUT
-            assert tagged(restore.columns) == tagged(settled_row)
+            expected = oracle_rows(image.columns, image.metadata, split)
+            assert physical_rows(restore, split) == expected
+
+
+def physical_rows(write, split):
+    """A record write's rows, tagged: its one row, or its application row and metadata row."""
+    if split:
+        assert type(write) is SplitWrite
+        return [tagged(write.app_row), tagged(write.columns)]
+    assert type(write) is ConditionalWrite
+    return [tagged(write.columns)]
+
+
+def oracle_rows(columns, meta, split):
+    """The oracle's image of ``columns`` under ``meta``, tagged, cut in two when ``split``."""
+    row = reference_columns(columns, meta)
+    return [tagged(half) for half in split_columns(row)] if split else [tagged(row)]
 
 
 # -- the row check against the oracle decode ----------------------------------------
@@ -392,7 +414,11 @@ def test_the_row_check_accepts_exactly_what_the_oracle_decodes(columns, meta, mo
     assert parse_metadata(row) is row
     before = expected.before_image
     if before is None:
-        assert prior_image(row) is None
+        assert prior_image(row, decoupled) is None
+        return
+    prior_row = reference_columns(before.columns, before.metadata)
+    app, image = prior_image(row, decoupled)
+    if decoupled:
+        assert [tagged(app), tagged(image)] == [tagged(half) for half in split_columns(prior_row)]
     else:
-        prior_row = reference_columns(before.columns, before.metadata)
-        assert tagged(prior_image(row)) == tagged(prior_row)
+        assert app is image and tagged(image) == tagged(prior_row)

@@ -3,6 +3,7 @@
 import re
 import sys
 import threading
+from collections import Counter
 from dataclasses import replace
 from types import MappingProxyType
 
@@ -39,7 +40,6 @@ from fedtx.records import (
     COORD_CREATED_COLUMN,
     COORD_STATE_COLUMN,
     outcome_committed_at,
-    split_columns,
 )
 from fedtx.storage import WriteCondition
 from fedtx.verifier import HistoryRecorder, audit_atomicity
@@ -54,6 +54,7 @@ from conftest import (
     make_caps,
     mode_env_args,
     reference_columns,
+    split_columns,
     stored_row,
 )
 
@@ -1503,18 +1504,15 @@ class TestScopeCost:
         assert tx.scan(prefix) == expected
 
     def test_reads_decode_each_row_once(self, monkeypatch):
-        calls = {"split_columns": 0, "parse_metadata": 0, "TxState": 0}
+        calls = {"parse_metadata": 0, "TxState": 0}
         for module in (fedtx.records, fedtx.decoupling, fedtx.transaction):
-            for name in ("split_columns", "parse_metadata"):
-                original = getattr(module, name, None)
-                if original is None:
-                    continue  # the module does not call it
+            original = module.parse_metadata
 
-                def counting(*args, _name=name, _original=original):
-                    calls[_name] += 1
-                    return _original(*args)
+            def counting(*args, _original=original):
+                calls["parse_metadata"] += 1
+                return _original(*args)
 
-                monkeypatch.setattr(module, name, counting)
+            monkeypatch.setattr(module, "parse_metadata", counting)
         enum_call = type(TxState).__call__
 
         def counting_call(cls, *args, **kwargs):
@@ -1530,7 +1528,7 @@ class TestScopeCost:
             return calls.copy()
 
         def decodes(count):
-            return {"split_columns": 0, "parse_metadata": count, "TxState": 0}
+            return {"parse_metadata": count, "TxState": 0}
 
         # A read-only get decodes no metadata at all.
         colocated = build_env()
@@ -1726,6 +1724,233 @@ class TestScopeCost:
         assert conditions <= 4
         assert checked == 4
 
+    @pytest.mark.parametrize("mode", ["split_reads", "snapshot", "view"])
+    @pytest.mark.parametrize("path", ["one_phase", "two_phase", "restore"])
+    def test_a_split_commit_builds_each_physical_row_once(self, mode, path, monkeypatch):
+        """Each batch builds a split key's two rows with two ``_owning`` calls, and nothing else.
+
+        ``combined_columns`` encodes the key's ``_tx_*`` columns once per
+        batch, straight into a fresh, empty metadata row: no image is merged
+        and then split again. Covers a one-phase commit, a two-phase commit
+        (prepare and settle) and an abort's restore.
+        """
+        stores = ("s1",) if path == "one_phase" else ("s1", "s2")
+        env = build_env(**mode_env_args(mode, storages=stores))
+        keys = [k(store, pk=pk) for store in stores for pk in range(2)]
+        for key in keys:
+            seed(env, key, 1)
+        built = {"rows": Counter(), "encoded_into": [], "copied": 0}
+        owning = ConditionalWrite._owning.__func__
+        copying = ConditionalWrite.__new__
+
+        def counted_owning(cls, key, columns, *rest):
+            if key.table != env.manager.coordinator.table:
+                built["rows"][key.table] += 1
+            return owning(cls, key, columns, *rest)
+
+        def counted_copy(cls, *fields):
+            built["copied"] += 1
+            return copying(cls, *fields)
+
+        monkeypatch.setattr(ConditionalWrite, "_owning", classmethod(counted_owning))
+        monkeypatch.setattr(ConditionalWrite, "__new__", counted_copy)
+        for module in (fedtx.transaction, fedtx.records):  # records: the restore's prior_image
+            encode = module.combined_columns
+
+            def counted_encode(row, *fields, _encode=encode):
+                built["encoded_into"].append(dict(row))
+                return _encode(row, *fields)
+
+            monkeypatch.setattr(module, "combined_columns", counted_encode)
+
+        tx = env.manager.begin()
+        for key in keys:
+            tx.put(key, {"v": tx.get(key)["v"] + 1})
+        if path == "restore":
+            env.adapter("coord").inject_faults([(0, FaultKind.CRASH_BEFORE_BATCH)])
+            with pytest.raises(InjectedCrash):
+                tx.commit()
+            env.adapter("coord").clear_faults()
+            tx.abort()
+            assert tx.status is TxStatus.ABORTED
+        else:
+            tx.commit()
+            assert tx.status is TxStatus.COMMITTED
+        batches = 1 if path == "one_phase" else 2
+        assert built["rows"] == Counter({"t": batches * len(keys), "t_meta": batches * len(keys)})
+        assert built["encoded_into"] == [{}] * (batches * len(keys))
+        assert built["copied"] == 0
+        expected = 1 if path == "restore" else 2
+        assert [committed_value(env, key) for key in keys] == [{"v": expected}] * len(keys)
+
+
+class TestBlindWrites:
+    """A blind write (a put or delete of a key never read) is observed at commit.
+
+    The blind writes of one scope of a consistent-readable store, two or
+    more, share one ``snapshot_read``; every other one costs the read a
+    ``get`` of it costs.
+    """
+
+    # (decoupled, consistent_readable, view_joinable) per mode, as METADATA_MODES
+    MODES = {**METADATA_MODES, "colocated_consistent": (False, True, False)}
+
+    def env(self, mode, storages=("s1",)):
+        decoupled, consistent, view = self.MODES[mode]
+        caps = make_caps(consistent=consistent, view=view)
+        return build_env(dict.fromkeys(storages, caps), decoupled=decoupled, register_views=view)
+
+    @staticmethod
+    def count_reads(env, monkeypatch, storages=("s1",)):
+        """Every read call into ``storages``, as (store, op, number of keys)."""
+        calls = []
+        for name in storages:
+            store = env.adapter(name)
+            for op in ("read", "snapshot_read", "view_read"):
+
+                def counted(*args, _op=op, _name=name, _method=getattr(store, op)):
+                    keys = args[0] if _op == "snapshot_read" else [args[-1]]
+                    calls.append((_name, _op, len(keys)))
+                    return _method(*args)
+
+                monkeypatch.setattr(store, op, counted)
+        return calls
+
+    @staticmethod
+    def blind_commit(env, keys, columns=None):
+        tx = env.manager.begin()
+        for i, key in enumerate(keys):
+            if columns is False:
+                tx.delete(key)
+            else:
+                tx.put(key, {"v": 10 + i})
+        tx.commit()
+        return tx
+
+    # Each mode's cost for one blind key: what a ``get`` of it costs.
+    ONE_KEY = {
+        "colocated": [("read", 1)],
+        "colocated_consistent": [("read", 1)],
+        "split_reads": [("read", 1), ("read", 1)],
+        "snapshot": [("snapshot_read", 2)],
+        "view": [("view_read", 1)],
+    }
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_blind_writes_cost_one_snapshot_read_per_scope(self, mode, count, monkeypatch):
+        env = self.env(mode)
+        keys = [k(pk=pk) for pk in range(count)]
+        for key in keys[::2]:
+            seed(env, key, 1)  # every other key exists already
+        calls = self.count_reads(env, monkeypatch)
+        tx = self.blind_commit(env, keys)
+        assert tx.status is TxStatus.COMMITTED
+        decoupled, consistent, _ = self.MODES[mode]
+        if count == 1 or not consistent:
+            expected = self.ONE_KEY[mode] * count
+        else:
+            expected = [("snapshot_read", count * (2 if decoupled else 1))]
+        assert [(op, n) for _, op, n in calls] == expected
+        assert list(tx.read_set) == keys  # entered in write order
+        assert [tx.read_set[key].present for key in keys] == [pk % 2 == 0 for pk in range(count)]
+        assert [committed_value(env, key) for key in keys] == [{"v": 10 + i} for i in range(count)]
+        metas = [read_dispatch(env.registry, env.manager.decoupling, key).meta for key in keys]
+        assert [meta[COL_VERSION] for meta in metas] == [2 - pk % 2 for pk in range(count)]
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_a_lone_blind_write_beside_read_ones_costs_what_a_get_costs(self, mode, monkeypatch):
+        env = self.env(mode)
+        keys = [k(pk=pk) for pk in range(3)]
+        for key in keys:
+            seed(env, key, 1)
+        tx = env.manager.begin()
+        for key in keys[:2]:
+            tx.put(key, {"v": tx.get(key)["v"] + 1})
+        tx.put(keys[2], {"v": 5})
+        calls = self.count_reads(env, monkeypatch)
+        tx.commit()
+        assert [(op, n) for _, op, n in calls] == self.ONE_KEY[mode]
+        assert [committed_value(env, key) for key in keys] == [{"v": 2}, {"v": 2}, {"v": 5}]
+
+    @pytest.mark.parametrize("mode", ["colocated_consistent", "snapshot", "view"])
+    def test_each_scope_takes_one_snapshot_read(self, mode, monkeypatch):
+        env = self.env(mode, storages=("s1", "s2"))
+        keys = [k(store, pk=pk) for pk in range(3) for store in ("s1", "s2")]
+        calls = self.count_reads(env, monkeypatch, storages=("s1", "s2"))
+        self.blind_commit(env, keys)
+        per_key = 2 if self.MODES[mode][0] else 1
+        assert calls == [("s1", "snapshot_read", 3 * per_key), ("s2", "snapshot_read", 3 * per_key)]
+        assert [committed_value(env, key) for key in keys] == [{"v": 10 + i} for i in range(6)]
+
+    @pytest.mark.parametrize("mode", ["colocated_consistent", "snapshot", "view"])
+    def test_blind_deletes_share_the_read_and_deleting_nothing_is_dropped(self, mode, monkeypatch):
+        env = self.env(mode)
+        keys = [k(pk=pk) for pk in range(3)]
+        seed(env, keys[0], 1)
+        calls = self.count_reads(env, monkeypatch)
+        batches = env.counters("s1").atomic_write_batches
+        tx = self.blind_commit(env, keys, columns=False)
+        assert tx.status is TxStatus.COMMITTED
+        assert [op for _, op, _ in calls] == ["snapshot_read"]
+        # one batch, of the one real delete
+        assert env.counters("s1").atomic_write_batches == batches + 1
+        assert [committed_value(env, key) for key in keys] == [None] * 3
+        assert env.dump_all() == [r for r in env.dump_all() if r.key.storage == "coord"]
+
+    @pytest.mark.parametrize(
+        "crash",
+        [FaultKind.CRASH_BEFORE_BATCH, FaultKind.CRASH_AFTER_BATCH],
+        ids=["rolled-back", "rolled-forward"],
+    )
+    @pytest.mark.parametrize("mode", ["colocated_consistent", "snapshot", "view"])
+    def test_a_blind_key_left_prepared_is_settled_by_lazy_recovery(self, mode, crash):
+        env = self.env(mode, storages=("s1", "s2"))
+        keys = [k("s1", pk=1), k("s1", pk=2)]
+        for key in keys + [k("s2")]:
+            seed(env, key, 1)
+        victim = env.manager.begin()
+        for key in (keys[0], k("s2")):
+            victim.put(key, {"v": victim.get(key)["v"] + 1})
+        env.adapter("coord").inject_faults([(0, crash)])
+        with pytest.raises(InjectedCrash):
+            victim.commit()
+        env.adapter("coord").clear_faults()
+        assert read_dispatch(env.registry, env.manager.decoupling, keys[0]).prepared
+
+        tx = self.blind_commit(env, keys)
+        assert tx.status is TxStatus.COMMITTED
+        # the victim's version, or the seed's
+        settled = 2 if crash is FaultKind.CRASH_AFTER_BATCH else 1
+        assert decode_metadata(tx.read_set[keys[0]].meta).version == settled
+        assert [committed_value(env, key) for key in keys] == [{"v": 10}, {"v": 11}]
+        assert committed_value(env, k("s2")) == {"v": settled}
+        outcome = env.registry.read(env.manager.coordinator.key_for(victim.tx_id))
+        assert outcome[COORD_STATE_COLUMN] == ("COMMITTED" if settled == 2 else "ABORTED")
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_a_torn_pair_raises_recovery_failed(self, count):
+        env = self.env("snapshot")
+        keys = [k(pk=pk) for pk in range(count)]
+        # the application row alone: what a half-written pair looks like
+        env.adapter("s1").atomic_write([ConditionalWrite(keys[0], {"v": 1})])
+        with pytest.raises(RecoveryFailed, match="torn split pair"):
+            self.blind_commit(env, keys)
+        assert [r.key for r in env.dump_all()] == [keys[0]]
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("mode", ["colocated_consistent", "snapshot", "view"])
+    def test_a_row_without_metadata_raises_missing_metadata(self, mode, count):
+        env = self.env(mode)
+        keys = [k(pk=pk) for pk in range(count)]
+        rows = [ConditionalWrite(keys[0], {"v": 1})]
+        if self.MODES[mode][0]:
+            rows.append(ConditionalWrite(DecoupleConfig.metadata_key(keys[0]), {"note": "x"}))
+        env.adapter("s1").atomic_write(rows)
+        with pytest.raises(MissingMetadata, match="carries no fedtx metadata"):
+            self.blind_commit(env, keys)
+        assert len(env.dump_all()) == len(rows)
+
 
 class TestRowAliasing:
     """Rows built without a copy stay out of reach of the caller's dicts."""
@@ -1809,10 +2034,13 @@ class TestReadDecoding:
         env = build_env(**mode_env_args(mode))
         columns = stored_row({"v": 1}, TransactionMetadata("t0", 1, TxState.COMMITTED, 1, 2))
         columns[COL_STATE] = "LIMBO"
-        logical = ConditionalWrite(k(), columns)
-        env.registry.atomic_write(
-            fedtx.decoupling.expand_writes(env.registry, env.manager.decoupling, [logical])
-        )
+        if env.manager.decoupling is None:
+            rows = [ConditionalWrite(k(), columns)]
+        else:
+            app, meta = split_columns(columns)
+            meta_key = DecoupleConfig.metadata_key(k())
+            rows = [ConditionalWrite(k(), app), ConditionalWrite(meta_key, meta)]
+        env.registry.atomic_write(rows)
         with pytest.raises(ValueError, match="LIMBO"):
             env.manager.begin().get(k())
         with pytest.raises(ValueError, match="LIMBO"):
