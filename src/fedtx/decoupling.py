@@ -107,14 +107,6 @@ class DecoupleConfig:
         table += META_TABLE_SUFFIX
         return _new_tuple(FullKey, (storage, namespace, table, partition_key, clustering_key))
 
-    @staticmethod
-    def application_key(meta_key: FullKey) -> FullKey:
-        storage, namespace, table, partition_key, clustering_key = meta_key
-        if not table.endswith(META_TABLE_SUFFIX):
-            raise ValueError(f"{table!r} is not a metadata table")
-        table = table[: -len(META_TABLE_SUFFIX)]
-        return _new_tuple(FullKey, (storage, namespace, table, partition_key, clustering_key))
-
 
 class ReadPath(enum.Enum):
     """How a logical record was fetched; decides later validation."""
@@ -213,7 +205,7 @@ def splits(registry: StorageRegistry, config: DecoupleConfig | None, key: FullKe
     """Whether ``config`` splits ``key``; raises if its metadata row would leave the key's scope."""
     if config is None or not config.applies_to(key):
         return False
-    if not metadata_in_scope(registry.get_atomicity_unit(key)):
+    if not metadata_in_scope(registry.capabilities(key).atomicity_unit):
         raise AtomicityScopeViolation(f"metadata row for {key.render()} leaves its atomic scope")
     return True
 
@@ -275,7 +267,11 @@ def expand_writes(
 
 def logical_key(key: FullKey) -> FullKey:
     """The record a row stored at ``key`` belongs to; a metadata row's is its application row."""
-    return DecoupleConfig.application_key(key) if DecoupleConfig.holds_metadata(key) else key
+    if not DecoupleConfig.holds_metadata(key):
+        return key
+    storage, namespace, table, partition_key, clustering_key = key
+    table = table[: -len(META_TABLE_SUFFIX)]
+    return _new_tuple(FullKey, (storage, namespace, table, partition_key, clustering_key))
 
 
 def _join(key: FullKey, app: Mapping | None, meta: Mapping | None, path: ReadPath) -> ReadResult:
@@ -325,16 +321,6 @@ def read_snapshot(
     return results
 
 
-def read_split_snapshot(
-    registry: StorageRegistry, config: DecoupleConfig, key: FullKey
-) -> ReadResult:
-    """Both rows fetched at one consistent point: ``read_snapshot``'s one-key case."""
-    result = read_snapshot(registry, config, [key])[0]
-    if result is None:
-        raise JoinIntegrityError(f"one of the two rows of {key.render()} is missing")
-    return result
-
-
 def _route(
     registry: StorageRegistry, config: DecoupleConfig | None, key: FullKey
 ) -> tuple[ReadPath, StorageAdapter, str | None]:
@@ -379,5 +365,8 @@ def read_dispatch(
         row = adapter.read(key)
         return ReadResult(row, row, path)
     if path is ReadPath.SNAPSHOT:
-        return read_split_snapshot(registry, config, key)
+        result = read_snapshot(registry, config, [key])[0]  # both rows at one consistent point
+        if result is None:
+            raise JoinIntegrityError(f"one of the two rows of {key.render()} is missing")
+        return result
     return read_split(registry, config, key)

@@ -27,7 +27,8 @@ def group_by_atomicity_unit(registry: StorageRegistry, writes: Iterable) -> list
     buckets: dict[tuple, list] = {}
     for write in writes:
         key = write.key
-        buckets.setdefault(scope_of(key, registry.get_atomicity_unit(key)), []).append(write)
+        unit = registry.capabilities(key).atomicity_unit
+        buckets.setdefault(scope_of(key, unit), []).append(write)
     if len(buckets) < 2:
         return list(buckets.values())
     return [buckets[scope] for scope in sorted(buckets, key=lambda scope: render_key(*scope))]

@@ -146,7 +146,7 @@ class MemStore(StorageAdapter):
         return MappingProxyType(columns) if columns is not None else None
 
     def scan(self, prefix: GroupKey) -> list[tuple[tuple, Mapping]]:
-        partition = (prefix.namespace, prefix.table, prefix.partition_key)
+        partition = prefix[1:]  # (namespace, table, partition key)
         with self._lock:
             hits = [
                 (ck, MappingProxyType(self._rows[partition + (ck,)]))

@@ -14,9 +14,10 @@ A ``FullKey`` is itself the tuple (storage, namespace, table, partition key,
 clustering key), so it hashes and compares in C, and an atomicity unit's scope
 is a prefix of it: the slice that the unit keeps. ``scope_of`` is the one place
 that maps a unit to that slice, a plain tuple, which is what the hot paths
-compare and hash. A ``GroupKey`` addresses the one partition a scan reads: its
-partition key is checked as a ``FullKey``'s is, and its ``scope()`` is the
-PARTITION scope of every key in it.
+compare and hash. A ``GroupKey`` addresses the one partition a scan reads: it
+is the tuple (storage, namespace, table, partition key), its partition key
+checked as a ``FullKey``'s is, so it equals the PARTITION scope of every key
+in it. Both are ``CheckedTuple``s, as are the batch values of ``storage``.
 
 Clustering keys are ordered by plain Python tuple comparison. That is the
 model's order, because a key component can only be an int, a str or a bytes
@@ -37,7 +38,6 @@ from __future__ import annotations
 import enum
 import json
 from collections import _tuplegetter  # the C field getter of namedtuple's classes
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 ColumnValue = int | str | bool | bytes | None
@@ -91,20 +91,46 @@ def _check_key_components(name: str, components: tuple) -> None:
 _new_tuple = tuple.__new__
 
 
-class FullKey(tuple):
-    """Complete address of one record.
+class CheckedTuple(tuple):
+    """A value that is the tuple of its fields and holds nothing else, built through checks.
 
-    The partition key must be non-empty; the clustering key may be empty. No
-    key component may be null or bool. (partition_key, clustering_key) is
-    unique within a table.
-
-    A key is the tuple of its five components, (storage, namespace, table,
-    partition key, clustering key), and holds nothing else: it hashes,
-    compares and slices as that tuple, all in C, and each field is read
-    through the C getter ``collections.namedtuple`` uses.
+    A subclass names its fields once, in ``_fields``, and checks them in its
+    own ``__new__``. This base gives each field the C getter
+    ``collections.namedtuple`` uses, a ``Name(field=value, ...)`` repr, and a
+    ``__reduce__`` that rebuilds every copy and unpickled value through that
+    ``__new__``, a mapping field handed over as a plain dict copy. Unlike a
+    namedtuple's, its class has no ``_make`` or ``_replace`` to skip the checks.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        for index, name in enumerate(cls._fields):
+            setattr(cls, name, _tuplegetter(index, f"Alias for field number {index}"))
+        cls._repr_format = f"{cls.__name__}({', '.join(f'{name}=%r' for name in cls._fields)})"
+
+    def __repr__(self) -> str:
+        return self._repr_format % self
+
+    def __reduce__(self):
+        fields = tuple(dict(v) if isinstance(v, Mapping) else v for v in self)
+        return self.__class__, fields
+
+
+class FullKey(CheckedTuple):
+    """Complete address of one record.
+
+    A key is the tuple (storage, namespace, table, partition key, clustering
+    key) and hashes, compares and slices as that tuple, all in C. The
+    partition key must be non-empty; the clustering key may be empty; both
+    are tuples. No key component may be null or bool. (partition_key,
+    clustering_key) is unique within a table.
+    """
+
+    __slots__ = ()
+    _fields = ("storage", "namespace", "table", "partition_key", "clustering_key")
 
     def __new__(
         cls,
@@ -122,12 +148,6 @@ class FullKey(tuple):
         _check_key_components("clustering key", clustering_key)
         return _new_tuple(cls, (storage, namespace, table, partition_key, clustering_key))
 
-    storage = _tuplegetter(0, "Name of the store.")
-    namespace = _tuplegetter(1, "Namespace within the store.")
-    table = _tuplegetter(2, "Table within the namespace.")
-    partition_key = _tuplegetter(3, "Non-empty tuple naming the partition.")
-    clustering_key = _tuplegetter(4, "Tuple ordering the record within its partition.")
-
     @classmethod
     def _unchecked(
         cls, storage: str, namespace: str, table: str, partition_key: tuple, clustering_key: tuple
@@ -139,16 +159,6 @@ class FullKey(tuple):
         row's key was checked when the row was written.
         """
         return _new_tuple(cls, (storage, namespace, table, partition_key, clustering_key))
-
-    def __repr__(self) -> str:
-        return (
-            "FullKey(storage=%r, namespace=%r, table=%r, partition_key=%r, clustering_key=%r)"
-            % self
-        )
-
-    def __reduce__(self):
-        # A copied or unpickled key is rebuilt through the checking constructor.
-        return FullKey, tuple(self)
 
     def render(self) -> str:
         return render_key(*self)
@@ -203,31 +213,29 @@ _UNIT_DEPTH = {
 }
 
 
-@dataclass(frozen=True)
-class GroupKey:
+class GroupKey(CheckedTuple):
     """Address of one partition: the prefix a scan names.
 
-    The partition key is checked as a ``FullKey``'s is: non-empty, and no
-    component null or bool.
+    A group key is the tuple (storage, namespace, table, partition key), so it
+    equals, and hashes like, the PARTITION scope ``scope_of`` gives every key
+    of its partition. The partition key is checked as a ``FullKey``'s is:
+    non-empty, and no component null or bool.
     """
 
-    storage: str
-    namespace: str
-    table: str
-    partition_key: tuple
+    __slots__ = ()
+    _fields = ("storage", "namespace", "table", "partition_key")
 
-    def __post_init__(self):
-        object.__setattr__(self, "partition_key", tuple(self.partition_key))
-        if not self.partition_key:
+    def __new__(
+        cls, storage: str, namespace: str, table: str, partition_key: Iterable
+    ) -> "GroupKey":
+        partition_key = tuple(partition_key)
+        if not partition_key:
             raise ValueError("partition key must be non-empty")
-        _check_key_components("partition key", self.partition_key)
+        _check_key_components("partition key", partition_key)
+        return _new_tuple(cls, (storage, namespace, table, partition_key))
 
     def render(self) -> str:
-        return render_key(self.storage, self.namespace, self.table, self.partition_key)
-
-    def scope(self) -> tuple:
-        """The PARTITION scope ``scope_of`` gives every key of this partition."""
-        return (self.storage, self.namespace, self.table, self.partition_key)
+        return render_key(*self)
 
 
 def scope_of(key: FullKey, unit: AtomicityUnit) -> tuple:

@@ -71,15 +71,8 @@ def outcome_committed_at(row: Mapping[str, object]) -> int | None:
     return None
 
 
-def is_metadata_column(name: str) -> bool:
-    return name.startswith(META_PREFIX)
-
-
 def check_application_columns(columns: Mapping[str, object]) -> None:
-    """Reject application columns that collide with the reserved prefix.
-
-    ``is_metadata_column``'s test, inline: every ``put`` runs it on each column.
-    """
+    """Reject application columns that collide with the reserved prefix: every ``put`` runs it."""
     for name in columns:
         if name.startswith(META_PREFIX):
             raise ValueError(f"column name {name!r} uses the reserved {META_PREFIX!r} prefix")

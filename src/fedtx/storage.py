@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from collections import _tuplegetter  # the C field getter of namedtuple's classes
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .errors import CapabilityUnsupported, UnknownStorage
-from .model import AtomicityUnit, FullKey, GroupKey
+from .model import AtomicityUnit, CheckedTuple, FullKey, GroupKey
 
 _new_tuple = tuple.__new__
 
@@ -35,21 +34,22 @@ class ConditionKind(enum.Enum):
     IF_COLUMNS_EQUAL = "IF_COLUMNS_EQUAL"
 
 
-class WriteCondition(tuple):
+class WriteCondition(CheckedTuple):
     """When a write may apply, checked against the stored record at apply time.
 
     ``IF_COLUMNS_EQUAL`` holds when the record exists and its columns are
     exactly ``expected_columns``: the same names, and each pair of values
     equal within one ``model.ValueTag`` (so ``True`` does not equal ``1``).
 
-    A condition is the tuple (kind, expected_tx_id, expected_columns) and
-    holds nothing else, as ``model.FullKey`` is its components: the
-    constructor checks that the fields fit the kind, and each field is read
-    through the C getter ``collections.namedtuple`` uses. A copy or an
-    unpickled condition is rebuilt through that constructor.
+    A condition is the ``model.CheckedTuple`` (kind, expected_tx_id,
+    expected_columns): the tx id IF_TX_ID_EQUALS expects and the row
+    IF_COLUMNS_EQUAL expects, each None for every other kind. The
+    constructor refuses a ``kind`` that is not a ``ConditionKind`` member
+    and checks that the other fields fit the kind.
     """
 
     __slots__ = ()
+    _fields = ("kind", "expected_tx_id", "expected_columns")
 
     def __new__(
         cls,
@@ -57,6 +57,8 @@ class WriteCondition(tuple):
         expected_tx_id: str | None = None,
         expected_columns: Mapping[str, object] | None = None,
     ) -> "WriteCondition":
+        if not isinstance(kind, ConditionKind):
+            raise TypeError(f"kind must be a ConditionKind, not {kind!r}")
         if kind is ConditionKind.IF_TX_ID_EQUALS:
             if not expected_tx_id:
                 raise ValueError("IF_TX_ID_EQUALS requires a non-empty expected tx id")
@@ -65,19 +67,6 @@ class WriteCondition(tuple):
         if (kind is ConditionKind.IF_COLUMNS_EQUAL) != (expected_columns is not None):
             raise ValueError("expected_columns applies to, and is required by, IF_COLUMNS_EQUAL")
         return _new_tuple(cls, (kind, expected_tx_id, expected_columns))
-
-    kind = _tuplegetter(0, "The ``ConditionKind`` tested.")
-    expected_tx_id = _tuplegetter(1, "The tx id IF_TX_ID_EQUALS expects, else None.")
-    expected_columns = _tuplegetter(2, "The row IF_COLUMNS_EQUAL expects, else None.")
-
-    def __repr__(self) -> str:
-        return "WriteCondition(kind=%r, expected_tx_id=%r, expected_columns=%r)" % self
-
-    def __reduce__(self):
-        # A copied or unpickled condition is rebuilt through the checking
-        # constructor; a read-only row is handed over as a plain dict copy.
-        kind, tx_id, columns = self
-        return WriteCondition, (kind, tx_id, None if columns is None else dict(columns))
 
 
 UNCONDITIONAL = WriteCondition(ConditionKind.UNCONDITIONAL)
@@ -99,22 +88,23 @@ def if_columns_equal(columns: Mapping[str, object]) -> WriteCondition:
     return WriteCondition(ConditionKind.IF_COLUMNS_EQUAL, expected_columns=columns)
 
 
-class ConditionalWrite(tuple):
+class ConditionalWrite(CheckedTuple):
     """One write in an atomic batch: full post-image plus an apply condition.
 
-    A write is the tuple (key, columns, condition, kind), read through the
-    same C field getters as ``WriteCondition``. The constructor refuses a
+    A write is the ``model.CheckedTuple`` (key, columns, condition, kind).
+    The constructor refuses a ``key`` that is not a ``FullKey``, a
     ``condition`` that is not a ``WriteCondition`` and a ``kind`` that is not
     a ``WriteKind`` member, and copies ``columns`` into a read-only
     ``MappingProxyType``, so the caller may go on changing the mapping it
-    passed; a copied or unpickled write is rebuilt through it. ``_owning``
-    skips the checks and the copy; its precondition is a fresh dict that
-    nobody else holds, and a condition and kind of the right types, which is
-    how the commit path builds each written row. Neither checks the columns:
-    the store does, for every PUT of a batch (``StorageAdapter.atomic_write``).
+    passed. ``_owning`` skips the checks and the copy; its precondition is a
+    ``FullKey``, a fresh dict that nobody else holds, and a condition and
+    kind of the right types, which is how the commit path builds each
+    written row. Neither checks the columns: the store does, for every PUT
+    of a batch (``StorageAdapter.atomic_write``).
     """
 
     __slots__ = ()
+    _fields = ("key", "columns", "condition", "kind")
 
     def __new__(
         cls,
@@ -123,16 +113,13 @@ class ConditionalWrite(tuple):
         condition: WriteCondition = UNCONDITIONAL,
         kind: WriteKind = WriteKind.PUT,
     ) -> "ConditionalWrite":
+        if not isinstance(key, FullKey):
+            raise TypeError(f"key must be a FullKey, not {type(key).__name__}")
         if not isinstance(condition, WriteCondition):
             raise TypeError(f"condition must be a WriteCondition, not {type(condition).__name__}")
         if not isinstance(kind, WriteKind):
             raise TypeError(f"kind must be a WriteKind, not {kind!r}")
         return _new_tuple(cls, (key, MappingProxyType(dict(columns)), condition, kind))
-
-    key = _tuplegetter(0, "The ``FullKey`` written.")
-    columns = _tuplegetter(1, "The read-only post-image.")
-    condition = _tuplegetter(2, "The ``WriteCondition`` the write applies under.")
-    kind = _tuplegetter(3, "The ``WriteKind``: PUT or DELETE.")
 
     @classmethod
     def _owning(
@@ -150,15 +137,6 @@ class ConditionalWrite(tuple):
         that ``decoupling.expand_writes`` places beside its metadata row.
         """
         return _new_tuple(cls, (key, MappingProxyType(columns), condition, kind))
-
-    def __repr__(self) -> str:
-        return "ConditionalWrite(key=%r, columns=%r, condition=%r, kind=%r)" % self
-
-    def __reduce__(self):
-        # A copied or unpickled write is rebuilt through the copying
-        # constructor, so its columns are a read-only copy again.
-        key, columns, condition, kind = self
-        return ConditionalWrite, (key, dict(columns), condition, kind)
 
 
 @dataclass(frozen=True)
@@ -271,9 +249,6 @@ class StorageRegistry:
             return self._capabilities[key.storage]
         except KeyError:
             raise UnknownStorage(f"no storage registered under {key.storage!r}") from None
-
-    def get_atomicity_unit(self, key: FullKey) -> AtomicityUnit:
-        return self.capabilities(key).atomicity_unit
 
     def read(self, key: FullKey) -> Mapping | None:
         return self.get_database(key).read(key)

@@ -379,18 +379,19 @@ class TransactionManager:
         A key already in the read set keeps that read and is not read again.
         The partition lies in one table, so whether its rows are split is
         decided once. The store returns each row with its clustering key, in
-        clustering order, and each row present is handed out in one pass as
-        a freshly filtered dict of its application columns. Only a buffered
-        write in the partition calls for a merge and a sort.
+        clustering order; ``prefix`` is the partition's scope, so each key is
+        ``prefix`` joined to its clustering key, and each row present is
+        handed out in one pass as a freshly filtered dict of its application
+        columns. Only a buffered write in the partition calls for a merge and
+        a sort.
         """
         rows = self.registry.scan(prefix)
         split = self.decoupling is not None and self.decoupling.applies_to(prefix)
         read_set = tx.read_set
-        scope = prefix.scope()
         unchecked_key = FullKey._unchecked
         items = []
         for ck, row in rows:
-            key = unchecked_key(*scope, ck)
+            key = unchecked_key(*prefix, ck)
             obs = read_set.get(key)
             if obs is None:
                 # A split row lacks its metadata; a colocated one is read again only in doubt.
@@ -403,7 +404,7 @@ class TransactionManager:
         own = [
             (key, columns)
             for key, columns in tx.write_set.items()
-            if scope_of(key, AtomicityUnit.PARTITION) == scope
+            if scope_of(key, AtomicityUnit.PARTITION) == prefix
         ]
         if not own:
             return items

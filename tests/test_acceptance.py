@@ -18,8 +18,8 @@ from fedtx import (
     InjectedCrash,
     RecoveryFailed,
 )
-from fedtx.decoupling import ReadPath, logical_key, read_dispatch, read_split, read_split_snapshot
-from fedtx.records import COL_STATE, is_metadata_column
+from fedtx.decoupling import ReadPath, logical_key, read_dispatch, read_snapshot, read_split
+from fedtx.records import COL_STATE, META_PREFIX
 from fedtx.verifier import HistoryRecorder, audit_atomicity, check_serializable
 from conftest import (
     METADATA_MODES,
@@ -340,7 +340,7 @@ def test_criterion_8_read_route_equivalence():
         for pk in rng.sample(range(10_000), 10_000):
             key = k(pk=pk)
             split = read_split(env.registry, cfg, key)
-            snapshot = read_split_snapshot(env.registry, cfg, key)
+            [snapshot] = read_snapshot(env.registry, cfg, [key])
             view = read_dispatch(env.registry, cfg, key)
             assert view.path is ReadPath.VIEW
             assert split.app_columns == snapshot.app_columns == view.app_columns
@@ -357,7 +357,7 @@ def _application_state(env):
             columns = {
                 name: value
                 for name, value in record.columns.items()
-                if not is_metadata_column(name)
+                if not name.startswith(META_PREFIX)
             }
             state[record.key.render()] = columns
     return state

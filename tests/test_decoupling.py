@@ -22,8 +22,8 @@ from fedtx.decoupling import (
     logical_key,
     metadata_in_scope,
     read_dispatch,
+    read_snapshot,
     read_split,
-    read_split_snapshot,
 )
 from fedtx.model import scope_of
 from conftest import (
@@ -79,7 +79,7 @@ class TestLocator:
             CFG.metadata_key(k(table="t_meta"))
 
     def test_inverse(self):
-        assert CFG.application_key(CFG.metadata_key(k())) == k()
+        assert logical_key(CFG.metadata_key(k())) == k()
 
     def test_namespace_filter(self):
         cfg = DecoupleConfig(namespaces=frozenset({"other"}))
@@ -296,7 +296,7 @@ class TestReadRoutes:
         env = seeded_env(consistent=True, view=True)
         cfg = env.manager.decoupling
         split = read_split(env.registry, cfg, k())
-        snapshot = read_split_snapshot(env.registry, cfg, k())
+        [snapshot] = read_snapshot(env.registry, cfg, [k()])
         view = read_dispatch(env.registry, cfg, k())
         assert view.path is ReadPath.VIEW
         assert split.app_columns == snapshot.app_columns == view.app_columns
@@ -338,7 +338,7 @@ class TestReadRoutes:
     def test_snapshot_counts_one_db_transaction(self):
         env = seeded_env(consistent=True)
         env.adapter("s1").reset_counters()
-        read_split_snapshot(env.registry, env.manager.decoupling, k())
+        read_snapshot(env.registry, env.manager.decoupling, [k()])
         counters = env.counters("s1")
         assert (counters.db_transactions, counters.reads) == (1, 2)
 

@@ -93,12 +93,13 @@ def test_grouping_partitions_the_write_set(key_list):
     seen = set()
     scopes = set()
     for members in groups:
-        unit = env.registry.get_atomicity_unit(members[0].key)
+        unit = env.registry.capabilities(members[0].key).atomicity_unit
         scope = scope_of(members[0].key, unit)
         assert scope not in scopes  # one group per scope
         scopes.add(scope)
         for member in members:
-            assert scope_of(member.key, env.registry.get_atomicity_unit(member.key)) == scope
+            member_unit = env.registry.capabilities(member.key).atomicity_unit
+            assert scope_of(member.key, member_unit) == scope
             assert id(member) not in seen
             seen.add(id(member))
 
@@ -107,7 +108,7 @@ def render_ordered(registry, writes):
     """Reference grouping: buckets sorted by their key rendering, at any size."""
     buckets = {}
     for w in writes:
-        scope = scope_of(w.key, registry.get_atomicity_unit(w.key))
+        scope = scope_of(w.key, registry.capabilities(w.key).atomicity_unit)
         buckets.setdefault(render_key(*scope), []).append(w)
     return [buckets[rendered] for rendered in sorted(buckets)]
 

@@ -25,6 +25,7 @@ from fedtx import (
     MemStoreConfig,
     UNCONDITIONAL,
     UnknownView,
+    WriteCondition,
     WriteKind,
     build_memstore,
     if_columns_equal,
@@ -311,18 +312,25 @@ class TestBatchContractOrder:
         assert s.read(k(pk=9)) is None
 
     @pytest.mark.parametrize(
-        "condition, kind",
+        "key, condition, kind",
         [
-            (UNCONDITIONAL, "PUT"),
-            (UNCONDITIONAL, None),
-            (None, WriteKind.PUT),
-            ("IF_NOT_EXISTS", WriteKind.PUT),
+            (k(), UNCONDITIONAL, "PUT"),
+            (k(), UNCONDITIONAL, None),
+            (k(), None, WriteKind.PUT),
+            (k(), "IF_NOT_EXISTS", WriteKind.PUT),
+            (("s1", "app", "t", (True,), ()), UNCONDITIONAL, WriteKind.PUT),
+            ("s1/app/t/pk=[1]/ck=[]", UNCONDITIONAL, WriteKind.PUT),
         ],
-        ids=["kind-str", "kind-none", "condition-none", "condition-str"],
+        ids=["kind-str", "kind-none", "condition-none", "condition-str", "key-tuple", "key-str"],
     )
-    def test_the_constructor_refuses_a_foreign_kind_or_condition(self, condition, kind):
-        with pytest.raises(TypeError, match="kind|condition"):
-            ConditionalWrite(k(), {"v": 1.5, 3: object()}, condition, kind)
+    def test_the_constructor_refuses_a_foreign_kind_or_condition(self, key, condition, kind):
+        with pytest.raises(TypeError, match="key|kind|condition"):
+            ConditionalWrite(key, {"v": 1.5, 3: object()}, condition, kind)
+
+    @pytest.mark.parametrize("kind", ["IF_NOT_EXISTS", None, WriteKind.PUT])
+    def test_a_condition_of_a_foreign_kind_is_refused(self, kind):
+        with pytest.raises(TypeError, match="ConditionKind"):
+            WriteCondition(kind)
 
     @pytest.mark.parametrize("kind", ["PUT", "DELETE", None])
     def test_a_forged_write_of_a_foreign_kind_is_refused_with_nothing_applied(self, kind):

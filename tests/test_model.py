@@ -9,7 +9,6 @@ import random
 import subprocess
 import sys
 import types
-from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -17,6 +16,7 @@ from hypothesis import given, strategies as st
 
 from fedtx.model import (
     AtomicityUnit,
+    CheckedTuple,
     FullKey,
     GroupKey,
     TxState,
@@ -25,7 +25,7 @@ from fedtx.model import (
     value_tag,
     ValueTag,
 )
-from fedtx.storage import ConditionalWrite
+from fedtx.storage import ConditionalWrite, WriteCondition
 from conftest import BeforeImage, TransactionMetadata, build_env, compare_values, stored_row
 
 KEY = FullKey("s1", "ns", "t", (5,), (2,))
@@ -143,22 +143,30 @@ class TestFullKey:
         for derived in (KEY[:], KEY[:5], KEY + (), KEY * 1, tuple(KEY)):
             assert type(derived) is tuple
 
-    def test_copies_and_pickles_are_rebuilt_through_the_checks(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "key, forged",
+        [
+            (KEY, tuple.__new__(FullKey, ("s", "ns", "t", (True,), ()))),
+            (GroupKey("s1", "ns", "t", (5,)), tuple.__new__(GroupKey, ("s", "ns", "t", ()))),
+        ],
+        ids=["full-key", "group-key"],
+    )
+    def test_copies_and_pickles_are_rebuilt_through_the_checks(self, monkeypatch, key, forged):
+        cls = type(key)
         built = []
-        checking = FullKey.__new__
+        checking = cls.__new__
 
         def counting(cls, *parts, **named):
             built.append(parts)
             return checking(cls, *parts, **named)
 
-        monkeypatch.setattr(FullKey, "__new__", counting)
-        copies = [copy.copy(KEY), copy.deepcopy(KEY)]
-        copies += [pickle.loads(pickle.dumps(KEY, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
-        assert copies == [KEY] * len(copies)
-        assert all(type(key) is FullKey for key in copies)
-        assert built == [tuple(KEY)] * len(copies)
+        monkeypatch.setattr(cls, "__new__", counting)
+        copies = [copy.copy(key), copy.deepcopy(key)]
+        copies += [pickle.loads(pickle.dumps(key, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        assert copies == [key] * len(copies)
+        assert all(type(c) is cls for c in copies)
+        assert built == [tuple(key)] * len(copies)
         # A key smuggled past the checks does not survive a round trip.
-        forged = tuple.__new__(FullKey, ("s", "ns", "t", (True,), ()))
         for p in range(pickle.HIGHEST_PROTOCOL + 1):
             with pytest.raises(ValueError, match="partition key"):
                 pickle.loads(pickle.dumps(forged, p))
@@ -261,7 +269,8 @@ class TestScopeProperties:
     @given(full_keys)
     def test_the_partition_scope_is_the_group_keys(self, key):
         scope = scope_of(key, AtomicityUnit.PARTITION)
-        assert scope == astuple(GroupKey(*scope)) == GroupKey(*scope).scope()
+        prefix = GroupKey(*scope)
+        assert prefix == scope and scope == prefix and hash(prefix) == hash(scope)
 
     @given(full_keys, full_keys)
     def test_equal_partition_scopes_iff_equal_group_keys(self, k1, k2):
@@ -306,6 +315,9 @@ class TestGroupKey:
         prefix = GroupKey("s", "ns", "t", [1, "a"])
         assert prefix.partition_key == (1, "a")
         assert prefix.render() == 's/ns/t/pk=[1,"a"]'
+        assert repr(prefix) == (
+            "GroupKey(storage='s', namespace='ns', table='t', partition_key=(1, 'a'))"
+        )
 
     @pytest.mark.parametrize(
         "partition_key", [(), (None,), (True,), (1, False)], ids=["empty", "null", "bool", "last-bool"]
@@ -324,6 +336,13 @@ class TestGroupKey:
             < AtomicityUnit.NAMESPACE
             < AtomicityUnit.STORAGE
         )
+
+
+def test_every_key_and_batch_value_takes_its_repr_and_reduce_from_one_base():
+    for cls in (FullKey, GroupKey, WriteCondition, ConditionalWrite):
+        assert issubclass(cls, CheckedTuple) and cls.__slots__ == ()
+        assert "__repr__" not in vars(cls) and "__reduce__" not in vars(cls)
+        assert not hasattr(cls, "_make") and not hasattr(cls, "_replace")
 
 
 def test_star_import_binds_no_module():

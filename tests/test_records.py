@@ -19,8 +19,8 @@ from fedtx.records import (
     COORD_CREATED_COLUMN,
     COORD_STATE_COLUMN,
     application_columns,
+    META_PREFIX,
     check_application_columns,
-    is_metadata_column,
     outcome_committed_at,
     parse_metadata,
     prior_image,
@@ -131,8 +131,9 @@ def test_reserved_prefix_is_rejected():
 
 def test_metadata_columns_are_recognized():
     for name in stored_row({}, committed_meta()):
-        assert is_metadata_column(name)
-    assert not is_metadata_column("payload")
+        with pytest.raises(ValueError):
+            check_application_columns({name: 1})
+    check_application_columns({"payload": 1})
 
 
 stored_metadata = st.one_of(
@@ -396,7 +397,7 @@ def test_the_row_check_accepts_exactly_what_the_oracle_decodes(columns, meta, mo
     row = stored_row(columns, meta)
     if fault is not None:
         index, value = fault
-        names = sorted(name for name in row if is_metadata_column(name))
+        names = sorted(name for name in row if name.startswith(META_PREFIX))
         name = names[index % len(names)]
         if value is MISSING:
             del row[name]

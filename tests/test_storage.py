@@ -75,8 +75,8 @@ class TestRegistry:
 
     def test_atomicity_unit_is_stable_per_adapter(self):
         registry = registry_with("s1", unit=AtomicityUnit.PARTITION)
-        assert registry.get_atomicity_unit(k("s1", pk=1)) is AtomicityUnit.PARTITION
-        assert registry.get_atomicity_unit(k("s1", pk=2)) is AtomicityUnit.PARTITION
+        assert registry.capabilities(k("s1", pk=1)).atomicity_unit is AtomicityUnit.PARTITION
+        assert registry.capabilities(k("s1", pk=2)).atomicity_unit is AtomicityUnit.PARTITION
 
 
 class TestConsistentReadable:

@@ -1392,13 +1392,13 @@ class TestScopeCost:
     def built(self, monkeypatch):
         """Keys built through their checking constructor, and ``Record``s built at all."""
         counts = {GroupKey: 0, FullKey: 0, Record: 0}
-        check_group_key = GroupKey.__post_init__
+        new_group_key = GroupKey.__new__
 
-        def counting_group_key(self):
+        def counting_group_key(cls, *parts, **named):
             counts[GroupKey] += 1
-            check_group_key(self)
+            return new_group_key(cls, *parts, **named)
 
-        monkeypatch.setattr(GroupKey, "__post_init__", counting_group_key)
+        monkeypatch.setattr(GroupKey, "__new__", counting_group_key)
         new_key = FullKey.__new__  # the checking constructor; FullKey._unchecked bypasses it
 
         def counting_key(cls, *parts, **named):
