@@ -26,10 +26,12 @@ dict lookup:
   pair when a writer lands between the two reads, so the transaction layer
   must re-validate such reads before committing.
 
-Each result is tagged with the route that produced it so the commit pipeline
-knows which reads still need validation, and whether the record splits
+A pair with one row missing raises ``JoinIntegrityError``, worded alike on
+every route (``_join``, and a view's join in the store). Each result is
+tagged with the route that produced it so the commit pipeline knows which
+reads still need validation, and whether the record splits
 (``ReadResult.split``): it splits exactly when its read did not come by the
-colocated route.
+colocated route, and every write derived from the read takes that layout.
 
 Writing builds each physical row once. A colocated record's write is its
 one row, a ``ConditionalWrite`` already; a split record's is a
@@ -203,9 +205,10 @@ def metadata_in_scope(unit: AtomicityUnit) -> bool:
 
 def splits(registry: StorageRegistry, config: DecoupleConfig | None, key: FullKey) -> bool:
     """Whether ``config`` splits ``key``; raises if its metadata row would leave the key's scope."""
+    unit = registry.capabilities(key).atomicity_unit  # first: an unknown storage always raises
     if config is None or not config.applies_to(key):
         return False
-    if not metadata_in_scope(registry.capabilities(key).atomicity_unit):
+    if not metadata_in_scope(unit):
         raise AtomicityScopeViolation(f"metadata row for {key.render()} leaves its atomic scope")
     return True
 
@@ -292,13 +295,13 @@ def read_split(
 
 def read_snapshot(
     registry: StorageRegistry, config: DecoupleConfig | None, keys: Sequence[FullKey]
-) -> list[ReadResult | None]:
+) -> list[ReadResult]:
     """Records of one scope of a consistent-readable store, all read in one ``snapshot_read``.
 
-    A record ``config`` splits is fetched as both its rows and joined here
-    (a ``SNAPSHOT`` result); any other as its one row (``COLOCATED``). A
-    split pair with one row missing reads as None: a consistent read meets
-    one only where a row was written outside the protocol.
+    A record ``config`` splits is fetched as both its rows (a ``SNAPSHOT``
+    result); any other as its one row (``COLOCATED``). Each is joined by
+    ``_join``, so a torn pair raises ``JoinIntegrityError`` as on every route:
+    a consistent read meets one only where a row was written outside the protocol.
     """
     physical = []
     split = []
@@ -309,15 +312,11 @@ def read_snapshot(
             physical.append(DecoupleConfig.metadata_key(key))
         split.append(splits_key)
     rows = iter(registry.snapshot_read(physical))
-    results: list[ReadResult | None] = []
-    for splits_key in split:
+    results: list[ReadResult] = []
+    for key, splits_key in zip(keys, split):
         app = next(rows)
-        if not splits_key:
-            results.append(ReadResult(app, app, _COLOCATED))
-            continue
-        meta = next(rows)
-        torn = (app is None) != (meta is None)
-        results.append(None if torn else ReadResult(app, meta, _SNAPSHOT))
+        meta = next(rows) if splits_key else app
+        results.append(_join(key, app, meta, _SNAPSHOT if splits_key else _COLOCATED))
     return results
 
 
@@ -365,8 +364,5 @@ def read_dispatch(
         row = adapter.read(key)
         return ReadResult(row, row, path)
     if path is ReadPath.SNAPSHOT:
-        result = read_snapshot(registry, config, [key])[0]  # both rows at one consistent point
-        if result is None:
-            raise JoinIntegrityError(f"one of the two rows of {key.render()} is missing")
-        return result
+        return read_snapshot(registry, config, [key])[0]  # both rows at one consistent point
     return read_split(registry, config, key)

@@ -4,15 +4,14 @@ A write group is an atomicity-unit scope: each write is bucketed under the
 prefix of its key that its storage's atomicity unit keeps (``model.scope_of``),
 so every group fits one atomic batch. The unit is the one the storage declared
 at ``StorageRegistry.register``, and nothing else decides the grouping: a
-store that declares ``AtomicityUnit.RECORD`` is the pre-AU baseline. A
-transaction whose whole write set lands in a single group and that needs no
-read validation can commit in one phase: a single batch of already-committed
-records, with no coordinator involvement.
+store that declares ``AtomicityUnit.RECORD`` is the pre-AU baseline. Whether a
+lone group commits in one phase is the commit pipeline's decision
+(``TransactionManager._commit_pipeline``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .model import render_key, scope_of
 from .storage import StorageRegistry
@@ -32,10 +31,3 @@ def group_by_atomicity_unit(registry: StorageRegistry, writes: Iterable) -> list
     if len(buckets) < 2:
         return list(buckets.values())
     return [buckets[scope] for scope in sorted(buckets, key=lambda scope: render_key(*scope))]
-
-
-def one_phase_eligible(
-    groups: Sequence[Sequence], serializable_mode: bool, validation_required: bool
-) -> bool:
-    """One-phase commit applies to exactly one group with no validation pass."""
-    return len(groups) == 1 and not serializable_mode and not validation_required

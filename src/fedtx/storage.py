@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .errors import CapabilityUnsupported, UnknownStorage
-from .model import AtomicityUnit, CheckedTuple, FullKey, GroupKey
+from .model import AtomicityUnit, CheckedTuple, FullKey, GroupKey, Record
 
 _new_tuple = tuple.__new__
 
@@ -210,6 +210,10 @@ class StorageAdapter(ABC):
         adapter registers its views before it serves reads.
         """
         return None
+
+    def dump(self) -> list[Record]:
+        """Every stored row with its key; ``recover_all_prepared`` sweeps a store through it."""
+        raise CapabilityUnsupported(f"storage {self.name!r} cannot list its rows")
 
 
 class StorageRegistry:

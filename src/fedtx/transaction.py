@@ -65,7 +65,7 @@ from .errors import (
     RecoveryFailed,
     TransactionFinished,
 )
-from .grouping import group_by_atomicity_unit, one_phase_eligible
+from .grouping import group_by_atomicity_unit
 from .model import (
     AtomicityUnit,
     FullKey,
@@ -128,13 +128,13 @@ class _LogicalWrite:
 
     ``columns`` is None for a delete. ``_materialize_writes`` builds it from
     the write set with the transaction's earlier read of the key, if any,
-    then observes a blind write and fixes its version, its ``condition``
-    (the observed tx id, or absence when nothing was observed) and whether
-    it ``split``s, once for every row it writes. Its prepared
-    row is encoded in one ``combined_columns`` call from these fields and
-    the observed row: the before-image is that settled row's ``_tx_*``
-    columns and the read's own ``app_columns`` (filtered once, and nothing
-    changes them). The prepared row is then all a settle needs
+    then observes a blind write and fixes its version and its ``condition``
+    (the observed tx id, or absence when nothing was observed), once for
+    every row it writes; whether those rows split is ``observed.split``. Its
+    prepared row is encoded in one ``combined_columns`` call from these
+    fields and the observed row: the before-image is that settled row's
+    ``_tx_*`` columns and the read's own ``app_columns`` (filtered once, and
+    nothing changes them). The prepared row is then all a settle needs
     (``_settle_write``).
     """
 
@@ -143,13 +143,12 @@ class _LogicalWrite:
     observed: ReadResult | None
     version: int = 0
     condition: WriteCondition | None = None
-    split: bool = False
 
     def prepared_write(self, tx_id: str, prepared_at: int) -> ConditionalWrite | SplitWrite:
         obs = self.observed
         columns = self.columns
         app = {} if columns is None else columns.copy()
-        split = self.split
+        split = obs.split
         row = {} if split else app
         combined_columns(
             row,
@@ -284,7 +283,7 @@ class TxHandle:
             raise ValueError(f"{key.render()} is in a metadata table")
 
     def _check_write(self, key: FullKey) -> None:
-        """``_check_access``, then refuse a split key before any store is touched (``splits``)."""
+        """``_check_access``, then ``splits``: refuse an unknown storage, or a split it cannot batch."""
         self._check_access(key)
         splits(self._manager.registry, self._manager.decoupling, key)
 
@@ -474,19 +473,17 @@ class TransactionManager:
         self._write([write], None if committed_at is None else {key: obs})
 
     def recover_all_prepared(self) -> int:
-        """Sweep every dumpable storage and settle all in-doubt records.
+        """Sweep every storage and settle all in-doubt records.
 
         A PREPARED row, a split record's metadata row too, stands for the
-        record ``logical_key`` maps it to.
+        record ``logical_key`` maps it to. A store that cannot list its rows
+        (``StorageAdapter.dump``) raises ``CapabilityUnsupported``.
         """
         if self._queue is not None:
             self._queue.join()  # failures stay listed for drain_commit_records
         recovered = 0
         for adapter in self.registry.storages():
-            dump = getattr(adapter, "dump", None)
-            if dump is None:
-                continue
-            for record in dump():
+            for record in adapter.dump():
                 if record.columns.get(COL_STATE) != TxState.PREPARED.value:
                     continue
                 key = logical_key(record.key)
@@ -512,7 +509,6 @@ class TransactionManager:
         no-op; it is dropped, with any group it empties.
         """
         read_set = tx.read_set
-        decoupled = self.decoupling is not None
         logicals = [
             _LogicalWrite(key, columns, read_set.get(key)) for key, columns in tx.write_set.items()
         ]
@@ -532,8 +528,6 @@ class TransactionManager:
             if logical.columns is None and not observed.present:
                 noops = True  # deleting nothing: left without a condition, and dropped below
                 continue
-            if decoupled:
-                logical.split = observed.split
             meta = observed.meta
             if meta is not None:
                 logical.version = meta[COL_VERSION] + 1
@@ -550,9 +544,10 @@ class TransactionManager:
         """Observe the blind writes of each scope of a consistent-readable store in one read.
 
         A group with two or more blind writes there is read in one
-        ``read_snapshot``. A settled record is observed as read; a PREPARED,
-        torn or metadata-free one goes through ``_observe``, as a read of its
-        own would, with the same errors. A group on any other store costs one
+        ``read_snapshot``. A settled record is observed as read; a PREPARED
+        or metadata-free one goes through ``_observe``, as a read of its own
+        would, with the same errors; so does every blind write of a scope
+        whose read met a torn pair. A group on any other store costs one
         capability lookup and no read.
         """
         scoped: dict[FullKey, ReadResult] = {}
@@ -561,10 +556,12 @@ class TransactionManager:
                 keys = [logical.key for logical in group if logical.observed is None]
                 if len(keys) < 2:
                     continue
-                for key, obs in zip(keys, read_snapshot(self.registry, self.decoupling, keys)):
-                    if obs is None or obs.prepared:
-                        obs = self._observe(key, obs)
-                    scoped[key] = obs
+                try:
+                    results = read_snapshot(self.registry, self.decoupling, keys)
+                except JoinIntegrityError:
+                    continue
+                for key, obs in zip(keys, results):
+                    scoped[key] = self._observe(key, obs) if obs.prepared else obs
         return scoped
 
     def _validation_plan(
@@ -658,7 +655,7 @@ class TransactionManager:
                     logical.columns,
                     committed_at,
                     condition,
-                    logical.split,
+                    logical.observed.split,
                 )
                 for logical, write in zip(group, batch)
             ]
@@ -691,9 +688,8 @@ class TransactionManager:
             self._finish(tx, TxStatus.COMMITTED, self._tick())
             return
 
-        one_phase = self.one_phase_enabled and one_phase_eligible(
-            groups, tx.serializable, bool(plan)
-        )
+        # One phase: a lone group that no re-read has to cover.
+        one_phase = self.one_phase_enabled and len(groups) == 1 and not (tx.serializable or plan)
         if self.history is not None:
             tx.attempt = _attempt(tx, logicals, one_phase)
 
@@ -703,7 +699,7 @@ class TransactionManager:
             batch = [
                 _committed_write(
                     logical.key, logical.columns, tx.tx_id, logical.version, ts, ts,
-                    logical.condition, logical.split,
+                    logical.condition, logical.observed.split,
                 )
                 for logical in groups[0]
             ]

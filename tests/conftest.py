@@ -15,6 +15,7 @@ from fedtx import (
     DecoupleConfig,
     FullKey,
     MemStoreConfig,
+    StorageAdapter,
     StorageRegistry,
     TransactionManager,
     build_memstore,
@@ -214,6 +215,31 @@ def stored_row(app_columns, meta: TransactionMetadata) -> dict:
 
 def make_caps(unit=AtomicityUnit.STORAGE, consistent=False, view=False):
     return AdapterCapabilities(unit, consistent_readable=consistent, view_joinable=view)
+
+
+class MinimalAdapter(StorageAdapter):
+    """An adapter of the abstract methods alone, over no rows: every other call is the default."""
+
+    def __init__(self, name="bare", caps=None):
+        self._name = name
+        self._caps = caps or make_caps()
+
+    @property
+    def name(self):
+        return self._name
+
+    @property
+    def capabilities(self):
+        return self._caps
+
+    def read(self, key):
+        return None
+
+    def scan(self, prefix):
+        return []
+
+    def atomic_write(self, writes):
+        return None
 
 
 class Env:

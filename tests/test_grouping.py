@@ -3,7 +3,7 @@
 from hypothesis import given, strategies as st
 
 from fedtx import AtomicityUnit, ConditionalWrite, render_key
-from fedtx.grouping import group_by_atomicity_unit, one_phase_eligible
+from fedtx.grouping import group_by_atomicity_unit
 from fedtx.model import scope_of
 from conftest import build_env, k, make_caps
 
@@ -49,23 +49,6 @@ def test_per_record_grouping_gives_singletons():
     groups = group_by_atomicity_unit(registry, writes)
     assert len(groups) == 5
     assert all(len(ws) == 1 for ws in groups)
-
-
-class TestOnePhaseEligibility:
-    single = [[1]]
-    double = [[1], [2]]
-
-    def test_single_group_no_validation(self):
-        assert one_phase_eligible(self.single, False, False) is True
-
-    def test_two_groups(self):
-        assert one_phase_eligible(self.double, False, False) is False
-
-    def test_serializable_mode(self):
-        assert one_phase_eligible(self.single, True, False) is False
-
-    def test_validation_required(self):
-        assert one_phase_eligible(self.single, False, True) is False
 
 
 keys = st.builds(

@@ -39,6 +39,9 @@ class TestValues:
         class Name(str):
             pass
 
+        class Blob(bytes):
+            pass
+
         assert value_tag(None) is ValueTag.NULL
         assert value_tag(True) is ValueTag.BOOL
         assert value_tag(3) is ValueTag.INT
@@ -46,6 +49,7 @@ class TestValues:
         assert value_tag(b"x") is ValueTag.BLOB
         assert value_tag(Colour.RED) is ValueTag.INT
         assert value_tag(Name("x")) is ValueTag.TEXT
+        assert value_tag(Blob(b"x")) is ValueTag.BLOB
 
     def test_unsupported_type(self):
         for value in (1.5, [1], {"x": 1}):

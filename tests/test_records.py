@@ -308,7 +308,7 @@ def test_every_image_a_write_stores_is_the_object_oracles(
         image = BeforeImage(prior_app, replace(prior_meta, before_image=None))
     deleted = columns is None
     split = layout == "split"
-    logical = _LogicalWrite(KEY, columns, obs, version, condition, split)
+    logical = _LogicalWrite(KEY, columns, obs, version, condition)  # its layout is obs.split
 
     prepared = logical.prepared_write(tx_id, prepared_at)
     meta = TransactionMetadata(

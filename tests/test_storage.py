@@ -10,6 +10,7 @@ import pytest
 from fedtx import (
     AdapterCapabilities,
     AtomicityUnit,
+    CapabilityUnsupported,
     ConditionalWrite,
     ConditionKind,
     DecoupleConfig,
@@ -31,6 +32,7 @@ from fedtx.decoupling import ReadPath, read_dispatch
 from fedtx.model import TxState
 from fedtx.transaction import CoordinatorLocation
 from conftest import (
+    MinimalAdapter,
     TransactionMetadata,
     build_env,
     decode_metadata,
@@ -61,6 +63,13 @@ class TestRegistry:
         registry = registry_with("s1")
         with pytest.raises(UnknownStorage):
             registry.get_database(k("s9"))
+        with pytest.raises(UnknownStorage):
+            registry.capabilities(k("s9"))
+
+    def test_a_snapshot_read_of_no_keys_asks_no_store(self):
+        registry = StorageRegistry()
+        registry.register(MinimalAdapter(caps=make_caps(consistent=True)))
+        assert registry.snapshot_read([]) == []
 
     def test_routing_ignores_namespace(self):
         registry = registry_with("s1")
@@ -77,6 +86,24 @@ class TestRegistry:
         registry = registry_with("s1", unit=AtomicityUnit.PARTITION)
         assert registry.capabilities(k("s1", pk=1)).atomicity_unit is AtomicityUnit.PARTITION
         assert registry.capabilities(k("s1", pk=2)).atomicity_unit is AtomicityUnit.PARTITION
+
+
+class TestAdapterDefaults:
+    """What an adapter that implements the abstract methods alone answers to the rest."""
+
+    def test_optional_reads_are_refused(self):
+        adapter = MinimalAdapter()
+        with pytest.raises(CapabilityUnsupported, match="'bare' is not consistent-readable"):
+            adapter.snapshot_read([k("bare")])
+        with pytest.raises(CapabilityUnsupported, match="'bare' is not view-joinable"):
+            adapter.view_read("v", k("bare"))
+
+    def test_no_table_has_a_view(self):
+        assert MinimalAdapter().view_for(k("bare")) is None
+
+    def test_no_row_can_be_listed(self):
+        with pytest.raises(CapabilityUnsupported, match="'bare' cannot list its rows"):
+            MinimalAdapter().dump()
 
 
 class TestConsistentReadable:
@@ -243,6 +270,8 @@ class TestDeclarations:
             WriteCondition(ConditionKind.IF_TX_ID_EQUALS, None)
         with pytest.raises(ValueError):
             WriteCondition(ConditionKind.IF_TX_ID_EQUALS, "")
+        with pytest.raises(ValueError):
+            if_tx_id_equals("")  # the commit path's own constructor refuses it too
 
     def test_other_conditions_reject_id(self):
         with pytest.raises(ValueError):

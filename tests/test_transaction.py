@@ -15,6 +15,7 @@ import fedtx.records
 import fedtx.transaction
 from fedtx import (
     AtomicityUnit,
+    CapabilityUnsupported,
     ConditionalWrite,
     ConflictAbort,
     DecoupleConfig,
@@ -28,6 +29,7 @@ from fedtx import (
     TransactionManager,
     TxState,
     TxStatus,
+    UnknownStorage,
     WriteKind,
 )
 from fedtx.decoupling import ReadPath, read_dispatch
@@ -47,6 +49,7 @@ from conftest import (
     METADATA_MODES,
     SEVEN_METADATA_COLUMNS,
     BeforeImage,
+    MinimalAdapter,
     TransactionMetadata,
     build_env,
     decode_metadata,
@@ -112,6 +115,18 @@ class TestLifecycle:
         tx.get(k())
         tx.get(k())
         assert env.counters("s1").reads == 1
+
+    @pytest.mark.parametrize("op", ["put", "delete"])
+    @pytest.mark.parametrize("decoupled", [False, True], ids=["no-config", "config"])
+    def test_a_write_to_an_unregistered_storage_is_refused_at_once(self, decoupled, op):
+        env = build_env(decoupled=decoupled)
+        tx = env.manager.begin()
+        args = (k("s9"), {"v": 1}) if op == "put" else (k("s9"),)
+        with pytest.raises(UnknownStorage, match="'s9'"):
+            getattr(tx, op)(*args)
+        assert tx.write_set == {}
+        tx.commit()
+        assert tx.status is TxStatus.COMMITTED
 
     def test_reserved_columns_rejected(self, env):
         tx = env.manager.begin()
@@ -451,6 +466,27 @@ class TestCommitShapes:
         env.adapter("s1").reset_counters()
         tx.commit()
         assert env.counters("coord").atomic_write_batches == 1
+
+    @pytest.mark.parametrize(
+        "groups, serializable, split_read",
+        [(1, False, False), (2, False, False), (1, True, False), (1, False, True)],
+        ids=["single-group", "two-groups", "serializable", "split-read"],
+    )
+    def test_one_phase_rule(self, groups, serializable, split_read):
+        """One group that no re-read must cover commits in one batch; else one coordinator row."""
+        env = build_env({"s1": make_caps(), "s2": make_caps()}, decoupled=split_read)
+        seed(env, k(pk=2), 0)
+        env.adapter("s1").reset_counters()
+        tx = env.manager.begin(serializable=serializable)
+        if split_read:
+            assert tx.get(k(pk=2)) == {"v": 0}  # read by two reads, and not rewritten
+        tx.put(k(), {"v": 1})
+        if groups == 2:
+            tx.put(k("s2"), {"v": 1})
+        tx.commit()
+        one_phase = (groups, serializable, split_read) == (1, False, False)
+        assert env.counters("s1").atomic_write_batches == (1 if one_phase else 2)
+        assert len(env.adapter("coord").dump()) == (0 if one_phase else 1)
 
     def test_version_chain_is_gapless(self, env):
         for value in range(5):
@@ -847,6 +883,13 @@ class TestRecovery:
         assert env.manager.recover_all_prepared() == 1  # only s1 was prepared
         assert committed_value(env, k("s1")) == {"v": 1}
         assert committed_value(env, k("s2")) == {"v": 2}
+
+    def test_sweep_refuses_a_store_that_cannot_list_its_rows(self):
+        """A sweep that skipped such a store would report every record settled."""
+        env = build_env()
+        env.registry.register(MinimalAdapter())
+        with pytest.raises(CapabilityUnsupported, match="'bare' cannot list its rows"):
+            env.manager.recover_all_prepared()
 
     def test_sweep_reads_again_after_a_torn_roll_forward(self):
         """A sweep's roll-forward built from a torn split read fails, and the record is read again."""
