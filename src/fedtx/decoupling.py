@@ -15,13 +15,14 @@ Reading takes one of three routes, picked from the capabilities the adapter
 declared at registration, from its views, and from whether the metadata row
 shares the key's scope. All of that is fixed per table, so the route is
 resolved on a table's first read under a config and kept in the registry
-(``StorageRegistry.routes``); every later read of the table finds it with one
-dict lookup:
+(``StorageRegistry.routes``); every later read of the table, and the commit
+pipeline's guess of a blind put, finds it with one dict lookup (``route_of``):
 
 * a registered database view joins the two rows inside the store;
 * a multi-record consistent read fetches both rows at one point
   (``read_snapshot``, which reads any number of records of one scope in one
-  call: the commit pipeline reads all the blind writes of a scope at once);
+  call: the commit pipeline reads all the blind writes of a scope it must
+  read at once);
 * two independent reads, joined here. This last route can observe a torn
   pair when a writer lands between the two reads, so the transaction layer
   must re-validate such reads before committing.
@@ -39,7 +40,8 @@ one row, a ``ConditionalWrite`` already; a split record's is a
 ``_tx_*`` columns were encoded into. ``expand_writes`` turns a batch of them
 into the rows the store applies; a write derived from a split read also
 conditions the application row on the columns it read, so a torn pair can
-never be written back.
+never be written back, and an insert conditions it on absence, so no
+application row is overwritten that its metadata row does not vouch for.
 
 A read itself decodes nothing: its ``ReadResult`` keeps the stored row(s)
 the store handed out, which never change afterwards, and that row is the
@@ -59,6 +61,7 @@ from .errors import AtomicityScopeViolation, JoinIntegrityError, MissingMetadata
 from .model import AtomicityUnit, FullKey, GroupKey, TxState
 from .records import COL_STATE, _state, application_columns, parse_metadata
 from .storage import (
+    IF_NOT_EXISTS,
     ConditionalWrite,
     StorageAdapter,
     StorageRegistry,
@@ -122,6 +125,8 @@ class ReadPath(enum.Enum):
 # Bound once: reading an enum member through its class costs about 0.1 µs on
 # Python 3.11, and these are read per record.
 _COLOCATED, _SNAPSHOT, _SPLIT_READS = ReadPath.COLOCATED, ReadPath.SNAPSHOT, ReadPath.SPLIT_READS
+_VIEW = ReadPath.VIEW
+_PREPARED = TxState.PREPARED
 
 
 class ReadResult:
@@ -177,7 +182,7 @@ class ReadResult:
             raise MissingMetadata(
                 f"the row read carries no fedtx metadata (no {COL_STATE!r} column)"
             ) from None
-        return _state(state) is TxState.PREPARED
+        return _state(state) is _PREPARED
 
     @property
     def meta(self) -> Mapping | None:
@@ -242,11 +247,14 @@ def expand_writes(
     metadata columns). Application rows (and colocated records) come first,
     metadata rows after; ``logical_key`` maps a failed row back to its record.
 
-    The application row is unconditional unless ``observed`` holds a present
-    ``SPLIT_READS`` result for the key. Then the write was derived from two
-    reads that a writer may have torn apart, and the row must still hold the
-    columns that were read. With the tx id equal too, the pair read was one
-    version, value for value.
+    The application row takes its condition from ``observed``'s result for
+    the key. Over an absent record it is ``IF_NOT_EXISTS``, as the metadata
+    row's is, so an insert never overwrites an application row left without
+    its metadata row. Over a present ``SPLIT_READS`` result the write was
+    derived from two reads that a writer may have torn apart, and the row
+    must still hold the columns that were read; with the tx id equal too, the
+    pair read was one version, value for value. Any other write (no result,
+    or a consistent read of a present record) leaves it unconditional.
     """
     if config is None:
         return writes
@@ -258,7 +266,11 @@ def expand_writes(
             continue
         key, meta_row, condition, kind, app_row = write
         obs = observed.get(key) if observed is not None else None
-        if obs is not None and obs.path is _SPLIT_READS and obs.present:
+        if obs is None:
+            app_condition = UNCONDITIONAL
+        elif not obs.present:
+            app_condition = IF_NOT_EXISTS
+        elif obs.path is _SPLIT_READS:
             app_condition = if_columns_equal(obs.app_columns)
         else:
             app_condition = UNCONDITIONAL
@@ -290,7 +302,7 @@ def read_split(
     """Two independent reads joined here; the pair may be torn under writers."""
     app = registry.read(key)
     meta = registry.read(config.metadata_key(key))
-    return _join(key, app, meta, ReadPath.SPLIT_READS)
+    return _join(key, app, meta, _SPLIT_READS)
 
 
 def read_snapshot(
@@ -344,25 +356,32 @@ def _route(
     return ReadPath.SNAPSHOT, adapter, None
 
 
-def read_dispatch(
+def route_of(
     registry: StorageRegistry, config: DecoupleConfig | None, key: FullKey
-) -> ReadResult:
-    """Fetch a logical record by the best route the storage supports (see ``_route``).
+) -> tuple[ReadPath, StorageAdapter, str | None]:
+    """``key``'s route (see ``_route``): one lookup in ``registry.routes``.
 
-    The route is one lookup in ``registry.routes``, keyed by ``config``
-    (None too) and the key's table; a table's first read resolves it.
+    The memo is keyed by ``config`` (None too) and the key's table; a
+    table's first lookup resolves its route.
     """
     slot = (config, key.storage, key.namespace, key.table)
     route = registry.routes.get(slot)
     if route is None:
         route = registry.routes[slot] = _route(registry, config, key)
-    path, adapter, view_name = route
-    if path is ReadPath.VIEW:
+    return route
+
+
+def read_dispatch(
+    registry: StorageRegistry, config: DecoupleConfig | None, key: FullKey
+) -> ReadResult:
+    """Fetch a logical record by the best route the storage supports (``route_of``)."""
+    path, adapter, view_name = route_of(registry, config, key)
+    if path is _VIEW:
         row = adapter.view_read(view_name, key)
         return ReadResult(row, row, path)
-    if path is ReadPath.COLOCATED:
+    if path is _COLOCATED:
         row = adapter.read(key)
         return ReadResult(row, row, path)
-    if path is ReadPath.SNAPSHOT:
+    if path is _SNAPSHOT:
         return read_snapshot(registry, config, [key])[0]  # both rows at one consistent point
     return read_split(registry, config, key)

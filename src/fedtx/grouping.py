@@ -21,12 +21,17 @@ def group_by_atomicity_unit(registry: StorageRegistry, writes: Iterable) -> list
     """Bucket writes (anything with a ``key``) by their storage's atomic-write scope.
 
     The result is a partition of the input, ordered by the text rendering of
-    each group's scope; a lone group needs no rendering.
+    each group's scope; a lone group needs no rendering. Each storage's unit
+    is looked up once per call.
     """
     buckets: dict[tuple, list] = {}
+    units = {}
     for write in writes:
         key = write.key
-        unit = registry.capabilities(key).atomicity_unit
+        storage = key.storage
+        unit = units.get(storage)
+        if unit is None:
+            unit = units[storage] = registry.capabilities(key).atomicity_unit
         buckets.setdefault(scope_of(key, unit), []).append(write)
     if len(buckets) < 2:
         return list(buckets.values())

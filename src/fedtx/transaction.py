@@ -20,6 +20,14 @@ A transaction whose writes all land in one group and that needs no validation
 skips all of this and writes COMMITTED records directly in a single batch,
 touching neither the coordinator nor a second phase.
 
+A write needs the record's version and before-image, so a blind write (of a
+key the transaction never read) is read at commit. A blind put that may
+commit in one batch is not: it is guessed absent, and that batch's
+``IF_NOT_EXISTS`` checks the guess, so an insert costs the batch alone. A
+batch that fails on a guessed key reads the guessed keys and is issued once
+more; a blind overwrite thus costs one refused batch beyond the reads. A
+two-phase commit reads its blind writes before its first prepare.
+
 A transaction's status is a ``TxStatus``: ACTIVE, then its one outcome,
 COMMITTED or ABORTED. Every two-phase transaction ends the same way: it claims
 an outcome with the write-once coordinator record (adopting the stored one if
@@ -57,6 +65,7 @@ from .decoupling import (
     logical_key,
     read_dispatch,
     read_snapshot,
+    route_of,
     splits,
 )
 from .errors import (
@@ -103,9 +112,11 @@ from .verifier import TxSummary
 _RECOVERY_ATTEMPTS = 10
 _COMMIT_QUEUE_SIZE = 64
 # Bound once: reading an enum member through its class costs about 0.1 µs on
-# Python 3.11, and the row builders below run once per written row.
+# Python 3.11; the row builders below run once per written row, and the scan
+# and validation paths once per record.
 _PREPARED, _COMMITTED = TxState.PREPARED, TxState.COMMITTED
 _PUT, _DELETE = WriteKind.PUT, WriteKind.DELETE
+_COLOCATED, _SPLIT_READS = ReadPath.COLOCATED, ReadPath.SPLIT_READS
 
 _log = logging.getLogger(__name__)
 
@@ -128,14 +139,15 @@ class _LogicalWrite:
 
     ``columns`` is None for a delete. ``_materialize_writes`` builds it from
     the write set with the transaction's earlier read of the key, if any,
-    then observes a blind write and fixes its version and its ``condition``
-    (the observed tx id, or absence when nothing was observed), once for
-    every row it writes; whether those rows split is ``observed.split``. Its
-    prepared row is encoded in one ``combined_columns`` call from these
-    fields and the observed row: the before-image is that settled row's
-    ``_tx_*`` columns and the read's own ``app_columns`` (filtered once, and
-    nothing changes them). The prepared row is then all a settle needs
-    (``_settle_write``).
+    then observes a blind write, or guesses a blind put absent, and
+    ``resolve`` fixes its version and its ``condition`` (the observed tx id,
+    or absence when nothing was observed), once for every row it writes;
+    whether those rows split is ``observed.split``. A guess that the store
+    refutes is read and resolved again (``_observe_guesses``). Its prepared
+    row is encoded in one ``combined_columns`` call from these fields and the
+    observed row: the before-image is that settled row's ``_tx_*`` columns
+    and the read's own ``app_columns`` (filtered once, and nothing changes
+    them). The prepared row is then all a settle needs (``_settle_write``).
     """
 
     key: FullKey
@@ -143,6 +155,15 @@ class _LogicalWrite:
     observed: ReadResult | None
     version: int = 0
     condition: WriteCondition | None = None
+
+    def resolve(self) -> None:
+        """Base the write on ``observed``: its next version, or version 1 over nothing."""
+        meta = self.observed.meta
+        if meta is not None:
+            self.version = meta[COL_VERSION] + 1
+            self.condition = if_tx_id_equals(meta[COL_TX_ID])
+        else:
+            self.version, self.condition = 1, IF_NOT_EXISTS
 
     def prepared_write(self, tx_id: str, prepared_at: int) -> ConditionalWrite | SplitWrite:
         obs = self.observed
@@ -394,7 +415,7 @@ class TransactionManager:
             obs = read_set.get(key)
             if obs is None:
                 # A split row lacks its metadata; a colocated one is read again only in doubt.
-                obs = None if split else ReadResult(row, row, ReadPath.COLOCATED)
+                obs = None if split else ReadResult(row, row, _COLOCATED)
                 if obs is None or obs.prepared:
                     obs = self._observe(key, obs)
                 read_set[key] = obs
@@ -497,59 +518,66 @@ class TransactionManager:
 
     def _materialize_writes(
         self, tx: TxHandle
-    ) -> tuple[list[_LogicalWrite], list[list[_LogicalWrite]]]:
-        """The write set resolved against observed versions: in write order, and grouped by scope.
+    ) -> tuple[list[_LogicalWrite], list[list[_LogicalWrite]], list[_LogicalWrite]]:
+        """The write set resolved against observed versions: in write order, by scope, and guessed.
 
         The write set is grouped by atomicity-unit scope first
-        (``group_by_atomicity_unit``). A blind write, a key this transaction
-        never read, is observed here so that its condition and before-image
-        are well-defined: per scope where a store can read them together
-        (``_observe_blind``), else by its own ``_observe``, in write order.
-        Each enters the read set in write order. Deleting an absent key is a
-        no-op; it is dropped, with any group it empties.
+        (``group_by_atomicity_unit``). A blind write is a key this
+        transaction never read. When the write set is one group and the
+        transaction is not serializable, its commit may be one batch, whose
+        conditions read the store anyway: then a blind put is guessed absent,
+        with no store call, on the route a read of it would take
+        (``route_of``), so its layout is a real read's. ``IF_NOT_EXISTS``
+        checks the guess inside that batch; the guessed writes come back third,
+        for ``_commit_pipeline`` to read if the batch refutes them or the
+        commit takes two phases. Every other blind write, each blind delete
+        too, is observed here (``_observe_blind``) so that its condition and
+        before-image are well-defined. Deleting an absent key is a no-op; it
+        is dropped, with any group it empties.
         """
         read_set = tx.read_set
         logicals = [
             _LogicalWrite(key, columns, read_set.get(key)) for key, columns in tx.write_set.items()
         ]
         groups = group_by_atomicity_unit(self.registry, logicals)
-        scoped = None  # the blind writes read per scope, once the first blind write shows up
+        guessed = []
+        if self.one_phase_enabled and len(groups) == 1 and not tx.serializable:
+            registry, config = self.registry, self.decoupling
+            for logical in logicals:
+                if logical.observed is None and logical.columns is not None:
+                    path = route_of(registry, config, logical.key)[0]
+                    logical.observed = ReadResult(None, None, path)
+                    guessed.append(logical)
+        self._observe_blind(tx, logicals, groups)
+        for logical in guessed:  # entered only now: a blind read that raised leaves no guess
+            read_set[logical.key] = logical.observed
         noops = False
         for logical in logicals:
-            observed = logical.observed
-            if observed is None:
-                key = logical.key
-                if scoped is None:
-                    scoped = self._observe_blind(groups)
-                observed = scoped.get(key) if scoped else None
-                if observed is None:
-                    observed = self._observe(key)
-                logical.observed = read_set[key] = observed
-            if logical.columns is None and not observed.present:
+            if logical.columns is None and not logical.observed.present:
                 noops = True  # deleting nothing: left without a condition, and dropped below
                 continue
-            meta = observed.meta
-            if meta is not None:
-                logical.version = meta[COL_VERSION] + 1
-                logical.condition = if_tx_id_equals(meta[COL_TX_ID])
-            else:
-                logical.version, logical.condition = 1, IF_NOT_EXISTS
+            logical.resolve()
         if noops:
             logicals = [logical for logical in logicals if logical.condition is not None]
             kept = ([write for write in group if write.condition is not None] for group in groups)
             groups = [group for group in kept if group]
-        return logicals, groups
+        return logicals, groups, guessed
 
-    def _observe_blind(self, groups: list[list[_LogicalWrite]]) -> dict[FullKey, ReadResult]:
-        """Observe the blind writes of each scope of a consistent-readable store in one read.
+    def _observe_blind(
+        self, tx: TxHandle, logicals: list[_LogicalWrite], groups: list[list[_LogicalWrite]]
+    ) -> None:
+        """Observe each of ``logicals`` not yet observed, and enter it in the read set, in order.
 
-        A group with two or more blind writes there is read in one
-        ``read_snapshot``. A settled record is observed as read; a PREPARED
-        or metadata-free one goes through ``_observe``, as a read of its own
-        would, with the same errors; so does every blind write of a scope
-        whose read met a torn pair. A group on any other store costs one
-        capability lookup and no read.
+        Two or more such writes of one group on a consistent-readable store
+        are read in one ``read_snapshot``. A settled record is observed as
+        read; a PREPARED or metadata-free one goes through ``_observe``, as a
+        read of its own would, with the same errors; so does each such write
+        of a scope whose read met a torn pair, and each one elsewhere. A
+        group on any other store costs one capability lookup and no read.
         """
+        blind = [logical for logical in logicals if logical.observed is None]
+        if not blind:
+            return
         scoped: dict[FullKey, ReadResult] = {}
         for group in groups:
             if len(group) > 1 and self.registry.capabilities(group[0].key).consistent_readable:
@@ -562,7 +590,34 @@ class TransactionManager:
                     continue
                 for key, obs in zip(keys, results):
                     scoped[key] = self._observe(key, obs) if obs.prepared else obs
-        return scoped
+        read_set = tx.read_set
+        for logical in blind:
+            key = logical.key
+            observed = scoped.get(key)
+            if observed is None:
+                observed = self._observe(key)
+            logical.observed = read_set[key] = observed
+
+    def _observe_guesses(
+        self, tx: TxHandle, guessed: list[_LogicalWrite], groups: list[list[_LogicalWrite]]
+    ) -> None:
+        """Read the keys guessed absent, as blind writes are read, and resolve each write again.
+
+        Nothing of the commit has landed yet. So if a read raises, the
+        guesses leave the read set, the commit leaves no batch or attempt
+        behind, and the handle stays ACTIVE.
+        """
+        for logical in guessed:
+            logical.observed = None
+        try:
+            self._observe_blind(tx, guessed, groups)
+        except BaseException:
+            for logical in guessed:
+                tx.read_set.pop(logical.key, None)
+            tx._one_phase_batch = tx.attempt = None
+            raise
+        for logical in guessed:
+            logical.resolve()
 
     def _validation_plan(
         self, tx: TxHandle, written_keys: set[FullKey]
@@ -582,7 +637,7 @@ class TransactionManager:
         return [
             (key, obs)
             for key, obs in tx.read_set.items()
-            if obs.path is ReadPath.SPLIT_READS and key not in written_keys
+            if obs.path is _SPLIT_READS and key not in written_keys
         ]
 
     def _validate(self, plan: list[tuple[FullKey, ReadResult]]) -> str | None:
@@ -599,7 +654,7 @@ class TransactionManager:
             now, then = current.meta, obs.meta
             if (now[COL_TX_ID], now[COL_VERSION]) != (then[COL_TX_ID], then[COL_VERSION]):
                 return f"{key.render()} advanced past the observed version"
-            split = obs.path is ReadPath.SPLIT_READS or current.path is ReadPath.SPLIT_READS
+            split = obs.path is _SPLIT_READS or current.path is _SPLIT_READS
             if split and current.app_columns != obs.app_columns:
                 return f"{key.render()} was read torn"
         return None
@@ -674,8 +729,20 @@ class TransactionManager:
             attempt = tx.attempt or _attempt(tx)
             self.history.record(replace(attempt, outcome=status, commit_at=commit_at))
 
+    def _write_one_phase(self, tx: TxHandle, group: list[_LogicalWrite]) -> FullKey | None:
+        """Write ``group`` as COMMITTED records in one batch: a one-phase commit's only write."""
+        ts = self._tick()
+        batch = [
+            _committed_write(
+                logical.key, logical.columns, tx.tx_id, logical.version, ts, ts,
+                logical.condition, logical.observed.split,
+            )
+            for logical in group
+        ]
+        return self._write(batch, tx.read_set)
+
     def _commit_pipeline(self, tx: TxHandle) -> None:
-        logicals, groups = self._materialize_writes(tx) if tx.write_set else ((), ())
+        logicals, groups, guessed = self._materialize_writes(tx) if tx.write_set else ((), (), ())
         written_keys = {logical.key for logical in logicals}
         plan = self._validation_plan(tx, written_keys)
 
@@ -690,20 +757,21 @@ class TransactionManager:
 
         # One phase: a lone group that no re-read has to cover.
         one_phase = self.one_phase_enabled and len(groups) == 1 and not (tx.serializable or plan)
+        if guessed and not one_phase:
+            self._observe_guesses(tx, guessed, groups)  # only a one-phase batch checks a guess
         if self.history is not None:
             tx.attempt = _attempt(tx, logicals, one_phase)
 
         if one_phase:
-            ts = self._tick()
             tx._one_phase_batch = groups[0]  # a crash may still land the batch
-            batch = [
-                _committed_write(
-                    logical.key, logical.columns, tx.tx_id, logical.version, ts, ts,
-                    logical.condition, logical.observed.split,
-                )
-                for logical in groups[0]
-            ]
-            if self._write(batch, tx.read_set) is not None:
+            failed = self._write_one_phase(tx, groups[0])
+            if failed is not None and any(logical.key == failed for logical in guessed):
+                # A guessed key exists: read the guesses, then issue the batch once more.
+                self._observe_guesses(tx, guessed, groups)
+                if self.history is not None:
+                    tx.attempt = _attempt(tx, logicals, one_phase)
+                failed = self._write_one_phase(tx, groups[0])
+            if failed is not None:
                 self._finish(tx, TxStatus.ABORTED)
                 raise ConflictAbort("single-batch commit lost a conflict")
             self._finish(tx, TxStatus.COMMITTED, self._tick())

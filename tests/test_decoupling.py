@@ -3,6 +3,7 @@
 import pytest
 
 from fedtx import (
+    IF_NOT_EXISTS,
     AtomicityScopeViolation,
     AtomicityUnit,
     ConditionalWrite,
@@ -151,12 +152,21 @@ class TestExpandWrites:
         app, _ = expand_writes(env.manager.decoupling, [logical], observed)
         assert app.condition == UNCONDITIONAL
 
-    def test_an_absent_split_read_leaves_the_application_row_unconditional(self):
-        env = seeded_env()
-        observed = {k(pk=2): read_split(env.registry, env.manager.decoupling, k(pk=2))}
-        logical = split_write(stored_row({"v": 8}, committed_meta()), key=k(pk=2))
-        app, _ = expand_writes(env.manager.decoupling, [logical], observed)
-        assert app.condition == UNCONDITIONAL
+    @pytest.mark.parametrize(
+        "consistent, view",
+        [(False, False), (True, False), (True, True)],
+        ids=["split_reads", "snapshot", "view"],
+    )
+    def test_an_absent_read_conditions_the_application_row_on_absence(self, consistent, view):
+        """An insert over nothing may not overwrite an application row left without its metadata."""
+        env = seeded_env(consistent=consistent, view=view)
+        observed = {k(pk=2): read_dispatch(env.registry, env.manager.decoupling, k(pk=2))}
+        logical = split_write(stored_row({"v": 8}, committed_meta()), IF_NOT_EXISTS, key=k(pk=2))
+        app, meta = expand_writes(env.manager.decoupling, [logical], observed)
+        assert (app.condition, meta.condition) == (IF_NOT_EXISTS, IF_NOT_EXISTS)
+        env.adapter("s1").atomic_write([ConditionalWrite(k(pk=2), {"v": 1})])  # an orphan row
+        assert env.registry.atomic_write([app, meta]) == 0
+        assert env.registry.read(k(pk=2)) == {"v": 1}
 
     def test_a_torn_split_read_fails_its_batch(self):
         env = seeded_env()

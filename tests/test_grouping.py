@@ -31,6 +31,21 @@ def test_partition_unit_buckets_by_partition():
     assert sorted(len(ws) for ws in groups) == [1, 2]
 
 
+def test_each_storage_unit_is_looked_up_once_per_call(monkeypatch):
+    registry = two_storage_registry()
+    asked = []
+    capabilities = registry.capabilities
+
+    def counted(key):
+        asked.append(key.storage)
+        return capabilities(key)
+
+    monkeypatch.setattr(registry, "capabilities", counted)
+    writes = [write(k(s, pk=i)) for i in range(10) for s in ("s1", "s2")]
+    assert [len(ws) for ws in group_by_atomicity_unit(registry, writes)] == [10, 10]
+    assert asked == ["s1", "s2"]
+
+
 def test_empty_write_set():
     assert group_by_atomicity_unit(two_storage_registry(), []) == []
 

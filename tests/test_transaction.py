@@ -224,8 +224,10 @@ class TestAbort:
             (False, "coord", (0, FaultKind.CRASH_AFTER_BATCH), TxStatus.COMMITTED),
             (False, "s1", (1, FaultKind.CRASH_BEFORE_BATCH), TxStatus.COMMITTED),
             (False, "s2", (1, FaultKind.CRASH_BEFORE_BATCH), TxStatus.COMMITTED),
-            (True, "s1", (0, FaultKind.CRASH_BEFORE_BATCH), TxStatus.ABORTED),
-            (True, "s1", (0, FaultKind.CRASH_AFTER_BATCH), TxStatus.COMMITTED),
+            # The one-phase victim overwrites a key blindly: batch #0 is the
+            # guessed batch, which the seeded key fails; #1 is its retry.
+            (True, "s1", (1, FaultKind.CRASH_BEFORE_BATCH), TxStatus.ABORTED),
+            (True, "s1", (1, FaultKind.CRASH_AFTER_BATCH), TxStatus.COMMITTED),
         ],
         ids=[
             "before-outcome",
@@ -314,7 +316,7 @@ class TestAbort:
         victim = env.manager.begin()
         for key in keys:
             victim.put(key, {"v": 10})
-        env.adapter("s1").inject_faults([(0, fault)])
+        env.adapter("s1").inject_faults([(1, fault)])  # #0: the guessed batch, refuted
         with pytest.raises(InjectedCrash):
             victim.commit()
         env.adapter("s1").clear_faults()
@@ -350,7 +352,8 @@ class TestAbort:
         victim = env.manager.begin()
         for key in keys:
             victim.put(key, {"v": 10})
-        env.adapter("s1").inject_faults([(0, FaultKind.CRASH_AFTER_BATCH)])
+        # #0 is the guessed batch, which the seeded keys refute; #1 lands.
+        env.adapter("s1").inject_faults([(1, FaultKind.CRASH_AFTER_BATCH)])
         with pytest.raises(InjectedCrash):
             victim.commit()
         env.adapter("s1").clear_faults()
@@ -727,8 +730,8 @@ class TestTornReads:
         reader = env.manager.begin()
         assert reader.get(k()) == {"v": 5}
         assert hook.armed is None
-        # The writer's own blind-write read ran inside the first one.
-        assert reads == [k()] * 3
+        # The writer's blind insert reads nothing: only the reader's two reads count.
+        assert reads == [k()] * 2
         reader.commit()
         assert reader.status is TxStatus.COMMITTED
 
@@ -1830,22 +1833,30 @@ class TestScopeCost:
 class TestBlindWrites:
     """A blind write (a put or delete of a key never read) is observed at commit.
 
-    The blind writes of one scope of a consistent-readable store, two or
-    more, share one ``snapshot_read``; every other one costs the read a
-    ``get`` of it costs.
+    A blind put that may commit in one phase is guessed absent, and its
+    batch's ``IF_NOT_EXISTS`` checks the guess; a batch that refutes it is
+    issued once more after the guessed keys are read. Every other blind
+    write is read before the first batch. The blind writes read, of one
+    scope of a consistent-readable store, two or more, share one
+    ``snapshot_read``; every other one costs the read a ``get`` of it costs.
     """
 
     # (decoupled, consistent_readable, view_joinable) per mode, as METADATA_MODES
     MODES = {**METADATA_MODES, "colocated_consistent": (False, True, False)}
 
-    def env(self, mode, storages=("s1",)):
+    def env(self, mode, storages=("s1",), **kwargs):
         decoupled, consistent, view = self.MODES[mode]
         caps = make_caps(consistent=consistent, view=view)
-        return build_env(dict.fromkeys(storages, caps), decoupled=decoupled, register_views=view)
+        return build_env(
+            dict.fromkeys(storages, caps), decoupled=decoupled, register_views=view, **kwargs
+        )
 
     @staticmethod
-    def count_reads(env, monkeypatch, storages=("s1",)):
-        """Every read call into ``storages``, as (store, op, number of keys)."""
+    def count_reads(env, monkeypatch, storages=("s1",), batches=False):
+        """Every read call into ``storages``, as (store, op, number of keys), in order.
+
+        With ``batches``, every ``atomic_write`` too, as (store, "atomic_write", applied).
+        """
         calls = []
         for name in storages:
             store = env.adapter(name)
@@ -1857,6 +1868,14 @@ class TestBlindWrites:
                     return _method(*args)
 
                 monkeypatch.setattr(store, op, counted)
+            if batches:
+
+                def batch(writes, _name=name, _method=store.atomic_write):
+                    failed = _method(writes)
+                    calls.append((_name, "atomic_write", failed is None))
+                    return failed
+
+                monkeypatch.setattr(store, "atomic_write", batch)
         return calls
 
     @staticmethod
@@ -1879,22 +1898,45 @@ class TestBlindWrites:
         "view": [("view_read", 1)],
     }
 
+    def blind_reads(self, mode, count):
+        """The reads of ``count`` blind writes of one scope: one snapshot, or a get's each."""
+        decoupled, consistent, _ = self.MODES[mode]
+        if count == 1 or not consistent:
+            return self.ONE_KEY[mode] * count
+        return [("snapshot_read", count * (2 if decoupled else 1))]
+
+    @pytest.mark.parametrize("count", [1, 3, 100])  # 100: a load transaction of the benchmark's
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_a_one_phase_insert_is_one_batch_and_no_read(self, mode, count, monkeypatch):
+        env = self.env(mode)
+        keys = [k(pk=pk) for pk in range(count)]
+        calls = self.count_reads(env, monkeypatch, batches=True)
+        tx = self.blind_commit(env, keys)
+        assert tx.status is TxStatus.COMMITTED
+        assert calls == [("s1", "atomic_write", True)]
+        # Each guess is what a read of the absent key gives, on the same route.
+        path = read_dispatch(env.registry, env.manager.decoupling, k(pk=1000)).path
+        assert list(tx.read_set) == keys
+        assert [(obs.present, obs.path) for obs in tx.read_set.values()] == [(False, path)] * count
+        assert [committed_value(env, key) for key in keys] == [{"v": 10 + i} for i in range(count)]
+        metas = [read_dispatch(env.registry, env.manager.decoupling, key).meta for key in keys]
+        assert [meta[COL_VERSION] for meta in metas] == [1] * count
+
     @pytest.mark.parametrize("count", [1, 2, 5])
     @pytest.mark.parametrize("mode", list(MODES))
     def test_blind_writes_cost_one_snapshot_read_per_scope(self, mode, count, monkeypatch):
+        """A one-phase blind overwrite: the refuted batch, then the reads, then the batch again."""
         env = self.env(mode)
         keys = [k(pk=pk) for pk in range(count)]
         for key in keys[::2]:
             seed(env, key, 1)  # every other key exists already
-        calls = self.count_reads(env, monkeypatch)
+        calls = self.count_reads(env, monkeypatch, batches=True)
+        failures = env.counters("s1").condition_failures
         tx = self.blind_commit(env, keys)
         assert tx.status is TxStatus.COMMITTED
-        decoupled, consistent, _ = self.MODES[mode]
-        if count == 1 or not consistent:
-            expected = self.ONE_KEY[mode] * count
-        else:
-            expected = [("snapshot_read", count * (2 if decoupled else 1))]
+        expected = [("atomic_write", False), *self.blind_reads(mode, count), ("atomic_write", True)]
         assert [(op, n) for _, op, n in calls] == expected
+        assert env.counters("s1").condition_failures == failures + 1
         assert list(tx.read_set) == keys  # entered in write order
         assert [tx.read_set[key].present for key in keys] == [pk % 2 == 0 for pk in range(count)]
         assert [committed_value(env, key) for key in keys] == [{"v": 10 + i} for i in range(count)]
@@ -1970,6 +2012,134 @@ class TestBlindWrites:
         assert committed_value(env, k("s2")) == {"v": settled}
         outcome = env.registry.read(env.manager.coordinator.key_for(victim.tx_id))
         assert outcome[COORD_STATE_COLUMN] == ("COMMITTED" if settled == 2 else "ABORTED")
+
+    @pytest.mark.parametrize("why", ["two-stores", "serializable", "one-phase-off"])
+    @pytest.mark.parametrize("mode", list(METADATA_MODES))
+    def test_two_phase_blind_puts_are_read_before_the_first_prepare(self, mode, why, monkeypatch):
+        stores = ("s1", "s2") if why == "two-stores" else ("s1",)
+        env = self.env(mode, storages=stores, one_phase=why != "one-phase-off")
+        keys = [k(store, pk=pk) for store in stores for pk in range(3)]
+        for key in keys[::2]:
+            seed(env, key, 1)
+        calls = self.count_reads(env, monkeypatch, storages=stores, batches=True)
+        tx = env.manager.begin(serializable=why == "serializable")
+        for i, key in enumerate(keys):
+            tx.put(key, {"v": 10 + i})
+        tx.commit()
+        assert tx.status is TxStatus.COMMITTED
+        reads = [(store, op, n) for store in stores for op, n in self.blind_reads(mode, 3)]
+        prepares = [(store, "atomic_write", True) for store in stores]
+        assert calls[: len(reads) + len(prepares)] == reads + prepares
+        values = [committed_value(env, key) for key in keys]
+        assert values == [{"v": 10 + i} for i in range(len(keys))]
+
+    def test_a_guess_in_a_commit_that_must_validate_is_read_before_the_prepare(self, monkeypatch):
+        """A split read of another key of the scope needs a re-read: the commit takes two phases."""
+        env = self.env("split_reads")
+        seed(env, k(pk=1), 1)
+        tx = env.manager.begin()
+        assert tx.get(k(pk=1)) == {"v": 1}
+        tx.put(k(pk=2), {"v": 2})
+        calls = self.count_reads(env, monkeypatch, batches=True)
+        tx.commit()
+        assert calls[:5] == [
+            ("s1", "read", 1),  # the blind put, as a get reads it
+            ("s1", "read", 1),
+            ("s1", "atomic_write", True),  # prepare
+            ("s1", "read", 1),  # validation of k(pk=1)
+            ("s1", "read", 1),
+        ]
+        assert tx.read_set[k(pk=2)].path is ReadPath.SPLIT_READS
+        assert committed_value(env, k(pk=2)) == {"v": 2}
+
+    @pytest.mark.parametrize("mode", list(METADATA_MODES))
+    def test_an_insert_over_a_row_without_metadata_raises_as_a_get_and_leaves_it(self, mode):
+        """An application row alone, written outside the protocol: the insert's batch refuses it."""
+        recorder = HistoryRecorder()
+        env = self.env(mode, history=recorder)
+        env.adapter("s1").atomic_write([ConditionalWrite(k(), {"v": 1})])
+        rows = [(r.key, repr(dict(r.columns))) for r in env.dump_all()]
+        with pytest.raises((MissingMetadata, RecoveryFailed)) as raised:
+            env.manager.begin().get(k())
+        tx = env.manager.begin()
+        tx.put(k(), {"v": 2})
+        tx.put(k(pk=2), {"v": 3})
+        with pytest.raises(type(raised.value), match=re.escape(str(raised.value))):
+            tx.commit()
+        assert [(r.key, repr(dict(r.columns))) for r in env.dump_all()] == rows
+        assert tx.status is TxStatus.ACTIVE and tx.read_set == {}
+        assert (tx.attempt, tx._one_phase_batch) == (None, None)
+        tx.abort()
+        assert recorder.history().entries[-1].reads == ()
+
+    @pytest.mark.parametrize(
+        "seeded, batch", [(False, 0), (True, 0), (True, 1)], ids=["insert", "guessed", "retry"]
+    )
+    @pytest.mark.parametrize("fault", list(FaultKind), ids=lambda f: f.name.lower())
+    @pytest.mark.parametrize("mode", list(METADATA_MODES))
+    def test_a_crash_on_a_guessed_batch_or_its_retry_aborts_clean(self, mode, fault, seeded, batch):
+        recorder = HistoryRecorder()
+        env = self.env(mode, history=recorder)
+        keys = [k(pk=1), k(pk=2)]
+        if seeded:
+            seed(env, keys[0], 1)  # refutes the guess: batch #0 fails, #1 is its retry
+        victim = env.manager.begin()
+        for key in keys:
+            victim.put(key, {"v": 10})
+        env.adapter("s1").inject_faults([(batch, fault)])
+        with pytest.raises(InjectedCrash):
+            victim.commit()
+        env.adapter("s1").clear_faults()
+        landed = fault is FaultKind.CRASH_AFTER_BATCH and batch == seeded
+        if landed:
+            with pytest.raises(TransactionFinished):
+                victim.abort()
+        else:
+            victim.abort()
+        assert victim.status is (TxStatus.COMMITTED if landed else TxStatus.ABORTED)
+        assert [r.key for r in env.dump_all() if r.columns.get(COL_STATE) == "PREPARED"] == []
+        assert recorder.history().entries[-1].outcome is victim.status
+        coord = ("coord", "coordinator", "state")
+        assert audit_atomicity(env.dump_all(), recorder.history(), coord) == []
+        before = [{"v": 1} if seeded else None, None]
+        expected = [{"v": 10}] * 2 if landed else before
+        assert [committed_value(env, key) for key in keys] == expected
+
+    @pytest.mark.parametrize("mode", list(METADATA_MODES))
+    def test_a_batch_that_fails_on_a_read_key_aborts_without_a_retry(self, mode, monkeypatch):
+        env = self.env(mode)
+        keys = [k(pk=1), k(pk=2)]
+        seed(env, keys[0], 1)
+        tx = env.manager.begin()
+        tx.put(keys[0], {"v": tx.get(keys[0])["v"] + 1})
+        tx.put(keys[1], {"v": 5})  # a blind insert, guessed right
+        seed(env, keys[0], 7)  # a concurrent writer
+        calls = self.count_reads(env, monkeypatch, batches=True)
+        with pytest.raises(ConflictAbort, match="single-batch commit lost a conflict"):
+            tx.commit()
+        assert calls == [("s1", "atomic_write", False)]
+        assert [committed_value(env, key) for key in keys] == [{"v": 7}, None]
+
+    @pytest.mark.parametrize("mode", list(METADATA_MODES))
+    def test_a_retry_that_fails_again_aborts(self, mode):
+        env = self.env(mode)
+        seed(env, k(), 1)
+        hook = WriteHook(env.adapter("s1"))
+        batches = iter(range(2))
+
+        def rewrite():
+            writer = env.manager.begin()
+            writer.put(k(), {"v": writer.get(k())["v"] + 100})
+            writer.commit()
+
+        hook.arm(lambda writes: next(batches) == 1, rewrite)  # right before the retry
+        tx = env.manager.begin()
+        tx.put(k(), {"v": 5})
+        with pytest.raises(ConflictAbort, match="single-batch commit lost a conflict"):
+            tx.commit()
+        assert hook.armed is None and tx.status is TxStatus.ABORTED
+        assert decode_metadata(tx.read_set[k()].meta).version == 1  # the retry's read
+        assert committed_value(env, k()) == {"v": 101}
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_a_torn_pair_raises_recovery_failed(self, count):
