@@ -2,12 +2,16 @@
 
 Every record written through the transaction manager carries its own log
 entry: reserved ``_tx_*`` columns holding the writing transaction's id, the
-record version, its state, timestamps and a deletion marker. A PREPARED
-record also carries its before-image for rollback, as plain columns beside
-the rest: ``_tx_before`` (the prior tx id; None when there is no image),
-``_tx_before_version``, ``_tx_before_state``, ``_tx_before_prepared_at``,
-``_tx_before_committed_at``, and each prior application column ``c`` as
-``_tx_before_col_<c>`` holding its raw value. Every name starts with
+record version, its state and timestamps. A stored row keeps only the
+metadata it asserts: a settled row carries those five columns, a PREPARED row
+lacks ``_tx_committed_at``, and only a PREPARED delete carries the marker
+``_tx_deleted``. A PREPARED record that replaces one also carries its
+before-image for rollback, as plain columns beside the rest: ``_tx_before``
+(the prior tx id), ``_tx_before_version``, ``_tx_before_state``,
+``_tx_before_prepared_at``, ``_tx_before_committed_at``, and each prior
+application column ``c`` as ``_tx_before_col_<c>`` holding its raw value.
+Every reader takes an absent column as its default (None, False, no image),
+so a row that spells the defaults out reads the same. Every name starts with
 ``_tx_``, so stores that keep metadata in a separate table put the whole set
 there; this module only defines the column codec, not the placement.
 
@@ -16,8 +20,9 @@ into objects. A read keeps the row the store handed out
 (``decoupling.ReadResult``): the in-doubt check looks up ``_tx_state``
 alone through ``_state``, ``parse_metadata`` checks the ``_tx_*`` columns of
 a key the transaction writes and hands the row back to be read by name, and
-``application_columns`` copies out the rest: a set lookup drops the seven
-``_tx_*`` names of a settled row, and only other names meet the prefix test.
+``application_columns`` copies out the rest: a set lookup drops the
+``_tx_*`` names a settled row may carry, those an older row spelled out at
+their defaults too, and only other names meet the prefix test.
 
 ``combined_columns`` is the one encoder of every stored image (prepared,
 committed, rolled forward or restored), in one step from plain fields. It
@@ -48,7 +53,7 @@ COL_STATE = "_tx_state"
 COL_PREPARED_AT = "_tx_prepared_at"
 COL_COMMITTED_AT = "_tx_committed_at"
 COL_DELETED = "_tx_deleted"
-COL_BEFORE = "_tx_before"  # prior tx id, or None without a before-image
+COL_BEFORE = "_tx_before"  # prior tx id; absent (None in older rows) without a before-image
 COL_BEFORE_VERSION = "_tx_before_version"
 COL_BEFORE_STATE = "_tx_before_state"
 COL_BEFORE_PREPARED_AT = "_tx_before_prepared_at"
@@ -115,7 +120,8 @@ def parse_metadata(row: Mapping[str, object]) -> Mapping[str, object]:
     return row
 
 
-# The ``_tx_*`` columns of every settled row (see the module docstring).
+# The ``_tx_*`` columns a settled row may carry, the two that older rows
+# held at their defaults included (see the module docstring).
 _SETTLED_COLUMNS = frozenset(
     (COL_TX_ID, COL_VERSION, COL_STATE, COL_PREPARED_AT, COL_COMMITTED_AT, COL_DELETED, COL_BEFORE)
 )
@@ -145,11 +151,13 @@ def combined_columns(
 
     ``row`` is the record's colocated row (a copy of its application
     columns, which keep their place in front) or its empty metadata row. The
-    seven metadata columns follow, ``_tx_before`` None. For a PREPARED row,
-    ``before`` is the settled row this write replaces (or, with split
-    metadata, the row holding its ``_tx_*`` columns) and ``before_app`` its
-    application columns: its tx id, version, state and timestamps become the
-    ``_tx_before*`` columns, and ``before_app`` the ``_tx_before_col_*`` ones.
+    metadata columns follow, none at its default: ``_tx_committed_at`` only
+    when set, ``_tx_deleted`` only when True, ``_tx_before*`` only with a
+    before-image. For a PREPARED row, ``before`` is the settled row this
+    write replaces (or, with split metadata, the row holding its ``_tx_*``
+    columns) and ``before_app`` its application columns: its tx id, version,
+    state and timestamps become the ``_tx_before*`` columns, and
+    ``before_app`` the ``_tx_before_col_*`` ones.
     A before-image never nests, so ``before``'s own ``_tx_before*`` columns
     are left behind.
 
@@ -161,10 +169,11 @@ def combined_columns(
     row[COL_VERSION] = version
     row[COL_STATE] = state._value_  # the enum's stored value; ``.value`` is a slower property
     row[COL_PREPARED_AT] = prepared_at
-    row[COL_COMMITTED_AT] = committed_at
-    row[COL_DELETED] = deleted
+    if committed_at is not None:
+        row[COL_COMMITTED_AT] = committed_at
+    if deleted:
+        row[COL_DELETED] = True
     if before is None:
-        row[COL_BEFORE] = None
         return row
     row[COL_BEFORE] = before[COL_TX_ID]
     row[COL_BEFORE_VERSION] = before[COL_VERSION]

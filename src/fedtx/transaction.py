@@ -40,10 +40,12 @@ passed, the records are rolled forward instead and ``abort()`` raises
 ``TransactionFinished``. A crashed one-phase commit has no outcome record:
 ``abort()`` reads the written keys until one still holds either this
 transaction's write or the version it observed, learns from it whether the
-lone batch landed, and finishes to match. A record left PREPARED by a dead
-transaction is resolved lazily at read time from the coordinator: roll
-forward when the writer committed, roll back (claiming the abort first when
-there is no record yet) when it did not.
+lone batch landed, and finishes to match. ``commit()`` called again after
+such a crash finishes the same way, then returns if the transaction
+committed and raises ``ConflictAbort`` if it aborted. A record left PREPARED
+by a dead transaction is resolved lazily at read time from the coordinator:
+roll forward when the writer committed, roll back (claiming the abort first
+when there is no record yet) when it did not.
 """
 
 from __future__ import annotations
@@ -742,6 +744,12 @@ class TransactionManager:
         return self._write(batch, tx.read_set)
 
     def _commit_pipeline(self, tx: TxHandle) -> None:
+        if tx._prepared_groups or tx._one_phase_batch is not None:
+            # An earlier commit crashed mid-pipeline: finish as ``abort()`` would.
+            self._finish_crashed(tx)
+            if tx.status is TxStatus.ABORTED:
+                raise ConflictAbort("the crashed commit did not reach its commit point")
+            return
         logicals, groups, guessed = self._materialize_writes(tx) if tx.write_set else ((), (), ())
         written_keys = {logical.key for logical in logicals}
         plan = self._validation_plan(tx, written_keys)
@@ -786,22 +794,24 @@ class TransactionManager:
             tx._prepared_groups.append((group, batch))
             if self._write(batch, tx.read_set) is not None:
                 tx._prepared_groups.pop()
-                self._end(tx, self._claim_outcome(tx.tx_id, TxStatus.ABORTED))
-                raise ConflictAbort("prepare lost a conflict")
+                return self._conclude(tx, TxStatus.ABORTED, "prepare lost a conflict")
 
         # Validate phase: re-read whatever the conditions above cannot cover.
         if plan:
             mismatch = self._validate(plan)
             if mismatch is not None:
-                self._end(tx, self._claim_outcome(tx.tx_id, TxStatus.ABORTED))
-                raise ConflictAbort(mismatch)
+                return self._conclude(tx, TxStatus.ABORTED, mismatch)
 
         # Commit point: the write-once outcome record; a lazy recovery may
         # have claimed the abort first.
-        committed_at = self._claim_outcome(tx.tx_id, TxStatus.COMMITTED)
+        self._conclude(tx, TxStatus.COMMITTED, "aborted by a lazy recovery")
+
+    def _conclude(self, tx: TxHandle, proposed: TxStatus, why: str) -> None:
+        """Claim ``proposed`` or adopt the stored outcome, settle to it; if ABORTED, raise ``why``."""
+        committed_at = self._claim_outcome(tx.tx_id, proposed)
         self._end(tx, committed_at)
         if committed_at is None:
-            raise ConflictAbort("aborted by a lazy recovery")
+            raise ConflictAbort(why)
 
     def _commit_record_worker(self):
         while True:
@@ -853,15 +863,22 @@ class TransactionManager:
                 return False
         return batch[0].columns is None and not first.present
 
+    def _finish_crashed(self, tx: TxHandle) -> None:
+        """Finish an ACTIVE ``tx`` to match whatever a crashed commit of it left stored.
+
+        A crashed commit may have passed its commit point; if so the claim
+        of ABORTED adopts COMMITTED and the records are rolled forward. A
+        one-phase batch that landed commits. Anything else aborts.
+        """
+        if tx._prepared_groups:
+            self._end(tx, self._claim_outcome(tx.tx_id, TxStatus.ABORTED))
+        elif tx._one_phase_batch is not None and self._one_phase_applied(tx):
+            self._finish(tx, TxStatus.COMMITTED, self._tick())
+        else:
+            self._finish(tx, TxStatus.ABORTED)
+
     def _abort(self, tx: TxHandle) -> None:
         if tx.status is TxStatus.ACTIVE:
-            if tx._prepared_groups:
-                # A crashed commit may have passed its commit point; if so the
-                # claim adopts COMMITTED and the records are rolled forward.
-                self._end(tx, self._claim_outcome(tx.tx_id, TxStatus.ABORTED))
-            elif tx._one_phase_batch is not None and self._one_phase_applied(tx):
-                self._finish(tx, TxStatus.COMMITTED, self._tick())
-            else:
-                self._finish(tx, TxStatus.ABORTED)
+            self._finish_crashed(tx)
         if tx.status is TxStatus.COMMITTED:
             raise TransactionFinished(f"transaction {tx.tx_id} already committed")

@@ -40,14 +40,12 @@ from fedtx.transaction import CoordinatorLocation
 
 
 # Every settled record carries exactly these; a before-image adds its own.
-SEVEN_METADATA_COLUMNS = {
+SETTLED_METADATA_COLUMNS = {
     "_tx_id",
     "_tx_version",
     "_tx_state",
     "_tx_prepared_at",
     "_tx_committed_at",
-    "_tx_deleted",
-    "_tx_before",
 }
 
 
@@ -147,19 +145,21 @@ def decode_metadata(row: Mapping[str, object] | None) -> TransactionMetadata | N
 def reference_metadata_columns(meta: TransactionMetadata) -> dict:
     """Oracle: a metadata object rendered as its reserved columns, field by field.
 
-    The seven settled columns, ``_tx_before`` None; a before-image adds its
-    ``_tx_before_*`` columns. ``fedtx.records.combined_columns`` must write
-    exactly these from plain fields.
+    A column at its default is left out: ``_tx_committed_at`` when None,
+    ``_tx_deleted`` unless True. A before-image adds ``_tx_before`` and its
+    other ``_tx_before_*`` columns. ``fedtx.records.combined_columns`` must
+    write exactly these from plain fields.
     """
     columns = {
         COL_TX_ID: meta.tx_id,
         COL_VERSION: meta.version,
         COL_STATE: meta.tx_state.value,
         COL_PREPARED_AT: meta.prepared_at,
-        COL_COMMITTED_AT: meta.committed_at,
-        COL_DELETED: meta.delete_marker,
-        COL_BEFORE: None,
     }
+    if meta.committed_at is not None:
+        columns[COL_COMMITTED_AT] = meta.committed_at
+    if meta.delete_marker:
+        columns[COL_DELETED] = True
     before = meta.before_image
     if before is not None:
         prior = before.metadata

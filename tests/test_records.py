@@ -6,13 +6,15 @@ from types import MappingProxyType
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedtx.decoupling import ReadPath, ReadResult, SplitWrite
+from fedtx.decoupling import DecoupleConfig, ReadPath, ReadResult, SplitWrite, read_dispatch
 from fedtx.model import FullKey, TxState, value_tag
 from fedtx.records import (
     COL_BEFORE,
     COL_BEFORE_STATE,
     COL_BEFORE_VERSION,
     COL_COMMITTED_AT,
+    COL_DELETED,
+    COL_PREPARED_AT,
     COL_STATE,
     COL_TX_ID,
     COL_VERSION,
@@ -29,10 +31,13 @@ from fedtx.storage import IF_NOT_EXISTS, ConditionalWrite, WriteKind, if_tx_id_e
 from fedtx.transaction import _LogicalWrite, _settle_write
 from conftest import (
     METADATA_MODES,
-    SEVEN_METADATA_COLUMNS,
+    SETTLED_METADATA_COLUMNS,
     BeforeImage,
     TransactionMetadata,
+    build_env,
     decode_metadata,
+    k,
+    mode_env_args,
     reference_columns,
     reference_metadata_columns,
     split_columns,
@@ -115,12 +120,12 @@ def test_before_image_without_application_columns_is_kept():
     assert decode_metadata(parse_metadata(row)).before_image == BeforeImage({}, committed_meta())
 
 
-def test_committed_image_has_exactly_the_seven_metadata_columns():
+def test_a_committed_image_has_exactly_the_five_settled_columns():
     stored = stored_row({"v": 1, "before": b"x"}, committed_meta(version=3))
     app, raw_meta = split_columns(stored)
     assert app == {"v": 1, "before": b"x"}
-    assert set(raw_meta) == SEVEN_METADATA_COLUMNS
-    assert raw_meta[COL_BEFORE] is None
+    assert list(raw_meta) == ["_tx_id", "_tx_version", "_tx_state", "_tx_prepared_at", "_tx_committed_at"]
+    assert set(raw_meta) == SETTLED_METADATA_COLUMNS
     assert decode_metadata(parse_metadata(raw_meta)) == committed_meta(version=3)
 
 
@@ -161,8 +166,9 @@ def test_a_prepared_row_decodes_its_before_image(columns, before):
 
 
 # Names that the application-column filter must tell apart: application names
-# close to the prefix, the seven settled ``_tx_*`` names, before-image names
-# and an unknown ``_tx_*`` name.
+# close to the prefix, the five ``_tx_*`` names of a settled row, the two that
+# an older row also carries at their defaults, before-image names and an
+# unknown ``_tx_*`` name.
 mixed_names = st.one_of(
     st.sampled_from(
         [
@@ -172,7 +178,9 @@ mixed_names = st.one_of(
             "_TX_",
             "_TX_id",
             "v",
-            *sorted(SEVEN_METADATA_COLUMNS),
+            *sorted(SETTLED_METADATA_COLUMNS),
+            "_tx_deleted",
+            "_tx_before",
             "_tx_before_version",
             "_tx_before_state",
             "_tx_before_prepared_at",
@@ -192,6 +200,9 @@ def test_application_columns_is_the_prefix_filter_in_row_order(pairs):
     expected = [(name, value) for name, value in row.items() if not name.startswith("_tx_")]
     for stored in (row, MappingProxyType(row)):
         assert list(application_columns(stored).items()) == expected
+
+
+MISSING = object()  # a fault that drops the column
 
 
 def prepared_row_with_before_image():
@@ -216,17 +227,29 @@ def test_an_unknown_state_raises(column, value):
         {COL_VERSION: 0},
         {COL_TX_ID: ""},
         {COL_COMMITTED_AT: None},
+        {COL_COMMITTED_AT: MISSING},
         {COL_BEFORE_VERSION: 0},
         {COL_BEFORE: ""},
     ],
-    ids=["version-0", "empty-tx-id", "committed-without-committed-at", "before-version-0", "before-empty-tx-id"],
+    ids=[
+        "version-0",
+        "empty-tx-id",
+        "committed-without-committed-at",
+        "committed-with-committed-at-absent",
+        "before-version-0",
+        "before-empty-tx-id",
+    ],
 )
 def test_a_row_breaking_a_metadata_invariant_raises(change):
     row = prepared_row_with_before_image()
     row[COL_STATE] = "COMMITTED"
     row[COL_COMMITTED_AT] = 6
     parse_metadata(row)  # valid as it stands
-    row.update(change)
+    for name, value in change.items():
+        if value is MISSING:
+            del row[name]
+        else:
+            row[name] = value
     with pytest.raises(ValueError):
         parse_metadata(row)
 
@@ -369,8 +392,6 @@ def oracle_rows(columns, meta, split):
 
 # -- the row check against the oracle decode ----------------------------------------
 
-MISSING = object()  # a fault that drops the column
-
 # Values that may break a metadata column: wrong types, unknown states, an
 # empty id, versions below 1, and valid ones that change its meaning.
 fault_values = st.sampled_from(
@@ -423,3 +444,70 @@ def test_the_row_check_accepts_exactly_what_the_oracle_decodes(columns, meta, mo
         assert [tagged(app), tagged(image)] == [tagged(half) for half in split_columns(prior_row)]
     else:
         assert app is image and tagged(image) == tagged(prior_row)
+
+
+# -- rows in the older format ---------------------------------------------------------
+
+
+def older_format(row):
+    """``row`` as the encoder wrote it before it left out default-valued metadata columns.
+
+    Every row then carried ``_tx_committed_at`` (None while PREPARED),
+    ``_tx_deleted`` (False but on a prepared delete) and ``_tx_before`` (None
+    without a before-image), in that order after ``_tx_prepared_at``.
+    """
+    out = {name: v for name, v in row.items() if not name.startswith(META_PREFIX)}
+    out[COL_TX_ID] = row[COL_TX_ID]
+    out[COL_VERSION] = row[COL_VERSION]
+    out[COL_STATE] = row[COL_STATE]
+    out[COL_PREPARED_AT] = row[COL_PREPARED_AT]
+    out[COL_COMMITTED_AT] = row.get(COL_COMMITTED_AT)
+    out[COL_DELETED] = row.get(COL_DELETED, False)
+    out[COL_BEFORE] = row.get(COL_BEFORE)
+    out.update((name, v) for name, v in row.items() if name.startswith(COL_BEFORE + "_"))
+    return out
+
+
+def stored_and_read(row, mode):
+    """Store the colocated image ``row`` laid out as ``mode`` lays it, and read it back."""
+    env = build_env(**mode_env_args(mode))
+    key = k()
+    if env.manager.decoupling is None:
+        writes = [ConditionalWrite(key, row)]
+    else:
+        app, meta = split_columns(row)
+        writes = [ConditionalWrite(key, app), ConditionalWrite(DecoupleConfig.metadata_key(key), meta)]
+    assert env.registry.atomic_write(writes) is None
+    return read_dispatch(env.registry, env.manager.decoupling, key)
+
+
+@settings(max_examples=100)
+@given(
+    columns=app_columns,
+    meta=stored_metadata,
+    mode=st.sampled_from(list(METADATA_MODES)),
+    committed_at=st.integers(1, 99),
+)
+def test_a_row_in_the_older_format_reads_and_settles_as_the_trimmed_row(
+    columns, meta, mode, committed_at
+):
+    """The explicit None/False defaults change no check, no read and no settle image."""
+    trimmed = stored_row(columns, meta)
+    older = older_format(trimmed)
+    defaults = {(COL_COMMITTED_AT, None), (COL_DELETED, False), (COL_BEFORE, None)}
+    assert trimmed.items() <= older.items()
+    assert {(name, v) for name, v in older.items() if name not in trimmed} <= defaults
+    condition = if_tx_id_equals(meta.tx_id)
+    seen = []
+    for row in (trimmed, older):
+        assert decode_metadata(parse_metadata(row)) == meta
+        obs = stored_and_read(row, mode)
+        app = tagged(obs.app_columns)
+        read = (obs.path, obs.present, obs.prepared, app, decode_metadata(obs.meta))
+        settles = []
+        for at in (committed_at, None):  # roll forward, roll back
+            write = _settle_write(KEY, obs.meta, obs.app_columns, at, condition, obs.split)
+            settles.append((write.kind, write.condition, physical_rows(write, obs.split)))
+        seen.append((read, settles))
+    assert seen[0] == seen[1]
+    assert seen[0][0][4] == meta

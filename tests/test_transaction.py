@@ -47,7 +47,7 @@ from fedtx.storage import WriteCondition
 from fedtx.verifier import HistoryRecorder, audit_atomicity
 from conftest import (
     METADATA_MODES,
-    SEVEN_METADATA_COLUMNS,
+    SETTLED_METADATA_COLUMNS,
     BeforeImage,
     MinimalAdapter,
     TransactionMetadata,
@@ -370,6 +370,71 @@ class TestAbort:
         assert recorder.history().entries[-1].outcome is TxStatus.COMMITTED
         coord = ("coord", "coordinator", "state")
         assert audit_atomicity(env.dump_all(), recorder.history(), coord) == []
+
+
+class TestCommitAfterCrash:
+    """``commit()`` called again after a crashed commit finishes as ``abort()`` would.
+
+    It returns when the stores say the transaction committed and raises
+    ``ConflictAbort`` when they say it aborted; a committed handle never
+    raises it.
+    """
+
+    COORD = ("coord", "coordinator", "state")
+
+    @staticmethod
+    def crash_then_commit_again(env, victim, store, fault):
+        """Crash ``victim``'s commit at ``fault`` on ``store``, commit again; returns what it raised."""
+        env.adapter(store).inject_faults([fault])
+        with pytest.raises(InjectedCrash):
+            victim.commit()
+        env.adapter(store).clear_faults()
+        try:
+            victim.commit()
+        except ConflictAbort as error:
+            return error
+        return None
+
+    def check_finished(self, env, recorder, victim, landed, error):
+        assert victim.status is (TxStatus.COMMITTED if landed else TxStatus.ABORTED)
+        assert (error is None) == landed
+        assert [r.key for r in env.dump_all() if r.columns.get(COL_STATE) == "PREPARED"] == []
+        assert recorder.history().entries[-1].outcome is victim.status
+        assert audit_atomicity(env.dump_all(), recorder.history(), self.COORD) == []
+        with pytest.raises(TransactionFinished):
+            victim.commit()
+
+    @pytest.mark.parametrize("fault", list(FaultKind), ids=lambda f: f.name.lower())
+    @pytest.mark.parametrize("mode", list(METADATA_MODES))
+    def test_commit_after_a_crashed_one_phase_insert(self, mode, fault):
+        recorder = HistoryRecorder()
+        env = build_env(**mode_env_args(mode), history=recorder)
+        victim = env.manager.begin()
+        victim.put(k(), {"v": 10})
+        error = self.crash_then_commit_again(env, victim, "s1", (0, fault))
+        landed = fault is FaultKind.CRASH_AFTER_BATCH
+        self.check_finished(env, recorder, victim, landed, error)
+        assert recorder.history().entries[-1].one_phase
+        assert committed_value(env, k()) == ({"v": 10} if landed else None)
+        assert env.counters("coord").atomic_write_batches == 0
+
+    @pytest.mark.parametrize("fault", list(FaultKind), ids=lambda f: f.name.lower())
+    @pytest.mark.parametrize("mode", list(METADATA_MODES))
+    def test_commit_after_a_crashed_coordinator_write(self, mode, fault):
+        recorder = HistoryRecorder()
+        env = build_env(**mode_env_args(mode, storages=("s1", "s2")), history=recorder)
+        seed(env, k("s1"), 1)
+        seed(env, k("s2"), 2)
+        victim = env.manager.begin()
+        victim.put(k("s1"), {"v": 10})
+        victim.put(k("s2"), {"v": 20})
+        error = self.crash_then_commit_again(env, victim, "coord", (0, fault))
+        landed = fault is FaultKind.CRASH_AFTER_BATCH
+        self.check_finished(env, recorder, victim, landed, error)
+        coord_rows = {r.key.partition_key[0]: r.columns for r in env.adapter("coord").dump()}
+        assert coord_rows[victim.tx_id]["tx_state"] == victim.status.value
+        expected = [{"v": 10}, {"v": 20}] if landed else [{"v": 1}, {"v": 2}]
+        assert [committed_value(env, key) for key in (k("s1"), k("s2"))] == expected
 
 
 class TestAttempt:
@@ -845,7 +910,7 @@ class TestRecovery:
         # rolled-forward records are settled, with the rollback image cleared
         (row,) = [r.columns for r in env.adapter("s1").dump() if COL_STATE in r.columns]
         assert row[COL_STATE] == TxState.COMMITTED.value
-        assert row[COL_BEFORE] is None
+        assert {name for name in row if name.startswith("_tx_")} == SETTLED_METADATA_COLUMNS
 
     @pytest.mark.parametrize("mode", list(METADATA_MODES))
     def test_roll_forward_of_prepared_delete_removes_record(self, mode):
@@ -863,7 +928,7 @@ class TestRecovery:
         assert not env.adapter("s1").dump()
         self.crashed_commit(env, FaultKind.CRASH_BEFORE_BATCH)
         prepared = [r.columns for r in env.adapter("s1").dump() if COL_STATE in r.columns]
-        assert [(row[COL_STATE], row[COL_BEFORE]) for row in prepared] == [("PREPARED", None)]
+        assert [(row[COL_STATE], COL_BEFORE in row) for row in prepared] == [("PREPARED", False)]
         assert committed_value(env, k("s1")) is None  # the re-create rolls back to a delete
         assert not env.adapter("s1").dump()  # of both halves, when split
         tx = env.manager.begin()
@@ -1091,8 +1156,8 @@ class TestRecovery:
             image = [name for name in columns if name.startswith(COL_BEFORE)]
             if columns.get(COL_STATE) == "PREPARED":
                 assert len(image) == 5 + len(self.MIXED_ROW)
-            else:  # a settled row has only _tx_before; a split application row has none
-                assert image == ([COL_BEFORE] if COL_STATE in columns else [])
+            else:  # neither a settled row nor a split application row has any
+                assert image == []
 
         committed = outcome is TxStatus.COMMITTED
         for key in keys:  # each reader settles the record lazily
@@ -1100,8 +1165,7 @@ class TestRecovery:
         if committed:
             for columns in rows().values():
                 meta = {name for name in columns if name.startswith("_tx_")}
-                assert meta in (set(), SEVEN_METADATA_COLUMNS)
-                assert columns.get(COL_BEFORE) is None
+                assert meta in (set(), SETTLED_METADATA_COLUMNS)
         else:
             assert rows() == seeded_rows  # prior columns and tx id, version, timestamps
             assert decode_metadata(read(k("s1")).meta) == prior_meta
@@ -2295,9 +2359,9 @@ class TestStoredImages:
     def outcome_at(env, tx):
         return env.registry.read(env.manager.coordinator.key_for(tx.tx_id))[COORD_CREATED_COLUMN]
 
-    def prepare_and_crash(self, env, crash):
-        """Rewrite s1 and delete s2 in one transaction that dies at the coordinator write."""
-        tx = env.manager.begin()
+    def prepare_and_crash(self, env, crash, tx=None):
+        """Rewrite s1 and delete s2 in ``tx`` (or a new one), which dies at the coordinator write."""
+        tx = tx or env.manager.begin()
         assert tx.get(k("s1")) is not None and tx.get(k("s2")) is not None
         tx.put(k("s1"), dict(self.COLUMNS, v=tx.get(k("s1"))["v"] + 1))
         tx.delete(k("s2"))
@@ -2345,6 +2409,52 @@ class TestStoredImages:
         )
         committed = self.expected(env, dict.fromkeys(keys, reference_columns(self.COLUMNS, settled)))
         return env, settled, committed
+
+    @pytest.mark.parametrize("mode", list(METADATA_MODES))
+    def test_each_kind_of_row_stores_only_the_metadata_it_asserts(self, mode):
+        """Column names, in order, of settled and PREPARED rows: no column at its default."""
+        env, _, _ = self.seeded(mode)
+        settled = ["_tx_id", "_tx_version", "_tx_state", "_tx_prepared_at", "_tx_committed_at"]
+        before = [
+            "_tx_before",
+            "_tx_before_version",
+            "_tx_before_state",
+            "_tx_before_prepared_at",
+            "_tx_before_committed_at",
+            *("_tx_before_col_" + name for name in self.COLUMNS),
+        ]
+        prepared = settled[:4]
+        app = list(self.COLUMNS)
+        tx = env.manager.begin()
+        tx.put(k("s1", pk=2), self.COLUMNS)  # an insert
+        colocated = env.manager.decoupling is None
+
+        def names(expected, outcomes):
+            """Each record's stored column names: its one row, or its application and metadata rows."""
+            rows = {record.key: record.columns for record in env.dump_all()}
+            assert len(rows) == len(expected) * (1 if colocated else 2) + outcomes
+            for key, (app_names, meta_names) in expected.items():
+                if colocated:
+                    assert list(rows[key]) == app_names + meta_names
+                else:
+                    assert list(rows[key]) == app_names
+                    assert list(rows[DecoupleConfig.metadata_key(key)]) == meta_names
+            return rows
+
+        names({k("s1"): (app, settled), k("s2"): (app, settled)}, outcomes=1)
+        self.prepare_and_crash(env, FaultKind.CRASH_BEFORE_BATCH, tx)  # an overwrite, a delete
+        rows = names(
+            {
+                k("s1"): (app, prepared + before),
+                k("s1", pk=2): (app, prepared),
+                k("s2"): ([], prepared + ["_tx_deleted"] + before),
+            },
+            outcomes=1,  # the seeding commit's
+        )
+        delete_meta = rows[k("s2") if colocated else DecoupleConfig.metadata_key(k("s2"))]
+        assert delete_meta["_tx_deleted"] is True
+        tx.abort()  # restores both settled rows, and removes the insert
+        names({k("s1"): (app, settled), k("s2"): (app, settled)}, outcomes=2)
 
     @pytest.mark.parametrize("mode", list(METADATA_MODES))
     def test_commit_restore_and_roll_forward_store_the_oracles_rows(self, mode):
