@@ -88,16 +88,14 @@ from .model import (
 )
 from .records import (
     COL_DELETED,
-    COL_PREPARED_AT,
     COL_STATE,
     COL_TX_ID,
     COL_VERSION,
-    COORD_CREATED_COLUMN,
     COORD_STATE_COLUMN,
     application_columns,
     check_application_columns,
     combined_columns,
-    outcome_committed_at,
+    outcome_committed,
     parse_metadata,  # noqa: F401 - perfbench/tracing.py rebinds this name here
     prior_image,
 )
@@ -147,7 +145,7 @@ class _LogicalWrite:
     whether those rows split is ``observed.split``. A guess that the store
     refutes is read and resolved again (``_observe_guesses``). Its prepared
     row is encoded in one ``combined_columns`` call from these fields and the
-    observed row: the before-image is that settled row's ``_tx_*`` columns
+    observed row: the before-image is that settled row's tx id and version
     and the read's own ``app_columns`` (filtered once, and nothing changes
     them). The prepared row is then all a settle needs (``_settle_write``).
     """
@@ -179,7 +177,6 @@ class _LogicalWrite:
             self.version,
             _PREPARED,
             prepared_at,
-            None,
             columns is None,
             obs.meta_row,
             obs.app_columns,
@@ -201,8 +198,6 @@ def _committed_write(
     columns: Mapping[str, object] | None,
     tx_id: str,
     version: int,
-    prepared_at: int,
-    committed_at: int,
     condition,
     split: bool,
 ) -> ConditionalWrite | SplitWrite:
@@ -211,7 +206,7 @@ def _committed_write(
         return _delete_write(key, condition, split)
     app = columns.copy()
     row = {} if split else app
-    combined_columns(row, tx_id, version, _COMMITTED, prepared_at, committed_at)
+    combined_columns(row, tx_id, version, _COMMITTED)
     if split:
         return SplitWrite(key, row, condition, _PUT, app)
     return ConditionalWrite._owning(key, row, condition)
@@ -221,25 +216,22 @@ def _settle_write(
     key: FullKey,
     prepared: Mapping[str, object],
     app_columns: Mapping[str, object] | None,
-    committed_at: int | None,
+    committed: bool,
     condition,
     split: bool,
 ) -> ConditionalWrite | SplitWrite:
     """Settle of a PREPARED row, from the row alone: ``prepared`` holds its ``_tx_*`` columns.
 
-    With ``committed_at`` it rolls forward: ``app_columns`` COMMITTED at the
-    prepared version, or a delete of a prepared delete. Without, it rolls
+    If ``committed`` it rolls forward: ``app_columns`` COMMITTED at the
+    prepared version, or a delete of a prepared delete. Otherwise it rolls
     back to the before-image the row carries, or deletes the key that the
     prepared write created. ``split`` says whether the record's metadata
     lives in its own row.
     """
-    if committed_at is not None:
+    if committed:
         columns = None if prepared.get(COL_DELETED) else app_columns
         tx_id, version = prepared[COL_TX_ID], prepared[COL_VERSION]
-        prepared_at = prepared[COL_PREPARED_AT]
-        return _committed_write(
-            key, columns, tx_id, version, prepared_at, committed_at, condition, split
-        )
+        return _committed_write(key, columns, tx_id, version, condition, split)
     image = prior_image(prepared, split)
     if image is None:
         return _delete_write(key, condition, split)
@@ -469,14 +461,14 @@ class TransactionManager:
                 raise RecoveryFailed(f"record {key.render()} kept {why} after {reads} reads")
             obs = None
 
-    def _claim_outcome(self, tx_id: str, proposed: TxStatus) -> int | None:
-        """Claim the write-once outcome ``proposed`` or adopt the stored one, as its commit time."""
+    def _claim_outcome(self, tx_id: str, proposed: TxStatus) -> bool:
+        """Claim the write-once outcome ``proposed`` or adopt the stored one; True if COMMITTED."""
         key = self.coordinator.key_for(tx_id)
-        row = {COORD_STATE_COLUMN: proposed.value, COORD_CREATED_COLUMN: self._tick()}
+        row = {COORD_STATE_COLUMN: proposed.value}
         claim = ConditionalWrite._owning(key, row, IF_NOT_EXISTS)  # row: fresh, held by no one
         if self.registry.atomic_write([claim]) is not None:
             row = self.registry.read(key)
-        return outcome_committed_at(row)
+        return outcome_committed(row)
 
     def _resolve_prepared(self, key: FullKey, obs: ReadResult) -> None:
         """Settle a record left PREPARED by another transaction, from the row read.
@@ -488,12 +480,12 @@ class TransactionManager:
         tx_id = obs.meta[COL_TX_ID]
         row = self.registry.read(self.coordinator.key_for(tx_id))
         if row is not None:
-            committed_at = outcome_committed_at(row)
+            committed = outcome_committed(row)
         else:  # no outcome yet: claim the abort; the writer's own claim may still win
-            committed_at = self._claim_outcome(tx_id, TxStatus.ABORTED)
+            committed = self._claim_outcome(tx_id, TxStatus.ABORTED)
         condition = if_tx_id_equals(tx_id)
-        write = _settle_write(key, obs.meta, obs.app_columns, committed_at, condition, obs.split)
-        self._write([write], None if committed_at is None else {key: obs})
+        write = _settle_write(key, obs.meta, obs.app_columns, committed, condition, obs.split)
+        self._write([write], {key: obs} if committed else None)
 
     def recover_all_prepared(self) -> int:
         """Sweep every storage and settle all in-doubt records.
@@ -691,18 +683,17 @@ class TransactionManager:
                     break
                 writes = [write for write in writes if write.key != failed]
 
-    def _end(self, tx: TxHandle, committed_at: int | None) -> None:
+    def _end(self, tx: TxHandle, committed: bool) -> None:
         """Settle every group ``tx`` may have prepared to its claimed outcome, then finish it.
 
-        ``committed_at`` is the outcome ``_claim_outcome`` returns. A commit
-        flips each group's records (perhaps behind the queue); an abort (None)
+        ``committed`` is the outcome ``_claim_outcome`` returns. A commit
+        flips each group's records (perhaps behind the queue); an abort
         restores their before-images. Each settle is built from the prepared
         row this transaction issued, as a recovery builds it from the row it
         read. A record that lost the tx-id condition was settled by a
         recovery, and maybe overwritten since.
         """
         condition = if_tx_id_equals(tx.tx_id)
-        committed = committed_at is not None
         commit_at = self._tick() if committed else None
         batches = [
             [
@@ -710,7 +701,7 @@ class TransactionManager:
                     logical.key,
                     write.columns,
                     logical.columns,
-                    committed_at,
+                    committed,
                     condition,
                     logical.observed.split,
                 )
@@ -733,10 +724,9 @@ class TransactionManager:
 
     def _write_one_phase(self, tx: TxHandle, group: list[_LogicalWrite]) -> FullKey | None:
         """Write ``group`` as COMMITTED records in one batch: a one-phase commit's only write."""
-        ts = self._tick()
         batch = [
             _committed_write(
-                logical.key, logical.columns, tx.tx_id, logical.version, ts, ts,
+                logical.key, logical.columns, tx.tx_id, logical.version,
                 logical.condition, logical.observed.split,
             )
             for logical in group
@@ -808,9 +798,9 @@ class TransactionManager:
 
     def _conclude(self, tx: TxHandle, proposed: TxStatus, why: str) -> None:
         """Claim ``proposed`` or adopt the stored outcome, settle to it; if ABORTED, raise ``why``."""
-        committed_at = self._claim_outcome(tx.tx_id, proposed)
-        self._end(tx, committed_at)
-        if committed_at is None:
+        committed = self._claim_outcome(tx.tx_id, proposed)
+        self._end(tx, committed)
+        if not committed:
             raise ConflictAbort(why)
 
     def _commit_record_worker(self):

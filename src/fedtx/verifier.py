@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .decoupling import logical_key
 from .model import Record, TxState, TxStatus
-from .records import COL_STATE, COL_TX_ID, COL_VERSION, outcome_committed_at
+from .records import COL_STATE, COL_TX_ID, COL_VERSION, outcome_committed
 
 
 @dataclass(frozen=True)
@@ -229,7 +229,7 @@ def _coordinator_states(records: Iterable[Record], coordinator_table: tuple[str,
     for record in records:
         key = record.key
         if (key.storage, key.namespace, key.table) == (storage, namespace, table):
-            committed = outcome_committed_at(record.columns) is not None
+            committed = outcome_committed(record.columns)
             states[key.partition_key[0]] = TxStatus.COMMITTED if committed else TxStatus.ABORTED
     return states
 

@@ -24,11 +24,7 @@ from fedtx.model import TxState, ValueTag, value_tag
 from fedtx.records import (
     BEFORE_COLUMN_PREFIX,
     COL_BEFORE,
-    COL_BEFORE_COMMITTED_AT,
-    COL_BEFORE_PREPARED_AT,
-    COL_BEFORE_STATE,
     COL_BEFORE_VERSION,
-    COL_COMMITTED_AT,
     COL_DELETED,
     COL_PREPARED_AT,
     COL_STATE,
@@ -39,14 +35,8 @@ from fedtx.records import (
 from fedtx.transaction import CoordinatorLocation
 
 
-# Every settled record carries exactly these; a before-image adds its own.
-SETTLED_METADATA_COLUMNS = {
-    "_tx_id",
-    "_tx_version",
-    "_tx_state",
-    "_tx_prepared_at",
-    "_tx_committed_at",
-}
+# Every settled record carries exactly these, in this order.
+SETTLED_METADATA_COLUMNS = ("_tx_id", "_tx_version", "_tx_state")
 
 
 def compare_values(a, b) -> int:
@@ -70,23 +60,30 @@ def compare_values(a, b) -> int:
 class BeforeImage:
     """Oracle: the previous version of a record, kept by a PREPARED row for rollback.
 
-    Holds the prior application columns and the prior metadata; the nested
-    metadata never carries its own before-image (depth is exactly one).
+    Holds the prior application columns, tx id and version. The prior
+    version is always a settled one, so nothing else of it is kept, and it
+    never carries a before-image of its own (depth is exactly one).
     """
 
     columns: Mapping[str, object]
-    metadata: "TransactionMetadata"
+    tx_id: str
+    version: int
 
     def __post_init__(self):
         object.__setattr__(self, "columns", MappingProxyType(dict(self.columns)))
-        if self.metadata.before_image is not None:
-            raise ValueError("a before-image's metadata may not nest another before-image")
+        TransactionMetadata(self.tx_id, self.version, TxState.COMMITTED)  # the same checks
+
+    @property
+    def metadata(self) -> "TransactionMetadata":
+        """The settled metadata a rollback restores."""
+        return TransactionMetadata(self.tx_id, self.version, TxState.COMMITTED)
 
 
 @dataclass(frozen=True)
 class TransactionMetadata:
     """Oracle: a record's metadata as an object, checked on construction.
 
+    ``prepared_at`` is a PREPARED record's alone: a settled one has none.
     ``delete_marker`` is only meaningful while PREPARED: roll-forward then
     deletes instead of committing the columns.
     """
@@ -94,8 +91,7 @@ class TransactionMetadata:
     tx_id: str
     version: int
     tx_state: TxState
-    prepared_at: int
-    committed_at: int | None = None
+    prepared_at: int | None = None
     before_image: BeforeImage | None = None
     delete_marker: bool = False
 
@@ -104,16 +100,17 @@ class TransactionMetadata:
             raise ValueError("tx_id must be non-empty")
         if self.version < 1:
             raise ValueError("version starts at 1")
-        if self.tx_state is TxState.COMMITTED and self.committed_at is None:
-            raise ValueError("a COMMITTED record must carry committed_at")
+        if (self.tx_state is TxState.PREPARED) != (self.prepared_at is not None):
+            raise ValueError("a PREPARED record, and only one, must carry prepared_at")
 
 
 def decode_metadata(row: Mapping[str, object] | None) -> TransactionMetadata | None:
     """Oracle: a stored row's ``_tx_*`` columns decoded field by field into objects.
 
-    Columns without the prefix are ignored, and an absent row (None) has no
-    metadata. ``fedtx.records.parse_metadata`` must accept exactly the rows
-    this accepts.
+    Columns without the prefix are ignored, and so is ``_tx_prepared_at`` on
+    a settled row, and an absent row (None) has no metadata.
+    ``fedtx.records.parse_metadata`` must accept exactly the rows this
+    accepts.
     """
     if row is None:
         return None
@@ -123,20 +120,15 @@ def decode_metadata(row: Mapping[str, object] | None) -> TransactionMetadata | N
         start = len(BEFORE_COLUMN_PREFIX)
         before = BeforeImage(
             {name[start:]: v for name, v in row.items() if name.startswith(BEFORE_COLUMN_PREFIX)},
-            TransactionMetadata(
-                prior_tx_id,
-                row[COL_BEFORE_VERSION],
-                TxState(row[COL_BEFORE_STATE]),
-                row[COL_BEFORE_PREPARED_AT],
-                row[COL_BEFORE_COMMITTED_AT],
-            ),
+            prior_tx_id,
+            row[COL_BEFORE_VERSION],
         )
+    state = TxState(row[COL_STATE])
     return TransactionMetadata(
         row[COL_TX_ID],
         row[COL_VERSION],
-        TxState(row[COL_STATE]),
-        row[COL_PREPARED_AT],
-        row.get(COL_COMMITTED_AT),
+        state,
+        row.get(COL_PREPARED_AT) if state is TxState.PREPARED else None,
         before,
         bool(row.get(COL_DELETED, False)),
     )
@@ -145,29 +137,25 @@ def decode_metadata(row: Mapping[str, object] | None) -> TransactionMetadata | N
 def reference_metadata_columns(meta: TransactionMetadata) -> dict:
     """Oracle: a metadata object rendered as its reserved columns, field by field.
 
-    A column at its default is left out: ``_tx_committed_at`` when None,
-    ``_tx_deleted`` unless True. A before-image adds ``_tx_before`` and its
-    other ``_tx_before_*`` columns. ``fedtx.records.combined_columns`` must
-    write exactly these from plain fields.
+    A column at its default is left out: ``_tx_prepared_at`` when None (a
+    settled record), ``_tx_deleted`` unless True. A before-image adds
+    ``_tx_before``, ``_tx_before_version`` and its ``_tx_before_col_*``
+    columns. ``fedtx.records.combined_columns`` must write exactly these from
+    plain fields.
     """
     columns = {
         COL_TX_ID: meta.tx_id,
         COL_VERSION: meta.version,
         COL_STATE: meta.tx_state.value,
-        COL_PREPARED_AT: meta.prepared_at,
     }
-    if meta.committed_at is not None:
-        columns[COL_COMMITTED_AT] = meta.committed_at
+    if meta.prepared_at is not None:
+        columns[COL_PREPARED_AT] = meta.prepared_at
     if meta.delete_marker:
         columns[COL_DELETED] = True
     before = meta.before_image
     if before is not None:
-        prior = before.metadata
-        columns[COL_BEFORE] = prior.tx_id
-        columns[COL_BEFORE_VERSION] = prior.version
-        columns[COL_BEFORE_STATE] = prior.tx_state.value
-        columns[COL_BEFORE_PREPARED_AT] = prior.prepared_at
-        columns[COL_BEFORE_COMMITTED_AT] = prior.committed_at
+        columns[COL_BEFORE] = before.tx_id
+        columns[COL_BEFORE_VERSION] = before.version
         for name, value in before.columns.items():
             value_tag(value)
             columns[BEFORE_COLUMN_PREFIX + name] = value
@@ -206,7 +194,6 @@ def stored_row(app_columns, meta: TransactionMetadata) -> dict:
         meta.version,
         meta.tx_state,
         meta.prepared_at,
-        meta.committed_at,
         meta.delete_marker,
         prior_row,
         prior_app,

@@ -50,9 +50,7 @@ MODE_PATHS = {
 
 
 def committed_meta(tx_id="t0", version=1):
-    return TransactionMetadata(
-        tx_id, version, TxState.COMMITTED, prepared_at=1, committed_at=2
-    )
+    return TransactionMetadata(tx_id, version, TxState.COMMITTED)
 
 
 def split_write(columns, condition=UNCONDITIONAL, key=None):

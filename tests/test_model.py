@@ -59,9 +59,8 @@ class TestValues:
     def test_unsupported_values_are_rejected_at_every_edge(self):
         with pytest.raises(TypeError):
             FullKey("s1", "ns", "t", (1.5,))
-        prior = TransactionMetadata("t0", 1, TxState.COMMITTED, prepared_at=1, committed_at=1)
         meta = TransactionMetadata(
-            "t1", 2, TxState.PREPARED, prepared_at=2, before_image=BeforeImage({"x": 1.5}, prior)
+            "t1", 2, TxState.PREPARED, prepared_at=2, before_image=BeforeImage({"x": 1.5}, "t0", 1)
         )
         store = build_env().adapter("s1")
         with pytest.raises(TypeError):  # the store checks every column a PUT writes
@@ -357,5 +356,5 @@ def test_star_import_binds_no_module():
     assert "TransactionManager" in namespace and "TxStatus" in namespace
     # A record's metadata is its stored row; no object type stands for it.
     assert not {"TransactionMetadata", "BeforeImage"} & set(namespace)
-    # Nor for a coordinator row's outcome: records.outcome_committed_at decodes the row.
+    # Nor for a coordinator row's outcome: records.outcome_committed decodes the row.
     assert [name for name in namespace if name.endswith("State")] == ["TxState"]

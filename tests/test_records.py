@@ -9,21 +9,19 @@ from hypothesis import given, settings, strategies as st
 from fedtx.decoupling import DecoupleConfig, ReadPath, ReadResult, SplitWrite, read_dispatch
 from fedtx.model import FullKey, TxState, value_tag
 from fedtx.records import (
+    BEFORE_COLUMN_PREFIX,
     COL_BEFORE,
-    COL_BEFORE_STATE,
     COL_BEFORE_VERSION,
-    COL_COMMITTED_AT,
     COL_DELETED,
     COL_PREPARED_AT,
     COL_STATE,
     COL_TX_ID,
     COL_VERSION,
-    COORD_CREATED_COLUMN,
     COORD_STATE_COLUMN,
     application_columns,
     META_PREFIX,
     check_application_columns,
-    outcome_committed_at,
+    outcome_committed,
     parse_metadata,
     prior_image,
 )
@@ -63,17 +61,14 @@ app_columns = st.dictionaries(column_names, scalars, max_size=5)
 
 
 def committed_meta(tx_id="t0", version=1):
-    return TransactionMetadata(
-        tx_id, version, TxState.COMMITTED, prepared_at=version, committed_at=version
-    )
+    return TransactionMetadata(tx_id, version, TxState.COMMITTED)
 
 
 before_images = st.builds(
     BeforeImage,
     columns=app_columns,
-    metadata=st.builds(
-        committed_meta, tx_id=st.text(min_size=1, max_size=8), version=st.integers(1, 9)
-    ),
+    tx_id=st.text(min_size=1, max_size=8),
+    version=st.integers(1, 9),
 )
 
 metadata = st.builds(
@@ -82,7 +77,6 @@ metadata = st.builds(
     version=st.integers(1, 9),
     tx_state=st.just(TxState.PREPARED),
     prepared_at=st.integers(1, 99),
-    committed_at=st.none(),
     before_image=st.one_of(st.none(), before_images),
     delete_marker=st.booleans(),
 )
@@ -109,24 +103,41 @@ def test_before_image_columns_all_land_on_the_metadata_side(columns, before):
     app, raw_meta = split_columns(stored)
     before_columns = {name for name in stored if name.startswith(COL_BEFORE)}
     assert before_columns <= set(raw_meta)
-    assert len(before_columns) == 5 + len(before.columns)
+    oracle = reference_metadata_columns(meta)
+    assert before_columns == {name for name in oracle if name.startswith(COL_BEFORE)}
     assert decode_metadata(parse_metadata(raw_meta)).before_image == before
 
 
 def test_before_image_without_application_columns_is_kept():
-    before = BeforeImage({}, committed_meta())
+    before = BeforeImage({}, "t0", 1)
     meta = TransactionMetadata("t1", 2, TxState.PREPARED, prepared_at=5, before_image=before)
     row = stored_row({}, meta)
-    assert decode_metadata(parse_metadata(row)).before_image == BeforeImage({}, committed_meta())
+    assert decode_metadata(parse_metadata(row)).before_image == BeforeImage({}, "t0", 1)
 
 
-def test_a_committed_image_has_exactly_the_five_settled_columns():
+def test_a_committed_image_has_exactly_the_settled_columns():
     stored = stored_row({"v": 1, "before": b"x"}, committed_meta(version=3))
     app, raw_meta = split_columns(stored)
     assert app == {"v": 1, "before": b"x"}
-    assert list(raw_meta) == ["_tx_id", "_tx_version", "_tx_state", "_tx_prepared_at", "_tx_committed_at"]
-    assert set(raw_meta) == SETTLED_METADATA_COLUMNS
+    assert list(raw_meta) == list(SETTLED_METADATA_COLUMNS)
+    assert list(raw_meta) == list(reference_metadata_columns(committed_meta(version=3)))
     assert decode_metadata(parse_metadata(raw_meta)) == committed_meta(version=3)
+
+
+def test_a_prepared_image_orders_its_metadata_columns():
+    before = BeforeImage({"v": 0, "w": 1}, "t0", 1)
+    meta = TransactionMetadata("t1", 2, TxState.PREPARED, 5, before, delete_marker=True)
+    expected = [
+        *SETTLED_METADATA_COLUMNS,
+        "_tx_prepared_at",
+        "_tx_deleted",
+        "_tx_before",
+        "_tx_before_version",
+        "_tx_before_col_v",
+        "_tx_before_col_w",
+    ]
+    assert list(reference_metadata_columns(meta)) == expected
+    assert list(split_columns(stored_row({"v": 1}, meta))[1]) == expected
 
 
 def test_reserved_prefix_is_rejected():
@@ -166,9 +177,9 @@ def test_a_prepared_row_decodes_its_before_image(columns, before):
 
 
 # Names that the application-column filter must tell apart: application names
-# close to the prefix, the five ``_tx_*`` names of a settled row, the two that
-# an older row also carries at their defaults, before-image names and an
-# unknown ``_tx_*`` name.
+# close to the prefix, the ``_tx_*`` names of a settled row, the others that
+# a prepared or an older row carries, before-image names and an unknown
+# ``_tx_*`` name.
 mixed_names = st.one_of(
     st.sampled_from(
         [
@@ -178,7 +189,9 @@ mixed_names = st.one_of(
             "_TX_",
             "_TX_id",
             "v",
-            *sorted(SETTLED_METADATA_COLUMNS),
+            *SETTLED_METADATA_COLUMNS,
+            "_tx_prepared_at",
+            "_tx_committed_at",
             "_tx_deleted",
             "_tx_before",
             "_tx_before_version",
@@ -205,14 +218,24 @@ def test_application_columns_is_the_prefix_filter_in_row_order(pairs):
 MISSING = object()  # a fault that drops the column
 
 
+def changed(row, change):
+    """``row`` with each column of ``change`` set to its value, or deleted for MISSING."""
+    for name, value in change.items():
+        if value is MISSING:
+            del row[name]
+        else:
+            row[name] = value
+    return row
+
+
 def prepared_row_with_before_image():
     meta = TransactionMetadata(
-        "t1", 2, TxState.PREPARED, prepared_at=5, before_image=BeforeImage({"v": 0}, committed_meta())
+        "t1", 2, TxState.PREPARED, prepared_at=5, before_image=BeforeImage({"v": 0}, "t0", 1)
     )
     return stored_row({"v": 1}, meta)
 
 
-@pytest.mark.parametrize("column", [COL_STATE, COL_BEFORE_STATE])
+@pytest.mark.parametrize("column", [COL_STATE])  # a before-image carries no state
 @pytest.mark.parametrize("value", ["ABORTED", "prepared", "", 0, None])
 def test_an_unknown_state_raises(column, value):
     row = prepared_row_with_before_image()
@@ -226,32 +249,41 @@ def test_an_unknown_state_raises(column, value):
     [
         {COL_VERSION: 0},
         {COL_TX_ID: ""},
-        {COL_COMMITTED_AT: None},
-        {COL_COMMITTED_AT: MISSING},
+        {COL_PREPARED_AT: None},
+        {COL_PREPARED_AT: MISSING},
         {COL_BEFORE_VERSION: 0},
         {COL_BEFORE: ""},
     ],
     ids=[
         "version-0",
         "empty-tx-id",
-        "committed-without-committed-at",
-        "committed-with-committed-at-absent",
+        "prepared-with-prepared-at-none",
+        "prepared-without-prepared-at",
         "before-version-0",
         "before-empty-tx-id",
     ],
 )
 def test_a_row_breaking_a_metadata_invariant_raises(change):
     row = prepared_row_with_before_image()
-    row[COL_STATE] = "COMMITTED"
-    row[COL_COMMITTED_AT] = 6
     parse_metadata(row)  # valid as it stands
-    for name, value in change.items():
-        if value is MISSING:
-            del row[name]
-        else:
-            row[name] = value
     with pytest.raises(ValueError):
-        parse_metadata(row)
+        parse_metadata(changed(row, change))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {COL_STATE: "COMMITTED", COL_PREPARED_AT: MISSING},
+        {COL_STATE: "COMMITTED"},
+        {COL_PREPARED_AT: "any value"},
+    ],
+    ids=["settled-without-prepared-at", "settled-with-prepared-at", "prepared-at-unchecked"],
+)
+def test_a_row_keeping_every_metadata_invariant_is_accepted(change):
+    row = changed(prepared_row_with_before_image(), change)
+    assert parse_metadata(row) is row
+    settled = row[COL_STATE] == "COMMITTED"
+    assert decode_metadata(row).prepared_at == (None if settled else row[COL_PREPARED_AT])
 
 
 # -- the encoder against the object oracle ------------------------------------------
@@ -260,16 +292,16 @@ KEY = FullKey("s1", "app", "t", (1,))
 
 
 @pytest.mark.parametrize(
-    "state, expected", [("COMMITTED", 7), ("ABORTED", None)], ids=["committed", "aborted"]
+    "state, expected", [("COMMITTED", True), ("ABORTED", False)], ids=["committed", "aborted"]
 )
 def test_a_coordinator_row_decodes_to_its_outcome(state, expected):
-    assert outcome_committed_at({COORD_STATE_COLUMN: state, COORD_CREATED_COLUMN: 7}) == expected
+    assert outcome_committed({COORD_STATE_COLUMN: state}) is expected
 
 
 @pytest.mark.parametrize("state", ["ACTIVE", "PREPARED", "committed", None, 1])
 def test_a_coordinator_row_without_an_outcome_raises(state):
     with pytest.raises(ValueError, match="no outcome"):
-        outcome_committed_at({COORD_STATE_COLUMN: state, COORD_CREATED_COLUMN: 7})
+        outcome_committed({COORD_STATE_COLUMN: state})
 
 
 def tagged(columns):
@@ -298,8 +330,6 @@ settled = st.builds(
     tx_id=st.text(min_size=1, max_size=8),
     version=st.integers(1, 9),
     tx_state=st.just(TxState.COMMITTED),
-    prepared_at=st.integers(1, 99),
-    committed_at=st.integers(1, 99),
     delete_marker=st.just(False),
 )
 
@@ -316,10 +346,9 @@ settled_with_stray_image = st.one_of(
     layout=st.sampled_from(["colocated", "split"]),
     tx_id=st.text(min_size=1, max_size=8),
     prepared_at=st.integers(1, 99),
-    committed_at=st.integers(1, 99),
 )
 def test_every_image_a_write_stores_is_the_object_oracles(
-    columns, prior, layout, tx_id, prepared_at, committed_at
+    columns, prior, layout, tx_id, prepared_at
 ):
     obs = observed_row(prior, layout)
     if prior is None:
@@ -328,14 +357,14 @@ def test_every_image_a_write_stores_is_the_object_oracles(
     else:
         prior_app, prior_meta = prior
         version, condition = prior_meta.version + 1, if_tx_id_equals(prior_meta.tx_id)
-        image = BeforeImage(prior_app, replace(prior_meta, before_image=None))
+        image = BeforeImage(prior_app, prior_meta.tx_id, prior_meta.version)
     deleted = columns is None
     split = layout == "split"
     logical = _LogicalWrite(KEY, columns, obs, version, condition)  # its layout is obs.split
 
     prepared = logical.prepared_write(tx_id, prepared_at)
     meta = TransactionMetadata(
-        tx_id, version, TxState.PREPARED, prepared_at, None, image, delete_marker=deleted
+        tx_id, version, TxState.PREPARED, prepared_at, image, delete_marker=deleted
     )
     assert physical_rows(prepared, split) == oracle_rows(columns or {}, meta, split)
     assert (prepared.kind, prepared.condition) == (WriteKind.PUT, condition)
@@ -354,17 +383,17 @@ def test_every_image_a_write_stores_is_the_object_oracles(
         reads = [ReadResult(whole, whole, ReadPath.COLOCATED)]
     sources = [(prepared.columns, columns)] + [(obs.meta, obs.app_columns) for obs in reads]
     for row, app in sources:
-        committed = _settle_write(KEY, row, app, committed_at, condition, split)
+        committed = _settle_write(KEY, row, app, True, condition, split)
         assert committed.condition == condition
         if deleted:
             assert committed.kind is WriteKind.DELETE
             assert physical_rows(committed, split) == [[]] * (1 + split)
         else:
-            meta = TransactionMetadata(tx_id, version, TxState.COMMITTED, prepared_at, committed_at)
+            meta = TransactionMetadata(tx_id, version, TxState.COMMITTED)
             assert committed.kind is WriteKind.PUT
             assert physical_rows(committed, split) == oracle_rows(columns, meta, split)
 
-        restore = _settle_write(KEY, row, app, None, condition, split)
+        restore = _settle_write(KEY, row, app, False, condition, split)
         assert restore.condition == condition
         if image is None:
             assert restore.kind is WriteKind.DELETE
@@ -449,22 +478,42 @@ def test_the_row_check_accepts_exactly_what_the_oracle_decodes(columns, meta, mo
 # -- rows in the older format ---------------------------------------------------------
 
 
-def older_format(row):
-    """``row`` as the encoder wrote it before it left out default-valued metadata columns.
+# The ``_tx_*`` columns an older row carried and a row in the current format leaves out.
+OLDER_ONLY_COLUMNS = {
+    COL_PREPARED_AT,  # on a settled row
+    "_tx_committed_at",
+    COL_DELETED,
+    COL_BEFORE,
+    "_tx_before_state",
+    "_tx_before_prepared_at",
+    "_tx_before_committed_at",
+}
 
-    Every row then carried ``_tx_committed_at`` (None while PREPARED),
-    ``_tx_deleted`` (False but on a prepared delete) and ``_tx_before`` (None
-    without a before-image), in that order after ``_tx_prepared_at``.
+
+def older_format(row, at):
+    """``row`` as the encoder wrote it before it left out default-valued columns and timestamps.
+
+    Every row then carried ``_tx_prepared_at``, ``_tx_committed_at`` (None
+    while PREPARED), ``_tx_deleted`` (False but on a prepared delete) and
+    ``_tx_before`` (None without a before-image), in that order after
+    ``_tx_state``. A before-image then also carried its record's state and
+    both timestamps after ``_tx_before_version``. ``at`` is every timestamp
+    that ``row`` does not hold.
     """
     out = {name: v for name, v in row.items() if not name.startswith(META_PREFIX)}
     out[COL_TX_ID] = row[COL_TX_ID]
     out[COL_VERSION] = row[COL_VERSION]
     out[COL_STATE] = row[COL_STATE]
-    out[COL_PREPARED_AT] = row[COL_PREPARED_AT]
-    out[COL_COMMITTED_AT] = row.get(COL_COMMITTED_AT)
+    out[COL_PREPARED_AT] = row.get(COL_PREPARED_AT, at)
+    out["_tx_committed_at"] = None if row[COL_STATE] == TxState.PREPARED.value else at
     out[COL_DELETED] = row.get(COL_DELETED, False)
     out[COL_BEFORE] = row.get(COL_BEFORE)
-    out.update((name, v) for name, v in row.items() if name.startswith(COL_BEFORE + "_"))
+    if out[COL_BEFORE] is not None:
+        out[COL_BEFORE_VERSION] = row[COL_BEFORE_VERSION]
+        out["_tx_before_state"] = TxState.COMMITTED.value
+        out["_tx_before_prepared_at"] = at
+        out["_tx_before_committed_at"] = at
+    out.update((name, v) for name, v in row.items() if name.startswith(BEFORE_COLUMN_PREFIX))
     return out
 
 
@@ -486,17 +535,16 @@ def stored_and_read(row, mode):
     columns=app_columns,
     meta=stored_metadata,
     mode=st.sampled_from(list(METADATA_MODES)),
-    committed_at=st.integers(1, 99),
+    at=st.integers(1, 99),
 )
-def test_a_row_in_the_older_format_reads_and_settles_as_the_trimmed_row(
-    columns, meta, mode, committed_at
-):
-    """The explicit None/False defaults change no check, no read and no settle image."""
+def test_a_row_in_the_older_format_reads_and_settles_as_the_trimmed_row(columns, meta, mode, at):
+    """Explicit None/False defaults and timestamps change no check, read or settle image."""
     trimmed = stored_row(columns, meta)
-    older = older_format(trimmed)
-    defaults = {(COL_COMMITTED_AT, None), (COL_DELETED, False), (COL_BEFORE, None)}
+    older = older_format(trimmed, at)
     assert trimmed.items() <= older.items()
-    assert {(name, v) for name, v in older.items() if name not in trimmed} <= defaults
+    extra = {name: v for name, v in older.items() if name not in trimmed}
+    assert extra.keys() <= OLDER_ONLY_COLUMNS
+    assert (extra.get(COL_DELETED, False), extra.get(COL_BEFORE)) == (False, None)
     condition = if_tx_id_equals(meta.tx_id)
     seen = []
     for row in (trimmed, older):
@@ -505,8 +553,8 @@ def test_a_row_in_the_older_format_reads_and_settles_as_the_trimmed_row(
         app = tagged(obs.app_columns)
         read = (obs.path, obs.present, obs.prepared, app, decode_metadata(obs.meta))
         settles = []
-        for at in (committed_at, None):  # roll forward, roll back
-            write = _settle_write(KEY, obs.meta, obs.app_columns, at, condition, obs.split)
+        for committed in (True, False):  # roll forward, roll back
+            write = _settle_write(KEY, obs.meta, obs.app_columns, committed, condition, obs.split)
             settles.append((write.kind, write.condition, physical_rows(write, obs.split)))
         seen.append((read, settles))
     assert seen[0] == seen[1]

@@ -125,7 +125,7 @@ class TestConsistentReadable:
         # At PARTITION scope the metadata table is a different scope: no
         # snapshot can cover both rows, so they are read separately.
         env = build_env({"s1": make_caps(AtomicityUnit.PARTITION, consistent=True)})
-        meta = TransactionMetadata("t0", 1, TxState.COMMITTED, prepared_at=1, committed_at=2)
+        meta = TransactionMetadata("t0", 1, TxState.COMMITTED)
         cfg = DecoupleConfig()
         env.adapter("s1").atomic_write([ConditionalWrite(k(), {"v": 7})])
         env.adapter("s1").atomic_write(

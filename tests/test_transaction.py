@@ -39,9 +39,8 @@ from fedtx.records import (
     COL_STATE,
     COL_TX_ID,
     COL_VERSION,
-    COORD_CREATED_COLUMN,
     COORD_STATE_COLUMN,
-    outcome_committed_at,
+    outcome_committed,
 )
 from fedtx.storage import WriteCondition
 from fedtx.verifier import HistoryRecorder, audit_atomicity
@@ -57,6 +56,7 @@ from conftest import (
     make_caps,
     mode_env_args,
     reference_columns,
+    reference_metadata_columns,
     split_columns,
     stored_row,
 )
@@ -625,6 +625,31 @@ class TestConflicts:
         coord_rows = {r.key.partition_key[0]: r.columns for r in env.adapter("coord").dump()}
         assert coord_rows[t2.tx_id]["tx_state"] == TxStatus.ABORTED.value
 
+    @pytest.mark.parametrize("mode", list(METADATA_MODES))
+    def test_a_dropped_no_op_delete_keeps_its_read_in_the_validation_plan(self, mode):
+        """A serializable delete of a key read absent is dropped, but that read is still validated.
+
+        T reads k1 absent; U then inserts k1 and rewrites k2. T reads U's k2,
+        so T must serialize after U, where k1 exists. Only the re-read of k1
+        shows that, since deleting nothing leaves no write to condition.
+        """
+        env = build_env(**mode_env_args(mode))
+        seed(env, k(pk=2), 0)
+        t = env.manager.begin(serializable=True)
+        assert t.get(k(pk=1)) is None
+        u = env.manager.begin()
+        u.put(k(pk=1), {"v": 1})
+        u.put(k(pk=2), {"v": 2})
+        u.commit()
+        assert t.get(k(pk=2)) == {"v": 2}
+        t.delete(k(pk=1))
+        t.put(k(pk=3), {"v": 3})
+        with pytest.raises(ConflictAbort, match=r"presence of .*pk=\[1\].* changed"):
+            t.commit()
+        assert t.status is TxStatus.ABORTED
+        assert committed_value(env, k(pk=1)) == {"v": 1}
+        assert committed_value(env, k(pk=3)) is None
+
     def test_write_skew_rejected_in_serializable_mode(self, env):
         seed(env, k(pk=1), 0)
         seed(env, k(pk=2), 0)
@@ -910,7 +935,7 @@ class TestRecovery:
         # rolled-forward records are settled, with the rollback image cleared
         (row,) = [r.columns for r in env.adapter("s1").dump() if COL_STATE in r.columns]
         assert row[COL_STATE] == TxState.COMMITTED.value
-        assert {name for name in row if name.startswith("_tx_")} == SETTLED_METADATA_COLUMNS
+        assert {name for name in row if name.startswith("_tx_")} == set(SETTLED_METADATA_COLUMNS)
 
     @pytest.mark.parametrize("mode", list(METADATA_MODES))
     def test_roll_forward_of_prepared_delete_removes_record(self, mode):
@@ -1046,7 +1071,7 @@ class TestRecovery:
         seed(env, k("s1"), 1)
         seed(env, k("s2"), 2)
         victim = self.crashed_commit(env, FaultKind.CRASH_BEFORE_BATCH)
-        row = {"tx_state": stored, "created_at": 99}
+        row = {"tx_state": stored}
         write = ConditionalWrite(env.manager.coordinator.key_for(victim.tx_id), row)
         assert env.adapter("coord").atomic_write([write]) is None
         with pytest.raises(ValueError, match="no outcome"):
@@ -1093,7 +1118,7 @@ class TestRecovery:
                 [
                     ConditionalWrite(
                         env.manager.coordinator.key_for(victim.tx_id),
-                        {"tx_state": "COMMITTED", "created_at": 999},
+                        {"tx_state": "COMMITTED"},
                     )
                 ]
             )
@@ -1151,11 +1176,15 @@ class TestRecovery:
         assert prepared.path is route
         prepared_meta = decode_metadata(prepared.meta)
         assert prepared_meta.tx_state is TxState.PREPARED
-        assert prepared_meta.before_image == BeforeImage(self.MIXED_ROW, prior_meta)
+        assert prepared_meta.before_image == BeforeImage(
+            self.MIXED_ROW, prior_meta.tx_id, prior_meta.version
+        )
         for columns in rows().values():  # the image rides with the state columns (_meta when split)
             image = [name for name in columns if name.startswith(COL_BEFORE)]
             if columns.get(COL_STATE) == "PREPARED":
-                assert len(image) == 5 + len(self.MIXED_ROW)
+                oracle = reference_metadata_columns(decode_metadata(columns))
+                assert image == [name for name in oracle if name.startswith(COL_BEFORE)]
+                assert len(image) > len(self.MIXED_ROW)
             else:  # neither a settled row nor a split application row has any
                 assert image == []
 
@@ -1165,9 +1194,9 @@ class TestRecovery:
         if committed:
             for columns in rows().values():
                 meta = {name for name in columns if name.startswith("_tx_")}
-                assert meta in (set(), SETTLED_METADATA_COLUMNS)
+                assert meta in (set(), set(SETTLED_METADATA_COLUMNS))
         else:
-            assert rows() == seeded_rows  # prior columns and tx id, version, timestamps
+            assert rows() == seeded_rows  # prior columns, tx id, version and state
             assert decode_metadata(read(k("s1")).meta) == prior_meta
         assert env.manager.recover_all_prepared() == 0
 
@@ -1460,7 +1489,7 @@ class TestMetadataTables:
         other.put(k("s1"), {"v": 10})
         other.put(k("s2"), {"v": 20})
         done_key = env.manager.coordinator.key_for(done.tx_id)
-        forged = {COORD_STATE_COLUMN: "ABORTED", COORD_CREATED_COLUMN: 1}
+        forged = {COORD_STATE_COLUMN: "ABORTED"}
         partition = GroupKey("coord", "coordinator", "state", (done.tx_id,))
         attempt = {
             "get": lambda: tx.get(done_key),
@@ -1476,7 +1505,7 @@ class TestMetadataTables:
         tx.commit()
         other.commit()  # no forged outcome aborts it
         assert committed_value(env, k("s1")) == {"v": 10}
-        assert outcome_committed_at(env.registry.read(done_key)) is not None
+        assert outcome_committed(env.registry.read(done_key))
 
 
 class TestHistoryRecording:
@@ -2309,7 +2338,7 @@ class TestReadDecoding:
     @pytest.mark.parametrize("mode", list(METADATA_MODES))
     def test_an_unknown_state_still_raises_on_read(self, mode):
         env = build_env(**mode_env_args(mode))
-        columns = stored_row({"v": 1}, TransactionMetadata("t0", 1, TxState.COMMITTED, 1, 2))
+        columns = stored_row({"v": 1}, TransactionMetadata("t0", 1, TxState.COMMITTED))
         columns[COL_STATE] = "LIMBO"
         if env.manager.decoupling is None:
             rows = [ConditionalWrite(k(), columns)]
@@ -2328,8 +2357,8 @@ class TestStoredImages:
     """Every row the protocol stores is the object oracle's image of what happened.
 
     The metadata of each expected row is built as objects from the handles'
-    own ticks and the coordinator's outcome record, then rendered by the
-    oracle and, in a split mode, cut into its two physical rows.
+    own tx ids and prepare ticks, then rendered by the oracle and, in a split
+    mode, cut into its two physical rows.
     """
 
     COLUMNS = {"v": 1, "flag": True, "name": "a", "blob": b"\x00", "none": None}
@@ -2355,10 +2384,6 @@ class TestStoredImages:
             for key, row in physical.items()
         }
 
-    @staticmethod
-    def outcome_at(env, tx):
-        return env.registry.read(env.manager.coordinator.key_for(tx.tx_id))[COORD_CREATED_COLUMN]
-
     def prepare_and_crash(self, env, crash, tx=None):
         """Rewrite s1 and delete s2 in ``tx`` (or a new one), which dies at the coordinator write."""
         tx = tx or env.manager.begin()
@@ -2372,25 +2397,23 @@ class TestStoredImages:
         return tx
 
     def prepared_rows(self, tx, before):
-        image = BeforeImage(self.COLUMNS, before)
+        image = BeforeImage(self.COLUMNS, before.tx_id, before.version)
         return {
             k("s1"): reference_columns(
                 dict(self.COLUMNS, v=2),
-                TransactionMetadata(tx.tx_id, 2, TxState.PREPARED, tx.prepared_at, None, image),
+                TransactionMetadata(tx.tx_id, 2, TxState.PREPARED, tx.prepared_at, image),
             ),
             k("s2"): reference_columns(
                 {},
                 TransactionMetadata(
-                    tx.tx_id, 2, TxState.PREPARED, tx.prepared_at, None, image, delete_marker=True
+                    tx.tx_id, 2, TxState.PREPARED, tx.prepared_at, image, delete_marker=True
                 ),
             ),
         }
 
     def rolled_rows(self, env, winner):
         """s1 rewritten and s2 deleted by ``winner``, settled COMMITTED."""
-        rolled = TransactionMetadata(
-            winner.tx_id, 2, TxState.COMMITTED, winner.prepared_at, self.outcome_at(env, winner)
-        )
+        rolled = TransactionMetadata(winner.tx_id, 2, TxState.COMMITTED)
         return self.expected(env, {k("s1"): reference_columns(dict(self.COLUMNS, v=2), rolled)})
 
     def seeded(self, mode):
@@ -2404,35 +2427,30 @@ class TestStoredImages:
         for key in keys:
             first.put(key, self.COLUMNS)
         first.commit()
-        settled = TransactionMetadata(
-            first.tx_id, 1, TxState.COMMITTED, first.prepared_at, self.outcome_at(env, first)
-        )
+        settled = TransactionMetadata(first.tx_id, 1, TxState.COMMITTED)
         committed = self.expected(env, dict.fromkeys(keys, reference_columns(self.COLUMNS, settled)))
         return env, settled, committed
 
     @pytest.mark.parametrize("mode", list(METADATA_MODES))
     def test_each_kind_of_row_stores_only_the_metadata_it_asserts(self, mode):
-        """Column names, in order, of settled and PREPARED rows: no column at its default."""
-        env, _, _ = self.seeded(mode)
-        settled = ["_tx_id", "_tx_version", "_tx_state", "_tx_prepared_at", "_tx_committed_at"]
-        before = [
-            "_tx_before",
-            "_tx_before_version",
-            "_tx_before_state",
-            "_tx_before_prepared_at",
-            "_tx_before_committed_at",
-            *("_tx_before_col_" + name for name in self.COLUMNS),
-        ]
-        prepared = settled[:4]
+        """Column names, in order, of settled and PREPARED rows: the oracle's, none at a default."""
+        env, settled, _ = self.seeded(mode)
+        settled_names = list(SETTLED_METADATA_COLUMNS)
+        assert list(reference_metadata_columns(settled)) == settled_names
         app = list(self.COLUMNS)
         tx = env.manager.begin()
         tx.put(k("s1", pk=2), self.COLUMNS)  # an insert
         colocated = env.manager.decoupling is None
 
         def names(expected, outcomes):
-            """Each record's stored column names: its one row, or its application and metadata rows."""
+            """Each record's stored column names: its one row, or its application and metadata rows.
+
+            Each outcome row holds its outcome alone.
+            """
             rows = {record.key: record.columns for record in env.dump_all()}
             assert len(rows) == len(expected) * (1 if colocated else 2) + outcomes
+            coordinator = [list(record.columns) for record in env.adapter("coord").dump()]
+            assert coordinator == [[COORD_STATE_COLUMN]] * outcomes
             for key, (app_names, meta_names) in expected.items():
                 if colocated:
                     assert list(rows[key]) == app_names + meta_names
@@ -2441,20 +2459,24 @@ class TestStoredImages:
                     assert list(rows[DecoupleConfig.metadata_key(key)]) == meta_names
             return rows
 
-        names({k("s1"): (app, settled), k("s2"): (app, settled)}, outcomes=1)
+        names({k("s1"): (app, settled_names), k("s2"): (app, settled_names)}, outcomes=1)
         self.prepare_and_crash(env, FaultKind.CRASH_BEFORE_BATCH, tx)  # an overwrite, a delete
+        insert = TransactionMetadata(tx.tx_id, 1, TxState.PREPARED, tx.prepared_at)
+        image = BeforeImage(self.COLUMNS, settled.tx_id, settled.version)
+        overwrite = replace(insert, version=2, before_image=image)
+        delete = replace(overwrite, delete_marker=True)
         rows = names(
             {
-                k("s1"): (app, prepared + before),
-                k("s1", pk=2): (app, prepared),
-                k("s2"): ([], prepared + ["_tx_deleted"] + before),
+                k("s1"): (app, list(reference_metadata_columns(overwrite))),
+                k("s1", pk=2): (app, list(reference_metadata_columns(insert))),
+                k("s2"): ([], list(reference_metadata_columns(delete))),
             },
             outcomes=1,  # the seeding commit's
         )
         delete_meta = rows[k("s2") if colocated else DecoupleConfig.metadata_key(k("s2"))]
-        assert delete_meta["_tx_deleted"] is True
+        assert decode_metadata(delete_meta) == delete
         tx.abort()  # restores both settled rows, and removes the insert
-        names({k("s1"): (app, settled), k("s2"): (app, settled)}, outcomes=2)
+        names({k("s1"): (app, settled_names), k("s2"): (app, settled_names)}, outcomes=2)
 
     @pytest.mark.parametrize("mode", list(METADATA_MODES))
     def test_commit_restore_and_roll_forward_store_the_oracles_rows(self, mode):
