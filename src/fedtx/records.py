@@ -3,18 +3,17 @@
 Every record written through the transaction manager carries its own log
 entry: reserved ``_tx_*`` columns holding the writing transaction's id, the
 record version and its state. A stored row keeps only the metadata it
-asserts: a settled row carries those three columns, a PREPARED row adds its
-prepare time ``_tx_prepared_at``, and only a PREPARED delete carries the
-marker ``_tx_deleted``. A PREPARED record that replaces one also carries its
-before-image for rollback, as plain columns beside the rest: ``_tx_before``
-(the prior tx id), ``_tx_before_version``, and each prior application column
-``c`` as ``_tx_before_col_<c>`` holding its raw value. A before-image is
-always of a settled row, so it needs no state. Every reader takes an absent
-column as its default (None, False, no image) and ignores the timestamps
-that older rows also carried, so a row in an older format reads the same.
-Every name starts with ``_tx_``, so stores that keep metadata in a separate
-table put the whole set there; this module only defines the column codec,
-not the placement.
+asserts: every row carries those three columns, and only a PREPARED delete
+adds the marker ``_tx_deleted``. A PREPARED record that replaces one also
+carries its before-image for rollback, as plain columns beside the rest:
+``_tx_before`` (the prior tx id), ``_tx_before_version``, and each prior
+application column ``c`` as ``_tx_before_col_<c>`` holding its raw value.
+A before-image is always of a settled row, so it needs no state. Every
+reader takes an absent column as its default (None, False, no image) and
+ignores the timestamps that older rows also carried, so a row in an older
+format reads the same. Every name starts with ``_tx_``, so stores that keep
+metadata in a separate table put the whole set there; this module only
+defines the column codec, not the placement.
 
 The stored row is the one form of a record's metadata; nothing decodes it
 into objects. A read keeps the row the store handed out
@@ -51,7 +50,6 @@ META_PREFIX = "_tx_"
 COL_TX_ID = "_tx_id"
 COL_VERSION = "_tx_version"
 COL_STATE = "_tx_state"
-COL_PREPARED_AT = "_tx_prepared_at"  # PREPARED rows only
 COL_DELETED = "_tx_deleted"  # a PREPARED delete only
 COL_BEFORE = "_tx_before"  # prior tx id; absent (None in older rows) without a before-image
 COL_BEFORE_VERSION = "_tx_before_version"
@@ -100,13 +98,11 @@ def _check(tx_id, version) -> None:
 def parse_metadata(row: Mapping[str, object]) -> Mapping[str, object]:
     """Check a stored row's metadata, and its before-image's when ``_tx_before`` is set.
 
-    An unknown state raises, and so does a PREPARED row without its prepare
-    time. Returns ``row`` itself, whose ``COL_*`` columns the caller then
-    reads by name.
+    An unknown state raises. Returns ``row`` itself, whose ``COL_*`` columns
+    the caller then reads by name.
     """
     _check(row[COL_TX_ID], row[COL_VERSION])
-    if _state(row[COL_STATE]) is TxState.PREPARED and row.get(COL_PREPARED_AT) is None:
-        raise ValueError("a PREPARED record must carry prepared_at")
+    _state(row[COL_STATE])
     prior = row.get(COL_BEFORE)
     if prior is not None:
         _check(prior, row[COL_BEFORE_VERSION])
@@ -131,7 +127,6 @@ def combined_columns(
     tx_id: str,
     version: int,
     state: TxState,
-    prepared_at: int | None = None,
     deleted: bool = False,
     before: Mapping[str, object] | None = None,
     before_app: Mapping[str, object] | None = None,
@@ -140,12 +135,11 @@ def combined_columns(
 
     ``row`` is the record's colocated row (a copy of its application
     columns, which keep their place in front) or its empty metadata row. The
-    metadata columns follow, none at its default: ``_tx_prepared_at`` only
-    when given (a PREPARED row), ``_tx_deleted`` only when True,
-    ``_tx_before*`` only with a before-image. For a PREPARED row, ``before``
-    is the settled row this write replaces (or, with split metadata, the row
-    holding its ``_tx_*`` columns) and ``before_app`` its application
-    columns: its tx id and version become ``_tx_before`` and
+    metadata columns follow, none at its default: ``_tx_deleted`` only when
+    True, ``_tx_before*`` only with a before-image. For a PREPARED row,
+    ``before`` is the settled row this write replaces (or, with split
+    metadata, the row holding its ``_tx_*`` columns) and ``before_app`` its
+    application columns: its tx id and version become ``_tx_before`` and
     ``_tx_before_version``, and ``before_app`` the ``_tx_before_col_*``
     columns. A before-image never nests, so ``before``'s own ``_tx_before*``
     columns are left behind.
@@ -157,8 +151,6 @@ def combined_columns(
     row[COL_TX_ID] = tx_id
     row[COL_VERSION] = version
     row[COL_STATE] = state._value_  # the enum's stored value; ``.value`` is a slower property
-    if prepared_at is not None:
-        row[COL_PREPARED_AT] = prepared_at
     if deleted:
         row[COL_DELETED] = True
     if before is None:

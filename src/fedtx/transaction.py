@@ -165,7 +165,7 @@ class _LogicalWrite:
         else:
             self.version, self.condition = 1, IF_NOT_EXISTS
 
-    def prepared_write(self, tx_id: str, prepared_at: int) -> ConditionalWrite | SplitWrite:
+    def prepared_write(self, tx_id: str) -> ConditionalWrite | SplitWrite:
         obs = self.observed
         columns = self.columns
         app = {} if columns is None else columns.copy()
@@ -176,7 +176,6 @@ class _LogicalWrite:
             tx_id,
             self.version,
             _PREPARED,
-            prepared_at,
             columns is None,
             obs.meta_row,
             obs.app_columns,
@@ -270,7 +269,6 @@ class TxHandle:
         self.read_set: dict[FullKey, ReadResult] = {}
         self.write_set: dict[FullKey, dict | None] = {}  # None deletes the key
         self.attempt: TxSummary | None = None  # built at commit for a history sink
-        self.prepared_at: int | None = None
         # Each group beside its issued prepare batch; these may hold PREPARED records.
         self._prepared_groups: list[tuple[list[_LogicalWrite], list]] = []
         self._one_phase_batch: list[_LogicalWrite] | None = None  # issued; may have applied
@@ -778,9 +776,8 @@ class TransactionManager:
         # Prepare phase: one conditional batch per group, stopping at the
         # first conflict. A group is listed before its batch is issued, since
         # a crash may still land the batch.
-        tx.prepared_at = self._tick()
         for group in groups:
-            batch = [logical.prepared_write(tx.tx_id, tx.prepared_at) for logical in group]
+            batch = [logical.prepared_write(tx.tx_id) for logical in group]
             tx._prepared_groups.append((group, batch))
             if self._write(batch, tx.read_set) is not None:
                 tx._prepared_groups.pop()

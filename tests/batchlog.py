@@ -16,14 +16,12 @@ with its node id, so a manager's tx-id prefix is the same in every run.
 So that two trees' logs compare although their managers tick their clocks a
 different number of times, tx ids (in keys, columns and conditions; a
 coordinator key holds one) are renumbered ``tx1``, ``tx2``, ... in the order
-they first appear in a test, and so are the ticks in ``_tx_prepared_at``
-(``at1``, ``at2``, ...; a tick with the row's tx id, since every manager
-ticks its own clock). A dump's records are logged sorted as normalised,
-since the store orders them by raw keys. ``--batchlog-drop`` names columns
-left out of every row and condition, for comparing trees that store
-different columns. A test that starts a thread is set aside: its calls
-interleave differently from run to run, so its header says so and no call
-is logged.
+they first appear in a test. A dump's records are logged sorted as
+normalised, since the store orders them by raw keys. ``--batchlog-drop``
+names columns left out of every row and condition: run the tree that stores
+more columns with the ones the other leaves out. A test that starts a thread
+is set aside: its calls interleave differently from run to run, so its
+header says so and no call is logged.
 
 The comparer reads each test's calls as a digest, prints each test whose
 calls differ, and counts the tests that match, differ, were set aside, or
@@ -45,7 +43,6 @@ import pytest
 # A tx id is a manager's 22-character base64 prefix, a dot and a hex tick.
 _TX_ID = re.compile(r"[A-Za-z0-9_-]{22}\.[0-9a-f]+")
 _ADDRESS = re.compile(r" at 0x[0-9a-f]+")  # an object's repr differs from run to run
-TICK_COLUMNS = frozenset({"_tx_prepared_at"})
 _OPERATIONS = ("read", "scan", "snapshot_read", "view_read", "atomic_write", "dump")
 
 
@@ -56,22 +53,17 @@ class _Log:
         self.drop: frozenset[str] = frozenset()
         self.lines: list[str] | None = None  # None between tests
         self.threaded = False
-        self.names: dict[tuple[str, object], str] = {}
-        self.counts: dict[str, int] = {}
+        self.names: dict[str, str] = {}  # raw tx id -> its number in this test
 
     def start(self):
-        self.lines, self.threaded, self.names, self.counts = [], False, {}, {}
-
-    def _renumber(self, value, prefix: str) -> str:
-        name = self.names.get((prefix, value))
-        if name is None:
-            count = self.counts[prefix] = self.counts.get(prefix, 0) + 1
-            name = self.names[(prefix, value)] = f"{prefix}{count}"
-        return name
+        self.lines, self.threaded, self.names = [], False, {}
 
     def value(self, value):
         if isinstance(value, str) and _TX_ID.fullmatch(value):
-            return self._renumber(value, "tx")
+            name = self.names.get(value)
+            if name is None:
+                name = self.names[value] = f"tx{len(self.names) + 1}"
+            return name
         if isinstance(value, tuple):
             return tuple(self.value(v) for v in value)
         return value
@@ -79,15 +71,8 @@ class _Log:
     def row(self, row) -> str:
         if row is None:
             return "None"
-        out = []
-        for name, value in row.items():
-            if name in self.drop:
-                continue
-            if name in TICK_COLUMNS:  # each manager ticks its own clock: tell them apart by tx id
-                value = self._renumber((row.get("_tx_id"), value), "at")
-            else:
-                value = self.value(value)
-            out.append(f"{name}={value!r}")
+        drop = self.drop
+        out = (f"{name}={self.value(value)!r}" for name, value in row.items() if name not in drop)
         return "{" + ", ".join(out) + "}"
 
     def key(self, key) -> str:

@@ -26,7 +26,6 @@ from fedtx.records import (
     COL_BEFORE,
     COL_BEFORE_VERSION,
     COL_DELETED,
-    COL_PREPARED_AT,
     COL_STATE,
     COL_TX_ID,
     COL_VERSION,
@@ -83,7 +82,6 @@ class BeforeImage:
 class TransactionMetadata:
     """Oracle: a record's metadata as an object, checked on construction.
 
-    ``prepared_at`` is a PREPARED record's alone: a settled one has none.
     ``delete_marker`` is only meaningful while PREPARED: roll-forward then
     deletes instead of committing the columns.
     """
@@ -91,7 +89,6 @@ class TransactionMetadata:
     tx_id: str
     version: int
     tx_state: TxState
-    prepared_at: int | None = None
     before_image: BeforeImage | None = None
     delete_marker: bool = False
 
@@ -100,15 +97,13 @@ class TransactionMetadata:
             raise ValueError("tx_id must be non-empty")
         if self.version < 1:
             raise ValueError("version starts at 1")
-        if (self.tx_state is TxState.PREPARED) != (self.prepared_at is not None):
-            raise ValueError("a PREPARED record, and only one, must carry prepared_at")
 
 
 def decode_metadata(row: Mapping[str, object] | None) -> TransactionMetadata | None:
     """Oracle: a stored row's ``_tx_*`` columns decoded field by field into objects.
 
-    Columns without the prefix are ignored, and so is ``_tx_prepared_at`` on
-    a settled row, and an absent row (None) has no metadata.
+    Columns without the prefix are ignored, and so are the timestamps an
+    older row carried; an absent row (None) has no metadata.
     ``fedtx.records.parse_metadata`` must accept exactly the rows this
     accepts.
     """
@@ -123,12 +118,10 @@ def decode_metadata(row: Mapping[str, object] | None) -> TransactionMetadata | N
             prior_tx_id,
             row[COL_BEFORE_VERSION],
         )
-    state = TxState(row[COL_STATE])
     return TransactionMetadata(
         row[COL_TX_ID],
         row[COL_VERSION],
-        state,
-        row.get(COL_PREPARED_AT) if state is TxState.PREPARED else None,
+        TxState(row[COL_STATE]),
         before,
         bool(row.get(COL_DELETED, False)),
     )
@@ -137,19 +130,16 @@ def decode_metadata(row: Mapping[str, object] | None) -> TransactionMetadata | N
 def reference_metadata_columns(meta: TransactionMetadata) -> dict:
     """Oracle: a metadata object rendered as its reserved columns, field by field.
 
-    A column at its default is left out: ``_tx_prepared_at`` when None (a
-    settled record), ``_tx_deleted`` unless True. A before-image adds
-    ``_tx_before``, ``_tx_before_version`` and its ``_tx_before_col_*``
-    columns. ``fedtx.records.combined_columns`` must write exactly these from
-    plain fields.
+    A column at its default is left out: ``_tx_deleted`` unless True. A
+    before-image adds ``_tx_before``, ``_tx_before_version`` and its
+    ``_tx_before_col_*`` columns. ``fedtx.records.combined_columns`` must
+    write exactly these from plain fields.
     """
     columns = {
         COL_TX_ID: meta.tx_id,
         COL_VERSION: meta.version,
         COL_STATE: meta.tx_state.value,
     }
-    if meta.prepared_at is not None:
-        columns[COL_PREPARED_AT] = meta.prepared_at
     if meta.delete_marker:
         columns[COL_DELETED] = True
     before = meta.before_image
@@ -193,7 +183,6 @@ def stored_row(app_columns, meta: TransactionMetadata) -> dict:
         meta.tx_id,
         meta.version,
         meta.tx_state,
-        meta.prepared_at,
         meta.delete_marker,
         prior_row,
         prior_app,

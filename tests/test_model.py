@@ -59,9 +59,7 @@ class TestValues:
     def test_unsupported_values_are_rejected_at_every_edge(self):
         with pytest.raises(TypeError):
             FullKey("s1", "ns", "t", (1.5,))
-        meta = TransactionMetadata(
-            "t1", 2, TxState.PREPARED, prepared_at=2, before_image=BeforeImage({"x": 1.5}, "t0", 1)
-        )
+        meta = TransactionMetadata("t1", 2, TxState.PREPARED, BeforeImage({"x": 1.5}, "t0", 1))
         store = build_env().adapter("s1")
         with pytest.raises(TypeError):  # the store checks every column a PUT writes
             store.atomic_write([ConditionalWrite(KEY, stored_row({}, meta))])

@@ -13,7 +13,6 @@ from fedtx.records import (
     COL_BEFORE,
     COL_BEFORE_VERSION,
     COL_DELETED,
-    COL_PREPARED_AT,
     COL_STATE,
     COL_TX_ID,
     COL_VERSION,
@@ -76,7 +75,6 @@ metadata = st.builds(
     tx_id=st.text(min_size=1, max_size=8),
     version=st.integers(1, 9),
     tx_state=st.just(TxState.PREPARED),
-    prepared_at=st.integers(1, 99),
     before_image=st.one_of(st.none(), before_images),
     delete_marker=st.booleans(),
 )
@@ -98,7 +96,7 @@ def test_split_inverts_combine(columns, meta):
 
 @given(app_columns, before_images)
 def test_before_image_columns_all_land_on_the_metadata_side(columns, before):
-    meta = TransactionMetadata("t1", 2, TxState.PREPARED, prepared_at=5, before_image=before)
+    meta = TransactionMetadata("t1", 2, TxState.PREPARED, before_image=before)
     stored = stored_row(columns, meta)
     app, raw_meta = split_columns(stored)
     before_columns = {name for name in stored if name.startswith(COL_BEFORE)}
@@ -110,7 +108,7 @@ def test_before_image_columns_all_land_on_the_metadata_side(columns, before):
 
 def test_before_image_without_application_columns_is_kept():
     before = BeforeImage({}, "t0", 1)
-    meta = TransactionMetadata("t1", 2, TxState.PREPARED, prepared_at=5, before_image=before)
+    meta = TransactionMetadata("t1", 2, TxState.PREPARED, before_image=before)
     row = stored_row({}, meta)
     assert decode_metadata(parse_metadata(row)).before_image == BeforeImage({}, "t0", 1)
 
@@ -126,10 +124,9 @@ def test_a_committed_image_has_exactly_the_settled_columns():
 
 def test_a_prepared_image_orders_its_metadata_columns():
     before = BeforeImage({"v": 0, "w": 1}, "t0", 1)
-    meta = TransactionMetadata("t1", 2, TxState.PREPARED, 5, before, delete_marker=True)
+    meta = TransactionMetadata("t1", 2, TxState.PREPARED, before, delete_marker=True)
     expected = [
         *SETTLED_METADATA_COLUMNS,
-        "_tx_prepared_at",
         "_tx_deleted",
         "_tx_before",
         "_tx_before_version",
@@ -170,7 +167,7 @@ def test_a_stored_row_decodes_to_its_metadata_and_application_columns(columns, m
 
 @given(app_columns, before_images)
 def test_a_prepared_row_decodes_its_before_image(columns, before):
-    meta = TransactionMetadata("t1", 2, TxState.PREPARED, prepared_at=5, before_image=before)
+    meta = TransactionMetadata("t1", 2, TxState.PREPARED, before_image=before)
     row = stored_row(columns, meta)
     assert decode_metadata(parse_metadata(row)).before_image == before
     assert application_columns(row) == split_columns(row)[0] == dict(columns)
@@ -229,9 +226,7 @@ def changed(row, change):
 
 
 def prepared_row_with_before_image():
-    meta = TransactionMetadata(
-        "t1", 2, TxState.PREPARED, prepared_at=5, before_image=BeforeImage({"v": 0}, "t0", 1)
-    )
+    meta = TransactionMetadata("t1", 2, TxState.PREPARED, BeforeImage({"v": 0}, "t0", 1))
     return stored_row({"v": 1}, meta)
 
 
@@ -249,16 +244,12 @@ def test_an_unknown_state_raises(column, value):
     [
         {COL_VERSION: 0},
         {COL_TX_ID: ""},
-        {COL_PREPARED_AT: None},
-        {COL_PREPARED_AT: MISSING},
         {COL_BEFORE_VERSION: 0},
         {COL_BEFORE: ""},
     ],
     ids=[
         "version-0",
         "empty-tx-id",
-        "prepared-with-prepared-at-none",
-        "prepared-without-prepared-at",
         "before-version-0",
         "before-empty-tx-id",
     ],
@@ -273,17 +264,17 @@ def test_a_row_breaking_a_metadata_invariant_raises(change):
 @pytest.mark.parametrize(
     "change",
     [
-        {COL_STATE: "COMMITTED", COL_PREPARED_AT: MISSING},
         {COL_STATE: "COMMITTED"},
-        {COL_PREPARED_AT: "any value"},
+        {"_tx_prepared_at": 5, "_tx_committed_at": None},
+        {"_tx_prepared_at": "any value"},
     ],
-    ids=["settled-without-prepared-at", "settled-with-prepared-at", "prepared-at-unchecked"],
+    ids=["settled", "with-older-timestamps", "older-timestamp-unchecked"],
 )
 def test_a_row_keeping_every_metadata_invariant_is_accepted(change):
     row = changed(prepared_row_with_before_image(), change)
     assert parse_metadata(row) is row
-    settled = row[COL_STATE] == "COMMITTED"
-    assert decode_metadata(row).prepared_at == (None if settled else row[COL_PREPARED_AT])
+    before = BeforeImage({"v": 0}, "t0", 1)
+    assert decode_metadata(row) == TransactionMetadata("t1", 2, TxState(row[COL_STATE]), before)
 
 
 # -- the encoder against the object oracle ------------------------------------------
@@ -345,11 +336,8 @@ settled_with_stray_image = st.one_of(
     prior=st.one_of(st.none(), st.tuples(app_columns, settled_with_stray_image)),
     layout=st.sampled_from(["colocated", "split"]),
     tx_id=st.text(min_size=1, max_size=8),
-    prepared_at=st.integers(1, 99),
 )
-def test_every_image_a_write_stores_is_the_object_oracles(
-    columns, prior, layout, tx_id, prepared_at
-):
+def test_every_image_a_write_stores_is_the_object_oracles(columns, prior, layout, tx_id):
     obs = observed_row(prior, layout)
     if prior is None:
         version, condition, image = 1, IF_NOT_EXISTS, None
@@ -362,10 +350,8 @@ def test_every_image_a_write_stores_is_the_object_oracles(
     split = layout == "split"
     logical = _LogicalWrite(KEY, columns, obs, version, condition)  # its layout is obs.split
 
-    prepared = logical.prepared_write(tx_id, prepared_at)
-    meta = TransactionMetadata(
-        tx_id, version, TxState.PREPARED, prepared_at, image, delete_marker=deleted
-    )
+    prepared = logical.prepared_write(tx_id)
+    meta = TransactionMetadata(tx_id, version, TxState.PREPARED, image, delete_marker=deleted)
     assert physical_rows(prepared, split) == oracle_rows(columns or {}, meta, split)
     assert (prepared.kind, prepared.condition) == (WriteKind.PUT, condition)
 
@@ -480,7 +466,7 @@ def test_the_row_check_accepts_exactly_what_the_oracle_decodes(columns, meta, mo
 
 # The ``_tx_*`` columns an older row carried and a row in the current format leaves out.
 OLDER_ONLY_COLUMNS = {
-    COL_PREPARED_AT,  # on a settled row
+    "_tx_prepared_at",
     "_tx_committed_at",
     COL_DELETED,
     COL_BEFORE,
@@ -497,14 +483,13 @@ def older_format(row, at):
     while PREPARED), ``_tx_deleted`` (False but on a prepared delete) and
     ``_tx_before`` (None without a before-image), in that order after
     ``_tx_state``. A before-image then also carried its record's state and
-    both timestamps after ``_tx_before_version``. ``at`` is every timestamp
-    that ``row`` does not hold.
+    both timestamps after ``_tx_before_version``. ``at`` is every timestamp.
     """
     out = {name: v for name, v in row.items() if not name.startswith(META_PREFIX)}
     out[COL_TX_ID] = row[COL_TX_ID]
     out[COL_VERSION] = row[COL_VERSION]
     out[COL_STATE] = row[COL_STATE]
-    out[COL_PREPARED_AT] = row.get(COL_PREPARED_AT, at)
+    out["_tx_prepared_at"] = at
     out["_tx_committed_at"] = None if row[COL_STATE] == TxState.PREPARED.value else at
     out[COL_DELETED] = row.get(COL_DELETED, False)
     out[COL_BEFORE] = row.get(COL_BEFORE)

@@ -35,7 +35,10 @@ from fedtx import (
 from fedtx.decoupling import ReadPath, read_dispatch
 from fedtx.model import FullKey, Record, value_tag
 from fedtx.records import (
+    BEFORE_COLUMN_PREFIX,
     COL_BEFORE,
+    COL_BEFORE_VERSION,
+    COL_DELETED,
     COL_STATE,
     COL_TX_ID,
     COL_VERSION,
@@ -1014,7 +1017,7 @@ class TestRecovery:
         store = env.adapter("s1")
         # A row that stays PREPARED however often it is settled: its rollback's
         # tx-id condition never holds against the stored row.
-        ghost = TransactionMetadata("ghost", 2, TxState.PREPARED, prepared_at=1)
+        ghost = TransactionMetadata("ghost", 2, TxState.PREPARED)
         stuck = MappingProxyType(stored_row({"v": 5}, ghost))
         reads = []
 
@@ -1182,9 +1185,8 @@ class TestRecovery:
         for columns in rows().values():  # the image rides with the state columns (_meta when split)
             image = [name for name in columns if name.startswith(COL_BEFORE)]
             if columns.get(COL_STATE) == "PREPARED":
-                oracle = reference_metadata_columns(decode_metadata(columns))
-                assert image == [name for name in oracle if name.startswith(COL_BEFORE)]
-                assert len(image) > len(self.MIXED_ROW)
+                before_columns = [BEFORE_COLUMN_PREFIX + name for name in self.MIXED_ROW]
+                assert image == [COL_BEFORE, COL_BEFORE_VERSION, *before_columns]
             else:  # neither a settled row nor a split application row has any
                 assert image == []
 
@@ -2357,8 +2359,8 @@ class TestStoredImages:
     """Every row the protocol stores is the object oracle's image of what happened.
 
     The metadata of each expected row is built as objects from the handles'
-    own tx ids and prepare ticks, then rendered by the oracle and, in a split
-    mode, cut into its two physical rows.
+    own tx ids, then rendered by the oracle and, in a split mode, cut into its
+    two physical rows.
     """
 
     COLUMNS = {"v": 1, "flag": True, "name": "a", "blob": b"\x00", "none": None}
@@ -2401,13 +2403,11 @@ class TestStoredImages:
         return {
             k("s1"): reference_columns(
                 dict(self.COLUMNS, v=2),
-                TransactionMetadata(tx.tx_id, 2, TxState.PREPARED, tx.prepared_at, image),
+                TransactionMetadata(tx.tx_id, 2, TxState.PREPARED, image),
             ),
             k("s2"): reference_columns(
                 {},
-                TransactionMetadata(
-                    tx.tx_id, 2, TxState.PREPARED, tx.prepared_at, image, delete_marker=True
-                ),
+                TransactionMetadata(tx.tx_id, 2, TxState.PREPARED, image, delete_marker=True),
             ),
         }
 
@@ -2461,19 +2461,21 @@ class TestStoredImages:
 
         names({k("s1"): (app, settled_names), k("s2"): (app, settled_names)}, outcomes=1)
         self.prepare_and_crash(env, FaultKind.CRASH_BEFORE_BATCH, tx)  # an overwrite, a delete
-        insert = TransactionMetadata(tx.tx_id, 1, TxState.PREPARED, tx.prepared_at)
+        insert = TransactionMetadata(tx.tx_id, 1, TxState.PREPARED)
         image = BeforeImage(self.COLUMNS, settled.tx_id, settled.version)
         overwrite = replace(insert, version=2, before_image=image)
         delete = replace(overwrite, delete_marker=True)
-        rows = names(
-            {
-                k("s1"): (app, list(reference_metadata_columns(overwrite))),
-                k("s1", pk=2): (app, list(reference_metadata_columns(insert))),
-                k("s2"): ([], list(reference_metadata_columns(delete))),
-            },
-            outcomes=1,  # the seeding commit's
-        )
+        before = ["_tx_before", "_tx_before_version"] + ["_tx_before_col_" + n for n in self.COLUMNS]
+        expected = {
+            k("s1"): (app, settled_names + before),
+            k("s1", pk=2): (app, settled_names),
+            k("s2"): ([], settled_names + ["_tx_deleted"] + before),
+        }
+        for key, meta in [(k("s1"), overwrite), (k("s1", pk=2), insert), (k("s2"), delete)]:
+            assert list(reference_metadata_columns(meta)) == expected[key][1]
+        rows = names(expected, outcomes=1)  # the seeding commit's outcome
         delete_meta = rows[k("s2") if colocated else DecoupleConfig.metadata_key(k("s2"))]
+        assert delete_meta[COL_DELETED] is True
         assert decode_metadata(delete_meta) == delete
         tx.abort()  # restores both settled rows, and removes the insert
         names({k("s1"): (app, settled_names), k("s2"): (app, settled_names)}, outcomes=2)
