@@ -127,6 +127,8 @@ class ReadPath(enum.Enum):
 _COLOCATED, _SNAPSHOT, _SPLIT_READS = ReadPath.COLOCATED, ReadPath.SNAPSHOT, ReadPath.SPLIT_READS
 _VIEW = ReadPath.VIEW
 _PREPARED = TxState.PREPARED
+_SETTLED = TxState.COMMITTED._value_  # ``.value`` is a slower property
+_NAMESPACE = AtomicityUnit.NAMESPACE
 
 
 class ReadResult:
@@ -140,10 +142,11 @@ class ReadResult:
     * ``present``: whether the record exists; looks at nothing.
     * ``split``: whether the record's metadata lives in its own row, which
       is exactly when the read did not come by the colocated route.
-    * ``prepared``: whether it is in doubt; parses only ``_tx_state``, and an
-      unknown state raises as ``parse_metadata`` does. Every read passes
-      this check first, so a row with no ``_tx_state`` at all raises
-      ``MissingMetadata`` here.
+    * ``prepared``: whether it is in doubt; looks at ``_tx_state`` alone. A
+      settled row is decided by one comparison with ``"COMMITTED"``; any
+      other value is parsed, so an unknown state raises as
+      ``parse_metadata`` does. Every read passes this check first, so a row
+      with no ``_tx_state`` at all raises ``MissingMetadata`` here.
     * ``meta``: ``meta_row`` once ``parse_metadata`` has checked it, at most
       once. A view's is the whole joined row, a split route's holds only the
       ``_tx_*`` columns; read it through the ``records.COL_*`` names.
@@ -182,7 +185,7 @@ class ReadResult:
             raise MissingMetadata(
                 f"the row read carries no fedtx metadata (no {COL_STATE!r} column)"
             ) from None
-        return _state(state) is _PREPARED
+        return state != _SETTLED and _state(state) is _PREPARED
 
     @property
     def meta(self) -> Mapping | None:
@@ -205,7 +208,7 @@ def metadata_in_scope(unit: AtomicityUnit) -> bool:
     The two rows differ only in their table, so they share a scope exactly
     when the scope stops above the table.
     """
-    return unit >= AtomicityUnit.NAMESPACE
+    return unit >= _NAMESPACE
 
 
 def splits(registry: StorageRegistry, config: DecoupleConfig | None, key: FullKey) -> bool:

@@ -4,10 +4,11 @@ The store keeps a flat hash map from (namespace, table, partition key,
 clustering key) to columns, so a point read is one dict lookup. That row key is
 the record's ``FullKey`` less its storage name, the plain tuple ``key[1:]``.
 Beside it a clustering-key index maps each (namespace, table, partition key) to
-the set of non-empty clustering keys stored under it. A scan names one
-partition (a ``GroupKey`` cannot name anything else), reads that set plus the
-partition's empty-clustering-key row and sorts the hits, so it costs the size
-of the partition rather than the size of the store.
+the partition's rows by non-empty clustering key, each the very dict ``_rows``
+holds. A scan names one partition (a ``GroupKey`` cannot name anything else),
+sorts that index's clustering keys and hands out each indexed row, then adds
+the partition's empty-clustering-key row, so it costs the size of the
+partition rather than the size of the store, and builds no row key.
 
 One mutex per store serializes every call: each read, scan, view join, batch
 and dump is one critical section, so a batch is one linearization point, the
@@ -110,8 +111,10 @@ class OpCounters:
 
 _RowKey = tuple  # key[1:]: (namespace, table, partition_key, clustering_key)
 # Bound once: reading an enum member through its class costs about 0.1 µs on
-# Python 3.11, and ``_apply`` reads these per written row.
+# Python 3.11, and ``_apply`` and ``_condition_holds`` read these per written row.
 _PUT, _DELETE = WriteKind.PUT, WriteKind.DELETE
+_IF_NOT_EXISTS, _UNCONDITIONAL = ConditionKind.IF_NOT_EXISTS, ConditionKind.UNCONDITIONAL
+_IF_TX_ID_EQUALS = ConditionKind.IF_TX_ID_EQUALS
 
 
 class MemStore(StorageAdapter):
@@ -121,9 +124,9 @@ class MemStore(StorageAdapter):
         self._name = name
         self._caps = config.capabilities
         self._rows: dict[_RowKey, dict] = {}
-        # (namespace, table, partition key) -> non-empty clustering keys in
-        # _rows; a partition's row with the empty clustering key stays out.
-        self._clustered: dict[tuple, set[tuple]] = {}
+        # (namespace, table, partition key) -> {non-empty clustering key: the
+        # row _rows holds}; a partition's row with the empty clustering key stays out.
+        self._clustered: dict[tuple, dict[tuple, dict]] = {}
         self._views: dict[str, tuple[str, str, str]] = {}
         self._view_by_table: dict[tuple[str, str], str] = {}
         # Guards the rows, the index, the counters and the fault plan.
@@ -151,10 +154,8 @@ class MemStore(StorageAdapter):
     def scan(self, prefix: GroupKey) -> list[tuple[tuple, Mapping]]:
         partition = prefix[1:]  # (namespace, table, partition key)
         with self._lock:
-            hits = [
-                (ck, MappingProxyType(self._rows[partition + (ck,)]))
-                for ck in sorted(self._clustered.get(partition, ()))
-            ]
+            index = self._clustered.get(partition, ())
+            hits = [(ck, MappingProxyType(index[ck])) for ck in sorted(index)]
             bare = self._rows.get(partition + ((),))
             self._counters.scans += 1
         if bare is not None:
@@ -221,9 +222,9 @@ class MemStore(StorageAdapter):
         for deletes as well.
         """
         kind = condition.kind
-        if kind is ConditionKind.IF_NOT_EXISTS:
+        if kind is _IF_NOT_EXISTS:
             return current is None
-        if kind is ConditionKind.UNCONDITIONAL:
+        if kind is _UNCONDITIONAL:
             return True
         expected = condition.expected_columns  # IF_COLUMNS_EQUAL
         return current == expected and all(
@@ -266,13 +267,12 @@ class MemStore(StorageAdapter):
             elif kind is not _DELETE:
                 raise TypeError(f"write kind {kind!r} is not a WriteKind")
             staged.append((key[1:], columns, condition, kind))
-        commit_kind = ConditionKind.IF_TX_ID_EQUALS
         with self._lock:
             counters = self._counters
             rows = self._rows
             for i, (rk, _, condition, _) in enumerate(staged):
                 current = rows.get(rk)
-                if condition.kind is commit_kind:  # the commit path's; fails on an absent record
+                if condition.kind is _IF_TX_ID_EQUALS:  # the commit path's; fails if absent
                     tx_id = condition.expected_tx_id
                     holds = current is not None and current.get(COL_TX_ID) == tx_id
                 else:
@@ -280,19 +280,24 @@ class MemStore(StorageAdapter):
                 if not holds:
                     counters.condition_failures += 1
                     return i
+            clustered = self._clustered
             for rk, columns, _, kind in staged:
                 ck = rk[3]
                 if kind is _DELETE:
                     if rows.pop(rk, None) is not None and ck:
-                        cks = self._clustered[rk[:3]]
-                        cks.discard(ck)
-                        if not cks:
-                            del self._clustered[rk[:3]]
-                else:
-                    if ck and rk not in rows:
-                        self._clustered.setdefault(rk[:3], set()).add(ck)
-                    # .copy(): dict() of the write's MappingProxyType misses the fast merge
-                    rows[rk] = columns.copy()
+                        index = clustered[rk[:3]]
+                        del index[ck]
+                        if not index:
+                            del clustered[rk[:3]]
+                    continue
+                # .copy(): dict() of the write's MappingProxyType misses the fast merge
+                row = rows[rk] = columns.copy()
+                if ck:
+                    index = clustered.get(rk[:3])
+                    if index is None:
+                        clustered[rk[:3]] = {ck: row}
+                    else:
+                        index[ck] = row
             counters.atomic_write_batches += 1
             counters.written_records += len(writes)
             counters.db_transactions += 1

@@ -154,9 +154,9 @@ class FullKey(CheckedTuple):
     ) -> "FullKey":
         """A key from components already checked, both key parts tuples.
 
-        For an address built from checked parts, such as a transaction's scan
-        joining its prefix to each clustering key the store returned: the
-        row's key was checked when the row was written.
+        For an address built from checked parts, such as a store's dump
+        naming each row it holds: the row's key was checked when the row was
+        written.
         """
         return _new_tuple(cls, (storage, namespace, table, partition_key, clustering_key))
 

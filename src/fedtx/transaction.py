@@ -112,11 +112,16 @@ from .verifier import TxSummary
 _RECOVERY_ATTEMPTS = 10
 _COMMIT_QUEUE_SIZE = 64
 # Bound once: reading an enum member through its class costs about 0.1 µs on
-# Python 3.11; the row builders below run once per written row, and the scan
-# and validation paths once per record.
+# Python 3.11; the row builders below run once per written row, the access
+# check once per operation, and the scan, validation and recovery paths once
+# per record.
 _PREPARED, _COMMITTED = TxState.PREPARED, TxState.COMMITTED
 _PUT, _DELETE = WriteKind.PUT, WriteKind.DELETE
 _COLOCATED, _SPLIT_READS = ReadPath.COLOCATED, ReadPath.SPLIT_READS
+_ACTIVE = TxStatus.ACTIVE
+_PARTITION = AtomicityUnit.PARTITION
+
+_new_tuple = tuple.__new__
 
 _log = logging.getLogger(__name__)
 
@@ -274,7 +279,7 @@ class TxHandle:
         self._one_phase_batch: list[_LogicalWrite] | None = None  # issued; may have applied
 
     def _check_active(self):
-        if self.status is not TxStatus.ACTIVE:
+        if self.status is not _ACTIVE:
             raise TransactionFinished(f"transaction {self.tx_id} is {self.status.value}")
 
     def _check_access(self, key: FullKey | GroupKey) -> None:
@@ -283,7 +288,7 @@ class TxHandle:
         The coordinator table is compared field by field, the table first:
         it is the field an application key most often differs in.
         """
-        if self.status is not TxStatus.ACTIVE:
+        if self.status is not _ACTIVE:
             self._check_active()  # raises
         coordinator = self._manager.coordinator
         if (
@@ -392,18 +397,19 @@ class TransactionManager:
         The partition lies in one table, so whether its rows are split is
         decided once. The store returns each row with its clustering key, in
         clustering order; ``prefix`` is the partition's scope, so each key is
-        ``prefix`` joined to its clustering key, and each row present is
-        handed out in one pass as a freshly filtered dict of its application
-        columns. Only a buffered write in the partition calls for a merge and
-        a sort.
+        the one tuple ``prefix + (ck,)``, made a ``FullKey`` without checks:
+        every part was checked when the row was written. A colocated row
+        costs one state test (``ReadResult.prepared``), and each row present
+        is handed out in the same pass as a freshly filtered dict of its
+        application columns, the one filter. Only a buffered write in the
+        partition calls for a merge and a sort.
         """
         rows = self.registry.scan(prefix)
         split = self.decoupling is not None and self.decoupling.applies_to(prefix)
         read_set = tx.read_set
-        unchecked_key = FullKey._unchecked
         items = []
         for ck, row in rows:
-            key = unchecked_key(*prefix, ck)
+            key = _new_tuple(FullKey, prefix + (ck,))
             obs = read_set.get(key)
             if obs is None:
                 # A split row lacks its metadata; a colocated one is read again only in doubt.
@@ -411,12 +417,12 @@ class TransactionManager:
                 if obs is None or obs.prepared:
                     obs = self._observe(key, obs)
                 read_set[key] = obs
-            if obs.present:
+            if obs.meta_row is not None:  # present
                 items.append((key, application_columns(obs.app_row)))
         own = [
             (key, columns)
             for key, columns in tx.write_set.items()
-            if scope_of(key, AtomicityUnit.PARTITION) == prefix
+            if scope_of(key, _PARTITION) == prefix
         ]
         if not own:
             return items
@@ -497,7 +503,7 @@ class TransactionManager:
         recovered = 0
         for adapter in self.registry.storages():
             for record in adapter.dump():
-                if record.columns.get(COL_STATE) != TxState.PREPARED.value:
+                if record.columns.get(COL_STATE) != _PREPARED._value_:
                     continue
                 key = logical_key(record.key)
                 obs = read_dispatch(self.registry, self.decoupling, key)

@@ -18,6 +18,7 @@ from fedtx import (
 )
 from fedtx.decoupling import (
     ReadPath,
+    ReadResult,
     SplitWrite,
     expand_writes,
     logical_key,
@@ -27,6 +28,7 @@ from fedtx.decoupling import (
     read_split,
 )
 from fedtx.model import scope_of
+from fedtx.records import COL_STATE
 from conftest import (
     METADATA_MODES,
     TransactionMetadata,
@@ -320,6 +322,24 @@ class TestReadRoutes:
         assert result.app_columns is result.app_columns
         absent = read_split(env.registry, env.manager.decoupling, k(pk=99))
         assert (absent.present, absent.prepared) == (False, False)
+
+    @pytest.mark.parametrize(
+        "state",
+        ["COMMITTED", "PREPARED", "ABORTED", "committed", "", None, 0, b"COMMITTED"],
+        ids=repr,
+    )
+    def test_the_state_check_agrees_with_the_oracle(self, state):
+        """``prepared`` decides a settled row by one comparison and raises where the oracle raises."""
+        row = stored_row({"v": 1}, committed_meta())
+        row[COL_STATE] = state
+        result = ReadResult(row, row, ReadPath.COLOCATED)
+        try:
+            expected = decode_metadata(row).tx_state is TxState.PREPARED
+        except Exception as error:  # noqa: BLE001 - the same error must come from the check
+            with pytest.raises(type(error)):
+                result.prepared
+            return
+        assert result.prepared is expected
 
     @pytest.mark.parametrize("mode", list(METADATA_MODES))
     def test_a_result_decoded_late_yields_what_was_read(self, mode):

@@ -470,6 +470,11 @@ class TestScan:
             s.atomic_write([put(k(pk=1, ck=ck), {"v": ck})])
         s.atomic_write([delete(k(pk=1, ck=2))])
         assert [ck for ck, _ in s.scan(self.prefix())] == [(1,), (3,)]
+        # a re-put and an overwrite: the scan hands out the rows written last
+        s.atomic_write([put(k(pk=1, ck=2), {"v": 20}), put(k(pk=1, ck=3), {"v": 30})])
+        assert [(ck, row["v"]) for ck, row in s.scan(self.prefix())] == [
+            ((1,), 1), ((2,), 20), ((3,), 30)
+        ]
 
     def test_scan_reads_exactly_the_named_partition(self):
         s = store()
@@ -515,6 +520,8 @@ class TestScan:
                     for ck, row in s.scan(GroupKey("s1", ns, table, pk))
                 ]
                 assert scanned == expected
+            for partition, index in s._clustered.items():  # the very rows _rows holds
+                assert all(row is s._rows[partition + (ck,)] for ck, row in index.items())
 
         emptied = 0
         for step in range(300):

@@ -46,7 +46,7 @@ from fedtx.records import (
     outcome_committed,
 )
 from fedtx.storage import WriteCondition
-from fedtx.verifier import HistoryRecorder, audit_atomicity
+from fedtx.verifier import History, HistoryRecorder, audit_atomicity
 from conftest import (
     METADATA_MODES,
     SETTLED_METADATA_COLUMNS,
@@ -1374,6 +1374,58 @@ class TestScan:
         assert [columns for _, columns in rows] == got
         assert all(tx.read_set[key] is reads[key] for key in keys)
 
+    @pytest.mark.parametrize("mode", list(METADATA_MODES))
+    def test_a_scan_after_a_committed_delete_and_a_re_put(self, mode):
+        """Deletes take rows out of a scan, down to an empty partition, and a re-put brings them back.
+
+        A colocated table sits on a PARTITION-unit store. A split table's
+        metadata row must share its record's scope, so it sits on a
+        NAMESPACE-unit store, the narrowest that allows it.
+        """
+        decoupled, consistent, view = METADATA_MODES[mode]
+        unit = AtomicityUnit.NAMESPACE if decoupled else AtomicityUnit.PARTITION
+        recorder = HistoryRecorder()
+        env = build_env(
+            {"s1": make_caps(unit, consistent, view)},
+            decoupled=decoupled,
+            register_views=view,
+            history=recorder,
+        )
+        prefix = GroupKey("s1", "app", "t", (1,))
+        keys = [k(pk=1, ck=ck) for ck in range(3)]
+        coord = ("coord", "coordinator", "state")
+
+        def commit(puts=(), deletes=()):
+            tx = env.manager.begin()
+            for key, value in puts:
+                tx.put(key, {"v": value})
+            for key in deletes:
+                tx.delete(key)
+            tx.commit()
+
+        def scanned():
+            tx = env.manager.begin(serializable=True)
+            rows = tx.scan(prefix)
+            tx.commit()
+            return [(key.clustering_key[0], columns["v"]) for key, columns in rows]
+
+        commit(puts=[(key, key.clustering_key[0]) for key in keys])
+        commit(deletes=[keys[1]])
+        assert scanned() == [(0, 0), (2, 2)]
+        commit(deletes=[keys[0], keys[2]])
+        assert scanned() == []
+        assert env.dump_all() == []
+        assert audit_atomicity(env.dump_all(), recorder.history(), coord) == []
+        # A re-put restarts its key's version lineage at 1, so it is audited
+        # on the history that follows the deletes.
+        after_deletes = len(recorder.history().entries)
+        commit(puts=[(keys[2], 20), (keys[1], 10)])
+        assert scanned() == [(1, 10), (2, 20)]
+        settled = [r.columns for r in env.dump_all() if COL_STATE in r.columns]
+        assert [decode_metadata(columns).version for columns in settled] == [1, 1]
+        history = History(entries=recorder.history().entries[after_deletes:])
+        assert audit_atomicity(env.dump_all(), history, coord) == []
+
     def test_scan_recovers_prepared_records(self):
         env = build_env({"s1": make_caps(), "s2": make_caps()})
         tx = env.manager.begin()
@@ -1464,7 +1516,7 @@ class TestMetadataTables:
         assert (obs.app_columns, decode_metadata(obs.meta).version) == ({"v": 1}, 1)
         assert "x" not in env.registry.read(DecoupleConfig.metadata_key(k()))
 
-    @pytest.mark.parametrize("op", ["get", "put"])
+    @pytest.mark.parametrize("op", ["get", "put", "scan"])
     def test_a_manager_that_does_not_split_a_split_record_gets_a_clear_error(self, op):
         """A split record's application row, read as a colocated record, carries no metadata."""
         env = build_env(decoupled=True)
@@ -1473,6 +1525,8 @@ class TestMetadataTables:
         with pytest.raises(MissingMetadata, match="carries no fedtx metadata"):
             if op == "get":
                 tx.get(k())
+            elif op == "scan":
+                tx.scan(GroupKey("s1", "app", "t", (1,)))
             else:
                 tx.put(k(), {"v": 2})
                 tx.commit()
@@ -1590,14 +1644,26 @@ class TestScopeCost:
         assert built[Record] == 0
         assert built[FullKey] == 0  # neither one per row nor one for the partition
         assert unchecked == []
-        # A transaction's scan addresses each row once, from the prefix and its clustering key.
+        # A transaction's scan addresses each row once: one unchecked key, the
+        # tuple of the prefix and the row's clustering key.
+        made = []
+        new_tuple = fedtx.transaction._new_tuple
+
+        def counting_tuple(cls, parts):
+            made.append((cls, parts))
+            return new_tuple(cls, parts)
+
+        monkeypatch.setattr(fedtx.transaction, "_new_tuple", counting_tuple)
         tx = env.manager.begin()
         expected = [(k(ck=ck), {"v": ck}) for ck in range(16)]
         built[FullKey] = 0
         assert tx.scan(prefix) == expected
-        assert unchecked == [("s1", "app", "t", (1,), (ck,)) for ck in range(16)]
+        assert made == [(FullKey, ("s1", "app", "t", (1,), (ck,))) for ck in range(16)]
+        assert all(type(parts) is tuple for _, parts in made)
+        assert unchecked == []
         assert built[FullKey] == built[Record] == 0
         assert list(tx.read_set) == [key for key, _ in expected]
+        assert all(type(key) is FullKey for key in tx.read_set)
 
     def test_store_reads_check_no_returned_row(self, built):
         caps = make_caps(AtomicityUnit.STORAGE, consistent=True)
